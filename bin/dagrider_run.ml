@@ -875,17 +875,15 @@ let render_commit_cmd =
     let node = Harness.Runner.node fleet 0 in
     let dag = Dagrider.Node.dag node in
     let f = (n - 1) / 3 in
-    let rule = Harness.Runner.effective_rule (Harness.Runner.options fleet) in
-    let wave_length = rule.Dagrider.Ordering.rule_wave_length in
-    let commit_quorum = Dagrider.Ordering.quorum_of rule ~f in
     Printf.printf
       "Figure 2 regeneration: wave-by-wave commit decisions at p0 (rule %s)\n\
        (a wave's leader commits directly when >= %d last-round vertices\n\
        have a strong path to it; skipped leaders are committed\n\
        retroactively by the next committing wave's backward chain)\n\n"
-      rule.Dagrider.Ordering.rule_name commit_quorum;
+      rule.Dagrider.Ordering.rule_name
+      (Dagrider.Ordering.quorum_of rule ~f);
     print_string
-      (Dagrider.Render.wave_summary dag ~wave_length ~commit_quorum
+      (Dagrider.Render.wave_summary dag ~rule ~f
          ~leader_of:(fun w -> Dagrider.Node.leader_of node ~wave:w));
     Printf.printf
       "\ndecided up to wave %d; leaders of waves without COMMIT above were\n\

@@ -5,13 +5,14 @@
    is a protocol (or oracle) bug, reported with the exact command that
    replays it, plus a greedily shrunk fault script.
 
-   Sabotage mode (--sabotage): same machinery, but the commit quorum is
-   deliberately weakened through the commit_quorum knob (all the way to
-   commit-on-sight — see scenario.ml for why intermediate quorums stay
-   safe under honest RBC) while the schedule hides the predicted wave
-   leader; the run FAILS unless the oracle catches at least one
-   agreement violation. This is the oracle's own regression test: it
-   proves the checker can actually see disagreement.
+   Sabotage mode (--sabotage): same machinery, but the fleet runs its
+   rule with the commit quorum deliberately weakened (all the way to
+   commit-on-sight, [Fixed 0] — see scenario.ml for why intermediate
+   quorums stay safe under honest RBC) while the schedule hides the
+   predicted wave leader. The oracles still judge by the honest rule,
+   and the run FAILS unless they catch at least one agreement
+   violation. This is the oracle's own regression test: it proves the
+   checker can actually see disagreement.
 
    Examples:
      dune exec bin/swarm.exe -- --seeds 200
@@ -188,20 +189,9 @@ let dump_trace (sc : Check.Scenario.t) =
       explain_path (List.length nodes));
   (* the analyzer sees only the ring's retained window; truncation is
      reported inside the summary rather than hidden *)
-  let rule =
-    Harness.Runner.effective_rule (Check.Scenario.to_options sc)
-  in
   let config =
-    { Analyze.default_config with
-      wave_length = rule.Dagrider.Ordering.rule_wave_length;
-      rule_name = rule.Dagrider.Ordering.rule_name;
-      round_robin_n =
-        (match rule.Dagrider.Ordering.rule_schedule with
-        | Dagrider.Ordering.Coin -> None
-        | Dagrider.Ordering.Round_robin -> Some sc.Check.Scenario.n);
-      waves_bound = rule.Dagrider.Ordering.rule_bound;
-      f = Some sc.Check.Scenario.f;
-      byzantine = Check.Scenario.faulty_nodes sc }
+    Analyze.fleet_config ~rule:sc.Check.Scenario.rule ~n:sc.Check.Scenario.n
+      ~f:sc.Check.Scenario.f ~byzantine:(Check.Scenario.faulty_nodes sc)
   in
   let report = Analyze.analyze ~config (Trace.events tracer) in
   List.iter

@@ -1,8 +1,6 @@
 type config = {
-  wave_length : int;
-  rule_name : string;
-  round_robin_n : int option;
-  waves_bound : float;
+  rule : Dagrider.Ordering.rule;
+  n : int option;
   f : int option;
   byzantine : int list;
   observer : int option;
@@ -14,10 +12,8 @@ type config = {
 }
 
 let default_config =
-  { wave_length = 4;
-    rule_name = "dagrider";
-    round_robin_n = None;
-    waves_bound = 1.5;
+  { rule = Dagrider.Ordering.dag_rider;
+    n = None;
     f = None;
     byzantine = [];
     observer = None;
@@ -26,6 +22,9 @@ let default_config =
     skip_streak = 3;
     lossy_link_factor = 4.0;
     lossy_link_min = 20 }
+
+let fleet_config ~rule ~n ~f ~byzantine =
+  { default_config with rule; n = Some n; f = Some f; byzantine }
 
 type summary = {
   s_count : int;
@@ -399,7 +398,15 @@ let finalize ?(config = default_config) t =
   let f =
     match config.f with Some f -> f | None -> (processes - 1) / 3
   in
-  let wave_length = max 1 config.wave_length in
+  let rule = config.rule in
+  let wave_length = max 1 rule.Dagrider.Ordering.rule_wave_length in
+  (* [Some n]: leaders follow the round-robin schedule over n processes *)
+  let round_robin_n =
+    match rule.Dagrider.Ordering.rule_schedule with
+    | Dagrider.Ordering.Coin -> None
+    | Dagrider.Ordering.Round_robin ->
+      Some (Option.value config.n ~default:processes)
+  in
   let span = if t.have_time then (t.t_min, t.t_max) else (0.0, 0.0) in
   let horizon = snd span in
   (* observer: longest a_deliver log, ties to the lowest id *)
@@ -435,7 +442,7 @@ let finalize ?(config = default_config) t =
            are coin-instance resolutions on the coin cadence — their
            numbering is unrelated to ordering waves, so they must not
            be folded into the wave records *)
-        if config.round_robin_n = None && not (Hashtbl.mem elected wave) then
+        if round_robin_n = None && not (Hashtbl.mem elected wave) then
           Hashtbl.add elected wave (leader, at)
       | Oskip { wave; leader; at } ->
         if not (Hashtbl.mem skipped wave) then Hashtbl.add skipped wave (leader, at)
@@ -464,7 +471,7 @@ let finalize ?(config = default_config) t =
     Hashtbl.iter (fun w _ -> note w) committed;
     (* coin instances number ordering waves only on coin-scheduled
        rules; under round-robin they run on a separate cadence *)
-    if config.round_robin_n = None then
+    if round_robin_n = None then
       Hashtbl.iter (fun w _ -> note w) t.coin_first;
     List.sort compare (Hashtbl.fold (fun w () acc -> w :: acc) seen [])
   in
@@ -508,7 +515,7 @@ let finalize ?(config = default_config) t =
             | None -> (Unresolved, None, 0))
         in
         let leader =
-          match (leader_elect, skip, config.round_robin_n) with
+          match (leader_elect, skip, round_robin_n) with
           | Some (l, _), _, _ -> Some l
           | None, Some (l, _), _ -> Some l
           | None, None, Some n ->
@@ -770,8 +777,8 @@ let finalize ?(config = default_config) t =
   { r_processes = processes;
     r_f = f;
     r_wave_length = wave_length;
-    r_rule = config.rule_name;
-    r_waves_bound = config.waves_bound;
+    r_rule = rule.Dagrider.Ordering.rule_name;
+    r_waves_bound = rule.Dagrider.Ordering.rule_bound;
     r_observer = observer;
     r_events = t.count;
     r_truncated = t.first_seq > 0;
@@ -784,14 +791,14 @@ let finalize ?(config = default_config) t =
     r_waves_resolved =
       (* coin rules: waves whose leader the observer elected; round
          robin: every leader is predefined, so count processed waves *)
-      (match config.round_robin_n with
+      (match round_robin_n with
       | None -> Hashtbl.length elected
       | Some _ -> !processed);
     r_commits_direct = !direct_commits;
     r_commits_chained = !chained_commits;
     r_waves_skipped = !skipped_final;
     r_waves_per_commit = waves_per_commit;
-    r_claim6_ok = waves_per_commit <= config.waves_bound;
+    r_claim6_ok = waves_per_commit <= rule.Dagrider.Ordering.rule_bound;
     r_rounds = rounds;
     r_round_skew = round_skew;
     r_rbc_phases = rbc_phases;

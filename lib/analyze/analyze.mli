@@ -27,23 +27,20 @@
     can be finalized under several configs. *)
 
 type config = {
-  wave_length : int;
-      (** {e ordering} rounds per wave (4 for DAG-Rider, 2 for
-          Bullshark) — leader rounds and skip attribution derive from
-          it *)
-  rule_name : string;
-      (** commit rule the trace ran under, echoed into the report
-          ("dagrider" by default) *)
-  round_robin_n : int option;
-      (** [Some n] = round-robin leader schedule over [n] processes
-          (Bullshark): wave leaders are inferred as [(w-1) mod n], and
+  rule : Dagrider.Ordering.rule;
+      (** commit rule the trace ran under. Its [rule_wave_length] gives
+          the {e ordering} rounds per wave (leader rounds and skip
+          attribution derive from it), its name is echoed into the
+          report, and its [rule_bound] is the waves-per-commit bound
+          audited by [r_claim6_ok]. Under a round-robin schedule
+          (Bullshark) wave leaders are inferred as [(w-1) mod n], and
           coin events in the stream — which then run on their own
           cadence with unrelated instance numbering — are kept out of
-          the wave records. [None] (default) = coin-scheduled leaders,
-          where coin instance [w] {e is} ordering wave [w]. *)
-  waves_bound : float;
-      (** the rule's waves-per-commit bound audited by [r_claim6_ok]
-          (1.5 for DAG-Rider per Claim 6) *)
+          the wave records; under a coin schedule coin instance [w]
+          {e is} ordering wave [w]. *)
+  n : int option;
+      (** fleet size, for round-robin leader attribution; [None] infers
+          it from the highest process id in the stream *)
   f : int option;  (** fault bound; [None] infers [(n-1)/3] *)
   byzantine : int list;
       (** processes counted Byzantine by the chain-quality audit *)
@@ -68,10 +65,15 @@ type config = {
 }
 
 val default_config : config
-(** The paper's rule: [wave_length = 4], [rule_name = "dagrider"],
-    [round_robin_n = None], [waves_bound = 1.5], everything inferred,
-    [stall_factor = 8.0], [slow_wave_factor = 4.0], [skip_streak = 3],
-    [lossy_link_factor = 4.0], [lossy_link_min = 20]. *)
+(** The paper's rule ({!Dagrider.Ordering.dag_rider}), everything
+    inferred, [stall_factor = 8.0], [slow_wave_factor = 4.0],
+    [skip_streak = 3], [lossy_link_factor = 4.0], [lossy_link_min = 20]. *)
+
+val fleet_config :
+  rule:Dagrider.Ordering.rule -> n:int -> f:int -> byzantine:int list -> config
+(** {!default_config} for a known fleet: its rule, size, fault bound and
+    Byzantine set. The harness and the swarm checker both build their
+    analyzer configs with it. *)
 
 type summary = {
   s_count : int;
@@ -157,8 +159,8 @@ type report = {
   r_processes : int;
   r_f : int;
   r_wave_length : int;
-  r_rule : string;  (** the config's [rule_name] *)
-  r_waves_bound : float;  (** the config's [waves_bound] *)
+  r_rule : string;  (** the config rule's [rule_name] *)
+  r_waves_bound : float;  (** the config rule's [rule_bound] *)
   r_observer : int;
   r_events : int;  (** events fed *)
   r_truncated : bool;
@@ -183,7 +185,7 @@ type report = {
   r_waves_skipped : int;  (** skipped and never committed *)
   r_waves_per_commit : float;
       (** resolved / committed; [infinity] when nothing committed *)
-  r_claim6_ok : bool;  (** [r_waves_per_commit <= waves_bound] *)
+  r_claim6_ok : bool;  (** [r_waves_per_commit <= r_waves_bound] *)
   r_rounds : (int * int) list;  (** per process: highest round entered *)
   r_round_skew : summary;
       (** per-round spread (last − first process to enter it) *)

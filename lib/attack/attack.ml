@@ -200,23 +200,28 @@ let do_withhold t ~payload ~round =
         (Printf.sprintf "withheld from {%s} permanently"
            (String.concat "," (List.map string_of_int t.victims)))
 
-(* the coin cadence is fixed (4 rounds) independently of the commit rule,
-   so grinding on resolved coin instances never reads ordering state —
-   attacked schedules stay identical across rules *)
-let coin_wave_length = 4
-
+(* grinding reads only resolved coin instances, on the coin cadence the
+   rule derives (Ordering.coin_wave_length) — 4 rounds under both stock
+   rules, so attacked schedules stay identical across rules *)
 let do_grind t ~payload ~round =
-  let support_wave = ((max 1 (round - 1)) - 1) / coin_wave_length + 1 in
-  let leader =
+  let grind_target =
     match t.node with
     | None -> None
-    | Some node -> Dagrider.Node.coin_leader_of node ~wave:support_wave
+    | Some node ->
+      let cadence =
+        Dagrider.Ordering.coin_wave_length
+          (Dagrider.Ordering.rule (Dagrider.Node.ordering node))
+      in
+      let wave = (((max 1 (round - 1)) - 1) / cadence) + 1 in
+      Option.map
+        (fun l -> (wave, l))
+        (Dagrider.Node.coin_leader_of node ~wave)
   in
-  match leader with
-  | Some l when l = t.arsenal.ars_me ->
+  match grind_target with
+  | Some (support_wave, l) when l = t.arsenal.ars_me ->
     note t ~round ~info:(Printf.sprintf "rushing wave %d (own coin)" support_wave);
     t.arsenal.ars_bcast ~round ~payload
-  | Some l ->
+  | Some (support_wave, l) ->
     let delay = 1.0 +. Stdx.Rng.float t.rng 2.0 in
     note t ~round
       ~info:
@@ -227,7 +232,8 @@ let do_grind t ~payload ~round =
 
 (* Bullshark's predefined schedule: 2-round waves, leader (w-1) mod n.
    Reading the static table keeps the strategy rule-oblivious. *)
-let bias_wave_length = 2
+let bias_wave_length =
+  Dagrider.Ordering.bullshark.Dagrider.Ordering.rule_wave_length
 
 let do_bias t ~payload ~round =
   let wave = ((round - 1) / bias_wave_length) + 1 in

@@ -85,22 +85,18 @@ type commit_record = {
 (* evaluated synchronously from the on_commit hook, so [dag] is the
    node's state at the moment the rule fired — support only grows
    afterwards, which is exactly why a weakened quorum can hide from
-   end-of-run audits but not from this one. The quorum is re-derived
-   from the rule (2f+1 for DAG-Rider, f+1 for Bullshark), never taken
-   from the options — a sabotaged [commit_quorum] must not weaken the
+   end-of-run audits but not from this one. [rule] is the scenario's
+   honest rule (2f+1 for DAG-Rider, f+1 for Bullshark), never the one
+   the run was built with — a sabotaged quorum must not weaken the
    oracle that is supposed to catch it. *)
 let quorum_label (rule : Dagrider.Ordering.rule) =
   match rule.Dagrider.Ordering.rule_quorum with
   | Dagrider.Ordering.Two_f_plus_one -> "2f+1"
   | Dagrider.Ordering.F_plus_one -> "f+1"
+  | Dagrider.Ordering.Fixed q -> string_of_int q
 
 let check_direct_commit ~rule ~f ~dag ~node ~wave ~leader =
-  let wave_length = rule.Dagrider.Ordering.rule_wave_length in
-  let commit_quorum = Dagrider.Ordering.quorum_of rule ~f in
-  if
-    Dagrider.Ordering.commit_rule_met ~wave_length ~commit_quorum ~dag ~wave
-      ~leader
-  then []
+  if Dagrider.Ordering.commit_rule_met ~rule ~f ~dag ~wave ~leader then []
   else
     [ { invariant = "leader-support";
         node;
@@ -161,8 +157,6 @@ let check_equivocation ~dags =
    process committed (the Line 39-43 backward walk). support can only
    grow after the commit, so evaluating on the final DAG is sound. *)
 let check_leader_support ~rule ~f ~commits ~dag_of =
-  let wave_length = rule.Dagrider.Ordering.rule_wave_length in
-  let commit_quorum = Dagrider.Ordering.quorum_of rule ~f in
   let by_node = Hashtbl.create 16 in
   List.iter
     (fun c ->
@@ -190,8 +184,8 @@ let check_leader_support ~rule ~f ~commits ~dag_of =
               | Some leader ->
                 if c.cr_direct then
                   if
-                    Dagrider.Ordering.commit_rule_met ~wave_length
-                      ~commit_quorum ~dag ~wave:c.cr_wave ~leader
+                    Dagrider.Ordering.commit_rule_met ~rule ~f ~dag
+                      ~wave:c.cr_wave ~leader
                   then acc
                   else
                     { invariant = "leader-support";
@@ -243,7 +237,7 @@ let check_leader_support ~rule ~f ~commits ~dag_of =
    was a bug. [leader_of node wave] supplies the leader schedule
    (round-robin rules know every leader; coin rules only audit waves
    whose instance the node resolved — [None] skips the wave). *)
-let check_skip_legality ~wave_length ~commits ~dag_of ~leader_of =
+let check_skip_legality ~rule ~commits ~dag_of ~leader_of =
   let by_node = Hashtbl.create 16 in
   List.iter
     (fun c ->
@@ -263,7 +257,7 @@ let check_skip_legality ~wave_length ~commits ~dag_of ~leader_of =
             | None -> ()
             | Some leader_source -> (
               match
-                Dagrider.Ordering.leader_vertex ~wave_length ~dag ~wave:w
+                Dagrider.Ordering.leader_vertex ~rule ~dag ~wave:w
                   ~leader_source
               with
               | None -> () (* legal: leader vertex absent from the DAG *)
@@ -682,7 +676,7 @@ let check_validity ~n ~logs =
           (List.init n (fun s -> s)))
     logs
 
-let check_fleet ~runner ~commits ~expect_validity =
+let check_fleet ~rule ~runner ~commits ~expect_validity =
   let opts = Harness.Runner.options runner in
   let n = opts.Harness.Runner.n and f = opts.Harness.Runner.f in
   let correct = Harness.Runner.correct_indices runner in
@@ -708,7 +702,6 @@ let check_fleet ~runner ~commits ~expect_validity =
     else None
   in
   let live_commits = List.filter (fun c -> is_correct c.cr_node) commits in
-  let rule = Harness.Runner.effective_rule opts in
   let leader_of node wave =
     if is_correct node then
       Dagrider.Node.leader_of (Harness.Runner.node runner node) ~wave
@@ -719,8 +712,7 @@ let check_fleet ~runner ~commits ~expect_validity =
   @ List.concat_map (fun (i, dag) -> check_dag_wf ~n ~f ~node:i dag) dags
   @ check_equivocation ~dags
   @ check_leader_support ~rule ~f ~commits:live_commits ~dag_of
-  @ check_skip_legality ~wave_length:rule.Dagrider.Ordering.rule_wave_length
-      ~commits:live_commits ~dag_of ~leader_of
+  @ check_skip_legality ~rule ~commits:live_commits ~dag_of ~leader_of
   @ (match Harness.Runner.forensics runner with
     | Some forensics -> check_certificates ~rule ~f ~forensics ~dag_of
     | None -> [])

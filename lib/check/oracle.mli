@@ -66,10 +66,10 @@ val check_direct_commit :
     step) for a {e direct} commit, with the committing node's DAG.
     Because strong-path support only grows after the commit, this is
     strictly stronger than auditing the final DAG — it is the check that
-    catches a sabotaged [commit_quorum] even when the support gap closes
-    later. The quorum is re-derived from [rule] (2f+1 for DAG-Rider,
-    f+1 for Bullshark), never from the run's options, so a weakened
-    [commit_quorum] cannot weaken the oracle judging it. *)
+    catches a sabotaged quorum even when the support gap closes later.
+    [rule] is the scenario's honest rule (2f+1 for DAG-Rider, f+1 for
+    Bullshark), never the rule the run was built with, so a weakened
+    quorum cannot weaken the oracle judging it. *)
 
 val check_leader_support :
   rule:Dagrider.Ordering.rule ->
@@ -85,7 +85,7 @@ val check_leader_support :
     (Algorithm 3's line 39–43 backward walk). *)
 
 val check_skip_legality :
-  wave_length:int ->
+  rule:Dagrider.Ordering.rule ->
   commits:commit_record list ->
   dag_of:(int -> Dagrider.Dag.t option) ->
   leader_of:(int -> int -> int option) ->
@@ -167,11 +167,14 @@ val check_lie_exclusion :
     single Byzantine responder poison a restarted node. *)
 
 val check_fleet :
+  rule:Dagrider.Ordering.rule ->
   runner:Harness.Runner.t ->
   commits:commit_record list ->
   expect_validity:bool ->
   violation list
-(** End-of-run sweep of every invariant over the correct processes:
+(** End-of-run sweep of every invariant over the correct processes,
+    judged by [rule] — the scenario's honest rule, passed in explicitly
+    because the run itself may be built with a sabotaged one:
 
     - {b agreement} and {b integrity} on the delivered logs (above);
     - {b dag-wf}: every vertex in every correct DAG passes
@@ -183,8 +186,8 @@ val check_fleet :
     - {b leader-support}: every {e directly} committed leader has the
       rule's quorum of last-round vertices with a strong path to it
       (2f+1 for DAG-Rider, f+1 for Bullshark), recomputed from the DAG
-      with the {e rule's} quorum regardless of the configured
-      [commit_quorum] (this is what catches a sabotaged quorum); every
+      with the honest rule's quorum regardless of the quorum the run
+      committed with (this is what catches a sabotaged quorum); every
       {e chained} leader is strong-path-reachable from the next
       committed leader;
     - {b skip-legality}: no skipped wave's leader is strong-path

@@ -34,7 +34,6 @@ type t = {
   layers : sched_layer list;
   faults : fault_action list;
   horizon : float;
-  commit_quorum : int option;
   link_faults : Harness.Runner.link_faults option;
   lossy_forced : bool;
   attack : (int * Attack.spec) option;
@@ -370,7 +369,6 @@ let generate ?(sabotage = false) ?(quick = false) ?lossy ?attack
     layers;
     faults;
     horizon;
-    commit_quorum = (if sabotage then Some 0 else None);
     link_faults;
     lossy_forced;
     attack;
@@ -408,6 +406,13 @@ let build_sched t rng =
         Net.Sched.mobile_sluggish ~inner ~n:t.n ~f:t.f ~period ~factor)
     (base_sched t.base rng) t.layers
 
+(* the rule the fleet is built with: sabotage plants commit-on-sight
+   (quorum 0, see [generate]); the oracles keep judging by [t.rule] *)
+let run_rule t =
+  if t.sabotage then
+    { t.rule with Dagrider.Ordering.rule_quorum = Dagrider.Ordering.Fixed 0 }
+  else t.rule
+
 let to_options t =
   let statics =
     List.filter_map (function Static f -> Some f | _ -> None) t.faults
@@ -416,9 +421,8 @@ let to_options t =
     f = t.f;
     seed = t.seed;
     backend = t.backend;
-    rule = t.rule;
+    rule = run_rule t;
     schedule = Harness.Runner.Custom (build_sched t);
-    commit_quorum = t.commit_quorum;
     faults = statics;
     link_faults = t.link_faults;
     sync_trusting = t.sync_weakened }
@@ -484,9 +488,10 @@ let describe t =
     | [] -> ""
     | ls -> "+" ^ String.concat "+" (List.map describe_layer ls))
     (String.concat "; " (List.map describe_fault t.faults))
-    (match t.commit_quorum with
-    | None -> ""
-    | Some q -> Printf.sprintf " quorum=%d(SABOTAGED)" q)
+    (if t.sabotage then
+       Printf.sprintf " quorum=%d(SABOTAGED)"
+         (Dagrider.Ordering.quorum_of (run_rule t) ~f:t.f)
+     else "")
     (match t.link_faults with
     | None -> ""
     | Some lf ->

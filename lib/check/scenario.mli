@@ -49,13 +49,14 @@ type t = {
   f : int;
   backend : Harness.Runner.backend;
   rule : Dagrider.Ordering.rule;
-      (** commit rule the fleet orders with; the DAG substrate and the
-          sampled schedule are rule-independent *)
+      (** the honest commit rule, which the oracles judge by; the DAG
+          substrate and the sampled schedule are rule-independent. A
+          sabotage scenario builds its fleet with this rule's quorum
+          replaced by [Fixed 0] (see {!to_options}) *)
   base : base_sched;
   layers : sched_layer list;
   faults : fault_action list;
   horizon : float;
-  commit_quorum : int option; (** [Some 0] in sabotage mode *)
   link_faults : Harness.Runner.link_faults option;
       (** lossy links under every protocol stack (drop / duplicate /
           corrupt / reorder per message; see
@@ -89,8 +90,8 @@ val generate :
 (** Sample a scenario. The fault script never makes more than [f]
     processes faulty in total (static plus mid-run), so every paper
     invariant must hold — any oracle violation is a bug. With
-    [~sabotage:true] the fault script is empty but [commit_quorum] is
-    weakened (commit-on-sight, below the rule's quorum) while the
+    [~sabotage:true] the fault script is empty but the fleet's commit
+    quorum is weakened (commit-on-sight, below the rule's quorum) while the
     schedule hides the predicted leader's vertices, which breaks the
     quorum-intersection argument behind Lemma 2: the oracle must catch
     the resulting agreement / leader-support violations, proving it is
@@ -133,8 +134,9 @@ val build_sched : t -> Stdx.Rng.t -> Net.Sched.t
     [Harness.Runner.Custom]. *)
 
 val to_options : t -> Harness.Runner.options
-(** Runner options for this scenario (schedule, static faults,
-    [commit_quorum]); the driver adds its observation hooks on top. *)
+(** Runner options for this scenario (schedule, static faults, and the
+    rule — with the quorum weakened to [Fixed 0] in sabotage mode); the
+    driver adds its observation hooks on top. *)
 
 val faulty_nodes : t -> int list
 (** Distinct indices ever made faulty by the script (excludes

@@ -35,10 +35,7 @@ let run_scenario ?trace (sc : Scenario.t) =
               | None -> ()
               | Some runner ->
                 violations :=
-                  Oracle.check_direct_commit
-                    ~rule:
-                      (Harness.Runner.effective_rule
-                         (Harness.Runner.options runner))
+                  Oracle.check_direct_commit ~rule:sc.Scenario.rule
                     ~f:sc.Scenario.f
                     ~dag:(Dagrider.Node.dag (Harness.Runner.node runner node))
                     ~node ~wave:c.Dagrider.Ordering.wave
@@ -81,7 +78,7 @@ let run_scenario ?trace (sc : Scenario.t) =
     Array.blit refs 0 prev 0 n
   done;
   violations :=
-    Oracle.check_fleet ~runner ~commits:!commits
+    Oracle.check_fleet ~rule:sc.Scenario.rule ~runner ~commits:!commits
       ~expect_validity:(Scenario.expect_validity sc)
     @ !violations;
   let correct = Harness.Runner.correct_indices runner in

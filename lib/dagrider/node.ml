@@ -14,8 +14,6 @@ type config = {
   n : int;
   f : int;
   rule : Ordering.rule;
-  wave_length : int;
-  commit_quorum : int option;
   enable_weak_edges : bool;
   gc_depth : int option;
   coin_mode : coin_mode;
@@ -25,25 +23,9 @@ let default_config ~n ~f =
   { n;
     f;
     rule = Ordering.dag_rider;
-    wave_length = 4;
-    commit_quorum = None;
     enable_weak_edges = true;
     gc_depth = None;
     coin_mode = Separate_network }
-
-(* The effective commit rule. Coin-scheduled rules order on the coin
-   cadence by definition (coin instance w IS ordering wave w), so
-   [config.wave_length] — the coin cadence — overrides their wave
-   length; that keeps the wave-length ablation a one-knob change.
-   Round-robin rules keep their own wave length and treat
-   [config.wave_length] purely as the coin cadence: the coin machinery
-   keeps running identically underneath so that rule choice cannot
-   perturb the message schedule (and with it the RNG chain). *)
-let effective_rule config =
-  match config.rule.Ordering.rule_schedule with
-  | Ordering.Coin ->
-    { config.rule with Ordering.rule_wave_length = config.wave_length }
-  | Ordering.Round_robin -> config.rule
 
 type t = {
   config : config;
@@ -63,8 +45,9 @@ type t = {
   mutable round : int; (* current round r of Algorithm 2 *)
   mutable started : bool;
   (* wave machinery — two cadences: ordering waves follow the commit
-     rule's wave length, coin instances follow [config.wave_length]
-     (they coincide for coin-scheduled rules) *)
+     rule's wave length, coin instances follow
+     [Ordering.coin_wave_length] (they coincide for coin-scheduled
+     rules) *)
   mutable waves_completed : int; (* highest ordering wave completed *)
   mutable coin_waves_completed : int; (* highest coin instance completed *)
   shares : (int, Crypto.Threshold_coin.share list ref) Hashtbl.t;
@@ -186,7 +169,7 @@ let unwrap_payload payload =
 let in_dag_share t ~round =
   if t.config.coin_mode <> In_dag then None
   else begin
-    let wave_length = t.config.wave_length in
+    let wave_length = Ordering.coin_wave_length t.config.rule in
     if round > wave_length && (round - 1) mod wave_length = 0 then begin
       let wave = (round - 1) / wave_length in
       tr_emit t (Trace.Coin_flip { node = t.me; wave });
@@ -316,7 +299,7 @@ let maybe_gc t =
     let decided = Ordering.decided_wave t.ordering in
     if decided > 0 then begin
       let decided_start =
-        Ordering.round_of ~wave_length:(Ordering.wave_length t.ordering)
+        Ordering.round_of ~wave_length:t.config.rule.Ordering.rule_wave_length
           ~wave:decided ~k:1
       in
       let cutoff = decided_start - depth in
@@ -352,10 +335,9 @@ let emit_skip_cert t ~wave ~leader_source =
   match t.trace with
   | None -> ()
   | Some tr ->
-    let rule = Ordering.rule t.ordering in
-    let wave_length = Ordering.wave_length t.ordering in
+    let rule = t.config.rule in
     let reason, support =
-      Ordering.skip_evidence ~wave_length ~dag:t.dag ~wave ~leader_source
+      Ordering.skip_evidence ~rule ~dag:t.dag ~wave ~leader_source
     in
     Trace.emit tr
       (Trace.Skip_cert
@@ -363,17 +345,19 @@ let emit_skip_cert t ~wave ~leader_source =
            rule = rule.Ordering.rule_name;
            sched = sched_label rule.Ordering.rule_schedule;
            wave;
-           leader_round = Ordering.round_of ~wave_length ~wave ~k:1;
+           leader_round =
+             Ordering.round_of ~wave_length:rule.Ordering.rule_wave_length
+               ~wave ~k:1;
            leader_source;
            reason = Ordering.skip_reason_label reason;
            support = List.map (fun v -> v.Vertex.source) support;
-           quorum = Ordering.commit_quorum t.ordering })
+           quorum = Ordering.quorum_of rule ~f:t.config.f })
 
 let emit_commit_cert t (c : Ordering.commit) =
   match t.trace with
   | None -> ()
   | Some tr ->
-    let rule = Ordering.rule t.ordering in
+    let rule = t.config.rule in
     Trace.emit tr
       (Trace.Commit_cert
          { node = t.me;
@@ -390,7 +374,7 @@ let emit_commit_cert t (c : Ordering.commit) =
              List.map
                (fun (r : Vertex.vref) -> r.Vertex.source)
                c.Ordering.support;
-           quorum = Ordering.commit_quorum t.ordering;
+           quorum = Ordering.quorum_of rule ~f:t.config.f;
            delivered = List.length c.Ordering.delivered })
 
 (* Run the ordering step for every wave that is locally complete and
@@ -497,14 +481,16 @@ let coin_wave_ready t ~wave =
    resolution (coin-scheduled rules resolve and order in one step) see
    the completed wave — the exact order of the pre-split code. *)
 let wave_ready t ~round =
+  let rule = t.config.rule in
   (match
      Ordering.wave_of_completed_round
-       ~wave_length:(Ordering.wave_length t.ordering) round
+       ~wave_length:rule.Ordering.rule_wave_length round
    with
   | Some w when w > t.waves_completed -> t.waves_completed <- w
   | Some _ | None -> ());
   (match
-     Ordering.wave_of_completed_round ~wave_length:t.config.wave_length round
+     Ordering.wave_of_completed_round
+       ~wave_length:(Ordering.coin_wave_length rule) round
    with
   | Some w -> coin_wave_ready t ~wave:w
   | None -> ());
@@ -552,7 +538,7 @@ let accept_embedded_share t ~round ~source share =
   match share with
   | None -> ()
   | Some (share : Crypto.Threshold_coin.share) ->
-    let wave_length = t.config.wave_length in
+    let wave_length = Ordering.coin_wave_length t.config.rule in
     (* bind the share to the authenticated broadcast: its holder must be
        the vertex's source and its instance the wave this round proves
        complete — otherwise a Byzantine process could replay shares *)
@@ -748,9 +734,7 @@ let create ~config ~me ~coin ~coin_net ~make_rbc ?sync_net
       coin_net;
       sync_net;
       dag = Dag.create ~n:config.n;
-      ordering =
-        Ordering.create ~rule:(effective_rule config)
-          ?commit_quorum:config.commit_quorum ~f:config.f ();
+      ordering = Ordering.create ~rule:config.rule ~f:config.f ();
       rbc = None;
       blocks_to_propose = Queue.create ();
       block_source;
@@ -809,8 +793,9 @@ let restore ~config ~me ~coin ~coin_net ~make_rbc ?sync_net ?sync_trusting
      cadence; coin shares for the completed coin instances were sent
      before the checkpoint and must not be re-sent *)
   t.waves_completed <-
-    max 0 ((ck.ck_round - 1) / Ordering.wave_length t.ordering);
-  t.coin_waves_completed <- max 0 ((ck.ck_round - 1) / config.wave_length);
+    max 0 ((ck.ck_round - 1) / config.rule.Ordering.rule_wave_length);
+  t.coin_waves_completed <-
+    max 0 ((ck.ck_round - 1) / Ordering.coin_wave_length config.rule);
   t.share_sent_up_to <- t.coin_waves_completed;
   t.next_wave_to_order <- ck.ck_decided_wave + 1;
   t.started <- true;

@@ -65,30 +65,27 @@ type coin_mode =
           wiring; simplest to reason about) *)
   | In_dag
       (** the paper's footnote 1: a process's share for wave [w]'s coin
-          rides inside the vertex it broadcasts in round
-          [wave_length * w + 1] — the first vertex it can only create
-          after completing wave [w], preserving unpredictability. No
-          separate coin messages are sent at all; shares arrive with
-          reliable-broadcast deliveries and are bound to their holder by
-          the broadcast's authenticated source. *)
+          rides inside the vertex it broadcasts in round [L * w + 1],
+          [L] the coin cadence ({!Ordering.coin_wave_length}) — the
+          first vertex it can only create after completing wave [w],
+          preserving unpredictability. No separate coin messages are
+          sent at all; shares arrive with reliable-broadcast deliveries
+          and are bound to their holder by the broadcast's
+          authenticated source. *)
 
 type config = {
   n : int;
   f : int;
   rule : Ordering.rule;    (** the commit rule ({!Ordering.dag_rider} by
                                default, {!Ordering.bullshark} for 2-round
-                               round-robin waves) *)
-  wave_length : int;       (** the {e coin} cadence in rounds; the
-                               paper's value is 4. Coin-scheduled rules
-                               order on this cadence too (it overrides
-                               their [rule_wave_length], keeping the
-                               wave-length ablation one knob); under a
-                               round-robin rule the coin keeps flipping
-                               on this cadence — unused by ordering —
-                               so rule choice cannot perturb the
-                               message schedule or the RNG chain *)
-  commit_quorum : int option; (** [None] = the rule's quorum ([2f+1]
-                                  resp. [f+1]) *)
+                               round-robin waves) — the only source of
+                               the wave length and the commit quorum.
+                               Ordering waves follow its
+                               [rule_wave_length]; coin instances
+                               follow {!Ordering.coin_wave_length}, the
+                               same cadence under coin-scheduled rules
+                               and DAG-Rider's 4 rounds under round-robin
+                               ones *)
   enable_weak_edges : bool;(** [false] only for the validity ablation *)
   gc_depth : int option;   (** prune rounds this far behind the decided
                                wave; [None] (default) keeps everything *)

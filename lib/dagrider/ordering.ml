@@ -1,6 +1,6 @@
 type leader_schedule = Coin | Round_robin
 
-type quorum_rule = Two_f_plus_one | F_plus_one
+type quorum_rule = Two_f_plus_one | F_plus_one | Fixed of int
 
 type rule = {
   rule_name : string;
@@ -35,6 +35,12 @@ let quorum_of rule ~f =
   match rule.rule_quorum with
   | Two_f_plus_one -> (2 * f) + 1
   | F_plus_one -> f + 1
+  | Fixed q -> q
+
+let coin_wave_length rule =
+  match rule.rule_schedule with
+  | Coin -> rule.rule_wave_length
+  | Round_robin -> dag_rider.rule_wave_length
 
 let round_robin_leader ~n ~wave =
   if wave < 1 then invalid_arg "Ordering.round_robin_leader: wave must be >= 1";
@@ -43,8 +49,6 @@ let round_robin_leader ~n ~wave =
 type t = {
   f : int;
   rule : rule;
-  wave_length : int;
-  commit_quorum : int;
   span : string;
   mutable decided_wave : int;
   delivered_set : (Vertex.vref, unit) Hashtbl.t;
@@ -68,19 +72,11 @@ let skip_reason_label = function
   | Leader_absent -> "leader-absent"
   | Under_supported -> "under-supported"
 
-let create ?(rule = dag_rider) ?wave_length ?commit_quorum ~f () =
-  let wave_length =
-    match wave_length with Some l -> l | None -> rule.rule_wave_length
-  in
-  if wave_length < 1 then invalid_arg "Ordering.create: wave_length < 1";
-  let rule = { rule with rule_wave_length = wave_length } in
-  let commit_quorum =
-    match commit_quorum with Some q -> q | None -> quorum_of rule ~f
-  in
+let create ?(rule = dag_rider) ~f () =
+  if rule.rule_wave_length < 1 then
+    invalid_arg "Ordering.create: rule_wave_length < 1";
   { f;
     rule;
-    wave_length;
-    commit_quorum;
     span = "order.wave." ^ rule.rule_name;
     decided_wave = 0;
     delivered_set = Hashtbl.create 256;
@@ -97,23 +93,25 @@ let wave_of_completed_round ~wave_length r =
   if r >= wave_length && r mod wave_length = 0 then Some (r / wave_length)
   else None
 
-let leader_vertex ~wave_length ~dag ~wave ~leader_source =
+let leader_vertex ~rule ~dag ~wave ~leader_source =
   Dag.find dag
-    { Vertex.round = round_of ~wave_length ~wave ~k:1; source = leader_source }
+    { Vertex.round = round_of ~wave_length:rule.rule_wave_length ~wave ~k:1;
+      source = leader_source }
 
-let supporters ~wave_length ~dag ~wave ~leader =
+let supporters ~rule ~dag ~wave ~leader =
+  let wave_length = rule.rule_wave_length in
   let last_round = round_of ~wave_length ~wave ~k:wave_length in
   List.filter
     (fun v -> Dag.strong_path dag (Vertex.vref_of v) (Vertex.vref_of leader))
     (Dag.round_vertices dag last_round)
 
-let commit_rule_met ~wave_length ~commit_quorum ~dag ~wave ~leader =
-  List.length (supporters ~wave_length ~dag ~wave ~leader) >= commit_quorum
+let commit_rule_met ~rule ~f ~dag ~wave ~leader =
+  List.length (supporters ~rule ~dag ~wave ~leader) >= quorum_of rule ~f
 
-let skip_evidence ~wave_length ~dag ~wave ~leader_source =
-  match leader_vertex ~wave_length ~dag ~wave ~leader_source with
+let skip_evidence ~rule ~dag ~wave ~leader_source =
+  match leader_vertex ~rule ~dag ~wave ~leader_source with
   | None -> (Leader_absent, [])
-  | Some leader -> (Under_supported, supporters ~wave_length ~dag ~wave ~leader)
+  | Some leader -> (Under_supported, supporters ~rule ~dag ~wave ~leader)
 
 let deliver_leader t ~dag ~wave ~leader ~direct ~support ~anchor ~via =
   let history = Dag.causal_history dag (Vertex.vref_of leader) in
@@ -133,14 +131,12 @@ let deliver_leader t ~dag ~wave ~leader ~direct ~support ~anchor ~via =
 let process_wave_impl t ~dag ~wave ~choose_leader =
   if wave <= t.decided_wave then []
   else
-    let wave_length = t.wave_length in
-    match
-      leader_vertex ~wave_length ~dag ~wave ~leader_source:(choose_leader wave)
-    with
+    let rule = t.rule in
+    match leader_vertex ~rule ~dag ~wave ~leader_source:(choose_leader wave) with
     | None -> []
     | Some leader ->
-      let support = supporters ~wave_length ~dag ~wave ~leader in
-      if List.length support < t.commit_quorum then []
+      let support = supporters ~rule ~dag ~wave ~leader in
+      if List.length support < quorum_of rule ~f:t.f then []
       else begin
         (* Lines 38-43: push this wave's leader, then walk back through
            undecided waves, chaining any leader the current one reaches
@@ -152,7 +148,7 @@ let process_wave_impl t ~dag ~wave ~choose_leader =
         let w' = ref (wave - 1) in
         while !w' > t.decided_wave do
           (match
-             leader_vertex ~wave_length ~dag ~wave:!w'
+             leader_vertex ~rule ~dag ~wave:!w'
                ~leader_source:(choose_leader !w')
            with
           | Some v'
@@ -206,10 +202,6 @@ let restore t ~delivered ~decided_wave =
   t.decided_wave <- decided_wave
 
 let rule t = t.rule
-
-let wave_length t = t.wave_length
-
-let commit_quorum t = t.commit_quorum
 
 let decided_wave t = t.decided_wave
 

@@ -7,11 +7,14 @@
     process completes a wave it identifies that wave's leader vertex —
     retrospectively via the global coin (DAG-Rider) or by a predefined
     round-robin schedule (Bullshark) — and commits it if at least
-    [commit_quorum] vertices of the wave's last round have a strong
+    [quorum_of rule ~f] vertices of the wave's last round have a strong
     path to it. Committed leaders chain backwards through waves whose
     commit rule this process missed (Lines 39–43), and each leader's
     not-yet-delivered causal history is output in a deterministic
     order.
+
+    A {!rule} record is the only place the wave length and the commit
+    quorum are set; every helper below takes it whole.
 
     This module is purely local: it reads the DAG and the resolved
     leader schedule and produces delivery events — exactly the paper's
@@ -24,6 +27,11 @@ type leader_schedule =
 type quorum_rule =
   | Two_f_plus_one (** supermajority of the wave's last round *)
   | F_plus_one     (** one correct vote suffices (Bullshark fast path) *)
+  | Fixed of int
+      (** a constant vote count below the safe thresholds — planted
+          only, by the checker's sabotage self-test (quorum 0) and the
+          Lemma-1 counterexample (quorum f), to show why the paper's
+          quorum is needed; never in an experiment *)
 
 type rule = {
   rule_name : string;        (** stable CLI / JSON / span identifier *)
@@ -59,7 +67,14 @@ val rule_of_name : string -> rule option
 (** Look a rule up by [rule_name] ("dagrider" / "bullshark"). *)
 
 val quorum_of : rule -> f:int -> int
-(** The rule's direct-commit quorum: [2f+1] or [f+1]. *)
+(** The rule's direct-commit quorum: [2f+1], [f+1], or the fixed count. *)
+
+val coin_wave_length : rule -> int
+(** The coin cadence in rounds, derived from the rule: coin-scheduled
+    rules flip coin instance [w] as ordering wave [w] completes, so it is
+    their own [rule_wave_length]; round-robin rules never read the coin
+    but keep it flipping on {!dag_rider}'s 4-round cadence, so the rule
+    choice cannot perturb the message schedule or the RNG chain. *)
 
 val round_robin_leader : n:int -> wave:int -> int
 (** The predefined Bullshark leader of a wave: [(wave - 1) mod n].
@@ -96,14 +111,13 @@ val skip_reason_label : skip_reason -> string
 (** Stable identifiers "leader-absent" / "under-supported" (the trace
     certificate encoding). *)
 
-val create :
-  ?rule:rule -> ?wave_length:int -> ?commit_quorum:int -> f:int -> unit -> t
-(** Defaults to {!dag_rider} ([wave_length = 4], [commit_quorum = 2f+1]).
-    [wave_length] overrides the rule's wave length and [commit_quorum]
-    its quorum — the ablation benches use the overrides to demonstrate
-    {e why} the paper's values are right (DESIGN.md §5): shorter coin
-    waves break the common-core argument, a weaker quorum breaks
-    Lemma 1. *)
+val create : ?rule:rule -> f:int -> unit -> t
+(** Defaults to {!dag_rider}. Variants are plain record updates: the
+    wave-length ablation runs [{ dag_rider with rule_wave_length = l }]
+    (shorter coin waves break the common-core argument, DESIGN.md §5),
+    and the quorum-f counterexample in the integration tests runs
+    [{ dag_rider with rule_quorum = Fixed f }] (a weaker quorum breaks
+    Lemma 1). @raise Invalid_argument if [rule_wave_length < 1]. *)
 
 val round_of : wave_length:int -> wave:int -> k:int -> int
 (** [round(w, k) = L(w-1) + k] for wave length [L]; [k] must be in
@@ -114,20 +128,18 @@ val wave_of_completed_round : wave_length:int -> int -> int option
     (i.e. the round is [round(w, L)]), else [None]. *)
 
 val leader_vertex :
-  wave_length:int ->
-  dag:Dag.t -> wave:int -> leader_source:int -> Vertex.t option
+  rule:rule -> dag:Dag.t -> wave:int -> leader_source:int -> Vertex.t option
 (** [get_wave_vertex_leader] (Line 46): the chosen process's vertex in
     the wave's first round, if the local DAG has it. *)
 
 val supporters :
-  wave_length:int -> dag:Dag.t -> wave:int -> leader:Vertex.t -> Vertex.t list
+  rule:rule -> dag:Dag.t -> wave:int -> leader:Vertex.t -> Vertex.t list
 (** The vertices of [round(w, L)] with a strong path to the leader —
     the set whose size Line 36 compares against the quorum, in DAG
     order (sorted by source). *)
 
 val skip_evidence :
-  wave_length:int ->
-  dag:Dag.t -> wave:int -> leader_source:int ->
+  rule:rule -> dag:Dag.t -> wave:int -> leader_source:int ->
   skip_reason * Vertex.t list
 (** Why a wave's commit rule is not met right now, with the partial
     supporter set as evidence ([Leader_absent] carries the empty list).
@@ -135,12 +147,11 @@ val skip_evidence :
     commit for the wave. *)
 
 val commit_rule_met :
-  wave_length:int -> commit_quorum:int ->
-  dag:Dag.t -> wave:int -> leader:Vertex.t -> bool
-(** Line 36: do [>= commit_quorum] vertices in [round(w, L)] have a
-    strong path to the leader? With [wave_length = 2] and
-    [commit_quorum = f+1] this is exactly Bullshark's first-round vote
-    count — a strong path between consecutive rounds is a strong edge. *)
+  rule:rule -> f:int -> dag:Dag.t -> wave:int -> leader:Vertex.t -> bool
+(** Line 36: do [>= quorum_of rule ~f] vertices in [round(w, L)] have a
+    strong path to the leader? Under {!bullshark} (2-round waves, [f+1])
+    this is exactly Bullshark's first-round vote count — a strong path
+    between consecutive rounds is a strong edge. *)
 
 val process_wave :
   t ->
@@ -164,12 +175,7 @@ val restore : t -> delivered:Vertex.t list -> decided_wave:int -> unit
     old waves. @raise Invalid_argument if the state is not fresh. *)
 
 val rule : t -> rule
-(** The rule this state runs, with [rule_wave_length] reflecting any
-    [wave_length] override given at {!create}. *)
-
-val wave_length : t -> int
-
-val commit_quorum : t -> int
+(** The rule this state runs, as given to {!create}. *)
 
 val decided_wave : t -> int
 

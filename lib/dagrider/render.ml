@@ -124,29 +124,25 @@ let dot ?(highlight = fun _ -> false) ?max_round dag =
     ~classify:(fun vref -> if highlight vref then Committed_leader else Plain)
     ?max_round dag
 
-let wave_summary dag ~wave_length ~commit_quorum ~leader_of =
-  let top_wave = Dag.highest_round dag / wave_length in
+let wave_summary dag ~rule ~f ~leader_of =
+  let quorum = Ordering.quorum_of rule ~f in
+  let top_wave = Dag.highest_round dag / rule.Ordering.rule_wave_length in
   let buf = Buffer.create 512 in
   Buffer.add_string buf
-    (Printf.sprintf "wave | leader | present | support (need %d)\n" commit_quorum);
+    (Printf.sprintf "wave | leader | present | support (need %d)\n" quorum);
   for w = 1 to top_wave do
     match leader_of w with
     | None -> Buffer.add_string buf (Printf.sprintf "%4d | (coin unresolved)\n" w)
     | Some leader_source ->
       let line =
-        match Ordering.leader_vertex ~wave_length ~dag ~wave:w ~leader_source with
+        match Ordering.leader_vertex ~rule ~dag ~wave:w ~leader_source with
         | None -> Printf.sprintf "%4d | p%-4d | no      | -\n" w leader_source
         | Some leader ->
-          let last = Ordering.round_of ~wave_length ~wave:w ~k:wave_length in
           let support =
-            List.length
-              (List.filter
-                 (fun v ->
-                   Dag.strong_path dag (Vertex.vref_of v) (Vertex.vref_of leader))
-                 (Dag.round_vertices dag last))
+            List.length (Ordering.supporters ~rule ~dag ~wave:w ~leader)
           in
           Printf.sprintf "%4d | p%-4d | yes     | %d%s\n" w leader_source support
-            (if support >= commit_quorum then " COMMIT" else "")
+            (if support >= quorum then " COMMIT" else "")
       in
       Buffer.add_string buf line
   done;

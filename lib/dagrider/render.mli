@@ -72,8 +72,7 @@ val dot_justification :
     history shading where they overlap). *)
 
 val wave_summary :
-  Dag.t ->
-  wave_length:int -> commit_quorum:int -> leader_of:(int -> int option) ->
+  Dag.t -> rule:Ordering.rule -> f:int -> leader_of:(int -> int option) ->
   string
 (** Per-wave table: leader source, whether the leader vertex is present,
     and its last-round strong-path support count vs the rule's commit

@@ -196,6 +196,11 @@ let find_story t ~node ~wave =
 let find_vertex t ~node ~round ~source =
   Hashtbl.find_opt t.vertex_commit (node, round, source)
 
+let last_round_of t leader_round =
+  match wave_length t with
+  | Some l -> leader_round + l - 1
+  | None -> leader_round
+
 (* the chain a commit belongs to: every commit at the node sharing its
    anchor, ascending by wave (the anchor's direct commit last) *)
 let chain_of t ~node (c : commit_cert) =
@@ -213,11 +218,7 @@ let justification t ~node ~wave =
     let leader =
       { Dagrider.Vertex.round = c.c_leader_round; source = c.c_leader_source }
     in
-    let last_round =
-      match wave_length t with
-      | Some l -> c.c_leader_round + l - 1
-      | None -> c.c_leader_round
-    in
+    let last_round = last_round_of t c.c_leader_round in
     let support =
       List.map
         (fun src -> { Dagrider.Vertex.round = last_round; source = src })
@@ -239,11 +240,6 @@ let justification t ~node ~wave =
 
 let fmt_sources srcs =
   "{" ^ String.concat "," (List.map (fun s -> Printf.sprintf "p%d" s) srcs) ^ "}"
-
-let last_round_of t leader_round =
-  match wave_length t with
-  | Some l -> leader_round + l - 1
-  | None -> leader_round
 
 let sched_evidence (sched : string) ~wave ~leader_source =
   match sched with

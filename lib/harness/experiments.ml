@@ -477,9 +477,10 @@ let batching ?(seed = 42) () =
 
 let ablation_wave_length ?(seed = 42) () =
   let run ~wave_length =
-    let opts =
-      { (Runner.default_options ~n:4) with seed; wave_length }
+    let rule =
+      { Dagrider.Ordering.dag_rider with rule_wave_length = wave_length }
     in
+    let opts = { (Runner.default_options ~n:4) with seed; rule } in
     let h = Runner.build opts in
     Runner.run h ~until:150.0;
     let node = Runner.node h 0 in

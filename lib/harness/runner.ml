@@ -41,8 +41,6 @@ type options = {
   schedule : schedule;
   block_bytes : int;
   rule : Dagrider.Ordering.rule;
-  wave_length : int;
-  commit_quorum : int option;
   enable_weak_edges : bool;
   gc_depth : int option;
   coin_in_dag : bool;
@@ -67,8 +65,6 @@ let default_options ~n =
     schedule = Uniform_random;
     block_bytes = 32;
     rule = Dagrider.Ordering.dag_rider;
-    wave_length = 4;
-    commit_quorum = None;
     enable_weak_edges = true;
     gc_depth = None;
     coin_in_dag = false;
@@ -81,16 +77,6 @@ let default_options ~n =
     trace = None;
     workload = None;
     monitor = None }
-
-(* The rule the nodes actually run (Node applies the same resolution):
-   coin-scheduled rules order on the coin cadence [options.wave_length];
-   round-robin rules keep their own wave length. *)
-let effective_rule options =
-  match options.rule.Dagrider.Ordering.rule_schedule with
-  | Dagrider.Ordering.Coin ->
-    { options.rule with
-      Dagrider.Ordering.rule_wave_length = options.wave_length }
-  | Dagrider.Ordering.Round_robin -> options.rule
 
 (* One protocol stack's transport: the port the protocol talks to, the
    fault-injection hooks the harness needs, and the loss-diagnostics
@@ -481,8 +467,6 @@ let build options =
     { Dagrider.Node.n;
       f;
       rule = options.rule;
-      wave_length = options.wave_length;
-      commit_quorum = options.commit_quorum;
       enable_weak_edges = options.enable_weak_edges;
       gc_depth = options.gc_depth;
       coin_mode =
@@ -934,17 +918,14 @@ let metrics_snapshot t =
   (* name the commit rule explicitly ("rule.<name>" = 1) so downstream
      tooling doesn't have to infer it from span names like
      order.wave.<rule>, and export the rule's shape next to it *)
-  let rule = effective_rule t.options in
+  let rule = t.options.rule in
   Metrics.Registry.incr reg ("rule." ^ rule.Dagrider.Ordering.rule_name) ();
   Metrics.Registry.set_gauge reg "rule.wave_length"
     (float_of_int rule.Dagrider.Ordering.rule_wave_length);
   Metrics.Registry.set_gauge reg "rule.waves_bound"
     rule.Dagrider.Ordering.rule_bound;
   Metrics.Registry.set_gauge reg "rule.commit_quorum"
-    (float_of_int
-       (match t.options.commit_quorum with
-       | Some q -> q
-       | None -> Dagrider.Ordering.quorum_of rule ~f:t.options.f));
+    (float_of_int (Dagrider.Ordering.quorum_of rule ~f:t.options.f));
   Metrics.Registry.incr reg "net.bits.total"
     ~by:(Metrics.Counters.total_bits t.counters) ();
   Metrics.Registry.incr reg "net.bits.honest" ~by:(honest_bits t) ();
@@ -1053,17 +1034,9 @@ let analysis_config t =
   let observer =
     match correct_indices t with i :: _ -> Some i | [] -> Some 0
   in
-  let rule = effective_rule t.options in
-  { Analyze.default_config with
-    wave_length = rule.Dagrider.Ordering.rule_wave_length;
-    rule_name = rule.Dagrider.Ordering.rule_name;
-    round_robin_n =
-      (match rule.Dagrider.Ordering.rule_schedule with
-      | Dagrider.Ordering.Coin -> None
-      | Dagrider.Ordering.Round_robin -> Some t.options.n);
-    waves_bound = rule.Dagrider.Ordering.rule_bound;
-    f = Some t.options.f;
-    byzantine;
+  { (Analyze.fleet_config ~rule:t.options.rule ~n:t.options.n ~f:t.options.f
+       ~byzantine)
+    with
     observer }
 
 let analysis t =

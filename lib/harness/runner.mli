@@ -84,13 +84,12 @@ type options = {
   block_bytes : int; (** synthetic block payload size (0 = empty) *)
   rule : Dagrider.Ordering.rule;
       (** the commit rule the fleet orders with
-          ({!Dagrider.Ordering.dag_rider} by default). The DAG/RBC/coin
-          substrate is rule-independent: two builds differing only in
-          [rule] produce byte-identical DAGs and message schedules. *)
-  wave_length : int;
-      (** the coin cadence; also the ordering wave length for
-          coin-scheduled rules (see {!effective_rule}) *)
-  commit_quorum : int option;
+          ({!Dagrider.Ordering.dag_rider} by default) — the only place
+          the wave length and the commit quorum are set. The coin
+          cadence derives from it ({!Dagrider.Ordering.coin_wave_length}),
+          so the DAG/RBC/coin substrate is the same under both stock
+          rules: two builds differing only in [rule] produce
+          byte-identical DAGs and message schedules. *)
   enable_weak_edges : bool;
   gc_depth : int option;
   coin_in_dag : bool;
@@ -153,13 +152,6 @@ type options = {
 val default_options : n:int -> options
 (** [f = (n-1)/3], seed 42, Bracha backend, uniform-random schedule,
     32-byte blocks, the paper's rule and wave parameters, no faults. *)
-
-val effective_rule : options -> Dagrider.Ordering.rule
-(** The rule the nodes actually run: coin-scheduled rules order on the
-    coin cadence (so [rule_wave_length] is overridden by
-    [options.wave_length], keeping the wave-length ablation one knob);
-    round-robin rules keep their own wave length and leave
-    [options.wave_length] as the coin cadence only. *)
 
 type t
 
@@ -268,7 +260,7 @@ val analysis : t -> Analyze.report option
     built with a tracer. The analyzer is fed live through a
     {!Trace.add_sink} hook, so it sees the {e whole} event stream even
     when the tracer's ring buffer wrapped. Configured from the run's
-    options (wave length, f) with the currently-faulty processes as the
+    options ({!Analyze.fleet_config} of its rule, n and f) with the currently-faulty processes as the
     Byzantine set and the lowest correct process as observer; callable
     mid-run for progress snapshots. Untraced runs return [None] and pay
     nothing. *)

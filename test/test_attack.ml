@@ -47,7 +47,9 @@ let correct_dags t =
     (Harness.Runner.correct_indices t)
 
 let fleet_violations t commits =
-  Check.Oracle.check_fleet ~runner:t ~commits ~expect_validity:false
+  Check.Oracle.check_fleet
+    ~rule:(Harness.Runner.options t).Harness.Runner.rule
+    ~runner:t ~commits ~expect_validity:false
 
 (* ---- equivocation: excluded or converged, per backend ---- *)
 

@@ -133,11 +133,11 @@ let test_honest_scenario_clean () =
 (* ---- Sabotage self-test ---- *)
 
 (* Seed picked by sweeping quick sabotage seeds: this one produces
-   prefix-divergent logs. ISSUE.md suggested [commit_quorum = Some
-   (f+1)] as the sabotage lever, but with honest (non-equivocating)
-   reliable broadcast f+1 is provably still safe here — see the quorum
-   discussion in lib/check/scenario.ml — so sabotage weakens the knob
-   all the way to commit-on-sight. If scenario generation or the
+   prefix-divergent logs. A quorum of f+1 would be the obvious sabotage
+   lever, but with honest (non-equivocating) reliable broadcast f+1 is
+   provably still safe here — see the quorum discussion in
+   lib/check/scenario.ml — so sabotage weakens the quorum all the way
+   to commit-on-sight. If scenario generation or the
    runner's seed derivation changes, re-sweep and update this seed.
    (Re-swept when the gossip backend gained its Byzantine quorum floors:
    the old gossip-backed seed 87 stopped diverging, and this bracha seed
@@ -146,7 +146,11 @@ let sabotage_seed = 293
 
 let test_sabotage_caught () =
   let sc = Check.Scenario.generate ~sabotage:true ~quick:true ~seed:sabotage_seed () in
-  checkb "quorum weakened" true (sc.Check.Scenario.commit_quorum <> None);
+  let run_rule = (Check.Scenario.to_options sc).Harness.Runner.rule in
+  checki "fleet quorum weakened to 0" 0
+    (Dagrider.Ordering.quorum_of run_rule ~f:sc.Check.Scenario.f);
+  checkb "oracles keep the honest rule" true
+    (sc.Check.Scenario.rule = Dagrider.Ordering.dag_rider);
   let outcome = Check.Swarm.run_scenario sc in
   let agreement =
     List.filter

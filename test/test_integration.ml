@@ -326,7 +326,7 @@ let test_quorum_below_fplus1_diverges () =
   (* Two DAG views of the same execution (n=4, f=1): only d0 = (8,0)
      has a strong path to the wave-2 leader a1 = (5,1). View A contains
      d0; view B completed round 8 with the other three vertices and its
-     wave-3 leader avoids d0. With commit_quorum = f = 1, A commits a1
+     wave-3 leader avoids d0. With a quorum of f = 1, A commits a1
      in wave 2 while B commits wave 3 without a1 — divergent logs. With
      the paper's 2f+1 (or even f+1), A does not commit a1, so no
      divergence. This pins down why the threshold matters. *)
@@ -390,15 +390,18 @@ let test_quorum_below_fplus1_diverges () =
     [ 1; 2; 3 ];
   wave3 dag_b;
   let leaders = function 2 -> 1 | 3 -> 2 | _ -> 0 in
-  let run_view dag ~commit_quorum =
-    let ord = Dagrider.Ordering.create ~commit_quorum ~f:1 () in
+  let run_view dag ~rule =
+    let ord = Dagrider.Ordering.create ~rule ~f:1 () in
     ignore (Dagrider.Ordering.process_wave ord ~dag ~wave:2 ~choose_leader:leaders);
     ignore (Dagrider.Ordering.process_wave ord ~dag ~wave:3 ~choose_leader:leaders);
     List.map Dagrider.Vertex.vref_of (Dagrider.Ordering.delivered_log ord)
   in
   (* quorum f = 1: divergence *)
-  let log_a = run_view dag_a ~commit_quorum:1 in
-  let log_b = run_view dag_b ~commit_quorum:1 in
+  let quorum_f =
+    { Dagrider.Ordering.dag_rider with rule_quorum = Dagrider.Ordering.Fixed 1 }
+  in
+  let log_a = run_view dag_a ~rule:quorum_f in
+  let log_b = run_view dag_b ~rule:quorum_f in
   checkb "A committed a1" true (List.mem (vref 5 1) log_a);
   checkb "B never delivers a1" true (not (List.mem (vref 5 1) log_b));
   checkb "B delivered something" true (log_b <> []);
@@ -413,10 +416,26 @@ let test_quorum_below_fplus1_diverges () =
   checkb "divergence with quorum f" false (prefix_comparable log_a log_b);
   (* with the paper's quorum, A refuses the weakly-supported leader and
      no divergence arises *)
-  let log_a' = run_view dag_a ~commit_quorum:3 in
-  let log_b' = run_view dag_b ~commit_quorum:3 in
+  let log_a' = run_view dag_a ~rule:Dagrider.Ordering.dag_rider in
+  let log_b' = run_view dag_b ~rule:Dagrider.Ordering.dag_rider in
   checkb "paper quorum: A skips a1" true (not (List.mem (vref 5 1) log_a'));
   checkb "paper quorum: prefix-comparable" true (prefix_comparable log_a' log_b')
+
+(* the wave-length ablation's table, pinned row by row (wave length,
+   waves completed, waves decided, rounds per decided wave): it is the
+   only experiment that varies the rule's wave length *)
+let test_ablation_wave_length_pinned () =
+  let table = Harness.Experiments.ablation_wave_length () in
+  Alcotest.(check (list (list string)))
+    "ablation-waves rows"
+    [ [ "2"; "41"; "41"; "2.02" ];
+      [ "3"; "27"; "27"; "3.07" ];
+      [ "4"; "20"; "20"; "4.15" ];
+      [ "5"; "16"; "16"; "5.19" ];
+      [ "6"; "13"; "13"; "6.38" ] ]
+    (List.map
+       (fun row -> List.map (List.nth row) [ 0; 1; 2; 4 ])
+       table.Harness.Experiments.rows)
 
 let test_active_attacker_tolerated () =
   (* an attacker floods the broadcast channel with garbage, invalid
@@ -721,7 +740,9 @@ let () =
           Alcotest.test_case "gc prunes" `Quick test_gc_actually_prunes ] );
       ( "ablation",
         [ Alcotest.test_case "quorum below f+1 diverges" `Quick
-            test_quorum_below_fplus1_diverges ] );
+            test_quorum_below_fplus1_diverges;
+          Alcotest.test_case "wave-length table pinned" `Quick
+            test_ablation_wave_length_pinned ] );
       ( "attacker",
         [ Alcotest.test_case "active attacker tolerated" `Quick
             test_active_attacker_tolerated;

@@ -36,12 +36,13 @@ let full_dag ~rounds =
   dag
 
 (* most tests exercise the paper's rule: 4-round waves, 2f+1 quorum *)
-let commit_rule_met ?(wave_length = 4) ?commit_quorum ~dag ~f ~wave ~leader () =
-  let commit_quorum =
-    match commit_quorum with Some q -> q | None -> (2 * f) + 1
-  in
-  Dagrider.Ordering.commit_rule_met ~wave_length ~commit_quorum ~dag ~wave
-    ~leader
+let commit_rule_met ?(rule = Dagrider.Ordering.dag_rider) ~dag ~f ~wave ~leader
+    () =
+  Dagrider.Ordering.commit_rule_met ~rule ~f ~dag ~wave ~leader
+
+(* the paper's rule with another wave length, as the ablation runs it *)
+let dag_rider_waves l =
+  { Dagrider.Ordering.dag_rider with rule_wave_length = l }
 
 (* ---- helpers of the module ---- *)
 
@@ -90,21 +91,21 @@ let test_wave_of_completed_round () =
 let test_leader_vertex_lookup () =
   let dag = full_dag ~rounds:4 in
   (match
-     Dagrider.Ordering.leader_vertex ~wave_length:4 ~dag ~wave:1
-       ~leader_source:2
+     Dagrider.Ordering.leader_vertex ~rule:Dagrider.Ordering.dag_rider ~dag
+       ~wave:1 ~leader_source:2
    with
   | Some v ->
     checki "round" 1 v.Dagrider.Vertex.round;
     checki "source" 2 v.Dagrider.Vertex.source
   | None -> Alcotest.fail "leader should exist");
   checkb "absent leader" true
-    (Dagrider.Ordering.leader_vertex ~wave_length:4 ~dag ~wave:2
-       ~leader_source:0
+    (Dagrider.Ordering.leader_vertex ~rule:Dagrider.Ordering.dag_rider ~dag
+       ~wave:2 ~leader_source:0
     = None);
   (* L2: wave 2's leader sits in round 3, not round 5 *)
   (match
-     Dagrider.Ordering.leader_vertex ~wave_length:2 ~dag ~wave:2
-       ~leader_source:1
+     Dagrider.Ordering.leader_vertex ~rule:Dagrider.Ordering.bullshark ~dag
+       ~wave:2 ~leader_source:1
    with
   | Some v -> checki "L2 wave-2 leader round" 3 v.Dagrider.Vertex.round
   | None -> Alcotest.fail "L2 leader should exist")
@@ -134,19 +135,28 @@ let test_rule_records () =
 
 let test_create_from_rule () =
   let ord = Dagrider.Ordering.create ~rule:Dagrider.Ordering.bullshark ~f:1 () in
-  checki "wave length from rule" 2 (Dagrider.Ordering.wave_length ord);
-  checki "quorum from rule" 2 (Dagrider.Ordering.commit_quorum ord);
   checkb "rule retained" true
     (Dagrider.Ordering.rule ord = Dagrider.Ordering.bullshark);
-  (* overrides apply on top of the rule *)
-  let ord2 =
-    Dagrider.Ordering.create ~rule:Dagrider.Ordering.bullshark ~wave_length:6
-      ~commit_quorum:1 ~f:1 ()
+  (* variants are plain record updates, retained as given *)
+  let variant =
+    { Dagrider.Ordering.bullshark with
+      rule_wave_length = 6;
+      rule_quorum = Dagrider.Ordering.Fixed 1 }
   in
-  checki "wave length override" 6 (Dagrider.Ordering.wave_length ord2);
-  checki "quorum override" 1 (Dagrider.Ordering.commit_quorum ord2);
-  checki "rule reflects override" 6
-    (Dagrider.Ordering.rule ord2).Dagrider.Ordering.rule_wave_length
+  let ord2 = Dagrider.Ordering.create ~rule:variant ~f:1 () in
+  checkb "variant retained" true (Dagrider.Ordering.rule ord2 = variant);
+  checki "fixed quorum" 1 (Dagrider.Ordering.quorum_of variant ~f:1);
+  Alcotest.check_raises "zero-length waves rejected"
+    (Invalid_argument "Ordering.create: rule_wave_length < 1") (fun () ->
+      ignore (Dagrider.Ordering.create ~rule:(dag_rider_waves 0) ~f:1 ()));
+  (* the coin cadence: a coin rule's own wave length, DAG-Rider's 4
+     under round-robin leaders *)
+  checki "dagrider coin cadence" 4
+    (Dagrider.Ordering.coin_wave_length Dagrider.Ordering.dag_rider);
+  checki "bullshark coin cadence" 4
+    (Dagrider.Ordering.coin_wave_length Dagrider.Ordering.bullshark);
+  checki "3-round coin rule cadence" 3
+    (Dagrider.Ordering.coin_wave_length (dag_rider_waves 3))
 
 (* ---- commit rule ---- *)
 
@@ -183,7 +193,11 @@ let test_commit_rule_exact_boundary () =
   checkb "exactly 2f+1" true
     (commit_rule_met ~dag ~f:1 ~wave:1 ~leader ());
   checkb "stricter quorum fails" false
-    (commit_rule_met ~commit_quorum:4 ~dag ~f:1 ~wave:1 ~leader ())
+    (commit_rule_met
+       ~rule:
+         { Dagrider.Ordering.dag_rider with
+           rule_quorum = Dagrider.Ordering.Fixed 4 }
+       ~dag ~f:1 ~wave:1 ~leader ())
 
 (* ---- process_wave ---- *)
 
@@ -462,7 +476,7 @@ let full_dag_len ~wave_length ~rounds =
 
 let test_ordering_wave_length_2 () =
   let dag = full_dag_len ~wave_length:2 ~rounds:6 in
-  let ord = Dagrider.Ordering.create ~wave_length:2 ~f:1 () in
+  let ord = Dagrider.Ordering.create ~rule:(dag_rider_waves 2) ~f:1 () in
   (* wave 1 = rounds 1-2, leader in round 1, support in round 2 *)
   let c1 =
     Dagrider.Ordering.process_wave ord ~dag ~wave:1 ~choose_leader:(fun _ -> 0)
@@ -481,7 +495,7 @@ let test_ordering_wave_length_2 () =
 
 let test_ordering_wave_length_6 () =
   let dag = full_dag_len ~wave_length:6 ~rounds:12 in
-  let ord = Dagrider.Ordering.create ~wave_length:6 ~f:1 () in
+  let ord = Dagrider.Ordering.create ~rule:(dag_rider_waves 6) ~f:1 () in
   let c =
     Dagrider.Ordering.process_wave ord ~dag ~wave:2 ~choose_leader:(fun _ -> 2)
   in
@@ -490,7 +504,7 @@ let test_ordering_wave_length_6 () =
     (List.nth c 1).Dagrider.Ordering.leader.Dagrider.Vertex.round;
   (* support is counted in round round(2,6) = 12 *)
   checkb "commit rule used last round" true
-    (commit_rule_met ~wave_length:6 ~dag ~f:1 ~wave:2
+    (commit_rule_met ~rule:(dag_rider_waves 6) ~dag ~f:1 ~wave:2
        ~leader:(List.nth c 1).Dagrider.Ordering.leader ())
 
 let test_ordering_mismatched_wave_length_no_commit () =

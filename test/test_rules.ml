@@ -118,7 +118,7 @@ let check_rule_safety ~rule ~(runner : Harness.Runner.t) ~commits =
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: integrity violated: %s" name e);
   match
-    Check.Oracle.check_fleet ~runner ~commits ~expect_validity:false
+    Check.Oracle.check_fleet ~rule ~runner ~commits ~expect_validity:false
   with
   | [] -> ()
   | vs ->
@@ -191,7 +191,65 @@ let test_bullshark_commits_more_waves () =
     true (bs >= dr);
   checkb "bullshark commits something" true (bs > 0)
 
+(* ---- the coin cadence follows the rule record ----
+
+   The rule is the only source of the wave length: a 3-round coin rule
+   orders AND flips its coin every 3 rounds, over either coin transport,
+   while Bullshark orders on 2-round waves and keeps the coin on
+   DAG-Rider's 4-round cadence. *)
+
+let cadence_run ~rule ~coin_in_dag =
+  let tracer = Trace.create () in
+  let flips = ref [] in
+  Trace.add_sink tracer (fun ev ->
+      match ev.Trace.kind with
+      | Trace.Coin_flip { node = 0; wave } -> flips := wave :: !flips
+      | _ -> ());
+  let leader_rounds = ref [] in
+  let runner =
+    Harness.Runner.build
+      { (Harness.Runner.default_options ~n:4) with
+        seed = 5;
+        rule;
+        coin_in_dag;
+        trace = Some tracer;
+        on_commit =
+          Some
+            (fun ~node c ->
+              if node = 0 then
+                leader_rounds :=
+                  ( c.Dagrider.Ordering.wave,
+                    c.Dagrider.Ordering.leader.Dagrider.Vertex.round )
+                  :: !leader_rounds) }
+  in
+  Harness.Runner.run runner ~until:40.0;
+  (Harness.Runner.node runner 0, List.rev !flips, List.rev !leader_rounds)
+
+let test_coin_cadence ~rule ~coin_in_dag ~coin () =
+  let node, flips, leader_rounds = cadence_run ~rule ~coin_in_dag in
+  let ordering = rule.Dagrider.Ordering.rule_wave_length in
+  (* wave_ready fires as a node leaves round r, so a node in round R
+     has completed exactly (R - 1) / L waves of each cadence *)
+  let completed = Dagrider.Node.current_round node - 1 in
+  checki "ordering waves completed" (completed / ordering)
+    (Dagrider.Node.waves_completed node);
+  Alcotest.(check (list int))
+    "coin instances flipped"
+    (List.init (completed / coin) (fun i -> i + 1))
+    flips;
+  checkb "committed something" true (leader_rounds <> []);
+  List.iter
+    (fun (wave, round) ->
+      checki
+        (Printf.sprintf "wave %d leader in its first round" wave)
+        (((wave - 1) * ordering) + 1)
+        round)
+    leader_rounds
+
 let () =
+  let three_round_coin =
+    { Dagrider.Ordering.dag_rider with rule_wave_length = 3 }
+  in
   let diff_tests =
     List.map
       (fun (flavor, n, seed) ->
@@ -205,4 +263,14 @@ let () =
     [ ("differential", diff_tests);
       ( "latency",
         [ Alcotest.test_case "bullshark wave cadence" `Slow
-            test_bullshark_commits_more_waves ] ) ]
+            test_bullshark_commits_more_waves ] );
+      ( "coin-cadence",
+        [ Alcotest.test_case "3-round coin rule" `Quick
+            (test_coin_cadence ~rule:three_round_coin ~coin_in_dag:false
+               ~coin:3);
+          Alcotest.test_case "3-round coin rule, in-DAG shares" `Quick
+            (test_coin_cadence ~rule:three_round_coin ~coin_in_dag:true
+               ~coin:3);
+          Alcotest.test_case "bullshark coin stays on 4" `Quick
+            (test_coin_cadence ~rule:Dagrider.Ordering.bullshark
+               ~coin_in_dag:false ~coin:4) ] ) ]
