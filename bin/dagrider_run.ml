@@ -1100,8 +1100,10 @@ let monitor_cmd =
 let experiments_cmd =
   let run seed =
     List.iter
-      (fun t -> print_string (Harness.Experiments.render t))
-      (Harness.Experiments.all ~seed ())
+      (fun e ->
+        print_string
+          (Harness.Experiments.render (e.Harness.Experiments.run ~seed ())))
+      Harness.Experiments.all
   in
   Cmd.v
     (Cmd.info "experiments" ~doc:"Print every experiment table (slow).")

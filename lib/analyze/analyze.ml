@@ -819,17 +819,7 @@ let analyze ?config events =
 let of_tracer ?config tracer = analyze ?config (Trace.events tracer)
 
 let of_jsonl_file ?config path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | text -> (
-    match Trace.events_of_jsonl text with
-    | Error e -> Error e
-    | Ok events -> Ok (analyze ?config events))
+  Result.map (analyze ?config) (Trace.events_of_jsonl_file path)
 
 (* ---- output ---- *)
 

@@ -144,17 +144,7 @@ let of_events events =
   t
 
 let of_jsonl_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | text -> (
-    match Trace.events_of_jsonl text with
-    | Error e -> Error e
-    | Ok events -> Ok (of_events events))
+  Result.map of_events (Trace.events_of_jsonl_file path)
 
 let nodes t =
   Hashtbl.fold (fun node _ acc -> node :: acc) t.cert_count []

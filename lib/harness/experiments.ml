@@ -914,21 +914,61 @@ let rules_latency ?(seed = 42) () =
           b4_mean d4_mean b10_mean d10_mean;
         "Bullshark's 2-round waves with a round-robin leader commit as          soon as f+1 last-round vertices carry a strong edge to it;          DAG-Rider pays 4 rounds per wave plus retrospective coin          resolution before any leader can be chosen" ] }
 
-let all ?(seed = 42) () =
-  [ table1_communication ~seed ();
-    table1_time ~seed ();
-    table1_fairness ~seed ();
-    table1_combined ~seed ();
-    claim6_waves ~seed ();
-    chain_quality ~seed ();
-    batching ~seed ();
-    ablation_wave_length ~seed ();
-    ablation_rbc ~seed ();
-    ablation_weak_edges ~seed ();
-    ablation_coin ~seed ();
-    ablation_gc ~seed ();
-    latency ~seed ();
-    throughput ~seed ();
-    sustained_load ~seed ();
-    related_work ~seed ();
-    rules_latency ~seed () ]
+type experiment = {
+  name : string;
+  description : string;
+  run : ?seed:int -> unit -> table;
+}
+
+let all =
+  [ { name = "table1-comm";
+      description = "Table 1 communication complexity column (E1)";
+      run = fun ?seed () -> table1_communication ?seed () };
+    { name = "table1-time";
+      description = "Table 1 expected time complexity column (E2)";
+      run = fun ?seed () -> table1_time ?seed () };
+    { name = "table1-fairness";
+      description = "Table 1 eventual fairness + post-quantum columns (E3)";
+      run = table1_fairness };
+    { name = "table1";
+      description = "Table 1 combined reproduction";
+      run = table1_combined };
+    { name = "claim6-waves";
+      description = "Claim 6: expected waves per commit (E6)";
+      run = fun ?seed () -> claim6_waves ?seed () };
+    { name = "chain-quality";
+      description = "Chain quality bound of section 3 (E7)";
+      run = chain_quality };
+    { name = "batching";
+      description = "Section 6.2 batching amortization (E8)";
+      run = batching };
+    { name = "ablation-waves";
+      description = "Ablation: wave length 2..6";
+      run = ablation_wave_length };
+    { name = "ablation-rbc";
+      description = "Ablation: reliable-broadcast backends";
+      run = ablation_rbc };
+    { name = "ablation-weak-edges";
+      description = "Ablation: weak edges vs censorship";
+      run = ablation_weak_edges };
+    { name = "ablation-coin";
+      description = "Ablation: coin transport (footnote 1 in-DAG shares)";
+      run = ablation_coin };
+    { name = "latency";
+      description = "Proposal-to-delivery latency distribution";
+      run = latency };
+    { name = "ablation-gc";
+      description = "Ablation: garbage collection window";
+      run = ablation_gc };
+    { name = "throughput";
+      description = "Throughput scaling with n (DAG-Rider+AVID)";
+      run = throughput };
+    { name = "sustained-load";
+      description = "Sustained load over time: monitored n=10 fleet, DAG growth";
+      run = sustained_load };
+    { name = "related-work";
+      description = "Section 7: Aleph-style baseline vs DAG-Rider";
+      run = related_work };
+    { name = "rules-latency";
+      description = "Commit rules on one substrate: Bullshark vs DAG-Rider latency";
+      run = rules_latency } ]

@@ -112,5 +112,12 @@ val related_work : ?seed:int -> unit -> table
     the latency delta is attributable to the commit rule alone. *)
 val rules_latency : ?seed:int -> unit -> table
 
-val all : ?seed:int -> unit -> table list
-(** Every table above, in DESIGN.md §4 order. *)
+type experiment = {
+  name : string;  (** command-line name, e.g. ["table1-comm"] *)
+  description : string;
+  run : ?seed:int -> unit -> table;  (** seed defaults to 42 *)
+}
+
+val all : experiment list
+(** Every table above, in DESIGN.md §4 order: the one registry both
+    [bench/main.exe] and [dagrider_run experiments] iterate. *)

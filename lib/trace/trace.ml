@@ -605,6 +605,16 @@ let events_of_jsonl text =
   in
   go [] 1 lines
 
+let events_of_jsonl_file path =
+  match
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  with
+  | exception Sys_error e -> Error e
+  | text -> events_of_jsonl text
+
 (* ---- ASCII timeline ---- *)
 
 let render_events ?(max_lanes = 16) events =

@@ -271,6 +271,10 @@ val to_jsonl : t -> string
 val events_of_jsonl : string -> (event list, string) result
 (** Parse a JSONL dump (blank lines ignored); error names the line. *)
 
+val events_of_jsonl_file : string -> (event list, string) result
+(** {!events_of_jsonl} over a file's contents; an unreadable file is an
+    [Error] carrying the [Sys_error] message. *)
+
 val render_events : ?max_lanes:int -> event list -> string
 (** ASCII timeline: one row per event with its virtual time, sequence
     number, a lane column marking the process involved ([max_lanes]

@@ -301,6 +301,18 @@ let test_replay_matches_live () =
             (Float.abs (a.Analyze.s_mean -. b.Analyze.s_mean) < 1e-9))
         live.Critpath.r_segments replay.Critpath.r_segments)
 
+(* ---- pinned reconciliation counts at fleet scale ---- *)
+
+(* a traced synchronous n=10 run: every commit reconstructs a complete
+   chain and reconciles; a reconstruction regression shows up as a count
+   drop before it shows up as wrong attributions *)
+let test_n10_sync_counts_pinned () =
+  let fleet, _ = build_traced ~n:10 ~until:60.0 () in
+  let r = report_of fleet in
+  checki "commits" 118 (List.length r.Critpath.r_paths);
+  checki "complete" 118 r.Critpath.r_complete;
+  checki "reconciled" 118 r.Critpath.r_reconciled
+
 (* ---- rendering smoke: waterfall, report, DOT ---- *)
 
 let test_render_and_dot () =
@@ -339,6 +351,9 @@ let () =
             test_pre_id_trace_replays;
           Alcotest.test_case "replay matches live" `Quick
             test_replay_matches_live ] );
+      ( "pinned",
+        [ Alcotest.test_case "n=10 sync counts" `Quick
+            test_n10_sync_counts_pinned ] );
       ( "attribution",
         [ Alcotest.test_case "slowed node named as straggler" `Quick
             test_straggler_named;

@@ -437,6 +437,64 @@ let test_ablation_wave_length_pinned () =
        (fun row -> List.map (List.nth row) [ 0; 1; 2; 4 ])
        table.Harness.Experiments.rows)
 
+(* exact counts on fixed-seed fleets (seed 42, 32-byte blocks): p0's
+   delivered vertices and the honest bits sent. Logical counts cannot
+   vary with the machine, so any change here is a behaviour change *)
+let test_pinned_counts () =
+  let open Harness.Runner in
+  let fleet ?link_faults ?(trace = false) ?(rule = Dagrider.Ordering.dag_rider)
+      ?(schedule = Uniform_random) ~backend ~n ~until () =
+    let h =
+      build
+        { (default_options ~n) with
+          backend;
+          link_faults;
+          rule;
+          schedule;
+          trace =
+            (if trace then Some (Trace.create ~capacity:4096 ()) else None) }
+    in
+    run h ~until;
+    ( Dagrider.Ordering.delivered_count (Dagrider.Node.ordering (node h 0)),
+      honest_bits h )
+  in
+  let slowed_p0 =
+    Custom
+      (fun rng ->
+        Net.Sched.delay_process
+          ~inner:(Net.Sched.uniform_random ~rng)
+          ~victim:0 ~factor:12.0)
+  in
+  List.iter
+    (fun (name, (delivered, bits), (delivered', bits')) ->
+      checki (name ^ " delivered") delivered delivered';
+      checki (name ^ " honest_bits") bits bits')
+    [ ( "bracha.n4",
+        (112, 3136608),
+        fleet ~backend:Bracha ~n:4 ~until:60.0 () );
+      ("avid.n4", (64, 2967040), fleet ~backend:Avid ~n:4 ~until:40.0 ());
+      ("gossip.n4", (128, 3767520), fleet ~backend:Gossip ~n:4 ~until:60.0 ());
+      ( "bracha.n7.lossy",
+        (55, 10726120),
+        fleet ~backend:Bracha ~n:7 ~until:25.0
+          ~link_faults:
+            { default_link_faults with lf_drop = 0.05; lf_duplicate = 0.02 }
+          () );
+      ( "bracha.n4.traced",
+        (112, 3136608),
+        fleet ~trace:true ~backend:Bracha ~n:4 ~until:60.0 () );
+      ( "bullshark.n10.sync",
+        (78, 22706400),
+        fleet ~rule:Dagrider.Ordering.bullshark ~schedule:Synchronous
+          ~backend:Bracha ~n:10 ~until:30.0 () );
+      ( "bullshark.n10.fallback",
+        (115, 28395840),
+        fleet ~rule:Dagrider.Ordering.bullshark ~schedule:slowed_p0
+          ~backend:Bracha ~n:10 ~until:30.0 () );
+      ( "dagrider.n10.sync",
+        (1, 22706400),
+        fleet ~schedule:Synchronous ~backend:Bracha ~n:10 ~until:30.0 () ) ]
+
 let test_active_attacker_tolerated () =
   (* an attacker floods the broadcast channel with garbage, invalid
      vertices, out-of-range edges and equivocation attempts; correct
@@ -770,5 +828,6 @@ let () =
           Alcotest.test_case "restart during attack" `Quick
             test_restart_during_attack ] );
       ( "harness",
-        [ Alcotest.test_case "run_until_delivered" `Quick test_run_until_delivered ] )
+        [ Alcotest.test_case "run_until_delivered" `Quick test_run_until_delivered;
+          Alcotest.test_case "pinned counts" `Quick test_pinned_counts ] )
     ]
