@@ -1,98 +1,101 @@
 type digest = string
 
+(* Words are native ints holding 32-bit values (OCaml 5 ints are 63 bits
+   wide). Intermediate sums and rotations may carry junk above bit 31;
+   every word is truncated with [mask] where it is stored. *)
+let mask = 0xFFFF_FFFF
+
 (* Round constants: first 32 bits of the fractional parts of the cube
    roots of the first 64 primes (FIPS 180-4 §4.2.2). *)
 let k =
-  [| 0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl;
-     0x59f111f1l; 0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l;
-     0x243185bel; 0x550c7dc3l; 0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l;
-     0xc19bf174l; 0xe49b69c1l; 0xefbe4786l; 0x0fc19dc6l; 0x240ca1ccl;
-     0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal; 0x983e5152l;
-     0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
-     0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl;
-     0x53380d13l; 0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l;
-     0xa2bfe8a1l; 0xa81a664bl; 0xc24b8b70l; 0xc76c51a3l; 0xd192e819l;
-     0xd6990624l; 0xf40e3585l; 0x106aa070l; 0x19a4c116l; 0x1e376c08l;
-     0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al; 0x5b9cca4fl;
-     0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
-     0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l |]
+  [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b;
+     0x59f111f1; 0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01;
+     0x243185be; 0x550c7dc3; 0x72be5d74; 0x80deb1fe; 0x9bdc06a7;
+     0xc19bf174; 0xe49b69c1; 0xefbe4786; 0x0fc19dc6; 0x240ca1cc;
+     0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da; 0x983e5152;
+     0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+     0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc;
+     0x53380d13; 0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85;
+     0xa2bfe8a1; 0xa81a664b; 0xc24b8b70; 0xc76c51a3; 0xd192e819;
+     0xd6990624; 0xf40e3585; 0x106aa070; 0x19a4c116; 0x1e376c08;
+     0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a; 0x5b9cca4f;
+     0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+     0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
 
 type state = {
-  h : int32 array; (* 8 chaining words *)
-  buf : Bytes.t;   (* 64-byte block buffer *)
+  h : int array; (* 8 chaining words *)
+  w : int array; (* 64-word message schedule, reused by every block *)
+  buf : Bytes.t; (* 64-byte partial-block buffer *)
   mutable buf_len : int;
-  mutable total : int64; (* total bytes fed *)
+  mutable total : int; (* total bytes fed *)
 }
 
 type ctx = { mutable st : state option }
 
-let initial_h () =
-  [| 0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al;
-     0x510e527fl; 0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l |]
+(* Rotate a 32-bit word right; the result's low 32 bits are exact and
+   its high bits are junk (below 2^58, so sums of a few stay positive). *)
+let rotr x n = (x lsr n) lor (x lsl (32 - n))
 
-let rotr x n = Int32.logor (Int32.shift_right_logical x n)
-    (Int32.shift_left x (32 - n))
-
-let ( +% ) = Int32.add
-let ( ^% ) = Int32.logxor
-let ( &% ) = Int32.logand
-
-let compress h block off =
-  let w = Array.make 64 0l in
+(* Compress the 64-byte block at [off] of [block] into [st.h]. Callers
+   hashing a string pass it through [Bytes.unsafe_of_string]: the block
+   is only read. *)
+let compress st block off =
+  let w = st.w and h = st.h in
   for t = 0 to 15 do
-    let base = off + (t * 4) in
-    let b i = Int32.of_int (Char.code (Bytes.get block (base + i))) in
+    let p = off + (t * 4) in
     w.(t) <-
-      Int32.logor
-        (Int32.shift_left (b 0) 24)
-        (Int32.logor
-           (Int32.shift_left (b 1) 16)
-           (Int32.logor (Int32.shift_left (b 2) 8) (b 3)))
+      (Char.code (Bytes.unsafe_get block p) lsl 24)
+      lor (Char.code (Bytes.unsafe_get block (p + 1)) lsl 16)
+      lor (Char.code (Bytes.unsafe_get block (p + 2)) lsl 8)
+      lor Char.code (Bytes.unsafe_get block (p + 3))
   done;
   for t = 16 to 63 do
-    let s0 =
-      rotr w.(t - 15) 7 ^% rotr w.(t - 15) 18
-      ^% Int32.shift_right_logical w.(t - 15) 3
-    in
-    let s1 =
-      rotr w.(t - 2) 17 ^% rotr w.(t - 2) 19
-      ^% Int32.shift_right_logical w.(t - 2) 10
-    in
-    w.(t) <- w.(t - 16) +% s0 +% w.(t - 7) +% s1
+    let x = Array.unsafe_get w (t - 15) and y = Array.unsafe_get w (t - 2) in
+    let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
+    let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
+    w.(t) <-
+      (Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1)
+      land mask
   done;
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for t = 0 to 63 do
-    let s1 = rotr !e 6 ^% rotr !e 11 ^% rotr !e 25 in
-    let ch = (!e &% !f) ^% (Int32.lognot !e &% !g) in
-    let t1 = !hh +% s1 +% ch +% k.(t) +% w.(t) in
-    let s0 = rotr !a 2 ^% rotr !a 13 ^% rotr !a 22 in
-    let maj = (!a &% !b) ^% (!a &% !c) ^% (!b &% !c) in
-    let t2 = s0 +% maj in
+    let e' = !e and a' = !a in
+    let s1 = rotr e' 6 lxor rotr e' 11 lxor rotr e' 25 in
+    let ch = (e' land !f) lxor (lnot e' land !g) in
+    let t1 = !hh + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t in
+    let s0 = rotr a' 2 lxor rotr a' 13 lxor rotr a' 22 in
+    let maj = (a' land !b) lxor (a' land !c) lxor (!b land !c) in
     hh := !g;
     g := !f;
-    f := !e;
-    e := !d +% t1;
+    f := e';
+    e := (!d + t1) land mask;
     d := !c;
     c := !b;
-    b := !a;
-    a := t1 +% t2
+    b := a';
+    a := (t1 + s0 + maj) land mask
   done;
-  h.(0) <- h.(0) +% !a;
-  h.(1) <- h.(1) +% !b;
-  h.(2) <- h.(2) +% !c;
-  h.(3) <- h.(3) +% !d;
-  h.(4) <- h.(4) +% !e;
-  h.(5) <- h.(5) +% !f;
-  h.(6) <- h.(6) +% !g;
-  h.(7) <- h.(7) +% !hh
+  h.(0) <- (h.(0) + !a) land mask;
+  h.(1) <- (h.(1) + !b) land mask;
+  h.(2) <- (h.(2) + !c) land mask;
+  h.(3) <- (h.(3) + !d) land mask;
+  h.(4) <- (h.(4) + !e) land mask;
+  h.(5) <- (h.(5) + !f) land mask;
+  h.(6) <- (h.(6) + !g) land mask;
+  h.(7) <- (h.(7) + !hh) land mask
 
 let fresh_state () =
-  { h = initial_h (); buf = Bytes.create 64; buf_len = 0; total = 0L }
+  { h =
+      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
+         0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
+    w = Array.make 64 0;
+    buf = Bytes.create 64;
+    buf_len = 0;
+    total = 0 }
 
 let feed_state st s =
   let len = String.length s in
-  st.total <- Int64.add st.total (Int64.of_int len);
+  st.total <- st.total + len;
   let pos = ref 0 in
   (* fill the partial block first *)
   if st.buf_len > 0 then begin
@@ -101,15 +104,14 @@ let feed_state st s =
     st.buf_len <- st.buf_len + take;
     pos := take;
     if st.buf_len = 64 then begin
-      compress st.h st.buf 0;
+      compress st st.buf 0;
       st.buf_len <- 0
     end
   end;
-  (* whole blocks directly from the input *)
-  let tmp = Bytes.create 64 in
+  (* whole blocks straight from the input *)
+  let src = Bytes.unsafe_of_string s in
   while len - !pos >= 64 do
-    Bytes.blit_string s !pos tmp 0 64;
-    compress st.h tmp 0;
+    compress st src !pos;
     pos := !pos + 64
   done;
   if !pos < len then begin
@@ -118,36 +120,24 @@ let feed_state st s =
   end
 
 let finalize_state st =
-  let bit_len = Int64.mul st.total 8L in
-  (* padding: 0x80, zeros, 8-byte big-endian bit length *)
-  let zeros =
-    let rem = (st.buf_len + 1) mod 64 in
-    if rem <= 56 then 56 - rem else 56 + 64 - rem
-  in
-  let tail = Bytes.create (1 + zeros + 8) in
-  Bytes.fill tail 0 (Bytes.length tail) '\000';
-  Bytes.set tail 0 '\x80';
+  (* padding: 0x80, zeros up to byte 56 of a block, then the 8-byte
+     big-endian bit length *)
+  let buf = st.buf in
+  Bytes.set buf st.buf_len '\x80';
+  Bytes.fill buf (st.buf_len + 1) (63 - st.buf_len) '\000';
+  if st.buf_len >= 56 then begin
+    (* no room left for the length: it goes in one more block *)
+    compress st buf 0;
+    Bytes.fill buf 0 56 '\000'
+  end;
+  let bit_len = st.total * 8 in
   for i = 0 to 7 do
-    let shift = 8 * (7 - i) in
-    Bytes.set tail
-      (1 + zeros + i)
-      (Char.chr
-         (Int64.to_int (Int64.logand (Int64.shift_right_logical bit_len shift) 0xFFL)))
+    Bytes.set buf (56 + i) (Char.unsafe_chr ((bit_len lsr (8 * (7 - i))) land 0xFF))
   done;
-  feed_state st (Bytes.to_string tail);
-  assert (st.buf_len = 0);
+  compress st buf 0;
   let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    let v = st.h.(i) in
-    let byte shift =
-      Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v shift) 0xFFl))
-    in
-    Bytes.set out (4 * i) (byte 24);
-    Bytes.set out ((4 * i) + 1) (byte 16);
-    Bytes.set out ((4 * i) + 2) (byte 8);
-    Bytes.set out ((4 * i) + 3) (byte 0)
-  done;
-  Bytes.to_string out
+  Array.iteri (fun i v -> Bytes.set_int32_be out (4 * i) (Int32.of_int v)) st.h;
+  Bytes.unsafe_to_string out
 
 let init () = { st = Some (fresh_state ()) }
 

@@ -36,15 +36,19 @@ let make_share t ~holder ~instance =
     invalid_arg "Threshold_coin.make_share: bad holder";
   { holder; instance; value = Field.mul t.keys.(holder) (hash_instance instance) }
 
-let verify_share t share =
+(* [h] is [hash_instance share.instance], passed in so a caller checking
+   many shares of one instance hashes it once *)
+let valid_share t ~h share =
   share.holder >= 0 && share.holder < t.n
-  && share.value = Field.mul t.keys.(share.holder) (hash_instance share.instance)
+  && share.value = Field.mul t.keys.(share.holder) h
+
+let verify_share t share =
+  valid_share t ~h:(hash_instance share.instance) share
 
 let combine t ~instance shares =
+  let h = hash_instance instance in
   let valid =
-    List.filter
-      (fun s -> s.instance = instance && verify_share t s)
-      shares
+    List.filter (fun s -> s.instance = instance && valid_share t ~h s) shares
   in
   let dedup = List.sort_uniq (fun a b -> compare a.holder b.holder) valid in
   if List.length dedup < t.f + 1 then None

@@ -94,7 +94,23 @@ let decode_msg src =
         else Wire.finish r (Ready { origin; round; root; data_len })
       | _ -> None)
 
-let msg_bits msg = Wire.bits (encode_msg msg)
+(* [8 * String.length (encode_msg msg)] without building the encoding:
+   a tag byte, a u32 per integer field, and a u32 length before each
+   byte string (the root, the fragment and every proof digest). *)
+let msg_bits msg =
+  let bytes s = 4 + String.length s in
+  let proof_bytes (proof : Crypto.Merkle.proof) =
+    List.fold_left (fun acc d -> acc + bytes d) 8 proof.Crypto.Merkle.path
+  in
+  let len =
+    match msg with
+    | Disperse { root; frag; proof; _ } ->
+      1 + 4 + bytes root + 4 + 4 + bytes frag + proof_bytes proof
+    | Echo { root; frag; proof; _ } ->
+      1 + 4 + 4 + bytes root + 4 + 4 + bytes frag + proof_bytes proof
+    | Ready { root; _ } -> 1 + 4 + 4 + bytes root + 4
+  in
+  8 * len
 
 (* All quorum state is keyed by the pair (root, data_len): a Byzantine
    process that lies about either is voting for a different commitment

@@ -43,15 +43,27 @@ let decode_msg src =
         Wire.finish r (Ready { origin; round; payload })
       | _ -> None)
 
-let msg_bits msg = Wire.bits (encode_msg msg)
+(* [8 * String.length (encode_msg msg)] without building the encoding:
+   a tag byte, one u32 per identifier and a u32 length before the
+   payload. *)
+let msg_bits msg =
+  let ids, payload =
+    match msg with
+    | Init { payload; _ } -> (1, payload)
+    | Echo { payload; _ } | Ready { payload; _ } -> (2, payload)
+  in
+  8 * (1 + (4 * ids) + 4 + String.length payload)
+
+(* Votes are grouped by the payload bytes themselves: equal bytes are
+   the same vote, so no digest (and no digest collision) is involved. *)
+module Votes = Hashtbl.Make (String)
 
 type instance = {
   mutable echoed : bool;
   mutable ready_sent : bool;
   mutable delivered : bool;
-  echoes : (string, Iset.t ref) Hashtbl.t; (* digest -> echoers *)
-  readies : (string, Iset.t ref) Hashtbl.t; (* digest -> ready senders *)
-  payloads : (string, string) Hashtbl.t; (* digest -> payload *)
+  echoes : Iset.t ref Votes.t; (* payload -> echoers *)
+  readies : Iset.t ref Votes.t; (* payload -> ready senders *)
 }
 
 type t = {
@@ -80,9 +92,8 @@ let get_instance t key =
       { echoed = false;
         ready_sent = false;
         delivered = false;
-        echoes = Hashtbl.create 4;
-        readies = Hashtbl.create 4;
-        payloads = Hashtbl.create 4 }
+        echoes = Votes.create 4;
+        readies = Votes.create 4 }
     in
     Tbl.add t.instances key inst;
     inst
@@ -90,13 +101,13 @@ let get_instance t key =
 let quorum t = (2 * t.f) + 1
 let amplify t = t.f + 1
 
-let add_voter table digest voter =
+let add_voter table payload voter =
   let set =
-    match Hashtbl.find_opt table digest with
+    match Votes.find_opt table payload with
     | Some s -> s
     | None ->
       let s = ref Iset.empty in
-      Hashtbl.add table digest s;
+      Votes.add table payload s;
       s
   in
   set := Iset.add voter !set;
@@ -117,18 +128,13 @@ let send_ready t inst ~origin ~round ~payload =
       ~bits:(msg_bits msg) msg
   end
 
-let try_deliver t inst ~origin ~round ~digest =
-  if not inst.delivered then
-    match Hashtbl.find_opt inst.readies digest with
-    | Some set when Iset.cardinal !set >= quorum t ->
-      (match Hashtbl.find_opt inst.payloads digest with
-      | Some payload ->
-        inst.delivered <- true;
-        t.delivered_count <- t.delivered_count + 1;
-        phase t ~origin ~round "deliver";
-        t.deliver ~payload ~round ~source:origin
-      | None -> ())
-    | _ -> ()
+let try_deliver t inst ~origin ~round ~payload ~count =
+  if (not inst.delivered) && count >= quorum t then begin
+    inst.delivered <- true;
+    t.delivered_count <- t.delivered_count + 1;
+    phase t ~origin ~round "deliver";
+    t.deliver ~payload ~round ~source:origin
+  end
 
 let handle t ~src msg =
   let sp = Prof.enter "rbc.bracha.recv" in
@@ -143,21 +149,15 @@ let handle t ~src msg =
     end
   | Echo { origin; round; payload } ->
     let inst = get_instance t (origin, round) in
-    let digest = Crypto.Sha256.digest_string payload in
-    if not (Hashtbl.mem inst.payloads digest) then
-      Hashtbl.add inst.payloads digest payload;
-    let count = add_voter inst.echoes digest src in
+    let count = add_voter inst.echoes payload src in
     if count >= quorum t then
       send_ready t inst ~origin ~round ~payload
   | Ready { origin; round; payload } ->
     let inst = get_instance t (origin, round) in
-    let digest = Crypto.Sha256.digest_string payload in
-    if not (Hashtbl.mem inst.payloads digest) then
-      Hashtbl.add inst.payloads digest payload;
-    let count = add_voter inst.readies digest src in
+    let count = add_voter inst.readies payload src in
     if count >= amplify t then
       send_ready t inst ~origin ~round ~payload;
-    try_deliver t inst ~origin ~round ~digest
+    try_deliver t inst ~origin ~round ~payload ~count
    with e -> Prof.leave_reraise sp e);
   Prof.leave sp
 

@@ -5,9 +5,12 @@
     - the sender broadcasts [Init payload];
     - on the {e first} [Init] received for the instance, a process
       broadcasts [Echo payload];
-    - on [2f+1] [Echo]s for the same payload digest, or [f+1] [Ready]s
-      for the same digest, a process broadcasts [Ready payload] (once);
-    - on [2f+1] [Ready]s for the same digest it delivers.
+    - on [2f+1] [Echo]s for the same payload, or [f+1] [Ready]s for
+      the same payload, a process broadcasts [Ready payload] (once);
+    - on [2f+1] [Ready]s for the same payload it delivers.
+
+    Votes are grouped by the payload bytes themselves, so receiving a
+    vote computes no SHA-256 digest.
 
     Quorum intersection of the Echo stage prevents two correct processes
     from becoming ready for different payloads of an equivocating
@@ -26,6 +29,10 @@ val encode_msg : msg -> string
 
 val decode_msg : string -> msg option
 (** Inverse of {!encode_msg}; [None] on any malformed input. *)
+
+val msg_bits : msg -> int
+(** Wire size in bits, [8 * String.length (encode_msg msg)], computed
+    from the field sizes without encoding. *)
 
 type t
 

@@ -33,18 +33,48 @@ let test_sha256_million_a () =
     (hex (Crypto.Sha256.digest_string (String.make 1_000_000 'a')))
 
 let test_sha256_block_boundaries () =
-  (* lengths around the 64-byte block and 56-byte padding boundary must
-     round-trip through the incremental interface identically *)
+  (* lengths around the 64-byte block and 56-byte padding boundary: the
+     one-shot and incremental interfaces must both give the absolute
+     digest of the same [i mod 256] input, pinned from coreutils
+     sha256sum (comparing the two paths with each other alone would miss
+     a padding bug they share) *)
   List.iter
-    (fun len ->
+    (fun (len, expected) ->
       let s = String.init len (fun i -> Char.chr (i mod 256)) in
       let ctx = Crypto.Sha256.init () in
       Crypto.Sha256.feed ctx s;
+      checks (Printf.sprintf "len %d" len) expected
+        (hex (Crypto.Sha256.digest_string s));
       checks
-        (Printf.sprintf "len %d" len)
-        (hex (Crypto.Sha256.digest_string s))
+        (Printf.sprintf "len %d incremental" len)
+        expected
         (hex (Crypto.Sha256.finalize ctx)))
-    [ 0; 1; 54; 55; 56; 57; 63; 64; 65; 119; 120; 127; 128; 1000 ]
+    [ (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+      (1, "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d");
+      (54, "675f28acc0b90a72d1c3a570fe83ac565555db358cf01826dc8eefb2bf7ca0f3");
+      (55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59");
+      (56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562");
+      (57, "2fe741af801cc238602ac0ec6a7b0c3a8a87c7fc7d7f02a3fe03d1c12eac4d8f");
+      (63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488");
+      (64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108");
+      (65, "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781");
+      (119, "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6");
+      (120, "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c");
+      (127, "92ca0fa6651ee2f97b884b7246a562fa71250fedefe5ebf270d31c546bfea976");
+      (128, "471fb943aa23c511f6f72f8d1652d9c880cfa392ad80503120547703e56a2be5");
+      (1000, "a8af099bf2e878609558dbf69d8f88f4a31040a8cf84b549a0cfa912f12ffc3f")
+    ]
+
+let test_sha256_allocation () =
+  (* the kernel works on unboxed native-int words: one digest of a
+     200-byte string allocates only its state and the result, well
+     under 1 KiB of minor heap *)
+  let s = String.make 200 'v' in
+  ignore (Crypto.Sha256.digest_string s);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Crypto.Sha256.digest_string s));
+  let bytes = int_of_float (Gc.minor_words () -. before) * (Sys.word_size / 8) in
+  checkb (Printf.sprintf "%d bytes allocated < 1024" bytes) true (bytes < 1024)
 
 let test_sha256_incremental_chunks () =
   let s = String.init 500 (fun i -> Char.chr ((i * 7) mod 256)) in
@@ -573,6 +603,7 @@ let () =
           Alcotest.test_case "448-bit vector" `Quick test_sha256_448bit;
           Alcotest.test_case "million a's" `Slow test_sha256_million_a;
           Alcotest.test_case "block boundaries" `Quick test_sha256_block_boundaries;
+          Alcotest.test_case "allocation" `Quick test_sha256_allocation;
           Alcotest.test_case "incremental chunks" `Quick test_sha256_incremental_chunks;
           Alcotest.test_case "finalize once" `Quick test_sha256_finalize_once;
           Alcotest.test_case "hmac rfc4231 #1" `Quick test_hmac_rfc4231_case1;

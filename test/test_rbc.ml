@@ -253,6 +253,72 @@ let test_bracha_fplus1_faults_stall () =
   ignore (Sim.Engine.run engine ());
   Array.iter (fun log -> checki "no delivery" 0 (List.length !log)) deliveries
 
+(* Silence every process but the last and record what reaches p0, so a
+   test can feed the last process hand-built votes and watch its replies. *)
+let bracha_victim ~n ~f =
+  let engine, net, deliveries, _ = make_bracha_raw ~n ~f ~seed:12 in
+  let seen = ref [] in
+  for i = 0 to n - 2 do
+    Net.Network.register net i (fun ~src msg ->
+        if i = 0 then seen := (src, msg) :: !seen)
+  done;
+  let victim = n - 1 in
+  let vote ~src msg =
+    Net.Network.send net ~src ~dst:victim ~kind:"bracha-vote" ~bits:128 msg
+  in
+  let readies_sent () =
+    List.length
+      (List.filter
+         (function src, Rbc.Bracha.Ready _ -> src = victim | _ -> false)
+         !seen)
+  in
+  (engine, deliveries.(victim), vote, readies_sent)
+
+let test_bracha_votes_pool_equal_bytes () =
+  (* each Echo and Ready carries its own physically distinct copy of
+     the payload: byte-equal copies are one vote, so 2f+1 of them make
+     a quorum *)
+  let n = 4 and f = 1 in
+  let engine, delivered, vote, readies_sent = bracha_victim ~n ~f in
+  let payload = "pooled payload" in
+  let copy () = Bytes.to_string (Bytes.of_string payload) in
+  checkb "copies are distinct blocks" false (copy () == copy ());
+  for src = 0 to 2 do
+    vote ~src (Rbc.Bracha.Echo { origin = 0; round = 1; payload = copy () })
+  done;
+  ignore (Sim.Engine.run engine ());
+  checki "echo quorum reached: ready sent" 1 (readies_sent ());
+  for src = 0 to 2 do
+    vote ~src (Rbc.Bracha.Ready { origin = 0; round = 1; payload = copy () })
+  done;
+  ignore (Sim.Engine.run engine ());
+  Alcotest.(check (list (triple string int int)))
+    "delivered once" [ (payload, 1, 0) ] !delivered
+
+let test_bracha_votes_split_by_payload () =
+  (* votes for two different payloads never add up: 3 + 2 Echoes stay
+     below 2f+1 = 5 and 2 + 2 Readies below f+1 = 3, until one payload
+     reaches each threshold on its own *)
+  let n = 7 and f = 2 in
+  let engine, delivered, vote, readies_sent = bracha_victim ~n ~f in
+  let echo payload = Rbc.Bracha.Echo { origin = 0; round = 1; payload } in
+  let ready payload = Rbc.Bracha.Ready { origin = 0; round = 1; payload } in
+  List.iter (fun src -> vote ~src (echo "A")) [ 0; 1; 2 ];
+  List.iter (fun src -> vote ~src (echo "B")) [ 3; 4 ];
+  List.iter (fun src -> vote ~src (ready "A")) [ 0; 1 ];
+  List.iter (fun src -> vote ~src (ready "B")) [ 2; 3 ];
+  ignore (Sim.Engine.run engine ());
+  checki "no ready from split votes" 0 (readies_sent ());
+  checki "nothing delivered" 0 (List.length !delivered);
+  vote ~src:4 (ready "A");
+  ignore (Sim.Engine.run engine ());
+  checki "f+1 readies for A amplify" 1 (readies_sent ());
+  checki "own ready + 3 < 2f+1" 0 (List.length !delivered);
+  vote ~src:5 (ready "A");
+  ignore (Sim.Engine.run engine ());
+  Alcotest.(check (list (triple string int int)))
+    "A delivered" [ ("A", 1, 0) ] !delivered
+
 (* -- AVID-specific tests -- *)
 
 let test_avid_inconsistent_dispersal_discarded () =
@@ -355,6 +421,11 @@ let prop_bracha_codec =
     (QCheck.make gen_bracha_msg) (fun msg ->
       Rbc.Bracha.decode_msg (Rbc.Bracha.encode_msg msg) = Some msg)
 
+let prop_bracha_msg_bits =
+  QCheck.Test.make ~name:"bracha msg_bits = encoded size" ~count:300
+    (QCheck.make gen_bracha_msg) (fun msg ->
+      Rbc.Bracha.msg_bits msg = Rbc.Rbc_intf.Wire.bits (Rbc.Bracha.encode_msg msg))
+
 let gen_digest = QCheck.Gen.map Crypto.Sha256.digest_string gen_payload
 
 let gen_gossip_msg =
@@ -402,6 +473,11 @@ let prop_avid_codec =
     (QCheck.make gen_avid_msg) (fun msg ->
       Rbc.Avid.decode_msg (Rbc.Avid.encode_msg msg) = Some msg)
 
+let prop_avid_msg_bits =
+  QCheck.Test.make ~name:"avid msg_bits = encoded size" ~count:300
+    (QCheck.make gen_avid_msg) (fun msg ->
+      Rbc.Avid.msg_bits msg = Rbc.Rbc_intf.Wire.bits (Rbc.Avid.encode_msg msg))
+
 let test_codecs_reject_garbage () =
   List.iter
     (fun s ->
@@ -448,7 +524,11 @@ let () =
             test_bracha_integrity_duplicate_init;
           Alcotest.test_case "f silent tolerated" `Quick
             test_bracha_silent_faults_tolerated;
-          Alcotest.test_case "f+1 silent stalls" `Quick test_bracha_fplus1_faults_stall
+          Alcotest.test_case "f+1 silent stalls" `Quick test_bracha_fplus1_faults_stall;
+          Alcotest.test_case "byte-equal votes pool" `Quick
+            test_bracha_votes_pool_equal_bytes;
+          Alcotest.test_case "distinct payloads never pool" `Quick
+            test_bracha_votes_split_by_payload
         ] );
       ( "avid",
         [ Alcotest.test_case "inconsistent dispersal discarded" `Quick
@@ -463,6 +543,8 @@ let () =
         [ QCheck_alcotest.to_alcotest prop_bracha_codec;
           QCheck_alcotest.to_alcotest prop_gossip_codec;
           QCheck_alcotest.to_alcotest prop_avid_codec;
+          QCheck_alcotest.to_alcotest prop_bracha_msg_bits;
+          QCheck_alcotest.to_alcotest prop_avid_msg_bits;
           Alcotest.test_case "garbage rejected" `Quick test_codecs_reject_garbage;
           Alcotest.test_case "truncation rejected" `Quick
             test_codec_truncation_rejected ] )
