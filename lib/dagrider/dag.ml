@@ -1,205 +1,314 @@
-type t = {
-  n : int;
-  store : (Vertex.vref, Vertex.t) Hashtbl.t;
-  by_round : (int, int ref) Hashtbl.t; (* round -> vertex count *)
-  mutable highest : int;
-  mutable pruned_below : int;
+(* One row per round, indexed by source: round [base + i] lives in
+   [rows.(i)] for [i < len]. [base] is the garbage-collection horizon,
+   so the rows cover exactly the retained rounds. Only an insertion adds
+   rows, and a vertex whose strong edges are present sits at most one
+   round above the highest retained round. [reached]/[stamp] are the
+   sweep state (see "Sweeps"). *)
+type row = {
+  slots : Vertex.t array; (* by source; [absent] marks an empty slot *)
+  mutable count : int;
+  reached : Bytes.t; (* n bits *)
+  mutable stamp : int;
 }
 
-let genesis_vertex n source =
-  ignore n;
-  { Vertex.round = 0; source; block = ""; strong_edges = []; weak_edges = [] }
+type t = {
+  n : int;
+  mutable rows : row array;
+  mutable len : int;
+  mutable base : int;
+  mutable size : int;
+  mutable highest : int;
+  mutable sweep : int;
+  mutable pending : int;
+}
+
+let absent =
+  { Vertex.round = -1; source = -1; block = ""; strong_edges = []; weak_edges = [] }
+
+(* fills the unused tail of [rows], so no pruned row stays reachable *)
+let vacant = { slots = [||]; count = 0; reached = Bytes.empty; stamp = 0 }
+
+let new_row n =
+  { slots = Array.make n absent;
+    count = 0;
+    reached = Bytes.make ((n + 7) / 8) '\000';
+    stamp = 0 }
 
 let create ~n =
   if n <= 0 then invalid_arg "Dag.create: n must be positive";
-  let t =
-    { n;
-      store = Hashtbl.create 256;
-      by_round = Hashtbl.create 64;
-      highest = 0;
-      pruned_below = 0 }
-  in
+  let genesis = new_row n in
   for source = 0 to n - 1 do
-    Hashtbl.add t.store { Vertex.round = 0; source } (genesis_vertex n source)
+    genesis.slots.(source) <-
+      { Vertex.round = 0; source; block = ""; strong_edges = []; weak_edges = [] }
   done;
-  Hashtbl.add t.by_round 0 (ref n);
-  t
+  genesis.count <- n;
+  let rows = Array.make 8 vacant in
+  rows.(0) <- genesis;
+  { n; rows; len = 1; base = 0; size = n; highest = 0; sweep = 0; pending = 0 }
 
 let n t = t.n
 
-let find t vref = Hashtbl.find_opt t.store vref
+(* the vertex at (round, source), or [absent]; never allocates *)
+let slot t round source =
+  let i = round - t.base in
+  if i < 0 || i >= t.len || source < 0 || source >= t.n then absent
+  else t.rows.(i).slots.(source)
 
-let contains t vref = Hashtbl.mem t.store vref
+let find t (r : Vertex.vref) =
+  let v = slot t r.round r.source in
+  if v == absent then None else Some v
 
-let size t = Hashtbl.length t.store
+let contains t (r : Vertex.vref) = slot t r.round r.source != absent
+
+let size t = t.size
+
+let row_at t round =
+  let i = round - t.base in
+  if i < 0 || i >= t.len then None else Some t.rows.(i)
 
 let round_vertices t round =
-  let acc = ref [] in
-  for source = t.n - 1 downto 0 do
-    match find t { Vertex.round; source } with
-    | Some v -> acc := v :: !acc
-    | None -> ()
-  done;
-  !acc
+  match row_at t round with
+  | None -> []
+  | Some row ->
+    let acc = ref [] in
+    for source = t.n - 1 downto 0 do
+      let v = row.slots.(source) in
+      if v != absent then acc := v :: !acc
+    done;
+    !acc
 
 let round_size t round =
-  match Hashtbl.find_opt t.by_round round with
-  | Some r -> !r
-  | None -> 0
+  match row_at t round with Some row -> row.count | None -> 0
 
 let highest_round t = t.highest
+
+let pruned_below t = t.base
+
+let window_rounds t = t.len
 
 (* After garbage collection, edges into pruned rounds count as satisfied:
    those vertices were delivered everywhere before pruning (see
    [prune_below]'s contract), so holding the new vertex back for them
    would only hurt liveness. *)
-let edge_present t e = contains t e || e.Vertex.round < t.pruned_below
+let edge_ok t (v : Vertex.t) (e : Vertex.vref) =
+  e.round < v.round && (contains t e || e.round < t.base)
 
-let can_add t v =
-  List.for_all (edge_present t)
-    (v.Vertex.strong_edges @ v.Vertex.weak_edges)
+let can_add t (v : Vertex.t) =
+  List.for_all (edge_ok t v) v.strong_edges
+  && List.for_all (edge_ok t v) v.weak_edges
 
-let add_impl t v =
-  let vref = Vertex.vref_of v in
-  match find t vref with
-  | Some existing ->
-    if existing <> v then
-      invalid_arg "Dag.add: conflicting vertex for (round, source)"
-  | None ->
-    if not (can_add t v) then invalid_arg "Dag.add: missing predecessor";
-    Hashtbl.add t.store vref v;
-    (match Hashtbl.find_opt t.by_round v.round with
-    | Some r -> incr r
-    | None -> Hashtbl.add t.by_round v.round (ref 1));
-    if v.round > t.highest then t.highest <- v.round
+let add_impl t (v : Vertex.t) =
+  if v.source < 0 || v.source >= t.n then
+    invalid_arg "Dag.add: source out of range";
+  (* a round below the horizon was garbage-collected: nothing may
+     re-open it *)
+  if v.round >= t.base then begin
+    let existing = slot t v.round v.source in
+    if existing != absent then begin
+      if existing <> v then
+        invalid_arg "Dag.add: conflicting vertex for (round, source)"
+    end
+    else begin
+      if not (can_add t v) then invalid_arg "Dag.add: missing predecessor";
+      while t.base + t.len <= v.round do
+        if t.len = Array.length t.rows then begin
+          let rows = Array.make (2 * t.len) vacant in
+          Array.blit t.rows 0 rows 0 t.len;
+          t.rows <- rows
+        end;
+        t.rows.(t.len) <- new_row t.n;
+        t.len <- t.len + 1
+      done;
+      let row = t.rows.(v.round - t.base) in
+      row.slots.(v.source) <- v;
+      row.count <- row.count + 1;
+      t.size <- t.size + 1;
+      if v.round > t.highest then t.highest <- v.round
+    end
+  end
 
 let add t v =
   let sp = Prof.enter "dag.add" in
   (try add_impl t v with e -> Prof.leave_reraise sp e);
   Prof.leave sp
 
-(* BFS over edges; rounds strictly decrease along edges, so termination
-   is immediate and the frontier stays small. *)
-let reachable_from t start ~via_strong_only =
-  if not (contains t start) then []
-  else begin
-    let visited = Hashtbl.create 64 in
-    let queue = Queue.create () in
-    Hashtbl.add visited start ();
-    Queue.add start queue;
-    let out = ref [] in
-    while not (Queue.is_empty queue) do
-      let vref = Queue.pop queue in
-      out := vref :: !out;
-      match find t vref with
-      | None -> ()
-      | Some v ->
-        let targets =
-          if via_strong_only then v.strong_edges
-          else v.strong_edges @ v.weak_edges
-        in
-        List.iter
-          (fun e ->
-            if (not (Hashtbl.mem visited e)) && contains t e then begin
-              Hashtbl.add visited e ();
-              Queue.add e queue
-            end)
-          targets
-    done;
-    !out
-  end
-
-let reaches t start target ~via_strong_only =
-  if (not (contains t start)) || not (contains t target) then false
-  else if start = target then true
-  else if target.Vertex.round >= start.Vertex.round then false
-  else begin
-    let sp = Prof.enter "dag.path" in
-    let found =
-      try
-       let visited = Hashtbl.create 64 in
-       let queue = Queue.create () in
-       Hashtbl.add visited start ();
-       Queue.add start queue;
-       let found = ref false in
-       while (not !found) && not (Queue.is_empty queue) do
-         let vref = Queue.pop queue in
-         if vref = target then found := true
-         else
-           match find t vref with
-           | None -> ()
-           | Some v ->
-             let targets =
-               if via_strong_only then v.strong_edges
-               else v.strong_edges @ v.weak_edges
-             in
-             List.iter
-               (fun (e : Vertex.vref) ->
-                 (* no point exploring below the target's round *)
-                 if
-                   e.Vertex.round >= target.Vertex.round
-                   && (not (Hashtbl.mem visited e))
-                   && contains t e
-                 then begin
-                   Hashtbl.add visited e ();
-                   Queue.add e queue
-                 end)
-               targets
-       done;
-       !found
-      with e -> Prof.leave_reraise sp e
-    in
-    Prof.leave sp;
-    found
-  end
-
-let strong_path t v u = reaches t v u ~via_strong_only:true
-
-let path t v u = reaches t v u ~via_strong_only:false
-
-let causal_history t vref =
-  let sp = Prof.enter "dag.causal_history" in
-  let out =
-    try
-      let refs = reachable_from t vref ~via_strong_only:false in
-      let vs =
-        List.filter_map
-          (fun (r : Vertex.vref) ->
-            if r.Vertex.round = 0 then None (* genesis carries no blocks *)
-            else find t r)
-          refs
-      in
-      List.sort
-        (fun a b -> Vertex.compare_vref (Vertex.vref_of a) (Vertex.vref_of b))
-        vs
-    with e -> Prof.leave_reraise sp e
-  in
-  Prof.leave sp;
-  out
-
 let vertices t =
-  let vs =
-    Hashtbl.fold
-      (fun (vref : Vertex.vref) v acc ->
-        if vref.Vertex.round = 0 then acc else v :: acc)
-      t.store []
-  in
-  List.sort (fun a b -> Vertex.compare_vref (Vertex.vref_of a) (Vertex.vref_of b)) vs
+  List.init t.len (fun i -> t.base + i)
+  |> List.concat_map (fun round -> if round = 0 then [] else round_vertices t round)
 
 let prune_below t ~round =
-  if round > t.pruned_below then begin
-    let doomed =
-      Hashtbl.fold
-        (fun (vref : Vertex.vref) _ acc ->
-          if vref.Vertex.round < round then vref :: acc else acc)
-        t.store []
-    in
-    List.iter
-      (fun vref ->
-        Hashtbl.remove t.store vref;
-        match Hashtbl.find_opt t.by_round vref.Vertex.round with
-        | Some r -> decr r
-        | None -> ())
-      doomed;
-    t.pruned_below <- round
+  if round > t.base then begin
+    let drop = min (round - t.base) t.len in
+    for i = 0 to drop - 1 do
+      t.size <- t.size - t.rows.(i).count
+    done;
+    Array.blit t.rows drop t.rows 0 (t.len - drop);
+    Array.fill t.rows (t.len - drop) drop vacant;
+    t.len <- t.len - drop;
+    t.base <- round
   end
+
+(* ---- Sweeps ----
+
+   Edges strictly decrease in round, so a walk that visits rows from the
+   top down has followed every edge into a row before it reaches that
+   row: one pass settles reachability with one bit per slot. Each sweep
+   takes a fresh [t.sweep] number and a row's bits count only while its
+   [stamp] equals it, so no row is ever cleared after a sweep.
+   [t.pending] counts reached vertices in rows not yet visited, and a
+   walk stops as soon as it is zero. Every edge of a retained vertex
+   points at a retained vertex or below the horizon ([can_add]), so a
+   sweep touches only the rows between its start and where it stops. *)
+
+let start_sweep t =
+  t.sweep <- t.sweep + 1;
+  t.pending <- 0
+
+let bit_set row s =
+  Char.code (Bytes.unsafe_get row.reached (s lsr 3)) land (1 lsl (s land 7))
+  <> 0
+
+let is_reached t row s = row.stamp = t.sweep && bit_set row s
+
+(* mark (round, source) reached, if present and at or above [floor] *)
+let reach_slot t ~floor round source =
+  if round >= floor && slot t round source != absent then begin
+    let row = t.rows.(round - t.base) in
+    if row.stamp <> t.sweep then begin
+      Bytes.fill row.reached 0 (Bytes.length row.reached) '\000';
+      row.stamp <- t.sweep
+    end;
+    if not (bit_set row source) then begin
+      let i = source lsr 3 in
+      Bytes.unsafe_set row.reached i
+        (Char.unsafe_chr
+           (Char.code (Bytes.unsafe_get row.reached i) lor (1 lsl (source land 7))));
+      t.pending <- t.pending + 1
+    end
+  end
+
+let rec reach_all t ~floor = function
+  | [] -> ()
+  | (e : Vertex.vref) :: rest ->
+    reach_slot t ~floor e.round e.source;
+    reach_all t ~floor rest
+
+let follow t ~floor ~strong_only (v : Vertex.t) =
+  reach_all t ~floor v.strong_edges;
+  if not strong_only then reach_all t ~floor v.weak_edges
+
+(* Visit the reached vertices from row [top] down to row [floor], in
+   decreasing source order within a row, and follow the edges of those
+   for which [visit] returns true. *)
+let descend t ~top ~floor ~strong_only visit =
+  let k = ref (min top (t.base + t.len - 1)) in
+  while t.pending > 0 && !k >= floor do
+    let row = t.rows.(!k - t.base) in
+    if row.stamp = t.sweep then
+      for s = t.n - 1 downto 0 do
+        if bit_set row s then begin
+          t.pending <- t.pending - 1;
+          let v = row.slots.(s) in
+          if visit v then follow t ~floor ~strong_only v
+        end
+      done;
+    decr k
+  done
+
+let reaches t (start : Vertex.vref) (target : Vertex.vref) ~strong_only =
+  if (not (contains t start)) || not (contains t target) then false
+  else if start = target then true
+  else if target.round >= start.round then false
+  else
+    Prof.time "dag.path" (fun () ->
+        (* no point exploring below the target's round *)
+        let floor = target.round in
+        start_sweep t;
+        reach_slot t ~floor start.round start.source;
+        descend t ~top:start.round ~floor ~strong_only (fun v ->
+            v.Vertex.round > floor);
+        is_reached t t.rows.(target.round - t.base) target.source)
+
+let strong_path t v u = reaches t v u ~strong_only:true
+
+let path t v u = reaches t v u ~strong_only:false
+
+(* the vertices reachable from [start] down to [floor] that [keep]
+   accepts, sorted; a rejected vertex is not walked through *)
+let collect t (start : Vertex.vref) ~floor ~strong_only keep =
+  start_sweep t;
+  reach_slot t ~floor start.round start.source;
+  let acc = ref [] in
+  descend t ~top:start.round ~floor ~strong_only (fun v ->
+      let kept = keep v in
+      if kept then acc := v :: !acc;
+      kept);
+  !acc
+
+let reachable_from t start ~via_strong_only =
+  collect t start ~floor:t.base ~strong_only:via_strong_only (fun _ -> true)
+  |> List.map Vertex.vref_of
+
+let causal_history ?(delivered = fun _ -> false) t start =
+  Prof.time "dag.causal_history" (fun () ->
+      (* genesis carries no blocks; the delivered set is causally
+         closed, so nothing below a delivered vertex is fresh *)
+      collect t start ~floor:(max t.base 1) ~strong_only:false (fun v ->
+          not (delivered v)))
+
+(* Upward: a vertex has a strong path to [target] iff one of its strong
+   edges lands on a vertex that has, and every such vertex sits in a
+   lower row. *)
+let supporters t (target : Vertex.vref) ~round =
+  if round <= target.round then
+    (* strong paths are reflexive and never lead up *)
+    if round = target.round then Option.to_list (find t target) else []
+  else if not (contains t target) then []
+  else
+    Prof.time "dag.path" (fun () ->
+        let floor = target.round in
+        let rec any_reached = function
+          | [] -> false
+          | (e : Vertex.vref) :: rest ->
+            (e.round >= floor && is_reached t t.rows.(e.round - t.base) e.source)
+            || any_reached rest
+        in
+        start_sweep t;
+        reach_slot t ~floor target.round target.source;
+        for k = floor + 1 to min round (t.base + t.len - 1) do
+          let row = t.rows.(k - t.base) in
+          for s = 0 to t.n - 1 do
+            let v = row.slots.(s) in
+            if v != absent && any_reached v.strong_edges then
+              reach_slot t ~floor k s
+          done
+        done;
+        List.filter
+          (fun (v : Vertex.t) ->
+            is_reached t t.rows.(round - t.base) v.source)
+          (round_vertices t round))
+
+(* Algorithm 2's setWeakEdges: walking down from the top row, every
+   retained vertex of round [round - 2] or below that is not reached
+   from [strong_edges] or from an earlier weak edge becomes a weak edge
+   and is reached itself. No reached count can end this walk early:
+   marks move down one row per strong edge, so the rows below are never
+   all marked before the walk gets there. *)
+let weak_edges t ~round ~strong_edges =
+  let floor = max t.base 1 in
+  start_sweep t;
+  reach_all t ~floor strong_edges;
+  let weak = ref [] in
+  for k = t.base + t.len - 1 downto floor do
+    let row = t.rows.(k - t.base) in
+    for s = 0 to t.n - 1 do
+      let v = row.slots.(s) in
+      if v != absent then
+        if is_reached t row s then follow t ~floor ~strong_only:false v
+        else if k <= round - 2 then begin
+          weak := Vertex.vref_of v :: !weak;
+          follow t ~floor ~strong_only:false v
+        end
+    done
+  done;
+  !weak

@@ -34,16 +34,29 @@ val size : t -> int
 val highest_round : t -> int
 (** Largest round with at least one vertex (0 for a fresh DAG). *)
 
+val pruned_below : t -> int
+(** The garbage-collection horizon: every round below it is empty
+    (0 until {!prune_below} first runs). *)
+
+val window_rounds : t -> int
+(** Rounds the store holds a row for: from {!pruned_below} up to the
+    highest round inserted since, so never more than the retained
+    rounds. *)
+
 val can_add : t -> Vertex.t -> bool
-(** All edge targets present? (Algorithm 2 line 7.) *)
+(** All edge targets present and in earlier rounds (Algorithm 2
+    line 7)? Targets below {!pruned_below} count as present. *)
 
 val add : t -> Vertex.t -> unit
-(** Insert a vertex.
-    @raise Invalid_argument if a predecessor is missing (the buffer in
-    {!Node} must hold the vertex back until {!can_add}), or if a
-    different vertex already occupies [(round, source)] — reliable
-    broadcast makes that impossible for honest stacks, so it indicates a
-    harness bug. Re-adding the identical vertex is a no-op. *)
+(** Insert a vertex. A vertex of a round below {!pruned_below} is
+    dropped: that round was garbage-collected and stays empty.
+    @raise Invalid_argument if the source is out of range, if a
+    predecessor is missing or an edge does not point to an earlier round
+    (the buffer in {!Node} must hold the vertex back until {!can_add}),
+    or if a different vertex already occupies [(round, source)] —
+    reliable broadcast makes that impossible for honest stacks, so it
+    indicates a harness bug. Re-adding the identical vertex is a
+    no-op. *)
 
 val strong_path : t -> Vertex.vref -> Vertex.vref -> bool
 (** [strong_path t v u]: is [u] reachable from [v] via strong edges only
@@ -53,14 +66,34 @@ val strong_path : t -> Vertex.vref -> Vertex.vref -> bool
 val path : t -> Vertex.vref -> Vertex.vref -> bool
 (** Reachability via strong or weak edges (Algorithm 1 line 1). *)
 
-val causal_history : t -> Vertex.vref -> Vertex.t list
+val supporters : t -> Vertex.vref -> round:int -> Vertex.t list
+(** [supporters t u ~round]: the vertices of [round] with a strong path
+    to [u], sorted by source — one upward sweep instead of a
+    {!strong_path} query per vertex. *)
+
+val causal_history :
+  ?delivered:(Vertex.t -> bool) -> t -> Vertex.vref -> Vertex.t list
 (** Every vertex reachable from [v] (inclusive), i.e. the set
     [{u | path v u}], sorted by {!Vertex.compare_vref}. Empty if [v] is
-    absent. Genesis vertices are excluded — they carry no blocks. *)
+    absent. Genesis vertices are excluded — they carry no blocks.
+
+    With [~delivered], vertices it accepts are neither returned nor
+    walked through, so the walk stops at the delivered frontier. The
+    result is [{u | path v u}] minus the delivered set whenever that set
+    is causally closed (it holds the whole history of each of its
+    members), as an ordering's delivered set is. *)
 
 val reachable_from : t -> Vertex.vref -> via_strong_only:bool -> Vertex.vref list
-(** Lower-level reachability (inclusive, genesis included); used by weak
-    edge computation and the renderer. *)
+(** Lower-level reachability (inclusive, genesis included), sorted by
+    {!Vertex.compare_vref}; used by the renderer and the analyzer. *)
+
+val weak_edges :
+  t -> round:int -> strong_edges:Vertex.vref list -> Vertex.vref list
+(** Algorithm 2's [setWeakEdges] for a new vertex of [round] with the
+    given strong edges: each vertex of rounds [round - 2] down to 1 with
+    no path from the new vertex, where a vertex already chosen counts as
+    a target. Ordered by increasing round, and by decreasing source
+    within a round; the order is on the wire. *)
 
 val vertices : t -> Vertex.t list
 (** All non-genesis vertices, sorted. *)

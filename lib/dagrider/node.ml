@@ -100,31 +100,6 @@ let next_block t ~round =
   | Some b -> b
   | None -> t.block_source ~round
 
-let set_weak_edges t ~strong_edges ~round =
-  if (not t.config.enable_weak_edges) || round < 3 then []
-  else begin
-    (* vertices already reachable through the strong edges *)
-    let reachable = Hashtbl.create 128 in
-    let absorb vref =
-      List.iter
-        (fun r -> Hashtbl.replace reachable r ())
-        (Dag.reachable_from t.dag vref ~via_strong_only:false)
-    in
-    List.iter absorb strong_edges;
-    let weak = ref [] in
-    for r = round - 2 downto 1 do
-      List.iter
-        (fun u ->
-          let uref = Vertex.vref_of u in
-          if not (Hashtbl.mem reachable uref) then begin
-            weak := uref :: !weak;
-            absorb uref
-          end)
-        (Dag.round_vertices t.dag r)
-    done;
-    !weak
-  end
-
 (* In [In_dag] coin mode the RBC payload is the vertex encoding plus a
    trailing share record and a flag byte:
      <vertex bytes> <u32 holder> <u32 instance> <u32 value> '\001'
@@ -182,7 +157,10 @@ let create_and_broadcast_vertex t ~round =
   let strong_edges =
     List.map Vertex.vref_of (Dag.round_vertices t.dag (round - 1))
   in
-  let weak_edges = set_weak_edges t ~strong_edges ~round in
+  let weak_edges =
+    if t.config.enable_weak_edges then Dag.weak_edges t.dag ~round ~strong_edges
+    else []
+  in
   let v =
     { Vertex.round;
       source = t.me;
@@ -314,7 +292,8 @@ let maybe_gc t =
         then safe_cutoff (r + 1)
         else r
       in
-      let bound = safe_cutoff 1 in
+      (* rounds below the horizon are empty *)
+      let bound = safe_cutoff (max 1 (Dag.pruned_below t.dag)) in
       if bound > 1 then Dag.prune_below t.dag ~round:bound
     end
 
@@ -512,13 +491,16 @@ let rec try_advance t =
              only through the deliberately weakened sync path (honest
              admission cross-checks the slot first); first writer wins
              and the cross-node equivocation oracle judges the result *)
-          if not (Dag.contains t.dag (Vertex.vref_of v)) then begin
+          let vref = Vertex.vref_of v in
+          if not (Dag.contains t.dag vref) then begin
             Dag.add t.dag v;
-            tr_emit t
-              (Trace.Vertex_added
-                 { node = t.me;
-                   round = v.Vertex.round;
-                   source = v.Vertex.source })
+            (* [add] drops a vertex of a garbage-collected round *)
+            if Dag.contains t.dag vref then
+              tr_emit t
+                (Trace.Vertex_added
+                   { node = t.me;
+                     round = v.Vertex.round;
+                     source = v.Vertex.source })
           end)
         ready;
       t.buffer <- waiting;

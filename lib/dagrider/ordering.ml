@@ -100,10 +100,8 @@ let leader_vertex ~rule ~dag ~wave ~leader_source =
 
 let supporters ~rule ~dag ~wave ~leader =
   let wave_length = rule.rule_wave_length in
-  let last_round = round_of ~wave_length ~wave ~k:wave_length in
-  List.filter
-    (fun v -> Dag.strong_path dag (Vertex.vref_of v) (Vertex.vref_of leader))
-    (Dag.round_vertices dag last_round)
+  Dag.supporters dag (Vertex.vref_of leader)
+    ~round:(round_of ~wave_length ~wave ~k:wave_length)
 
 let commit_rule_met ~rule ~f ~dag ~wave ~leader =
   List.length (supporters ~rule ~dag ~wave ~leader) >= quorum_of rule ~f
@@ -114,11 +112,9 @@ let skip_evidence ~rule ~dag ~wave ~leader_source =
   | Some leader -> (Under_supported, supporters ~rule ~dag ~wave ~leader)
 
 let deliver_leader t ~dag ~wave ~leader ~direct ~support ~anchor ~via =
-  let history = Dag.causal_history dag (Vertex.vref_of leader) in
   let fresh =
-    List.filter
-      (fun v -> not (Hashtbl.mem t.delivered_set (Vertex.vref_of v)))
-      history
+    Dag.causal_history dag (Vertex.vref_of leader) ~delivered:(fun v ->
+        Hashtbl.mem t.delivered_set (Vertex.vref_of v))
   in
   List.iter
     (fun v ->

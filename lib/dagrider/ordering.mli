@@ -172,7 +172,10 @@ val restore : t -> delivered:Vertex.t list -> decided_wave:int -> unit
 (** Reload persisted progress into a {e fresh} ordering state: the
     vertices are marked delivered (in the given order) and the decided
     wave is set, so a restarted node neither re-delivers nor re-decides
-    old waves. @raise Invalid_argument if the state is not fresh. *)
+    old waves. The list must be causally closed, as a delivered log is:
+    later history walks stop at delivered vertices
+    ({!Dag.causal_history}). @raise Invalid_argument if the state is not
+    fresh. *)
 
 val rule : t -> rule
 (** The rule this state runs, as given to {!create}. *)

@@ -1,36 +1,3 @@
-(* Call-path trie. Each node aggregates every visit to one span name
-   reached through one particular stack of enclosing spans; the flat
-   per-name view ([rows]) merges nodes by name, the folded-stacks view
-   walks paths. *)
-type node = {
-  nd_name : string;
-  nd_children : (string, node) Hashtbl.t;
-  mutable nd_count : int;
-  mutable nd_total : float;
-  mutable nd_self : float;
-  mutable nd_alloc : float;
-  mutable nd_self_alloc : float;
-}
-
-let make_node name =
-  { nd_name = name;
-    nd_children = Hashtbl.create 4;
-    nd_count = 0;
-    nd_total = 0.0;
-    nd_self = 0.0;
-    nd_alloc = 0.0;
-    nd_self_alloc = 0.0 }
-
-(* One open span. Child time/alloc accumulate here so the parent's
-   self numbers can subtract them at [leave]. *)
-type frame = {
-  fr_node : node;
-  fr_t0 : float;
-  fr_a0 : float;
-  mutable fr_child_time : float;
-  mutable fr_child_alloc : float;
-}
-
 (* bounded per-call duration sample per span name, for percentile
    summaries without retaining one float per call. Algorithm R
    reservoir: every call has probability cap/seen of being retained,
@@ -45,6 +12,56 @@ type sample = {
   mutable sm_filled : int;
   mutable sm_state : int;
   sm_buf : float array;
+}
+
+(* Call-path trie. Each node aggregates every visit to one span name
+   reached through one particular stack of enclosing spans; the flat
+   per-name view ([rows]) merges nodes by name, the folded-stacks view
+   walks paths. *)
+type node = {
+  nd_name : string;
+  nd_children : (string, node) Hashtbl.t;
+  mutable nd_last : node option; (* the child entered last *)
+  nd_sample : sample; (* shared by every node of this name *)
+  mutable nd_count : int;
+  nd_sums : sums;
+}
+
+(* Float-only records store their fields unboxed, so updating them at
+   [leave] allocates nothing. *)
+and sums = {
+  mutable total : float;
+  mutable self : float;
+  mutable alloc : float;
+  mutable self_alloc : float;
+}
+
+let new_sample name =
+  { sm_seen = 0;
+    sm_filled = 0;
+    sm_state = Hashtbl.hash name lor 1;
+    sm_buf = Array.make sample_cap 0.0 }
+
+let make_node name sample =
+  { nd_name = name;
+    nd_children = Hashtbl.create 4;
+    nd_last = None;
+    nd_sample = sample;
+    nd_count = 0;
+    nd_sums = { total = 0.0; self = 0.0; alloc = 0.0; self_alloc = 0.0 } }
+
+(* One open span. Child time/alloc accumulate here so the parent's
+   self numbers can subtract them at [leave]. *)
+type frame = {
+  fr_node : node;
+  fr_window : window;
+}
+
+and window = {
+  t0 : float;
+  a0 : float;
+  mutable child_time : float;
+  mutable child_alloc : float;
 }
 
 type t = {
@@ -62,7 +79,9 @@ let create ?(clock = Unix.gettimeofday) ?(alloc_bytes = Gc.allocated_bytes) ()
     =
   { clock;
     alloc_bytes;
-    root = make_node "";
+    root =
+      (* never left, so it records no samples *)
+      make_node "" { sm_seen = 0; sm_filled = 0; sm_state = 1; sm_buf = [||] };
     samples = Hashtbl.create 32;
     gc0 = Gc.quick_stat ();
     alloc0 = alloc_bytes ();
@@ -89,37 +108,42 @@ let enter name =
   | Some t ->
     let parent = match t.stack with [] -> t.root | f :: _ -> f.fr_node in
     let node =
-      match Hashtbl.find_opt parent.nd_children name with
-      | Some n -> n
-      | None ->
-        let n = make_node name in
-        Hashtbl.add parent.nd_children name n;
+      (* a call site passes the same literal each time, so a hot span
+         usually matches its parent's last child physically *)
+      match parent.nd_last with
+      | Some n when n.nd_name == name -> n
+      | _ ->
+        let n =
+          match Hashtbl.find_opt parent.nd_children name with
+          | Some n -> n
+          | None ->
+            let sample =
+              match Hashtbl.find_opt t.samples name with
+              | Some s -> s
+              | None ->
+                let s = new_sample name in
+                Hashtbl.add t.samples name s;
+                s
+            in
+            let n = make_node name sample in
+            Hashtbl.add parent.nd_children name n;
+            n
+        in
+        parent.nd_last <- Some n;
         n
     in
+    (* both counters are read inside the span's own clock window, so
+       the cost of reading them is the span's, not its parent's *)
+    let t0 = t.clock () in
+    let a0 = t.alloc_bytes () in
     let fr =
       { fr_node = node;
-        fr_t0 = t.clock ();
-        fr_a0 = t.alloc_bytes ();
-        fr_child_time = 0.0;
-        fr_child_alloc = 0.0 }
+        fr_window = { t0; a0; child_time = 0.0; child_alloc = 0.0 } }
     in
     t.stack <- fr :: t.stack;
     On (t, fr)
 
-let record_sample t name dt =
-  let s =
-    match Hashtbl.find_opt t.samples name with
-    | Some s -> s
-    | None ->
-      let s =
-        { sm_seen = 0;
-          sm_filled = 0;
-          sm_state = Hashtbl.hash name lor 1;
-          sm_buf = Array.make sample_cap 0.0 }
-      in
-      Hashtbl.add t.samples name s;
-      s
-  in
+let record_sample s dt =
   s.sm_seen <- s.sm_seen + 1;
   if s.sm_filled < sample_cap then begin
     s.sm_buf.(s.sm_filled) <- dt;
@@ -142,20 +166,23 @@ let leave = function
     match t.stack with
     | top :: rest when top == fr ->
       t.stack <- rest;
-      let dt = t.clock () -. fr.fr_t0 in
-      let da = t.alloc_bytes () -. fr.fr_a0 in
+      let w = fr.fr_window in
+      let da = t.alloc_bytes () -. w.a0 in
+      let dt = t.clock () -. w.t0 in
       let n = fr.fr_node in
       n.nd_count <- n.nd_count + 1;
-      n.nd_total <- n.nd_total +. dt;
-      n.nd_self <- n.nd_self +. (dt -. fr.fr_child_time);
-      n.nd_alloc <- n.nd_alloc +. da;
-      n.nd_self_alloc <- n.nd_self_alloc +. (da -. fr.fr_child_alloc);
+      let sums = n.nd_sums in
+      sums.total <- sums.total +. dt;
+      sums.self <- sums.self +. (dt -. w.child_time);
+      sums.alloc <- sums.alloc +. da;
+      sums.self_alloc <- sums.self_alloc +. (da -. w.child_alloc);
       (match rest with
       | parent :: _ ->
-        parent.fr_child_time <- parent.fr_child_time +. dt;
-        parent.fr_child_alloc <- parent.fr_child_alloc +. da
+        let pw = parent.fr_window in
+        pw.child_time <- pw.child_time +. dt;
+        pw.child_alloc <- pw.child_alloc +. da
       | [] -> ());
-      record_sample t n.nd_name dt
+      record_sample n.nd_sample dt
     | _ -> t.unbalanced <- t.unbalanced + 1)
 
 let leave_reraise sp e =
@@ -211,10 +238,10 @@ let rows t =
       Hashtbl.replace by_name n.nd_name
         { prev with
           r_count = prev.r_count + n.nd_count;
-          r_total_s = prev.r_total_s +. n.nd_total;
-          r_self_s = prev.r_self_s +. n.nd_self;
-          r_alloc_bytes = prev.r_alloc_bytes +. n.nd_alloc;
-          r_self_alloc_bytes = prev.r_self_alloc_bytes +. n.nd_self_alloc })
+          r_total_s = prev.r_total_s +. n.nd_sums.total;
+          r_self_s = prev.r_self_s +. n.nd_sums.self;
+          r_alloc_bytes = prev.r_alloc_bytes +. n.nd_sums.alloc;
+          r_self_alloc_bytes = prev.r_self_alloc_bytes +. n.nd_sums.self_alloc })
     [] t.root;
   let rows = Hashtbl.fold (fun _ r acc -> r :: acc) by_name [] in
   let rows =
@@ -237,7 +264,7 @@ let rows t =
 
 let top_level_totals t =
   List.fold_left
-    (fun (total, self) n -> (total +. n.nd_total, self +. n.nd_self))
+    (fun (total, self) n -> (total +. n.nd_sums.total, self +. n.nd_sums.self))
     (0.0, 0.0) (sorted_children t.root)
 
 let observed_s t = fst (top_level_totals t)
@@ -277,7 +304,7 @@ let folded t =
   let buf = Buffer.create 1024 in
   iter_nodes
     (fun path n ->
-      let us = int_of_float (Float.round (n.nd_self *. 1e6)) in
+      let us = int_of_float (Float.round (n.nd_sums.self *. 1e6)) in
       if n.nd_count > 0 && us > 0 then
         Buffer.add_string buf
           (Printf.sprintf "%s %d\n" (String.concat ";" path) us))

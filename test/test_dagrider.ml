@@ -289,6 +289,75 @@ let test_dag_prune () =
   (* reachability stops at the pruned frontier instead of crashing *)
   checkb "path query safe" false (Dagrider.Dag.path dag (vref 4 0) (vref 1 1))
 
+let test_dag_weak_edge_order () =
+  (* round 2's (2,2) and (2,3) and round 1's (1,3) have no path from
+     round 3's two vertices: three weak edges, two in one round *)
+  let dag = Dagrider.Dag.create ~n:4 in
+  full_round dag ~n:4 ~round:1;
+  for source = 0 to 3 do
+    Dagrider.Dag.add dag
+      (mkv ~round:2 ~source ~strong:[ (1, 0); (1, 1); (1, 2) ] ())
+  done;
+  for source = 0 to 1 do
+    Dagrider.Dag.add dag (mkv ~round:3 ~source ~strong:[ (2, 0); (2, 1) ] ())
+  done;
+  let strong_edges = [ vref 3 0; vref 3 1 ] in
+  (* the order is on the wire: increasing round, decreasing source
+     within a round, as the per-edge walks emitted it *)
+  let expected = [ vref 1 3; vref 2 3; vref 2 2 ] in
+  checkb "sweep order" true
+    (Dagrider.Dag.weak_edges dag ~round:4 ~strong_edges = expected);
+  let reference = Dag_reference.create ~n:4 in
+  List.iter (Dag_reference.add reference) (Dagrider.Dag.vertices dag);
+  checkb "reference order" true
+    (Dag_reference.weak_edges reference ~round:4 ~strong_edges = expected)
+
+let test_dag_store_bounded_under_gc () =
+  let n = 4 and depth = 8 in
+  let dag = Dagrider.Dag.create ~n in
+  for round = 1 to 5000 do
+    full_round dag ~n ~round;
+    if round > depth then Dagrider.Dag.prune_below dag ~round:(round - depth);
+    let retained =
+      Dagrider.Dag.highest_round dag - Dagrider.Dag.pruned_below dag + 1
+    in
+    if Dagrider.Dag.size dag > (depth + 1) * n then
+      Alcotest.failf "round %d: %d vertices retained" round
+        (Dagrider.Dag.size dag);
+    if Dagrider.Dag.window_rounds dag > retained then
+      Alcotest.failf "round %d: window of %d rounds, %d retained" round
+        (Dagrider.Dag.window_rounds dag) retained
+  done;
+  checki "window = depth + 1" (depth + 1) (Dagrider.Dag.window_rounds dag)
+
+let test_dag_edges_must_descend () =
+  let dag = Dagrider.Dag.create ~n:4 in
+  Dagrider.Dag.add dag (mkv ~round:1 ~source:1 ~strong:[ (0, 0) ] ());
+  let rejected v =
+    match Dagrider.Dag.add dag v with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  let sideways = mkv ~round:1 ~source:0 ~strong:[ (1, 1) ] () in
+  checkb "same-round edge not addable" false (Dagrider.Dag.can_add dag sideways);
+  checkb "add rejects it" true (rejected sideways);
+  checkb "out-of-range source rejected" true
+    (rejected (mkv ~round:2 ~source:4 ~strong:[ (1, 1) ] ()))
+
+let test_dag_pruned_round_stays_empty () =
+  let dag = Dagrider.Dag.create ~n:4 in
+  for r = 1 to 5 do
+    full_round dag ~n:4 ~round:r
+  done;
+  Dagrider.Dag.prune_below dag ~round:3;
+  let size = Dagrider.Dag.size dag in
+  (* a straggler for a garbage-collected round is dropped *)
+  Dagrider.Dag.add dag (mkv ~round:2 ~source:0 ~strong:[ (1, 0) ] ());
+  checkb "not stored" false (Dagrider.Dag.contains dag (vref 2 0));
+  checki "size unchanged" size (Dagrider.Dag.size dag);
+  checki "horizon" 3 (Dagrider.Dag.pruned_below dag);
+  checki "window" 3 (Dagrider.Dag.window_rounds dag)
+
 let prop_dag_path_strong_implies_path =
   QCheck.Test.make ~name:"strong_path implies path" ~count:50
     (QCheck.int_range 0 10_000) (fun seed ->
@@ -505,6 +574,13 @@ let () =
             test_dag_causal_history_partial;
           Alcotest.test_case "vertices listing" `Quick test_dag_vertices_listing;
           Alcotest.test_case "prune" `Quick test_dag_prune;
+          Alcotest.test_case "weak edge order" `Quick test_dag_weak_edge_order;
+          Alcotest.test_case "store bounded under gc" `Quick
+            test_dag_store_bounded_under_gc;
+          Alcotest.test_case "edges must descend" `Quick
+            test_dag_edges_must_descend;
+          Alcotest.test_case "pruned round stays empty" `Quick
+            test_dag_pruned_round_stays_empty;
           QCheck_alcotest.to_alcotest prop_dag_path_strong_implies_path;
           QCheck_alcotest.to_alcotest prop_dag_causal_history_closed ] );
       ( "snapshot",
