@@ -5,8 +5,21 @@ type tree = {
 
 type proof = { leaf_index : int; path : string list }
 
-let hash_leaf payload = Sha256.digest_string ("\x00" ^ payload)
-let hash_node l r = Sha256.digest_string ("\x01" ^ l ^ r)
+(* The domain byte and the parts go into one hashing state, so nothing
+   is concatenated: the digests are those of "\x00" ^ payload and
+   "\x01" ^ l ^ r. *)
+let leaf_digest payload =
+  let ctx = Sha256.init () in
+  Sha256.feed ctx "\x00";
+  Sha256.feed ctx payload;
+  Sha256.finalize ctx
+
+let hash_node l r =
+  let ctx = Sha256.init () in
+  Sha256.feed ctx "\x01";
+  Sha256.feed ctx l;
+  Sha256.feed ctx r;
+  Sha256.finalize ctx
 
 let next_level nodes =
   let n = Array.length nodes in
@@ -16,18 +29,25 @@ let next_level nodes =
       let r = if (2 * i) + 1 < n then nodes.((2 * i) + 1) else l in
       hash_node l r)
 
-let build leaves =
-  if Array.length leaves = 0 then invalid_arg "Merkle.build: no leaves";
+let of_leaf_digests digests =
   let rec go acc nodes =
     if Array.length nodes = 1 then List.rev (nodes :: acc)
     else go (nodes :: acc) (next_level nodes)
   in
-  let levels = go [] (Array.map hash_leaf leaves) in
-  { levels = Array.of_list levels }
+  { levels = Array.of_list (go [] digests) }
 
 let root t =
   let top = t.levels.(Array.length t.levels - 1) in
   top.(0)
+
+let build leaves =
+  if Array.length leaves = 0 then invalid_arg "Merkle.build: no leaves";
+  of_leaf_digests (Array.map leaf_digest leaves)
+
+let root_of_leaf_digests digests =
+  if Array.length digests = 0 then
+    invalid_arg "Merkle.root_of_leaf_digests: no leaves";
+  root (of_leaf_digests digests)
 
 let leaf_count t = Array.length t.levels.(0)
 
@@ -47,25 +67,21 @@ let prove t index =
   in
   { leaf_index = index; path = go 0 index [] }
 
-let verify ~root:expected ~leaf_count ~leaf proof =
-  if proof.leaf_index < 0 || proof.leaf_index >= leaf_count then false
-  else begin
-    (* expected path length = tree height *)
-    let height =
-      let rec go n acc = if n <= 1 then acc else go ((n + 1) / 2) (acc + 1) in
-      go leaf_count 0
-    in
-    if List.length proof.path <> height then false
-    else begin
-      let digest = ref (hash_leaf leaf) in
-      let i = ref proof.leaf_index in
-      List.iter
-        (fun sib ->
-          digest :=
-            if !i land 1 = 0 then hash_node !digest sib
-            else hash_node sib !digest;
-          i := !i / 2)
-        proof.path;
-      String.equal !digest expected
-    end
-  end
+(* expected path length = tree height *)
+let height leaf_count =
+  let rec go n acc = if n <= 1 then acc else go ((n + 1) / 2) (acc + 1) in
+  go leaf_count 0
+
+let verify_digest ~root:expected ~leaf_count ~digest proof =
+  let rec climb i d = function
+    | [] -> d
+    | sib :: rest ->
+      climb (i / 2) (if i land 1 = 0 then hash_node d sib else hash_node sib d) rest
+  in
+  proof.leaf_index >= 0
+  && proof.leaf_index < leaf_count
+  && List.compare_length_with proof.path (height leaf_count) = 0
+  && String.equal (climb proof.leaf_index digest proof.path) expected
+
+let verify ~root ~leaf_count ~leaf proof =
+  verify_digest ~root ~leaf_count ~digest:(leaf_digest leaf) proof

@@ -11,7 +11,13 @@
     fragments are rejected upstream by Merkle proofs, so this module only
     handles {e erasures}, as in the Cachin–Tessaro protocol.
 
-    Constraint: [0 < k <= n <= 256] (field size). *)
+    Constraint: [0 < k <= n <= 256] (field size).
+
+    Both kernels run over one 256 x 256 product table (64 KiB, built once
+    by the first {!encode} or {!decode}, not by {!make}): every output
+    byte is an XOR of [table.(c).(x)] loads. {!decode} is systematic: it copies
+    every data fragment it holds and interpolates only the missing data
+    fragments. *)
 
 type coder
 (** Precomputed encoding matrix for a fixed [(k, n)]. *)
@@ -30,7 +36,8 @@ val encode : coder -> string -> string array
 val decode : coder -> data_len:int -> (int * string) list -> string
 (** [decode c ~data_len fragments] reconstructs the original data from at
     least [k] fragments given as [(index, bytes)] pairs. Extra fragments
-    beyond [k] are ignored.
+    beyond [k] are ignored: the [k] smallest distinct indices are used,
+    the first occurrence of each.
     @raise Invalid_argument if fewer than [k] distinct valid indices are
     supplied, if an index is out of range, or if fragment lengths are
     inconsistent with [data_len]. *)

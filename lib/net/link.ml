@@ -200,11 +200,11 @@ let rec schedule_retry t ~dst ~seq ~timeout =
             Prof.leave sp
           end)
 
-let send t ~dst ~kind ~bits msg =
+(* One reliable delivery of an already-encoded message. *)
+let send_bytes t ~dst ~kind ~bits bytes =
   if not t.detached then begin
     let seq = t.next_seq.(dst) in
     t.next_seq.(dst) <- seq + 1;
-    let bytes = t.encode msg in
     let frame = make_data ~seq ~kind ~bytes in
     (* allocate the logical id here, not in Network.send, so retransmit
        copies of this frame share it *)
@@ -224,10 +224,17 @@ let send t ~dst ~kind ~bits msg =
     schedule_retry t ~dst ~seq ~timeout:t.config.rto
   end
 
+let send t ~dst ~kind ~bits msg =
+  if not t.detached then send_bytes t ~dst ~kind ~bits (t.encode msg)
+
+(* encoded once, then one frame per destination *)
 let broadcast t ~kind ~bits msg =
-  for dst = 0 to Network.n t.net - 1 do
-    send t ~dst ~kind ~bits msg
-  done
+  if not t.detached then begin
+    let bytes = t.encode msg in
+    for dst = 0 to Network.n t.net - 1 do
+      send_bytes t ~dst ~kind ~bits bytes
+    done
+  end
 
 let mark_seen t ~src ~seq =
   if seq < t.floor.(src) || Hashtbl.mem t.seen.(src) seq then false

@@ -89,7 +89,8 @@ val send : 'msg t -> dst:int -> kind:string -> bits:int -> 'msg -> unit
     on top, and again on every retransmission. *)
 
 val broadcast : 'msg t -> kind:string -> bits:int -> 'msg -> unit
-(** {!send} to all [n] processes, self included. *)
+(** {!send} to all [n] processes, self included, in index order; the
+    message is encoded once and every frame carries those bytes. *)
 
 val detach : 'msg t -> unit
 (** Silence the endpoint for good: unregister from the frame network,

@@ -1,6 +1,7 @@
 type 'msg t = {
   n : int;
   send_fn : src:int -> dst:int -> kind:string -> bits:int -> 'msg -> unit;
+  broadcast_fn : src:int -> kind:string -> bits:int -> 'msg -> unit;
   register_fn : int -> (src:int -> 'msg -> unit) -> unit;
   unregister_fn : int -> unit;
 }
@@ -9,10 +10,7 @@ let n t = t.n
 
 let send t = t.send_fn
 
-let broadcast t ~src ~kind ~bits msg =
-  for dst = 0 to t.n - 1 do
-    t.send_fn ~src ~dst ~kind ~bits msg
-  done
+let broadcast t ~src ~kind ~bits msg = t.broadcast_fn ~src ~kind ~bits msg
 
 let register t i handler = t.register_fn i handler
 
@@ -22,6 +20,8 @@ let of_network net =
   { n = Network.n net;
     send_fn = (fun ~src ~dst ~kind ~bits msg ->
         Network.send net ~src ~dst ~kind ~bits msg);
+    broadcast_fn = (fun ~src ~kind ~bits msg ->
+        Network.broadcast net ~src ~kind ~bits msg);
     register_fn = (fun i handler -> Network.register net i handler);
     unregister_fn = (fun i -> Network.unregister net i) }
 
@@ -30,5 +30,7 @@ let of_links links =
   { n = Array.length links;
     send_fn = (fun ~src ~dst ~kind ~bits msg ->
         Link.send links.(src) ~dst ~kind ~bits msg);
+    broadcast_fn = (fun ~src ~kind ~bits msg ->
+        Link.broadcast links.(src) ~kind ~bits msg);
     register_fn = (fun i handler -> Link.set_handler links.(i) handler);
     unregister_fn = (fun i -> Link.clear_handler links.(i)) }

@@ -16,7 +16,8 @@ val n : 'msg t -> int
 val send : 'msg t -> src:int -> dst:int -> kind:string -> bits:int -> 'msg -> unit
 
 val broadcast : 'msg t -> src:int -> kind:string -> bits:int -> 'msg -> unit
-(** {!send} to all [n] processes, self included. *)
+(** {!send} to all [n] processes, self included, in index order. Over
+    links the message is encoded once ({!Link.broadcast}). *)
 
 val register : 'msg t -> int -> (src:int -> 'msg -> unit) -> unit
 (** Install process [i]'s handler; re-registering replaces it. *)
@@ -27,7 +28,7 @@ val of_network : 'msg Network.t -> 'msg t
 (** Direct delegation — same behavior, same schedule, same traces. *)
 
 val of_links : 'msg Link.t array -> 'msg t
-(** [send ~src] goes out through [links.(src)]; handlers install on
+(** [send ~src] and [broadcast ~src] go out through [links.(src)]; handlers install on
     the destination endpoint. The array must hold one endpoint per
     process, index-aligned.
     @raise Invalid_argument on an empty array. *)

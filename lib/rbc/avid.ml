@@ -33,8 +33,26 @@ let get_proof r =
   if List.exists (fun d -> String.length d <> 32) path then raise Wire.Bad;
   { Crypto.Merkle.leaf_index; path }
 
+(* [8 * String.length (encode_msg msg)] without building the encoding:
+   a tag byte, a u32 per integer field, and a u32 length before each
+   byte string (the root, the fragment and every proof digest). *)
+let msg_bits msg =
+  let bytes s = 4 + String.length s in
+  let proof_bytes (proof : Crypto.Merkle.proof) =
+    List.fold_left (fun acc d -> acc + bytes d) 8 proof.Crypto.Merkle.path
+  in
+  let len =
+    match msg with
+    | Disperse { root; frag; proof; _ } ->
+      1 + 4 + bytes root + 4 + 4 + bytes frag + proof_bytes proof
+    | Echo { root; frag; proof; _ } ->
+      1 + 4 + 4 + bytes root + 4 + 4 + bytes frag + proof_bytes proof
+    | Ready { root; _ } -> 1 + 4 + 4 + bytes root + 4
+  in
+  8 * len
+
 let encode_msg msg =
-  let buf = Buffer.create 128 in
+  let buf = Buffer.create (msg_bits msg / 8) in
   (match msg with
   | Disperse { round; root; data_len; frag_index; frag; proof } ->
     Wire.put_u8 buf 1;
@@ -94,35 +112,26 @@ let decode_msg src =
         else Wire.finish r (Ready { origin; round; root; data_len })
       | _ -> None)
 
-(* [8 * String.length (encode_msg msg)] without building the encoding:
-   a tag byte, a u32 per integer field, and a u32 length before each
-   byte string (the root, the fragment and every proof digest). *)
-let msg_bits msg =
-  let bytes s = 4 + String.length s in
-  let proof_bytes (proof : Crypto.Merkle.proof) =
-    List.fold_left (fun acc d -> acc + bytes d) 8 proof.Crypto.Merkle.path
-  in
-  let len =
-    match msg with
-    | Disperse { root; frag; proof; _ } ->
-      1 + 4 + bytes root + 4 + 4 + bytes frag + proof_bytes proof
-    | Echo { root; frag; proof; _ } ->
-      1 + 4 + 4 + bytes root + 4 + 4 + bytes frag + proof_bytes proof
-    | Ready { root; _ } -> 1 + 4 + 4 + bytes root + 4
-  in
-  8 * len
-
 (* All quorum state is keyed by the pair (root, data_len): a Byzantine
    process that lies about either is voting for a different commitment
    and cannot poison the honest one. *)
 type commit = { root : string; data_len : int }
+
+(* A commit's verified fragments, one slot per fragment index, each with
+   the Merkle leaf digest computed when it was verified. An empty slot
+   holds "" in both arrays (a valid fragment is never empty). *)
+type held = {
+  frags : string array;
+  digests : string array;
+  mutable count : int;
+}
 
 type instance = {
   mutable echoed : bool;
   mutable ready_sent : bool;
   mutable delivered : bool;
   mutable discarded : bool;
-  fragments : (commit, (int, string) Hashtbl.t) Hashtbl.t;
+  fragments : (commit, held) Hashtbl.t;
   echoers : (commit, Iset.t ref) Hashtbl.t;
   readies : (commit, Iset.t ref) Hashtbl.t;
 }
@@ -179,22 +188,66 @@ let add_voter table commit voter =
   set := Iset.add voter !set;
   Iset.cardinal !set
 
-let store_fragment inst ~commit ~frag_index ~frag =
-  let frags =
-    match Hashtbl.find_opt inst.fragments commit with
-    | Some h -> h
-    | None ->
-      let h = Hashtbl.create 8 in
-      Hashtbl.add inst.fragments commit h;
-      h
-  in
-  if not (Hashtbl.mem frags frag_index) then Hashtbl.add frags frag_index frag
+let voters table commit =
+  match Hashtbl.find_opt table commit with
+  | Some s -> Iset.cardinal !s
+  | None -> 0
 
-let valid_fragment t ~commit ~frag ~proof ~frag_index =
+let held_count inst commit =
+  match Hashtbl.find_opt inst.fragments commit with
+  | Some h -> h.count
+  | None -> 0
+
+(* Verify a fragment against the commit and, if it is valid, keep it
+   (the first valid fragment per index wins). A fragment byte-equal to
+   the one already held at its index reuses that one's leaf digest, so
+   only its authentication path is hashed. *)
+let accept_fragment t inst ~commit ~frag_index ~frag ~proof =
   frag_index = proof.Crypto.Merkle.leaf_index
+  && frag_index >= 0
+  && frag_index < t.n
   && String.length frag
      = Crypto.Reed_solomon.fragment_length t.coder ~data_len:commit.data_len
-  && Crypto.Merkle.verify ~root:commit.root ~leaf_count:t.n ~leaf:frag proof
+  &&
+  let held = Hashtbl.find_opt inst.fragments commit in
+  let digest =
+    match held with
+    | Some h when String.equal h.frags.(frag_index) frag ->
+      h.digests.(frag_index)
+    | _ -> Crypto.Merkle.leaf_digest frag
+  in
+  Crypto.Merkle.verify_digest ~root:commit.root ~leaf_count:t.n ~digest proof
+  && begin
+    let h =
+      match held with
+      | Some h -> h
+      | None ->
+        let h =
+          { frags = Array.make t.n ""; digests = Array.make t.n ""; count = 0 }
+        in
+        Hashtbl.add inst.fragments commit h;
+        h
+    in
+    if String.equal h.frags.(frag_index) "" then begin
+      h.frags.(frag_index) <- frag;
+      h.digests.(frag_index) <- digest;
+      h.count <- h.count + 1
+    end;
+    true
+  end
+
+(* An echo that cannot change anything (DESIGN §16): the instance is
+   decided, or this process has sent its Ready (so the echo count no
+   longer matters), already holds the k fragments that fix the decision,
+   and still lacks the Ready quorum whose arrival will decide. With the
+   quorum present the echo must be processed: a Disperse stores a
+   fragment without trying to deliver, so the next echo is what
+   delivers. *)
+let echo_is_moot t inst commit =
+  inst.delivered || inst.discarded
+  || inst.ready_sent
+     && held_count inst commit >= t.k
+     && voters inst.readies commit < quorum t
 
 let send_ready t inst ~origin ~round ~commit =
   if not inst.ready_sent then begin
@@ -208,38 +261,48 @@ let send_ready t inst ~origin ~round ~commit =
   end
 
 let try_deliver t inst ~origin ~round ~commit =
-  if (not inst.delivered) && not inst.discarded then
-    match Hashtbl.find_opt inst.readies commit with
-    | Some set when Iset.cardinal !set >= quorum t -> begin
-      match Hashtbl.find_opt inst.fragments commit with
-      | Some frags when Hashtbl.length frags >= t.k -> begin
-        let pieces =
-          Hashtbl.fold (fun i frag acc -> (i, frag) :: acc) frags []
+  if
+    (not inst.delivered) && (not inst.discarded)
+    && voters inst.readies commit >= quorum t
+  then
+    match Hashtbl.find_opt inst.fragments commit with
+    | Some held when held.count >= t.k -> begin
+      let pieces = ref [] in
+      for i = t.n - 1 downto 0 do
+        if not (String.equal held.frags.(i) "") then
+          pieces := (i, held.frags.(i)) :: !pieces
+      done;
+      match
+        Crypto.Reed_solomon.decode t.coder ~data_len:commit.data_len !pieces
+      with
+      | exception Invalid_argument _ ->
+        inst.discarded <- true;
+        phase t ~origin ~round "discard"
+      | payload ->
+        (* re-encode and check the committed root: rejects Byzantine
+           non-codeword dispersals deterministically, so every correct
+           process makes the same deliver/discard decision. Re-encoded
+           fragments equal to held ones reuse their leaf digests. *)
+        let re_frags = Crypto.Reed_solomon.encode t.coder payload in
+        let digests =
+          Array.mapi
+            (fun i frag ->
+              if String.equal held.frags.(i) frag then held.digests.(i)
+              else Crypto.Merkle.leaf_digest frag)
+            re_frags
         in
-        match
-          Crypto.Reed_solomon.decode t.coder ~data_len:commit.data_len pieces
-        with
-        | exception Invalid_argument _ ->
+        if
+          String.equal (Crypto.Merkle.root_of_leaf_digests digests) commit.root
+        then begin
+          inst.delivered <- true;
+          t.delivered_count <- t.delivered_count + 1;
+          phase t ~origin ~round "deliver";
+          t.deliver ~payload ~round ~source:origin
+        end
+        else begin
           inst.discarded <- true;
           phase t ~origin ~round "discard"
-        | payload ->
-          (* re-encode and check the committed root: rejects Byzantine
-             non-codeword dispersals deterministically, so every correct
-             process makes the same deliver/discard decision *)
-          let re_frags = Crypto.Reed_solomon.encode t.coder payload in
-          let tree = Crypto.Merkle.build re_frags in
-          if String.equal (Crypto.Merkle.root tree) commit.root then begin
-            inst.delivered <- true;
-            t.delivered_count <- t.delivered_count + 1;
-            phase t ~origin ~round "deliver";
-            t.deliver ~payload ~round ~source:origin
-          end
-          else begin
-            inst.discarded <- true;
-            phase t ~origin ~round "discard"
-          end
-      end
-      | _ -> ()
+        end
     end
     | _ -> ()
 
@@ -254,10 +317,9 @@ let handle t ~src msg =
     if
       frag_index = t.me
       && (not inst.echoed)
-      && valid_fragment t ~commit ~frag ~proof ~frag_index
+      && accept_fragment t inst ~commit ~frag_index ~frag ~proof
     then begin
       inst.echoed <- true;
-      store_fragment inst ~commit ~frag_index ~frag;
       phase t ~origin ~round "echo";
       let msg = Echo { origin; round; root; data_len; frag_index; frag; proof } in
       Net.Port.broadcast t.net ~src:t.me ~kind:"avid-echo"
@@ -266,8 +328,10 @@ let handle t ~src msg =
   | Echo { origin; round; root; data_len; frag_index; frag; proof } ->
     let commit = { root; data_len } in
     let inst = get_instance t (origin, round) in
-    if valid_fragment t ~commit ~frag ~proof ~frag_index then begin
-      store_fragment inst ~commit ~frag_index ~frag;
+    if
+      (not (echo_is_moot t inst commit))
+      && accept_fragment t inst ~commit ~frag_index ~frag ~proof
+    then begin
       let count = add_voter inst.echoers commit src in
       if count >= quorum t then send_ready t inst ~origin ~round ~commit;
       try_deliver t inst ~origin ~round ~commit

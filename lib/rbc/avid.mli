@@ -21,7 +21,12 @@
     The re-encoding check is what makes reconstruction independent of
     which [f+1] fragments a process happens to hold: a committed vector
     either is a codeword (all subsets give the same polynomial) or no
-    subset's reconstruction can re-produce the committed root. *)
+    subset's reconstruction can re-produce the committed root.
+
+    Each held fragment's Merkle leaf digest is computed once, when the
+    fragment is verified, and reused by the re-encoding check and by
+    byte-equal echoes of it; echoes that can no longer change the
+    instance's outcome are dropped unverified (DESIGN §16). *)
 
 type msg =
   | Disperse of {

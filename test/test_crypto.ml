@@ -347,6 +347,69 @@ let test_merkle_empty_rejected () =
   Alcotest.check_raises "empty" (Invalid_argument "Merkle.build: no leaves")
     (fun () -> ignore (Crypto.Merkle.build [||]))
 
+(* Digests pinned from an independent SHA-256 (Python's hashlib) over
+   "\x00" ^ leaf and "\x01" ^ left ^ right, odd levels duplicating the
+   last node. *)
+let test_merkle_pinned_digests () =
+  let hex = Crypto.Sha256.to_hex in
+  checks "leaf digest"
+    "305df59f9590c3c9ac63d2b2743c388e3792449078cebf7fb3dbe6471643b2b7"
+    (hex (Crypto.Merkle.leaf_digest "leaf-0"));
+  checks "root of 5 leaves"
+    "aaee56ce5e352748dece183c190368682111de3b1b62c410086ee2d21e25b8a6"
+    (hex (Crypto.Merkle.root (Crypto.Merkle.build (leaves 5))));
+  (* across the SHA-256 block boundary the prefix byte shifts *)
+  List.iter
+    (fun len ->
+      let p = String.init len (fun i -> Char.chr (i land 0xff)) in
+      checks
+        (Printf.sprintf "leaf of %d bytes" len)
+        (hex (Crypto.Sha256.digest_string ("\x00" ^ p)))
+        (hex (Crypto.Merkle.leaf_digest p)))
+    [ 0; 1; 54; 55; 56; 63; 64; 65; 127; 128; 1000 ]
+
+let test_merkle_root_of_leaf_digests () =
+  for n = 1 to 17 do
+    let ls = leaves n in
+    checks
+      (Printf.sprintf "%d leaves" n)
+      (Crypto.Merkle.root (Crypto.Merkle.build ls))
+      (Crypto.Merkle.root_of_leaf_digests (Array.map Crypto.Merkle.leaf_digest ls))
+  done
+
+(* verify_digest agrees with verify on valid proofs, a tampered path, a
+   moved index, a truncated path and an out-of-range index *)
+let test_merkle_verify_digest_agrees () =
+  for n = 1 to 17 do
+    let ls = leaves n in
+    let t = Crypto.Merkle.build ls in
+    let root = Crypto.Merkle.root t in
+    for i = 0 to n - 1 do
+      let proof = Crypto.Merkle.prove t i in
+      let flip d = String.mapi (fun j c -> if j = 0 then Char.chr (Char.code c lxor 1) else c) d in
+      let variants =
+        [ ("valid", proof, true);
+          ("moved", { proof with Crypto.Merkle.leaf_index = (i + 1) mod n }, n = 1);
+          ("out of range", { proof with Crypto.Merkle.leaf_index = n }, false) ]
+        @
+        match proof.Crypto.Merkle.path with
+        | [] -> []
+        | sib :: rest ->
+          [ ("tampered", { proof with Crypto.Merkle.path = flip sib :: rest }, false);
+            ("truncated", { proof with Crypto.Merkle.path = rest }, false) ]
+      in
+      List.iter
+        (fun (what, p, expected) ->
+          let name = Printf.sprintf "n=%d i=%d %s" n i what in
+          let by_leaf = Crypto.Merkle.verify ~root ~leaf_count:n ~leaf:ls.(i) p in
+          checkb name expected by_leaf;
+          checkb (name ^ " (digest)") by_leaf
+            (Crypto.Merkle.verify_digest ~root ~leaf_count:n
+               ~digest:(Crypto.Merkle.leaf_digest ls.(i)) p))
+        variants
+    done
+  done
+
 (* ---- Field ---- *)
 
 let field_elem = QCheck.int_range 0 (Crypto.Field.p - 1)
@@ -638,7 +701,12 @@ let () =
           Alcotest.test_case "wrong root" `Quick test_merkle_wrong_root_rejected;
           Alcotest.test_case "truncated path" `Quick test_merkle_truncated_path_rejected;
           Alcotest.test_case "roots differ" `Quick test_merkle_roots_differ;
-          Alcotest.test_case "empty rejected" `Quick test_merkle_empty_rejected ] );
+          Alcotest.test_case "empty rejected" `Quick test_merkle_empty_rejected;
+          Alcotest.test_case "pinned digests" `Quick test_merkle_pinned_digests;
+          Alcotest.test_case "root of leaf digests" `Quick
+            test_merkle_root_of_leaf_digests;
+          Alcotest.test_case "verify_digest agrees" `Quick
+            test_merkle_verify_digest_agrees ] );
       ( "field",
         [ QCheck_alcotest.to_alcotest prop_field_add_inverse;
           QCheck_alcotest.to_alcotest prop_field_mul_inverse;

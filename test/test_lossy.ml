@@ -99,6 +99,55 @@ let pump ?config ?drop ?dup ?corrupt ?reorder ?trace ~seed k =
   ignore (Sim.Engine.run engine ());
   (List.rev !got, Net.Link.stats a, Net.Link.stats b)
 
+(* A three-endpoint lossy fleet whose encoder counts its calls; [go]
+   sends one message from endpoint 0 to everyone. Returns the encode
+   count and every arrival with its time, receiver and source. *)
+let link_fan_out ~go =
+  let engine = Sim.Engine.create () in
+  let rng = Stdx.Rng.create 23 in
+  let net =
+    Net.Network.create ~engine ~sched:(Net.Sched.synchronous ())
+      ~counters:(Metrics.Counters.create ()) ~n:3
+  in
+  Net.Network.set_faults net
+    (Net.Faults.lossy ~rng:(Stdx.Rng.split rng) ~drop:0.3 ~duplicate:0.2
+       ~corrupt:0.1 ~reorder:0.0 ());
+  Net.Network.set_corrupter net (Net.Link.corrupt_frame ~rng:(Stdx.Rng.split rng));
+  let encodes = ref 0 and got = ref [] in
+  let links =
+    Array.init 3 (fun me ->
+        let l =
+          Net.Link.attach ~net ~engine ~rng:(Stdx.Rng.split rng) ~me
+            ~encode:(fun s -> incr encodes; s)
+            ~decode:(fun s -> Some s)
+            ()
+        in
+        Net.Link.set_handler l (fun ~src m ->
+            got := (Sim.Engine.now engine, me, src, m) :: !got);
+        l)
+  in
+  go links.(0);
+  ignore (Sim.Engine.run engine ());
+  (!encodes, List.rev !got, Net.Link.stats links.(0))
+
+(* A broadcast encodes once, and otherwise is the same n sends: same
+   frames, same RNG draws, so the same arrivals at the same times. *)
+let test_link_broadcast_encodes_once () =
+  let e_b, got_b, st_b =
+    link_fan_out ~go:(fun l -> Net.Link.broadcast l ~kind:"t" ~bits:64 "hello")
+  in
+  let e_s, got_s, st_s =
+    link_fan_out ~go:(fun l ->
+        for dst = 0 to 2 do
+          Net.Link.send l ~dst ~kind:"t" ~bits:64 "hello"
+        done)
+  in
+  checki "broadcast encodes once" 1 e_b;
+  checki "sends encode each" 3 e_s;
+  checki "delivered to all" 3 (List.length got_b);
+  checkb "same arrivals as n sends" true (got_b = got_s);
+  checkb "same link stats as n sends" true (st_b = st_s)
+
 let test_link_delivers_under_loss () =
   let got, sa, _ = pump ~drop:0.4 ~seed:7 60 in
   Alcotest.(check (list string))
@@ -769,7 +818,9 @@ let () =
           Alcotest.test_case "determinism" `Quick test_link_determinism;
           Alcotest.test_case "decode failure dropped" `Quick
             test_link_decode_failure_dropped;
-          Alcotest.test_case "frame checksums" `Quick test_frame_checksum ] );
+          Alcotest.test_case "frame checksums" `Quick test_frame_checksum;
+          Alcotest.test_case "broadcast encodes once" `Quick
+            test_link_broadcast_encodes_once ] );
       ( "fuzz",
         [ Alcotest.test_case "random bytes" `Quick test_fuzz_random_bytes;
           Alcotest.test_case "truncations" `Quick test_fuzz_truncations;

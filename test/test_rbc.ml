@@ -327,17 +327,33 @@ let test_avid_inconsistent_dispersal_discarded () =
   let counters = Metrics.Counters.create () in
   let sched = Net.Sched.uniform_random ~rng:(Stdx.Rng.create 11) in
   let net = Net.Network.create ~engine ~sched ~counters ~n in
+  let tr = Trace.create () in
   let deliveries = Array.init n (fun _ -> ref []) in
   let eps =
     Array.init n (fun me ->
         Rbc.Avid.create ~net ~me ~f ~deliver:(fun ~payload ~round ~source ->
             deliveries.(me) := (payload, round, source) :: !(deliveries.(me))))
   in
+  Array.iter (fun ep -> Rbc.Avid.set_trace ep tr) eps;
   Rbc.Avid.bcast_inconsistent eps.(0) ~payload:"evil payload" ~round:1;
   ignore (Sim.Engine.run engine ());
   Array.iter
     (fun log -> checki "non-codeword discarded everywhere" 0 (List.length !log))
     deliveries;
+  (* every correct process decided the instance: it discarded it *)
+  for node = 1 to n - 1 do
+    checki
+      (Printf.sprintf "p%d discards once" node)
+      1
+      (List.length
+         (List.filter
+            (fun (e : Trace.event) ->
+              match e.kind with
+              | Trace.Rbc_phase { node = p; origin = 0; round = 1; phase = "discard" }
+                -> p = node
+              | _ -> false)
+            (Trace.events tr)))
+  done;
   (* and an honest dispersal on the same instance space still works *)
   Rbc.Avid.bcast eps.(1) ~payload:"good" ~round:1;
   ignore (Sim.Engine.run engine ());
@@ -348,6 +364,96 @@ let test_avid_inconsistent_dispersal_discarded () =
       checks "payload" "good" p;
       checki "source" 1 s)
     deliveries
+
+(* One AVID endpoint (process 0, n = 4, f = 1) driven message by message:
+   the test plays processes 1..3, records what process 0 sends them, and
+   runs the network to quiescence after each step. The dispersal is
+   [payload] from origin 3, round 1. *)
+type avid_probe = {
+  inject : src:int -> Rbc.Avid.msg -> unit;
+  sent : Rbc.Avid.msg list ref; (* by process 0 to processes 1..3 *)
+  delivered : string list ref;
+  echo_of : int -> Rbc.Avid.msg; (* process i's valid echo of fragment i *)
+  disperse : Rbc.Avid.msg; (* process 0's fragment, from the origin *)
+  ready : Rbc.Avid.msg;
+}
+
+let avid_probe payload =
+  let n = 4 in
+  let engine = Sim.Engine.create () in
+  let sched = Net.Sched.uniform_random ~rng:(Stdx.Rng.create 5) in
+  let net =
+    Net.Network.create ~engine ~sched ~counters:(Metrics.Counters.create ()) ~n
+  in
+  let delivered = ref [] and sent = ref [] in
+  ignore
+    (Rbc.Avid.create ~net ~me:0 ~f:1 ~deliver:(fun ~payload ~round:_ ~source:_ ->
+         delivered := payload :: !delivered));
+  for i = 1 to n - 1 do
+    Net.Network.register net i (fun ~src msg -> if src = 0 then sent := msg :: !sent)
+  done;
+  let frags = Crypto.Reed_solomon.encode (Crypto.Reed_solomon.make ~k:2 ~n) payload in
+  let tree = Crypto.Merkle.build frags in
+  let root = Crypto.Merkle.root tree and data_len = String.length payload in
+  let fragment i = (frags.(i), Crypto.Merkle.prove tree i) in
+  let echo_of i =
+    let frag, proof = fragment i in
+    Rbc.Avid.Echo { origin = 3; round = 1; root; data_len; frag_index = i; frag; proof }
+  in
+  let disperse =
+    let frag, proof = fragment 0 in
+    Rbc.Avid.Disperse { round = 1; root; data_len; frag_index = 0; frag; proof }
+  in
+  let inject ~src msg =
+    Net.Network.send net ~src ~dst:0 ~kind:"test" ~bits:0 msg;
+    ignore (Sim.Engine.run engine ())
+  in
+  { inject; sent; delivered; echo_of; disperse;
+    ready = Rbc.Avid.Ready { origin = 3; round = 1; root; data_len } }
+
+let readies_sent p =
+  List.length (List.filter (function Rbc.Avid.Ready _ -> true | _ -> false) !(p.sent))
+
+(* A fragment byte-equal to the one held at its index reuses its leaf
+   digest, but its path is still checked: two echoes of process 0's own
+   fragment with a tampered path must not complete the 2f+1 echo quorum
+   (with process 0's own echo they would make three). *)
+let test_avid_held_fragment_tampered_proof () =
+  let p = avid_probe "dispersed payload" in
+  p.inject ~src:3 p.disperse;
+  checki "own echo broadcast" 3 (List.length !(p.sent));
+  let tampered =
+    match p.echo_of 0 with
+    | Rbc.Avid.Echo e ->
+      let path =
+        match e.proof.Crypto.Merkle.path with
+        | sib :: rest -> String.map (fun c -> Char.chr (Char.code c lxor 1)) sib :: rest
+        | [] -> assert false
+      in
+      Rbc.Avid.Echo { e with proof = { e.proof with Crypto.Merkle.path } }
+    | _ -> assert false
+  in
+  p.inject ~src:1 tampered;
+  p.inject ~src:2 tampered;
+  checki "tampered echoes rejected: no Ready" 0 (readies_sent p);
+  p.inject ~src:1 (p.echo_of 1);
+  p.inject ~src:2 (p.echo_of 2);
+  checki "valid echoes complete the quorum" 3 (readies_sent p)
+
+(* The Ready quorum arrives before process 0's own Disperse. A Disperse
+   stores its fragment without trying to deliver, so the echo that
+   follows it (process 0's own) is what delivers, although process 0
+   has sent Ready and holds k fragments. *)
+let test_avid_ready_quorum_before_disperse () =
+  let payload = "late dispersal" in
+  let p = avid_probe payload in
+  p.inject ~src:1 (p.echo_of 1);
+  List.iter (fun src -> p.inject ~src p.ready) [ 1; 2; 3 ];
+  checki "amplified Ready" 3 (readies_sent p);
+  checki "one fragment: nothing delivered" 0 (List.length !(p.delivered));
+  p.inject ~src:3 p.disperse;
+  Alcotest.(check (list string)) "delivered by the next echo" [ payload ]
+    !(p.delivered)
 
 let test_avid_fragment_size_economy () =
   (* AVID's total traffic for a large payload must be far below
@@ -533,7 +639,11 @@ let () =
       ( "avid",
         [ Alcotest.test_case "inconsistent dispersal discarded" `Quick
             test_avid_inconsistent_dispersal_discarded;
-          Alcotest.test_case "fragment economy" `Quick test_avid_fragment_size_economy ] );
+          Alcotest.test_case "fragment economy" `Quick test_avid_fragment_size_economy;
+          Alcotest.test_case "held fragment, tampered proof" `Quick
+            test_avid_held_fragment_tampered_proof;
+          Alcotest.test_case "ready quorum before disperse" `Quick
+            test_avid_ready_quorum_before_disperse ] );
       ( "gossip",
         [ Alcotest.test_case "subquadratic messages" `Quick
             test_gossip_subquadratic_messages;
