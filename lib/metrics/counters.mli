@@ -11,6 +11,9 @@ type t
 val create : unit -> t
 
 val record_send : t -> src:int -> kind:string -> bits:int -> unit
+(** Charge one message of [bits] from process [src] (a non-negative
+    index) to its [kind]. Hashes nothing when [kind] is physically the
+    kind of the previous send, as in a broadcast of a literal kind. *)
 
 val total_bits : t -> int
 (** All bits sent, all senders. *)

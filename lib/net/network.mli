@@ -10,7 +10,15 @@
 
     The network is polymorphic in the message type; each protocol stack
     instantiates it with its own variant. Every send is charged to the
-    {!Metrics.Counters.t} with a caller-supplied bit size and kind tag. *)
+    {!Metrics.Counters.t} with a caller-supplied bit size and kind tag.
+
+    A message in flight occupies one slot of the network's in-flight
+    rows (source, destination, send operation, trace id, kind and
+    message, one array each), and its delivery is one
+    {!Sim.Engine.schedule_call} event carrying the slot index, so a send
+    allocates no closure. A delivery frees its slot before the handler
+    runs; freed slots are reused last-in first-out, so the rows never
+    grow past the peak number of messages in flight. *)
 
 type 'msg t
 
@@ -97,6 +105,13 @@ val is_corrupted : 'msg t -> int -> bool
 
 val correct : 'msg t -> int -> bool
 (** Complement of {!is_corrupted}; shaped for the metrics predicates. *)
+
+val in_flight : 'msg t -> int
+(** Messages sent and scheduled but not yet delivered or dropped at
+    delivery. *)
+
+val slot_capacity : 'msg t -> int
+(** In-flight slots ever handed out: the peak of {!in_flight} so far. *)
 
 val delivered_count : 'msg t -> int
 (** Total deliveries so far (debugging / progress assertions). *)

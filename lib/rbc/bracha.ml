@@ -54,24 +54,34 @@ let msg_bits msg =
   in
   8 * (1 + (4 * ids) + 4 + String.length payload)
 
-(* Votes are grouped by the payload bytes themselves: equal bytes are
-   the same vote, so no digest (and no digest collision) is involved. *)
-module Votes = Hashtbl.Make (String)
+(* One vote per distinct payload: its voters as an n-bit set and their
+   count. Equal bytes are the same vote, so no digest (and no digest
+   collision) is involved. The copies of one payload that a correct
+   Init fans out are physically equal, so the byte compare behind [==]
+   almost never runs. *)
+type vote = { payload : string; voters : Bytes.t; mutable count : int }
 
 type instance = {
   mutable echoed : bool;
   mutable ready_sent : bool;
   mutable delivered : bool;
-  echoes : Iset.t ref Votes.t; (* payload -> echoers *)
-  readies : Iset.t ref Votes.t; (* payload -> ready senders *)
+  echoes : vote list ref;
+  readies : vote list ref;
 }
 
+(* Instances live in per-round rows indexed by origin, the [Dag] row
+   shape; [last_round]/[last_row] cache the row used last. Rounds are
+   never negative, so [-1] marks an empty cache. *)
 type t = {
   net : msg Net.Port.t;
   me : int;
+  n : int;
   f : int;
   deliver : deliver;
-  instances : instance Tbl.t;
+  rows : (int, instance option array) Hashtbl.t;
+  mutable last_round : int;
+  mutable last_row : instance option array;
+  mutable instances : int;
   mutable delivered_count : int;
   mutable trace : Trace.t option;
 }
@@ -84,34 +94,70 @@ let phase t ~origin ~round p =
   | Some tr ->
     Trace.emit tr (Trace.Rbc_phase { node = t.me; origin; round; phase = p })
 
-let get_instance t key =
-  match Tbl.find_opt t.instances key with
+let row t round =
+  if round = t.last_round then t.last_row
+  else begin
+    let row =
+      match Hashtbl.find_opt t.rows round with
+      | Some row -> row
+      | None ->
+        let row = Array.make t.n None in
+        Hashtbl.add t.rows round row;
+        row
+    in
+    t.last_round <- round;
+    t.last_row <- row;
+    row
+  end
+
+let get_instance t ~origin ~round =
+  let row = row t round in
+  match row.(origin) with
   | Some inst -> inst
   | None ->
     let inst =
       { echoed = false;
         ready_sent = false;
         delivered = false;
-        echoes = Votes.create 4;
-        readies = Votes.create 4 }
+        echoes = ref [];
+        readies = ref [] }
     in
-    Tbl.add t.instances key inst;
+    row.(origin) <- Some inst;
+    t.instances <- t.instances + 1;
     inst
 
 let quorum t = (2 * t.f) + 1
 let amplify t = t.f + 1
 
-let add_voter table payload voter =
-  let set =
-    match Votes.find_opt table payload with
-    | Some s -> s
-    | None ->
-      let s = ref Iset.empty in
-      Votes.add table payload s;
-      s
+(* what [find_vote] returns when no vote matches; never stored *)
+let no_vote = { payload = ""; voters = Bytes.empty; count = 0 }
+
+let rec find_vote payload = function
+  | [] -> no_vote
+  | v :: rest ->
+    if v.payload == payload || String.equal v.payload payload then v
+    else find_vote payload rest
+
+(* records [voter]'s vote for [payload]; returns the payload's count *)
+let add_voter t votes payload voter =
+  let v =
+    let v = find_vote payload !votes in
+    if v != no_vote then v
+    else begin
+      let v =
+        { payload; voters = Bytes.make ((t.n + 7) / 8) '\000'; count = 0 }
+      in
+      votes := v :: !votes;
+      v
+    end
   in
-  set := Iset.add voter !set;
-  Iset.cardinal !set
+  let byte = Char.code (Bytes.get v.voters (voter lsr 3)) in
+  let bit = 1 lsl (voter land 7) in
+  if byte land bit = 0 then begin
+    Bytes.set v.voters (voter lsr 3) (Char.chr (byte lor bit));
+    v.count <- v.count + 1
+  end;
+  v.count
 
 let send_echo t ~origin ~round ~payload =
   phase t ~origin ~round "echo";
@@ -136,38 +182,53 @@ let try_deliver t inst ~origin ~round ~payload ~count =
     t.deliver ~payload ~round ~source:origin
   end
 
+(* a vote naming an origin outside [0, n) or a negative round opens no
+   instance: no process could have sent its Init *)
+let valid t ~origin ~round = origin >= 0 && origin < t.n && round >= 0
+
 let handle t ~src msg =
   let sp = Prof.enter "rbc.bracha.recv" in
   (try
      match msg with
   | Init { round; payload } ->
     let origin = src in
-    let inst = get_instance t (origin, round) in
-    if not inst.echoed then begin
-      inst.echoed <- true;
-      send_echo t ~origin ~round ~payload
+    if valid t ~origin ~round then begin
+      let inst = get_instance t ~origin ~round in
+      if not inst.echoed then begin
+        inst.echoed <- true;
+        send_echo t ~origin ~round ~payload
+      end
     end
   | Echo { origin; round; payload } ->
-    let inst = get_instance t (origin, round) in
-    let count = add_voter inst.echoes payload src in
-    if count >= quorum t then
-      send_ready t inst ~origin ~round ~payload
+    if valid t ~origin ~round then begin
+      let inst = get_instance t ~origin ~round in
+      let count = add_voter t inst.echoes payload src in
+      if count >= quorum t then
+        send_ready t inst ~origin ~round ~payload
+    end
   | Ready { origin; round; payload } ->
-    let inst = get_instance t (origin, round) in
-    let count = add_voter inst.readies payload src in
-    if count >= amplify t then
-      send_ready t inst ~origin ~round ~payload;
-    try_deliver t inst ~origin ~round ~payload ~count
+    if valid t ~origin ~round then begin
+      let inst = get_instance t ~origin ~round in
+      let count = add_voter t inst.readies payload src in
+      if count >= amplify t then
+        send_ready t inst ~origin ~round ~payload;
+      try_deliver t inst ~origin ~round ~payload ~count
+    end
    with e -> Prof.leave_reraise sp e);
   Prof.leave sp
 
 let create_port ~port ~me ~f ~deliver =
+  let n = Net.Port.n port in
   let t =
     { net = port;
       me;
+      n;
       f;
       deliver;
-      instances = Tbl.create 64;
+      rows = Hashtbl.create 64;
+      last_round = -1;
+      last_row = [||];
+      instances = 0;
       delivered_count = 0;
       trace = None }
   in
@@ -193,3 +254,5 @@ let inject_init t ~dst ~round ~payload =
     msg
 
 let delivered_instances t = t.delivered_count
+
+let open_instances t = t.instances

@@ -10,7 +10,12 @@
     - on [2f+1] [Ready]s for the same payload it delivers.
 
     Votes are grouped by the payload bytes themselves, so receiving a
-    vote computes no SHA-256 digest.
+    vote computes no SHA-256 digest. Instances sit in per-round rows
+    indexed by origin; each keeps one record per distinct payload voted
+    for, with its voters as an n-bit set, so a vote costs a row lookup,
+    a payload compare (usually a physical-equality hit) and a bit test.
+    An Echo or Ready naming an origin outside [\[0, n)], or any message
+    with a negative round, is dropped before it allocates anything.
 
     Quorum intersection of the Echo stage prevents two correct processes
     from becoming ready for different payloads of an equivocating
@@ -57,6 +62,10 @@ val bcast : t -> payload:string -> round:int -> unit
 
 val delivered_instances : t -> int
 (** Number of instances this process has delivered (for tests). *)
+
+val open_instances : t -> int
+(** Number of instances this process holds state for: every
+    [(origin, round)] some accepted message named. *)
 
 val inject_init : t -> dst:int -> round:int -> payload:string -> unit
 (** Byzantine-attacker capability: send a raw [Init] for this process's

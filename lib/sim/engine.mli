@@ -7,6 +7,10 @@
     schedule, which is what makes the adversarial-schedule tests
     meaningful.
 
+    The queue is {!Stdx.Pqueue}: taking an event allocates nothing,
+    and an event is a callback plus an [int] argument, so a caller can
+    schedule without building a closure per event ({!schedule_call}).
+
     Virtual time is a [float] in abstract "time units". The paper (§3,
     after Canetti–Rabin) defines a time unit as the maximum message delay
     among correct processes; schedulers in [Net.Sched] keep correct-link
@@ -27,6 +31,15 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
 
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
 (** Absolute-time variant; times in the past are clamped to [now]. *)
+
+val schedule_call : t -> delay:float -> (int -> unit) -> int -> unit
+(** [schedule_call t ~delay f arg] runs [f arg] at [now t +. delay].
+    Same ordering as {!schedule}: both draw from one sequence counter,
+    so thunk and call events interleave strictly by [(time, seq)]. A
+    caller that builds [f] once and passes its per-event state as
+    [arg] (the network passes an in-flight slot index) schedules an
+    event without allocating a closure for it.
+    @raise Invalid_argument on a negative delay. *)
 
 val run : t -> ?max_events:int -> ?until:float -> unit -> int
 (** Drain the event queue. Stops when it is empty, after [max_events]

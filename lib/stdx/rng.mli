@@ -13,7 +13,8 @@
     construction in [Crypto.Threshold_coin]). *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the 64-bit SplitMix64 counter, held
+    unboxed as two 32-bit halves, so advancing it allocates nothing. *)
 
 val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed. Equal

@@ -319,6 +319,113 @@ let test_bracha_votes_split_by_payload () =
   Alcotest.(check (list (triple string int int)))
     "A delivered" [ ("A", 1, 0) ] !delivered
 
+let test_bracha_out_of_range_origin_dropped () =
+  (* votes for an instance no process can own — an origin outside
+     [0, n) or a negative round — open no state anywhere, however many
+     arrive, and never deliver *)
+  let n = 4 and f = 1 in
+  let engine, net, deliveries, eps = make_bracha_raw ~n ~f ~seed:13 in
+  let bogus = [ (n, 1); (-1, 1); (1000, 2); (max_int, 3); (1, -1) ] in
+  for src = 0 to n - 1 do
+    List.iter
+      (fun (origin, round) ->
+        let payload = "bogus" in
+        Net.Network.broadcast net ~src ~kind:"bracha-vote" ~bits:128
+          (Rbc.Bracha.Echo { origin; round; payload });
+        Net.Network.broadcast net ~src ~kind:"bracha-vote" ~bits:128
+          (Rbc.Bracha.Ready { origin; round; payload }))
+      bogus
+  done;
+  Net.Network.broadcast net ~src:2 ~kind:"bracha-init" ~bits:128
+    (Rbc.Bracha.Init { round = -4; payload = "bogus" });
+  ignore (Sim.Engine.run engine ());
+  Array.iteri
+    (fun i ep ->
+      checki (Printf.sprintf "p%d holds no instance" i) 0
+        (Rbc.Bracha.open_instances ep);
+      checki (Printf.sprintf "p%d delivered nothing" i) 0
+        (List.length !(deliveries.(i))))
+    eps;
+  (* the same flood for a real origin does deliver: the drop is the
+     range check, not the harness *)
+  for src = 0 to n - 1 do
+    Net.Network.broadcast net ~src ~kind:"bracha-vote" ~bits:128
+      (Rbc.Bracha.Ready { origin = 3; round = 1; payload = "real" })
+  done;
+  ignore (Sim.Engine.run engine ());
+  Array.iter (fun ep -> checki "one instance" 1 (Rbc.Bracha.open_instances ep)) eps;
+  Array.iter (fun log -> checki "delivered" 1 (List.length !log)) deliveries
+
+let test_bracha_quorum_n70 () =
+  (* n = 70: the voter sets span nine bytes. Votes arrive byte by byte
+     in turn (sources ordered by (id mod 8, id)), so every byte of the
+     set is written before any byte holds two voters; the thresholds
+     must still fall exactly at 2f+1 = 47 *)
+  let n = 70 and f = 23 in
+  let engine, delivered, vote, readies_sent = bracha_victim ~n ~f in
+  let victim = n - 1 in
+  let sources =
+    List.init victim Fun.id
+    |> List.sort (fun a b -> compare (a mod 8, a) (b mod 8, b))
+  in
+  let first k = List.filteri (fun i _ -> i < k) sources in
+  let echo = Rbc.Bracha.Echo { origin = 5; round = 3; payload = "wide" } in
+  let ready = Rbc.Bracha.Ready { origin = 5; round = 3; payload = "wide" } in
+  List.iter (fun src -> vote ~src echo) (first 46);
+  ignore (Sim.Engine.run engine ());
+  checki "46 echoes: no ready" 0 (readies_sent ());
+  vote ~src:(List.nth sources 46) echo;
+  ignore (Sim.Engine.run engine ());
+  checki "47 echoes: ready" 1 (readies_sent ());
+  (* the victim's own Ready counts: 45 more make 46 *)
+  List.iter (fun src -> vote ~src ready) (first 45);
+  ignore (Sim.Engine.run engine ());
+  checki "46 readies: no delivery" 0 (List.length !delivered);
+  vote ~src:(List.nth sources 45) ready;
+  ignore (Sim.Engine.run engine ());
+  Alcotest.(check (list (triple string int int)))
+    "47 readies deliver" [ ("wide", 3, 5) ] !delivered
+
+let test_bracha_physically_distinct_payloads_pool () =
+  (* one vote record serves both the physical-equality fast path and
+     the byte compare: shared and copied payloads add up *)
+  let n = 4 and f = 1 in
+  let engine, delivered, vote, readies_sent = bracha_victim ~n ~f in
+  let shared = "shared payload" in
+  let copy () = Bytes.to_string (Bytes.of_string shared) in
+  vote ~src:0 (Rbc.Bracha.Echo { origin = 1; round = 2; payload = copy () });
+  vote ~src:1 (Rbc.Bracha.Echo { origin = 1; round = 2; payload = shared });
+  vote ~src:2 (Rbc.Bracha.Echo { origin = 1; round = 2; payload = shared });
+  ignore (Sim.Engine.run engine ());
+  checki "mixed echoes reach the quorum" 1 (readies_sent ());
+  vote ~src:0 (Rbc.Bracha.Ready { origin = 1; round = 2; payload = shared });
+  vote ~src:1 (Rbc.Bracha.Ready { origin = 1; round = 2; payload = copy () });
+  ignore (Sim.Engine.run engine ());
+  Alcotest.(check (list (triple string int int)))
+    "own ready + two mixed copies deliver" [ (shared, 2, 1) ] !delivered
+
+let test_bracha_duplicate_vote_counts_once () =
+  (* a link duplicate re-delivers a sender's vote: it must not count
+     twice toward any threshold *)
+  let n = 4 and f = 1 in
+  let engine, delivered, vote, readies_sent = bracha_victim ~n ~f in
+  let echo = Rbc.Bracha.Echo { origin = 0; round = 1; payload = "dup" } in
+  let ready = Rbc.Bracha.Ready { origin = 0; round = 1; payload = "dup" } in
+  List.iter (fun src -> vote ~src echo) [ 0; 1; 0; 1; 1 ];
+  ignore (Sim.Engine.run engine ());
+  checki "two echoers, five echoes: no ready" 0 (readies_sent ());
+  List.iter (fun src -> vote ~src ready) [ 2; 2; 2 ];
+  ignore (Sim.Engine.run engine ());
+  checki "one ready sender, sent thrice: below f+1" 0 (readies_sent ());
+  vote ~src:1 ready;
+  ignore (Sim.Engine.run engine ());
+  checki "second ready sender amplifies" 1 (readies_sent ());
+  checki "own ready + 2 readers deliver" 1 (List.length !delivered);
+  vote ~src:1 ready;
+  vote ~src:2 ready;
+  ignore (Sim.Engine.run engine ());
+  checki "delivered once" 1 (List.length !delivered)
+
 (* -- AVID-specific tests -- *)
 
 let test_avid_inconsistent_dispersal_discarded () =
@@ -633,6 +740,13 @@ let () =
           Alcotest.test_case "f+1 silent stalls" `Quick test_bracha_fplus1_faults_stall;
           Alcotest.test_case "byte-equal votes pool" `Quick
             test_bracha_votes_pool_equal_bytes;
+          Alcotest.test_case "out-of-range origin dropped" `Quick
+            test_bracha_out_of_range_origin_dropped;
+          Alcotest.test_case "quorum at n=70" `Quick test_bracha_quorum_n70;
+          Alcotest.test_case "physically distinct payloads pool" `Quick
+            test_bracha_physically_distinct_payloads_pool;
+          Alcotest.test_case "duplicate vote counts once" `Quick
+            test_bracha_duplicate_vote_counts_once;
           Alcotest.test_case "distinct payloads never pool" `Quick
             test_bracha_votes_split_by_payload
         ] );

@@ -83,6 +83,28 @@ let test_engine_schedule_at_past_clamped () =
           checkf "clamped to now" 5.0 (Sim.Engine.now e)));
   ignore (Sim.Engine.run e ())
 
+(* thunk events and int-argument events share one sequence counter:
+   at equal times they run in scheduling order, whichever kind *)
+let test_engine_thunks_and_calls_interleave () =
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let call i = log := i :: !log in
+  let expected = ref [] in
+  let rng = Stdx.Rng.create 4 in
+  for i = 0 to 199 do
+    let delay = float_of_int (Stdx.Rng.int rng 4) in
+    expected := (delay, i) :: !expected;
+    if i mod 2 = 0 then Sim.Engine.schedule_call e ~delay call i
+    else Sim.Engine.schedule e ~delay (fun () -> call i)
+  done;
+  ignore (Sim.Engine.run e ());
+  Alcotest.(check (list int)) "(time, seq) order"
+    (List.map snd (List.sort compare !expected))
+    (List.rev !log);
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Engine.schedule_call: negative delay") (fun () ->
+      Sim.Engine.schedule_call e ~delay:(-1.0) call 0)
+
 (* ---- Sched policies ---- *)
 
 let test_sched_synchronous () =
@@ -364,6 +386,134 @@ let test_net_bad_index_rejected () =
     (Invalid_argument "Network: bad process index in send") (fun () ->
       Net.Network.send net ~src:0 ~dst:9 ~kind:"k" ~bits:8 "m")
 
+(* ---- Network in-flight slots ---- *)
+
+let random_net ?(n = 4) seed =
+  let engine = Sim.Engine.create () in
+  let counters = Metrics.Counters.create () in
+  let net =
+    Net.Network.create ~engine
+      ~sched:(Net.Sched.uniform_random ~rng:(Stdx.Rng.create seed))
+      ~counters ~n
+  in
+  (engine, net)
+
+let test_net_slots_bounded_by_peak () =
+  (* 10^5 sends in bursts of varying size, partly drained in between:
+     the rows never hold more slots than were in flight at once *)
+  let engine, net = random_net 21 in
+  let received = ref 0 in
+  for i = 0 to 3 do
+    Net.Network.register net i (fun ~src:_ _ -> incr received)
+  done;
+  let rng = Stdx.Rng.create 22 in
+  let peak = ref 0 and sent = ref 0 in
+  while !sent < 100_000 do
+    let burst = 1 + Stdx.Rng.int rng 2000 in
+    for _ = 1 to burst do
+      Net.Network.send net ~src:(Stdx.Rng.int rng 4) ~dst:(Stdx.Rng.int rng 4)
+        ~kind:"k" ~bits:8 !sent;
+      incr sent
+    done;
+    peak := max !peak (Net.Network.in_flight net);
+    ignore (Sim.Engine.run engine ~until:(Sim.Engine.now engine +. 0.3) ())
+  done;
+  ignore (Sim.Engine.run engine ());
+  checki "all delivered" !sent !received;
+  checki "none in flight" 0 (Net.Network.in_flight net);
+  checkb "capacity <= peak in flight" true
+    (Net.Network.slot_capacity net <= !peak);
+  checkb "peak was large" true (!peak >= 1000)
+
+let test_net_handler_send_reuses_slot () =
+  (* a relay: each delivery sends the next message from inside its
+     handler, so the slot it frees is the one the send takes *)
+  let engine, net = random_net ~n:2 23 in
+  let seen = ref [] in
+  for i = 0 to 1 do
+    Net.Network.register net i (fun ~src k ->
+        seen := (src, i, k) :: !seen;
+        if k < 100 then
+          Net.Network.send net ~src:i ~dst:(1 - i) ~kind:"k" ~bits:8 (k + 1))
+  done;
+  Net.Network.send net ~src:0 ~dst:1 ~kind:"k" ~bits:8 0;
+  ignore (Sim.Engine.run engine ());
+  Alcotest.(check (list (triple int int int)))
+    "every hop delivered intact"
+    (List.init 101 (fun k -> if k mod 2 = 0 then (0, 1, k) else (1, 0, k)))
+    (List.rev !seen);
+  checki "one slot" 1 (Net.Network.slot_capacity net)
+
+let test_net_drops_free_slots () =
+  let engine, net = random_net 24 in
+  let got = ref 0 in
+  for i = 0 to 3 do
+    Net.Network.register net i (fun ~src:_ _ -> incr got)
+  done;
+  (* corrupted-src drop *)
+  for dst = 0 to 3 do
+    for k = 1 to 5 do
+      Net.Network.send net ~src:0 ~dst ~kind:"k" ~bits:8 k
+    done
+  done;
+  Net.Network.corrupt net 0;
+  ignore (Sim.Engine.run engine ());
+  checki "in-flight dropped" 0 !got;
+  checki "dropped slots freed" 0 (Net.Network.in_flight net);
+  checki "twenty slots" 20 (Net.Network.slot_capacity net);
+  (* fault duplicates: every send is delivered 1 + 2 times *)
+  Net.Network.set_faults net
+    { Net.Faults.name = "dup2";
+      decide =
+        (fun ~now:_ ~src:_ ~dst:_ ~kind:_ ->
+          { Net.Faults.clean with duplicates = 2 }) };
+  for dst = 0 to 3 do
+    Net.Network.send net ~src:1 ~dst ~kind:"k" ~bits:8 dst
+  done;
+  checki "copies in flight" 12 (Net.Network.in_flight net);
+  ignore (Sim.Engine.run engine ());
+  checki "every copy delivered" 12 !got;
+  checki "duplicate slots freed" 0 (Net.Network.in_flight net);
+  checki "freed slots reused" 20 (Net.Network.slot_capacity net);
+  Alcotest.(check (list (pair string int)))
+    "drop reasons" [ ("corrupted-src", 20) ] (Net.Network.drop_counts net)
+
+(* A traced run through every delivery path — a relay that sends from
+   its handler, fault duplicates and extra delay, a fault drop, a
+   corrupted-src drop and a no-handler drop — printed event by event
+   with its correlation ids and causes and hashed. The digest was taken
+   from the network that scheduled one closure per message; the slot
+   rows must reproduce it exactly. *)
+let test_net_traced_ids_unchanged () =
+  let engine, net = random_net ~n:4 25 in
+  let tr = Trace.create () in
+  Trace.set_clock tr (fun () -> Sim.Engine.now engine);
+  Net.Network.set_trace net tr;
+  Net.Network.set_faults net
+    (Net.Faults.lossy ~rng:(Stdx.Rng.create 26) ~drop:0.1 ~duplicate:0.2
+       ~reorder:0.2 ());
+  for i = 0 to 2 do
+    Net.Network.register net i (fun ~src k ->
+        if k < 40 then
+          Net.Network.send net ~src:i ~dst:((i + src + 1) mod 4) ~kind:"relay"
+            ~bits:8 (k + 1))
+  done;
+  for k = 0 to 9 do
+    Net.Network.broadcast net ~src:(k mod 4) ~kind:"start" ~bits:16 (k * 4)
+  done;
+  ignore (Sim.Engine.run engine ~until:2.0 ());
+  Net.Network.corrupt net 1;
+  ignore (Sim.Engine.run engine ());
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (ev : Trace.event) ->
+      Printf.bprintf buf "%d %h %d %s\n" ev.seq ev.time ev.cause
+        (Trace.describe_kind ev.kind))
+    (Trace.events tr);
+  checkb "trace is non-trivial" true (Trace.emitted tr > 200);
+  Alcotest.(check string) "event stream digest" "ff8d1ee9724ca536ef9247db3c8fa091"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* ---- Latency metrics ---- *)
 
 let test_latency_first_delivery () =
@@ -427,7 +577,9 @@ let () =
           Alcotest.test_case "max events" `Quick test_engine_max_events;
           Alcotest.test_case "step" `Quick test_engine_step;
           Alcotest.test_case "negative delay" `Quick test_engine_negative_delay_rejected;
-          Alcotest.test_case "past clamped" `Quick test_engine_schedule_at_past_clamped ] );
+          Alcotest.test_case "past clamped" `Quick test_engine_schedule_at_past_clamped;
+          Alcotest.test_case "thunks and calls interleave" `Quick
+            test_engine_thunks_and_calls_interleave ] );
       ( "sched",
         [ Alcotest.test_case "synchronous" `Quick test_sched_synchronous;
           Alcotest.test_case "uniform in unit" `Quick test_sched_uniform_in_unit;
@@ -459,6 +611,14 @@ let () =
           Alcotest.test_case "reliability random sched" `Quick
             test_net_reliability_under_random_sched;
           Alcotest.test_case "bad index" `Quick test_net_bad_index_rejected ] );
+      ( "network slots",
+        [ Alcotest.test_case "capacity bounded by peak" `Quick
+            test_net_slots_bounded_by_peak;
+          Alcotest.test_case "handler send reuses slot" `Quick
+            test_net_handler_send_reuses_slot;
+          Alcotest.test_case "drops free slots" `Quick test_net_drops_free_slots;
+          Alcotest.test_case "traced ids unchanged" `Quick
+            test_net_traced_ids_unchanged ] );
       ( "metrics",
         [ Alcotest.test_case "latency first delivery" `Quick test_latency_first_delivery;
           Alcotest.test_case "latency undelivered" `Quick test_latency_undelivered_audit;

@@ -40,6 +40,35 @@ let test_rng_split_deterministic () =
   check Alcotest.int64 "parent replay" p1 p2;
   check Alcotest.int64 "child replay" c1 c2
 
+(* The first 1000 [int], [float] and [split] draws of three seeds,
+   printed exactly and hashed. The digests were taken from the boxed
+   [int64]-state implementation, so any change to the stream — not just
+   to its statistics — fails here. *)
+let rng_stream seed =
+  let rng = Stdx.Rng.create seed in
+  let buf = Buffer.create 65536 in
+  for _ = 1 to 1000 do
+    Printf.bprintf buf "%d %d " (Stdx.Rng.int rng 1_000_003)
+      (Stdx.Rng.int rng max_int)
+  done;
+  for _ = 1 to 1000 do
+    Printf.bprintf buf "%h " (Stdx.Rng.float rng 1.0)
+  done;
+  for _ = 1 to 1000 do
+    let child = Stdx.Rng.split rng in
+    Printf.bprintf buf "%Ld %d " (Stdx.Rng.next child) (Stdx.Rng.int child 97)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_rng_streams_pinned () =
+  List.iter
+    (fun (seed, digest) ->
+      check Alcotest.string (Printf.sprintf "seed %d" seed) digest
+        (rng_stream seed))
+    [ (0, "0d5852d129d4ea3c22310766d8377554");
+      (42, "26c9d4f167063edf3e7eff909313fd49");
+      (-7, "2527175dd2b752ad7912c70bc83e2a64") ]
+
 let test_rng_int_bounds () =
   let rng = Stdx.Rng.create 5 in
   for _ = 1 to 1000 do
@@ -122,79 +151,85 @@ let test_rng_geometric () =
 
 (* ---- Pqueue ---- *)
 
+module Q = Stdx.Pqueue
+
+let make_queue () = Q.create ~dummy:""
+
 let test_pqueue_basic_order () =
-  let q = Stdx.Pqueue.create () in
-  Stdx.Pqueue.push q ~priority:3.0 ~seq:1 "c";
-  Stdx.Pqueue.push q ~priority:1.0 ~seq:2 "a";
-  Stdx.Pqueue.push q ~priority:2.0 ~seq:3 "b";
-  let pop () =
-    match Stdx.Pqueue.pop q with Some (_, _, v) -> v | None -> "?"
-  in
-  check Alcotest.string "first" "a" (pop ());
-  check Alcotest.string "second" "b" (pop ());
-  check Alcotest.string "third" "c" (pop ());
-  checkb "empty" true (Stdx.Pqueue.pop q = None)
+  let q = make_queue () in
+  Q.push q ~priority:3.0 ~seq:1 ~arg:0 "c";
+  Q.push q ~priority:1.0 ~seq:2 ~arg:0 "a";
+  Q.push q ~priority:2.0 ~seq:3 ~arg:0 "b";
+  check Alcotest.string "first" "a" (Q.take q);
+  check Alcotest.string "second" "b" (Q.take q);
+  check Alcotest.string "third" "c" (Q.take q);
+  checkb "empty" true (Q.is_empty q);
+  Alcotest.check_raises "take on empty"
+    (Invalid_argument "Pqueue.take: empty queue") (fun () ->
+      ignore (Q.take q))
 
 let test_pqueue_fifo_ties () =
-  let q = Stdx.Pqueue.create () in
+  let q = Q.create ~dummy:0 in
   for i = 1 to 10 do
-    Stdx.Pqueue.push q ~priority:1.0 ~seq:i i
+    Q.push q ~priority:1.0 ~seq:i ~arg:(-i) i
   done;
   for i = 1 to 10 do
-    match Stdx.Pqueue.pop q with
-    | Some (_, _, v) -> checki "tie broken by seq" i v
-    | None -> Alcotest.fail "queue empty early"
+    checki "arg travels with its value" (-i) (Q.min_arg q);
+    checki "tie broken by seq" i (Q.take q)
   done
 
+(* the minimum-priority read is the engine's peek *)
 let test_pqueue_peek () =
-  let q = Stdx.Pqueue.create () in
-  checkb "peek empty" true (Stdx.Pqueue.peek q = None);
-  Stdx.Pqueue.push q ~priority:5.0 ~seq:1 "x";
-  (match Stdx.Pqueue.peek q with
-  | Some (p, _, v) ->
-    check Alcotest.(float 0.0) "peek priority" 5.0 p;
-    check Alcotest.string "peek value" "x" v
-  | None -> Alcotest.fail "peek failed");
-  checki "peek does not remove" 1 (Stdx.Pqueue.length q)
+  let q = make_queue () in
+  Alcotest.check_raises "peek empty"
+    (Invalid_argument "Pqueue.min_priority: empty queue") (fun () ->
+      ignore (Q.min_priority q));
+  Q.push q ~priority:5.0 ~seq:1 ~arg:7 "x";
+  check Alcotest.(float 0.0) "peek priority" 5.0 (Q.min_priority q);
+  checki "peek arg" 7 (Q.min_arg q);
+  checki "peek does not remove" 1 (Q.length q);
+  check Alcotest.string "value" "x" (Q.take q)
 
 let test_pqueue_clear () =
-  let q = Stdx.Pqueue.create () in
+  let q = Q.create ~dummy:0 in
   for i = 1 to 5 do
-    Stdx.Pqueue.push q ~priority:(float_of_int i) ~seq:i i
+    Q.push q ~priority:(float_of_int i) ~seq:i ~arg:0 i
   done;
-  Stdx.Pqueue.clear q;
-  checkb "cleared" true (Stdx.Pqueue.is_empty q)
+  Q.clear q;
+  checkb "cleared" true (Q.is_empty q);
+  Q.push q ~priority:9.0 ~seq:6 ~arg:0 6;
+  checki "usable after clear" 6 (Q.take q)
 
 let test_pqueue_interleaved () =
-  let q = Stdx.Pqueue.create () in
-  Stdx.Pqueue.push q ~priority:2.0 ~seq:1 2;
-  Stdx.Pqueue.push q ~priority:1.0 ~seq:2 1;
-  (match Stdx.Pqueue.pop q with
-  | Some (_, _, v) -> checki "min first" 1 v
-  | None -> Alcotest.fail "empty");
-  Stdx.Pqueue.push q ~priority:0.5 ~seq:3 0;
-  (match Stdx.Pqueue.pop q with
-  | Some (_, _, v) -> checki "new min" 0 v
-  | None -> Alcotest.fail "empty");
-  match Stdx.Pqueue.pop q with
-  | Some (_, _, v) -> checki "last" 2 v
-  | None -> Alcotest.fail "empty"
+  let q = Q.create ~dummy:0 in
+  Q.push q ~priority:2.0 ~seq:1 ~arg:0 2;
+  Q.push q ~priority:1.0 ~seq:2 ~arg:0 1;
+  checki "min first" 1 (Q.take q);
+  Q.push q ~priority:0.5 ~seq:3 ~arg:0 0;
+  checki "new min" 0 (Q.take q);
+  checki "last" 2 (Q.take q)
+
+(* take every entry as (priority, arg, value) *)
+let drain q =
+  let rec loop acc =
+    if Q.is_empty q then List.rev acc
+    else begin
+      let p = Q.min_priority q and a = Q.min_arg q in
+      let v = Q.take q in
+      loop ((p, a, v) :: acc)
+    end
+  in
+  loop []
 
 let prop_pqueue_sorts =
   QCheck.Test.make ~name:"pqueue drains in sorted (priority, seq) order"
     ~count:200
     QCheck.(list (pair (float_bound_inclusive 100.0) small_nat))
     (fun items ->
-      let q = Stdx.Pqueue.create () in
-      List.iteri
-        (fun i (p, v) -> Stdx.Pqueue.push q ~priority:p ~seq:i v)
-        items;
-      let rec drain acc =
-        match Stdx.Pqueue.pop q with
-        | Some (p, seq, _) -> drain ((p, seq) :: acc)
-        | None -> List.rev acc
-      in
-      let popped = drain [] in
+      let q = Q.create ~dummy:0 in
+      (* [arg] carries the seq, so the drained order is checkable *)
+      List.iteri (fun i (p, v) -> Q.push q ~priority:p ~seq:i ~arg:i v) items;
+      let popped = List.map (fun (p, seq, _) -> (p, seq)) (drain q) in
       List.length popped = List.length items
       && popped = List.sort compare popped)
 
@@ -203,16 +238,102 @@ let prop_pqueue_stable =
     ~name:"pqueue is FIFO-stable for equal priorities" ~count:200
     QCheck.(list small_nat)
     (fun values ->
-      (* every push shares one priority, so pop order must be exactly
+      (* every push shares one priority, so take order must be exactly
          insertion order — the seq tiebreak at work *)
-      let q = Stdx.Pqueue.create () in
-      List.iteri (fun i v -> Stdx.Pqueue.push q ~priority:1.0 ~seq:i v) values;
-      let rec drain acc =
-        match Stdx.Pqueue.pop q with
-        | Some (_, _, v) -> drain (v :: acc)
-        | None -> List.rev acc
+      let q = Q.create ~dummy:0 in
+      List.iteri (fun i v -> Q.push q ~priority:1.0 ~seq:i ~arg:0 v) values;
+      List.map (fun (_, _, v) -> v) (drain q) = values)
+
+(* Differential checks against the boxed heap the engine used to run
+   on (test/pqueue_reference.ml). Both queues get the same operations;
+   every take must return the same entry. Priorities come from a few
+   values so that ties are common; the reference keeps [(value, arg)]
+   as its value. *)
+type op = Push of int | Take | Clear
+
+let run_both ops =
+  let q = Q.create ~dummy:(-1) and r = Pqueue_reference.create () in
+  let seq = ref 0 in
+  List.for_all
+    (function
+      | Push p ->
+        incr seq;
+        let priority = float_of_int p /. 4.0 in
+        Q.push q ~priority ~seq:!seq ~arg:(!seq * 3) (!seq * 7);
+        Pqueue_reference.push r ~priority ~seq:!seq (!seq * 7, !seq * 3);
+        Q.length q = Pqueue_reference.length r
+      | Take -> (
+        match Pqueue_reference.pop r with
+        | None -> Q.is_empty q
+        | Some (p, _, (v, a)) ->
+          let p' = Q.min_priority q and a' = Q.min_arg q in
+          let v' = Q.take q in
+          p = p' && a = a' && v = v')
+      | Clear ->
+        Q.clear q;
+        Pqueue_reference.clear r;
+        Q.is_empty q)
+    ops
+  &&
+  let rec rest acc =
+    match Pqueue_reference.pop r with
+    | Some (p, _, (v, a)) -> rest ((p, a, v) :: acc)
+    | None -> List.rev acc
+  in
+  drain q = rest []
+
+let gen_ops =
+  QCheck.Gen.(
+    list_size (int_range 0 600)
+      (frequency
+         [ (6, map (fun p -> Push p) (int_range 0 12));
+           (4, return Take);
+           (1, map (fun _ -> Clear) (int_range 0 0)) ]))
+
+let print_op = function
+  | Push p -> Printf.sprintf "push %d" p
+  | Take -> "take"
+  | Clear -> "clear"
+
+let prop_pqueue_matches_reference =
+  QCheck.Test.make ~name:"pqueue matches reference heap: push, take, clear"
+    ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_op) gen_ops)
+    run_both
+
+(* fill past each capacity the arrays double through (16, 32, ... 1024),
+   then interleave takes and pushes while draining *)
+let test_pqueue_growth_matches_reference () =
+  let rng = Stdx.Rng.create 5 in
+  List.iter
+    (fun cap ->
+      let fill = List.init (cap + 1) (fun _ -> Push (Stdx.Rng.int rng 12)) in
+      let churn =
+        List.init (2 * cap) (fun i ->
+            if i mod 3 = 0 then Push (Stdx.Rng.int rng 12) else Take)
       in
-      drain [] = values)
+      checkb (Printf.sprintf "past %d" cap) true (run_both (fill @ churn)))
+    [ 16; 32; 64; 128; 256; 512; 1024 ]
+
+(* a taken value is not kept alive by the slot it vacated *)
+let test_pqueue_take_releases_value () =
+  let q = Q.create ~dummy:(ref 0) in
+  let weak = Weak.create 1 in
+  let fill () =
+    for i = 1 to 3 do
+      let v = ref i in
+      if i = 3 then Weak.set weak 0 (Some v);
+      Q.push q ~priority:(float_of_int i) ~seq:i ~arg:0 v
+    done;
+    ignore (Q.take q);
+    ignore (Q.take q);
+    ignore (Q.take q)
+  in
+  fill ();
+  Gc.full_major ();
+  checkb "taken value collected" true (Weak.get weak 0 = None);
+  (* the queue itself stayed reachable throughout *)
+  checkb "queue drained" true (Q.is_empty q)
 
 let prop_rng_same_seed_same_stream =
   QCheck.Test.make ~name:"rng: same seed yields same stream" ~count:100
@@ -402,6 +523,7 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
           Alcotest.test_case "split independence" `Quick test_rng_split_independence;
           Alcotest.test_case "split deterministic" `Quick test_rng_split_deterministic;
+          Alcotest.test_case "streams pinned" `Quick test_rng_streams_pinned;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int coverage" `Quick test_rng_int_coverage;
           Alcotest.test_case "int_in_range" `Quick test_rng_int_in_range;
@@ -421,7 +543,12 @@ let () =
           Alcotest.test_case "clear" `Quick test_pqueue_clear;
           Alcotest.test_case "interleaved" `Quick test_pqueue_interleaved;
           QCheck_alcotest.to_alcotest prop_pqueue_sorts;
-          QCheck_alcotest.to_alcotest prop_pqueue_stable ] );
+          QCheck_alcotest.to_alcotest prop_pqueue_stable;
+          QCheck_alcotest.to_alcotest prop_pqueue_matches_reference;
+          Alcotest.test_case "growth matches reference" `Quick
+            test_pqueue_growth_matches_reference;
+          Alcotest.test_case "take releases value" `Quick
+            test_pqueue_take_releases_value ] );
       ( "stats",
         [ Alcotest.test_case "empty" `Quick test_stats_empty;
           Alcotest.test_case "mean/stddev" `Quick test_stats_mean_stddev;
