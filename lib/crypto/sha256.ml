@@ -32,13 +32,15 @@ type state = {
 
 type ctx = { mutable st : state option }
 
-(* Rotate a 32-bit word right; the result's low 32 bits are exact and
-   its high bits are junk (below 2^58, so sums of a few stay positive). *)
-let rotr x n = (x lsr n) lor (x lsl (32 - n))
-
 (* Compress the 64-byte block at [off] of [block] into [st.h]. Callers
    hashing a string pass it through [Bytes.unsafe_of_string]: the block
-   is only read. *)
+   is only read.
+
+   Each rotation reads a word [x] duplicated into the high half,
+   [xx = x lor (x lsl 32)]: bits [n..n+31] of [xx] are [x] rotated right
+   by [n] for every [n < 32] (OCaml ints hold 63 bits), so [xx lsr n]
+   rotates in one shift. A sigma is then three shifts and two xors; the
+   junk above bit 31 is masked where the word is stored. *)
 let compress st block off =
   let w = st.w and h = st.h in
   for t = 0 to 15 do
@@ -51,22 +53,24 @@ let compress st block off =
   done;
   for t = 16 to 63 do
     let x = Array.unsafe_get w (t - 15) and y = Array.unsafe_get w (t - 2) in
-    let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
-    let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
-    w.(t) <-
-      (Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1)
-      land mask
+    let xx = x lor (x lsl 32) and yy = y lor (y lsl 32) in
+    let s0 = (xx lsr 7) lxor (xx lsr 18) lxor (x lsr 3) in
+    let s1 = (yy lsr 17) lxor (yy lsr 19) lxor (y lsr 10) in
+    Array.unsafe_set w t
+      ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1)
+      land mask)
   done;
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for t = 0 to 63 do
-    let e' = !e and a' = !a in
-    let s1 = rotr e' 6 lxor rotr e' 11 lxor rotr e' 25 in
-    let ch = (e' land !f) lxor (lnot e' land !g) in
+    let e' = !e and a' = !a and g' = !g in
+    let ee = e' lor (e' lsl 32) and aa = a' lor (a' lsl 32) in
+    let s1 = (ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25) in
+    let ch = g' lxor (e' land (!f lxor g')) in
     let t1 = !hh + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t in
-    let s0 = rotr a' 2 lxor rotr a' 13 lxor rotr a' 22 in
-    let maj = (a' land !b) lxor (a' land !c) lxor (!b land !c) in
-    hh := !g;
+    let s0 = (aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22) in
+    let maj = (a' land !b) lor (!c land (a' lor !b)) in
+    hh := g';
     g := !f;
     f := e';
     e := (!d + t1) land mask;
@@ -84,14 +88,27 @@ let compress st block off =
   h.(6) <- (h.(6) + !g) land mask;
   h.(7) <- (h.(7) + !hh) land mask
 
+let iv =
+  [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
+     0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+
 let fresh_state () =
-  { h =
-      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
-         0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
+  { h = Array.copy iv;
     w = Array.make 64 0;
     buf = Bytes.create 64;
     buf_len = 0;
     total = 0 }
+
+(* The state behind every one-shot digest. Each one runs start to finish
+   before the next begins (the library is single-domain), so they can
+   all share it; [init] contexts keep their own. *)
+let scratch = fresh_state ()
+
+let reset_scratch () =
+  Array.blit iv 0 scratch.h 0 8;
+  scratch.buf_len <- 0;
+  scratch.total <- 0;
+  scratch
 
 let feed_state st s =
   let len = String.length s in
@@ -154,8 +171,15 @@ let finalize ctx =
     finalize_state st
 
 let digest_string s =
-  let st = fresh_state () in
+  let st = reset_scratch () in
   feed_state st s;
+  finalize_state st
+
+let digest_concat3 a b c =
+  let st = reset_scratch () in
+  feed_state st a;
+  feed_state st b;
+  feed_state st c;
   finalize_state st
 
 let digest_bytes b = digest_string (Bytes.to_string b)
@@ -168,11 +192,10 @@ let to_hex d =
 let hmac ~key msg =
   let block = 64 in
   let key = if String.length key > block then digest_string key else key in
-  let key_padded = Bytes.make block '\000' in
-  Bytes.blit_string key 0 key_padded 0 (String.length key);
-  let xor_with c =
+  let pad c =
     String.init block (fun i ->
-        Char.chr (Char.code (Bytes.get key_padded i) lxor Char.code c))
+        let k = if i < String.length key then Char.code key.[i] else 0 in
+        Char.unsafe_chr (k lxor c))
   in
-  let ipad = xor_with '\x36' and opad = xor_with '\x5c' in
-  digest_string (opad ^ digest_string (ipad ^ msg))
+  let inner = digest_concat3 (pad 0x36) msg "" in
+  digest_concat3 (pad 0x5c) inner ""

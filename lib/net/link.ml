@@ -36,22 +36,42 @@ let frame_sum = function
   | Data { seq; kind; bytes; _ } -> data_sum ~seq ~kind ~bytes
   | Ack { seq; _ } -> ack_sum ~seq
 
+(* A data frame built by [make_data] carries [pristine] for its sum: no
+   FNV-1a/32 value is negative, so it can never match a real checksum.
+   Such a frame is intact by construction (only [corrupt_frame] alters a
+   frame, and it stores the real sum first), so checking it needs no
+   hash; the checksum is computed only for a frame that was corrupted. *)
+let pristine = -1
+
 let frame_intact = function
+  | Data { sum; _ } when sum = pristine -> true
   | Data { seq; kind; bytes; sum } -> sum = data_sum ~seq ~kind ~bytes
   | Ack { seq; sum } -> sum = ack_sum ~seq
 
-let make_data ~seq ~kind ~bytes =
-  Data { seq; kind; bytes; sum = data_sum ~seq ~kind ~bytes }
+let make_data ~seq ~kind ~bytes = Data { seq; kind; bytes; sum = pristine }
 
 let make_ack ~seq = Ack { seq; sum = ack_sum ~seq }
 
+let check_sum fn sum =
+  if sum < 0 || sum > 0xFFFFFFFF then invalid_arg (fn ^ ": not a 32-bit sum")
+
+let data_frame ~seq ~kind ~bytes ~sum =
+  check_sum "Link.data_frame" sum;
+  Data { seq; kind; bytes; sum }
+
+let ack_frame ~seq ~sum =
+  check_sum "Link.ack_frame" sum;
+  Ack { seq; sum }
+
 (* Flip one uniformly chosen bit of the frame's payload-or-seq without
    touching the stored checksum — what the Faults corrupt verdict does
-   to frame networks (Network.set_corrupter). *)
+   to frame networks (Network.set_corrupter). A pristine frame gets its
+   real sum first, so the flipped bit is caught byte for byte. *)
 let corrupt_frame ~rng frame =
   let flip_seq seq = seq lxor (1 lsl Stdx.Rng.int rng 32) in
   match frame with
   | Data { seq; kind; bytes; sum } ->
+    let sum = if sum = pristine then data_sum ~seq ~kind ~bytes else sum in
     let payload_bits = 8 * String.length bytes in
     let target = Stdx.Rng.int rng (32 + payload_bits) in
     if target < 32 then Data { seq = seq lxor (1 lsl target); kind; bytes; sum }
@@ -139,7 +159,12 @@ type 'msg t = {
   floor : int array;
   seen : (int, unit) Hashtbl.t array;
   per_dst_retransmits : int array;
-  mutable s : stats;
+  mutable data_sent : int;
+  mutable retransmits : int;
+  mutable gave_up : int;
+  mutable dup_suppressed : int;
+  mutable corrupt_rejected : int;
+  mutable decode_failures : int;
 }
 
 let tr_emit t kind =
@@ -152,7 +177,13 @@ let cur_mid t =
 
 let mid_opt id = if id >= 0 then Some id else None
 
-let stats t = t.s
+let stats (t : _ t) =
+  { data_sent = t.data_sent;
+    retransmits = t.retransmits;
+    gave_up = t.gave_up;
+    dup_suppressed = t.dup_suppressed;
+    corrupt_rejected = t.corrupt_rejected;
+    decode_failures = t.decode_failures }
 
 let retransmits_by_dst t =
   Array.to_list t.per_dst_retransmits
@@ -171,7 +202,7 @@ let rec schedule_retry t ~dst ~seq ~timeout =
         | Some o ->
           if o.o_attempt >= t.config.max_attempts then begin
             Hashtbl.remove t.unacked (dst, seq);
-            t.s <- { t.s with gave_up = t.s.gave_up + 1 };
+            t.gave_up <- t.gave_up + 1;
             tr_emit t
               (Trace.Drop
                  { src = t.me; dst; msg_kind = o.o_kind; reason = "give-up";
@@ -181,7 +212,7 @@ let rec schedule_retry t ~dst ~seq ~timeout =
             let sp = Prof.enter "link.retransmit" in
             (try
                o.o_attempt <- o.o_attempt + 1;
-               t.s <- { t.s with retransmits = t.s.retransmits + 1 };
+               t.retransmits <- t.retransmits + 1;
                t.per_dst_retransmits.(dst) <- t.per_dst_retransmits.(dst) + 1;
                tr_emit t
                  (Trace.Retransmit
@@ -217,7 +248,7 @@ let send_bytes t ~dst ~kind ~bits bytes =
         o_bits = bits + data_overhead_bits ~kind;
         o_id = mid;
         o_attempt = 0 };
-    t.s <- { t.s with data_sent = t.s.data_sent + 1 };
+    t.data_sent <- t.data_sent + 1;
     Network.send ?mid:(mid_opt mid) t.net ~src:t.me ~dst ~kind
       ~bits:(bits + data_overhead_bits ~kind)
       frame;
@@ -254,7 +285,7 @@ let on_frame t ~src frame =
     match frame with
     | Data { seq; kind; bytes; _ } ->
       if not (frame_intact frame) then begin
-        t.s <- { t.s with corrupt_rejected = t.s.corrupt_rejected + 1 };
+        t.corrupt_rejected <- t.corrupt_rejected + 1;
         tr_emit t
           (Trace.Corrupt_reject
              { src; dst = t.me; msg_kind = kind; id = cur_mid t })
@@ -266,7 +297,7 @@ let on_frame t ~src frame =
         Network.send t.net ~src:t.me ~dst:src ~kind:"link-ack" ~bits:ack_bits
           (make_ack ~seq);
         if not (mark_seen t ~src ~seq) then begin
-          t.s <- { t.s with dup_suppressed = t.s.dup_suppressed + 1 };
+          t.dup_suppressed <- t.dup_suppressed + 1;
           tr_emit t
             (Trace.Drop
                { src; dst = t.me; msg_kind = kind; reason = "duplicate";
@@ -277,7 +308,7 @@ let on_frame t ~src frame =
           | None ->
             (* transport did its job; the payload itself is garbage
                (Byzantine sender) — count it and move on *)
-            t.s <- { t.s with decode_failures = t.s.decode_failures + 1 };
+            t.decode_failures <- t.decode_failures + 1;
             tr_emit t
               (Trace.Drop
                  { src; dst = t.me; msg_kind = kind; reason = "decode";
@@ -295,7 +326,7 @@ let on_frame t ~src frame =
       if not (frame_intact frame) then begin
         (* a corrupted ack must not acknowledge anything: drop it and
            let the (re-acked) retransmission settle the frame *)
-        t.s <- { t.s with corrupt_rejected = t.s.corrupt_rejected + 1 };
+        t.corrupt_rejected <- t.corrupt_rejected + 1;
         tr_emit t
           (Trace.Corrupt_reject
              { src; dst = t.me; msg_kind = "link-ack"; id = cur_mid t })
@@ -327,7 +358,12 @@ let attach ~net ~engine ~rng ?(config = default_config) ?trace ~me ~encode
       floor = Array.make n 0;
       seen = Array.init n (fun _ -> Hashtbl.create 8);
       per_dst_retransmits = Array.make n 0;
-      s = zero_stats }
+      data_sent = 0;
+      retransmits = 0;
+      gave_up = 0;
+      dup_suppressed = 0;
+      corrupt_rejected = 0;
+      decode_failures = 0 }
   in
   Network.register net me (fun ~src frame -> on_frame t ~src frame);
   t

@@ -20,13 +20,27 @@
     the supplied RNG: lossy executions remain pure functions of the
     seed. *)
 
-type frame =
+type frame = private
   | Data of { seq : int; kind : string; bytes : string; sum : int }
   | Ack of { seq : int; sum : int }
       (** Sequence numbers are per (sender, destination) stream; [sum]
           is a FNV-1a/32 checksum over the rest of the frame —
           including acks, so a bit-flipped ack cannot acknowledge a
-          frame that was never delivered. *)
+          frame that was never delivered.
+
+          A data frame an endpoint sends carries [sum = -1], which no
+          FNV-1a/32 value equals: the frame is pristine, intact by
+          construction, and {!frame_intact} accepts it without hashing
+          its bytes. {!corrupt_frame} stores the real checksum before it
+          flips a bit, so a corrupted frame is still checked byte for
+          byte. The type is private so that only this module can build
+          a pristine frame; tests build frames with {!data_frame} and
+          {!ack_frame}. *)
+
+val data_frame : seq:int -> kind:string -> bytes:string -> sum:int -> frame
+val ack_frame : seq:int -> sum:int -> frame
+(** Frames with an explicit checksum, right or wrong (for tests).
+    @raise Invalid_argument if [sum] is outside [[0, 2{^32})]. *)
 
 type config = {
   rto : float;  (** initial retransmission timeout *)
@@ -113,4 +127,5 @@ val frame_sum : frame -> int
 (** The checksum the frame should carry (exposed for tests). *)
 
 val frame_intact : frame -> bool
-(** Does the stored checksum match the content? *)
+(** Does the stored checksum match the content? [true] for a pristine
+    frame without computing the checksum. *)

@@ -119,10 +119,13 @@ type commit = { root : string; data_len : int }
 
 (* A commit's verified fragments, one slot per fragment index, each with
    the Merkle leaf digest computed when it was verified. An empty slot
-   holds "" in both arrays (a valid fragment is never empty). *)
+   holds "" in both arrays (a valid fragment is never empty). [memo]
+   keeps the internal node hashes of every proof verified under the
+   commit, and the root check at delivery reads them back. *)
 type held = {
   frags : string array;
   digests : string array;
+  memo : Crypto.Merkle.memo;
   mutable count : int;
 }
 
@@ -201,7 +204,10 @@ let held_count inst commit =
 (* Verify a fragment against the commit and, if it is valid, keep it
    (the first valid fragment per index wins). A fragment byte-equal to
    the one already held at its index reuses that one's leaf digest, so
-   only its authentication path is hashed. *)
+   only its authentication path is hashed, and through the commit's node
+   memo only the nodes no earlier proof produced. A commit's first proof
+   is checked with a fresh memo that is kept only if the proof checks:
+   a root nobody proved a fragment under holds no state. *)
 let accept_fragment t inst ~commit ~frag_index ~frag ~proof =
   frag_index = proof.Crypto.Merkle.leaf_index
   && frag_index >= 0
@@ -216,14 +222,23 @@ let accept_fragment t inst ~commit ~frag_index ~frag ~proof =
       h.digests.(frag_index)
     | _ -> Crypto.Merkle.leaf_digest frag
   in
-  Crypto.Merkle.verify_digest ~root:commit.root ~leaf_count:t.n ~digest proof
+  let memo =
+    match held with
+    | Some h -> h.memo
+    | None -> Crypto.Merkle.memo ~leaf_count:t.n
+  in
+  Crypto.Merkle.verify_digest ~memo ~root:commit.root ~leaf_count:t.n ~digest
+    proof
   && begin
     let h =
       match held with
       | Some h -> h
       | None ->
         let h =
-          { frags = Array.make t.n ""; digests = Array.make t.n ""; count = 0 }
+          { frags = Array.make t.n "";
+            digests = Array.make t.n "";
+            memo;
+            count = 0 }
         in
         Hashtbl.add inst.fragments commit h;
         h
@@ -266,15 +281,15 @@ let try_deliver t inst ~origin ~round ~commit =
     && voters inst.readies commit >= quorum t
   then
     match Hashtbl.find_opt inst.fragments commit with
-    | Some held when held.count >= t.k -> begin
+    | Some held when held.count >= t.k ->
       let pieces = ref [] in
       for i = t.n - 1 downto 0 do
         if not (String.equal held.frags.(i) "") then
           pieces := (i, held.frags.(i)) :: !pieces
       done;
-      match
-        Crypto.Reed_solomon.decode t.coder ~data_len:commit.data_len !pieces
-      with
+      (match
+         Crypto.Reed_solomon.decode t.coder ~data_len:commit.data_len !pieces
+       with
       | exception Invalid_argument _ ->
         inst.discarded <- true;
         phase t ~origin ~round "discard"
@@ -282,7 +297,8 @@ let try_deliver t inst ~origin ~round ~commit =
         (* re-encode and check the committed root: rejects Byzantine
            non-codeword dispersals deterministically, so every correct
            process makes the same deliver/discard decision. Re-encoded
-           fragments equal to held ones reuse their leaf digests. *)
+           fragments equal to held ones reuse their leaf digests, and
+           the internal nodes the held proofs already produced. *)
         let re_frags = Crypto.Reed_solomon.encode t.coder payload in
         let digests =
           Array.mapi
@@ -292,7 +308,9 @@ let try_deliver t inst ~origin ~round ~commit =
             re_frags
         in
         if
-          String.equal (Crypto.Merkle.root_of_leaf_digests digests) commit.root
+          String.equal
+            (Crypto.Merkle.root_of_leaf_digests ~memo:held.memo digests)
+            commit.root
         then begin
           inst.delivered <- true;
           t.delivered_count <- t.delivered_count + 1;
@@ -302,15 +320,22 @@ let try_deliver t inst ~origin ~round ~commit =
         else begin
           inst.discarded <- true;
           phase t ~origin ~round "discard"
-        end
-    end
+        end);
+      (* decided: every later echo is moot (no fragment is verified
+         again), so the held fragments and node memo are dead *)
+      Hashtbl.reset inst.fragments
     | _ -> ()
+
+(* a message naming an origin outside [0, n) or a negative round opens
+   no instance: no process could have dispersed it *)
+let valid t ~origin ~round = origin >= 0 && origin < t.n && round >= 0
 
 let handle t ~src msg =
   let sp = Prof.enter "rbc.avid.recv" in
   (try
      match msg with
-  | Disperse { round; root; data_len; frag_index; frag; proof } ->
+  | Disperse { round; root; data_len; frag_index; frag; proof }
+    when valid t ~origin:src ~round ->
     let origin = src in
     let commit = { root; data_len } in
     let inst = get_instance t (origin, round) in
@@ -325,7 +350,8 @@ let handle t ~src msg =
       Net.Port.broadcast t.net ~src:t.me ~kind:"avid-echo"
         ~bits:(msg_bits msg) msg
     end
-  | Echo { origin; round; root; data_len; frag_index; frag; proof } ->
+  | Echo { origin; round; root; data_len; frag_index; frag; proof }
+    when valid t ~origin ~round ->
     let commit = { root; data_len } in
     let inst = get_instance t (origin, round) in
     if
@@ -336,12 +362,13 @@ let handle t ~src msg =
       if count >= quorum t then send_ready t inst ~origin ~round ~commit;
       try_deliver t inst ~origin ~round ~commit
     end
-  | Ready { origin; round; root; data_len } ->
+  | Ready { origin; round; root; data_len } when valid t ~origin ~round ->
     let commit = { root; data_len } in
     let inst = get_instance t (origin, round) in
     let count = add_voter inst.readies commit src in
     if count >= amplify t then send_ready t inst ~origin ~round ~commit;
     try_deliver t inst ~origin ~round ~commit
+  | Disperse _ | Echo _ | Ready _ -> ()
    with e -> Prof.leave_reraise sp e);
   Prof.leave sp
 
@@ -413,3 +440,5 @@ let bcast_inconsistent t ~payload ~round =
   disperse t ~round ~frags ~data_len:(String.length payload)
 
 let delivered_instances t = t.delivered_count
+
+let open_instances t = Tbl.length t.instances

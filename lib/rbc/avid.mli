@@ -26,7 +26,11 @@
     Each held fragment's Merkle leaf digest is computed once, when the
     fragment is verified, and reused by the re-encoding check and by
     byte-equal echoes of it; echoes that can no longer change the
-    instance's outcome are dropped unverified (DESIGN §16). *)
+    instance's outcome are dropped unverified (DESIGN §16). Each commit
+    under which a fragment verified keeps a {!Crypto.Merkle.memo} of
+    internal node hashes, so a later proof hashes only the nodes no
+    earlier proof produced and the re-encoding check reads the rest
+    back (DESIGN §18). *)
 
 type msg =
   | Disperse of {
@@ -76,6 +80,11 @@ val set_trace : t -> Trace.t -> unit
 val bcast : t -> payload:string -> round:int -> unit
 
 val delivered_instances : t -> int
+
+val open_instances : t -> int
+(** Number of instances this process holds state for: every
+    [(origin, round)] some accepted message named. A message whose
+    origin is outside [[0, n)] or whose round is negative opens none. *)
 
 val bcast_inconsistent : t -> payload:string -> round:int -> unit
 (** Byzantine dispersal helper for tests: commits to a fragment vector

@@ -206,11 +206,15 @@ let progress t inst ~origin ~round =
         t.deliver ~payload ~round ~source:origin
       | None -> ()
 
+(* a message naming an origin outside [0, n) or a negative round opens
+   no instance: no process could have broadcast it *)
+let valid t ~origin ~round = origin >= 0 && origin < t.n && round >= 0
+
 let handle t ~src msg =
   let sp = Prof.enter "rbc.gossip.recv" in
   (try
      match msg with
-  | Gossip { origin; round; payload } ->
+  | Gossip { origin; round; payload } when valid t ~origin ~round ->
     let inst = get_instance t (origin, round) in
     if inst.payload <> None then begin
       (* a variant of an instance we already accepted: remember it so the
@@ -243,14 +247,15 @@ let handle t ~src msg =
       end;
       progress t inst ~origin ~round
     end
-  | Echo { origin; round; digest } ->
+  | Echo { origin; round; digest } when valid t ~origin ~round ->
     let inst = get_instance t (origin, round) in
     ignore (add_voter inst.echoes digest src);
     progress t inst ~origin ~round
-  | Ready { origin; round; digest } ->
+  | Ready { origin; round; digest } when valid t ~origin ~round ->
     let inst = get_instance t (origin, round) in
     ignore (add_voter inst.readies digest src);
     progress t inst ~origin ~round
+  | Gossip _ | Echo _ | Ready _ -> ()
    with e -> Prof.leave_reraise sp e);
   Prof.leave sp
 
@@ -320,3 +325,5 @@ let inject_gossip t ~dst ~round ~payload =
     msg
 
 let delivered_instances t = t.delivered_count
+
+let open_instances t = Tbl.length t.instances

@@ -75,6 +75,11 @@ val bcast : t -> payload:string -> round:int -> unit
 
 val delivered_instances : t -> int
 
+val open_instances : t -> int
+(** Number of instances this process holds state for: every
+    [(origin, round)] some accepted message named. A message whose
+    origin is outside [[0, n)] or whose round is negative opens none. *)
+
 val inject_gossip : t -> dst:int -> round:int -> payload:string -> unit
 (** Byzantine-attacker capability: gossip a chosen payload for this
     process's instance [(me, round)] to a single destination — the

@@ -1,4 +1,13 @@
-type key = int * int (* owner, seqno *)
+(* Transactions are keyed by [Txgen.key], one int per (owner, seqno). *)
+module Keys = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  (* the seqno in the low 32 bits; the owner, times an odd constant,
+     moves each owner's run of seqnos to its own part of the table *)
+  let hash k = k + ((k lsr 32) * 0x9E3779B1)
+end)
 
 type t = {
   owner : int;
@@ -6,11 +15,11 @@ type t = {
   max_pending : int option;
   queue : Txgen.tx Queue.t;
   (* every key we have ever seen, for dedup across submit/retire *)
-  seen : (key, unit) Hashtbl.t;
-  inflight : (key, unit) Hashtbl.t;
+  seen : unit Keys.t;
+  inflight : unit Keys.t;
   (* keys ordered elsewhere while still queued here: dropped lazily when
      the queue pops them (a client may submit to several processes) *)
-  retired_keys : (key, unit) Hashtbl.t;
+  retired_keys : unit Keys.t;
   mutable submitted : int;
   mutable retired : int;
   mutable rejected : int;
@@ -21,18 +30,18 @@ let create ?(max_batch = 64) ?max_pending ~owner () =
     max_batch;
     max_pending;
     queue = Queue.create ();
-    seen = Hashtbl.create 256;
-    inflight = Hashtbl.create 256;
-    retired_keys = Hashtbl.create 256;
+    seen = Keys.create 256;
+    inflight = Keys.create 256;
+    retired_keys = Keys.create 256;
     submitted = 0;
     retired = 0;
     rejected = 0 }
 
-let key_of (tx : Txgen.tx) = (tx.owner, tx.seqno)
+let key_of (tx : Txgen.tx) = Txgen.key ~owner:tx.owner ~seqno:tx.seqno
 
 let submit t tx =
   let k = key_of tx in
-  if Hashtbl.mem t.seen k then false
+  if Keys.mem t.seen k then false
   else
     match t.max_pending with
     | Some cap when Queue.length t.queue >= cap ->
@@ -41,7 +50,7 @@ let submit t tx =
       t.rejected <- t.rejected + 1;
       false
     | _ ->
-      Hashtbl.add t.seen k ();
+      Keys.add t.seen k ();
       Queue.add tx t.queue;
       t.submitted <- t.submitted + 1;
       true
@@ -52,35 +61,33 @@ let assemble_block t =
     else
       match Queue.take_opt t.queue with
       | None -> List.rev acc
-      | Some tx when Hashtbl.mem t.retired_keys (key_of tx) ->
+      | Some tx when Keys.mem t.retired_keys (key_of tx) ->
         (* already ordered through another process's block *)
         take acc count
       | Some tx ->
-        Hashtbl.replace t.inflight (key_of tx) ();
+        Keys.replace t.inflight (key_of tx) ();
         take (tx :: acc) (count + 1)
   in
   Txgen.block_of_txs (take [] 0)
 
 let retire_block t block =
   let mine = ref 0 in
-  List.iter
-    (fun tx ->
-      let k = key_of tx in
-      if Hashtbl.mem t.inflight k then begin
-        Hashtbl.remove t.inflight k;
+  Txgen.iter_keys block (fun owner seqno ->
+      let k = Txgen.key ~owner ~seqno in
+      if Keys.mem t.inflight k then begin
+        Keys.remove t.inflight k;
         incr mine
       end;
-      Hashtbl.replace t.retired_keys k ();
+      Keys.replace t.retired_keys k ();
       (* remember foreign transactions too: a client that multi-submits
          must not get its transaction ordered twice through us *)
-      if not (Hashtbl.mem t.seen k) then Hashtbl.add t.seen k ();
-      t.retired <- t.retired + 1)
-    (Txgen.block_txs block);
+      if not (Keys.mem t.seen k) then Keys.add t.seen k ();
+      t.retired <- t.retired + 1);
   !mine
 
 let pending t = Queue.length t.queue
 
-let in_flight t = Hashtbl.length t.inflight
+let in_flight t = Keys.length t.inflight
 
 let submitted t = t.submitted
 

@@ -6,7 +6,10 @@
     [block_source] drains a batch per vertex, and the a_deliver stream
     retires transactions once they appear in the total order — including
     transactions that arrived via {e other} processes' blocks (clients
-    often submit to several processes for latency). *)
+    often submit to several processes for latency).
+
+    Every table is keyed by the transaction's {!Txgen.key}, one [int];
+    a delivered block is scanned in place by {!Txgen.iter_keys}. *)
 
 type t
 
@@ -21,7 +24,9 @@ val submit : t -> Txgen.tx -> bool
     or if the pending queue is at [max_pending] — a backpressure
     rejection counted in {!rejected}; unlike a duplicate, a rejected
     transaction is {e not} remembered, so the client may retry it once
-    the queue drains. *)
+    the queue drains.
+    @raise Invalid_argument if the transaction's owner or seqno is
+    outside the range {!Txgen.tx_of_string} accepts. *)
 
 val assemble_block : t -> string
 (** Drain up to [max_batch] pending transactions into a block (the
@@ -33,9 +38,9 @@ val assemble_block : t -> string
 
 val retire_block : t -> string -> int
 (** Process a delivered block (from {e any} source): every transaction
-    in it is marked ordered and will be rejected as a duplicate if
-    re-submitted. Returns how many of them were ours (pending or
-    in-flight here). *)
+    in it ({!Txgen.block_txs}) is marked ordered and will be rejected as
+    a duplicate if re-submitted. Returns how many of them were in flight
+    here. *)
 
 val pending : t -> int
 val in_flight : t -> int

@@ -13,7 +13,19 @@ type tx = {
 }
 
 val tx_to_string : tx -> string
+
 val tx_of_string : string -> tx option
+(** Parse ["<owner>\x1f<seqno>\x1f<body>"], the body free of [\x1f].
+    Each number must be exactly what [string_of_int] prints, with
+    [0 <= owner < 2{^30}] and [0 <= seqno < 2{^32}]: a sign, [0x], [_],
+    a leading zero or an overlong field is rejected, so one transaction
+    key has one rendering. *)
+
+val key : owner:int -> seqno:int -> int
+(** [owner lsl 32 lor seqno]: distinct for distinct in-range pairs, so
+    an [int] names a transaction.
+    @raise Invalid_argument if [owner] or [seqno] is outside the range
+    {!tx_of_string} accepts. *)
 
 val tx_bytes : body_bytes:int -> int
 (** Serialized size of a transaction with the given body size (for
@@ -31,7 +43,13 @@ val make_block : gen -> count:int -> string
 (** Batch the next [count] transactions into one block. *)
 
 val block_txs : string -> tx list
-(** Parse a block back into transactions ([] for blocks produced
-    elsewhere, e.g. the harness's padding blocks). *)
+(** Parse a block back into transactions: the records between [\x1e]
+    separators that {!tx_of_string} accepts, in order ([] for blocks
+    produced elsewhere, e.g. the harness's padding blocks). *)
+
+val iter_keys : string -> (int -> int -> unit) -> unit
+(** [iter_keys block f] calls [f owner seqno] for each transaction
+    {!block_txs} would return, in order, through the same parser;
+    it allocates no substring and no option. *)
 
 val block_of_txs : tx list -> string

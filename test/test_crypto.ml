@@ -66,9 +66,9 @@ let test_sha256_block_boundaries () =
     ]
 
 let test_sha256_allocation () =
-  (* the kernel works on unboxed native-int words: one digest of a
-     200-byte string allocates only its state and the result, well
-     under 1 KiB of minor heap *)
+  (* the kernel works on unboxed native-int words in a shared scratch
+     state: one digest of a 200-byte string allocates only its result,
+     well under 1 KiB of minor heap *)
   let s = String.make 200 'v' in
   ignore (Crypto.Sha256.digest_string s);
   let before = Gc.minor_words () in
@@ -116,6 +116,55 @@ let test_hmac_rfc4231_case6_long_key () =
     (hex
        (Crypto.Sha256.hmac ~key
           "Test Using Larger Than Block-Size Key - Hash Key First"))
+
+(* One-shot digests and hmac share a scratch state; contexts from
+   [init] own theirs. Random one-shot calls between the feeds of several
+   live contexts must leave every context's digest that of exactly what
+   it was fed, and every one-shot result that of a fresh context. *)
+let prop_sha256_one_shot_between_feeds =
+  QCheck.Test.make ~name:"sha256: one-shot digests leave live contexts intact"
+    ~count:200 (QCheck.int_range 0 1_000_000) (fun seed ->
+      let rng = Stdx.Rng.create seed in
+      let chunk () =
+        String.init (Stdx.Rng.int rng 150) (fun _ -> Char.chr (Stdx.Rng.int rng 256))
+      in
+      let fresh parts =
+        let ctx = Crypto.Sha256.init () in
+        List.iter (Crypto.Sha256.feed ctx) parts;
+        Crypto.Sha256.finalize ctx
+      in
+      let live = Array.init 3 (fun _ -> (Crypto.Sha256.init (), ref [])) in
+      for _ = 1 to 30 do
+        match Stdx.Rng.int rng 4 with
+        | 0 ->
+          let ctx, fed = Stdx.Rng.choose rng live in
+          let c = chunk () in
+          Crypto.Sha256.feed ctx c;
+          fed := c :: !fed
+        | 1 ->
+          let c = chunk () in
+          if Crypto.Sha256.digest_string c <> fresh [ c ] then
+            failwith "digest_string"
+        | 2 ->
+          let a = chunk () and b = chunk () and c = chunk () in
+          if Crypto.Sha256.digest_concat3 a b c <> fresh [ a; b; c ] then
+            failwith "digest_concat3"
+        | _ ->
+          let key = chunk () and msg = chunk () in
+          let key' = if String.length key > 64 then fresh [ key ] else key in
+          let pad c =
+            String.init 64 (fun i ->
+                let k = if i < String.length key' then Char.code key'.[i] else 0 in
+                Char.chr (k lxor c))
+          in
+          let expected = fresh [ pad 0x5c; fresh [ pad 0x36; msg ] ] in
+          if Crypto.Sha256.hmac ~key msg <> expected then failwith "hmac"
+      done;
+      Array.for_all
+        (fun (ctx, fed) ->
+          Crypto.Sha256.finalize ctx = Crypto.Sha256.digest_string
+                                          (String.concat "" (List.rev !fed)))
+        live)
 
 let prop_sha256_injective_on_samples =
   QCheck.Test.make ~name:"sha256: distinct short strings hash distinctly"
@@ -410,6 +459,103 @@ let test_merkle_verify_digest_agrees () =
     done
   done
 
+(* A memo changes no result of [verify_digest] or [root_of_leaf_digests].
+   Each case runs a long sequence of calls on one memo, at one leaf count
+   in 1..70, over two trees of that size: valid proofs, tampered
+   siblings, wrong and out-of-range indices, proofs against the other
+   root, garbage paths (digests of any length, "" included, that poison
+   the memo's slots) and root rebuilds from true and altered leaf
+   digests. Every call must answer as it does without a memo. *)
+let prop_merkle_memo_differential =
+  QCheck.Test.make ~name:"merkle: memo never changes a result" ~count:300
+    QCheck.(pair (int_range 1 70) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let rng = Stdx.Rng.create seed in
+      let bytes len = String.init len (fun _ -> Char.chr (Stdx.Rng.int rng 256)) in
+      let tree () =
+        let ls = Array.init n (fun _ -> bytes (Stdx.Rng.int rng 20)) in
+        (Crypto.Merkle.build ls, Array.map Crypto.Merkle.leaf_digest ls)
+      in
+      let trees = [| tree (); tree () |] in
+      let memo = Crypto.Merkle.memo ~leaf_count:n in
+      let flip d =
+        if d = "" then "x"
+        else
+          let j = Stdx.Rng.int rng (String.length d) in
+          String.mapi (fun i c -> if i = j then Char.chr (Char.code c lxor 1) else c) d
+      in
+      let ok = ref true in
+      for _ = 1 to 60 do
+        let t, digests = Stdx.Rng.choose rng trees in
+        let other, _ = Stdx.Rng.choose rng trees in
+        let i = Stdx.Rng.int rng n in
+        let proof = Crypto.Merkle.prove t i in
+        let path = proof.Crypto.Merkle.path in
+        let verify ~root ~digest p =
+          let plain = Crypto.Merkle.verify_digest ~root ~leaf_count:n ~digest p in
+          let memoised =
+            Crypto.Merkle.verify_digest ~memo ~root ~leaf_count:n ~digest p
+          in
+          if plain <> memoised then ok := false
+        in
+        let root = Crypto.Merkle.root t and digest = digests.(i) in
+        match Stdx.Rng.int rng 7 with
+        | 0 | 1 -> verify ~root ~digest proof
+        | 2 ->
+          let k = Stdx.Rng.int rng (max 1 (List.length path)) in
+          let path = List.mapi (fun j d -> if j = k then flip d else d) path in
+          verify ~root ~digest { proof with Crypto.Merkle.path }
+        | 3 ->
+          let leaf_index = Stdx.Rng.int_in_range rng ~lo:(-1) ~hi:n in
+          verify ~root ~digest { proof with Crypto.Merkle.leaf_index }
+        | 4 -> verify ~root:(Crypto.Merkle.root other) ~digest proof
+        | 5 ->
+          let path = List.map (fun _ -> bytes (Stdx.Rng.choose rng [| 0; 1; 32 |])) path in
+          verify ~root ~digest:(bytes (Stdx.Rng.choose rng [| 0; 32 |]))
+            { proof with Crypto.Merkle.path }
+        | _ ->
+          let ds = Array.copy digests in
+          if Stdx.Rng.bool rng then begin
+            let j = Stdx.Rng.int rng n in
+            ds.(j) <- (if Stdx.Rng.bool rng then flip ds.(j) else "")
+          end;
+          if
+            Crypto.Merkle.root_of_leaf_digests ~memo ds
+            <> Crypto.Merkle.root_of_leaf_digests ds
+          then ok := false
+      done;
+      !ok)
+
+(* a fresh memo's empty slots are never taken for a stored node: empty
+   children are hashed like any others *)
+let test_merkle_memo_empty_children () =
+  for n = 1 to 9 do
+    let empty = Array.make n "" in
+    let root = Crypto.Merkle.root_of_leaf_digests empty in
+    checks (Printf.sprintf "root of %d empty digests" n) root
+      (Crypto.Merkle.root_of_leaf_digests
+         ~memo:(Crypto.Merkle.memo ~leaf_count:n) empty);
+    let proof = Crypto.Merkle.prove (Crypto.Merkle.build empty) 0 in
+    let path = List.map (fun _ -> "") proof.Crypto.Merkle.path in
+    let proof = { Crypto.Merkle.leaf_index = 0; path } in
+    checkb (Printf.sprintf "empty path, %d leaves" n)
+      (Crypto.Merkle.verify_digest ~root ~leaf_count:n ~digest:"" proof)
+      (Crypto.Merkle.verify_digest ~memo:(Crypto.Merkle.memo ~leaf_count:n)
+         ~root ~leaf_count:n ~digest:"" proof)
+  done
+
+let test_merkle_memo_leaf_count () =
+  Alcotest.check_raises "memo for another leaf count"
+    (Invalid_argument "Merkle.verify_digest: memo made for another leaf count")
+    (fun () ->
+      let t = Crypto.Merkle.build (leaves 4) in
+      ignore
+        (Crypto.Merkle.verify_digest
+           ~memo:(Crypto.Merkle.memo ~leaf_count:5)
+           ~root:(Crypto.Merkle.root t) ~leaf_count:4
+           ~digest:(Crypto.Merkle.leaf_digest "leaf-0")
+           (Crypto.Merkle.prove t 0)))
+
 (* ---- Field ---- *)
 
 let field_elem = QCheck.int_range 0 (Crypto.Field.p - 1)
@@ -672,6 +818,7 @@ let () =
           Alcotest.test_case "hmac rfc4231 #1" `Quick test_hmac_rfc4231_case1;
           Alcotest.test_case "hmac rfc4231 #2" `Quick test_hmac_rfc4231_case2;
           Alcotest.test_case "hmac long key" `Quick test_hmac_rfc4231_case6_long_key;
+          QCheck_alcotest.to_alcotest prop_sha256_one_shot_between_feeds;
           QCheck_alcotest.to_alcotest prop_sha256_injective_on_samples ] );
       ( "gf256",
         [ QCheck_alcotest.to_alcotest prop_gf256_add_assoc;
@@ -706,7 +853,12 @@ let () =
           Alcotest.test_case "root of leaf digests" `Quick
             test_merkle_root_of_leaf_digests;
           Alcotest.test_case "verify_digest agrees" `Quick
-            test_merkle_verify_digest_agrees ] );
+            test_merkle_verify_digest_agrees;
+          QCheck_alcotest.to_alcotest prop_merkle_memo_differential;
+          Alcotest.test_case "memo hashes empty children" `Quick
+            test_merkle_memo_empty_children;
+          Alcotest.test_case "memo leaf count checked" `Quick
+            test_merkle_memo_leaf_count ] );
       ( "field",
         [ QCheck_alcotest.to_alcotest prop_field_add_inverse;
           QCheck_alcotest.to_alcotest prop_field_mul_inverse;

@@ -264,17 +264,19 @@ let test_link_decode_failure_dropped () =
        (Trace.events trace))
 
 let test_frame_checksum () =
-  let data = Net.Link.Data { seq = 3; kind = "k"; bytes = "payload"; sum = 0 } in
+  let data = Net.Link.data_frame ~seq:3 ~kind:"k" ~bytes:"payload" ~sum:0 in
   let data =
     match data with
-    | Net.Link.Data d -> Net.Link.Data { d with sum = Net.Link.frame_sum data }
+    | Net.Link.Data { seq; kind; bytes; _ } ->
+      Net.Link.data_frame ~seq ~kind ~bytes ~sum:(Net.Link.frame_sum data)
     | f -> f
   in
   checkb "fixed-up data frame intact" true (Net.Link.frame_intact data);
-  let ack = Net.Link.Ack { seq = 3; sum = 0 } in
+  let ack = Net.Link.ack_frame ~seq:3 ~sum:0 in
   let ack =
     match ack with
-    | Net.Link.Ack a -> Net.Link.Ack { a with sum = Net.Link.frame_sum ack }
+    | Net.Link.Ack { seq; _ } ->
+      Net.Link.ack_frame ~seq ~sum:(Net.Link.frame_sum ack)
     | f -> f
   in
   checkb "fixed-up ack frame intact" true (Net.Link.frame_intact ack);
@@ -285,6 +287,101 @@ let test_frame_checksum () =
     checkb "one flipped bit breaks the ack checksum" false
       (Net.Link.frame_intact (Net.Link.corrupt_frame ~rng ack))
   done
+
+(* FNV-1a/32 over the frame's content, written out here as the eager
+   reference the link's checksum must keep computing *)
+let fnv_reference frame =
+  let mix h b = (h lxor (b land 0xFF)) * 0x01000193 land 0xFFFFFFFF in
+  let mix_int h v = mix (mix (mix (mix h (v lsr 24)) (v lsr 16)) (v lsr 8)) v in
+  let mix_string h s =
+    let h = ref h in
+    String.iter (fun c -> h := mix !h (Char.code c)) s;
+    !h
+  in
+  match frame with
+  | Net.Link.Data { seq; kind; bytes; _ } ->
+    mix_string (mix (mix_string (mix_int (mix 0x811c9dc5 (Char.code 'D')) seq) kind) 0) bytes
+  | Net.Link.Ack { seq; _ } -> mix_int (mix 0x811c9dc5 (Char.code 'A')) seq
+
+let stored_sum = function
+  | Net.Link.Data { sum; _ } | Net.Link.Ack { sum; _ } -> sum
+
+(* Frames a link endpoint really sends carry no checksum until a corrupt
+   verdict needs one. Over 10^4 sent frames with random kinds, payloads
+   and sequence numbers, and one corrupt_frame draw each: a sent frame is
+   intact; its corruption equals, draw for draw, the corruption of the
+   same frame built with its eager checksum; every frame_intact answer
+   equals the eager comparison of the stored sum with the reference FNV;
+   and frame_sum is the reference FNV. Frames with explicit sums, right
+   or wrong, and acks are checked the same way. *)
+let test_lazy_checksum_differential () =
+  let frames = 10_000 in
+  let engine = Sim.Engine.create () in
+  let rng = Stdx.Rng.create 77 in
+  let net =
+    Net.Network.create ~engine ~sched:(Net.Sched.synchronous ())
+      ~counters:(Metrics.Counters.create ()) ~n:2
+  in
+  let sender =
+    Net.Link.attach ~net ~engine ~rng:(Stdx.Rng.split rng) ~me:0
+      ~encode:(fun s -> s) ~decode:(fun s -> Some s) ()
+  in
+  let sent = ref [] in
+  Net.Network.register net 1 (fun ~src:_ frame -> sent := frame :: !sent);
+  let kinds = [| "t"; "avid-echo"; ""; "bracha-ready" |] in
+  for _ = 1 to frames do
+    let bytes =
+      String.init (Stdx.Rng.int rng 64) (fun _ -> Char.chr (Stdx.Rng.int rng 256))
+    in
+    Net.Link.send sender ~dst:1 ~kind:(Stdx.Rng.choose rng kinds) ~bits:8 bytes
+  done;
+  (* deliver the first copies, stop before any retransmission *)
+  ignore (Sim.Engine.run engine ~until:(Net.Link.default_config.rto /. 2.0) ());
+  Net.Link.detach sender;
+  checki "every frame captured" frames (List.length !sent);
+  let eager_intact f = stored_sum f = fnv_reference f in
+  let check_frame f =
+    checki "frame_sum is the reference FNV" (fnv_reference f) (Net.Link.frame_sum f);
+    checkb "frame_intact is the eager check" (eager_intact f) (Net.Link.frame_intact f)
+  in
+  List.iter
+    (fun f ->
+      match f with
+      | Net.Link.Data { seq; kind; bytes; _ } ->
+        checkb "a sent frame is intact" true (Net.Link.frame_intact f);
+        checki "frame_sum is the reference FNV" (fnv_reference f)
+          (Net.Link.frame_sum f);
+        let eager =
+          Net.Link.data_frame ~seq ~kind ~bytes ~sum:(fnv_reference f)
+        in
+        check_frame eager;
+        let draw = Stdx.Rng.int rng 1_000_000 in
+        let lazy_c = Net.Link.corrupt_frame ~rng:(Stdx.Rng.create draw) f in
+        let eager_c = Net.Link.corrupt_frame ~rng:(Stdx.Rng.create draw) eager in
+        checkb "same corruption as the eager frame" true (lazy_c = eager_c);
+        checki "the stored sum is the original's" (fnv_reference f)
+          (stored_sum lazy_c);
+        check_frame lazy_c;
+        let wrong =
+          Net.Link.data_frame ~seq ~kind ~bytes
+            ~sum:(Stdx.Rng.choose rng [| 0; 0xFFFFFFFF; Stdx.Rng.int rng 0x1_0000_0000 |])
+        in
+        check_frame wrong;
+        check_frame (Net.Link.corrupt_frame ~rng wrong);
+        let ack_sum = fnv_reference (Net.Link.ack_frame ~seq ~sum:0) in
+        let ack = Net.Link.ack_frame ~seq ~sum:ack_sum in
+        check_frame ack;
+        check_frame (Net.Link.corrupt_frame ~rng ack)
+      | Net.Link.Ack _ -> Alcotest.fail "the receiver sent no ack")
+    !sent
+
+let test_frame_constructors_reject_pristine () =
+  Alcotest.check_raises "no pristine data frame from outside"
+    (Invalid_argument "Link.data_frame: not a 32-bit sum") (fun () ->
+      ignore (Net.Link.data_frame ~seq:0 ~kind:"k" ~bytes:"" ~sum:(-1)));
+  Alcotest.check_raises "ack sums are 32-bit"
+    (Invalid_argument "Link.ack_frame: not a 32-bit sum") (fun () ->
+      ignore (Net.Link.ack_frame ~seq:0 ~sum:0x1_0000_0000))
 
 (* ---- wire-decoder fuzzing ---- *)
 
@@ -819,6 +916,10 @@ let () =
           Alcotest.test_case "decode failure dropped" `Quick
             test_link_decode_failure_dropped;
           Alcotest.test_case "frame checksums" `Quick test_frame_checksum;
+          Alcotest.test_case "lazy checksum = eager checksum" `Quick
+            test_lazy_checksum_differential;
+          Alcotest.test_case "frame constructors reject pristine" `Quick
+            test_frame_constructors_reject_pristine;
           Alcotest.test_case "broadcast encodes once" `Quick
             test_link_broadcast_encodes_once ] );
       ( "fuzz",

@@ -356,6 +356,118 @@ let test_bracha_out_of_range_origin_dropped () =
   Array.iter (fun ep -> checki "one instance" 1 (Rbc.Bracha.open_instances ep)) eps;
   Array.iter (fun log -> checki "delivered" 1 (List.length !log)) deliveries
 
+(* bogus instances for the out-of-range tests: origins outside [0, n)
+   and a negative round *)
+let bogus_instances n = [ (n, 1); (-1, 1); (1000, 2); (max_int, 3); (1, -1) ]
+
+let test_avid_out_of_range_origin_dropped () =
+  (* AVID's mirror of the Bracha test: echoes carrying a valid fragment
+     and proof, and Readies, for instances no process can own open no
+     state and never deliver *)
+  let n = 4 and f = 1 in
+  let engine = Sim.Engine.create () in
+  let sched = Net.Sched.uniform_random ~rng:(Stdx.Rng.create 13) in
+  let net =
+    Net.Network.create ~engine ~sched ~counters:(Metrics.Counters.create ()) ~n
+  in
+  let deliveries = Array.init n (fun _ -> ref []) in
+  let eps =
+    Array.init n (fun me ->
+        Rbc.Avid.create ~net ~me ~f ~deliver:(fun ~payload ~round:_ ~source:_ ->
+            deliveries.(me) := payload :: !(deliveries.(me))))
+  in
+  let commitment payload =
+    let frags =
+      Crypto.Reed_solomon.encode (Crypto.Reed_solomon.make ~k:(f + 1) ~n) payload
+    in
+    let tree = Crypto.Merkle.build frags in
+    (frags, tree, Crypto.Merkle.root tree, String.length payload)
+  in
+  let flood payload (origin, round) =
+    let frags, tree, root, data_len = commitment payload in
+    for src = 0 to n - 1 do
+      let proof = Crypto.Merkle.prove tree src in
+      Net.Network.broadcast net ~src ~kind:"avid-vote" ~bits:128
+        (Rbc.Avid.Echo
+           { origin; round; root; data_len; frag_index = src;
+             frag = frags.(src); proof });
+      Net.Network.broadcast net ~src ~kind:"avid-vote" ~bits:128
+        (Rbc.Avid.Ready { origin; round; root; data_len })
+    done
+  in
+  List.iter (flood "bogus") (bogus_instances n);
+  (let frags, tree, root, data_len = commitment "bogus" in
+   Net.Network.send net ~src:2 ~dst:0 ~kind:"avid-disperse" ~bits:128
+     (Rbc.Avid.Disperse
+        { round = -4; root; data_len; frag_index = 0; frag = frags.(0);
+          proof = Crypto.Merkle.prove tree 0 }));
+  ignore (Sim.Engine.run engine ());
+  Array.iteri
+    (fun i ep ->
+      checki (Printf.sprintf "p%d holds no instance" i) 0
+        (Rbc.Avid.open_instances ep);
+      checki (Printf.sprintf "p%d delivered nothing" i) 0
+        (List.length !(deliveries.(i))))
+    eps;
+  (* the same flood for a real origin does deliver: the drop is the
+     range check, not the harness *)
+  flood "real" (3, 1);
+  ignore (Sim.Engine.run engine ());
+  Array.iter (fun ep -> checki "one instance" 1 (Rbc.Avid.open_instances ep)) eps;
+  Array.iter
+    (fun log -> Alcotest.(check (list string)) "delivered" [ "real" ] !log)
+    deliveries
+
+let test_gossip_out_of_range_origin_dropped () =
+  (* Gossip's mirror of the Bracha test: a gossiped payload, echoes and
+     readies for instances no process can own open no state, relay
+     nothing and never deliver *)
+  let n = 4 and f = 1 in
+  let engine = Sim.Engine.create () in
+  let rng = Stdx.Rng.create 13 in
+  let sched = Net.Sched.uniform_random ~rng:(Stdx.Rng.split rng) in
+  let counters = Metrics.Counters.create () in
+  let net = Net.Network.create ~engine ~sched ~counters ~n in
+  let deliveries = Array.init n (fun _ -> ref []) in
+  let eps =
+    Array.init n (fun me ->
+        Rbc.Gossip.create ~net ~rng:(Stdx.Rng.split rng) ~me ~f
+          ~deliver:(fun ~payload ~round:_ ~source:_ ->
+            deliveries.(me) := payload :: !(deliveries.(me)))
+          ())
+  in
+  let flood payload (origin, round) =
+    let digest = Crypto.Sha256.digest_string payload in
+    Net.Network.broadcast net ~src:(n - 1) ~kind:"gossip-relay" ~bits:128
+      (Rbc.Gossip.Gossip { origin; round; payload });
+    for src = 0 to n - 1 do
+      Net.Network.broadcast net ~src ~kind:"gossip-vote" ~bits:128
+        (Rbc.Gossip.Echo { origin; round; digest });
+      Net.Network.broadcast net ~src ~kind:"gossip-vote" ~bits:128
+        (Rbc.Gossip.Ready { origin; round; digest })
+    done
+  in
+  List.iter (flood "bogus") (bogus_instances n);
+  ignore (Sim.Engine.run engine ());
+  let flood_messages = n * (1 + (2 * n)) * List.length (bogus_instances n) in
+  checki "no process answered the flood" flood_messages
+    (Metrics.Counters.total_messages counters);
+  Array.iteri
+    (fun i ep ->
+      checki (Printf.sprintf "p%d holds no instance" i) 0
+        (Rbc.Gossip.open_instances ep);
+      checki (Printf.sprintf "p%d delivered nothing" i) 0
+        (List.length !(deliveries.(i))))
+    eps;
+  (* the same flood for a real origin does deliver: the drop is the
+     range check, not the harness *)
+  flood "real" (3, 1);
+  ignore (Sim.Engine.run engine ());
+  Array.iter (fun ep -> checki "one instance" 1 (Rbc.Gossip.open_instances ep)) eps;
+  Array.iter
+    (fun log -> Alcotest.(check (list string)) "delivered" [ "real" ] !log)
+    deliveries
+
 let test_bracha_quorum_n70 () =
   (* n = 70: the voter sets span nine bytes. Votes arrive byte by byte
      in turn (sources ordered by (id mod 8, id)), so every byte of the
@@ -562,6 +674,27 @@ let test_avid_ready_quorum_before_disperse () =
   Alcotest.(check (list string)) "delivered by the next echo" [ payload ]
     !(p.delivered)
 
+(* Process 0 delivers from two echoed fragments and the Ready quorum
+   before its own Disperse arrives; deciding drops the instance's held
+   fragments. The late Disperse is still verified from scratch and
+   echoed, once, so the other processes get process 0's fragment. *)
+let test_avid_disperse_after_delivery () =
+  let payload = "delivered before dispersal" in
+  let p = avid_probe payload in
+  p.inject ~src:1 (p.echo_of 1);
+  p.inject ~src:2 (p.echo_of 2);
+  List.iter (fun src -> p.inject ~src p.ready) [ 1; 2; 3 ];
+  Alcotest.(check (list string)) "delivered" [ payload ] !(p.delivered);
+  let echoes () =
+    List.length (List.filter (function Rbc.Avid.Echo _ -> true | _ -> false) !(p.sent))
+  in
+  checki "no echo yet" 0 (echoes ());
+  p.inject ~src:3 p.disperse;
+  checki "the late fragment is echoed to all three" 3 (echoes ());
+  p.inject ~src:3 p.disperse;
+  checki "and only once" 3 (echoes ());
+  Alcotest.(check (list string)) "still delivered once" [ payload ] !(p.delivered)
+
 let test_avid_fragment_size_economy () =
   (* AVID's total traffic for a large payload must be far below
      Bracha's (each process relays |m|/(f+1) + proofs instead of |m|) *)
@@ -757,12 +890,18 @@ let () =
           Alcotest.test_case "held fragment, tampered proof" `Quick
             test_avid_held_fragment_tampered_proof;
           Alcotest.test_case "ready quorum before disperse" `Quick
-            test_avid_ready_quorum_before_disperse ] );
+            test_avid_ready_quorum_before_disperse;
+          Alcotest.test_case "disperse after delivery echoed" `Quick
+            test_avid_disperse_after_delivery;
+          Alcotest.test_case "out-of-range origin dropped" `Quick
+            test_avid_out_of_range_origin_dropped ] );
       ( "gossip",
         [ Alcotest.test_case "subquadratic messages" `Quick
             test_gossip_subquadratic_messages;
           Alcotest.test_case "eventual delivery across seeds" `Quick
-            test_gossip_eventual_delivery_many_seeds ] );
+            test_gossip_eventual_delivery_many_seeds;
+          Alcotest.test_case "out-of-range origin dropped" `Quick
+            test_gossip_out_of_range_origin_dropped ] );
       ( "wire-codecs",
         [ QCheck_alcotest.to_alcotest prop_bracha_codec;
           QCheck_alcotest.to_alcotest prop_gossip_codec;

@@ -221,6 +221,159 @@ let test_mempool_end_to_end_with_node () =
     (List.length
        (List.filter (fun (tx : Workload.Txgen.tx) -> tx.body = "t" ^ String.sub tx.body 1 (String.length tx.body - 1)) all_txs))
 
+(* ---- differential: Mempool and Txgen against mempool_reference.ml ---- *)
+
+module Ref = Mempool_reference
+
+(* a field as a generator might render it: canonical decimals near the
+   range edges, and the non-canonical spellings int_of_string accepts *)
+let field_spelling rng =
+  let v =
+    match Stdx.Rng.int rng 4 with
+    | 0 -> Stdx.Rng.int rng 100
+    | 1 -> (1 lsl 30) + Stdx.Rng.int_in_range rng ~lo:(-3) ~hi:3
+    | 2 -> (1 lsl 32) + Stdx.Rng.int_in_range rng ~lo:(-3) ~hi:3
+    | _ -> Stdx.Rng.int_in_range rng ~lo:(-5) ~hi:99_999_999_999
+  in
+  let d = string_of_int v in
+  match Stdx.Rng.int rng 8 with
+  | 0 -> "0" ^ d
+  | 1 -> "+" ^ d
+  | 2 -> Printf.sprintf "0x%x" v
+  | 3 when String.length d > 1 -> String.sub d 0 1 ^ "_" ^ String.sub d 1 (String.length d - 1)
+  | 4 -> d ^ " "
+  | _ -> d
+
+let junk rng =
+  let alphabet = "0123456789\x1f\x1e-+x_ab" in
+  String.init (Stdx.Rng.int rng 60) (fun _ ->
+      alphabet.[Stdx.Rng.int rng (String.length alphabet)])
+
+(* a block of records, each a real transaction, a mangled one or junk *)
+let random_block rng =
+  let record () =
+    match Stdx.Rng.int rng 4 with
+    | 0 -> junk rng
+    | 1 ->
+      Printf.sprintf "%s\x1f%s\x1f%s" (field_spelling rng) (field_spelling rng)
+        (junk rng)
+    | _ ->
+      Workload.Txgen.tx_to_string
+        { Workload.Txgen.owner = Stdx.Rng.int rng 4;
+          seqno = Stdx.Rng.int rng 30;
+          body = "b" }
+  in
+  String.concat "\x1e" (List.init (Stdx.Rng.int rng 6) (fun _ -> record ()))
+
+let keys_of txs =
+  List.map (fun (tx : Workload.Txgen.tx) -> (tx.owner, tx.seqno)) txs
+
+let iter_keys_list block =
+  let acc = ref [] in
+  Workload.Txgen.iter_keys block (fun o s -> acc := (o, s) :: !acc);
+  List.rev !acc
+
+(* random submit / assemble / retire sequences on both pools: duplicate
+   submits, foreign transactions, a max_pending cap, and retirement of
+   assembled, foreign, mangled and junk blocks. Every block assembled,
+   every return value and every counter must be equal after each step. *)
+let prop_mempool_differential =
+  QCheck.Test.make ~name:"mempool = reference" ~count:300
+    (QCheck.int_range 0 1_000_000) (fun seed ->
+      let rng = Stdx.Rng.create seed in
+      let max_batch = Stdx.Rng.int_in_range rng ~lo:1 ~hi:8 in
+      let max_pending =
+        if Stdx.Rng.bool rng then None
+        else Some (Stdx.Rng.int_in_range rng ~lo:1 ~hi:10)
+      in
+      let m = Workload.Mempool.create ~max_batch ?max_pending ~owner:0 () in
+      let r = Ref.create ~max_batch ?max_pending () in
+      let assembled = ref [ "" ] in
+      let fail fmt = Printf.ksprintf failwith fmt in
+      for step = 1 to 80 do
+        (match Stdx.Rng.int rng 5 with
+        | 0 | 1 ->
+          let owner =
+            if Stdx.Rng.int rng 10 = 0 then (1 lsl 30) - 1 else Stdx.Rng.int rng 4
+          in
+          let seqno =
+            if Stdx.Rng.int rng 10 = 0 then (1 lsl 32) - 1 - Stdx.Rng.int rng 2
+            else Stdx.Rng.int rng 30
+          in
+          let tx = { Workload.Txgen.owner; seqno; body = "b" } in
+          if Workload.Mempool.submit m tx <> Ref.submit r tx then
+            fail "step %d: submit differs" step
+        | 2 ->
+          let a = Workload.Mempool.assemble_block m and b = Ref.assemble_block r in
+          if a <> b then fail "step %d: blocks differ: %S vs %S" step a b;
+          assembled := a :: !assembled
+        | _ ->
+          let block =
+            match Stdx.Rng.int rng 3 with
+            | 0 -> Stdx.Rng.choose rng (Array.of_list !assembled)
+            | _ -> random_block rng
+          in
+          if Workload.Mempool.retire_block m block <> Ref.retire_block r block
+          then fail "step %d: retire_block differs on %S" step block);
+        let counters_m =
+          Workload.Mempool.
+            [ pending m; in_flight m; submitted m; retired m; rejected m ]
+        and counters_r =
+          Ref.[ pending r; in_flight r; submitted r; retired r; rejected r ]
+        in
+        if counters_m <> counters_r then fail "step %d: counters differ" step
+      done;
+      true)
+
+(* iter_keys visits exactly the keys of block_txs, in order, and both
+   parse a block as the reference parser does *)
+let prop_iter_keys_is_block_txs =
+  QCheck.Test.make ~name:"iter_keys = keys of block_txs = reference" ~count:1000
+    (QCheck.int_range 0 1_000_000) (fun seed ->
+      let rng = Stdx.Rng.create seed in
+      let block = if Stdx.Rng.bool rng then random_block rng else junk rng in
+      let txs = Workload.Txgen.block_txs block in
+      iter_keys_list block = keys_of txs && txs = Ref.block_txs block)
+
+(* tx_of_string accepts a field exactly when string_of_int prints it
+   and it is in range: owner < 2^30, seqno < 2^32 *)
+let test_tx_of_string_canonical () =
+  let renders v limit = v >= 0 && v < limit in
+  let accepts_owner f =
+    Workload.Txgen.tx_of_string (f ^ "\x1f7\x1fbody") <> None
+  and accepts_seqno f =
+    Workload.Txgen.tx_of_string ("7\x1f" ^ f ^ "\x1fbody") <> None
+  in
+  let canonical f limit =
+    match int_of_string_opt f with
+    | Some v -> string_of_int v = f && renders v limit
+    | None -> false
+  in
+  let edges =
+    [ "0"; "00"; "-0"; "-1"; "+1"; "0x1"; "0b1"; "0o1"; "0u1"; "1_0"; " 1";
+      "1 "; ""; "7"; "10"; "1073741823"; "1073741824"; "4294967295";
+      "4294967296"; "99999999999"; "4611686018427387903"; "01073741823" ]
+  in
+  let rng = Stdx.Rng.create 3 in
+  let random = List.init 2000 (fun _ -> field_spelling rng) in
+  List.iter
+    (fun f ->
+      checkb (Printf.sprintf "owner %S" f) (canonical f (1 lsl 30)) (accepts_owner f);
+      checkb (Printf.sprintf "seqno %S" f) (canonical f (1 lsl 32)) (accepts_seqno f))
+    (edges @ random);
+  checkb "body may hold any byte but the separators" true
+    (Workload.Txgen.tx_of_string "1\x1f2\x1f-+0x\x00" <> None);
+  checkb "a third field separator is rejected" true
+    (Workload.Txgen.tx_of_string "1\x1f2\x1fa\x1fb" = None)
+
+let test_mempool_key_range () =
+  Alcotest.check_raises "an owner past 2^30 has no key"
+    (Invalid_argument "Txgen.key: owner or seqno out of range") (fun () ->
+      ignore
+        (Workload.Mempool.submit
+           (Workload.Mempool.create ~owner:0 ())
+           { Workload.Txgen.owner = 1 lsl 30; seqno = 0; body = "" }))
+
 let () =
   Alcotest.run "workload"
     [ ( "txgen",
@@ -232,7 +385,10 @@ let () =
           Alcotest.test_case "foreign block" `Quick test_foreign_block_parses_empty;
           Alcotest.test_case "tx bytes estimate" `Quick test_tx_bytes_estimate;
           Alcotest.test_case "block through codec" `Quick
-            test_block_through_node_payload ] );
+            test_block_through_node_payload;
+          Alcotest.test_case "tx_of_string accepts canonical fields" `Quick
+            test_tx_of_string_canonical;
+          QCheck_alcotest.to_alcotest prop_iter_keys_is_block_txs ] );
       ( "mempool",
         [ Alcotest.test_case "submit dedup" `Quick test_mempool_submit_dedup;
           Alcotest.test_case "assemble and retire" `Quick
@@ -249,5 +405,7 @@ let () =
           Alcotest.test_case "backpressure cap" `Quick
             test_mempool_backpressure;
           Alcotest.test_case "end to end with fleet" `Quick
-            test_mempool_end_to_end_with_node ] )
+            test_mempool_end_to_end_with_node;
+          Alcotest.test_case "key range" `Quick test_mempool_key_range;
+          QCheck_alcotest.to_alcotest prop_mempool_differential ] )
     ]
