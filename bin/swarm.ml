@@ -131,6 +131,15 @@ let reorder_arg =
         ~doc:"Force lossy links: add reordering delay to each message with \
               probability $(docv).")
 
+let gc_depth_arg =
+  Arg.(
+    value & opt (some int) None
+    & info [ "gc-depth" ] ~docv:"D"
+        ~doc:
+          "Force garbage collection on every scenario: each process prunes \
+           its DAG and RBC rows $(docv) rounds behind its decided wave \
+           (D >= 1).")
+
 let lossy_of_flags ~loss ~dup ~corrupt ~reorder =
   match (loss, dup, corrupt, reorder) with
   | None, None, None, None -> None
@@ -285,13 +294,18 @@ let summarize ~sabotage ~weaken_sync (report : Check.Swarm.report) =
   else 1
 
 let main seeds seed base quick sabotage verbose rule attack weaken_sync loss
-    dup corrupt reorder =
+    dup corrupt reorder gc_depth =
   if seeds < 1 && seed = None then begin
     (* a zero-seed sweep would vacuously report "all invariants held"
        and green-light a typo'd CI invocation *)
     prerr_endline "swarm: --seeds must be at least 1";
     exit 2
   end;
+  (match gc_depth with
+  | Some d when d < 1 ->
+    prerr_endline "swarm: --gc-depth must be at least 1";
+    exit 2
+  | Some _ | None -> ());
   let seed_list =
     match seed with
     | Some s -> [ s ]
@@ -319,7 +333,8 @@ let main seeds seed base quick sabotage verbose rule attack weaken_sync loss
       else None
   in
   let report =
-    Check.Swarm.run_seeds ~sabotage ~quick ?lossy ?attack ~weaken_sync ~rule
+    Check.Swarm.run_seeds ~sabotage ~quick ?lossy ?attack ~weaken_sync
+      ?gc_depth ~rule
       ~progress ~seeds:seed_list ()
   in
   summarize ~sabotage ~weaken_sync report
@@ -333,6 +348,6 @@ let cmd =
     Term.(
       const main $ seeds_arg $ seed_arg $ base_arg $ quick_arg $ sabotage_arg
       $ verbose_arg $ rule_arg $ attack_arg $ weaken_sync_arg $ loss_arg
-      $ dup_arg $ corrupt_arg $ reorder_arg)
+      $ dup_arg $ corrupt_arg $ reorder_arg $ gc_depth_arg)
 
 let () = exit (Cmd.eval' cmd)

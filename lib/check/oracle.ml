@@ -155,7 +155,10 @@ let check_equivocation ~dags =
    DAG-Rider's 2f+1; the f+1 vote count for Bullshark); a chained
    leader must be strong-path-reachable from the next leader the same
    process committed (the Line 39-43 backward walk). support can only
-   grow after the commit, so evaluating on the final DAG is sound. *)
+   grow after the commit, so evaluating on the final DAG is sound. A
+   leader below the node's GC horizon was pruned with its wave and
+   cannot be audited against this DAG (as in [check_certificates]); a
+   direct commit was checked when it fired ([check_direct_commit]). *)
 let check_leader_support ~rule ~f ~commits ~dag_of =
   let by_node = Hashtbl.create 16 in
   List.iter
@@ -174,6 +177,8 @@ let check_leader_support ~rule ~f ~commits ~dag_of =
           | c :: rest ->
             let acc =
               match Dagrider.Dag.find dag c.cr_leader with
+              | None when c.cr_leader.round < Dagrider.Dag.pruned_below dag ->
+                acc
               | None ->
                 { invariant = "leader-support";
                   node;

@@ -39,6 +39,7 @@ type t = {
   attack : (int * Attack.spec) option;
   attack_forced : bool;
   sync_weakened : bool;
+  gc_depth : int option;
 }
 
 let rbc_prefix = function
@@ -129,7 +130,7 @@ let predicted_leader ~seed ~n ~f ~wave =
   | None -> wave mod n
 
 let generate ?(sabotage = false) ?(quick = false) ?lossy ?attack
-    ?(weaken_sync = false) ?(rule = Dagrider.Ordering.dag_rider) ~seed () =
+    ?(weaken_sync = false) ?gc_depth ?(rule = Dagrider.Ordering.dag_rider) ~seed () =
   (* offset keeps the sampling stream distinct from the run's own seeded
      streams (Runner also derives from [seed]) *)
   let rng = Stdx.Rng.create (seed lxor 0x5ca40c0de) in
@@ -373,7 +374,8 @@ let generate ?(sabotage = false) ?(quick = false) ?lossy ?attack
     lossy_forced;
     attack;
     attack_forced;
-    sync_weakened = weaken_sync && not sabotage }
+    sync_weakened = weaken_sync && not sabotage;
+    gc_depth }
 
 let base_sched base rng =
   match base with
@@ -425,7 +427,8 @@ let to_options t =
     schedule = Harness.Runner.Custom (build_sched t);
     faults = statics;
     link_faults = t.link_faults;
-    sync_trusting = t.sync_weakened }
+    sync_trusting = t.sync_weakened;
+    gc_depth = t.gc_depth }
 
 let expect_validity t =
   (not t.sabotage)
@@ -478,7 +481,7 @@ let describe_lossy (lf : Harness.Runner.link_faults) =
 
 let describe t =
   Printf.sprintf
-    "seed %d: n=%d f=%d backend=%s%s sched=%s%s faults=[%s]%s%s%s horizon=%.0f%s"
+    "seed %d: n=%d f=%d backend=%s%s sched=%s%s faults=[%s]%s%s%s%s horizon=%.0f%s"
     t.seed t.n t.f
     (describe_backend t.backend)
     (if t.rule.Dagrider.Ordering.rule_name = "dagrider" then ""
@@ -498,5 +501,8 @@ let describe t =
       " " ^ describe_lossy lf ^ if t.lossy_forced then "(forced)" else "")
     ((if t.attack <> None && t.attack_forced then " attack(forced)" else "")
     ^ if t.sync_weakened then " sync=TRUSTING(WEAKENED)" else "")
+    (match t.gc_depth with
+    | None -> ""
+    | Some depth -> Printf.sprintf " gc=%d(forced)" depth)
     t.horizon
     (if t.quick then " (quick)" else "")

@@ -75,6 +75,10 @@ type t = {
   sync_weakened : bool;
       (** run the fleet with the deliberately weakened sync validator
           ([sync_trusting]; planted-vulnerability self-test only) *)
+  gc_depth : int option;
+      (** garbage collection at this depth on every process
+          ({!Dagrider.Node.config.gc_depth}); only ever set by the caller,
+          so the repro command must carry it *)
 }
 
 val generate :
@@ -83,6 +87,7 @@ val generate :
   ?lossy:Harness.Runner.link_faults ->
   ?attack:Attack.spec ->
   ?weaken_sync:bool ->
+  ?gc_depth:int ->
   ?rule:Dagrider.Ordering.rule ->
   seed:int ->
   unit ->
@@ -126,7 +131,9 @@ val generate :
     ({!Harness.Runner.options.sync_trusting}) — the
     planted-vulnerability mode the self-test uses to prove the sync
     oracles are not vacuous; never combine it with an expectation of a
-    clean run. *)
+    clean run. [~gc_depth] runs every process with garbage collection at
+    that depth; like [~lossy] it consumes no draws, so the rest of the
+    scenario is the seed's own. *)
 
 val build_sched : t -> Stdx.Rng.t -> Net.Sched.t
 (** Compose the schedule: base policy wrapped by each layer (partitions

@@ -121,7 +121,11 @@ let repro_command (sc : Scenario.t) =
       | Some (_, spec) when sc.Scenario.attack_forced ->
         " --attack " ^ Attack.strategy_label spec.Attack.strategy
       | _ -> "")
-    ^ if sc.Scenario.sync_weakened then " --weaken-sync" else ""
+    ^ (if sc.Scenario.sync_weakened then " --weaken-sync" else "")
+    ^
+    match sc.Scenario.gc_depth with
+    | Some depth -> Printf.sprintf " --gc-depth %d" depth
+    | None -> ""
 
 let shrink_list ~keep xs =
   let rec go kept = function
@@ -172,12 +176,13 @@ type report = {
 }
 
 let run_seeds ?(sabotage = false) ?(quick = false) ?lossy ?attack
-    ?(weaken_sync = false) ?rule ?progress ~seeds () =
+    ?(weaken_sync = false) ?gc_depth ?rule ?progress ~seeds () =
   let failures = ref [] in
   List.iter
     (fun seed ->
       let sc =
-        Scenario.generate ~sabotage ~quick ?lossy ?attack ~weaken_sync ?rule
+        Scenario.generate ~sabotage ~quick ?lossy ?attack ~weaken_sync ?gc_depth
+          ?rule
           ~seed ()
       in
       let outcome = run_scenario sc in

@@ -57,6 +57,7 @@ val run_seeds :
   ?lossy:Harness.Runner.link_faults ->
   ?attack:Attack.spec ->
   ?weaken_sync:bool ->
+  ?gc_depth:int ->
   ?rule:Dagrider.Ordering.rule ->
   ?progress:(seed:int -> outcome -> unit) ->
   seeds:int list ->
@@ -69,5 +70,7 @@ val run_seeds :
     forces the given adversary into every scenario (the CLI's --attack
     flag); [weaken_sync] runs every fleet with the deliberately
     weakened sync validator — the planted-vulnerability mode, expected
-    to {e produce} violations. [rule] runs every scenario under the
-    given commit rule (the CLI's --rule flag). *)
+    to {e produce} violations. [gc_depth] runs every process with
+    garbage collection at that depth (the CLI's --gc-depth flag). [rule]
+    runs every scenario under the given commit rule (the CLI's --rule
+    flag). *)

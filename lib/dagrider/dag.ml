@@ -2,11 +2,14 @@
    [rows.(i)] for [i < len]. [base] is the garbage-collection horizon,
    so the rows cover exactly the retained rounds. Only an insertion adds
    rows, and a vertex whose strong edges are present sits at most one
-   round above the highest retained round. [reached]/[stamp] are the
-   sweep state (see "Sweeps"). *)
+   round above the highest retained round. [delivered] marks the
+   vertices the ordering layer has output and [delivered_count] counts
+   them. [reached]/[stamp] are the sweep state (see "Sweeps"). *)
 type row = {
   slots : Vertex.t array; (* by source; [absent] marks an empty slot *)
   mutable count : int;
+  delivered : Bytes.t; (* n bits *)
+  mutable delivered_count : int;
   reached : Bytes.t; (* n bits *)
   mutable stamp : int;
 }
@@ -26,11 +29,19 @@ let absent =
   { Vertex.round = -1; source = -1; block = ""; strong_edges = []; weak_edges = [] }
 
 (* fills the unused tail of [rows], so no pruned row stays reachable *)
-let vacant = { slots = [||]; count = 0; reached = Bytes.empty; stamp = 0 }
+let vacant =
+  { slots = [||];
+    count = 0;
+    delivered = Bytes.empty;
+    delivered_count = 0;
+    reached = Bytes.empty;
+    stamp = 0 }
 
 let new_row n =
   { slots = Array.make n absent;
     count = 0;
+    delivered = Bytes.make ((n + 7) / 8) '\000';
+    delivered_count = 0;
     reached = Bytes.make ((n + 7) / 8) '\000';
     stamp = 0 }
 
@@ -79,6 +90,40 @@ let round_vertices t round =
 
 let round_size t round =
   match row_at t round with Some row -> row.count | None -> 0
+
+let test_bit bits s =
+  Char.code (Bytes.unsafe_get bits (s lsr 3)) land (1 lsl (s land 7)) <> 0
+
+let set_bit bits s =
+  let i = s lsr 3 in
+  Bytes.unsafe_set bits i
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get bits i) lor (1 lsl (s land 7))))
+
+(* a round below the horizon was pruned only once it was delivered *)
+let delivered_at t round source =
+  round < t.base
+  || slot t round source != absent
+     && test_bit t.rows.(round - t.base).delivered source
+
+let is_delivered t (r : Vertex.vref) = delivered_at t r.round r.source
+
+let vertex_delivered t (v : Vertex.t) = delivered_at t v.round v.source
+
+let mark_delivered t (r : Vertex.vref) =
+  if r.round >= t.base then begin
+    if slot t r.round r.source == absent then
+      invalid_arg "Dag.mark_delivered: vertex not in the store";
+    let row = t.rows.(r.round - t.base) in
+    if not (test_bit row.delivered r.source) then begin
+      set_bit row.delivered r.source;
+      row.delivered_count <- row.delivered_count + 1
+    end
+  end
+
+let round_delivered t round =
+  match row_at t round with
+  | Some row -> row.delivered_count = row.count
+  | None -> true
 
 let highest_round t = t.highest
 
@@ -164,9 +209,7 @@ let start_sweep t =
   t.sweep <- t.sweep + 1;
   t.pending <- 0
 
-let bit_set row s =
-  Char.code (Bytes.unsafe_get row.reached (s lsr 3)) land (1 lsl (s land 7))
-  <> 0
+let bit_set row s = test_bit row.reached s
 
 let is_reached t row s = row.stamp = t.sweep && bit_set row s
 
@@ -179,10 +222,7 @@ let reach_slot t ~floor round source =
       row.stamp <- t.sweep
     end;
     if not (bit_set row source) then begin
-      let i = source lsr 3 in
-      Bytes.unsafe_set row.reached i
-        (Char.unsafe_chr
-           (Char.code (Bytes.unsafe_get row.reached i) lor (1 lsl (source land 7))));
+      set_bit row.reached source;
       t.pending <- t.pending + 1
     end
   end

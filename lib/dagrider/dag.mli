@@ -43,6 +43,28 @@ val window_rounds : t -> int
     highest round inserted since, so never more than the retained
     rounds. *)
 
+val mark_delivered : t -> Vertex.vref -> unit
+(** Record that the ordering layer has output this vertex: one bit in
+    its round's row, which also counts it. A vertex below
+    {!pruned_below} is already delivered, so marking it is a no-op.
+    @raise Invalid_argument if the vertex is not in the store. *)
+
+val is_delivered : t -> Vertex.vref -> bool
+(** Has {!mark_delivered} marked this vertex? Every round below
+    {!pruned_below} reads as delivered: a round is pruned only once all
+    its vertices were. A vertex absent from a retained round is not
+    delivered. *)
+
+val vertex_delivered : t -> Vertex.t -> bool
+(** {!is_delivered} on a vertex, without building its reference: the
+    test an ordering passes to {!causal_history}. *)
+
+val round_delivered : t -> int -> bool
+(** Has every vertex the store holds for this round been delivered?
+    One compare of the row's delivered count with its vertex count;
+    [true] for a round the store has no row for. Genesis is never
+    delivered, so round 0 reads [false] while it is retained. *)
+
 val can_add : t -> Vertex.t -> bool
 (** All edge targets present and in earlier rounds (Algorithm 2
     line 7)? Targets below {!pruned_below} count as present. *)
@@ -100,6 +122,7 @@ val vertices : t -> Vertex.t list
 
 val prune_below : t -> round:int -> unit
 (** Garbage-collection extension (DESIGN.md §6): drop all rounds
-    [< round]. Reachability queries then treat missing targets as dead
-    ends; only call with rounds at or below the lowest undelivered
-    committed history. Off by default everywhere. *)
+    [< round], delivered bits included. Reachability queries then treat
+    missing targets as dead ends, and {!is_delivered} reads those rounds
+    as delivered; only call with rounds whose vertices are all
+    delivered ({!round_delivered}). Off by default everywhere. *)

@@ -1,4 +1,7 @@
-type rbc_handle = { rbc_bcast : payload:string -> round:int -> unit }
+type rbc_handle = {
+  rbc_bcast : payload:string -> round:int -> unit;
+  rbc_prune_below : round:int -> unit;
+}
 
 type rbc_factory = me:int -> deliver:Rbc.Rbc_intf.deliver -> rbc_handle
 
@@ -71,6 +74,7 @@ let delivered_log t = Ordering.delivered_log t.ordering
 let buffered t = List.length t.buffer
 let waves_completed t = t.waves_completed
 let coin_instances_resolved t = Hashtbl.length t.leaders
+let coin_buckets t = Hashtbl.length t.shares
 
 let leader_of t ~wave =
   match (Ordering.rule t.ordering).Ordering.rule_schedule with
@@ -270,6 +274,13 @@ let shares_for t wave =
     Hashtbl.add t.shares wave r;
     r
 
+(* The DAG and the RBC instances share one horizon. An RBC row is
+   dropped only once every vertex of it in the DAG was delivered, so
+   this process already sent its Ready for each of them. *)
+let prune_below t ~round =
+  Dag.prune_below t.dag ~round;
+  (rbc t).rbc_prune_below ~round
+
 let maybe_gc t =
   match t.config.gc_depth with
   | None -> ()
@@ -285,16 +296,12 @@ let maybe_gc t =
          in the decided leader's past is, stragglers might not be *)
       let rec safe_cutoff r =
         if r >= cutoff then cutoff
-        else if
-          List.for_all
-            (fun v -> Ordering.is_delivered t.ordering (Vertex.vref_of v))
-            (Dag.round_vertices t.dag r)
-        then safe_cutoff (r + 1)
+        else if Dag.round_delivered t.dag r then safe_cutoff (r + 1)
         else r
       in
       (* rounds below the horizon are empty *)
       let bound = safe_cutoff (max 1 (Dag.pruned_below t.dag)) in
-      if bound > 1 then Dag.prune_below t.dag ~round:bound
+      if bound > 1 then prune_below t ~round:bound
     end
 
 (* ---- provenance certificates (forensics) ----
@@ -422,6 +429,7 @@ let try_resolve_coin t ~wave =
     match Crypto.Threshold_coin.combine t.coin ~instance:wave shares with
     | Some leader ->
       Hashtbl.add t.leaders wave leader;
+      Hashtbl.remove t.shares wave;
       tr_emit t (Trace.Leader_elected { node = t.me; wave; leader });
       try_order_waves t
     | None -> ()
@@ -430,7 +438,12 @@ let try_resolve_coin t ~wave =
 let on_coin_msg t ~src:_ (Coin_share share) =
   let sp = Prof.enter "node.coin" in
   (try
-     if Crypto.Threshold_coin.verify_share t.coin share then begin
+     (* a resolved wave's share can change nothing: drop it before the
+        verification hash, and before it re-opens the wave's bucket *)
+     if
+       (not (Hashtbl.mem t.leaders share.instance))
+       && Crypto.Threshold_coin.verify_share t.coin share
+     then begin
        let bucket = shares_for t share.instance in
        bucket := share :: !bucket;
        try_resolve_coin t ~wave:share.instance
@@ -529,6 +542,7 @@ let accept_embedded_share t ~round ~source share =
       && round > wave_length
       && (round - 1) mod wave_length = 0
       && share.instance = (round - 1) / wave_length
+      && (not (Hashtbl.mem t.leaders share.instance))
       && Crypto.Threshold_coin.verify_share t.coin share
     then begin
       let bucket = shares_for t share.instance in
@@ -764,10 +778,12 @@ let restore ~config ~me ~coin ~coin_net ~make_rbc ?sync_net ?sync_trusting
     create ~config ~me ~coin ~coin_net ~make_rbc ?sync_net ?sync_trusting
       ?trace ?block_source ?a_deliver ?on_commit ()
   in
-  (* graft the persisted DAG in: rebuild through Dag.add to re-establish
-     the causal-closure invariant *)
+  (* graft the persisted DAG in at its horizon: rebuild through Dag.add
+     to re-establish the causal-closure invariant, whose edges into
+     pruned rounds count as present *)
+  prune_below t ~round:(Dag.pruned_below ck.ck_dag);
   List.iter (fun v -> Dag.add t.dag v) (Dag.vertices ck.ck_dag);
-  Ordering.restore t.ordering ~delivered:ck.ck_delivered
+  Ordering.restore t.ordering ~dag:t.dag ~delivered:ck.ck_delivered
     ~decided_wave:ck.ck_decided_wave;
   t.round <- ck.ck_round;
   (* wave_ready fires when advancing from round L*w to L*w + 1, so a

@@ -18,7 +18,16 @@
     only once instances [1..w] have all resolved, so leaders are always
     processed in wave order. *)
 
-type rbc_handle = { rbc_bcast : payload:string -> round:int -> unit }
+type rbc_handle = {
+  rbc_bcast : payload:string -> round:int -> unit;
+  rbc_prune_below : round:int -> unit;
+      (** drop the backend's instances below [round] and every later
+          message for them ([prune_below] of the stock backends). The
+          node calls it with the bound it gives {!Dag.prune_below}, once
+          every vertex of the pruned rounds in its DAG was delivered, so
+          it has sent its Ready for each of them and no other process
+          waits on it there. *)
+}
 (** What the node needs from a reliable-broadcast backend. *)
 
 type rbc_factory = me:int -> deliver:Rbc.Rbc_intf.deliver -> rbc_handle
@@ -88,7 +97,9 @@ type config = {
                                ones *)
   enable_weak_edges : bool;(** [false] only for the validity ablation *)
   gc_depth : int option;   (** prune rounds this far behind the decided
-                               wave; [None] (default) keeps everything *)
+                               wave, from the DAG and from the RBC
+                               backend alike ({!rbc_handle}); [None]
+                               (default) keeps everything *)
   coin_mode : coin_mode;
 }
 
@@ -180,6 +191,11 @@ val waves_completed : t -> int
 (** Highest {e ordering} wave completed (the commit rule's cadence). *)
 
 val coin_instances_resolved : t -> int
+
+val coin_buckets : t -> int
+(** Coin instances holding shares that have not resolved yet: a wave's
+    bucket is dropped when its leader resolves, and a later share for it
+    is dropped before verification. *)
 
 val leader_of : t -> wave:int -> int option
 (** The wave's leader as this node knows it: the coin's choice once

@@ -51,7 +51,6 @@ type t = {
   rule : rule;
   span : string;
   mutable decided_wave : int;
-  delivered_set : (Vertex.vref, unit) Hashtbl.t;
   mutable log_rev : Vertex.t list;
   mutable delivered_count : int;
 }
@@ -79,7 +78,6 @@ let create ?(rule = dag_rider) ~f () =
     rule;
     span = "order.wave." ^ rule.rule_name;
     decided_wave = 0;
-    delivered_set = Hashtbl.create 256;
     log_rev = [];
     delivered_count = 0 }
 
@@ -113,12 +111,12 @@ let skip_evidence ~rule ~dag ~wave ~leader_source =
 
 let deliver_leader t ~dag ~wave ~leader ~direct ~support ~anchor ~via =
   let fresh =
-    Dag.causal_history dag (Vertex.vref_of leader) ~delivered:(fun v ->
-        Hashtbl.mem t.delivered_set (Vertex.vref_of v))
+    Dag.causal_history dag (Vertex.vref_of leader)
+      ~delivered:(Dag.vertex_delivered dag)
   in
   List.iter
     (fun v ->
-      Hashtbl.add t.delivered_set (Vertex.vref_of v) ();
+      Dag.mark_delivered dag (Vertex.vref_of v);
       t.log_rev <- v :: t.log_rev;
       t.delivered_count <- t.delivered_count + 1)
     fresh;
@@ -186,12 +184,12 @@ let process_wave t ~dag ~wave ~choose_leader =
   Prof.leave sp;
   out
 
-let restore t ~delivered ~decided_wave =
+let restore t ~dag ~delivered ~decided_wave =
   if t.delivered_count > 0 || t.decided_wave > 0 then
     invalid_arg "Ordering.restore: state is not fresh";
   List.iter
     (fun v ->
-      Hashtbl.replace t.delivered_set (Vertex.vref_of v) ();
+      Dag.mark_delivered dag (Vertex.vref_of v);
       t.log_rev <- v :: t.log_rev;
       t.delivered_count <- t.delivered_count + 1)
     delivered;
@@ -204,5 +202,3 @@ let decided_wave t = t.decided_wave
 let delivered_log t = List.rev t.log_rev
 
 let delivered_count t = t.delivered_count
-
-let is_delivered t vref = Hashtbl.mem t.delivered_set vref

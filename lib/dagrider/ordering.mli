@@ -166,16 +166,25 @@ val process_wave :
     when the commit rule is not met — the wave is then left for a later
     wave's backward chain, exactly as in the paper. Waves at or below
     the decided wave are ignored. Profiled under the per-rule span
-    ["order.wave.<rule_name>"]. *)
+    ["order.wave.<rule_name>"].
 
-val restore : t -> delivered:Vertex.t list -> decided_wave:int -> unit
+    Which vertices are delivered is kept in [dag] itself, one bit per
+    vertex ({!Dag.mark_delivered}): each delivered vertex is marked
+    there, and a history walk stops at marked vertices and at the
+    garbage-collection horizon. So one [dag] belongs to one ordering
+    state, and the same [dag] must be passed on every call. *)
+
+val restore :
+  t -> dag:Dag.t -> delivered:Vertex.t list -> decided_wave:int -> unit
 (** Reload persisted progress into a {e fresh} ordering state: the
-    vertices are marked delivered (in the given order) and the decided
-    wave is set, so a restarted node neither re-delivers nor re-decides
-    old waves. The list must be causally closed, as a delivered log is:
-    later history walks stop at delivered vertices
-    ({!Dag.causal_history}). @raise Invalid_argument if the state is not
-    fresh. *)
+    vertices become the delivered log (in the given order) and are
+    marked delivered in [dag], and the decided wave is set, so a
+    restarted node neither re-delivers nor re-decides old waves. The
+    list must be causally closed, as a delivered log is: later history
+    walks stop at delivered vertices ({!Dag.causal_history}). Its
+    vertices below [dag]'s horizon already read as delivered; the others
+    must be in [dag]. @raise Invalid_argument if the state is not
+    fresh or a vertex at or above the horizon is missing. *)
 
 val rule : t -> rule
 (** The rule this state runs, as given to {!create}. *)
@@ -187,5 +196,3 @@ val delivered_log : t -> Vertex.t list
     ordered output (for cross-process agreement checks). *)
 
 val delivered_count : t -> int
-
-val is_delivered : t -> Vertex.vref -> bool

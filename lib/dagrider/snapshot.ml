@@ -1,4 +1,4 @@
-let magic = "DAGSNAP1"
+let magic = "DAGSNAP2"
 
 let put_u32 buf v =
   Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF));
@@ -18,6 +18,7 @@ let dag_to_string dag =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf magic;
   put_u32 buf (Dag.n dag);
+  put_u32 buf (Dag.pruned_below dag);
   put_u32 buf (List.length vertices);
   List.iter
     (fun v ->
@@ -34,7 +35,7 @@ let dag_of_string s =
   let ( let* ) = Result.bind in
   let fail msg = Error msg in
   let* () =
-    if String.length s < String.length magic + 8 + 32 then fail "truncated"
+    if String.length s < String.length magic + 12 + 32 then fail "truncated"
     else Ok ()
   in
   let body = String.sub s 0 (String.length s - 32) in
@@ -54,9 +55,13 @@ let dag_of_string s =
     | None -> fail "truncated header"
   in
   let* n, pos = take_u32 pos in
+  let* horizon, pos = take_u32 pos in
   let* count, pos = take_u32 pos in
   let* () = if n > 0 && n <= 4096 then Ok () else fail "implausible n" in
   let dag = Dag.create ~n in
+  (* the rounds below the horizon were garbage-collected: edges into
+     them count as present, as they did in the saved store *)
+  Dag.prune_below dag ~round:horizon;
   let rec load i pos =
     if i = count then
       if pos = String.length body then Ok dag else fail "trailing bytes"

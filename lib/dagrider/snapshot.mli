@@ -4,14 +4,17 @@
 
     The format is a framed sequence of vertex records in round order,
     each framed as [u32 round][u32 source][u32 len][Vertex.encode bytes],
-    preceded by a magic header with [n] and the vertex count and followed
-    by a SHA-256 checksum over everything before it. Restoring replays
-    [Dag.add] in round order, so the store's "causal history present"
-    invariant (Claim 1) is re-established — a corrupted or truncated file
-    can never produce a DAG that violates it. *)
+    preceded by a magic header with [n], the garbage-collection horizon
+    ({!Dag.pruned_below}) and the vertex count, and followed by a
+    SHA-256 checksum over everything before it. Restoring prunes a
+    fresh store to the horizon and replays [Dag.add] in round order, so
+    the store's "causal history present" invariant (Claim 1) is
+    re-established, with edges into pruned rounds counting as present as
+    they did in the saved store — a corrupted or truncated file can
+    never produce a DAG that violates it. *)
 
 val dag_to_string : Dag.t -> string
-(** Serialize every non-genesis vertex. *)
+(** Serialize the horizon and every retained non-genesis vertex. *)
 
 val dag_of_string : string -> (Dag.t, string) result
 (** Rebuild a DAG. Fails with a reason on a bad magic, size mismatch,

@@ -105,6 +105,8 @@ type t = {
   rbc_link_stats : unit -> Net.Link.stats;
   rbc_retransmits : unit -> ((int * int) * int) list;
   rbc_drop_counts : unit -> (string * int) list;
+  rbc_gauges : (unit -> int * int) array;
+      (* per process: its backend's open instances and drops *)
   faulty : bool array;  (* counted as Byzantine *)
   crashed : bool array; (* additionally, never started *)
   attack_drivers : Attack.t option array; (* per-process, iff Adversary *)
@@ -387,6 +389,7 @@ let build options =
      (Bracha Init / AVID dispersal / Gossip seed toward chosen
      destinations) — the attack driver's arsenal. Honest nodes only ever
      see the plain factory below. *)
+  let rbc_gauges = Array.make n (fun () -> (0, 0)) in
   let (make_rbc_full :
         me:int ->
         deliver:Rbc.Rbc_intf.deliver ->
@@ -410,8 +413,12 @@ let build options =
           (match options.trace with
           | None -> ()
           | Some tr -> Rbc.Bracha.set_trace b tr);
+          rbc_gauges.(me) <-
+            (fun () ->
+              (Rbc.Bracha.open_instances b, Rbc.Bracha.dropped_below_horizon b));
           ( { Dagrider.Node.rbc_bcast =
-                (fun ~payload ~round -> Rbc.Bracha.bcast b ~payload ~round) },
+                (fun ~payload ~round -> Rbc.Bracha.bcast b ~payload ~round);
+              rbc_prune_below = Rbc.Bracha.prune_below b },
             fun ~dsts ~round ~payload ->
               List.iter
                 (fun dst -> Rbc.Bracha.inject_init b ~dst ~round ~payload)
@@ -429,8 +436,12 @@ let build options =
           (match options.trace with
           | None -> ()
           | Some tr -> Rbc.Avid.set_trace a tr);
+          rbc_gauges.(me) <-
+            (fun () ->
+              (Rbc.Avid.open_instances a, Rbc.Avid.dropped_below_horizon a));
           ( { Dagrider.Node.rbc_bcast =
-                (fun ~payload ~round -> Rbc.Avid.bcast a ~payload ~round) },
+                (fun ~payload ~round -> Rbc.Avid.bcast a ~payload ~round);
+              rbc_prune_below = Rbc.Avid.prune_below a },
             fun ~dsts ~round ~payload ->
               Rbc.Avid.inject_disperse a ~dsts ~round ~payload )),
         silencer stack,
@@ -449,8 +460,12 @@ let build options =
           (match options.trace with
           | None -> ()
           | Some tr -> Rbc.Gossip.set_trace g tr);
+          rbc_gauges.(me) <-
+            (fun () ->
+              (Rbc.Gossip.open_instances g, Rbc.Gossip.dropped_below_horizon g));
           ( { Dagrider.Node.rbc_bcast =
-                (fun ~payload ~round -> Rbc.Gossip.bcast g ~payload ~round) },
+                (fun ~payload ~round -> Rbc.Gossip.bcast g ~payload ~round);
+              rbc_prune_below = Rbc.Gossip.prune_below g },
             fun ~dsts ~round ~payload ->
               List.iter
                 (fun dst -> Rbc.Gossip.inject_gossip g ~dst ~round ~payload)
@@ -525,7 +540,8 @@ let build options =
                   ?trace:options.trace ()
               in
               attack_drivers.(me) <- Some driver;
-              { Dagrider.Node.rbc_bcast =
+              { handle with
+                Dagrider.Node.rbc_bcast =
                   (fun ~payload ~round ->
                     Attack.on_own_vertex driver ~payload ~round) }
         in
@@ -738,6 +754,7 @@ let build options =
     rbc_link_stats;
     rbc_retransmits;
     rbc_drop_counts;
+    rbc_gauges;
     faulty;
     crashed;
     attack_drivers;
@@ -913,6 +930,13 @@ let retransmits_by_link t =
     @ t.sync_stack.st_retransmits ()
     @ t.rbc_retransmits ())
 
+let rbc_instances t =
+  Array.fold_left
+    (fun (held, dropped) gauge ->
+      let h, d = gauge () in
+      (held + h, dropped + d))
+    (0, 0) t.rbc_gauges
+
 let metrics_snapshot t =
   let reg = Metrics.Registry.create () in
   (* name the commit rule explicitly ("rule.<name>" = 1) so downstream
@@ -952,6 +976,17 @@ let metrics_snapshot t =
         ~by:(Dagrider.Ordering.delivered_count (Dagrider.Node.ordering node))
         ())
     t.nodes;
+  (* bounded-state gauges, summed across processes *)
+  let held, dropped = rbc_instances t in
+  Metrics.Registry.set_gauge reg "rbc.open_instances" (float_of_int held);
+  Metrics.Registry.set_gauge reg "rbc.dropped_below_horizon"
+    (float_of_int dropped);
+  Metrics.Registry.set_gauge reg "dag.window_rounds"
+    (float_of_int
+       (Array.fold_left
+          (fun acc node ->
+            acc + Dagrider.Dag.window_rounds (Dagrider.Node.dag node))
+          0 t.nodes));
   List.iter
     (fun (reason, count) ->
       Metrics.Registry.incr reg ("net.drops." ^ reason) ~by:count ())
@@ -1116,10 +1151,18 @@ let restart_node t i =
     | Ok refs -> refs
     | Error e -> invalid_arg ("Runner.restart_node: delivered log corrupt: " ^ e)
   in
+  (* the delivered log is output the application already holds: a vertex
+     below the snapshot's horizon is no longer in the DAG, so it comes
+     from the log itself *)
+  let horizon = Dagrider.Dag.pruned_below dag in
   let ck =
     { Dagrider.Node.ck_dag = dag;
       ck_delivered =
-        List.map (fun r -> Option.get (Dagrider.Dag.find dag r)) delivered_refs;
+        List.map2
+          (fun (r : Dagrider.Vertex.vref) logged ->
+            if r.round < horizon then logged
+            else Option.get (Dagrider.Dag.find dag r))
+          delivered_refs ck.Dagrider.Node.ck_delivered;
       ck_decided_wave = ck.Dagrider.Node.ck_decided_wave;
       ck_round = ck.Dagrider.Node.ck_round }
   in

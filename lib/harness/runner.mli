@@ -237,6 +237,11 @@ val retransmits_by_link : t -> ((int * int) * int) list
     retransmission, merged across stacks, sorted — the loss-aware
     diagnostics the analyzer and swarm checker read. *)
 
+val rbc_instances : t -> int * int
+(** The RBC backends' [(open_instances, dropped_below_horizon)], summed
+    over processes: instances held now, and messages dropped unopened
+    (origin out of range or round below the node's GC horizon). *)
+
 val metrics_snapshot : t -> Metrics.Registry.snapshot
 (** One snapshot of the run's health: the active commit rule
     ([rule.<name>] = 1 plus [rule.wave_length] / [rule.waves_bound] /
@@ -244,7 +249,10 @@ val metrics_snapshot : t -> Metrics.Registry.snapshot
     not infer the rule from span names), communication counters (total,
     honest, per message kind), engine gauges (virtual time, events
     executed, events pending), latency histograms (first delivery and
-    per-process delivery), per-node delivered counts, drop counters by
+    per-process delivery), per-node delivered counts, the bounded-state
+    gauges summed across processes ([rbc.open_instances] and
+    [rbc.dropped_below_horizon] of the RBC backends, and
+    [dag.window_rounds] of the DAG stores), drop counters by
     reason ([net.drops.*]), on workload-driven builds the mempool fleet
     gauges ([mempool.pending]/[in_flight]/[submitted]/[retired]/
     [rejected], summed across processes), and — on lossy builds — the

@@ -147,7 +147,7 @@ type t = {
   k : int;
   coder : Crypto.Reed_solomon.coder;
   deliver : deliver;
-  instances : instance Tbl.t;
+  instances : instance Rows.t;
   mutable delivered_count : int;
   mutable trace : Trace.t option;
 }
@@ -160,21 +160,14 @@ let phase t ~origin ~round p =
   | Some tr ->
     Trace.emit tr (Trace.Rbc_phase { node = t.me; origin; round; phase = p })
 
-let get_instance t key =
-  match Tbl.find_opt t.instances key with
-  | Some inst -> inst
-  | None ->
-    let inst =
-      { echoed = false;
-        ready_sent = false;
-        delivered = false;
-        discarded = false;
-        fragments = Hashtbl.create 4;
-        echoers = Hashtbl.create 4;
-        readies = Hashtbl.create 4 }
-    in
-    Tbl.add t.instances key inst;
-    inst
+let new_instance () =
+  { echoed = false;
+    ready_sent = false;
+    delivered = false;
+    discarded = false;
+    fragments = Hashtbl.create 4;
+    echoers = Hashtbl.create 4;
+    readies = Hashtbl.create 4 }
 
 let quorum t = (2 * t.f) + 1
 let amplify t = t.f + 1
@@ -326,49 +319,50 @@ let try_deliver t inst ~origin ~round ~commit =
       Hashtbl.reset inst.fragments
     | _ -> ()
 
-(* a message naming an origin outside [0, n) or a negative round opens
-   no instance: no process could have dispersed it *)
-let valid t ~origin ~round = origin >= 0 && origin < t.n && round >= 0
-
 let handle t ~src msg =
   let sp = Prof.enter "rbc.avid.recv" in
   (try
      match msg with
-  | Disperse { round; root; data_len; frag_index; frag; proof }
-    when valid t ~origin:src ~round ->
+  | Disperse { round; root; data_len; frag_index; frag; proof } -> (
     let origin = src in
-    let commit = { root; data_len } in
-    let inst = get_instance t (origin, round) in
-    if
-      frag_index = t.me
-      && (not inst.echoed)
-      && accept_fragment t inst ~commit ~frag_index ~frag ~proof
-    then begin
-      inst.echoed <- true;
-      phase t ~origin ~round "echo";
-      let msg = Echo { origin; round; root; data_len; frag_index; frag; proof } in
-      Net.Port.broadcast t.net ~src:t.me ~kind:"avid-echo"
-        ~bits:(msg_bits msg) msg
-    end
-  | Echo { origin; round; root; data_len; frag_index; frag; proof }
-    when valid t ~origin ~round ->
-    let commit = { root; data_len } in
-    let inst = get_instance t (origin, round) in
-    if
-      (not (echo_is_moot t inst commit))
-      && accept_fragment t inst ~commit ~frag_index ~frag ~proof
-    then begin
-      let count = add_voter inst.echoers commit src in
-      if count >= quorum t then send_ready t inst ~origin ~round ~commit;
+    match Rows.find_or_open t.instances ~origin ~round with
+    | Some inst ->
+      let commit = { root; data_len } in
+      if
+        frag_index = t.me
+        && (not inst.echoed)
+        && accept_fragment t inst ~commit ~frag_index ~frag ~proof
+      then begin
+        inst.echoed <- true;
+        phase t ~origin ~round "echo";
+        let msg =
+          Echo { origin; round; root; data_len; frag_index; frag; proof }
+        in
+        Net.Port.broadcast t.net ~src:t.me ~kind:"avid-echo"
+          ~bits:(msg_bits msg) msg
+      end
+    | None -> ())
+  | Echo { origin; round; root; data_len; frag_index; frag; proof } -> (
+    match Rows.find_or_open t.instances ~origin ~round with
+    | Some inst ->
+      let commit = { root; data_len } in
+      if
+        (not (echo_is_moot t inst commit))
+        && accept_fragment t inst ~commit ~frag_index ~frag ~proof
+      then begin
+        let count = add_voter inst.echoers commit src in
+        if count >= quorum t then send_ready t inst ~origin ~round ~commit;
+        try_deliver t inst ~origin ~round ~commit
+      end
+    | None -> ())
+  | Ready { origin; round; root; data_len } -> (
+    match Rows.find_or_open t.instances ~origin ~round with
+    | Some inst ->
+      let commit = { root; data_len } in
+      let count = add_voter inst.readies commit src in
+      if count >= amplify t then send_ready t inst ~origin ~round ~commit;
       try_deliver t inst ~origin ~round ~commit
-    end
-  | Ready { origin; round; root; data_len } when valid t ~origin ~round ->
-    let commit = { root; data_len } in
-    let inst = get_instance t (origin, round) in
-    let count = add_voter inst.readies commit src in
-    if count >= amplify t then send_ready t inst ~origin ~round ~commit;
-    try_deliver t inst ~origin ~round ~commit
-  | Disperse _ | Echo _ | Ready _ -> ()
+    | None -> ())
    with e -> Prof.leave_reraise sp e);
   Prof.leave sp
 
@@ -383,7 +377,7 @@ let create_port ~port ~me ~f ~deliver =
       k;
       coder = Crypto.Reed_solomon.make ~k ~n;
       deliver;
-      instances = Tbl.create 64;
+      instances = Rows.create ~n ~make:new_instance;
       delivered_count = 0;
       trace = None }
   in
@@ -441,4 +435,8 @@ let bcast_inconsistent t ~payload ~round =
 
 let delivered_instances t = t.delivered_count
 
-let open_instances t = Tbl.length t.instances
+let prune_below t ~round = Rows.prune_below t.instances ~round
+
+let open_instances t = Rows.open_instances t.instances
+
+let dropped_below_horizon t = Rows.dropped_below_horizon t.instances

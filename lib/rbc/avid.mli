@@ -81,10 +81,20 @@ val bcast : t -> payload:string -> round:int -> unit
 
 val delivered_instances : t -> int
 
+val prune_below : t -> round:int -> unit
+(** Raise the horizon to [round] and drop every instance below it
+    ({!Rbc_intf.Rows}); a later message for such a round is dropped.
+    Lowering it is a no-op. *)
+
 val open_instances : t -> int
-(** Number of instances this process holds state for: every
-    [(origin, round)] some accepted message named. A message whose
-    origin is outside [[0, n)] or whose round is negative opens none. *)
+(** Number of instances this process holds now: every
+    [(origin, round)] at or above the horizon that some accepted message
+    named. A message whose origin is outside [[0, n)] or whose round is
+    below the horizon opens none. *)
+
+val dropped_below_horizon : t -> int
+(** Messages dropped unopened: their origin is out of range or their
+    round is below the horizon. *)
 
 val bcast_inconsistent : t -> payload:string -> round:int -> unit
 (** Byzantine dispersal helper for tests: commits to a fragment vector

@@ -69,19 +69,13 @@ type instance = {
   readies : vote list ref;
 }
 
-(* Instances live in per-round rows indexed by origin, the [Dag] row
-   shape; [last_round]/[last_row] cache the row used last. Rounds are
-   never negative, so [-1] marks an empty cache. *)
 type t = {
   net : msg Net.Port.t;
   me : int;
   n : int;
   f : int;
   deliver : deliver;
-  rows : (int, instance option array) Hashtbl.t;
-  mutable last_round : int;
-  mutable last_row : instance option array;
-  mutable instances : int;
+  instances : instance Rows.t;
   mutable delivered_count : int;
   mutable trace : Trace.t option;
 }
@@ -94,37 +88,12 @@ let phase t ~origin ~round p =
   | Some tr ->
     Trace.emit tr (Trace.Rbc_phase { node = t.me; origin; round; phase = p })
 
-let row t round =
-  if round = t.last_round then t.last_row
-  else begin
-    let row =
-      match Hashtbl.find_opt t.rows round with
-      | Some row -> row
-      | None ->
-        let row = Array.make t.n None in
-        Hashtbl.add t.rows round row;
-        row
-    in
-    t.last_round <- round;
-    t.last_row <- row;
-    row
-  end
-
-let get_instance t ~origin ~round =
-  let row = row t round in
-  match row.(origin) with
-  | Some inst -> inst
-  | None ->
-    let inst =
-      { echoed = false;
-        ready_sent = false;
-        delivered = false;
-        echoes = ref [];
-        readies = ref [] }
-    in
-    row.(origin) <- Some inst;
-    t.instances <- t.instances + 1;
-    inst
+let new_instance () =
+  { echoed = false;
+    ready_sent = false;
+    delivered = false;
+    echoes = ref [];
+    readies = ref [] }
 
 let quorum t = (2 * t.f) + 1
 let amplify t = t.f + 1
@@ -182,38 +151,32 @@ let try_deliver t inst ~origin ~round ~payload ~count =
     t.deliver ~payload ~round ~source:origin
   end
 
-(* a vote naming an origin outside [0, n) or a negative round opens no
-   instance: no process could have sent its Init *)
-let valid t ~origin ~round = origin >= 0 && origin < t.n && round >= 0
-
 let handle t ~src msg =
   let sp = Prof.enter "rbc.bracha.recv" in
   (try
      match msg with
-  | Init { round; payload } ->
+  | Init { round; payload } -> (
     let origin = src in
-    if valid t ~origin ~round then begin
-      let inst = get_instance t ~origin ~round in
+    match Rows.find_or_open t.instances ~origin ~round with
+    | Some inst ->
       if not inst.echoed then begin
         inst.echoed <- true;
         send_echo t ~origin ~round ~payload
       end
-    end
-  | Echo { origin; round; payload } ->
-    if valid t ~origin ~round then begin
-      let inst = get_instance t ~origin ~round in
+    | None -> ())
+  | Echo { origin; round; payload } -> (
+    match Rows.find_or_open t.instances ~origin ~round with
+    | Some inst ->
       let count = add_voter t inst.echoes payload src in
-      if count >= quorum t then
-        send_ready t inst ~origin ~round ~payload
-    end
-  | Ready { origin; round; payload } ->
-    if valid t ~origin ~round then begin
-      let inst = get_instance t ~origin ~round in
+      if count >= quorum t then send_ready t inst ~origin ~round ~payload
+    | None -> ())
+  | Ready { origin; round; payload } -> (
+    match Rows.find_or_open t.instances ~origin ~round with
+    | Some inst ->
       let count = add_voter t inst.readies payload src in
-      if count >= amplify t then
-        send_ready t inst ~origin ~round ~payload;
+      if count >= amplify t then send_ready t inst ~origin ~round ~payload;
       try_deliver t inst ~origin ~round ~payload ~count
-    end
+    | None -> ())
    with e -> Prof.leave_reraise sp e);
   Prof.leave sp
 
@@ -225,10 +188,7 @@ let create_port ~port ~me ~f ~deliver =
       n;
       f;
       deliver;
-      rows = Hashtbl.create 64;
-      last_round = -1;
-      last_row = [||];
-      instances = 0;
+      instances = Rows.create ~n ~make:new_instance;
       delivered_count = 0;
       trace = None }
   in
@@ -255,4 +215,8 @@ let inject_init t ~dst ~round ~payload =
 
 let delivered_instances t = t.delivered_count
 
-let open_instances t = t.instances
+let prune_below t ~round = Rows.prune_below t.instances ~round
+
+let open_instances t = Rows.open_instances t.instances
+
+let dropped_below_horizon t = Rows.dropped_below_horizon t.instances

@@ -14,8 +14,9 @@
     indexed by origin; each keeps one record per distinct payload voted
     for, with its voters as an n-bit set, so a vote costs a row lookup,
     a payload compare (usually a physical-equality hit) and a bit test.
-    An Echo or Ready naming an origin outside [\[0, n)], or any message
-    with a negative round, is dropped before it allocates anything.
+    The rows are a {!Rbc_intf.Rows} store: a message naming an origin
+    outside [\[0, n)] or a round below the horizon that {!prune_below}
+    sets (0 at first) is dropped before it allocates anything.
 
     Quorum intersection of the Echo stage prevents two correct processes
     from becoming ready for different payloads of an equivocating
@@ -63,9 +64,18 @@ val bcast : t -> payload:string -> round:int -> unit
 val delivered_instances : t -> int
 (** Number of instances this process has delivered (for tests). *)
 
+val prune_below : t -> round:int -> unit
+(** Raise the horizon to [round] and drop every instance below it; a
+    later message for such a round is dropped. Lowering it is a no-op. *)
+
 val open_instances : t -> int
-(** Number of instances this process holds state for: every
-    [(origin, round)] some accepted message named. *)
+(** Number of instances this process holds now: every
+    [(origin, round)] at or above the horizon that some accepted message
+    named. *)
+
+val dropped_below_horizon : t -> int
+(** Messages dropped unopened: their origin is out of range or their
+    round is below the horizon. *)
 
 val inject_init : t -> dst:int -> round:int -> payload:string -> unit
 (** Byzantine-attacker capability: send a raw [Init] for this process's

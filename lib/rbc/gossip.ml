@@ -90,7 +90,7 @@ type t = {
   echo_need : int;
   ready_need : int;
   ready_feedback : int;
-  instances : instance Tbl.t;
+  instances : instance Rows.t;
   mutable delivered_count : int;
   mutable trace : Trace.t option;
 }
@@ -107,23 +107,16 @@ let sample_size n factor =
   let ln_n = log (float_of_int (max 2 n)) in
   min n (max 1 (int_of_float (ceil (factor *. ln_n))))
 
-let get_instance t key =
-  match Tbl.find_opt t.instances key with
-  | Some inst -> inst
-  | None ->
-    let inst =
-      { payload = None;
-        accepted_digest = None;
-        relayed = false;
-        echo_sent = false;
-        ready_sent = false;
-        delivered = false;
-        echoes = Hashtbl.create 4;
-        readies = Hashtbl.create 4;
-        alt_payloads = Hashtbl.create 2 }
-    in
-    Tbl.add t.instances key inst;
-    inst
+let new_instance () =
+  { payload = None;
+    accepted_digest = None;
+    relayed = false;
+    echo_sent = false;
+    ready_sent = false;
+    delivered = false;
+    echoes = Hashtbl.create 4;
+    readies = Hashtbl.create 4;
+    alt_payloads = Hashtbl.create 2 }
 
 let add_voter table digest voter =
   let set =
@@ -206,56 +199,59 @@ let progress t inst ~origin ~round =
         t.deliver ~payload ~round ~source:origin
       | None -> ()
 
-(* a message naming an origin outside [0, n) or a negative round opens
-   no instance: no process could have broadcast it *)
-let valid t ~origin ~round = origin >= 0 && origin < t.n && round >= 0
+let on_gossip t inst ~origin ~round ~payload =
+  if inst.payload <> None then begin
+    (* a variant of an instance we already accepted: remember it so the
+       repair in [try_switch] can converge if the network commits to it *)
+    let digest = Crypto.Sha256.digest_string payload in
+    if
+      Some digest <> inst.accepted_digest
+      && not (Hashtbl.mem inst.alt_payloads digest)
+      && Hashtbl.length inst.alt_payloads < 4
+    then Hashtbl.add inst.alt_payloads digest payload;
+    progress t inst ~origin ~round
+  end;
+  if inst.payload = None then begin
+    let digest = Crypto.Sha256.digest_string payload in
+    inst.payload <- Some payload;
+    inst.accepted_digest <- Some digest;
+    if not inst.relayed then begin
+      inst.relayed <- true;
+      phase t ~origin ~round "gossip";
+      let msg = Gossip { origin; round; payload } in
+      send_sample t ~size:t.gossip_size ~kind:"gossip-relay"
+        ~bits:(msg_bits msg) msg
+    end;
+    if not inst.echo_sent then begin
+      inst.echo_sent <- true;
+      phase t ~origin ~round "echo";
+      let msg = Echo { origin; round; digest } in
+      send_sample t ~size:t.echo_size ~kind:"gossip-echo"
+        ~bits:(msg_bits msg) msg
+    end;
+    progress t inst ~origin ~round
+  end
 
 let handle t ~src msg =
   let sp = Prof.enter "rbc.gossip.recv" in
   (try
      match msg with
-  | Gossip { origin; round; payload } when valid t ~origin ~round ->
-    let inst = get_instance t (origin, round) in
-    if inst.payload <> None then begin
-      (* a variant of an instance we already accepted: remember it so the
-         repair in [try_switch] can converge if the network commits to it *)
-      let digest = Crypto.Sha256.digest_string payload in
-      if
-        Some digest <> inst.accepted_digest
-        && not (Hashtbl.mem inst.alt_payloads digest)
-        && Hashtbl.length inst.alt_payloads < 4
-      then Hashtbl.add inst.alt_payloads digest payload;
+  | Gossip { origin; round; payload } -> (
+    match Rows.find_or_open t.instances ~origin ~round with
+    | Some inst -> on_gossip t inst ~origin ~round ~payload
+    | None -> ())
+  | Echo { origin; round; digest } -> (
+    match Rows.find_or_open t.instances ~origin ~round with
+    | Some inst ->
+      ignore (add_voter inst.echoes digest src);
       progress t inst ~origin ~round
-    end;
-    if inst.payload = None then begin
-      let digest = Crypto.Sha256.digest_string payload in
-      inst.payload <- Some payload;
-      inst.accepted_digest <- Some digest;
-      if not inst.relayed then begin
-        inst.relayed <- true;
-        phase t ~origin ~round "gossip";
-        let msg = Gossip { origin; round; payload } in
-        send_sample t ~size:t.gossip_size ~kind:"gossip-relay"
-          ~bits:(msg_bits msg) msg
-      end;
-      if not inst.echo_sent then begin
-        inst.echo_sent <- true;
-        phase t ~origin ~round "echo";
-        let msg = Echo { origin; round; digest } in
-        send_sample t ~size:t.echo_size ~kind:"gossip-echo"
-          ~bits:(msg_bits msg) msg
-      end;
+    | None -> ())
+  | Ready { origin; round; digest } -> (
+    match Rows.find_or_open t.instances ~origin ~round with
+    | Some inst ->
+      ignore (add_voter inst.readies digest src);
       progress t inst ~origin ~round
-    end
-  | Echo { origin; round; digest } when valid t ~origin ~round ->
-    let inst = get_instance t (origin, round) in
-    ignore (add_voter inst.echoes digest src);
-    progress t inst ~origin ~round
-  | Ready { origin; round; digest } when valid t ~origin ~round ->
-    let inst = get_instance t (origin, round) in
-    ignore (add_voter inst.readies digest src);
-    progress t inst ~origin ~round
-  | Gossip _ | Echo _ | Ready _ -> ()
+    | None -> ())
    with e -> Prof.leave_reraise sp e);
   Prof.leave sp
 
@@ -295,7 +291,7 @@ let create_port ~port ~rng ?(params = default_params) ~me ~f ~deliver () =
       echo_need;
       ready_need;
       ready_feedback = max feedback_floor (ready_need / 2);
-      instances = Tbl.create 64;
+      instances = Rows.create ~n ~make:new_instance;
       delivered_count = 0;
       trace = None }
   in
@@ -326,4 +322,8 @@ let inject_gossip t ~dst ~round ~payload =
 
 let delivered_instances t = t.delivered_count
 
-let open_instances t = Tbl.length t.instances
+let prune_below t ~round = Rows.prune_below t.instances ~round
+
+let open_instances t = Rows.open_instances t.instances
+
+let dropped_below_horizon t = Rows.dropped_below_horizon t.instances

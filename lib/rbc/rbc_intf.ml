@@ -4,7 +4,9 @@
     outputs [r_deliver_i (m, r, p_k)] with the abstraction's Agreement /
     Integrity / Validity guarantees. Implementations are message-type
     specific, but all expose the same [create]/[bcast] shape so the DAG
-    layer can be instantiated with any of them (Table 1 rows). *)
+    layer can be instantiated with any of them (Table 1 rows), and all
+    keep their instances in one {!Rows} store whose horizon the DAG
+    layer's garbage collection raises ([prune_below]). *)
 
 type deliver = payload:string -> round:int -> source:int -> unit
 (** Upcall invoked exactly once per (source, round) instance. *)
@@ -19,17 +21,95 @@ let payload_bits s = 8 * String.length s
 
 let digest_bits = 256
 
-(** Instance keys: a reliable broadcast instance is identified by the
-    originating process and its round number. *)
+(** Per-round instance store shared by the three backends: the [Dag]
+    row shape. An instance is identified by its origin and round; the
+    instances of one round sit in one row, an [instance option array]
+    indexed by origin, and the row used last is cached, so a message
+    usually costs one compare and one array read.
 
-module Key = struct
-  type t = int * int (* origin, round *)
+    The store has a horizon, the garbage-collection bound of the process
+    that owns it. A message naming an origin outside [\[0, n)] or a round
+    below the horizon opens nothing: [find_or_open] returns [None] and
+    counts a drop. [prune_below] raises the horizon and drops whole rows.
+    Rows are keyed by round in a hash table, so a round far above the
+    others costs one row, not the rows in between. *)
+module Rows = struct
+  type 'a t = {
+    n : int;
+    make : unit -> 'a;
+    rows : (int, 'a option array) Hashtbl.t;
+    mutable last_round : int; (* [-1]: empty cache (rounds are >= 0) *)
+    mutable last_row : 'a option array;
+    mutable horizon : int;
+    mutable held : int;
+    mutable dropped : int;
+  }
 
-  let equal (a : t) (b : t) = a = b
-  let hash = Hashtbl.hash
+  let create ~n ~make =
+    { n;
+      make;
+      rows = Hashtbl.create 64;
+      last_round = -1;
+      last_row = [||];
+      horizon = 0;
+      held = 0;
+      dropped = 0 }
+
+  let row t round =
+    if round = t.last_round then t.last_row
+    else begin
+      let row =
+        match Hashtbl.find_opt t.rows round with
+        | Some row -> row
+        | None ->
+          let row = Array.make t.n None in
+          Hashtbl.add t.rows round row;
+          row
+      in
+      t.last_round <- round;
+      t.last_row <- row;
+      row
+    end
+
+  (* returns the stored option itself, so a hit allocates nothing *)
+  let find_or_open t ~origin ~round =
+    if origin < 0 || origin >= t.n || round < t.horizon then begin
+      t.dropped <- t.dropped + 1;
+      None
+    end
+    else begin
+      let row = row t round in
+      match row.(origin) with
+      | Some _ as found -> found
+      | None ->
+        let opened = Some (t.make ()) in
+        row.(origin) <- opened;
+        t.held <- t.held + 1;
+        opened
+    end
+
+  let prune_below t ~round =
+    if round > t.horizon then begin
+      t.horizon <- round;
+      Hashtbl.filter_map_inplace
+        (fun r row ->
+          if r >= round then Some row
+          else begin
+            Array.iter
+              (fun i -> if Option.is_some i then t.held <- t.held - 1)
+              row;
+            None
+          end)
+        t.rows;
+      if t.last_round < round then begin
+        t.last_round <- -1;
+        t.last_row <- [||]
+      end
+    end
+
+  let open_instances t = t.held
+  let dropped_below_horizon t = t.dropped
 end
-
-module Tbl = Hashtbl.Make (Key)
 
 (** Sets of process ids, used for quorum counting. *)
 module Iset = Set.Make (Int)

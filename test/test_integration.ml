@@ -318,6 +318,48 @@ let test_gc_actually_prunes () =
   checkb "recent rounds kept" true
     (Dagrider.Dag.round_size dag (Dagrider.Dag.highest_round dag) > 0)
 
+(* Every per-round table falls with the GC horizon: the same fleet run
+   to 500 and to 4000 time units stays under one bound on the RBC
+   instances it holds, the DAG rows it keeps and the coin buckets it
+   has open, while it delivers eight times as much. *)
+let test_gc_state_flat () =
+  let n = 4 and depth = 8 in
+  let window_bound =
+    depth + (6 * Dagrider.Ordering.dag_rider.rule_wave_length)
+  in
+  (* RBC rows may run two rounds ahead of the DAG's: vertices in flight *)
+  let open_bound = n * n * (window_bound + 2) in
+  let run until =
+    let opts =
+      { (Harness.Runner.default_options ~n) with
+        seed = 42;
+        gc_depth = Some depth }
+    in
+    let h = Harness.Runner.build opts in
+    let max_open = ref 0 and max_window = ref 0 and max_buckets = ref 0 in
+    let now = ref 0.0 in
+    while !now < until do
+      now := !now +. 5.0;
+      Harness.Runner.run h ~until:!now;
+      max_open := max !max_open (fst (Harness.Runner.rbc_instances h));
+      Array.iter
+        (fun node ->
+          let dag = Dagrider.Node.dag node in
+          max_window := max !max_window (Dagrider.Dag.window_rounds dag);
+          max_buckets := max !max_buckets (Dagrider.Node.coin_buckets node))
+        (Harness.Runner.nodes h)
+    done;
+    assert_safe h;
+    let label what = Printf.sprintf "until %.0f: %s" until what in
+    checkb (label "open instances bounded") true (!max_open <= open_bound);
+    checkb (label "DAG window bounded") true (!max_window <= window_bound);
+    checkb (label "coin buckets bounded") true (!max_buckets <= 2);
+    min_delivered h
+  in
+  let short = run 500.0 in
+  let long = run 4000.0 in
+  checkb "the long run delivered eight times as much" true (long >= 8 * short)
+
 (* ---- ablation: quorum below f+1 loses agreement ---- *)
 
 let vref round source = { Dagrider.Vertex.round; source }
@@ -376,21 +418,30 @@ let test_quorum_below_fplus1_diverges () =
       full dag ~round:r
     done
   in
-  let dag_a = Dagrider.Dag.create ~n:4 in
-  build_common dag_a;
-  add dag_a ~round:8 ~source:0 ~strong:[ (7, 0); (7, 1); (7, 2) ];
-  List.iter
-    (fun source -> add dag_a ~round:8 ~source ~strong:[ (7, 1); (7, 2); (7, 3) ])
-    [ 1; 2; 3 ];
-  wave3 dag_a;
-  let dag_b = Dagrider.Dag.create ~n:4 in
-  build_common dag_b;
-  List.iter
-    (fun source -> add dag_b ~round:8 ~source ~strong:[ (7, 1); (7, 2); (7, 3) ])
-    [ 1; 2; 3 ];
-  wave3 dag_b;
+  (* a DAG carries its ordering's delivered bits, so every run below
+     gets a fresh copy of its view *)
+  let dag_a () =
+    let dag = Dagrider.Dag.create ~n:4 in
+    build_common dag;
+    add dag ~round:8 ~source:0 ~strong:[ (7, 0); (7, 1); (7, 2) ];
+    List.iter
+      (fun source -> add dag ~round:8 ~source ~strong:[ (7, 1); (7, 2); (7, 3) ])
+      [ 1; 2; 3 ];
+    wave3 dag;
+    dag
+  in
+  let dag_b () =
+    let dag = Dagrider.Dag.create ~n:4 in
+    build_common dag;
+    List.iter
+      (fun source -> add dag ~round:8 ~source ~strong:[ (7, 1); (7, 2); (7, 3) ])
+      [ 1; 2; 3 ];
+    wave3 dag;
+    dag
+  in
   let leaders = function 2 -> 1 | 3 -> 2 | _ -> 0 in
-  let run_view dag ~rule =
+  let run_view view ~rule =
+    let dag = view () in
     let ord = Dagrider.Ordering.create ~rule ~f:1 () in
     ignore (Dagrider.Ordering.process_wave ord ~dag ~wave:2 ~choose_leader:leaders);
     ignore (Dagrider.Ordering.process_wave ord ~dag ~wave:3 ~choose_leader:leaders);
@@ -740,6 +791,35 @@ let test_double_restart () =
   assert_safe h;
   checkb "progress through two restarts" true (min_delivered h > 40)
 
+(* A snapshot carries its GC horizon: the restored DAG is pruned to it
+   before the retained rounds are grafted back, whose edges into pruned
+   rounds would otherwise be missing. *)
+let test_restart_under_gc () =
+  let opts =
+    { (Harness.Runner.default_options ~n:4) with seed = 42; gc_depth = Some 4 }
+  in
+  let h = Harness.Runner.build opts in
+  Harness.Runner.run h ~until:100.0;
+  let delivered () =
+    Dagrider.Ordering.delivered_count
+      (Dagrider.Node.ordering (Harness.Runner.node h 1))
+  in
+  let horizon () =
+    Dagrider.Dag.pruned_below (Dagrider.Node.dag (Harness.Runner.node h 1))
+  in
+  let before = delivered () and pruned = horizon () in
+  checkb "the run pruned before the restart" true (pruned > 1);
+  Harness.Runner.restart_node h 1;
+  checki "restored log carried over" before (delivered ());
+  checki "restored horizon" pruned (horizon ());
+  Harness.Runner.run h ~until:300.0;
+  assert_safe h;
+  checkb
+    (Printf.sprintf "restarted node kept delivering (%d -> %d)" before
+       (delivered ()))
+    true
+    (delivered () > before + 100)
+
 let test_restart_during_attack () =
   (* a node restarts while an active attacker is flooding the channel *)
   let opts =
@@ -795,7 +875,9 @@ let () =
           Alcotest.test_case "claim 6 commit rate" `Quick test_claim6_commit_rate ] );
       ( "gc",
         [ Alcotest.test_case "gc preserves output" `Quick test_gc_preserves_output;
-          Alcotest.test_case "gc prunes" `Quick test_gc_actually_prunes ] );
+          Alcotest.test_case "gc prunes" `Quick test_gc_actually_prunes;
+          Alcotest.test_case "gc keeps per-round state flat" `Quick
+            test_gc_state_flat ] );
       ( "ablation",
         [ Alcotest.test_case "quorum below f+1 diverges" `Quick
             test_quorum_below_fplus1_diverges;
@@ -825,6 +907,7 @@ let () =
       ( "restart",
         [ Alcotest.test_case "catches up after restart" `Quick test_restart_catches_up;
           Alcotest.test_case "double restart" `Quick test_double_restart;
+          Alcotest.test_case "restart under gc" `Quick test_restart_under_gc;
           Alcotest.test_case "restart during attack" `Quick
             test_restart_during_attack ] );
       ( "harness",

@@ -32,8 +32,8 @@ let make_script ?(config_patch = fun c -> c) () =
   let make_rbc ~me:_ ~deliver =
     captured_deliver := deliver;
     { Dagrider.Node.rbc_bcast =
-        (fun ~payload ~round -> own_broadcasts := (payload, round) :: !own_broadcasts)
-    }
+        (fun ~payload ~round -> own_broadcasts := (payload, round) :: !own_broadcasts);
+      rbc_prune_below = (fun ~round:_ -> ()) }
   in
   let delivered = ref [] in
   let config =
@@ -283,7 +283,8 @@ let test_checkpoint_restore_roundtrip () =
   let captured = ref (fun ~payload:_ ~round:_ ~source:_ -> ()) in
   let make_rbc ~me:_ ~deliver =
     captured := deliver;
-    { Dagrider.Node.rbc_bcast = (fun ~payload ~round -> own := (payload, round) :: !own) }
+    { Dagrider.Node.rbc_bcast = (fun ~payload ~round -> own := (payload, round) :: !own);
+      rbc_prune_below = (fun ~round:_ -> ()) }
   in
   let redelivered = ref 0 in
   let restored =

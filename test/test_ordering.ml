@@ -461,7 +461,7 @@ let test_total_delivered_count_matches_log () =
     (Dagrider.Ordering.delivered_count ord);
   checkb "is_delivered agrees" true
     (List.for_all
-       (fun v -> Dagrider.Ordering.is_delivered ord (Dagrider.Vertex.vref_of v))
+       (fun v -> Dagrider.Dag.is_delivered dag (Dagrider.Vertex.vref_of v))
        (Dagrider.Ordering.delivered_log ord))
 
 (* ---- wave-length-parametric ordering ---- *)
@@ -516,6 +516,127 @@ let test_ordering_mismatched_wave_length_no_commit () =
     (List.length
        (Dagrider.Ordering.process_wave ord ~dag ~wave:2 ~choose_leader:(fun _ -> 0)))
 
+(* ---- differential: the DAG-bit ordering against Ordering_reference ----
+
+   One random history drives both: partial rounds, late vertices, weak
+   edges from [Dag.weak_edges], skipped waves, and garbage-collection
+   horizons between waves. The horizon is drawn at or below the lowest
+   round the reference has not fully delivered, the node's rule. Both
+   read one DAG; the library marks its delivered bits there, the
+   reference keeps its own set. *)
+
+module O = Dagrider.Ordering
+module V = Dagrider.Vertex
+
+let fail fmt = Printf.ksprintf failwith fmt
+
+let project (c : O.commit) =
+  ( c.wave,
+    V.vref_of c.leader,
+    List.map V.vref_of c.delivered,
+    c.direct,
+    c.support,
+    c.anchor,
+    c.via )
+
+let ordering_diff ~rule ~n ~rounds seed =
+  let rng = Stdx.Rng.create seed in
+  let f = (n - 1) / 3 in
+  let dag = Dagrider.Dag.create ~n in
+  let ord = O.create ~rule ~f () in
+  let reference = Ordering_reference.create ~rule ~f in
+  let coin = Array.init (rounds + 1) (fun _ -> Stdx.Rng.int rng n) in
+  let choose_leader w =
+    match rule.O.rule_schedule with
+    | O.Coin -> coin.(w)
+    | O.Round_robin -> O.round_robin_leader ~n ~wave:w
+  in
+  let make ~round ~source =
+    let prev = Array.of_list (Dagrider.Dag.round_vertices dag (round - 1)) in
+    Stdx.Rng.shuffle rng prev;
+    let len = Array.length prev in
+    let k = Stdx.Rng.int_in_range rng ~lo:(min len ((2 * f) + 1)) ~hi:len in
+    let strong =
+      List.sort V.compare_vref
+        (List.map V.vref_of (Array.to_list (Array.sub prev 0 k)))
+    in
+    let weak =
+      if Stdx.Rng.int rng 3 = 0 then []
+      else Dagrider.Dag.weak_edges dag ~round ~strong_edges:strong
+    in
+    { V.round; source; block = ""; strong_edges = strong; weak_edges = weak }
+  in
+  let held = ref [] in
+  for round = 1 to rounds do
+    if Dagrider.Dag.round_size dag (round - 1) > 0 then
+      for source = 0 to n - 1 do
+        if Stdx.Rng.int rng 4 <> 0 then begin
+          let v = make ~round ~source in
+          if Stdx.Rng.int rng 6 = 0 then held := v :: !held
+          else Dagrider.Dag.add dag v
+        end
+      done;
+    held :=
+      List.filter
+        (fun (v : V.t) ->
+          if v.round < Dagrider.Dag.pruned_below dag then false
+          else if Stdx.Rng.bool rng then begin
+            Dagrider.Dag.add dag v;
+            false
+          end
+          else true)
+        !held;
+    let wave_length = rule.O.rule_wave_length in
+    (match O.wave_of_completed_round ~wave_length round with
+    | Some wave when Stdx.Rng.int rng 4 <> 0 ->
+      let got = O.process_wave ord ~dag ~wave ~choose_leader in
+      let expected =
+        Ordering_reference.process_wave reference ~dag ~wave ~choose_leader
+      in
+      if List.map project got <> List.map project expected then
+        fail "seed %d wave %d: commits differ" seed wave
+    | Some _ | None -> ());
+    if Stdx.Rng.int rng 3 = 0 then begin
+      let rec safe r =
+        if
+          r < round - 1
+          && List.for_all
+               (fun v ->
+                 Ordering_reference.is_delivered reference (V.vref_of v))
+               (Dagrider.Dag.round_vertices dag r)
+        then safe (r + 1)
+        else r
+      in
+      let base = Dagrider.Dag.pruned_below dag in
+      let top = safe (max 1 base) in
+      Dagrider.Dag.prune_below dag
+        ~round:(Stdx.Rng.int_in_range rng ~lo:base ~hi:(max base top))
+    end
+  done;
+  if
+    List.map V.vref_of (O.delivered_log ord)
+    <> List.map V.vref_of (Ordering_reference.delivered_log reference)
+  then fail "seed %d: delivered logs differ" seed;
+  if O.decided_wave ord <> Ordering_reference.decided_wave reference then
+    fail "seed %d: decided waves differ" seed;
+  if O.delivered_count ord <> List.length (O.delivered_log ord) then
+    fail "seed %d: delivered count differs from the log" seed;
+  List.iter
+    (fun v ->
+      let r = V.vref_of v in
+      if
+        Dagrider.Dag.is_delivered dag r
+        <> Ordering_reference.is_delivered reference r
+      then fail "seed %d: is_delivered (%d,%d) differs" seed r.round r.source)
+    (Dagrider.Dag.vertices dag);
+  true
+
+let ordering_diff_prop ~rule ~n ~rounds ~count =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "%s ordering = reference (n=%d)" rule.O.rule_name n)
+    ~count (QCheck.int_range 0 1_000_000)
+    (ordering_diff ~rule ~n ~rounds)
+
 let () =
   Alcotest.run "ordering"
     [ ( "waves",
@@ -553,5 +674,12 @@ let () =
           Alcotest.test_case "wave 3 commits wave 2 first" `Quick
             test_fig2_wave3_commits_wave2_first;
           Alcotest.test_case "absent leader never chained" `Quick
-            test_fig2_skipped_leader_absent_entirely ] )
+            test_fig2_skipped_leader_absent_entirely ] );
+      ( "reference",
+        List.map QCheck_alcotest.to_alcotest
+          (List.concat_map
+             (fun rule ->
+               [ ordering_diff_prop ~rule ~n:4 ~rounds:40 ~count:200;
+                 ordering_diff_prop ~rule ~n:10 ~rounds:24 ~count:50 ])
+             O.rules) )
     ]

@@ -360,6 +360,92 @@ let test_bracha_out_of_range_origin_dropped () =
    and a negative round *)
 let bogus_instances n = [ (n, 1); (-1, 1); (1000, 2); (max_int, 3); (1, -1) ]
 
+(* After [prune_below ~round:5] at every process, one message of each
+   kind for round 3 reaches process 0 alone: each opens no instance,
+   sends nothing and counts one drop. A broadcast at the horizon itself
+   still delivers everywhere. *)
+let check_horizon ~create ~prune_below ~open_instances ~dropped ~bcast ~stale =
+  let n = 4 and horizon = 5 in
+  let engine = Sim.Engine.create () in
+  let counters = Metrics.Counters.create () in
+  let sched = Net.Sched.uniform_random ~rng:(Stdx.Rng.create 21) in
+  let net = Net.Network.create ~engine ~sched ~counters ~n in
+  let deliveries = Array.init n (fun _ -> ref []) in
+  let eps =
+    Array.init n (fun me ->
+        create ~net ~me ~deliver:(fun ~payload ~round ~source ->
+            deliveries.(me) := (payload, round, source) :: !(deliveries.(me))))
+  in
+  Array.iter (fun ep -> prune_below ep ~round:horizon) eps;
+  List.iteri
+    (fun i (kind, msg) ->
+      Net.Network.send net ~src:1 ~dst:0 ~kind ~bits:128 msg;
+      ignore (Sim.Engine.run engine ());
+      checki (kind ^ ": no instance") 0 (open_instances eps.(0));
+      checki (kind ^ ": one drop") (i + 1) (dropped eps.(0));
+      checki (kind ^ ": nothing sent") (i + 1)
+        (Metrics.Counters.total_messages counters))
+    stale;
+  bcast eps.(1) ~payload:"control" ~round:horizon;
+  ignore (Sim.Engine.run engine ());
+  Array.iteri
+    (fun i ep ->
+      checki (Printf.sprintf "p%d: one instance" i) 1 (open_instances ep);
+      Alcotest.(check (list (triple string int int)))
+        (Printf.sprintf "p%d: control delivered" i)
+        [ ("control", horizon, 1) ]
+        !(deliveries.(i)))
+    eps
+
+let test_bracha_below_horizon_dropped () =
+  let payload = "stale" in
+  check_horizon
+    ~create:(fun ~net ~me ~deliver -> Rbc.Bracha.create ~net ~me ~f:1 ~deliver)
+    ~prune_below:Rbc.Bracha.prune_below ~open_instances:Rbc.Bracha.open_instances
+    ~dropped:Rbc.Bracha.dropped_below_horizon ~bcast:Rbc.Bracha.bcast
+    ~stale:
+      [ ("init", Rbc.Bracha.Init { round = 3; payload });
+        ("echo", Rbc.Bracha.Echo { origin = 2; round = 3; payload });
+        ("ready", Rbc.Bracha.Ready { origin = 2; round = 3; payload }) ]
+
+let test_avid_below_horizon_dropped () =
+  let n = 4 and f = 1 in
+  let payload = "stale" in
+  let frags =
+    Crypto.Reed_solomon.encode (Crypto.Reed_solomon.make ~k:(f + 1) ~n) payload
+  in
+  let tree = Crypto.Merkle.build frags in
+  let root = Crypto.Merkle.root tree and data_len = String.length payload in
+  let frag i = frags.(i) and proof i = Crypto.Merkle.prove tree i in
+  check_horizon
+    ~create:(fun ~net ~me ~deliver -> Rbc.Avid.create ~net ~me ~f ~deliver)
+    ~prune_below:Rbc.Avid.prune_below ~open_instances:Rbc.Avid.open_instances
+    ~dropped:Rbc.Avid.dropped_below_horizon ~bcast:Rbc.Avid.bcast
+    ~stale:
+      [ ( "disperse",
+          Rbc.Avid.Disperse
+            { round = 3; root; data_len; frag_index = 0; frag = frag 0;
+              proof = proof 0 } );
+        ( "echo",
+          Rbc.Avid.Echo
+            { origin = 2; round = 3; root; data_len; frag_index = 1;
+              frag = frag 1; proof = proof 1 } );
+        ("ready", Rbc.Avid.Ready { origin = 2; round = 3; root; data_len }) ]
+
+let test_gossip_below_horizon_dropped () =
+  let payload = "stale" in
+  let digest = Crypto.Sha256.digest_string payload in
+  let rng = Stdx.Rng.create 22 in
+  check_horizon
+    ~create:(fun ~net ~me ~deliver ->
+      Rbc.Gossip.create ~net ~rng:(Stdx.Rng.split rng) ~me ~f:1 ~deliver ())
+    ~prune_below:Rbc.Gossip.prune_below ~open_instances:Rbc.Gossip.open_instances
+    ~dropped:Rbc.Gossip.dropped_below_horizon ~bcast:Rbc.Gossip.bcast
+    ~stale:
+      [ ("gossip", Rbc.Gossip.Gossip { origin = 2; round = 3; payload });
+        ("echo", Rbc.Gossip.Echo { origin = 2; round = 3; digest });
+        ("ready", Rbc.Gossip.Ready { origin = 2; round = 3; digest }) ]
+
 let test_avid_out_of_range_origin_dropped () =
   (* AVID's mirror of the Bracha test: echoes carrying a valid fragment
      and proof, and Readies, for instances no process can own open no
@@ -875,6 +961,8 @@ let () =
             test_bracha_votes_pool_equal_bytes;
           Alcotest.test_case "out-of-range origin dropped" `Quick
             test_bracha_out_of_range_origin_dropped;
+          Alcotest.test_case "below horizon dropped" `Quick
+            test_bracha_below_horizon_dropped;
           Alcotest.test_case "quorum at n=70" `Quick test_bracha_quorum_n70;
           Alcotest.test_case "physically distinct payloads pool" `Quick
             test_bracha_physically_distinct_payloads_pool;
@@ -894,14 +982,18 @@ let () =
           Alcotest.test_case "disperse after delivery echoed" `Quick
             test_avid_disperse_after_delivery;
           Alcotest.test_case "out-of-range origin dropped" `Quick
-            test_avid_out_of_range_origin_dropped ] );
+            test_avid_out_of_range_origin_dropped;
+          Alcotest.test_case "below horizon dropped" `Quick
+            test_avid_below_horizon_dropped ] );
       ( "gossip",
         [ Alcotest.test_case "subquadratic messages" `Quick
             test_gossip_subquadratic_messages;
           Alcotest.test_case "eventual delivery across seeds" `Quick
             test_gossip_eventual_delivery_many_seeds;
           Alcotest.test_case "out-of-range origin dropped" `Quick
-            test_gossip_out_of_range_origin_dropped ] );
+            test_gossip_out_of_range_origin_dropped;
+          Alcotest.test_case "below horizon dropped" `Quick
+            test_gossip_below_horizon_dropped ] );
       ( "wire-codecs",
         [ QCheck_alcotest.to_alcotest prop_bracha_codec;
           QCheck_alcotest.to_alcotest prop_gossip_codec;
