@@ -345,68 +345,39 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze"
        ~doc:
-         "Run the protocol analyzer: commit-latency breakdown per stage, \
-          per-wave commit/skip records vs the paper's 3/2 bound, round \
-          skew, RBC phase durations, chain quality, and anomaly detection \
-          — over a live traced run or a replayed JSONL trace.")
+         "Run the protocol analyzer: per-wave commit/skip records vs the \
+          paper's 3/2 bound, round skew, RBC phase durations, chain \
+          quality, and anomaly detection — over a live traced run or a \
+          replayed JSONL trace. The per-vertex latency breakdown is \
+          $(b,critpath)'s.")
     Term.(const run $ Common.term $ jsonl_arg $ json_arg)
 
 (* ---- critpath (causal critical-path attribution) ---- *)
 
 let critpath_cmd =
   let run (c : Common.t) jsonl node top json dot_out =
-    (* both collectors run over the same event source so the cross-check
-       compares like with like; on live runs they stream through sinks
-       and see the whole run even past ring wrap *)
-    let cp_report, an_report =
+    (* live runs stream through the collector's sink and see the whole
+       run even past ring wrap *)
+    let cp_report =
       match jsonl with
       | Some path -> (
-        match Analyze.of_jsonl_file path with
+        match Critpath.of_jsonl_file ?observer:node path with
         | Error e ->
           Printf.eprintf "critpath: %s\n" e;
           exit 1
-        | Ok ar ->
-          let observer =
-            match node with Some p -> p | None -> ar.Analyze.r_observer
-          in
-          let config =
-            { Critpath.default_config with observer = Some observer }
-          in
-          (match Critpath.of_jsonl_file ~config path with
-          | Error e ->
-            Printf.eprintf "critpath: %s\n" e;
-            exit 1
-          | Ok rep -> (rep, ar)))
+        | Ok rep -> rep)
       | None ->
         let tracer = Trace.create ~capacity:4096 () in
         let fleet = Common.build ~trace:tracer c in
         Harness.Runner.run fleet ~until:c.until;
-        let cp = Option.get (Harness.Runner.critpath fleet) in
-        let config = { Critpath.default_config with observer = node } in
-        (Critpath.finalize ~config cp, Option.get (Harness.Runner.analysis fleet))
-    in
-    let checks =
-      if cp_report.Critpath.r_observer = an_report.Analyze.r_observer then
-        Critpath.cross_check cp_report an_report
-      else
-        [ Printf.sprintf
-            "(cross-check skipped: critpath observer p%d, analyzer observer \
-             p%d)"
-            cp_report.Critpath.r_observer an_report.Analyze.r_observer ]
+        Critpath.finalize ?observer:node
+          (Option.get (Harness.Runner.critpath fleet))
     in
     if json then
       print_endline
         (Stdx.Json.to_string
-           (Stdx.Json.Obj
-              [ ("critpath", Critpath.report_to_json cp_report);
-                ( "cross_check",
-                  Stdx.Json.List
-                    (List.map (fun s -> Stdx.Json.String s) checks) ) ]))
-    else begin
-      print_string (Critpath.render ~top cp_report);
-      print_string "\ncross-check vs analyzer stage histograms:\n";
-      List.iter (fun line -> Printf.printf "  %s\n" line) checks
-    end;
+           (Stdx.Json.Obj [ ("critpath", Critpath.report_to_json cp_report) ]))
+    else print_string (Critpath.render ~top cp_report);
     match dot_out with
     | None -> ()
     | Some path -> (
@@ -435,8 +406,9 @@ let critpath_cmd =
       value & opt (some int) None
       & info [ "node" ] ~docv:"P"
           ~doc:
-            "Reconstruct from process $(docv)'s vantage (default: the \
-             analyzer's observer).")
+            "Reconstruct from process $(docv)'s vantage (default: a live \
+             run's lowest process no declared fault touches; a replay's \
+             longest a_deliver log, lowest id on ties).")
   in
   let top_arg =
     Arg.(
@@ -459,8 +431,8 @@ let critpath_cmd =
           latency to segments: handler hold, retransmit stall, network \
           transit, RBC quorum wait (naming the straggler), DAG-insert wait \
           and ordering wait — with per-segment digests, straggler and \
-          slowest-link tables, ASCII waterfalls, and a cross-check against \
-          the protocol analyzer's stage histograms.")
+          slowest-link tables, and ASCII waterfalls. This is the one \
+          create-to-a_deliver latency breakdown.")
     Term.(
       const run $ Common.term $ jsonl_arg $ node_arg $ top_arg
       $ Common.json_flag_arg $ dot_arg)

@@ -4,11 +4,6 @@ type config = {
   f : int option;
   byzantine : int list;
   observer : int option;
-  stall_factor : float;
-  slow_wave_factor : float;
-  skip_streak : int;
-  lossy_link_factor : float;
-  lossy_link_min : int;
 }
 
 let default_config =
@@ -16,23 +11,10 @@ let default_config =
     n = None;
     f = None;
     byzantine = [];
-    observer = None;
-    stall_factor = 8.0;
-    slow_wave_factor = 4.0;
-    skip_streak = 3;
-    lossy_link_factor = 4.0;
-    lossy_link_min = 20 }
+    observer = None }
 
 let fleet_config ~rule ~n ~f ~byzantine =
   { default_config with rule; n = Some n; f = Some f; byzantine }
-
-type summary = {
-  s_count : int;
-  s_mean : float;
-  s_p50 : float;
-  s_p99 : float;
-  s_max : float;
-}
 
 type wave_outcome =
   | Committed_direct
@@ -137,8 +119,6 @@ type report = {
   r_span : float * float;
   r_sends : int;
   r_send_bits : int;
-  r_stages : (string * summary) list;
-  r_incomplete_vertices : int;
   r_waves : wave_record list;
   r_waves_resolved : int;
   r_commits_direct : int;
@@ -147,8 +127,8 @@ type report = {
   r_waves_per_commit : float;
   r_claim6_ok : bool;
   r_rounds : (int * int) list;
-  r_round_skew : summary;
-  r_rbc_phases : (string * summary) list;
+  r_round_skew : Stdx.Stats.summary;
+  r_rbc_phases : (string * Stdx.Stats.summary) list;
   r_ordered : int;
   r_chain_quality : Metrics.Chain_quality.report;
   r_chain_quality_bound : float;
@@ -182,9 +162,6 @@ type t = {
   mutable max_node : int;
   mutable sends : int;
   mutable send_bits : int;
-  created : (int * int, float) Hashtbl.t; (* (round, source) -> time *)
-  rbc_deliver : (int * int * int, float) Hashtbl.t;
-      (* (node, origin, round) -> deliver time *)
   rbc_last : (int * int * int, string * float) Hashtbl.t;
   rbc_stats : (string, Stdx.Stats.t) Hashtbl.t; (* "echo->ready" -> durations *)
   inserted : (int * int * int, float) Hashtbl.t;
@@ -192,9 +169,7 @@ type t = {
   advances : (int, (int * float) list ref) Hashtbl.t; (* node -> rev *)
   coin_first : (int, float) Hashtbl.t; (* wave -> first share out *)
   ord : (int, ord_ev list ref) Hashtbl.t; (* node -> rev *)
-  last_commit : (int, float) Hashtbl.t;
-  adeliv : (int, (int * int * float * float option) list ref) Hashtbl.t;
-      (* node -> rev (round, source, at, attributed commit time) *)
+  adeliv : (int, int list ref) Hashtbl.t; (* node -> rev delivered sources *)
   skip_certs : (int * int, string) Hashtbl.t;
       (* (node, wave) -> certificate skip reason (authoritative,
          replaces the insertion-table heuristic when present) *)
@@ -218,15 +193,12 @@ let create () =
     max_node = -1;
     sends = 0;
     send_bits = 0;
-    created = Hashtbl.create 1024;
-    rbc_deliver = Hashtbl.create 4096;
     rbc_last = Hashtbl.create 4096;
     rbc_stats = Hashtbl.create 16;
     inserted = Hashtbl.create 4096;
     advances = Hashtbl.create 16;
     coin_first = Hashtbl.create 256;
     ord = Hashtbl.create 16;
-    last_commit = Hashtbl.create 16;
     adeliv = Hashtbl.create 16;
     skip_certs = Hashtbl.create 64;
     drop_reasons = Hashtbl.create 8;
@@ -289,13 +261,8 @@ let feed t (e : Trace.event) =
       in
       Stdx.Stats.add st (time -. at)
     | None -> ());
-    Hashtbl.replace t.rbc_last key (phase, time);
-    if phase = "deliver" && not (Hashtbl.mem t.rbc_deliver key) then
-      Hashtbl.add t.rbc_deliver key time
-  | Trace.Vertex_created { node; round } ->
-    bump node;
-    if not (Hashtbl.mem t.created (round, node)) then
-      Hashtbl.add t.created (round, node) time
+    Hashtbl.replace t.rbc_last key (phase, time)
+  | Trace.Vertex_created { node; _ } -> bump node
   | Trace.Vertex_added { node; round; source } ->
     bump node;
     bump source;
@@ -319,8 +286,7 @@ let feed t (e : Trace.event) =
   | Trace.Commit { node; wave; leader_source; direct; delivered; _ } ->
     bump node;
     bump leader_source;
-    push t.ord node (Ocommit { wave; leader_source; direct; delivered; at = time });
-    Hashtbl.replace t.last_commit node time
+    push t.ord node (Ocommit { wave; leader_source; direct; delivered; at = time })
   | Trace.Commit_cert { node; leader_source; _ } ->
     (* the compact Commit event drives the wave records; the certificate
        adds nothing the analyzer aggregates (forensics consumes it) *)
@@ -331,10 +297,10 @@ let feed t (e : Trace.event) =
     bump leader_source;
     if not (Hashtbl.mem t.skip_certs (node, wave)) then
       Hashtbl.add t.skip_certs (node, wave) reason
-  | Trace.A_deliver { node; round; source } ->
+  | Trace.A_deliver { node; source; _ } ->
     bump node;
     bump source;
-    push t.adeliv node (round, source, time, Hashtbl.find_opt t.last_commit node)
+    push t.adeliv node source
   | Trace.Drop { src; dst; reason; _ } ->
     bump src;
     bump dst;
@@ -369,17 +335,6 @@ let feed t (e : Trace.event) =
 
 (* ---- finalize ---- *)
 
-let empty_summary = { s_count = 0; s_mean = 0.0; s_p50 = 0.0; s_p99 = 0.0; s_max = 0.0 }
-
-let summary_of_stats st =
-  if Stdx.Stats.count st = 0 then empty_summary
-  else
-    { s_count = Stdx.Stats.count st;
-      s_mean = Stdx.Stats.mean st;
-      s_p50 = Stdx.Stats.percentile st 50.0;
-      s_p99 = Stdx.Stats.percentile st 99.0;
-      s_max = Stdx.Stats.max_value st }
-
 let median xs =
   let st = Stdx.Stats.create () in
   List.iter (Stdx.Stats.add st) xs;
@@ -392,6 +347,20 @@ let chronological tbl key =
    and tiny absolute gaps are scheduling noise whatever the ratio *)
 let min_gaps_for_median = 4
 let min_flagged_gap = 0.5
+
+(* flag a round/commit gap above this multiple of that process's median
+   gap, a wave whose coin-to-election time is above this multiple of the
+   median resolution, and a run of this many leader skips without a
+   commit *)
+let stall_factor = 8.0
+let slow_wave_factor = 4.0
+let skip_streak = 3
+
+(* flag a link whose retransmit count is above this multiple of the
+   median per-link count and above an absolute floor, so mildly unlucky
+   links in short runs stay unflagged *)
+let lossy_link_factor = 4.0
+let lossy_link_min = 20
 
 let finalize ?(config = default_config) t =
   let processes = max 1 (t.max_node + 1) in
@@ -521,10 +490,7 @@ let finalize ?(config = default_config) t =
           | None, None, Some n ->
             (* round-robin leaders are implicit in the schedule *)
             Some ((w - 1) mod n)
-          | None, None, None -> (
-            match commit with
-            | Some _ -> None (* leader_source is the vertex, same thing *)
-            | None -> None)
+          | None, None, None -> None
         in
         let elected_at = Option.map snd leader_elect in
         let resolution =
@@ -551,37 +517,7 @@ let finalize ?(config = default_config) t =
     if !direct_commits = 0 then if !processed = 0 then 0.0 else infinity
     else float_of_int !processed /. float_of_int !direct_commits
   in
-  (* ---- commit-latency breakdown at the observer ---- *)
   let obs_adeliv = chronological t.adeliv observer in
-  let st_rbc = Stdx.Stats.create () in
-  let st_insert = Stdx.Stats.create () in
-  let st_commit = Stdx.Stats.create () in
-  let st_order = Stdx.Stats.create () in
-  let st_total = Stdx.Stats.create () in
-  let incomplete = ref 0 in
-  List.iter
-    (fun (round, source, at, commit_at) ->
-      match
-        ( Hashtbl.find_opt t.created (round, source),
-          Hashtbl.find_opt t.rbc_deliver (observer, source, round),
-          Hashtbl.find_opt t.inserted (observer, round, source),
-          commit_at )
-      with
-      | Some created, Some rbc, Some ins, Some commit ->
-        Stdx.Stats.add st_rbc (rbc -. created);
-        Stdx.Stats.add st_insert (ins -. rbc);
-        Stdx.Stats.add st_commit (commit -. ins);
-        Stdx.Stats.add st_order (at -. commit);
-        Stdx.Stats.add st_total (at -. created)
-      | _ -> incr incomplete)
-    obs_adeliv;
-  let stages =
-    [ ("create->rbc_deliver", summary_of_stats st_rbc);
-      ("rbc_deliver->dag_insert", summary_of_stats st_insert);
-      ("dag_insert->commit", summary_of_stats st_commit);
-      ("commit->a_deliver", summary_of_stats st_order);
-      ("create->a_deliver (total)", summary_of_stats st_total) ]
-  in
   (* ---- per-process rounds and skew ---- *)
   let rounds =
     List.init processes (fun i ->
@@ -604,16 +540,19 @@ let finalize ?(config = default_config) t =
     Hashtbl.fold (fun r (lo, hi) acc -> (r, hi -. lo) :: acc) entries []
     |> List.sort compare
     |> List.iter (fun (_, skew) -> Stdx.Stats.add st skew);
-    summary_of_stats st
+    Stdx.Stats.to_summary st
   in
   let rbc_phases =
-    Hashtbl.fold (fun label st acc -> (label, summary_of_stats st) :: acc) t.rbc_stats []
+    Hashtbl.fold
+      (fun label st acc -> (label, Stdx.Stats.to_summary st) :: acc)
+      t.rbc_stats []
     |> List.sort compare
   in
   (* ---- chain quality ---- *)
-  let sources = List.map (fun (_, s, _, _) -> s) obs_adeliv in
   let correct i = not (List.mem i config.byzantine) in
-  let chain_quality = Metrics.Chain_quality.audit ~f ~correct ~sources in
+  let chain_quality =
+    Metrics.Chain_quality.audit ~f ~correct ~sources:obs_adeliv
+  in
   let bound = float_of_int (f + 1) /. float_of_int ((2 * f) + 1) in
   (* ---- anomalies ---- *)
   let anomalies = ref [] in
@@ -630,7 +569,7 @@ let finalize ?(config = default_config) t =
     in
     if List.length gaps >= min_gaps_for_median then begin
       let med = median (List.map (fun (_, _, g) -> g) gaps) in
-      let threshold = max (config.stall_factor *. med) min_flagged_gap in
+      let threshold = max (stall_factor *. med) min_flagged_gap in
       List.iter
         (fun (round, at, gap) ->
           if gap > threshold then add (Round_stall { node; round; at; gap; median = med }))
@@ -664,8 +603,7 @@ let finalize ?(config = default_config) t =
   in
   (match commit_times with
   | [] -> ()
-  | (first_wave, _) :: _ ->
-    ignore first_wave;
+  | _ :: _ ->
     let gaps =
       let rec go acc = function
         | (w1, a) :: ((_, b) :: _ as rest) -> go ((w1, b, b -. a) :: acc) rest
@@ -675,7 +613,7 @@ let finalize ?(config = default_config) t =
     in
     if List.length gaps >= min_gaps_for_median then begin
       let med = median (List.map (fun (_, _, g) -> g) gaps) in
-      let threshold = max (config.stall_factor *. med) min_flagged_gap in
+      let threshold = max (stall_factor *. med) min_flagged_gap in
       List.iter
         (fun (after_wave, at, gap) ->
           if gap > threshold then
@@ -695,7 +633,7 @@ let finalize ?(config = default_config) t =
   (* skip streaks at the observer *)
   let streak = ref 0 and streak_start = ref 0 in
   let flush_streak () =
-    if !streak >= config.skip_streak then
+    if !streak >= skip_streak then
       add (Skip_streak { node = observer; first_wave = !streak_start; length = !streak });
     streak := 0
   in
@@ -715,7 +653,7 @@ let finalize ?(config = default_config) t =
   in
   if List.length resolutions >= min_gaps_for_median then begin
     let med = median (List.map snd resolutions) in
-    let threshold = max (config.slow_wave_factor *. med) min_flagged_gap in
+    let threshold = max (slow_wave_factor *. med) min_flagged_gap in
     List.iter
       (fun (wave, took) ->
         if took > threshold then add (Slow_wave { wave; took; median = med }))
@@ -749,7 +687,7 @@ let finalize ?(config = default_config) t =
        median (List.map (fun (_, c) -> float_of_int c) link_retransmits)
      in
      let threshold =
-       max (config.lossy_link_factor *. med) (float_of_int config.lossy_link_min)
+       max (lossy_link_factor *. med) (float_of_int lossy_link_min)
      in
      List.iter
        (fun ((src, dst), retransmits) ->
@@ -785,8 +723,6 @@ let finalize ?(config = default_config) t =
     r_span = span;
     r_sends = t.sends;
     r_send_bits = t.send_bits;
-    r_stages = stages;
-    r_incomplete_vertices = !incomplete;
     r_waves = waves;
     r_waves_resolved =
       (* coin rules: waves whose leader the observer elected; round
@@ -822,14 +758,6 @@ let of_jsonl_file ?config path =
   Result.map (analyze ?config) (Trace.events_of_jsonl_file path)
 
 (* ---- output ---- *)
-
-let summary_to_json s =
-  Stdx.Json.Obj
-    [ ("count", Stdx.Json.Int s.s_count);
-      ("mean", Stdx.Json.Float s.s_mean);
-      ("p50", Stdx.Json.Float s.s_p50);
-      ("p99", Stdx.Json.Float s.s_p99);
-      ("max", Stdx.Json.Float s.s_max) ]
 
 let outcome_label = function
   | Committed_direct -> "committed"
@@ -911,9 +839,6 @@ let report_to_json r =
       ("span", Stdx.Json.List [ Stdx.Json.Float lo; Stdx.Json.Float hi ]);
       ("sends", Stdx.Json.Int r.r_sends);
       ("send_bits", Stdx.Json.Int r.r_send_bits);
-      ( "stages",
-        Stdx.Json.Obj (List.map (fun (k, s) -> (k, summary_to_json s)) r.r_stages) );
-      ("incomplete_vertices", Stdx.Json.Int r.r_incomplete_vertices);
       ("waves", Stdx.Json.List (List.map wave_to_json r.r_waves));
       ("waves_resolved", Stdx.Json.Int r.r_waves_resolved);
       ("commits_direct", Stdx.Json.Int r.r_commits_direct);
@@ -927,9 +852,12 @@ let report_to_json r =
           (List.map
              (fun (i, top) -> (Printf.sprintf "p%d" i, Stdx.Json.Int top))
              r.r_rounds) );
-      ("round_skew", summary_to_json r.r_round_skew);
+      ("round_skew", Stdx.Stats.summary_to_json r.r_round_skew);
       ( "rbc_phases",
-        Stdx.Json.Obj (List.map (fun (k, s) -> (k, summary_to_json s)) r.r_rbc_phases) );
+        Stdx.Json.Obj
+          (List.map
+             (fun (k, s) -> (k, Stdx.Stats.summary_to_json s))
+             r.r_rbc_phases) );
       ("ordered", Stdx.Json.Int r.r_ordered);
       ( "chain_quality",
         Stdx.Json.Obj
@@ -958,12 +886,6 @@ let report_to_json r =
              r.r_link_retransmits) );
       ("anomalies", Stdx.Json.List (List.map anomaly_to_json r.r_anomalies)) ]
 
-let fmt_summary s =
-  if s.s_count = 0 then "(no samples)"
-  else
-    Printf.sprintf "n=%-6d mean=%-8.3f p50=%-8.3f p99=%-8.3f max=%.3f" s.s_count
-      s.s_mean s.s_p50 s.s_p99 s.s_max
-
 let render_anomalies r =
   match r.r_anomalies with
   | [] -> "anomalies: none detected\n"
@@ -989,12 +911,7 @@ let render ?(max_waves = 12) r =
     lo hi;
   add "sends: %d (%d bits); ordered at observer: %d vertices\n\n" r.r_sends
     r.r_send_bits r.r_ordered;
-  add "commit-latency breakdown (time units per ordered vertex):\n";
-  List.iter (fun (label, s) -> add "  %-26s %s\n" label (fmt_summary s)) r.r_stages;
-  if r.r_incomplete_vertices > 0 then
-    add "  (%d vertices lacked a stage event and were skipped)\n"
-      r.r_incomplete_vertices;
-  add "\nwaves: %d resolved; %d direct commits, %d chained, %d skipped\n"
+  add "waves: %d resolved; %d direct commits, %d chained, %d skipped\n"
     r.r_waves_resolved r.r_commits_direct r.r_commits_chained r.r_waves_skipped;
   add "waves per commit: %.3f (%s bound %.2f: %s)\n" r.r_waves_per_commit
     (if r.r_rule = "dagrider" then "Claim 6" else r.r_rule)
@@ -1028,11 +945,12 @@ let render ?(max_waves = 12) r =
   add "\nround progress: %s\n"
     (String.concat ", "
        (List.map (fun (i, top) -> Printf.sprintf "p%d=r%d" i top) r.r_rounds));
-  add "round skew (per-round entry spread): %s\n" (fmt_summary r.r_round_skew);
+  add "round skew (per-round entry spread): %s\n"
+    (Stdx.Stats.fmt_summary r.r_round_skew);
   if r.r_rbc_phases <> [] then begin
     add "\nreliable-broadcast phase durations:\n";
     List.iter
-      (fun (label, s) -> add "  %-22s %s\n" label (fmt_summary s))
+      (fun (label, s) -> add "  %-22s %s\n" label (Stdx.Stats.fmt_summary s))
       r.r_rbc_phases
   end;
   let cq = r.r_chain_quality in

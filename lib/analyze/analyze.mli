@@ -6,9 +6,6 @@
     in full), replayed from a JSONL dump, or taken from a tracer's
     retained window. From it the analyzer derives:
 
-    - a per-vertex commit-latency breakdown (vertex creation →
-      reliable-broadcast deliver → DAG insert → wave commit →
-      [a_deliver], one histogram per stage);
     - per-wave records: the elected leader, direct vs retroactive
       (chained) commit, skip reason, waves-to-resolve, and the running
       waves-per-commit mean vs the paper's 3/2 bound (Claim 6);
@@ -16,9 +13,15 @@
       phase-transition durations;
     - a chain-quality audit over every (2f+1)-multiple prefix of the
       ordered log (paper §3, via {!Metrics.Chain_quality});
-    - anomalies: stalled rounds and commits, quorum starvation at the
-      trace horizon, leader-skip streaks, and waves whose resolution
-      time exceeds a configurable multiple of the median.
+    - anomalies: round and commit gaps above 8× the median gap,
+      quorum starvation at the trace horizon, runs of 3 or more leader
+      skips without a commit, waves whose resolution takes over 4× the
+      median, and links whose retransmits exceed both 4× the median and
+      20 (or that gave up a frame).
+
+    The create→[a_deliver] latency breakdown is {!Critpath}'s: its
+    segments partition each ordered vertex's latency, so the analyzer
+    keeps no stage histograms of its own.
 
     All ordering-level diagnostics are computed from one {e observer}
     process's events (commits, skips, [a_deliver]s); network-level ones
@@ -46,43 +49,19 @@ type config = {
       (** processes counted Byzantine by the chain-quality audit *)
   observer : int option;
       (** process whose ordering events anchor the report; [None] picks
-          the process with the longest [a_deliver] log *)
-  stall_factor : float;
-      (** flag a round/commit gap exceeding this multiple of that
-          process's median gap (default 8.0) *)
-  slow_wave_factor : float;
-      (** flag a wave whose coin-to-election time exceeds this multiple
-          of the median resolution time (default 4.0) *)
-  skip_streak : int;
-      (** flag runs of at least this many consecutive leader skips
-          without an intervening commit (default 3) *)
-  lossy_link_factor : float;
-      (** flag a link whose retransmit count exceeds this multiple of
-          the median per-link count (default 4.0) *)
-  lossy_link_min : int;
-      (** ...and also exceeds this absolute floor, so mildly unlucky
-          links in short runs stay unflagged (default 20) *)
+          the process with the longest [a_deliver] log (lowest id on
+          ties) *)
 }
 
 val default_config : config
 (** The paper's rule ({!Dagrider.Ordering.dag_rider}), everything
-    inferred, [stall_factor = 8.0], [slow_wave_factor = 4.0],
-    [skip_streak = 3], [lossy_link_factor = 4.0], [lossy_link_min = 20]. *)
+    inferred. *)
 
 val fleet_config :
   rule:Dagrider.Ordering.rule -> n:int -> f:int -> byzantine:int list -> config
 (** {!default_config} for a known fleet: its rule, size, fault bound and
     Byzantine set. The harness and the swarm checker both build their
     analyzer configs with it. *)
-
-type summary = {
-  s_count : int;
-  s_mean : float;
-  s_p50 : float;
-  s_p99 : float;
-  s_max : float;
-}
-(** Histogram digest of one stage/metric (all zeros when empty). *)
 
 type wave_outcome =
   | Committed_direct  (** commit rule fired in the wave itself *)
@@ -170,11 +149,6 @@ type report = {
   r_span : float * float;  (** first and last event times *)
   r_sends : int;
   r_send_bits : int;
-  r_stages : (string * summary) list;
-      (** commit-latency breakdown at the observer, pipeline order *)
-  r_incomplete_vertices : int;
-      (** ordered vertices skipped by the stage breakdown because some
-          stage event was missing (truncated stream) *)
   r_waves : wave_record list;  (** ascending wave number *)
   r_waves_resolved : int;
       (** waves the observer elected a leader for (coin rules), or
@@ -187,9 +161,9 @@ type report = {
       (** resolved / committed; [infinity] when nothing committed *)
   r_claim6_ok : bool;  (** [r_waves_per_commit <= r_waves_bound] *)
   r_rounds : (int * int) list;  (** per process: highest round entered *)
-  r_round_skew : summary;
+  r_round_skew : Stdx.Stats.summary;
       (** per-round spread (last − first process to enter it) *)
-  r_rbc_phases : (string * summary) list;
+  r_rbc_phases : (string * Stdx.Stats.summary) list;
       (** reliable-broadcast phase-transition durations, pooled over
           processes, keyed ["echo->ready"]-style *)
   r_ordered : int;  (** observer's [a_deliver] count *)
@@ -239,7 +213,7 @@ val of_jsonl_file : ?config:config -> string -> (report, string) result
 val report_to_json : report -> Stdx.Json.t
 
 val render : ?max_waves:int -> report -> string
-(** Human-readable report: run shape, stage histograms, wave table
+(** Human-readable report: run shape, wave table
     (newest [max_waves], default 12), RBC phases, chain quality,
     anomalies. *)
 

@@ -182,10 +182,12 @@ let create ~engine ~counters ~sched ~coin ~n ~f ~block =
       abba_count = 0;
       started = false }
   in
-  let rbc_net = Net.Network.create ~engine ~sched ~counters ~n in
+  let port =
+    Net.Port.of_network (Net.Network.create ~engine ~sched ~counters ~n)
+  in
   t.rbcs <-
     Array.init n (fun me ->
-        Rbc.Bracha.create ~net:rbc_net ~me ~f
+        Rbc.Bracha.create_port ~port ~me ~f
           ~deliver:(fun ~payload ~round ~source ->
             on_r_deliver t t.procs.(me) ~payload ~round ~source));
   t

@@ -1,6 +1,6 @@
-type config = { observer : int option; tolerance : float }
-
-let default_config = { observer = None; tolerance = 1.0 }
+(* |residual| bound under which a complete path counts as reconciled:
+   one simulator tick *)
+let tolerance = 1.0
 
 type hop = {
   h_id : int;
@@ -20,7 +20,6 @@ type path = {
   p_created : float;
   p_rbc_deliver : float;
   p_inserted : float;
-  p_committed : float;
   p_adeliver : float;
   p_first_ready : float;
   p_straggler : int;
@@ -45,15 +44,14 @@ type report = {
   r_processes : int;
   r_events : int;
   r_truncated : bool;
-  r_tolerance : float;
   r_paths : path list;
   r_complete : int;
   r_reconciled : int;
   r_max_residual : float;
   r_incomplete : (string * int) list;
-  r_segments : (string * Analyze.summary) list;
+  r_segments : (string * Stdx.Stats.summary) list;
   r_stragglers : (int * int * float) list;
-  r_edges : ((int * int) * Analyze.summary) list;
+  r_edges : ((int * int) * Stdx.Stats.summary) list;
 }
 
 (* One logical message, folded over its Send/Retransmit/Recv events.
@@ -100,8 +98,8 @@ type t = {
   deliver : (int * int * int, float * int) Hashtbl.t; (* (node, origin, round) *)
   ready_at : (int * int * int, int) Hashtbl.t; (* (node, origin, round) -> cause *)
   inserted : (int * int * int, float) Hashtbl.t; (* (node, round, source) *)
-  last_commit : (int, float) Hashtbl.t;
-  adeliv : (int, (int * int * float * float) list ref) Hashtbl.t;
+  adeliv : (int, (int * int * float) list ref) Hashtbl.t;
+      (* node -> rev (round, source, at) *)
   (* FIFO mirror of each node's built-in mempool: accepted submit times
      not yet drained into a block. [blocks] records, per assembled
      (round, source) vertex, how many of its txs the mirror could match
@@ -111,12 +109,11 @@ type t = {
   blocks : (int * int, int * float) Hashtbl.t;
   kinds : (string, string) Hashtbl.t; (* intern pool for JSONL replays *)
   stream_observer : int option;
-  tolerance : float;
   mutable built : path list; (* newest first; streaming mode only *)
   stream : stream_stats;
 }
 
-let create ?observer ?(tolerance = 1.0) () =
+let create ?observer () =
   { first_seq = -1;
     events = 0;
     max_node = -1;
@@ -126,13 +123,11 @@ let create ?observer ?(tolerance = 1.0) () =
     deliver = Hashtbl.create 1024;
     ready_at = Hashtbl.create 1024;
     inserted = Hashtbl.create 1024;
-    last_commit = Hashtbl.create 16;
     adeliv = Hashtbl.create 16;
     txq = Hashtbl.create 16;
     blocks = Hashtbl.create 256;
     kinds = Hashtbl.create 16;
     stream_observer = observer;
-    tolerance;
     built = [];
     stream =
       { ss_quorum = Stdx.Stats.create ();
@@ -180,7 +175,7 @@ let mk_hop id (m : msg) ~hold =
 
 (* ---- per-commit reconstruction ---- *)
 
-let build_path t ~observer (round, source, at, commit_at) =
+let build_path t ~observer (round, source, at) =
   (* mempool dwell of the txs this vertex carried; pre-creation time,
      so it sits outside the telescoping segments and the residual *)
   let txs, tx_wait =
@@ -200,7 +195,6 @@ let build_path t ~observer (round, source, at, commit_at) =
       p_created = f_created;
       p_rbc_deliver = f_rbc;
       p_inserted = f_ins;
-      p_committed = commit_at;
       p_adeliver = at;
       p_first_ready = nan;
       p_straggler = -1;
@@ -318,7 +312,6 @@ let build_path t ~observer (round, source, at, commit_at) =
           p_created = t0;
           p_rbc_deliver = t1;
           p_inserted = t2;
-          p_committed = commit_at;
           p_adeliver = at;
           p_first_ready = first_ready;
           p_straggler = straggler;
@@ -342,7 +335,7 @@ let note_stream t p =
   ss.ss_commits <- ss.ss_commits + 1;
   if p.p_complete then begin
     ss.ss_complete <- ss.ss_complete + 1;
-    if Float.abs p.p_residual <= t.tolerance then
+    if Float.abs p.p_residual <= tolerance then
       ss.ss_reconciled <- ss.ss_reconciled + 1;
     Stdx.Stats.add ss.ss_quorum p.p_quorum;
     Stdx.Stats.add ss.ss_transit p.p_transit;
@@ -422,36 +415,18 @@ let feed t (e : Trace.event) =
         end
       done;
       if !n > 0 then add_first t.blocks (round, node) (!n, !sum))
-  | Trace.Commit { node; _ } -> Hashtbl.replace t.last_commit node at
   | Trace.A_deliver { node; round; source } -> (
     bump node;
-    let commit_at =
-      match Hashtbl.find_opt t.last_commit node with
-      | Some c -> c
-      | None -> nan
-    in
-    push t.adeliv node (round, source, at, commit_at);
+    push t.adeliv node (round, source, at);
     match t.stream_observer with
     | Some obs when obs = node ->
-      let p = build_path t ~observer:obs (round, source, at, commit_at) in
+      let p = build_path t ~observer:obs (round, source, at) in
       t.built <- p :: t.built;
       note_stream t p
     | _ -> ())
   | _ -> ()
 
 (* ---- aggregation ---- *)
-
-let empty_summary =
-  { Analyze.s_count = 0; s_mean = 0.0; s_p50 = 0.0; s_p99 = 0.0; s_max = 0.0 }
-
-let summary_of_stats st =
-  if Stdx.Stats.count st = 0 then empty_summary
-  else
-    { Analyze.s_count = Stdx.Stats.count st;
-      s_mean = Stdx.Stats.mean st;
-      s_p50 = Stdx.Stats.percentile st 50.0;
-      s_p99 = Stdx.Stats.percentile st 99.0;
-      s_max = Stdx.Stats.max_value st }
 
 let segment_order =
   [ "handler-hold";
@@ -486,9 +461,9 @@ let pick_observer t =
       t.adeliv;
     (match !best with Some (node, _) -> node | None -> 0)
 
-let finalize ?(config = default_config) t =
+let finalize ?observer t =
   let observer =
-    match config.observer with Some o -> o | None -> pick_observer t
+    match observer with Some o -> o | None -> pick_observer t
   in
   let paths =
     match t.stream_observer with
@@ -505,7 +480,7 @@ let finalize ?(config = default_config) t =
   let reconciled =
     List.length
       (List.filter
-         (fun p -> Float.abs p.p_residual <= config.tolerance)
+         (fun p -> Float.abs p.p_residual <= tolerance)
          complete)
   in
   let max_residual =
@@ -531,7 +506,7 @@ let finalize ?(config = default_config) t =
         let sel = segment_sel name in
         let st = Stdx.Stats.create () in
         List.iter (fun p -> Stdx.Stats.add st (sel p)) complete;
-        (name, summary_of_stats st))
+        (name, Stdx.Stats.to_summary st))
       segment_order
   in
   (* per-tx mempool dwell is pre-creation time — reported as its own
@@ -543,7 +518,7 @@ let finalize ?(config = default_config) t =
       (fun p -> if p.p_txs > 0 then Stdx.Stats.add st p.p_tx_wait)
       complete;
     if Stdx.Stats.count st = 0 then segments
-    else ("mempool-wait", summary_of_stats st) :: segments
+    else ("mempool-wait", Stdx.Stats.to_summary st) :: segments
   in
   let stragglers =
     let tbl = Hashtbl.create 8 in
@@ -582,16 +557,15 @@ let finalize ?(config = default_config) t =
       complete;
     List.sort
       (fun (e1, s1) (e2, s2) ->
-        compare (-.s1.Analyze.s_mean, e1) (-.s2.Analyze.s_mean, e2))
+        compare (-.s1.Stdx.Stats.s_mean, e1) (-.s2.Stdx.Stats.s_mean, e2))
       (Hashtbl.fold
-         (fun edge st acc -> ((edge, summary_of_stats st)) :: acc)
+         (fun edge st acc -> ((edge, Stdx.Stats.to_summary st)) :: acc)
          tbl [])
   in
   { r_observer = observer;
     r_processes = t.max_node + 1;
     r_events = t.events;
     r_truncated = t.first_seq > 0;
-    r_tolerance = config.tolerance;
     r_paths = paths;
     r_complete = List.length complete;
     r_reconciled = reconciled;
@@ -601,15 +575,15 @@ let finalize ?(config = default_config) t =
     r_stragglers = stragglers;
     r_edges = edges }
 
-let analyze ?config events =
+let analyze ?observer events =
   let t = create () in
   List.iter (feed t) events;
-  finalize ?config t
+  finalize ?observer t
 
-let of_tracer ?config tr = analyze ?config (Trace.events tr)
+let of_tracer ?observer tr = analyze ?observer (Trace.events tr)
 
-let of_jsonl_file ?config path =
-  Result.map (analyze ?config) (Trace.events_of_jsonl_file path)
+let of_jsonl_file ?observer path =
+  Result.map (analyze ?observer) (Trace.events_of_jsonl_file path)
 
 let segment_means t =
   let ss = t.stream in
@@ -626,53 +600,7 @@ let segment_means t =
     ("critpath.order-wait.mean", mean ss.ss_order);
     ("critpath.total.mean", mean ss.ss_total) ]
 
-(* ---- cross-validation against the analyzer ---- *)
-
-let cross_check (r : report) (ar : Analyze.report) =
-  (* mirror the analyzer's all-or-nothing rule: a vertex contributes to
-     the stage histograms only when every landmark resolved *)
-  let eligible =
-    List.filter
-      (fun p ->
-        not
-          (Float.is_nan p.p_created
-          || Float.is_nan p.p_rbc_deliver
-          || Float.is_nan p.p_inserted
-          || Float.is_nan p.p_committed))
-      r.r_paths
-  in
-  let stage label sel =
-    let st = Stdx.Stats.create () in
-    List.iter (fun p -> Stdx.Stats.add st (sel p)) eligible;
-    match List.assoc_opt label ar.Analyze.r_stages with
-    | None -> Printf.sprintf "MISMATCH %-26s analyzer lacks this stage" label
-    | Some s ->
-      let n = Stdx.Stats.count st in
-      let mean = if n = 0 then 0.0 else Stdx.Stats.mean st in
-      let close =
-        Float.abs (mean -. s.Analyze.s_mean)
-        <= 1e-6 *. (1.0 +. Float.abs s.Analyze.s_mean)
-      in
-      let ok = n = s.Analyze.s_count && close in
-      Printf.sprintf "%s %-26s critpath n=%-5d mean=%-9.4f analyzer n=%-5d mean=%-9.4f"
-        (if ok then "ok      " else "MISMATCH")
-        label n mean s.Analyze.s_count s.Analyze.s_mean
-  in
-  [ stage "create->rbc_deliver" (fun p -> p.p_rbc_deliver -. p.p_created);
-    stage "rbc_deliver->dag_insert" (fun p -> p.p_inserted -. p.p_rbc_deliver);
-    stage "dag_insert->commit" (fun p -> p.p_committed -. p.p_inserted);
-    stage "commit->a_deliver" (fun p -> p.p_adeliver -. p.p_committed);
-    stage "create->a_deliver (total)" (fun p -> p.p_adeliver -. p.p_created) ]
-
 (* ---- output ---- *)
-
-let summary_to_json (s : Analyze.summary) =
-  Stdx.Json.Obj
-    [ ("n", Stdx.Json.Int s.Analyze.s_count);
-      ("mean", Stdx.Json.Float s.Analyze.s_mean);
-      ("p50", Stdx.Json.Float s.Analyze.s_p50);
-      ("p99", Stdx.Json.Float s.Analyze.s_p99);
-      ("max", Stdx.Json.Float s.Analyze.s_max) ]
 
 let float_or_null v =
   if Float.is_nan v then Stdx.Json.Null else Stdx.Json.Float v
@@ -696,7 +624,6 @@ let path_to_json p =
       ("created", float_or_null p.p_created);
       ("rbc_deliver", float_or_null p.p_rbc_deliver);
       ("inserted", float_or_null p.p_inserted);
-      ("committed", float_or_null p.p_committed);
       ("a_deliver", Stdx.Json.Float p.p_adeliver);
       ("first_ready", float_or_null p.p_first_ready);
       ("straggler", Stdx.Json.Int p.p_straggler);
@@ -721,7 +648,7 @@ let report_to_json r =
       ("processes", Stdx.Json.Int r.r_processes);
       ("events", Stdx.Json.Int r.r_events);
       ("truncated", Stdx.Json.Bool r.r_truncated);
-      ("tolerance", Stdx.Json.Float r.r_tolerance);
+      ("tolerance", Stdx.Json.Float tolerance);
       ("commits", Stdx.Json.Int (List.length r.r_paths));
       ("complete", Stdx.Json.Int r.r_complete);
       ("reconciled", Stdx.Json.Int r.r_reconciled);
@@ -731,7 +658,9 @@ let report_to_json r =
           (List.map (fun (k, v) -> (k, Stdx.Json.Int v)) r.r_incomplete) );
       ( "segments",
         Stdx.Json.Obj
-          (List.map (fun (k, s) -> (k, summary_to_json s)) r.r_segments) );
+          (List.map
+             (fun (k, s) -> (k, Stdx.Stats.summary_to_json s))
+             r.r_segments) );
       ( "stragglers",
         Stdx.Json.List
           (List.map
@@ -748,7 +677,7 @@ let report_to_json r =
                Stdx.Json.Obj
                  [ ("src", Stdx.Json.Int src);
                    ("dst", Stdx.Json.Int dst);
-                   ("transit", summary_to_json s) ])
+                   ("transit", Stdx.Stats.summary_to_json s) ])
              r.r_edges) );
       ("paths", Stdx.Json.List (List.map path_to_json r.r_paths)) ]
 
@@ -832,10 +761,7 @@ let waterfall p =
   end;
   Buffer.contents buf
 
-let fmt_summary (s : Analyze.summary) =
-  Printf.sprintf "n=%-6d mean=%-9.3f p50=%-9.3f p99=%-9.3f max=%-9.3f"
-    s.Analyze.s_count s.Analyze.s_mean s.Analyze.s_p50 s.Analyze.s_p99
-    s.Analyze.s_max
+let fmt_summary = Stdx.Stats.fmt_summary ~width:9 ~max_width:9
 
 let render ?(top = 3) r =
   let buf = Buffer.create 4096 in
@@ -851,7 +777,7 @@ let render ?(top = 3) r =
   add
     "paths: %d commits reconstructed, %d complete, %d reconciled \
      (|residual| <= %.2f), max residual %.6f\n"
-    (List.length r.r_paths) r.r_complete r.r_reconciled r.r_tolerance
+    (List.length r.r_paths) r.r_complete r.r_reconciled tolerance
     r.r_max_residual;
   if r.r_incomplete <> [] then begin
     add "incomplete:";

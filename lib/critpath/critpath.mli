@@ -1,11 +1,10 @@
 (** Causal critical-path tracer: cross-node, per-commit latency
-    attribution.
+    attribution — the one create→[a_deliver] latency breakdown.
 
-    Where {!Analyze} answers "how long did each pipeline stage take on
-    average", this module answers "{e which messages, which links, and
-    which stragglers} made THIS commit as slow as it was". It consumes
-    the same {!Trace} event stream — live through {!Trace.add_sink} or
-    replayed from a JSONL dump — and uses the wire-level correlation
+    It answers "{e which messages, which links, and which stragglers}
+    made THIS commit as slow as it was". It consumes the {!Trace} event
+    stream — live through {!Trace.add_sink} or replayed from a JSONL
+    dump — and uses the wire-level correlation
     ids ({!Trace.kind.Send}[.id] / {!Trace.event}[.cause]) to rebuild,
     for every vertex the observer [a_deliver]ed, the cross-node causal
     chain from the proposer's [Vertex_created] to the observer's
@@ -28,8 +27,11 @@
 
     The six segments telescope: on a consistent (untruncated) trace
     their sum reconciles with the end-to-end latency exactly, which
-    {!report.r_reconciled} counts and {!cross_check} audits against the
-    analyzer's stage histograms.
+    {!report.r_reconciled} counts. The coarse pipeline stages are sums
+    of segments: create→RBC deliver is hold + stall + transit +
+    quorum-wait, RBC deliver→DAG insert is dag-wait, and DAG
+    insert→[a_deliver] is order-wait. Commit→[a_deliver] is zero: a
+    node emits a commit and its [a_deliver]s in one engine callback.
 
     When the run carries a traced workload ({!Trace.kind.Tx_submitted}
     / {!Trace.kind.Block_assembled}), a {e mempool-wait} segment is
@@ -39,18 +41,6 @@
     dwell from the event stream alone. Mempool dwell precedes vertex
     creation, so it reports alongside — not inside — the telescoping
     create→[a_deliver] decomposition and never perturbs residuals. *)
-
-type config = {
-  observer : int option;
-      (** process whose [a_deliver] log anchors reconstruction; [None]
-          picks the streaming observer if one was set at {!create},
-          else the process with the longest log (lowest id on ties) *)
-  tolerance : float;
-      (** |residual| bound (in virtual time) under which a path counts
-          as reconciled (default 1.0 — one simulator tick) *)
-}
-
-val default_config : config
 
 type hop = {
   h_id : int;  (** correlation id of the message *)
@@ -75,7 +65,6 @@ type path = {
   p_created : float;
   p_rbc_deliver : float;
   p_inserted : float;
-  p_committed : float;  (** observer's last commit before [a_deliver] *)
   p_adeliver : float;
   p_first_ready : float;  (** earliest counted quorum-ready arrival *)
   p_straggler : int;
@@ -115,13 +104,13 @@ type report = {
       (** stream did not start at sequence 0 (ring wrapped before the
           first event seen) — chains into the lost head come out
           "chain-broken", so completeness numbers are lower bounds *)
-  r_tolerance : float;
   r_paths : path list;  (** observer's [a_deliver] order *)
   r_complete : int;
-  r_reconciled : int;  (** complete and |residual| ≤ tolerance *)
+  r_reconciled : int;
+      (** complete and |residual| ≤ 1.0 (one simulator tick) *)
   r_max_residual : float;  (** worst |residual| over complete paths *)
   r_incomplete : (string * int) list;  (** reason → count, sorted *)
-  r_segments : (string * Analyze.summary) list;
+  r_segments : (string * Stdx.Stats.summary) list;
       (** per-segment digests over complete paths, pipeline order:
           "handler-hold", "retransmit-stall", "transit", "quorum-wait",
           "dag-wait", "order-wait", "total"; a leading "mempool-wait"
@@ -130,7 +119,7 @@ type report = {
   r_stragglers : (int * int * float) list;
       (** (node, paths it completed last, total quorum-wait charged),
           descending by count — who the fleet keeps waiting for *)
-  r_edges : ((int * int) * Analyze.summary) list;
+  r_edges : ((int * int) * Stdx.Stats.summary) list;
       (** per directed link (src, dst): transit digests over chain
           hops, descending by mean — the slowest links *)
 }
@@ -140,27 +129,30 @@ type report = {
 type t
 (** A streaming accumulator; feed events in stream order. *)
 
-val create : ?observer:int -> ?tolerance:float -> unit -> t
+val create : ?observer:int -> unit -> t
 (** With [observer], paths are reconstructed {e online} as that
     process's [a_deliver] events arrive, so {!segment_means} is cheap
     enough for monitor probes mid-run. Without it, reconstruction
-    happens at {!finalize} for whichever observer the config picks. *)
+    happens at {!finalize} for whichever observer it picks. *)
 
 val feed : t -> Trace.event -> unit
 (** O(1) per event; [Trace.add_sink tracer (feed acc)] reconstructs a
     live run in full even when the ring wraps. *)
 
-val finalize : ?config:config -> t -> report
-(** Pure with respect to the accumulator — feeding can continue and
-    [finalize] can be called again. *)
+val finalize : ?observer:int -> t -> report
+(** Reconstruct from [observer]'s [a_deliver] log. [None] picks the
+    streaming observer set at {!create}, else the process with the
+    longest log (lowest id on ties) — the analyzer's rule. Pure with
+    respect to the accumulator: feeding can continue and [finalize] can
+    be called again. *)
 
-val analyze : ?config:config -> Trace.event list -> report
+val analyze : ?observer:int -> Trace.event list -> report
 
-val of_tracer : ?config:config -> Trace.t -> report
+val of_tracer : ?observer:int -> Trace.t -> report
 (** Reconstruct from a tracer's retained window ({!Trace.events});
     [r_truncated] reports whether older events were lost. *)
 
-val of_jsonl_file : ?config:config -> string -> (report, string) result
+val of_jsonl_file : ?observer:int -> string -> (report, string) result
 (** Replay a JSONL trace dump written by [dagrider_run trace --jsonl]
     or the swarm checker. Pre-correlation-id dumps parse fine; their
     chains all come out "chain-broken" but landmarks still resolve. *)
@@ -171,14 +163,6 @@ val segment_means : t -> (string * float) list
     "critpath.complete", "critpath.reconciled",
     "critpath.<segment>.mean" — the series {!Harness.Runner} exports
     to {!Monitor} probes and [metrics_snapshot]. *)
-
-(** {1 Validation} *)
-
-val cross_check : report -> Analyze.report -> string list
-(** Audit the reconstruction against the analyzer's independent stage
-    histograms (same observer required): recompute the analyzer's five
-    landmark stages from the reconstructed paths and compare count and
-    mean per stage. Each line starts with ["ok"] or ["MISMATCH"]. *)
 
 (** {1 Output} *)
 

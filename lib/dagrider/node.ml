@@ -94,9 +94,6 @@ let rbc t =
   | Some r -> r
   | None -> invalid_arg "Node: rbc backend not wired (internal error)"
 
-let tr_emit t kind =
-  match t.trace with None -> () | Some tr -> Trace.emit tr kind
-
 (* ---- vertex creation (Algorithm 2, lines 16-21 and 27-31) ---- *)
 
 let next_block t ~round =
@@ -151,7 +148,9 @@ let in_dag_share t ~round =
     let wave_length = Ordering.coin_wave_length t.config.rule in
     if round > wave_length && (round - 1) mod wave_length = 0 then begin
       let wave = (round - 1) / wave_length in
-      tr_emit t (Trace.Coin_flip { node = t.me; wave });
+      (match t.trace with
+      | None -> ()
+      | Some tr -> Trace.emit tr (Trace.Coin_flip { node = t.me; wave }));
       Some (Crypto.Threshold_coin.make_share t.coin ~holder:t.me ~instance:wave)
     end
     else None
@@ -179,7 +178,9 @@ let create_and_broadcast_vertex t ~round =
       wrap_payload ~vertex_bytes:(Vertex.encode v)
         ~share:(in_dag_share t ~round)
   in
-  tr_emit t (Trace.Vertex_created { node = t.me; round });
+  (match t.trace with
+  | None -> ()
+  | Some tr -> Trace.emit tr (Trace.Vertex_created { node = t.me; round }));
   (rbc t).rbc_bcast ~payload ~round
 
 (* ---- wire codecs for the coin and sync channels ----
@@ -261,7 +262,9 @@ let coin_share_bits (s : Crypto.Threshold_coin.share) =
   8 * 12
 
 let broadcast_share t ~wave =
-  tr_emit t (Trace.Coin_flip { node = t.me; wave });
+  (match t.trace with
+  | None -> ()
+  | Some tr -> Trace.emit tr (Trace.Coin_flip { node = t.me; wave }));
   let share = Crypto.Threshold_coin.make_share t.coin ~holder:t.me ~instance:wave in
   Net.Port.broadcast t.coin_net ~src:t.me ~kind:"coin-share"
     ~bits:(coin_share_bits share) (Coin_share share)
@@ -387,9 +390,12 @@ let rec try_order_waves t =
       Ordering.process_wave t.ordering ~dag:t.dag ~wave:w ~choose_leader
     in
     if commits = [] then begin
-      tr_emit t
-        (Trace.Leader_skipped
-           { node = t.me; wave = w; leader = choose_leader w });
+      (match t.trace with
+      | None -> ()
+      | Some tr ->
+        Trace.emit tr
+          (Trace.Leader_skipped
+             { node = t.me; wave = w; leader = choose_leader w }));
       (* w <= decided_wave only happens on restore edge cases where the
          wave was in fact already decided — no skip evidence then *)
       if w > Ordering.decided_wave t.ordering then
@@ -397,23 +403,29 @@ let rec try_order_waves t =
     end;
     List.iter
       (fun (c : Ordering.commit) ->
-        tr_emit t
-          (Trace.Commit
-             { node = t.me;
-               wave = c.wave;
-               leader_round = c.leader.Vertex.round;
-               leader_source = c.leader.Vertex.source;
-               direct = c.direct;
-               delivered = List.length c.delivered });
+        (match t.trace with
+        | None -> ()
+        | Some tr ->
+          Trace.emit tr
+            (Trace.Commit
+               { node = t.me;
+                 wave = c.wave;
+                 leader_round = c.leader.Vertex.round;
+                 leader_source = c.leader.Vertex.source;
+                 direct = c.direct;
+                 delivered = List.length c.delivered }));
         emit_commit_cert t c;
         t.on_commit c;
         List.iter
           (fun v ->
-            tr_emit t
-              (Trace.A_deliver
-                 { node = t.me;
-                   round = v.Vertex.round;
-                   source = v.Vertex.source });
+            (match t.trace with
+            | None -> ()
+            | Some tr ->
+              Trace.emit tr
+                (Trace.A_deliver
+                   { node = t.me;
+                     round = v.Vertex.round;
+                     source = v.Vertex.source }));
             t.a_deliver ~block:v.Vertex.block ~round:v.Vertex.round
               ~source:v.Vertex.source)
           c.delivered)
@@ -430,7 +442,11 @@ let try_resolve_coin t ~wave =
     | Some leader ->
       Hashtbl.add t.leaders wave leader;
       Hashtbl.remove t.shares wave;
-      tr_emit t (Trace.Leader_elected { node = t.me; wave; leader });
+      (match t.trace with
+      | None -> ()
+      | Some tr ->
+        Trace.emit tr
+          (Trace.Leader_elected { node = t.me; wave; leader }));
       try_order_waves t
     | None -> ()
   end
@@ -509,11 +525,14 @@ let rec try_advance t =
             Dag.add t.dag v;
             (* [add] drops a vertex of a garbage-collected round *)
             if Dag.contains t.dag vref then
-              tr_emit t
-                (Trace.Vertex_added
-                   { node = t.me;
-                     round = v.Vertex.round;
-                     source = v.Vertex.source })
+              (match t.trace with
+              | None -> ()
+              | Some tr ->
+                Trace.emit tr
+                  (Trace.Vertex_added
+                     { node = t.me;
+                       round = v.Vertex.round;
+                       source = v.Vertex.source }))
           end)
         ready;
       t.buffer <- waiting;
@@ -524,7 +543,11 @@ let rec try_advance t =
   if Dag.round_size t.dag t.round >= (2 * t.config.f) + 1 then begin
     wave_ready t ~round:t.round;
     t.round <- t.round + 1;
-    tr_emit t (Trace.Round_advanced { node = t.me; round = t.round });
+    (match t.trace with
+    | None -> ()
+    | Some tr ->
+      Trace.emit tr
+        (Trace.Round_advanced { node = t.me; round = t.round }));
     create_and_broadcast_vertex t ~round:t.round;
     try_advance t
   end
@@ -593,7 +616,9 @@ let request_sync t =
     (* surface the misconfiguration instead of silently doing nothing:
        a restart driver that calls this without wiring a sync channel
        would otherwise look like a liveness bug in the protocol *)
-    tr_emit t (Trace.Sync_unavailable { node = t.me });
+    (match t.trace with
+    | None -> ()
+    | Some tr -> Trace.emit tr (Trace.Sync_unavailable { node = t.me }));
     false
   | Some net ->
     (* u8 tag + u32 from_round *)
@@ -615,7 +640,11 @@ let request_sync t =
 let max_sync_pending = 2048
 
 let sync_reject t ~src ~round ~source reason =
-  tr_emit t (Trace.Sync_reject { node = t.me; src; round; source; reason })
+  (match t.trace with
+  | None -> ()
+  | Some tr ->
+    Trace.emit tr
+      (Trace.Sync_reject { node = t.me; src; round; source; reason }))
 
 let admit_sync_vertex t ~src ~payload ~round ~source =
   if round < 1 || source < 0 || source >= t.config.n then

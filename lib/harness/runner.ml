@@ -455,7 +455,7 @@ let build options =
       ( (fun ~me ~deliver ->
           let rng = Stdx.Rng.split gossip_rng in
           let g =
-            Rbc.Gossip.create_port ~port:stack.st_port ~rng ~me ~f ~deliver ()
+            Rbc.Gossip.create_port ~port:stack.st_port ~rng ~me ~f ~deliver
           in
           (match options.trace with
           | None -> ()

@@ -167,13 +167,25 @@ type 'msg t = {
   mutable decode_failures : int;
 }
 
-let tr_emit t kind =
-  match t.trace with None -> () | Some tr -> Trace.emit tr kind
-
 (* receiver-side events happen inside the delivery of some frame: the
-   ambient cause IS that frame's correlation id *)
-let cur_mid t =
-  match t.trace with None -> -1 | Some tr -> Trace.current_cause tr
+   ambient cause IS that frame's correlation id. Both test [t.trace]
+   before they build the event, so an untraced link allocates nothing *)
+let tr_rx_drop t ~src ~kind reason =
+  match t.trace with
+  | None -> ()
+  | Some tr ->
+    Trace.emit tr
+      (Trace.Drop
+         { src; dst = t.me; msg_kind = kind; reason;
+           id = Trace.current_cause tr })
+
+let tr_corrupt t ~src ~kind =
+  match t.trace with
+  | None -> ()
+  | Some tr ->
+    Trace.emit tr
+      (Trace.Corrupt_reject
+         { src; dst = t.me; msg_kind = kind; id = Trace.current_cause tr })
 
 let mid_opt id = if id >= 0 then Some id else None
 
@@ -203,10 +215,13 @@ let rec schedule_retry t ~dst ~seq ~timeout =
           if o.o_attempt >= t.config.max_attempts then begin
             Hashtbl.remove t.unacked (dst, seq);
             t.gave_up <- t.gave_up + 1;
-            tr_emit t
-              (Trace.Drop
-                 { src = t.me; dst; msg_kind = o.o_kind; reason = "give-up";
-                   id = o.o_id })
+            match t.trace with
+            | None -> ()
+            | Some tr ->
+              Trace.emit tr
+                (Trace.Drop
+                   { src = t.me; dst; msg_kind = o.o_kind; reason = "give-up";
+                     id = o.o_id })
           end
           else begin
             let sp = Prof.enter "link.retransmit" in
@@ -214,10 +229,13 @@ let rec schedule_retry t ~dst ~seq ~timeout =
                o.o_attempt <- o.o_attempt + 1;
                t.retransmits <- t.retransmits + 1;
                t.per_dst_retransmits.(dst) <- t.per_dst_retransmits.(dst) + 1;
-               tr_emit t
-                 (Trace.Retransmit
-                    { src = t.me; dst; msg_kind = o.o_kind; seq;
-                      attempt = o.o_attempt; id = o.o_id });
+               (match t.trace with
+               | None -> ()
+               | Some tr ->
+                 Trace.emit tr
+                   (Trace.Retransmit
+                      { src = t.me; dst; msg_kind = o.o_kind; seq;
+                        attempt = o.o_attempt; id = o.o_id }));
                Network.send ?mid:(mid_opt o.o_id) t.net ~src:t.me ~dst
                  ~kind:o.o_kind ~bits:o.o_bits o.o_frame;
                let next =
@@ -286,9 +304,7 @@ let on_frame t ~src frame =
     | Data { seq; kind; bytes; _ } ->
       if not (frame_intact frame) then begin
         t.corrupt_rejected <- t.corrupt_rejected + 1;
-        tr_emit t
-          (Trace.Corrupt_reject
-             { src; dst = t.me; msg_kind = kind; id = cur_mid t })
+        tr_corrupt t ~src ~kind
         (* no ack: the sender's retransmission recovers the frame *)
       end
       else begin
@@ -298,10 +314,7 @@ let on_frame t ~src frame =
           (make_ack ~seq);
         if not (mark_seen t ~src ~seq) then begin
           t.dup_suppressed <- t.dup_suppressed + 1;
-          tr_emit t
-            (Trace.Drop
-               { src; dst = t.me; msg_kind = kind; reason = "duplicate";
-                 id = cur_mid t })
+          tr_rx_drop t ~src ~kind "duplicate"
         end
         else
           match t.decode bytes with
@@ -309,27 +322,19 @@ let on_frame t ~src frame =
             (* transport did its job; the payload itself is garbage
                (Byzantine sender) — count it and move on *)
             t.decode_failures <- t.decode_failures + 1;
-            tr_emit t
-              (Trace.Drop
-                 { src; dst = t.me; msg_kind = kind; reason = "decode";
-                   id = cur_mid t })
+            tr_rx_drop t ~src ~kind "decode"
           | Some msg -> (
             match t.handler with
             | Some handler -> handler ~src msg
             | None ->
-              tr_emit t
-                (Trace.Drop
-                   { src; dst = t.me; msg_kind = kind; reason = "no-handler";
-                     id = cur_mid t }))
+              tr_rx_drop t ~src ~kind "no-handler")
       end
     | Ack { seq; _ } ->
       if not (frame_intact frame) then begin
         (* a corrupted ack must not acknowledge anything: drop it and
            let the (re-acked) retransmission settle the frame *)
         t.corrupt_rejected <- t.corrupt_rejected + 1;
-        tr_emit t
-          (Trace.Corrupt_reject
-             { src; dst = t.me; msg_kind = "link-ack"; id = cur_mid t })
+        tr_corrupt t ~src ~kind:"link-ack"
       end
       else Hashtbl.remove t.unacked (src, seq)
    with e -> Prof.leave_reraise sp e);

@@ -384,9 +384,6 @@ let create_port ~port ~me ~f ~deliver =
   Net.Port.register port me (fun ~src msg -> handle t ~src msg);
   t
 
-let create ~net ~me ~f ~deliver =
-  create_port ~port:(Net.Port.of_network net) ~me ~f ~deliver
-
 let disperse t ~round ~frags ~data_len =
   phase t ~origin:t.me ~round "disperse";
   let tree = Crypto.Merkle.build frags in

@@ -66,11 +66,8 @@ type t
 
 val create_port :
   port:msg Net.Port.t -> me:int -> f:int -> deliver:Rbc_intf.deliver -> t
-(** Transport-agnostic constructor (see {!Net.Port}). *)
-
-val create :
-  net:msg Net.Network.t -> me:int -> f:int -> deliver:Rbc_intf.deliver -> t
-(** [create_port] over [Net.Port.of_network net]. *)
+(** Transport-agnostic constructor (see {!Net.Port}); a network is
+    [Net.Port.of_network net]. *)
 
 val set_trace : t -> Trace.t -> unit
 (** Emit {!Trace.Rbc_phase} events ("disperse", "echo", "ready",

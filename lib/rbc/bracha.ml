@@ -195,9 +195,6 @@ let create_port ~port ~me ~f ~deliver =
   Net.Port.register port me (fun ~src msg -> handle t ~src msg);
   t
 
-let create ~net ~me ~f ~deliver =
-  create_port ~port:(Net.Port.of_network net) ~me ~f ~deliver
-
 let bcast t ~payload ~round =
   let sp = Prof.enter "rbc.bracha.bcast" in
   (try

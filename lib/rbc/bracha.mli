@@ -47,11 +47,7 @@ val create_port :
 (** Registers process [me]'s handler on the port — a direct network or
     reliable links over a lossy one; the protocol is transport-agnostic
     (its handlers are idempotent, so even transport-level duplicates
-    are harmless). *)
-
-val create :
-  net:msg Net.Network.t -> me:int -> f:int -> deliver:Rbc_intf.deliver -> t
-(** [create_port] over [Net.Port.of_network net]. *)
+    are harmless). A network is [Net.Port.of_network net]. *)
 
 val set_trace : t -> Trace.t -> unit
 (** Emit {!Trace.Rbc_phase} events ("init", "echo", "ready", "deliver")

@@ -49,20 +49,14 @@ let decode_msg src =
 
 let msg_bits msg = Wire.bits (encode_msg msg)
 
-type params = {
-  gossip_factor : float;
-  echo_sample : float;
-  ready_sample : float;
-  echo_threshold : float;
-  ready_threshold : float;
-}
-
-let default_params =
-  { gossip_factor = 3.0;
-    echo_sample = 4.0;
-    ready_sample = 4.0;
-    echo_threshold = 0.5;
-    ready_threshold = 0.33 }
+(* the gossip, echo and ready samples are these multiples of ln n, and
+   an instance turns ready / delivers on these fractions of its echo /
+   ready sample *)
+let gossip_factor = 3.0
+let echo_sample = 4.0
+let ready_sample = 4.0
+let echo_threshold = 0.5
+let ready_threshold = 0.33
 
 type instance = {
   mutable payload : string option;
@@ -255,16 +249,16 @@ let handle t ~src msg =
    with e -> Prof.leave_reraise sp e);
   Prof.leave sp
 
-let create_port ~port ~rng ?(params = default_params) ~me ~f ~deliver () =
+let create_port ~port ~rng ~me ~f ~deliver =
   let n = Net.Port.n port in
-  let gossip_size = sample_size n params.gossip_factor in
-  let echo_size = sample_size n params.echo_sample in
-  let ready_size = sample_size n params.ready_sample in
+  let gossip_size = sample_size n gossip_factor in
+  let echo_size = sample_size n echo_sample in
+  let ready_size = sample_size n ready_sample in
   let echo_need =
-    max 1 (int_of_float (ceil (params.echo_threshold *. float_of_int echo_size)))
+    max 1 (int_of_float (ceil (echo_threshold *. float_of_int echo_size)))
   in
   let ready_need =
-    max 1 (int_of_float (ceil (params.ready_threshold *. float_of_int ready_size)))
+    max 1 (int_of_float (ceil (ready_threshold *. float_of_int ready_size)))
   in
   (* Byzantine floors for the degenerate small-n regime: when a sample
      covers the whole network the epidemic is just broadcast, and the
@@ -297,9 +291,6 @@ let create_port ~port ~rng ?(params = default_params) ~me ~f ~deliver () =
   in
   Net.Port.register port me (fun ~src msg -> handle t ~src msg);
   t
-
-let create ~net ~rng ?params ~me ~f ~deliver () =
-  create_port ~port:(Net.Port.of_network net) ~rng ?params ~me ~f ~deliver ()
 
 let bcast t ~payload ~round =
   let sp = Prof.enter "rbc.gossip.bcast" in

@@ -5,17 +5,17 @@
     Structure (simplified from the paper's Murmur/Sieve/Contagion stack,
     keeping the sample-based costs and the ε-failure trade-off):
     - {b dissemination} (Murmur): the sender gossips the payload to a
-      random sample of [G = ceil (gossip_factor * ln n)] peers; every
+      random sample of [G = ceil (3 ln n)] peers; every
       process relays on first receipt to its own sample — an epidemic
       that reaches all correct processes whp;
     - {b consistency} (Sieve): on first receipt a process sends a
-      digest-only [Echo] to a random sample of size [E]; a process that
-      has accumulated [echo_threshold * E] echoes for one digest becomes
-      {e ready};
+      digest-only [Echo] to a random sample of size [E = ceil (4 ln n)];
+      a process that has accumulated [ceil (0.5 E)] echoes for one
+      digest becomes {e ready};
     - {b totality} (Contagion): ready processes send digest-only [Ready]
-      to a sample of size [R]; [ready_threshold * R] readies (plus the
-      payload itself) trigger delivery, and readies are re-gossiped once
-      on a feedback threshold.
+      to a sample of size [R = ceil (4 ln n)]; [ceil (0.33 R)] readies
+      (plus the payload itself) trigger delivery, and readies are
+      re-gossiped once on a feedback threshold.
 
     Unlike Bracha/AVID the guarantees hold with probability [1 - ε]
     rather than 1 — the paper's reliable-broadcast abstraction is stated
@@ -32,39 +32,17 @@ type msg =
 val encode_msg : msg -> string
 val decode_msg : string -> msg option
 
-type params = {
-  gossip_factor : float;  (** sample multiplier on ln n; default 3.0 *)
-  echo_sample : float;    (** echo sample multiplier on ln n; default 4.0 *)
-  ready_sample : float;   (** ready sample multiplier on ln n; default 4.0 *)
-  echo_threshold : float; (** fraction of echo sample required; default 0.66 *)
-  ready_threshold : float;(** fraction of ready sample required; default 0.33 *)
-}
-
-val default_params : params
-
 type t
 
 val create_port :
   port:msg Net.Port.t ->
   rng:Stdx.Rng.t ->
-  ?params:params ->
   me:int ->
   f:int ->
   deliver:Rbc_intf.deliver ->
-  unit ->
   t
-(** Transport-agnostic constructor (see {!Net.Port}). *)
-
-val create :
-  net:msg Net.Network.t ->
-  rng:Stdx.Rng.t ->
-  ?params:params ->
-  me:int ->
-  f:int ->
-  deliver:Rbc_intf.deliver ->
-  unit ->
-  t
-(** [create_port] over [Net.Port.of_network net]. *)
+(** Transport-agnostic constructor (see {!Net.Port}); a network is
+    [Net.Port.of_network net]. *)
 
 val set_trace : t -> Trace.t -> unit
 (** Emit {!Trace.Rbc_phase} events ("init", "gossip", "echo", "ready",

@@ -63,6 +63,40 @@ let summary t =
   Printf.sprintf "n=%d mean=%.3f p50=%.3f p99=%.3f max=%.3f"
     t.n (mean t) (percentile t 50.0) (percentile t 99.0) (max_value t)
 
+type summary = {
+  s_count : int;
+  s_mean : float;
+  s_p50 : float;
+  s_p99 : float;
+  s_max : float;
+}
+
+let empty_summary =
+  { s_count = 0; s_mean = 0.0; s_p50 = 0.0; s_p99 = 0.0; s_max = 0.0 }
+
+let to_summary t =
+  if t.n = 0 then empty_summary
+  else
+    { s_count = t.n;
+      s_mean = mean t;
+      s_p50 = percentile t 50.0;
+      s_p99 = percentile t 99.0;
+      s_max = max_value t }
+
+let summary_to_json s =
+  Json.Obj
+    [ ("count", Json.Int s.s_count);
+      ("mean", Json.Float s.s_mean);
+      ("p50", Json.Float s.s_p50);
+      ("p99", Json.Float s.s_p99);
+      ("max", Json.Float s.s_max) ]
+
+let fmt_summary ?(width = 8) ?(max_width = 0) s =
+  if s.s_count = 0 then "(no samples)"
+  else
+    Printf.sprintf "n=%-6d mean=%-*.3f p50=%-*.3f p99=%-*.3f max=%-*.3f"
+      s.s_count width s.s_mean width s.s_p50 width s.s_p99 max_width s.s_max
+
 let linear_fit points =
   let n = List.length points in
   if n < 2 then invalid_arg "Stats.linear_fit: need at least two points";

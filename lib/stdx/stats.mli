@@ -29,6 +29,30 @@ val percentile : t -> float -> float
 val summary : t -> string
 (** One-line human-readable summary: count/mean/p50/p99/max. *)
 
+type summary = {
+  s_count : int;
+  s_mean : float;
+  s_p50 : float;
+  s_p99 : float;
+  s_max : float;
+}
+(** Digest of one distribution (all zeros when empty): what the
+    analyzer's round skew and RBC phases and the critical-path
+    segments and links report. *)
+
+val empty_summary : summary
+
+val to_summary : t -> summary
+(** {!empty_summary} when [t] is empty. *)
+
+val summary_to_json : summary -> Json.t
+(** [{"count", "mean", "p50", "p99", "max"}]. *)
+
+val fmt_summary : ?width:int -> ?max_width:int -> summary -> string
+(** ["n=… mean=… p50=… p99=… max=…"] with mean, p50 and p99 left-aligned
+    in [width] columns (default 8) and max in [max_width] (default 0,
+    unpadded); ["(no samples)"] when empty. *)
+
 val linear_fit : (float * float) list -> float * float
 (** Least-squares fit [y = a + b*x]; returns [(a, b)].
     @raise Invalid_argument on fewer than two points. *)

@@ -52,14 +52,6 @@ let test_honest_500_waves () =
     (r.Analyze.r_chain_quality.Metrics.Chain_quality.worst_prefix_ratio
      >= r.Analyze.r_chain_quality_bound);
   checkb "ordered a substantial log" true (r.Analyze.r_ordered > 1000);
-  (* every stage histogram of the commit-latency breakdown is populated *)
-  List.iter
-    (fun (stage, s) ->
-      checkb (stage ^ " populated") true (s.Analyze.s_count > 0);
-      checkb (stage ^ " p99 >= p50") true (s.Analyze.s_p99 >= s.Analyze.s_p50))
-    r.Analyze.r_stages;
-  checki "no incomplete vertices on a full stream" 0
-    r.Analyze.r_incomplete_vertices;
   (* wave records are ascending and the last running mean matches *)
   let waves = List.map (fun w -> w.Analyze.w_wave) r.Analyze.r_waves in
   checkb "waves ascending" true (List.sort compare waves = waves)

@@ -1,11 +1,13 @@
-(* Tests for the causal critical-path tracer: the PR's acceptance
-   criterion (on a 500+-wave traced honest run, every commit's segment
-   sum must reconcile with its end-to-end latency within one sim tick,
-   cross-checked against the analyzer's stage histograms), the
-   correlation-id JSONL round-trip, backward compatibility with
-   pre-correlation-id trace files, straggler attribution under a
-   deliberately slowed node, and JSONL-replay parity with live
-   collection. *)
+(* Tests for the causal critical-path tracer: on a 500+-wave traced
+   honest run every commit's segment sum must reconcile with its
+   end-to-end latency within one sim tick; every path's landmarks and
+   landmark-derived segments must equal the reference lookup in
+   critpath_reference.ml (live fleets under both rules and two RBC
+   backends, a lossy run, a ring-truncated window, a stream with
+   repeated landmark events); the correlation-id JSONL round-trip,
+   backward compatibility with pre-correlation-id trace files,
+   straggler attribution under a deliberately slowed node, and
+   JSONL-replay parity with live collection. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -17,7 +19,8 @@ let contains haystack needle =
 
 let build_traced ?(n = 4) ?(seed = 42) ?(until = 60.0) ?(capacity = 4096)
     ?(schedule = Harness.Runner.Synchronous) ?(backend = Harness.Runner.Bracha)
-    ?gc_depth ?(block_bytes = 32) ?(faults = []) ?(workload = None) () =
+    ?(rule = Dagrider.Ordering.dag_rider) ?link_faults ?gc_depth
+    ?(block_bytes = 32) ?(faults = []) ?(workload = None) () =
   let tracer = Trace.create ~capacity () in
   let fleet =
     Harness.Runner.build
@@ -25,6 +28,8 @@ let build_traced ?(n = 4) ?(seed = 42) ?(until = 60.0) ?(capacity = 4096)
         seed;
         schedule;
         backend;
+        rule;
+        link_faults;
         gc_depth;
         block_bytes;
         faults;
@@ -56,15 +61,6 @@ let test_reconciles_500_waves () =
   checki "every segment sum reconciles within one tick"
     r.Critpath.r_complete r.Critpath.r_reconciled;
   checkb "max residual within one tick" true (r.Critpath.r_max_residual <= 1.0);
-  (* the cross-check against the analyzer's stage histograms: counts
-     and means must agree on every shared stage *)
-  let lines = Critpath.cross_check r ar in
-  checkb "cross-check produced stage lines" true (List.length lines >= 5);
-  List.iter
-    (fun line ->
-      checkb ("stage agrees: " ^ line) true
-        (String.length line >= 2 && String.sub line 0 2 = "ok"))
-    lines;
   (* segment aggregates are populated and coherent *)
   let seg name =
     match List.assoc_opt name r.Critpath.r_segments with
@@ -74,10 +70,148 @@ let test_reconciles_500_waves () =
   List.iter
     (fun name ->
       let s = seg name in
-      checkb (name ^ " populated") true (s.Analyze.s_count > 0);
-      checkb (name ^ " non-negative") true (s.Analyze.s_mean >= 0.0))
+      checkb (name ^ " populated") true (s.Stdx.Stats.s_count > 0);
+      checkb (name ^ " non-negative") true (s.Stdx.Stats.s_mean >= 0.0))
     [ "handler-hold"; "transit"; "quorum-wait"; "dag-wait"; "order-wait";
       "total" ]
+
+(* ---- landmarks equal the reference lookup ---- *)
+
+let landmark_reasons = [ "no-create"; "no-rbc-deliver"; "no-dag-insert" ]
+
+(* the landmark runs use a random schedule: under the synchronous one
+   every link has the same delay, so a deliver key with node and origin
+   swapped, or the source's insert read for the observer's, would go
+   unseen *)
+
+(* every path against Critpath_reference, exactly: the four landmarks,
+   the landmark-derived dag/order/total (also on broken chains), and the
+   missing-landmark reason. Returns the number of paths that lack a
+   landmark *)
+let check_landmarks what (r : Critpath.report) events =
+  let module R = Critpath_reference in
+  let refs = R.landmarks ~observer:r.Critpath.r_observer events in
+  checki (what ^ ": one path per observer a_deliver") (List.length refs)
+    (List.length r.Critpath.r_paths);
+  let mismatches = ref [] in
+  let note at field want got =
+    mismatches :=
+      Printf.sprintf "%s %s: reference %s, critpath %s" at field want got
+      :: !mismatches
+  in
+  List.iter2
+    (fun (l : R.landmarks) (p : Critpath.path) ->
+      let at = Printf.sprintf "(r%d,p%d)" l.R.round l.R.source in
+      if (l.R.round, l.R.source) <> (p.Critpath.p_round, p.Critpath.p_source)
+      then
+        note at "vertex"
+          (Printf.sprintf "(r%d,p%d)" l.R.round l.R.source)
+          (Printf.sprintf "(r%d,p%d)" p.Critpath.p_round p.Critpath.p_source);
+      List.iter
+        (fun (field, want, got) ->
+          let same =
+            (Float.is_nan want && Float.is_nan got) || Float.equal want got
+          in
+          if not same then note at field (Printf.sprintf "%h" want) (Printf.sprintf "%h" got))
+        [ ("created", R.nan_of l.R.created, p.Critpath.p_created);
+          ("rbc_deliver", R.nan_of l.R.rbc_deliver, p.Critpath.p_rbc_deliver);
+          ("inserted", R.nan_of l.R.inserted, p.Critpath.p_inserted);
+          ("a_deliver", l.R.adeliver, p.Critpath.p_adeliver);
+          ("dag", R.dag l, p.Critpath.p_dag);
+          ("order", R.order l, p.Critpath.p_order);
+          ("total", R.total l, p.Critpath.p_total) ];
+      match R.missing l with
+      | Some reason ->
+        if p.Critpath.p_reason <> reason then
+          note at "reason" reason p.Critpath.p_reason
+      | None ->
+        if List.mem p.Critpath.p_reason landmark_reasons then
+          note at "reason" "(all landmarks)" p.Critpath.p_reason)
+    refs r.Critpath.r_paths;
+  Alcotest.(check (list string))
+    (what ^ ": landmarks equal the reference")
+    []
+    (List.filteri (fun i _ -> i < 5) (List.rev !mismatches));
+  List.length (List.filter (fun l -> R.missing l <> None) refs)
+
+let full_events tracer =
+  checki "the ring kept every event" 0 (Trace.dropped tracer);
+  Trace.events tracer
+
+let test_landmarks_live () =
+  List.iter
+    (fun (rule, backend, label) ->
+      let fleet, tracer =
+        build_traced ~capacity:100_000 ~schedule:Harness.Runner.Uniform_random
+          ~rule ~backend ~until:60.0 ()
+      in
+      let events = full_events tracer in
+      let what = rule.Dagrider.Ordering.rule_name ^ "/" ^ label in
+      let live = report_of fleet in
+      checkb (what ^ ": commits") true (live.Critpath.r_complete > 0);
+      ignore (check_landmarks (what ^ " streaming") live events);
+      ignore (check_landmarks (what ^ " replay") (Critpath.analyze events) events))
+    [ (Dagrider.Ordering.dag_rider, Harness.Runner.Bracha, "bracha");
+      (Dagrider.Ordering.dag_rider, Harness.Runner.Avid, "avid");
+      (Dagrider.Ordering.bullshark, Harness.Runner.Bracha, "bracha");
+      (Dagrider.Ordering.bullshark, Harness.Runner.Avid, "avid") ]
+
+let test_landmarks_lossy () =
+  let fleet, tracer =
+    build_traced ~capacity:200_000 ~schedule:Harness.Runner.Uniform_random
+      ~link_faults:
+        { Harness.Runner.default_link_faults with
+          lf_drop = 0.1;
+          lf_duplicate = 0.02 }
+      ~until:60.0 ()
+  in
+  let events = full_events tracer in
+  checkb "the links retransmitted" true
+    (List.exists
+       (fun e ->
+         match e.Trace.kind with Trace.Retransmit _ -> true | _ -> false)
+       events);
+  ignore (check_landmarks "lossy streaming" (report_of fleet) events);
+  ignore (check_landmarks "lossy replay" (Critpath.analyze events) events)
+
+let test_landmarks_truncated () =
+  let _, tracer =
+    build_traced ~capacity:3000 ~schedule:Harness.Runner.Uniform_random
+      ~until:60.0 ()
+  in
+  checkb "the ring wrapped" true (Trace.dropped tracer > 0);
+  let r = Critpath.of_tracer tracer in
+  checkb "truncation reported" true r.Critpath.r_truncated;
+  let missing =
+    check_landmarks "truncated window" r (Trace.events tracer)
+  in
+  checkb "some paths lost a landmark to the wrap" true (missing > 0)
+
+(* a stream that repeats every landmark event later: the first one
+   seen must win, as in the reference *)
+let test_landmarks_first_wins () =
+  let _, tracer =
+    build_traced ~capacity:100_000 ~schedule:Harness.Runner.Uniform_random
+      ~until:60.0 ()
+  in
+  let events = full_events tracer in
+  let last_seq = List.fold_left (fun acc e -> max acc e.Trace.seq) 0 events in
+  let repeats =
+    List.filter_map
+      (fun e ->
+        match e.Trace.kind with
+        | Trace.Vertex_created _ | Trace.Vertex_added _
+        | Trace.Rbc_phase { phase = "deliver"; _ } ->
+          Some e
+        | _ -> None)
+      events
+    |> List.mapi (fun i e ->
+           { e with Trace.seq = last_seq + 1 + i; time = e.Trace.time +. 1000.0 })
+  in
+  let events = events @ repeats in
+  let r = Critpath.analyze events in
+  checkb "paths reconstructed" true (r.Critpath.r_complete > 0);
+  ignore (check_landmarks "repeated landmarks" r events)
 
 (* ---- correlation ids survive the JSONL round-trip ---- *)
 
@@ -243,8 +377,8 @@ let test_mempool_dwell_attributed () =
   (* mempool-wait leads the segment table on workload runs... *)
   (match r.Critpath.r_segments with
   | ("mempool-wait", s) :: _ ->
-    checkb "mempool-wait populated" true (s.Analyze.s_count > 0);
-    checkb "mempool-wait mean non-negative" true (s.Analyze.s_mean >= 0.0)
+    checkb "mempool-wait populated" true (s.Stdx.Stats.s_count > 0);
+    checkb "mempool-wait mean non-negative" true (s.Stdx.Stats.s_mean >= 0.0)
   | _ -> Alcotest.fail "mempool-wait segment missing on a workload run");
   (* ...without perturbing reconciliation: dwell is pre-creation time,
      outside the telescoping segments *)
@@ -275,11 +409,7 @@ let test_replay_matches_live () =
       close_out oc;
       let replay =
         match
-          Critpath.of_jsonl_file
-            ~config:
-              { Critpath.default_config with
-                observer = Some live.Critpath.r_observer }
-            file
+          Critpath.of_jsonl_file ~observer:live.Critpath.r_observer file
         with
         | Ok r -> r
         | Error msg -> Alcotest.fail msg
@@ -294,11 +424,11 @@ let test_replay_matches_live () =
         replay.Critpath.r_reconciled;
       (* segment means agree to the digit the reports print *)
       List.iter2
-        (fun (name, (a : Analyze.summary)) (name', (b : Analyze.summary)) ->
+        (fun (name, (a : Stdx.Stats.summary)) (name', (b : Stdx.Stats.summary)) ->
           checkb ("segment list aligned: " ^ name) true (name = name');
-          checki ("segment n: " ^ name) a.Analyze.s_count b.Analyze.s_count;
+          checki ("segment n: " ^ name) a.s_count b.s_count;
           checkb ("segment mean: " ^ name) true
-            (Float.abs (a.Analyze.s_mean -. b.Analyze.s_mean) < 1e-9))
+            (Float.abs (a.s_mean -. b.s_mean) < 1e-9))
         live.Critpath.r_segments replay.Critpath.r_segments)
 
 (* ---- pinned reconciliation counts at fleet scale ---- *)
@@ -345,6 +475,14 @@ let () =
     [ ( "acceptance",
         [ Alcotest.test_case "500+ waves reconcile within a tick" `Slow
             test_reconciles_500_waves ] );
+      ( "landmarks",
+        [ Alcotest.test_case "live fleets, both rules, bracha and avid"
+            `Quick test_landmarks_live;
+          Alcotest.test_case "lossy run" `Quick test_landmarks_lossy;
+          Alcotest.test_case "ring-truncated window" `Quick
+            test_landmarks_truncated;
+          Alcotest.test_case "first landmark wins" `Quick
+            test_landmarks_first_wins ] );
       ( "jsonl",
         [ QCheck_alcotest.to_alcotest prop_jsonl_round_trip_ids;
           Alcotest.test_case "pre-id traces still analyze" `Quick

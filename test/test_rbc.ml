@@ -35,24 +35,27 @@ let make_fleet ?(seed = 9) ~backend ~n ~f () =
     match backend with
     | B_bracha ->
       let net = Net.Network.create ~engine ~sched ~counters ~n in
+      let port = Net.Port.of_network net in
       let eps =
         Array.init n (fun me ->
-            Rbc.Bracha.create ~net ~me ~f ~deliver:(deliver_to me))
+            Rbc.Bracha.create_port ~port ~me ~f ~deliver:(deliver_to me))
       in
       fun i ~payload ~round -> Rbc.Bracha.bcast eps.(i) ~payload ~round
     | B_avid ->
       let net = Net.Network.create ~engine ~sched ~counters ~n in
+      let port = Net.Port.of_network net in
       let eps =
         Array.init n (fun me ->
-            Rbc.Avid.create ~net ~me ~f ~deliver:(deliver_to me))
+            Rbc.Avid.create_port ~port ~me ~f ~deliver:(deliver_to me))
       in
       fun i ~payload ~round -> Rbc.Avid.bcast eps.(i) ~payload ~round
     | B_gossip ->
       let net = Net.Network.create ~engine ~sched ~counters ~n in
+      let port = Net.Port.of_network net in
       let eps =
         Array.init n (fun me ->
-            Rbc.Gossip.create ~net ~rng:(Stdx.Rng.split rng) ~me ~f
-              ~deliver:(deliver_to me) ())
+            Rbc.Gossip.create_port ~port ~rng:(Stdx.Rng.split rng) ~me ~f
+              ~deliver:(deliver_to me))
       in
       fun i ~payload ~round -> Rbc.Gossip.bcast eps.(i) ~payload ~round
   in
@@ -159,10 +162,11 @@ let make_bracha_raw ~n ~f ~seed =
   let counters = Metrics.Counters.create () in
   let sched = Net.Sched.uniform_random ~rng:(Stdx.Rng.create seed) in
   let net = Net.Network.create ~engine ~sched ~counters ~n in
+  let port = Net.Port.of_network net in
   let deliveries = Array.init n (fun _ -> ref []) in
   let eps =
     Array.init n (fun me ->
-        Rbc.Bracha.create ~net ~me ~f ~deliver:(fun ~payload ~round ~source ->
+        Rbc.Bracha.create_port ~port ~me ~f ~deliver:(fun ~payload ~round ~source ->
             deliveries.(me) := (payload, round, source) :: !(deliveries.(me))))
   in
   (engine, net, deliveries, eps)
@@ -370,10 +374,11 @@ let check_horizon ~create ~prune_below ~open_instances ~dropped ~bcast ~stale =
   let counters = Metrics.Counters.create () in
   let sched = Net.Sched.uniform_random ~rng:(Stdx.Rng.create 21) in
   let net = Net.Network.create ~engine ~sched ~counters ~n in
+  let port = Net.Port.of_network net in
   let deliveries = Array.init n (fun _ -> ref []) in
   let eps =
     Array.init n (fun me ->
-        create ~net ~me ~deliver:(fun ~payload ~round ~source ->
+        create ~port ~me ~deliver:(fun ~payload ~round ~source ->
             deliveries.(me) := (payload, round, source) :: !(deliveries.(me))))
   in
   Array.iter (fun ep -> prune_below ep ~round:horizon) eps;
@@ -400,7 +405,8 @@ let check_horizon ~create ~prune_below ~open_instances ~dropped ~bcast ~stale =
 let test_bracha_below_horizon_dropped () =
   let payload = "stale" in
   check_horizon
-    ~create:(fun ~net ~me ~deliver -> Rbc.Bracha.create ~net ~me ~f:1 ~deliver)
+    ~create:(fun ~port ~me ~deliver ->
+      Rbc.Bracha.create_port ~port ~me ~f:1 ~deliver)
     ~prune_below:Rbc.Bracha.prune_below ~open_instances:Rbc.Bracha.open_instances
     ~dropped:Rbc.Bracha.dropped_below_horizon ~bcast:Rbc.Bracha.bcast
     ~stale:
@@ -418,7 +424,7 @@ let test_avid_below_horizon_dropped () =
   let root = Crypto.Merkle.root tree and data_len = String.length payload in
   let frag i = frags.(i) and proof i = Crypto.Merkle.prove tree i in
   check_horizon
-    ~create:(fun ~net ~me ~deliver -> Rbc.Avid.create ~net ~me ~f ~deliver)
+    ~create:(fun ~port ~me ~deliver -> Rbc.Avid.create_port ~port ~me ~f ~deliver)
     ~prune_below:Rbc.Avid.prune_below ~open_instances:Rbc.Avid.open_instances
     ~dropped:Rbc.Avid.dropped_below_horizon ~bcast:Rbc.Avid.bcast
     ~stale:
@@ -437,8 +443,8 @@ let test_gossip_below_horizon_dropped () =
   let digest = Crypto.Sha256.digest_string payload in
   let rng = Stdx.Rng.create 22 in
   check_horizon
-    ~create:(fun ~net ~me ~deliver ->
-      Rbc.Gossip.create ~net ~rng:(Stdx.Rng.split rng) ~me ~f:1 ~deliver ())
+    ~create:(fun ~port ~me ~deliver ->
+      Rbc.Gossip.create_port ~port ~rng:(Stdx.Rng.split rng) ~me ~f:1 ~deliver)
     ~prune_below:Rbc.Gossip.prune_below ~open_instances:Rbc.Gossip.open_instances
     ~dropped:Rbc.Gossip.dropped_below_horizon ~bcast:Rbc.Gossip.bcast
     ~stale:
@@ -456,10 +462,11 @@ let test_avid_out_of_range_origin_dropped () =
   let net =
     Net.Network.create ~engine ~sched ~counters:(Metrics.Counters.create ()) ~n
   in
+  let port = Net.Port.of_network net in
   let deliveries = Array.init n (fun _ -> ref []) in
   let eps =
     Array.init n (fun me ->
-        Rbc.Avid.create ~net ~me ~f ~deliver:(fun ~payload ~round:_ ~source:_ ->
+        Rbc.Avid.create_port ~port ~me ~f ~deliver:(fun ~payload ~round:_ ~source:_ ->
             deliveries.(me) := payload :: !(deliveries.(me))))
   in
   let commitment payload =
@@ -514,13 +521,13 @@ let test_gossip_out_of_range_origin_dropped () =
   let sched = Net.Sched.uniform_random ~rng:(Stdx.Rng.split rng) in
   let counters = Metrics.Counters.create () in
   let net = Net.Network.create ~engine ~sched ~counters ~n in
+  let port = Net.Port.of_network net in
   let deliveries = Array.init n (fun _ -> ref []) in
   let eps =
     Array.init n (fun me ->
-        Rbc.Gossip.create ~net ~rng:(Stdx.Rng.split rng) ~me ~f
+        Rbc.Gossip.create_port ~port ~rng:(Stdx.Rng.split rng) ~me ~f
           ~deliver:(fun ~payload ~round:_ ~source:_ ->
-            deliveries.(me) := payload :: !(deliveries.(me)))
-          ())
+            deliveries.(me) := payload :: !(deliveries.(me))))
   in
   let flood payload (origin, round) =
     let digest = Crypto.Sha256.digest_string payload in
@@ -633,10 +640,11 @@ let test_avid_inconsistent_dispersal_discarded () =
   let sched = Net.Sched.uniform_random ~rng:(Stdx.Rng.create 11) in
   let net = Net.Network.create ~engine ~sched ~counters ~n in
   let tr = Trace.create () in
+  let port = Net.Port.of_network net in
   let deliveries = Array.init n (fun _ -> ref []) in
   let eps =
     Array.init n (fun me ->
-        Rbc.Avid.create ~net ~me ~f ~deliver:(fun ~payload ~round ~source ->
+        Rbc.Avid.create_port ~port ~me ~f ~deliver:(fun ~payload ~round ~source ->
             deliveries.(me) := (payload, round, source) :: !(deliveries.(me))))
   in
   Array.iter (fun ep -> Rbc.Avid.set_trace ep tr) eps;
@@ -692,7 +700,8 @@ let avid_probe payload =
   in
   let delivered = ref [] and sent = ref [] in
   ignore
-    (Rbc.Avid.create ~net ~me:0 ~f:1 ~deliver:(fun ~payload ~round:_ ~source:_ ->
+    (Rbc.Avid.create_port ~port:(Net.Port.of_network net) ~me:0 ~f:1
+       ~deliver:(fun ~payload ~round:_ ~source:_ ->
          delivered := payload :: !delivered));
   for i = 1 to n - 1 do
     Net.Network.register net i (fun ~src msg -> if src = 0 then sent := msg :: !sent)

@@ -412,6 +412,23 @@ let test_stats_percentile_caching_not_quadratic () =
     (Printf.sprintf "1000 summaries on 1e5 points in %.2fs cpu (< 5s)" dt)
     true (dt < 5.0)
 
+let test_stats_summary_digest () =
+  let s = Stdx.Stats.create () in
+  let fmt = Stdx.Stats.fmt_summary in
+  check Alcotest.string "empty" "(no samples)"
+    (fmt (Stdx.Stats.to_summary s));
+  List.iter (Stdx.Stats.add s) [ 1.0; 2.0; 4.0 ];
+  let d = Stdx.Stats.to_summary s in
+  checki "count" 3 d.Stdx.Stats.s_count;
+  check Alcotest.string "default columns"
+    "n=3      mean=2.333    p50=2.000    p99=4.000    max=4.000" (fmt d);
+  check Alcotest.string "wide columns, padded max"
+    "n=3      mean=2.333     p50=2.000     p99=4.000     max=4.000    "
+    (fmt ~width:9 ~max_width:9 d);
+  check Alcotest.string "json"
+    {|{"count":3,"mean":2.3333333333333335,"p50":2.0,"p99":4.0,"max":4.0}|}
+    (Stdx.Json.to_string (Stdx.Stats.summary_to_json d))
+
 let test_stats_percentile_cache_invalidated () =
   let s = Stdx.Stats.create () in
   List.iter (Stdx.Stats.add s) [ 1.0; 2.0; 3.0 ];
@@ -554,6 +571,7 @@ let () =
           Alcotest.test_case "mean/stddev" `Quick test_stats_mean_stddev;
           Alcotest.test_case "min/max" `Quick test_stats_minmax;
           Alcotest.test_case "percentiles" `Quick test_stats_percentiles;
+          Alcotest.test_case "summary digest" `Quick test_stats_summary_digest;
           Alcotest.test_case "linear fit" `Quick test_stats_linear_fit;
           Alcotest.test_case "growth exponent" `Quick test_stats_growth_exponent;
           Alcotest.test_case "growth drops nonpositive" `Quick
