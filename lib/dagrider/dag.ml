@@ -4,14 +4,24 @@
    rows, and a vertex whose strong edges are present sits at most one
    round above the highest retained round. [delivered] marks the
    vertices the ordering layer has output and [delivered_count] counts
-   them. [reached]/[stamp] are the sweep state (see "Sweeps"). *)
+   them. [reached]/[stamp] are the sweep state (see "Sweeps"), and
+   [inserted] numbers the insertions (see "Weak edges"). *)
 type row = {
   slots : Vertex.t array; (* by source; [absent] marks an empty slot *)
+  inserted : int array; (* by source: the slot's insertion number, 0 if empty *)
   mutable count : int;
   delivered : Bytes.t; (* n bits *)
   mutable delivered_count : int;
   reached : Bytes.t; (* n bits *)
   mutable stamp : int;
+}
+
+(* A [weak_edges] call the next two rounds' calls may anchor on. *)
+type call = {
+  for_round : int;
+  seen : int; (* [t.insertions] at the call *)
+  strong : Vertex.vref list;
+  weak : Vertex.vref list; (* the call's result *)
 }
 
 type t = {
@@ -23,6 +33,10 @@ type t = {
   mutable highest : int;
   mutable sweep : int;
   mutable pending : int;
+  mutable insertions : int;
+  calls : call array; (* the latest call of each round parity *)
+  low : int array; (* [low.(i)]: the lowest round inserted into since
+                      [calls.(i)] *)
 }
 
 let absent =
@@ -31,6 +45,7 @@ let absent =
 (* fills the unused tail of [rows], so no pruned row stays reachable *)
 let vacant =
   { slots = [||];
+    inserted = [||];
     count = 0;
     delivered = Bytes.empty;
     delivered_count = 0;
@@ -39,11 +54,15 @@ let vacant =
 
 let new_row n =
   { slots = Array.make n absent;
+    inserted = Array.make n 0;
     count = 0;
     delivered = Bytes.make ((n + 7) / 8) '\000';
     delivered_count = 0;
     reached = Bytes.make ((n + 7) / 8) '\000';
     stamp = 0 }
+
+(* no call yet: no vertex has its round, so nothing anchors on it *)
+let no_call = { for_round = -1; seen = 0; strong = []; weak = [] }
 
 let create ~n =
   if n <= 0 then invalid_arg "Dag.create: n must be positive";
@@ -55,7 +74,17 @@ let create ~n =
   genesis.count <- n;
   let rows = Array.make 8 vacant in
   rows.(0) <- genesis;
-  { n; rows; len = 1; base = 0; size = n; highest = 0; sweep = 0; pending = 0 }
+  { n;
+    rows;
+    len = 1;
+    base = 0;
+    size = n;
+    highest = 0;
+    sweep = 0;
+    pending = 0;
+    insertions = 0;
+    calls = [| no_call; no_call |];
+    low = [| max_int; max_int |] }
 
 let n t = t.n
 
@@ -166,6 +195,11 @@ let add_impl t (v : Vertex.t) =
       done;
       let row = t.rows.(v.round - t.base) in
       row.slots.(v.source) <- v;
+      t.insertions <- t.insertions + 1;
+      row.inserted.(v.source) <- t.insertions;
+      for i = 0 to 1 do
+        if v.round < t.low.(i) then t.low.(i) <- v.round
+      done;
       row.count <- row.count + 1;
       t.size <- t.size + 1;
       if v.round > t.highest then t.highest <- v.round
@@ -213,19 +247,20 @@ let bit_set row s = test_bit row.reached s
 
 let is_reached t row s = row.stamp = t.sweep && bit_set row s
 
+let mark t row source =
+  if row.stamp <> t.sweep then begin
+    Bytes.fill row.reached 0 (Bytes.length row.reached) '\000';
+    row.stamp <- t.sweep
+  end;
+  if not (bit_set row source) then begin
+    set_bit row.reached source;
+    t.pending <- t.pending + 1
+  end
+
 (* mark (round, source) reached, if present and at or above [floor] *)
 let reach_slot t ~floor round source =
-  if round >= floor && slot t round source != absent then begin
-    let row = t.rows.(round - t.base) in
-    if row.stamp <> t.sweep then begin
-      Bytes.fill row.reached 0 (Bytes.length row.reached) '\000';
-      row.stamp <- t.sweep
-    end;
-    if not (bit_set row source) then begin
-      set_bit row.reached source;
-      t.pending <- t.pending + 1
-    end
-  end
+  if round >= floor && slot t round source != absent then
+    mark t t.rows.(round - t.base) source
 
 let rec reach_all t ~floor = function
   | [] -> ()
@@ -328,27 +363,121 @@ let supporters t (target : Vertex.vref) ~round =
             is_reached t t.rows.(round - t.base) v.source)
           (round_vertices t round))
 
-(* Algorithm 2's setWeakEdges: walking down from the top row, every
+(* ---- Weak edges ----
+
+   Algorithm 2's setWeakEdges: walking down from the top row, every
    retained vertex of round [round - 2] or below that is not reached
    from [strong_edges] or from an earlier weak edge becomes a weak edge
    and is reached itself. No reached count can end this walk early:
    marks move down one row per strong edge, so the rows below are never
-   all marked before the walk gets there. *)
+   all marked before the walk gets there.
+
+   An earlier call settles most of that walk. Say a call for round r0
+   returned [weak] for [strong], and u is a vertex whose edges are
+   exactly [strong] and [weak]. Every vertex of rows [floor .. r0 - 2]
+   present at that call was reached or chosen, so it is in u's history.
+   Edges never change, and a vertex is inserted only after its edge
+   targets, so everything such an old vertex leads to is old too. Once
+   a later walk reaches u, or chooses it, none of those old vertices can
+   become a weak edge or lead to one, and the walk neither marks nor
+   visits them. It covers rows r0 - 1 and up in full, then only the
+   slots inserted since the call ([inserted] above its [seen]), from
+   row r0 - 2 down to the lowest row inserted into since ([low]).
+
+   The DAG keeps the latest call of each round parity. A call for round
+   r anchors on the call for r - 1 when u is one of its strong edges, so
+   u is reached. It anchors on the call for r - 2 when u is in the DAG
+   at all: row r - 2 is walked in full, and there u is either reached or
+   chosen. For a node, u is its own vertex of the round before, or of
+   the one before that. Otherwise (the first rounds, a DAG rebuilt from
+   a snapshot, a stack that changed the vertex it built) nothing is
+   covered and the walk visits every row. Either way the result is the
+   same. *)
+
+(* does the vertex of [c]'s round at [source] have [c]'s edges? *)
+let has_edges t c source =
+  let v = slot t c.for_round source in
+  v != absent && v.weak_edges = c.weak && v.strong_edges = c.strong
+
+(* some ref of [c]'s round in [refs] is a vertex with [c]'s edges *)
+let rec anchored_in t c = function
+  | [] -> false
+  | (e : Vertex.vref) :: rest ->
+    (e.round = c.for_round && has_edges t c e.source) || anchored_in t c rest
+
+(* some vertex of [c]'s round has [c]'s edges *)
+let anchored_at t c =
+  let rec from s = s < t.n && (has_edges t c s || from (s + 1)) in
+  from 0
+
+(* mark (round, source) reached, as [reach_slot], unless it is covered:
+   in a row at or below [cover] and inserted by [seen] *)
+let reach_uncovered t ~floor ~cover ~seen round source =
+  if round >= floor && slot t round source != absent then begin
+    let row = t.rows.(round - t.base) in
+    if round > cover || row.inserted.(source) > seen then mark t row source
+  end
+
+let rec reach_all_uncovered t ~floor ~cover ~seen = function
+  | [] -> ()
+  | (e : Vertex.vref) :: rest ->
+    reach_uncovered t ~floor ~cover ~seen e.round e.source;
+    reach_all_uncovered t ~floor ~cover ~seen rest
+
+let follow_uncovered t ~floor ~cover ~seen (v : Vertex.t) =
+  reach_all_uncovered t ~floor ~cover ~seen v.strong_edges;
+  reach_all_uncovered t ~floor ~cover ~seen v.weak_edges
+
+(* Visit the vertices of row [k] inserted after [after], in increasing
+   source order: follow the reached ones, and below round [round - 1]
+   add the others to [weak] and follow them too. *)
+let visit_row t ~floor ~cover ~seen ~round ~after k weak =
+  let row = t.rows.(k - t.base) in
+  let weak = ref weak in
+  for s = 0 to t.n - 1 do
+    if row.inserted.(s) > after then begin
+      let v = row.slots.(s) in
+      if is_reached t row s then follow_uncovered t ~floor ~cover ~seen v
+      else if k <= round - 2 then begin
+        weak := Vertex.vref_of v :: !weak;
+        follow_uncovered t ~floor ~cover ~seen v
+      end
+    end
+  done;
+  !weak
+
 let weak_edges t ~round ~strong_edges =
   let floor = max t.base 1 in
+  let prev = (round - 1) land 1 and prev2 = round land 1 in
+  let anchor =
+    if
+      t.calls.(prev).for_round = round - 1
+      && anchored_in t t.calls.(prev) strong_edges
+    then prev
+    else if
+      t.calls.(prev2).for_round = round - 2 && anchored_at t t.calls.(prev2)
+    then prev2
+    else -1
+  in
+  let call = if anchor < 0 then no_call else t.calls.(anchor) in
+  (* rows [floor .. cover] are covered for the vertices inserted by
+     [seen]; without an anchor [cover] is below every row *)
+  let cover = call.for_round - 2 and seen = call.seen in
+  let low = if anchor < 0 then max_int else t.low.(anchor) in
   start_sweep t;
-  reach_all t ~floor strong_edges;
+  reach_all_uncovered t ~floor ~cover ~seen strong_edges;
   let weak = ref [] in
-  for k = t.base + t.len - 1 downto floor do
-    let row = t.rows.(k - t.base) in
-    for s = 0 to t.n - 1 do
-      let v = row.slots.(s) in
-      if v != absent then
-        if is_reached t row s then follow t ~floor ~strong_only:false v
-        else if k <= round - 2 then begin
-          weak := Vertex.vref_of v :: !weak;
-          follow t ~floor ~strong_only:false v
-        end
-    done
+  let top = t.base + t.len - 1 in
+  for k = top downto max floor (cover + 1) do
+    weak := visit_row t ~floor ~cover ~seen ~round ~after:0 k !weak
   done;
+  for k = min top cover downto max floor low do
+    weak := visit_row t ~floor ~cover ~seen ~round ~after:seen k !weak
+  done;
+  t.calls.(round land 1) <-
+    { for_round = round;
+      seen = t.insertions;
+      strong = strong_edges;
+      weak = !weak };
+  t.low.(round land 1) <- max_int;
   !weak

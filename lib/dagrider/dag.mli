@@ -115,7 +115,15 @@ val weak_edges :
     given strong edges: each vertex of rounds [round - 2] down to 1 with
     no path from the new vertex, where a vertex already chosen counts as
     a target. Ordered by increasing round, and by decreasing source
-    within a round; the order is on the wire. *)
+    within a round; the order is on the wire.
+
+    The DAG remembers its latest call of each round parity. When a
+    vertex with exactly a remembered call's edges is one of
+    [strong_edges] (a call for the round before) or in the DAG at all
+    (a call for the round before that), the walk skips what that call
+    already settled and visits only the rows above it and the vertices
+    inserted since. Otherwise it visits every retained row. The result
+    is the same either way. *)
 
 val vertices : t -> Vertex.t list
 (** All non-genesis vertices, sorted. *)

@@ -47,7 +47,16 @@ let decode_msg src =
         else Wire.finish r (Ready { origin; round; digest })
       | _ -> None)
 
-let msg_bits msg = Wire.bits (encode_msg msg)
+(* [8 * String.length (encode_msg msg)] without building the encoding:
+   a tag byte, a u32 each for the origin and the round, and a u32
+   length before the payload or digest. *)
+let msg_bits msg =
+  let body =
+    match msg with
+    | Gossip { payload; _ } -> payload
+    | Echo { digest; _ } | Ready { digest; _ } -> digest
+  in
+  8 * (1 + 4 + 4 + 4 + String.length body)
 
 (* the gossip, echo and ready samples are these multiples of ln n, and
    an instance turns ready / delivers on these fractions of its echo /

@@ -32,6 +32,10 @@ type msg =
 val encode_msg : msg -> string
 val decode_msg : string -> msg option
 
+val msg_bits : msg -> int
+(** Wire size in bits, [8 * String.length (encode_msg msg)], computed
+    from the field sizes without encoding. *)
+
 type t
 
 val create_port :

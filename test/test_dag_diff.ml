@@ -188,6 +188,164 @@ let check_paths rng b ~pairs =
         then fail "absent endpoint (%d,%d) answered" x.V.round x.V.source)
       [ vref (Dag.pruned_below b.dag - 1) 0; vref 1 (Dag.n b.dag) ]
 
+(* ---- Node-shaped histories ----
+
+   One own process creates a vertex in every round from the round below,
+   taking its weak edges from [Dag.weak_edges] as a node does, and every
+   such call must equal the reference's, order included. The others'
+   vertices sometimes arrive late, into rows three or more rounds down.
+   Each round applies one twist. Most decide when the own vertex arrives,
+   and so what the next calls can anchor on: the own vertex of the round
+   before, the one before that, or nothing. *)
+
+type twist =
+  | Plain
+  | Own_subset
+      (* the own vertex leaves out one vertex below, and so do the others *)
+  | Own_late (* the own vertex arrives after the next call *)
+  | Own_later (* the own vertex arrives after the next two calls *)
+  | Impostor
+      (* the own vertex arrives after the next call, and another
+         process's vertex carries its edges but one *)
+  | Prune (* a garbage-collection horizon between two calls *)
+
+let twists = [| Plain; Own_subset; Own_late; Own_later; Impostor; Prune |]
+
+let twist_name = function
+  | Plain -> "plain"
+  | Own_subset -> "own subset"
+  | Own_late -> "own late"
+  | Own_later -> "own later"
+  | Impostor -> "impostor"
+  | Prune -> "prune"
+
+(* [l] without its element at a random index *)
+let drop_one rng l =
+  let i = Stdx.Rng.int rng (List.length l) in
+  List.filteri (fun j _ -> j <> i) l
+
+let build_node_shaped rng ~n ~rounds ~others_weak_one_in =
+  let dag = Dag.create ~n and reference = Ref.create ~n in
+  let own = Stdx.Rng.int rng n in
+  (* in half the histories only the own process has weak edges, so what
+     it alone reaches stays unreached unless its vertices are *)
+  let others_weak = Stdx.Rng.bool rng in
+  let quorum = (2 * ((n - 1) / 3)) + 1 in
+  let insert (v : V.t) =
+    if v.round >= Dag.pruned_below dag then begin
+      Dag.add dag v;
+      Ref.add reference v
+    end
+  in
+  let below r = List.map V.vref_of (Ref.round_vertices reference (r - 1)) in
+  (* at least [quorum] of [refs] when there are that many, sorted *)
+  let subset refs =
+    let a = Array.of_list refs in
+    Stdx.Rng.shuffle rng a;
+    let k =
+      Stdx.Rng.int_in_range rng ~lo:(min quorum (Array.length a))
+        ~hi:(Array.length a)
+    in
+    sort_refs (Array.to_list (Array.sub a 0 k))
+  in
+  (* others' late vertices, and own vertices with the round they arrive in *)
+  let late = ref [] and own_late = ref [] in
+  let round = ref 1 in
+  while !round <= rounds && below !round <> [] do
+    let r = !round in
+    let twist = Stdx.Rng.choose rng twists in
+    let left_out =
+      match (twist, below r) with
+      | Own_subset, (_ :: _ :: _ as refs) ->
+        Some (Stdx.Rng.choose rng (Array.of_list refs))
+      | _ -> None
+    in
+    let strong = List.filter (fun e -> Some e <> left_out) (below r) in
+    let weak = Dag.weak_edges dag ~round:r ~strong_edges:strong in
+    let expected = Ref.weak_edges reference ~round:r ~strong_edges:strong in
+    if weak <> expected then
+      fail "own weak_edges (%d,%d), twist %s: got [%s], reference [%s]" r own
+        (twist_name twist) (pp_refs weak) (pp_refs expected);
+    let mine =
+      { V.round = r; source = own; block = ""; strong_edges = strong;
+        weak_edges = weak }
+    in
+    own_late :=
+      List.filter
+        (fun (arrives, v) ->
+          if arrives <= r then insert v;
+          arrives > r)
+        !own_late;
+    let impostor =
+      if twist = Impostor && n > 1 then
+        (own + 1 + Stdx.Rng.int rng (n - 1)) mod n
+      else -1
+    in
+    for source = 0 to n - 1 do
+      if source = impostor then begin
+        let strong_edges, weak_edges =
+          match (weak, strong) with
+          | _ :: _, _ -> (strong, drop_one rng weak)
+          | [], _ :: _ :: _ -> (drop_one rng strong, weak)
+          | [], _ -> (strong, weak)
+        in
+        insert { V.round = r; source; block = ""; strong_edges; weak_edges }
+      end
+      else if source <> own && Stdx.Rng.int rng 8 <> 0 then begin
+        let candidates = List.filter (fun e -> Some e <> left_out) (below r) in
+        if candidates <> [] then begin
+          let strong_edges = subset candidates in
+          let weak_edges =
+            if
+              others_weak && twist <> Impostor
+              && Stdx.Rng.int rng others_weak_one_in = 0
+            then Ref.weak_edges reference ~round:r ~strong_edges
+            else []
+          in
+          let v =
+            { V.round = r; source; block = ""; strong_edges; weak_edges }
+          in
+          if r > 1 && Stdx.Rng.int rng 5 = 0 then late := v :: !late
+          else insert v
+        end
+      end
+    done;
+    (match twist with
+    | Own_late | Impostor -> own_late := (r + 1, mine) :: !own_late
+    | Own_later -> own_late := (r + 2, mine) :: !own_late
+    | Plain | Own_subset | Prune -> insert mine);
+    (* late vertices land three or more rounds down *)
+    late :=
+      List.filter
+        (fun (v : V.t) ->
+          if v.round < Dag.pruned_below dag then false
+          else if v.round <= r - 3 && Stdx.Rng.bool rng then begin
+            insert v;
+            false
+          end
+          else true)
+        !late;
+    if twist = Prune && r > 3 then begin
+      let horizon =
+        Stdx.Rng.int_in_range rng ~lo:(Dag.pruned_below dag) ~hi:(r - 2)
+      in
+      Dag.prune_below dag ~round:horizon;
+      Ref.prune_below reference ~round:horizon
+    end;
+    incr round
+  done;
+  List.iter insert (List.rev_map snd !own_late @ List.rev !late);
+  { dag; reference; rounds = !round - 1 }
+
+let prop_node_shaped ~n ~rounds ~others_weak_one_in ~count =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "own calls = reference (n=%d)" n)
+    ~count (QCheck.int_range 0 1_000_000) (fun seed ->
+      let rng = Stdx.Rng.create seed in
+      let b = build_node_shaped rng ~n ~rounds ~others_weak_one_in in
+      check_store b;
+      true)
+
 let prop ~n ~rounds ~check_one_in ~pairs ~count =
   QCheck.Test.make
     ~name:(Printf.sprintf "sweeps = reference walks (n=%d)" n)
@@ -207,4 +365,9 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop ~n:4 ~rounds:14 ~check_one_in:1 ~pairs:150 ~count:150;
             prop ~n:10 ~rounds:10 ~check_one_in:1 ~pairs:150 ~count:40;
-            prop ~n:70 ~rounds:5 ~check_one_in:10 ~pairs:25 ~count:6 ] ) ]
+            prop ~n:70 ~rounds:5 ~check_one_in:10 ~pairs:25 ~count:6 ] );
+      ( "node-shaped",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_node_shaped ~n:4 ~rounds:30 ~others_weak_one_in:3 ~count:200;
+            prop_node_shaped ~n:10 ~rounds:20 ~others_weak_one_in:3 ~count:60;
+            prop_node_shaped ~n:70 ~rounds:8 ~others_weak_one_in:50 ~count:5 ] ) ]

@@ -680,6 +680,7 @@ let () =
           (List.concat_map
              (fun rule ->
                [ ordering_diff_prop ~rule ~n:4 ~rounds:40 ~count:200;
-                 ordering_diff_prop ~rule ~n:10 ~rounds:24 ~count:50 ])
+                 ordering_diff_prop ~rule ~n:10 ~rounds:24 ~count:50;
+                 ordering_diff_prop ~rule ~n:70 ~rounds:24 ~count:10 ])
              O.rules) )
     ]

@@ -887,6 +887,11 @@ let prop_gossip_codec =
     (QCheck.make gen_gossip_msg) (fun msg ->
       Rbc.Gossip.decode_msg (Rbc.Gossip.encode_msg msg) = Some msg)
 
+let prop_gossip_msg_bits =
+  QCheck.Test.make ~name:"gossip msg_bits = encoded size" ~count:300
+    (QCheck.make gen_gossip_msg) (fun msg ->
+      Rbc.Gossip.msg_bits msg = Rbc.Rbc_intf.Wire.bits (Rbc.Gossip.encode_msg msg))
+
 let gen_avid_msg =
   QCheck.Gen.(
     let* tag = int_range 0 2 in
@@ -1009,6 +1014,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_avid_codec;
           QCheck_alcotest.to_alcotest prop_bracha_msg_bits;
           QCheck_alcotest.to_alcotest prop_avid_msg_bits;
+          QCheck_alcotest.to_alcotest prop_gossip_msg_bits;
           Alcotest.test_case "garbage rejected" `Quick test_codecs_reject_garbage;
           Alcotest.test_case "truncation rejected" `Quick
             test_codec_truncation_rejected ] )
