@@ -141,14 +141,15 @@ type report = {
 
 (* ---- accumulation ---- *)
 
-(* the observer's ordering events, chronological once reversed *)
+(* a node's elections and decision certificates, chronological once
+   reversed *)
 type ord_ev =
   | Oelect of { wave : int; leader : int; at : float }
-  | Oskip of { wave : int; leader : int; at : float }
+  | Oskip of { wave : int; leader : int; reason : string; at : float }
   | Ocommit of {
       wave : int;
-      leader_source : int;
       direct : bool;
+      anchor : int;
       delivered : int;
       at : float;
     }
@@ -164,15 +165,11 @@ type t = {
   mutable send_bits : int;
   rbc_last : (int * int * int, string * float) Hashtbl.t;
   rbc_stats : (string, Stdx.Stats.t) Hashtbl.t; (* "echo->ready" -> durations *)
-  inserted : (int * int * int, float) Hashtbl.t;
-      (* (node, round, source) -> time *)
+  inserted : (int * int * int, unit) Hashtbl.t; (* (node, round, source) *)
   advances : (int, (int * float) list ref) Hashtbl.t; (* node -> rev *)
   coin_first : (int, float) Hashtbl.t; (* wave -> first share out *)
   ord : (int, ord_ev list ref) Hashtbl.t; (* node -> rev *)
   adeliv : (int, int list ref) Hashtbl.t; (* node -> rev delivered sources *)
-  skip_certs : (int * int, string) Hashtbl.t;
-      (* (node, wave) -> certificate skip reason (authoritative,
-         replaces the insertion-table heuristic when present) *)
   drop_reasons : (string, int ref) Hashtbl.t;
   retrans_links : (int * int, int ref) Hashtbl.t; (* (src, dst) -> count *)
   giveup_links : (int * int, int ref) Hashtbl.t;
@@ -200,7 +197,6 @@ let create () =
     coin_first = Hashtbl.create 256;
     ord = Hashtbl.create 16;
     adeliv = Hashtbl.create 16;
-    skip_certs = Hashtbl.create 64;
     drop_reasons = Hashtbl.create 8;
     retrans_links = Hashtbl.create 64;
     giveup_links = Hashtbl.create 16;
@@ -266,8 +262,7 @@ let feed t (e : Trace.event) =
   | Trace.Vertex_added { node; round; source } ->
     bump node;
     bump source;
-    let key = (node, round, source) in
-    if not (Hashtbl.mem t.inserted key) then Hashtbl.add t.inserted key time
+    Hashtbl.replace t.inserted (node, round, source) ()
   | Trace.Round_advanced { node; round } ->
     bump node;
     push t.advances node (round, time)
@@ -279,24 +274,16 @@ let feed t (e : Trace.event) =
     bump node;
     bump leader;
     push t.ord node (Oelect { wave; leader; at = time })
-  | Trace.Leader_skipped { node; wave; leader } ->
-    bump node;
-    bump leader;
-    push t.ord node (Oskip { wave; leader; at = time })
-  | Trace.Commit { node; wave; leader_source; direct; delivered; _ } ->
+  | Trace.Commit_cert
+      { node; wave; leader_source; direct; anchor_wave; delivered; _ } ->
     bump node;
     bump leader_source;
-    push t.ord node (Ocommit { wave; leader_source; direct; delivered; at = time })
-  | Trace.Commit_cert { node; leader_source; _ } ->
-    (* the compact Commit event drives the wave records; the certificate
-       adds nothing the analyzer aggregates (forensics consumes it) *)
-    bump node;
-    bump leader_source
+    push t.ord node
+      (Ocommit { wave; direct; anchor = anchor_wave; delivered; at = time })
   | Trace.Skip_cert { node; wave; leader_source; reason; _ } ->
     bump node;
     bump leader_source;
-    if not (Hashtbl.mem t.skip_certs (node, wave)) then
-      Hashtbl.add t.skip_certs (node, wave) reason
+    push t.ord node (Oskip { wave; leader = leader_source; reason; at = time })
   | Trace.A_deliver { node; source; _ } ->
     bump node;
     bump source;
@@ -393,16 +380,14 @@ let finalize ?(config = default_config) t =
       done;
       !best
   in
-  let leader_round w = ((w - 1) * wave_length) + 1 in
-  (* ---- wave records from the observer's ordering events ---- *)
+  (* ---- wave records from the observer's certificates ---- *)
   let obs_ord = chronological t.ord observer in
   let elected : (int, int * float) Hashtbl.t = Hashtbl.create 256 in
-  let skipped : (int, int * float) Hashtbl.t = Hashtbl.create 64 in
+  let skipped : (int, int * string) Hashtbl.t = Hashtbl.create 64 in
   let committed : (int, float * bool * int * int) Hashtbl.t =
-    (* wave -> (at, direct, delivered, resolver) *)
+    (* wave -> (at, direct, delivered, anchor) *)
     Hashtbl.create 256
   in
-  let pending_chained = ref [] in
   List.iter
     (fun ev ->
       match ev with
@@ -413,25 +398,12 @@ let finalize ?(config = default_config) t =
            be folded into the wave records *)
         if round_robin_n = None && not (Hashtbl.mem elected wave) then
           Hashtbl.add elected wave (leader, at)
-      | Oskip { wave; leader; at } ->
-        if not (Hashtbl.mem skipped wave) then Hashtbl.add skipped wave (leader, at)
-      | Ocommit { wave; direct; delivered; at; _ } ->
-        if direct then begin
-          (* the anchor: chained commits emitted just before it belong
-             to this wave's backward chain (Algorithm 3 lines 38-43) *)
-          Hashtbl.replace committed wave (at, true, delivered, wave);
-          List.iter
-            (fun (w, a, d) -> Hashtbl.replace committed w (a, false, d, wave))
-            !pending_chained;
-          pending_chained := []
-        end
-        else pending_chained := (wave, at, delivered) :: !pending_chained)
+      | Oskip { wave; leader; reason; _ } ->
+        if not (Hashtbl.mem skipped wave) then
+          Hashtbl.add skipped wave (leader, reason)
+      | Ocommit { wave; direct; anchor; delivered; at } ->
+        Hashtbl.replace committed wave (at, direct, delivered, anchor))
     obs_ord;
-  (* chained commits with no following anchor in the stream (truncated
-     tail): attribute them to themselves *)
-  List.iter
-    (fun (w, a, d) -> Hashtbl.replace committed w (a, false, d, w))
-    !pending_chained;
   let wave_ids =
     let seen = Hashtbl.create 256 in
     let note w = if not (Hashtbl.mem seen w) then Hashtbl.add seen w () in
@@ -458,27 +430,18 @@ let finalize ?(config = default_config) t =
           | Some (at, true, delivered, _) ->
             incr direct_commits;
             (Committed_direct, Some at, delivered)
-          | Some (at, false, delivered, resolver) ->
+          | Some (at, false, delivered, anchor) ->
             incr chained_commits;
-            (Committed_chained resolver, Some at, delivered)
+            (Committed_chained anchor, Some at, delivered)
           | None -> (
             match skip with
-            | Some (leader, at) ->
+            | Some (_, reason) ->
               incr skipped_final;
-              (* the skip certificate carries the authoritative reason;
-                 traces predating certificates fall back to the
-                 insertion-table heuristic *)
               let reason =
-                match Hashtbl.find_opt t.skip_certs (observer, w) with
-                | Some "leader-absent" -> "leader vertex absent"
-                | Some "under-supported" -> "leader under-supported"
-                | Some other -> other
-                | None -> (
-                  match
-                    Hashtbl.find_opt t.inserted (observer, leader_round w, leader)
-                  with
-                  | Some ins when ins <= at -> "leader under-supported"
-                  | _ -> "leader vertex absent")
+                match reason with
+                | "leader-absent" -> "leader vertex absent"
+                | "under-supported" -> "leader under-supported"
+                | other -> other
               in
               (Skipped reason, None, 0)
             | None -> (Unresolved, None, 0))

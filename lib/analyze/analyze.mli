@@ -8,7 +8,12 @@
 
     - per-wave records: the elected leader, direct vs retroactive
       (chained) commit, skip reason, waves-to-resolve, and the running
-      waves-per-commit mean vs the paper's 3/2 bound (Claim 6);
+      waves-per-commit mean vs the paper's 3/2 bound (Claim 6). The
+      outcome, its anchor, the skip reason and the delivered count are
+      read off the observer's provenance certificates
+      ({!Trace.kind.Commit_cert}, {!Trace.kind.Skip_cert}), the one
+      record of each ordering decision; the leader's election time
+      comes from {!Trace.kind.Leader_elected};
     - per-process round progress and round skew, and RBC
       phase-transition durations;
     - a chain-quality audit over every (2f+1)-multiple prefix of the
@@ -24,16 +29,17 @@
     keeps no stage histograms of its own.
 
     All ordering-level diagnostics are computed from one {e observer}
-    process's events (commits, skips, [a_deliver]s); network-level ones
-    (round skew, RBC phases) pool every process. Feeding is cheap and
-    config-free — configuration binds at {!finalize}, so one accumulator
-    can be finalized under several configs. *)
+    process's events (elections, certificates, [a_deliver]s);
+    network-level ones (round skew, RBC phases) pool every process.
+    Feeding is cheap and config-free — configuration binds at
+    {!finalize}, so one accumulator can be finalized under several
+    configs. *)
 
 type config = {
   rule : Dagrider.Ordering.rule;
       (** commit rule the trace ran under. Its [rule_wave_length] gives
-          the {e ordering} rounds per wave (leader rounds and skip
-          attribution derive from it), its name is echoed into the
+          the {e ordering} rounds per wave (the DOT export's leader
+          rounds derive from it), its name is echoed into the
           report, and its [rule_bound] is the waves-per-commit bound
           audited by [r_claim6_ok]. Under a round-robin schedule
           (Bullshark) wave leaders are inferred as [(w-1) mod n], and
@@ -66,10 +72,11 @@ val fleet_config :
 type wave_outcome =
   | Committed_direct  (** commit rule fired in the wave itself *)
   | Committed_chained of int
-      (** committed retroactively by the given later wave's backward
-          chain (Algorithm 3 lines 38–43) *)
+      (** committed retroactively by the backward chain (Algorithm 3
+          lines 38–43) of the given later wave: the certificate's
+          [anchor_wave] *)
   | Skipped of string
-      (** never committed; the payload says why the ordering skipped it
+      (** never committed; the payload is the skip certificate's reason
           ("leader vertex absent" or "leader under-supported") *)
   | Unresolved  (** coin flipped but the observer never elected it *)
 
@@ -80,7 +87,7 @@ type wave_record = {
   w_resolution : float option;
       (** first coin share out → observer's election *)
   w_outcome : wave_outcome;
-  w_committed_at : float option;
+  w_committed_at : float option;  (** the commit certificate's time *)
   w_delivered : int;  (** fresh vertices ordered by this wave's commit *)
   w_running_mean : float;
       (** waves resolved per wave committed, up to and including this

@@ -307,14 +307,14 @@ let maybe_gc t =
       if bound > 1 then prune_below t ~round:bound
     end
 
-(* ---- provenance certificates (forensics) ----
+(* ---- provenance certificates ----
 
-   Alongside the compact Commit / Leader_skipped events, a traced node
-   emits one certificate per ordering decision carrying the full
-   evidence: the schedule that named the leader, the exact supporter
-   set counted against the quorum, and — for chained commits — which
-   later leader's strong path recovered the wave. lib/forensics
-   reconstructs explain/divergence views purely from these. *)
+   A traced node records each ordering decision once, as a certificate
+   carrying the full evidence: the schedule that named the leader, the
+   exact supporter set counted against the quorum, and — for chained
+   commits — which later leader's strong path recovered the wave and
+   which direct commit anchored the chain. lib/analyze builds its wave
+   records and lib/forensics its explain/divergence views from these. *)
 
 let sched_label = function
   | Ordering.Coin -> "coin"
@@ -389,31 +389,10 @@ let rec try_order_waves t =
     let commits =
       Ordering.process_wave t.ordering ~dag:t.dag ~wave:w ~choose_leader
     in
-    if commits = [] then begin
-      (match t.trace with
-      | None -> ()
-      | Some tr ->
-        Trace.emit tr
-          (Trace.Leader_skipped
-             { node = t.me; wave = w; leader = choose_leader w }));
-      (* w <= decided_wave only happens on restore edge cases where the
-         wave was in fact already decided — no skip evidence then *)
-      if w > Ordering.decided_wave t.ordering then
-        emit_skip_cert t ~wave:w ~leader_source:(choose_leader w)
-    end;
+    if commits = [] then
+      emit_skip_cert t ~wave:w ~leader_source:(choose_leader w);
     List.iter
       (fun (c : Ordering.commit) ->
-        (match t.trace with
-        | None -> ()
-        | Some tr ->
-          Trace.emit tr
-            (Trace.Commit
-               { node = t.me;
-                 wave = c.wave;
-                 leader_round = c.leader.Vertex.round;
-                 leader_source = c.leader.Vertex.source;
-                 direct = c.direct;
-                 delivered = List.length c.delivered }));
         emit_commit_cert t c;
         t.on_commit c;
         List.iter

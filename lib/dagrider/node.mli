@@ -127,8 +127,9 @@ val create :
     output upcall; [on_commit] observes committed leaders (experiment
     instrumentation). [trace] records this process's protocol events
     ({!Trace.Vertex_created}, [Vertex_added], [Round_advanced],
-    [Coin_flip], [Leader_elected], [Leader_skipped], [Commit],
-    [A_deliver]); omitted, no event is ever allocated.
+    [Coin_flip], [Leader_elected], one [Commit_cert] or [Skip_cert] per
+    ordering decision, [A_deliver], [Sync_reject], [Sync_unavailable]);
+    omitted, no event is ever allocated.
     [sync_trusting] (default [false]) deliberately {e weakens} the
     sync admission path back to trusting any single responder —
     exists only so the checker's planted-vulnerability self-test can

@@ -37,30 +37,11 @@ let gauge_value t name =
 
 (* ---- snapshots ---- *)
 
-type histogram_summary = {
-  h_count : int;
-  h_mean : float;
-  h_min : float;
-  h_max : float;
-  h_p50 : float;
-  h_p90 : float;
-  h_p99 : float;
-}
-
 type snapshot = {
   counters : (string * int) list;
   gauges : (string * float) list;
-  histograms : (string * histogram_summary) list;
+  histograms : (string * Stdx.Stats.summary) list;
 }
-
-let summarize stats =
-  { h_count = Stdx.Stats.count stats;
-    h_mean = Stdx.Stats.mean stats;
-    h_min = Stdx.Stats.min_value stats;
-    h_max = Stdx.Stats.max_value stats;
-    h_p50 = Stdx.Stats.percentile stats 50.0;
-    h_p90 = Stdx.Stats.percentile stats 90.0;
-    h_p99 = Stdx.Stats.percentile stats 99.0 }
 
 let by_name (a, _) (b, _) = compare (a : string) b
 
@@ -74,18 +55,8 @@ let snapshot (t : t) =
     histograms =
       List.sort by_name
         (Hashtbl.fold
-           (fun k stats acc -> (k, summarize stats) :: acc)
+           (fun k stats acc -> (k, Stdx.Stats.to_summary stats) :: acc)
            t.histograms []) }
-
-let summary_to_json s =
-  Stdx.Json.Obj
-    [ ("count", Stdx.Json.Int s.h_count);
-      ("mean", Stdx.Json.Float s.h_mean);
-      ("min", Stdx.Json.Float s.h_min);
-      ("max", Stdx.Json.Float s.h_max);
-      ("p50", Stdx.Json.Float s.h_p50);
-      ("p90", Stdx.Json.Float s.h_p90);
-      ("p99", Stdx.Json.Float s.h_p99) ]
 
 let snapshot_to_json s =
   Stdx.Json.Obj
@@ -97,31 +68,5 @@ let snapshot_to_json s =
       );
       ( "histograms",
         Stdx.Json.Obj
-          (List.map (fun (k, v) -> (k, summary_to_json v)) s.histograms) ) ]
-
-let render s =
-  let buf = Buffer.create 512 in
-  if s.counters <> [] then begin
-    Buffer.add_string buf "counters:\n";
-    List.iter
-      (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %-32s %d\n" k v))
-      s.counters
-  end;
-  if s.gauges <> [] then begin
-    Buffer.add_string buf "gauges:\n";
-    List.iter
-      (fun (k, v) ->
-        Buffer.add_string buf (Printf.sprintf "  %-32s %.3f\n" k v))
-      s.gauges
-  end;
-  if s.histograms <> [] then begin
-    Buffer.add_string buf "histograms:\n";
-    List.iter
-      (fun (k, h) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "  %-32s n=%d mean=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f\n" k
-             h.h_count h.h_mean h.h_p50 h.h_p90 h.h_p99 h.h_max))
-      s.histograms
-  end;
-  Buffer.contents buf
+          (List.map (fun (k, v) -> (k, Stdx.Stats.summary_to_json v))
+             s.histograms) ) ]

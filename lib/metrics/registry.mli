@@ -30,20 +30,10 @@ val counter_value : t -> string -> int
 
 val gauge_value : t -> string -> float option
 
-type histogram_summary = {
-  h_count : int;
-  h_mean : float;
-  h_min : float;
-  h_max : float;
-  h_p50 : float;
-  h_p90 : float;
-  h_p99 : float;
-}
-
 type snapshot = {
   counters : (string * int) list;
   gauges : (string * float) list;
-  histograms : (string * histogram_summary) list;
+  histograms : (string * Stdx.Stats.summary) list;
 }
 (** All three sections sorted by metric name (deterministic output). *)
 
@@ -51,7 +41,5 @@ val snapshot : t -> snapshot
 
 val snapshot_to_json : snapshot -> Stdx.Json.t
 (** [{"counters": {..}, "gauges": {..}, "histograms": {name: {count,
-    mean, min, max, p50, p90, p99}}}]. *)
-
-val render : snapshot -> string
-(** Human-readable multi-line rendering. *)
+    mean, p50, p99, max}}}] (histograms via
+    {!Stdx.Stats.summary_to_json}). *)

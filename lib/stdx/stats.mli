@@ -37,8 +37,8 @@ type summary = {
   s_max : float;
 }
 (** Digest of one distribution (all zeros when empty): what the
-    analyzer's round skew and RBC phases and the critical-path
-    segments and links report. *)
+    analyzer's round skew and RBC phases, the critical-path segments
+    and links, and the metrics registry's histograms report. *)
 
 val empty_summary : summary
 

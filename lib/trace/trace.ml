@@ -23,15 +23,6 @@ type kind =
   | Round_advanced of { node : int; round : int }
   | Coin_flip of { node : int; wave : int }
   | Leader_elected of { node : int; wave : int; leader : int }
-  | Leader_skipped of { node : int; wave : int; leader : int }
-  | Commit of {
-      node : int;
-      wave : int;
-      leader_round : int;
-      leader_source : int;
-      direct : bool;
-      delivered : int;
-    }
   | Commit_cert of {
       node : int;
       rule : string;
@@ -159,8 +150,6 @@ let node_of = function
   | Round_advanced { node; _ }
   | Coin_flip { node; _ }
   | Leader_elected { node; _ }
-  | Leader_skipped { node; _ }
-  | Commit { node; _ }
   | Commit_cert { node; _ }
   | Skip_cert { node; _ }
   | A_deliver { node; _ }
@@ -185,8 +174,6 @@ let kind_label = function
   | Round_advanced _ -> "round-advanced"
   | Coin_flip _ -> "coin-flip"
   | Leader_elected _ -> "leader-elected"
-  | Leader_skipped _ -> "leader-skipped"
-  | Commit _ -> "commit"
   | Commit_cert _ -> "commit-cert"
   | Skip_cert _ -> "skip-cert"
   | A_deliver _ -> "a-deliver"
@@ -228,14 +215,6 @@ let describe_kind = function
     Printf.sprintf "p%d flipped the wave-%d coin (share out)" node wave
   | Leader_elected { node; wave; leader } ->
     Printf.sprintf "p%d resolved wave %d: leader p%d" node wave leader
-  | Leader_skipped { node; wave; leader } ->
-    Printf.sprintf "p%d skipped wave %d (leader p%d unsupported/absent)" node
-      wave leader
-  | Commit { node; wave; leader_round; leader_source; direct; delivered } ->
-    Printf.sprintf "p%d committed wave %d leader (r%d,p%d)%s, %d delivered"
-      node wave leader_round leader_source
-      (if direct then "" else " [chained]")
-      delivered
   | Commit_cert
       { node; rule; wave; leader_round; leader_source; direct; anchor_wave;
         via_round; via_source; support; quorum; delivered; _ } ->
@@ -334,13 +313,6 @@ let event_to_json { seq; time; cause; kind } =
   | Coin_flip { node; wave } -> ev "coin-flip" [ i "node" node; i "wave" wave ]
   | Leader_elected { node; wave; leader } ->
     ev "leader-elected" [ i "node" node; i "wave" wave; i "leader" leader ]
-  | Leader_skipped { node; wave; leader } ->
-    ev "leader-skipped" [ i "node" node; i "wave" wave; i "leader" leader ]
-  | Commit { node; wave; leader_round; leader_source; direct; delivered } ->
-    ev "commit"
-      [ i "node" node; i "wave" wave; i "leader_round" leader_round;
-        i "leader_source" leader_source;
-        ("direct", Stdx.Json.Bool direct); i "delivered" delivered ]
   | Commit_cert
       { node; rule; sched; wave; leader_round; leader_source; direct;
         anchor_wave; via_round; via_source; support; quorum; delivered } ->
@@ -482,19 +454,6 @@ let event_of_json json =
       let* wave = int_field "wave" in
       let* leader = int_field "leader" in
       Ok (Leader_elected { node; wave; leader })
-    | "leader-skipped" ->
-      let* node = int_field "node" in
-      let* wave = int_field "wave" in
-      let* leader = int_field "leader" in
-      Ok (Leader_skipped { node; wave; leader })
-    | "commit" ->
-      let* node = int_field "node" in
-      let* wave = int_field "wave" in
-      let* leader_round = int_field "leader_round" in
-      let* leader_source = int_field "leader_source" in
-      let* direct = bool_field "direct" in
-      let* delivered = int_field "delivered" in
-      Ok (Commit { node; wave; leader_round; leader_source; direct; delivered })
     | "commit-cert" ->
       let* node = int_field "node" in
       let* rule = str_field "rule" in

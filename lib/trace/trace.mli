@@ -4,9 +4,11 @@
     stamped with the virtual time it was emitted at and a monotone
     sequence number. Every layer takes an optional tracer — network
     sends/receives, reliable-broadcast phase transitions, DAG vertex
-    and round progress, coin flips, leader election, wave commits, and
-    the BAB [a_deliver] upcalls — so one trace interleaves the full
-    causal story of a run. With no tracer installed ([None] everywhere)
+    and round progress, coin flips, leader election, the ordering
+    decisions, and the BAB [a_deliver] upcalls — so one trace
+    interleaves the full causal story of a run. Each ordering decision
+    is recorded once, as its provenance certificate ({!Commit_cert} or
+    {!Skip_cert}). With no tracer installed ([None] everywhere)
     nothing is allocated and the simulation is byte-identical to an
     untraced build of the same seed.
 
@@ -14,7 +16,10 @@
     the oldest are overwritten (failures live at the tail). Export is
     JSONL — one compact JSON object per line, decodable by
     {!events_of_jsonl} for offline analysis — and there is an ASCII
-    timeline renderer for eyeballs. *)
+    timeline renderer for eyeballs. Dumps written before the
+    certificates became the only decision record carry ["commit"] and
+    ["leader-skipped"] lines; the decoder rejects them as unknown event
+    kinds. *)
 
 type kind =
   | Send of { src : int; dst : int; msg_kind : string; bits : int; id : int }
@@ -73,17 +78,6 @@ type kind =
       (** [node] completed wave [wave] and released its coin share *)
   | Leader_elected of { node : int; wave : int; leader : int }
       (** f+1 shares combined at [node]: wave [wave]'s leader is known *)
-  | Leader_skipped of { node : int; wave : int; leader : int }
-      (** ordering processed a resolved wave without committing it
-          (leader vertex absent or under-supported, Algorithm 3) *)
-  | Commit of {
-      node : int;
-      wave : int;
-      leader_round : int;
-      leader_source : int;
-      direct : bool; (** [false] = chained retroactively, lines 38-43 *)
-      delivered : int; (** fresh vertices ordered by this commit *)
-    }
   | Commit_cert of {
       node : int;
       rule : string;  (** commit rule in force ("dagrider", "bullshark") *)
@@ -107,9 +101,10 @@ type kind =
               Chained commits carry the empty list — their evidence is
               [via]'s strong path. *)
       quorum : int;  (** votes required by the rule: 2f+1 or f+1 *)
-      delivered : int;
+      delivered : int;  (** fresh vertices ordered by this commit *)
     }
-      (** provenance certificate for one commit decision (forensics) *)
+      (** provenance certificate for one commit decision, direct or
+          chained (Algorithm 3 lines 36-43) *)
   | Skip_cert of {
       node : int;
       rule : string;
@@ -126,7 +121,9 @@ type kind =
               strong path to the leader (empty when absent) *)
       quorum : int;
     }
-      (** provenance certificate for one skip decision. A wave skipped
+      (** provenance certificate for one skip decision: ordering
+          processed the wave's resolved leader without committing it. A
+          wave skipped
           at its own time can still be recovered later by a chained
           {!Commit_cert} for the same wave (chain-back found a strong
           path after all); a skip with no later commit is final. *)

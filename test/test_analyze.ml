@@ -203,9 +203,9 @@ let test_single_sample_percentiles () =
   Metrics.Registry.observe reg "solo" 3.5;
   let snap = Metrics.Registry.snapshot reg in
   let h = List.assoc "solo" snap.Metrics.Registry.histograms in
-  checki "count" 1 h.Metrics.Registry.h_count;
-  checkf "p50" 3.5 h.Metrics.Registry.h_p50;
-  checkf "p99" 3.5 h.Metrics.Registry.h_p99
+  checki "count" 1 h.Stdx.Stats.s_count;
+  checkf "p50" 3.5 h.Stdx.Stats.s_p50;
+  checkf "p99" 3.5 h.Stdx.Stats.s_p99
 
 let test_per_process_latency_edges () =
   let l = Metrics.Latency.create () in
@@ -232,6 +232,131 @@ let test_per_process_latency_edges () =
     (Metrics.Latency.proposed l "block" ~now:0.0;
      Metrics.Latency.per_process_latency l "block" = [ (0, 3.5); (1, 2.0) ])
 
+(* ---- wave records against the ordering's own decisions ----
+
+   The ground truth comes from outside the analyzer. The on_commit hook
+   gives every commit the observer made and the virtual time it fired.
+   A wave the observer processed but never committed was skipped; it
+   processes waves in order while their leader is known, up to the last
+   wave it completed. A trace sink fires at the observer's skip
+   decision, while its DAG is still exactly what the ordering read, and
+   recomputes [Ordering.skip_evidence] there. *)
+
+let skip_label = function
+  | Dagrider.Ordering.Leader_absent -> "leader vertex absent"
+  | Dagrider.Ordering.Under_supported -> "leader under-supported"
+
+let check_wave_records ?(schedule = Harness.Runner.Uniform_random)
+    ?(faults = []) ~rule ~seed ~until () =
+  let module O = Dagrider.Ordering in
+  let observer = 0 in
+  let fleet = ref None in
+  let commits = ref [] and skip_reasons = Hashtbl.create 16 in
+  let node () = Harness.Runner.node (Option.get !fleet) observer in
+  let tracer = Trace.create ~capacity:1024 () in
+  Trace.add_sink tracer (fun e ->
+      match e.Trace.kind with
+      | Trace.Skip_cert { node = o; wave; _ } when o = observer ->
+        let nd = node () in
+        let leader_source = Option.get (Dagrider.Node.leader_of nd ~wave) in
+        let reason, _ =
+          O.skip_evidence ~rule ~dag:(Dagrider.Node.dag nd) ~wave
+            ~leader_source
+        in
+        Hashtbl.replace skip_reasons wave (skip_label reason)
+      | _ -> ());
+  let on_commit ~node:i (c : O.commit) =
+    if i = observer then
+      commits :=
+        (c, Sim.Engine.now (Harness.Runner.engine (Option.get !fleet)))
+        :: !commits
+  in
+  fleet :=
+    Some
+      (Harness.Runner.build
+         { (Harness.Runner.default_options ~n:4) with
+           seed;
+           rule;
+           schedule;
+           faults;
+           on_commit = Some on_commit;
+           trace = Some tracer });
+  Harness.Runner.run (Option.get !fleet) ~until;
+  let r = Option.get (Harness.Runner.analysis (Option.get !fleet)) in
+  checki "observer" observer r.Analyze.r_observer;
+  let record w =
+    match List.find_opt (fun x -> x.Analyze.w_wave = w) r.Analyze.r_waves with
+    | Some x -> x
+    | None -> Alcotest.failf "no record for wave %d" w
+  in
+  let commits = List.rev !commits in
+  List.iter
+    (fun ((c : O.commit), at) ->
+      let x = record c.wave in
+      let tag what = Printf.sprintf "wave %d %s" c.wave what in
+      checkb (tag "outcome") true
+        (x.Analyze.w_outcome
+        = if c.direct then Analyze.Committed_direct
+          else Analyze.Committed_chained c.anchor);
+      checkb (tag "leader") true
+        (x.Analyze.w_leader = Some c.leader.Dagrider.Vertex.source);
+      checkb (tag "committed_at") true (x.Analyze.w_committed_at = Some at);
+      checki (tag "delivered") (List.length c.delivered) x.Analyze.w_delivered)
+    commits;
+  let committed w = List.exists (fun ((c : O.commit), _) -> c.wave = w) commits in
+  let nd = node () in
+  let rec last_processed w =
+    if
+      w + 1 <= Dagrider.Node.waves_completed nd
+      && Dagrider.Node.leader_of nd ~wave:(w + 1) <> None
+    then last_processed (w + 1)
+    else w
+  in
+  let skipped =
+    List.filter (fun w -> not (committed w))
+      (List.init (last_processed 0) (fun i -> i + 1))
+  in
+  let recorded_skips =
+    List.filter_map
+      (fun x ->
+        match x.Analyze.w_outcome with
+        | Analyze.Skipped reason -> Some (x.Analyze.w_wave, reason)
+        | _ -> None)
+      r.Analyze.r_waves
+  in
+  checkb "skipped waves" true (List.map fst recorded_skips = skipped);
+  List.iter
+    (fun (w, reason) ->
+      Alcotest.(check string)
+        (Printf.sprintf "wave %d skip reason" w)
+        (Hashtbl.find skip_reasons w) reason;
+      checkb
+        (Printf.sprintf "wave %d skipped leader" w)
+        true
+        ((record w).Analyze.w_leader = Dagrider.Node.leader_of nd ~wave:w))
+    recorded_skips;
+  checki "direct + chained = hook commits" (List.length commits)
+    (r.Analyze.r_commits_direct + r.Analyze.r_commits_chained);
+  (List.length skipped, r.Analyze.r_commits_chained)
+
+let test_wave_records_match_ground_truth () =
+  List.iter
+    (fun rule ->
+      let name = rule.Dagrider.Ordering.rule_name in
+      ignore (check_wave_records ~rule ~seed:42 ~until:60.0 ());
+      let skips, _ =
+        check_wave_records ~faults:[ Harness.Runner.Crash 3 ] ~rule ~seed:1
+          ~until:200.0 ()
+      in
+      checkb (name ^ ": crash run skips") true (skips > 0);
+      let skips, chained =
+        check_wave_records ~schedule:Harness.Runner.Skewed_random ~rule
+          ~seed:2 ~until:200.0 ()
+      in
+      checkb (name ^ ": skewed run skips and chains") true
+        (skips > 0 && chained > 0))
+    Dagrider.Ordering.rules
+
 (* ---- faulted runs through the runner's analyzer config ---- *)
 
 let test_byzantine_run_audited () =
@@ -256,7 +381,9 @@ let () =
           Alcotest.test_case "partition stall flagged" `Quick
             test_partition_stall_flagged;
           Alcotest.test_case "honest run has no anomalies" `Quick
-            test_honest_run_no_anomalies ] );
+            test_honest_run_no_anomalies;
+          Alcotest.test_case "wave records match ground truth" `Quick
+            test_wave_records_match_ground_truth ] );
       ( "replay",
         [ Alcotest.test_case "jsonl replay matches live" `Quick
             test_jsonl_replay_matches_live;

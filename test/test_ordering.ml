@@ -637,6 +637,76 @@ let ordering_diff_prop ~rule ~n ~rounds ~count =
     ~count (QCheck.int_range 0 1_000_000)
     (ordering_diff ~rule ~n ~rounds)
 
+(* ---- the same comparison on DAGs a fleet built ----
+
+   An untraced run, no GC. Each node's final DAG is copied into a fresh
+   store (its own carries the node's delivered bits) and replayed
+   through both implementations with the leaders the node resolved.
+   Only the waves the node committed directly are replayed: a wave it
+   skipped may have gained its leader vertex or its support later, so
+   the final DAG does not show the skip. The chain-back under a direct
+   commit reads only the leader's causal history, which the final DAG
+   holds unchanged, so the replay must reproduce every decision the node
+   made and its whole delivered log. The two implementations must agree
+   on everything, support sets included. *)
+
+let fleet_replay ~rule ~n () =
+  let f = (n - 1) / 3 in
+  let commits = Array.make n [] in
+  let on_commit ~node c = commits.(node) <- c :: commits.(node) in
+  let fleet =
+    Harness.Runner.build
+      { (Harness.Runner.default_options ~n) with
+        rule;
+        on_commit = Some on_commit }
+  in
+  Harness.Runner.run fleet ~until:80.0;
+  Array.iteri
+    (fun i nd ->
+      let live = List.rev commits.(i) in
+      checkb (Printf.sprintf "p%d committed" i) true (live <> []);
+      let dag = Dagrider.Dag.create ~n in
+      List.iter (Dagrider.Dag.add dag)
+        (Dagrider.Dag.vertices (Dagrider.Node.dag nd));
+      let ord = O.create ~rule ~f () in
+      let reference = Ordering_reference.create ~rule ~f in
+      let choose_leader wave =
+        Option.get (Dagrider.Node.leader_of nd ~wave)
+      in
+      let replayed =
+        List.concat_map
+          (fun (c : O.commit) ->
+            if not c.direct then []
+            else begin
+              let got = O.process_wave ord ~dag ~wave:c.wave ~choose_leader in
+              let expected =
+                Ordering_reference.process_wave reference ~dag ~wave:c.wave
+                  ~choose_leader
+              in
+              checkb
+                (Printf.sprintf "p%d wave %d: ordering = reference" i c.wave)
+                true
+                (List.map project got = List.map project expected);
+              got
+            end)
+          live
+      in
+      (* the support set is what the DAG held when the node counted it,
+         so the final DAG may show more supporters *)
+      let decision (c : O.commit) =
+        let wave, leader, delivered, direct, _, anchor, via = project c in
+        (wave, leader, delivered, direct, anchor, via)
+      in
+      checkb (Printf.sprintf "p%d: replay = live commits" i) true
+        (List.map decision replayed = List.map decision live);
+      let log l = List.map V.vref_of l in
+      let node_log = log (Dagrider.Node.delivered_log nd) in
+      checkb (Printf.sprintf "p%d: ordering log" i) true
+        (log (O.delivered_log ord) = node_log);
+      checkb (Printf.sprintf "p%d: reference log" i) true
+        (log (Ordering_reference.delivered_log reference) = node_log))
+    (Harness.Runner.nodes fleet)
+
 let () =
   Alcotest.run "ordering"
     [ ( "waves",
@@ -682,5 +752,15 @@ let () =
                [ ordering_diff_prop ~rule ~n:4 ~rounds:40 ~count:200;
                  ordering_diff_prop ~rule ~n:10 ~rounds:24 ~count:50;
                  ordering_diff_prop ~rule ~n:70 ~rounds:24 ~count:10 ])
-             O.rules) )
+             O.rules) );
+      ( "fleet-replay",
+        List.concat_map
+          (fun rule ->
+            List.map
+              (fun n ->
+                Alcotest.test_case
+                  (Printf.sprintf "%s n=%d" rule.O.rule_name n)
+                  `Quick (fleet_replay ~rule ~n))
+              [ 4; 10 ])
+          O.rules )
     ]

@@ -75,8 +75,10 @@ let traced_run =
          Harness.Runner.trace = Some tr;
          on_commit =
            Some
-             (fun ~node c ->
-               commit_log := (node, c.Dagrider.Ordering.wave) :: !commit_log)
+             (fun ~node (c : Dagrider.Ordering.commit) ->
+               commit_log :=
+                 (node, c.wave, c.direct, List.length c.delivered)
+                 :: !commit_log)
        }
      in
      let h = Harness.Runner.build options in
@@ -108,7 +110,7 @@ let test_event_coverage () =
     (fun k ->
       checkb (Printf.sprintf "emits %s" k) true (List.mem k present))
     [ "send"; "recv"; "rbc-phase"; "vertex-created"; "vertex-added";
-      "round-advanced"; "coin-flip"; "leader-elected"; "commit";
+      "round-advanced"; "coin-flip"; "leader-elected"; "commit-cert";
       "a-deliver"; "engine-sample" ]
 
 let test_commit_events_cover_hook () =
@@ -118,19 +120,15 @@ let test_commit_events_cover_hook () =
     List.filter_map
       (fun e ->
         match e.Trace.kind with
-        | Trace.Commit { node; wave; _ } -> Some (node, wave)
+        | Trace.Commit_cert { node; wave; direct; delivered; _ } ->
+          Some (node, wave, direct, delivered)
         | _ -> None)
       (Trace.events tr)
   in
-  (* >= 1 commit trace event for every (node, wave) the hook reported *)
-  List.iter
-    (fun (node, wave) ->
-      checkb
-        (Printf.sprintf "trace has commit for node %d wave %d" node wave)
-        true
-        (List.mem (node, wave) traced_commits))
-    commit_log;
-  checki "and no extras" (List.length commit_log) (List.length traced_commits)
+  (* exactly one certificate for every commit the hook reported, with
+     its (node, wave, direct, delivered) *)
+  checkb "certificates = hook commits" true
+    (List.sort compare traced_commits = List.sort compare commit_log)
 
 let test_disabled_trace_identical_run () =
   let _, _, traced_refs = Lazy.force traced_run in
@@ -162,6 +160,19 @@ let test_jsonl_rejects_garbage () =
   (match Trace.events_of_jsonl "{\"seq\":1}\nnot json\n" with
   | Ok _ -> Alcotest.fail "accepted garbage"
   | Error e -> checkb "error names the line" true (String.length e > 0));
+  (* a dump written before the certificates were the only decision
+     record: its compact commit line is an unknown kind *)
+  (match
+     Trace.events_of_jsonl
+       "{\"seq\":0,\"t\":0.0,\"ev\":\"round-advanced\",\"node\":0,\"round\":1}\n\
+        {\"seq\":1,\"t\":1.0,\"ev\":\"commit\",\"node\":0,\"wave\":1,\
+        \"leader_round\":1,\"leader_source\":2,\"direct\":true,\
+        \"delivered\":1}\n"
+   with
+  | Ok _ -> Alcotest.fail "accepted a pre-certificate commit line"
+  | Error e ->
+    Alcotest.(check string) "error names the line"
+      "line 2: unknown event kind \"commit\"" e);
   match Trace.events_of_jsonl "" with
   | Ok [] -> ()
   | Ok _ -> Alcotest.fail "nonempty from empty input"
@@ -210,11 +221,11 @@ let test_registry_histograms_and_snapshot () =
     (snap.Metrics.Registry.counters = [ ("n", 7) ]);
   (match snap.Metrics.Registry.histograms with
   | [ ("lat", h) ] ->
-    checki "count" 100 h.Metrics.Registry.h_count;
-    checkf "mean" 50.5 h.Metrics.Registry.h_mean;
-    checkf "p50" 50.0 h.Metrics.Registry.h_p50;
-    checkf "p99" 99.0 h.Metrics.Registry.h_p99;
-    checkf "max" 100.0 h.Metrics.Registry.h_max
+    checki "count" 100 h.Stdx.Stats.s_count;
+    checkf "mean" 50.5 h.Stdx.Stats.s_mean;
+    checkf "p50" 50.0 h.Stdx.Stats.s_p50;
+    checkf "p99" 99.0 h.Stdx.Stats.s_p99;
+    checkf "max" 100.0 h.Stdx.Stats.s_max
   | _ -> Alcotest.fail "expected one histogram");
   (* the snapshot serializes to parseable JSON with all three sections *)
   let js = Stdx.Json.to_string (Metrics.Registry.snapshot_to_json snap) in
@@ -242,7 +253,7 @@ let test_runner_metrics_snapshot () =
   checkb "latency histogram populated" true
     (match List.assoc_opt "latency.first_delivery"
              snap.Metrics.Registry.histograms with
-    | Some hs -> hs.Metrics.Registry.h_count > 0
+    | Some hs -> hs.Stdx.Stats.s_count > 0
     | None -> false)
 
 (* ---- per-process latency ---- *)
