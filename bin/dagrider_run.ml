@@ -316,7 +316,12 @@ let analyze_cmd =
     let report =
       match jsonl with
       | Some path ->
-        (match Analyze.of_jsonl_file path with
+        (* the certificates name the rule; --rule covers a trace
+           without any *)
+        (match
+           Analyze.of_jsonl_file
+             ~config:{ Analyze.default_config with rule = c.rule } path
+         with
         | Ok report -> report
         | Error e ->
           Printf.eprintf "analyze: %s\n" e;

@@ -717,8 +717,30 @@ let analyze ?config events =
 
 let of_tracer ?config tracer = analyze ?config (Trace.events tracer)
 
-let of_jsonl_file ?config path =
-  Result.map (analyze ?config) (Trace.events_of_jsonl_file path)
+(* The rule the first certificate in the stream names, if it is a known
+   one. *)
+let certified_rule events =
+  match
+    List.find_map
+      (fun (e : Trace.event) ->
+        match e.kind with
+        | Trace.Commit_cert { rule; _ } | Trace.Skip_cert { rule; _ } -> Some rule
+        | _ -> None)
+      events
+  with
+  | Some name -> Dagrider.Ordering.rule_of_name name
+  | None -> None
+
+let of_jsonl_file ?(config = default_config) path =
+  Result.map
+    (fun events ->
+      let config =
+        match certified_rule events with
+        | Some rule -> { config with rule }
+        | None -> config
+      in
+      analyze ~config events)
+    (Trace.events_of_jsonl_file path)
 
 (* ---- output ---- *)
 

@@ -213,7 +213,9 @@ val of_tracer : ?config:config -> Trace.t -> report
 
 val of_jsonl_file : ?config:config -> string -> (report, string) result
 (** Replay a JSONL trace dump written by [dagrider_run trace --jsonl]
-    or the swarm checker. *)
+    or the swarm checker. The commit rule is the one the trace's
+    provenance certificates name; [config]'s rule applies only to a
+    trace that carries no certificate (or names an unknown rule). *)
 
 (** {1 Output} *)
 

@@ -25,13 +25,6 @@ let put_u32 buf v =
   Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
   Buffer.add_char buf (Char.chr (v land 0xFF))
 
-let get_u32 s pos =
-  if pos + 4 > String.length s then None
-  else begin
-    let b i = Char.code s.[pos + i] in
-    Some (((b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3, pos + 4))
-  end
-
 let encode v =
   let buf = Buffer.create (String.length v.block + 64) in
   put_u32 buf (String.length v.block);
@@ -48,52 +41,120 @@ let encode v =
   put_edges v.weak_edges;
   Buffer.contents buf
 
+(* Intake reads the payload in place: a short read raises [Short],
+   which [decode] catches, so nothing is allocated but the vertex. *)
+exception Short
+
+let get_u32 s pos =
+  if pos + 4 > String.length s then raise_notrace Short;
+  (Char.code (String.unsafe_get s pos) lsl 24)
+  lor (Char.code (String.unsafe_get s (pos + 1)) lsl 16)
+  lor (Char.code (String.unsafe_get s (pos + 2)) lsl 8)
+  lor Char.code (String.unsafe_get s (pos + 3))
+
+(* The end of the edge list whose count is at [pos]; [Short] unless the
+   whole list lies inside [s]. *)
+let edges_end s pos =
+  let stop = pos + 4 + (8 * get_u32 s pos) in
+  if stop > String.length s then raise_notrace Short;
+  stop
+
+(* [count] edges from [pos], in wire order; [edges_end] has checked
+   that they lie inside [s]. *)
+let[@tail_mod_cons] rec get_edges s pos count =
+  if count = 0 then []
+  else
+    let round = get_u32 s pos in
+    let source = get_u32 s (pos + 4) in
+    { round; source } :: get_edges s (pos + 8) (count - 1)
+
+(* The offset of the weak-edge count, once the payload is known to be
+   exactly a block and two edge lists. *)
+let layout payload =
+  let strong_at = 4 + get_u32 payload 0 in
+  if strong_at > String.length payload then raise_notrace Short;
+  let weak_at = edges_end payload strong_at in
+  if edges_end payload weak_at <> String.length payload then raise_notrace Short;
+  weak_at
+
 let decode ~round ~source payload =
-  let ( let* ) = Option.bind in
-  let* block_len, pos = get_u32 payload 0 in
-  if pos + block_len > String.length payload then None
-  else begin
-    let block = String.sub payload pos block_len in
-    let pos = pos + block_len in
-    let get_edges pos =
-      let* count, pos = get_u32 payload pos in
-      if count > String.length payload then None
-      else begin
-        let rec loop i pos acc =
-          if i = count then Some (List.rev acc, pos)
-          else
-            let* r, pos = get_u32 payload pos in
-            let* s, pos = get_u32 payload pos in
-            loop (i + 1) pos ({ round = r; source = s } :: acc)
-        in
-        loop 0 pos []
-      end
-    in
-    let* strong_edges, pos = get_edges pos in
-    let* weak_edges, pos = get_edges pos in
-    if pos <> String.length payload then None
-    else Some { round; source; block; strong_edges; weak_edges }
-  end
+  match layout payload with
+  | exception Short -> None
+  | weak_at ->
+    let block_len = get_u32 payload 0 in
+    let strong_at = 4 + block_len in
+    Some
+      { round;
+        source;
+        block = String.sub payload 4 block_len;
+        strong_edges =
+          get_edges payload (strong_at + 4) (get_u32 payload strong_at);
+        weak_edges = get_edges payload (weak_at + 4) (get_u32 payload weak_at) }
+
+(* The checks of [validate] walk the edge lists with these top-level
+   functions, so the [Ok] path builds no closure. *)
+let rec all_in_round round = function
+  | [] -> true
+  | (e : vref) :: rest -> e.round = round && all_in_round round rest
+
+let rec all_in_rounds ~hi = function
+  | [] -> true
+  | (e : vref) :: rest -> e.round >= 1 && e.round <= hi && all_in_rounds ~hi rest
+
+let rec sources_below n = function
+  | [] -> true
+  | (e : vref) :: rest -> e.source >= 0 && e.source < n && sources_below n rest
+
+(* Distinct sources, one bit per source: in an int [mask] when
+   [n < Sys.int_size], else in [seen], a [Bytes] of [n] bits. *)
+let rec distinct_in_mask mask = function
+  | [] -> true
+  | (e : vref) :: rest ->
+    let bit = 1 lsl e.source in
+    mask land bit = 0 && distinct_in_mask (mask lor bit) rest
+
+let rec distinct_in_bytes seen = function
+  | [] -> true
+  | (e : vref) :: rest ->
+    let byte = Bytes.get_uint8 seen (e.source lsr 3) in
+    let bit = 1 lsl (e.source land 7) in
+    byte land bit = 0
+    && begin
+      Bytes.set_uint8 seen (e.source lsr 3) (byte lor bit);
+      distinct_in_bytes seen rest
+    end
+
+let rec no_adjacent_equal = function
+  | a :: (b :: _ as rest) -> compare_vref a b <> 0 && no_adjacent_equal rest
+  | [] | [ _ ] -> true
+
+(* Strong edges all point into round [round - 1], so they are distinct
+   iff their sources are, and no weak edge (rounds [<= round - 2]) can
+   equal one of them. *)
+let distinct_edges ~n v =
+  (if n < Sys.int_size then distinct_in_mask 0 v.strong_edges
+   else distinct_in_bytes (Bytes.make ((n + 7) / 8) '\000') v.strong_edges)
+  &&
+  match v.weak_edges with
+  | [] | [ _ ] -> true
+  | weak -> no_adjacent_equal (List.sort compare_vref weak)
 
 let validate ~n ~f v =
-  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let edge_ok (e : vref) = e.source >= 0 && e.source < n in
-  if v.round < 1 then fail "round %d < 1" v.round
-  else if v.source < 0 || v.source >= n then fail "source %d out of range" v.source
-  else if List.length v.strong_edges < (2 * f) + 1 then
-    fail "only %d strong edges, need %d" (List.length v.strong_edges) ((2 * f) + 1)
-  else if List.exists (fun (e : vref) -> e.round <> v.round - 1) v.strong_edges then
-    fail "strong edge not to round %d" (v.round - 1)
-  else if List.exists (fun (e : vref) -> e.round < 1 || e.round > v.round - 2) v.weak_edges
-  then fail "weak edge outside rounds [1, %d]" (v.round - 2)
-  else if (not (List.for_all edge_ok v.strong_edges)) || not (List.for_all edge_ok v.weak_edges)
-  then fail "edge source out of range"
-  else begin
-    let all = v.strong_edges @ v.weak_edges in
-    let dedup = List.sort_uniq compare_vref all in
-    if List.length dedup <> List.length all then fail "duplicate edge target"
-    else Ok ()
-  end
+  if v.round < 1 then Error (Printf.sprintf "round %d < 1" v.round)
+  else if v.source < 0 || v.source >= n then
+    Error (Printf.sprintf "source %d out of range" v.source)
+  else if List.compare_length_with v.strong_edges ((2 * f) + 1) < 0 then
+    Error
+      (Printf.sprintf "only %d strong edges, need %d"
+         (List.length v.strong_edges) ((2 * f) + 1))
+  else if not (all_in_round (v.round - 1) v.strong_edges) then
+    Error (Printf.sprintf "strong edge not to round %d" (v.round - 1))
+  else if not (all_in_rounds ~hi:(v.round - 2) v.weak_edges) then
+    Error (Printf.sprintf "weak edge outside rounds [1, %d]" (v.round - 2))
+  else if not (sources_below n v.strong_edges && sources_below n v.weak_edges)
+  then Error "edge source out of range"
+  else if not (distinct_edges ~n v) then Error "duplicate edge target"
+  else Ok ()
 
 let digest v =
   Crypto.Sha256.digest_string

@@ -9,11 +9,10 @@ let clean = { drop = false; duplicates = 0; corrupt = false; extra_delay = 0.0 }
 
 type t = {
   name : string;
-  decide : now:float -> src:int -> dst:int -> kind:string -> verdict;
+  decide : Sched.io -> src:int -> dst:int -> kind:string -> verdict;
 }
 
-let none =
-  { name = "none"; decide = (fun ~now:_ ~src:_ ~dst:_ ~kind:_ -> clean) }
+let none = { name = "none"; decide = (fun _ ~src:_ ~dst:_ ~kind:_ -> clean) }
 
 let check_prob label p =
   if p < 0.0 || p > 1.0 then
@@ -34,7 +33,7 @@ let lossy ~rng ?(drop = 0.0) ?(duplicate = 0.0) ?(corrupt = 0.0)
   (* the draw sequence per decision is fixed (drop, duplicate, corrupt,
      reorder, then the spread iff reordered) so executions stay pure
      functions of the seed *)
-  let decide ~now:_ ~src:_ ~dst:_ ~kind:_ =
+  let decide _ ~src:_ ~dst:_ ~kind:_ =
     let dropped = drop > 0.0 && Stdx.Rng.float rng 1.0 < drop in
     let duplicates =
       if duplicate > 0.0 && Stdx.Rng.float rng 1.0 < duplicate then 1 else 0
@@ -45,20 +44,23 @@ let lossy ~rng ?(drop = 0.0) ?(duplicate = 0.0) ?(corrupt = 0.0)
         Stdx.Rng.float rng reorder_spread
       else 0.0
     in
-    { drop = dropped; duplicates; corrupt = corrupted; extra_delay }
+    (* a clean message shares [clean] rather than a fresh verdict *)
+    if dropped || duplicates > 0 || corrupted || extra_delay <> 0.0 then
+      { drop = dropped; duplicates; corrupt = corrupted; extra_delay }
+    else clean
   in
   { name; decide }
 
 let on_links ~pred inner =
   { name = inner.name ^ "+targeted";
     decide =
-      (fun ~now ~src ~dst ~kind ->
-        if pred ~src ~dst then inner.decide ~now ~src ~dst ~kind else clean) }
+      (fun io ~src ~dst ~kind ->
+        if pred ~src ~dst then inner.decide io ~src ~dst ~kind else clean) }
 
 let with_window ~from_time ~until_time inner =
   { name = Printf.sprintf "%s+window[%.1f,%.1f)" inner.name from_time until_time;
     decide =
-      (fun ~now ~src ~dst ~kind ->
-        if now >= from_time && now < until_time then
-          inner.decide ~now ~src ~dst ~kind
+      (fun io ~src ~dst ~kind ->
+        if io.Sched.now >= from_time && io.Sched.now < until_time then
+          inner.decide io ~src ~dst ~kind
         else clean) }

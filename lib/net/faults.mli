@@ -23,7 +23,10 @@ val clean : verdict
 
 type t = {
   name : string;
-  decide : now:float -> src:int -> dst:int -> kind:string -> verdict;
+  decide : Sched.io -> src:int -> dst:int -> kind:string -> verdict;
+      (** Reads the send's time from [now] of the caller's {!Sched.io}
+          (so the time crosses the call unboxed) and leaves [delay]
+          alone. *)
 }
 
 val none : t

@@ -6,6 +6,9 @@
 type 'msg t = {
   engine : Sim.Engine.t;
   sched : Sched.t;
+  (* the one record every decision of this network reads its time from
+     and writes its delay to *)
+  io : Sched.io;
   counters : Metrics.Counters.t;
   n : int;
   handlers : (src:int -> 'msg -> unit) option array;
@@ -91,7 +94,9 @@ let grow t msg =
   t.msg_of <- extend t.msg_of blank;
   t.free <- extend t.free 0
 
-let deliver_later t ~src ~dst ~kind ~delay ~sent_op ~mid msg =
+(* Inlined, as is [Sim.Engine.schedule_call], so the delay goes from
+   [t.io] into the event queue's float array without a box. *)
+let[@inline] deliver_later t ~src ~dst ~kind ~delay ~sent_op ~mid msg =
   let slot =
     if t.free_top > 0 then begin
       t.free_top <- t.free_top - 1;
@@ -150,6 +155,7 @@ let create ~engine ~sched ~counters ~n =
   let t =
     { engine;
       sched;
+      io = { Sched.now = 0.0; delay = 0.0 };
       counters;
       n;
       handlers = Array.make n None;
@@ -196,15 +202,16 @@ let send ?mid t ~src ~dst ~kind ~bits msg =
   | None -> ()
   | Some tr ->
     Trace.emit tr (Trace.Send { src; dst; msg_kind = kind; bits; id = mid }));
-  let now = Sim.Engine.now t.engine in
+  let io = t.io in
+  io.now <- Sim.Engine.now t.engine;
   let sent_op = t.op_seq in
   t.op_seq <- sent_op + 1;
   match t.faults with
   | None ->
-    let { Sched.delay } = t.sched.Sched.decide ~now ~src ~dst ~kind in
-    deliver_later t ~src ~dst ~kind ~delay ~sent_op ~mid msg
+    t.sched.Sched.decide io ~src ~dst ~kind;
+    deliver_later t ~src ~dst ~kind ~delay:io.delay ~sent_op ~mid msg
   | Some faults ->
-    let verdict = faults.Faults.decide ~now ~src ~dst ~kind in
+    let verdict = faults.Faults.decide io ~src ~dst ~kind in
     if verdict.Faults.drop then
       note_drop t ~src ~dst ~kind ~reason:"fault" ~mid
     else begin
@@ -219,16 +226,16 @@ let send ?mid t ~src ~dst ~kind ~bits msg =
       in
       if lost then note_drop t ~src ~dst ~kind ~reason:"corrupt" ~mid
       else begin
-        let { Sched.delay } = t.sched.Sched.decide ~now ~src ~dst ~kind in
+        t.sched.Sched.decide io ~src ~dst ~kind;
         deliver_later t ~src ~dst ~kind
-          ~delay:(delay +. verdict.Faults.extra_delay)
+          ~delay:(io.delay +. verdict.Faults.extra_delay)
           ~sent_op ~mid msg;
         (* each duplicate re-queries the schedule, so copies race each
            other — duplication doubles as reordering; all copies carry
            the one logical id *)
         for _ = 1 to verdict.Faults.duplicates do
-          let { Sched.delay } = t.sched.Sched.decide ~now ~src ~dst ~kind in
-          deliver_later t ~src ~dst ~kind ~delay ~sent_op ~mid msg
+          t.sched.Sched.decide io ~src ~dst ~kind;
+          deliver_later t ~src ~dst ~kind ~delay:io.delay ~sent_op ~mid msg
         done
       end
     end

@@ -16,9 +16,12 @@
     rows (source, destination, send operation, trace id, kind and
     message, one array each), and its delivery is one
     {!Sim.Engine.schedule_call} event carrying the slot index, so a send
-    allocates no closure. A delivery frees its slot before the handler
-    runs; freed slots are reused last-in first-out, so the rows never
-    grow past the peak number of messages in flight. *)
+    allocates no closure. The schedule (and fault policy) decide
+    through one {!Sched.io} the network owns, so an untraced, fault-free
+    send allocates nothing at all in the default build. A delivery frees
+    its slot before the handler runs; freed slots are reused last-in
+    first-out, so the rows never grow past the peak number of messages
+    in flight. *)
 
 type 'msg t
 

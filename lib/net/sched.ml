@@ -1,97 +1,100 @@
-type decision = { delay : float }
+(* A decision reads [now] from and writes [delay] to the caller's
+   float-only record, whose fields are stored unboxed, so no float
+   crosses the indirect call boxed and nothing is allocated per
+   message. *)
+type io = { mutable now : float; mutable delay : float }
 
 type t = {
   name : string;
-  decide : now:float -> src:int -> dst:int -> kind:string -> decision;
+  decide : io -> src:int -> dst:int -> kind:string -> unit;
 }
 
 let synchronous () =
   { name = "synchronous";
-    decide = (fun ~now:_ ~src:_ ~dst:_ ~kind:_ -> { delay = 1.0 }) }
+    decide = (fun io ~src:_ ~dst:_ ~kind:_ -> io.delay <- 1.0) }
 
 let uniform_random ~rng =
   { name = "uniform-random";
     decide =
-      (fun ~now:_ ~src:_ ~dst:_ ~kind:_ ->
+      (fun io ~src:_ ~dst:_ ~kind:_ ->
         (* (0, 1]: avoid 0 so causality chains keep strictly increasing time *)
-        { delay = 1.0 -. Stdx.Rng.float rng 0.999 }) }
+        io.delay <- 1.0 -. Stdx.Rng.float rng 0.999) }
 
 let skewed_random ~rng =
   { name = "skewed-random";
     decide =
-      (fun ~now:_ ~src:_ ~dst:_ ~kind:_ ->
+      (fun io ~src:_ ~dst:_ ~kind:_ ->
         let d = Stdx.Rng.exponential rng ~mean:0.3 in
-        { delay = Float.max 0.001 (Float.min 1.0 d) }) }
+        io.delay <- Float.max 0.001 (Float.min 1.0 d)) }
 
 let bimodal ~rng ?(slow_fraction = 0.25) ?(slow_factor = 5.0) () =
   { name = "bimodal";
     decide =
-      (fun ~now:_ ~src:_ ~dst:_ ~kind:_ ->
+      (fun io ~src:_ ~dst:_ ~kind:_ ->
         let base = 1.0 -. Stdx.Rng.float rng 0.999 in
-        if Stdx.Rng.float rng 1.0 < slow_fraction then
-          { delay = base *. slow_factor }
-        else { delay = base }) }
+        io.delay <-
+          (if Stdx.Rng.float rng 1.0 < slow_fraction then base *. slow_factor
+           else base)) }
 
 let heavy_tailed ~rng =
   { name = "heavy-tailed";
     decide =
-      (fun ~now:_ ~src:_ ~dst:_ ~kind:_ ->
-        { delay = Float.max 0.001 (Stdx.Rng.exponential rng ~mean:1.0) }) }
+      (fun io ~src:_ ~dst:_ ~kind:_ ->
+        io.delay <- Float.max 0.001 (Stdx.Rng.exponential rng ~mean:1.0)) }
 
 let mobile_sluggish ~inner ~n ~f ~period ~factor =
   { name = Printf.sprintf "%s+mobile-sluggish(f=%d)" inner.name f;
     decide =
-      (fun ~now ~src ~dst ~kind ->
-        let epoch = int_of_float (Float.max 0.0 now /. period) in
-        let slowed i = (((i - (epoch * f)) mod n) + n) mod n < f in
-        let d = inner.decide ~now ~src ~dst ~kind in
-        if slowed src then { delay = d.delay *. factor } else d) }
+      (fun io ~src ~dst ~kind ->
+        let epoch = int_of_float (Float.max 0.0 io.now /. period) in
+        inner.decide io ~src ~dst ~kind;
+        if (((src - (epoch * f)) mod n) + n) mod n < f then
+          io.delay <- io.delay *. factor) }
 
 let delay_process ~inner ~victim ~factor =
   { name = Printf.sprintf "%s+delay(p%d,x%.0f)" inner.name victim factor;
     decide =
-      (fun ~now ~src ~dst ~kind ->
-        let d = inner.decide ~now ~src ~dst ~kind in
-        if src = victim then { delay = d.delay *. factor } else d) }
+      (fun io ~src ~dst ~kind ->
+        inner.decide io ~src ~dst ~kind;
+        if src = victim then io.delay <- io.delay *. factor) }
 
 let delay_matching ~inner ~pred ~factor =
   { name = inner.name ^ "+targeted";
     decide =
-      (fun ~now ~src ~dst ~kind ->
-        let d = inner.decide ~now ~src ~dst ~kind in
-        if pred ~src ~dst ~kind then { delay = d.delay *. factor } else d) }
+      (fun io ~src ~dst ~kind ->
+        inner.decide io ~src ~dst ~kind;
+        if pred ~src ~dst ~kind then io.delay <- io.delay *. factor) }
 
 let rush_process ~inner ~favored =
   { name = Printf.sprintf "%s+rush(p%d)" inner.name favored;
     decide =
-      (fun ~now ~src ~dst ~kind ->
-        if src = favored then { delay = 0.001 }
-        else inner.decide ~now ~src ~dst ~kind) }
+      (fun io ~src ~dst ~kind ->
+        if src = favored then io.delay <- 0.001
+        else inner.decide io ~src ~dst ~kind) }
 
 let partition ~inner ~left ~factor =
   { name = Printf.sprintf "%s+partition(x%.0f)" inner.name factor;
     decide =
-      (fun ~now ~src ~dst ~kind ->
-        let d = inner.decide ~now ~src ~dst ~kind in
-        if left src <> left dst then { delay = d.delay *. factor } else d) }
+      (fun io ~src ~dst ~kind ->
+        inner.decide io ~src ~dst ~kind;
+        if left src <> left dst then io.delay <- io.delay *. factor) }
 
 let kind_storm ~inner ~kinds ~factor =
   { name = Printf.sprintf "%s+storm[%s](x%.0f)" inner.name
       (String.concat "," kinds) factor;
     decide =
-      (fun ~now ~src ~dst ~kind ->
-        let d = inner.decide ~now ~src ~dst ~kind in
+      (fun io ~src ~dst ~kind ->
+        inner.decide io ~src ~dst ~kind;
         if List.exists (fun prefix ->
                String.length kind >= String.length prefix
                && String.sub kind 0 (String.length prefix) = prefix)
              kinds
-        then { delay = d.delay *. factor }
-        else d) }
+        then io.delay <- io.delay *. factor) }
 
 let with_window ~inner ~from_time ~until_time ~during =
   { name = Printf.sprintf "%s+window[%s]" inner.name during.name;
     decide =
-      (fun ~now ~src ~dst ~kind ->
-        if now >= from_time && now < until_time then
-          during.decide ~now ~src ~dst ~kind
-        else inner.decide ~now ~src ~dst ~kind) }
+      (fun io ~src ~dst ~kind ->
+        if io.now >= from_time && io.now < until_time then
+          during.decide io ~src ~dst ~kind
+        else inner.decide io ~src ~dst ~kind) }

@@ -13,11 +13,18 @@
     allowed to do that; it just makes the run's real time-unit larger,
     which is exactly the effect the protocol must survive. *)
 
-type decision = { delay : float }
+type io = { mutable now : float; mutable delay : float }
+(** The arguments and result of one decision: the caller sets [now],
+    the send's virtual time, and the policy writes [delay]. A record of
+    floats only stores its fields unboxed, so a caller that owns one
+    {!io} and reuses it for every send passes no float across the
+    indirect call and allocates nothing per decision. *)
 
 type t = {
   name : string;
-  decide : now:float -> src:int -> dst:int -> kind:string -> decision;
+  decide : io -> src:int -> dst:int -> kind:string -> unit;
+      (** Reads [now] and sets [delay]; a wrapping policy calls its
+          inner one first and then rescales [delay]. *)
 }
 
 val synchronous : unit -> t

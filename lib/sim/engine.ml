@@ -17,14 +17,14 @@ let create () =
     seq = 0;
     executed = 0 }
 
-let now t = t.clock.time
+let[@inline] now t = t.clock.time
 
 let[@inline] push t ~time f arg =
   let time = if time < t.clock.time then t.clock.time else time in
   t.seq <- t.seq + 1;
   Stdx.Pqueue.push t.queue ~priority:time ~seq:t.seq ~arg f
 
-let check_delay name delay =
+let[@inline] check_delay name delay =
   if delay < 0.0 then invalid_arg ("Engine." ^ name ^ ": negative delay")
 
 let schedule_at t ~time f = push t ~time (fun _ -> f ()) 0
@@ -33,7 +33,9 @@ let schedule t ~delay f =
   check_delay "schedule" delay;
   push t ~time:(t.clock.time +. delay) (fun _ -> f ()) 0
 
-let schedule_call t ~delay f arg =
+(* Inlined, so a delay computed by the caller reaches the queue's float
+   array without a box. *)
+let[@inline] schedule_call t ~delay f arg =
   check_delay "schedule_call" delay;
   push t ~time:(t.clock.time +. delay) f arg
 
@@ -59,18 +61,19 @@ let step t =
   stepped
 
 let run t ?(max_events = max_int) ?(until = infinity) () =
-  let rec loop count =
-    if count >= max_events || Stdx.Pqueue.is_empty t.queue then count
+  let count = ref 0 and stop = ref false in
+  while not !stop do
+    if !count >= max_events || Stdx.Pqueue.is_empty t.queue then stop := true
     else if Stdx.Pqueue.min_priority t.queue > until then begin
       t.clock.time <- until;
-      count
+      stop := true
     end
     else begin
       ignore (step t);
-      loop (count + 1)
+      incr count
     end
-  in
-  loop 0
+  done;
+  !count
 
 let pending t = Stdx.Pqueue.length t.queue
 

@@ -74,7 +74,7 @@ let sample_without_replacement t ~k ~n =
   shuffle t a;
   Array.to_list (Array.sub a 0 k)
 
-let exponential t ~mean =
+let[@inline] exponential t ~mean =
   let u = float t 1.0 in
   (* avoid log 0 *)
   let u = if u <= 0.0 then 1e-12 else u in

@@ -13,12 +13,13 @@ let checkf = Alcotest.(check (float 1e-9))
 
 let build_traced ?(n = 4) ?(seed = 42) ?(until = 40.0) ?(block_bytes = 32)
     ?gc_depth ?(capacity = 4096) ?(schedule = Harness.Runner.Uniform_random)
-    ?(faults = []) () =
+    ?(faults = []) ?(rule = Dagrider.Ordering.dag_rider) () =
   let tracer = Trace.create ~capacity () in
   let fleet =
     Harness.Runner.build
       { (Harness.Runner.default_options ~n) with
         seed;
+        rule;
         schedule;
         block_bytes;
         gc_depth;
@@ -92,10 +93,7 @@ let test_honest_run_no_anomalies () =
 
 (* ---- replay: JSONL round trip and of_tracer agree ---- *)
 
-let test_jsonl_replay_matches_live () =
-  let _, tracer = build_traced ~capacity:65536 ~until:40.0 () in
-  checki "nothing dropped at this capacity" 0 (Trace.dropped tracer);
-  let live = Analyze.of_tracer tracer in
+let with_jsonl_dump tracer k =
   let path = Filename.temp_file "analyze" ".trace.jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -103,6 +101,13 @@ let test_jsonl_replay_matches_live () =
       let oc = open_out path in
       output_string oc (Trace.to_jsonl tracer);
       close_out oc;
+      k path)
+
+let test_jsonl_replay_matches_live () =
+  let _, tracer = build_traced ~capacity:65536 ~until:40.0 () in
+  checki "nothing dropped at this capacity" 0 (Trace.dropped tracer);
+  let live = Analyze.of_tracer tracer in
+  with_jsonl_dump tracer (fun path ->
       match Analyze.of_jsonl_file path with
       | Error e -> Alcotest.fail e
       | Ok replayed ->
@@ -115,6 +120,26 @@ let test_jsonl_replay_matches_live () =
         checki "anomaly count"
           (List.length live.Analyze.r_anomalies)
           (List.length replayed.Analyze.r_anomalies))
+
+(* the replay takes the rule from the certificates, so a Bullshark trace
+   replayed with the default config reads as Bullshark: 2-round waves
+   and the 2.0 bound, exactly as the live run's analyzer reported *)
+let test_jsonl_replay_reads_rule_from_certificates () =
+  let fleet, tracer =
+    build_traced ~capacity:65536 ~until:60.0 ~rule:Dagrider.Ordering.bullshark ()
+  in
+  checki "nothing dropped at this capacity" 0 (Trace.dropped tracer);
+  let live = Option.get (Harness.Runner.analysis fleet) in
+  checki "live: waves resolved" 16 live.Analyze.r_waves_resolved;
+  checkf "live: bound" 2.0 live.Analyze.r_waves_bound;
+  with_jsonl_dump tracer (fun path ->
+      match Analyze.of_jsonl_file path with
+      | Error e -> Alcotest.fail e
+      | Ok replayed ->
+        Alcotest.(check string)
+          "replayed report = live report"
+          (Stdx.Json.to_string (Analyze.report_to_json live))
+          (Stdx.Json.to_string (Analyze.report_to_json replayed)))
 
 let test_jsonl_missing_file () =
   match Analyze.of_jsonl_file "/nonexistent/definitely-not-here.jsonl" with
@@ -387,6 +412,8 @@ let () =
       ( "replay",
         [ Alcotest.test_case "jsonl replay matches live" `Quick
             test_jsonl_replay_matches_live;
+          Alcotest.test_case "jsonl replay reads the certified rule" `Quick
+            test_jsonl_replay_reads_rule_from_certificates;
           Alcotest.test_case "missing file is an error" `Quick
             test_jsonl_missing_file;
           Alcotest.test_case "report JSON parses" `Quick

@@ -138,6 +138,177 @@ let test_validate_error_messages_name_rule () =
       (contains msg "strong")
   | Ok () -> Alcotest.fail "should reject")
 
+(* ---- Vertex intake against the reference (test/vertex_reference.ml) ---- *)
+
+let show_vertex (v : Dagrider.Vertex.t) =
+  let edges l =
+    String.concat " "
+      (List.map
+         (fun (e : Dagrider.Vertex.vref) -> Printf.sprintf "%d/%d" e.round e.source)
+         l)
+  in
+  Printf.sprintf "r=%d p=%d |b|=%d strong=[%s] weak=[%s]" v.round v.source
+    (String.length v.block) (edges v.strong_edges) (edges v.weak_edges)
+
+(* Insert [x] into [l] at a random position. *)
+let insert_anywhere x l =
+  QCheck.Gen.(
+    let* i = int_range 0 (List.length l) in
+    return (List.filteri (fun j _ -> j < i) l @ (x :: List.filteri (fun j _ -> j >= i) l)))
+
+(* A vertex for [n] in {4, 16, 64, 100} processes (the last two past the
+   int mask of the strong-edge check), valid before at most one fault:
+   a duplicate strong or weak edge, an out-of-range source, a strong or
+   weak edge to a wrong round, a round below 1, or too few strong
+   edges. With [~wire] every number stays encodable. *)
+let gen_intake_vertex ~wire =
+  QCheck.Gen.(
+    let* n = oneofl [ 4; 16; 64; 100 ] in
+    let f = (n - 1) / 3 in
+    let* round = int_range 1 30 in
+    let* source = int_range 0 (n - 1) in
+    let* block = string_size (int_range 0 40) in
+    let* k = int_range ((2 * f) + 1) n in
+    let* order = shuffle_l (List.init n Fun.id) in
+    let strong = List.filteri (fun i _ -> i < k) order |> List.map (vref (round - 1)) in
+    let* weak_count = frequencyl [ (3, 0); (1, 1); (2, 5) ] in
+    let* weak =
+      if round < 3 then return []
+      else list_repeat weak_count (pair (int_range 1 (round - 2)) (int_range 0 (n - 1)))
+    in
+    let* weak = shuffle_l (List.sort_uniq compare weak |> List.map (fun (r, s) -> vref r s)) in
+    let* bad_source =
+      if wire then oneofl [ n; n + 7; 0xFFFFFFFF ] else oneofl [ n; -1; max_int ]
+    in
+    let* pick = int_range 0 999 in
+    let nth l = List.nth l (pick mod List.length l) in
+    let replace_nth l e = List.mapi (fun i x -> if i = pick mod List.length l then e else x) l in
+    let* fault = int_range 0 9 in
+    let v = { Dagrider.Vertex.round; source; block; strong_edges = strong; weak_edges = weak } in
+    let* v =
+      match fault with
+      | 1 ->
+        let* strong = insert_anywhere (nth strong) strong in
+        return { v with strong_edges = strong }
+      | 2 ->
+        let* weak =
+          match weak with
+          | [] -> return [ vref (max 1 (round - 2)) 0; vref (max 1 (round - 2)) 0 ]
+          | _ -> insert_anywhere (nth weak) weak
+        in
+        return { v with weak_edges = weak }
+      | 3 ->
+        let e = nth strong in
+        return { v with strong_edges = replace_nth strong (vref e.round bad_source) }
+      | 4 ->
+        let* wrong = oneofl (if wire && round < 2 then [ round ] else [ round; round - 2 ]) in
+        let e = nth strong in
+        return { v with strong_edges = replace_nth strong (vref wrong e.source) }
+      | 5 ->
+        let* wrong = oneofl [ 0; round - 1; round ] in
+        let* weak = insert_anywhere (vref (max 0 wrong) (pick mod n)) weak in
+        return { v with weak_edges = weak }
+      | 6 -> return { v with round = (if wire then 0 else -3) }
+      | 7 ->
+        let* keep = int_range 0 (2 * f) in
+        return { v with strong_edges = List.filteri (fun i _ -> i < keep) strong }
+      | 8 -> return { v with source = bad_source }
+      | 9 when weak <> [] ->
+        let e = nth weak in
+        return { v with weak_edges = replace_nth weak (vref e.round bad_source) }
+      | _ -> return v
+    in
+    return (n, f, v))
+
+let prop_validate_matches_reference =
+  QCheck.Test.make ~name:"validate = reference validate" ~count:2000
+    (QCheck.make
+       ~print:(fun (n, f, v) -> Printf.sprintf "n=%d f=%d %s" n f (show_vertex v))
+       (gen_intake_vertex ~wire:false))
+    (fun (n, f, v) ->
+      Dagrider.Vertex.validate ~n ~f v = Vertex_reference.validate ~n ~f v)
+
+(* [payload] with the u32 at [pos] replaced by [x] *)
+let set_u32 payload pos x =
+  let b = Bytes.of_string payload in
+  Bytes.set_int32_be b pos (Int32.of_int x);
+  Bytes.to_string b
+
+(* The encoding of a generated vertex, kept, truncated, extended, or
+   with its block length or an edge count rewritten (huge values
+   included), or replaced by random bytes. *)
+let gen_intake_payload =
+  QCheck.Gen.(
+    let* n, f, v = gen_intake_vertex ~wire:true in
+    let payload = Dagrider.Vertex.encode v in
+    let len = String.length payload in
+    let block_len = String.length v.block in
+    let strong_at = 4 + block_len in
+    let weak_at = strong_at + 4 + (8 * List.length v.strong_edges) in
+    let* mutation = int_range 0 6 in
+    let* payload =
+      match mutation with
+      | 1 ->
+        let* cut = int_range 0 (len - 1) in
+        return (String.sub payload 0 cut)
+      | 2 ->
+        let* extra = string_size (int_range 1 12) in
+        return (payload ^ extra)
+      | 3 ->
+        let* x = oneofl [ 0xFFFFFFFF; 0x7FFFFFFF; block_len + 1; max 0 (block_len - 1); len ] in
+        return (set_u32 payload 0 x)
+      | 4 ->
+        let* at = oneofl [ strong_at; weak_at ] in
+        let count = if at = strong_at then List.length v.strong_edges else List.length v.weak_edges in
+        let* x = oneofl [ 0xFFFFFFFF; 0x1FFFFFFF; count + 1; max 0 (count - 1); len ] in
+        return (set_u32 payload at x)
+      | 5 -> string_size (int_range 0 64)
+      | _ -> return payload
+    in
+    return (n, f, v.round, v.source, payload))
+
+let prop_decode_matches_reference =
+  QCheck.Test.make ~name:"decode/validate = reference on payloads" ~count:2000
+    (QCheck.make
+       ~print:(fun (n, f, round, source, payload) ->
+         Printf.sprintf "n=%d f=%d round=%d source=%d payload=%S" n f round source
+           payload)
+       gen_intake_payload)
+    (fun (n, f, round, source, payload) ->
+      let got = Dagrider.Vertex.decode ~round ~source payload in
+      got = Vertex_reference.decode ~round ~source payload
+      &&
+      match got with
+      | Some v -> Dagrider.Vertex.validate ~n ~f v = Vertex_reference.validate ~n ~f v
+      | None -> true)
+
+(* Intake allocates the decoded vertex and nothing else. Like every
+   allocation bound in the suite, these hold for the repository's
+   default (release) build. *)
+let test_intake_allocation () =
+  let n = 16 and f = 5 in
+  let v =
+    mkv ~round:7 ~source:3 ~block:(String.make 32 'b')
+      ~strong:(List.init n (fun s -> (6, s)))
+      ()
+  in
+  let payload = Dagrider.Vertex.encode v in
+  ignore (Dagrider.Vertex.decode ~round:7 ~source:3 payload);
+  let before = Gc.minor_words () in
+  let decoded = Sys.opaque_identity (Dagrider.Vertex.decode ~round:7 ~source:3 payload) in
+  let words = Gc.minor_words () -. before in
+  let v' = match decoded with Some v' -> v' | None -> Alcotest.fail "decode failed" in
+  (* the result's own words plus the [Some] block around it *)
+  let bound = Obj.reachable_words (Obj.repr v') + 2 in
+  checkb (Printf.sprintf "decode: %.0f words <= %d" words bound) true
+    (words <= float_of_int bound);
+  ignore (Dagrider.Vertex.validate ~n ~f v');
+  let before = Gc.minor_words () in
+  let verdict = Sys.opaque_identity (Dagrider.Vertex.validate ~n ~f v') in
+  let words = Gc.minor_words () -. before in
+  checkb "valid" true (verdict = Ok ());
+  checkb (Printf.sprintf "validate: %.0f words = 0" words) true (words = 0.0)
+
 (* ---- Dag store ---- *)
 
 let full_round dag ~n ~round =
@@ -556,6 +727,10 @@ let () =
           Alcotest.test_case "duplicate edges" `Quick test_validate_rejects_duplicate_edges;
           Alcotest.test_case "error names rule" `Quick
             test_validate_error_messages_name_rule ] );
+      ( "vertex-intake",
+        [ QCheck_alcotest.to_alcotest prop_validate_matches_reference;
+          QCheck_alcotest.to_alcotest prop_decode_matches_reference;
+          Alcotest.test_case "allocation" `Quick test_intake_allocation ] );
       ( "dag",
         [ Alcotest.test_case "genesis" `Quick test_dag_genesis;
           Alcotest.test_case "add and lookup" `Quick test_dag_add_and_lookup;

@@ -7,10 +7,12 @@ let checki = Alcotest.(check int)
 
 (* ---- Faults policies ---- *)
 
+(* the verdict [p] gives a message sent at [now] *)
+let verdict_at p ~now ~src ~dst ~kind =
+  p.Net.Faults.decide { Net.Sched.now; delay = 0.0 } ~src ~dst ~kind
+
 let test_faults_none_is_clean () =
-  let v =
-    Net.Faults.none.Net.Faults.decide ~now:1.0 ~src:0 ~dst:1 ~kind:"x"
-  in
+  let v = verdict_at Net.Faults.none ~now:1.0 ~src:0 ~dst:1 ~kind:"x" in
   checkb "none is clean" true (v = Net.Faults.clean)
 
 let test_faults_determinism () =
@@ -20,7 +22,7 @@ let test_faults_determinism () =
         ~corrupt:0.1 ~reorder:0.4 ()
     in
     List.init 200 (fun i ->
-        p.Net.Faults.decide ~now:(float_of_int i) ~src:(i mod 4)
+        verdict_at p ~now:(float_of_int i) ~src:(i mod 4)
           ~dst:((i + 1) mod 4) ~kind:"k")
   in
   checkb "same seed, same verdicts" true (verdicts 9 = verdicts 9);
@@ -32,8 +34,8 @@ let test_faults_on_links () =
     Net.Faults.lossy ~rng:(Stdx.Rng.create 1) ~drop:1.0 ()
   in
   let p = Net.Faults.on_links ~pred:(fun ~src ~dst -> src = 2 && dst = 0) inner in
-  let v_hit = p.Net.Faults.decide ~now:0.0 ~src:2 ~dst:0 ~kind:"k" in
-  let v_miss = p.Net.Faults.decide ~now:0.0 ~src:0 ~dst:2 ~kind:"k" in
+  let v_hit = verdict_at p ~now:0.0 ~src:2 ~dst:0 ~kind:"k" in
+  let v_miss = verdict_at p ~now:0.0 ~src:0 ~dst:2 ~kind:"k" in
   checkb "matching link faulted" true v_hit.Net.Faults.drop;
   checkb "other links clean" true (v_miss = Net.Faults.clean)
 
@@ -41,11 +43,11 @@ let test_faults_window () =
   let inner = Net.Faults.lossy ~rng:(Stdx.Rng.create 1) ~drop:1.0 () in
   let p = Net.Faults.with_window ~from_time:10.0 ~until_time:20.0 inner in
   checkb "before window clean" true
-    (p.Net.Faults.decide ~now:5.0 ~src:0 ~dst:1 ~kind:"k" = Net.Faults.clean);
+    (verdict_at p ~now:5.0 ~src:0 ~dst:1 ~kind:"k" = Net.Faults.clean);
   checkb "inside window lossy" true
-    (p.Net.Faults.decide ~now:15.0 ~src:0 ~dst:1 ~kind:"k").Net.Faults.drop;
+    (verdict_at p ~now:15.0 ~src:0 ~dst:1 ~kind:"k").Net.Faults.drop;
   checkb "after window clean" true
-    (p.Net.Faults.decide ~now:25.0 ~src:0 ~dst:1 ~kind:"k" = Net.Faults.clean)
+    (verdict_at p ~now:25.0 ~src:0 ~dst:1 ~kind:"k" = Net.Faults.clean)
 
 let test_faults_validation () =
   Alcotest.check_raises "probability out of range"

@@ -107,32 +107,38 @@ let test_engine_thunks_and_calls_interleave () =
 
 (* ---- Sched policies ---- *)
 
+(* the delay [s] gives a message sent at [now] *)
+let delay_at s ~now ~src ~dst ~kind =
+  let io = { Net.Sched.now; delay = 0.0 } in
+  s.Net.Sched.decide io ~src ~dst ~kind;
+  io.Net.Sched.delay
+
 let test_sched_synchronous () =
   let s = Net.Sched.synchronous () in
-  let d = s.Net.Sched.decide ~now:0.0 ~src:0 ~dst:1 ~kind:"x" in
-  checkf "always 1.0" 1.0 d.Net.Sched.delay
+  let d = delay_at s ~now:0.0 ~src:0 ~dst:1 ~kind:"x" in
+  checkf "always 1.0" 1.0 d
 
 let test_sched_uniform_in_unit () =
   let s = Net.Sched.uniform_random ~rng:(Stdx.Rng.create 1) in
   for _ = 1 to 500 do
-    let d = s.Net.Sched.decide ~now:0.0 ~src:0 ~dst:1 ~kind:"x" in
-    checkb "in (0,1]" true (d.Net.Sched.delay > 0.0 && d.Net.Sched.delay <= 1.0)
+    let d = delay_at s ~now:0.0 ~src:0 ~dst:1 ~kind:"x" in
+    checkb "in (0,1]" true (d > 0.0 && d <= 1.0)
   done
 
 let test_sched_skewed_in_unit () =
   let s = Net.Sched.skewed_random ~rng:(Stdx.Rng.create 2) in
   for _ = 1 to 500 do
-    let d = s.Net.Sched.decide ~now:0.0 ~src:0 ~dst:1 ~kind:"x" in
-    checkb "in (0,1]" true (d.Net.Sched.delay > 0.0 && d.Net.Sched.delay <= 1.0)
+    let d = delay_at s ~now:0.0 ~src:0 ~dst:1 ~kind:"x" in
+    checkb "in (0,1]" true (d > 0.0 && d <= 1.0)
   done
 
 let test_sched_delay_process () =
   let inner = Net.Sched.synchronous () in
   let s = Net.Sched.delay_process ~inner ~victim:2 ~factor:10.0 in
-  let v = s.Net.Sched.decide ~now:0.0 ~src:2 ~dst:0 ~kind:"x" in
-  let o = s.Net.Sched.decide ~now:0.0 ~src:1 ~dst:0 ~kind:"x" in
-  checkf "victim stretched" 10.0 v.Net.Sched.delay;
-  checkf "others normal" 1.0 o.Net.Sched.delay
+  let v = delay_at s ~now:0.0 ~src:2 ~dst:0 ~kind:"x" in
+  let o = delay_at s ~now:0.0 ~src:1 ~dst:0 ~kind:"x" in
+  checkf "victim stretched" 10.0 v;
+  checkf "others normal" 1.0 o
 
 let test_sched_delay_matching () =
   let inner = Net.Sched.synchronous () in
@@ -142,21 +148,21 @@ let test_sched_delay_matching () =
       ~factor:5.0
   in
   checkf "matched" 5.0
-    (s.Net.Sched.decide ~now:0.0 ~src:0 ~dst:3 ~kind:"coin").Net.Sched.delay;
+    (delay_at s ~now:0.0 ~src:0 ~dst:3 ~kind:"coin");
   checkf "unmatched kind" 1.0
-    (s.Net.Sched.decide ~now:0.0 ~src:0 ~dst:3 ~kind:"x").Net.Sched.delay
+    (delay_at s ~now:0.0 ~src:0 ~dst:3 ~kind:"x")
 
 let test_sched_partition () =
   let inner = Net.Sched.synchronous () in
   let s = Net.Sched.partition ~inner ~left:(fun i -> i < 2) ~factor:20.0 in
   checkf "crossing left->right" 20.0
-    (s.Net.Sched.decide ~now:0.0 ~src:0 ~dst:3 ~kind:"x").Net.Sched.delay;
+    (delay_at s ~now:0.0 ~src:0 ~dst:3 ~kind:"x");
   checkf "crossing right->left" 20.0
-    (s.Net.Sched.decide ~now:0.0 ~src:3 ~dst:0 ~kind:"x").Net.Sched.delay;
+    (delay_at s ~now:0.0 ~src:3 ~dst:0 ~kind:"x");
   checkf "within left" 1.0
-    (s.Net.Sched.decide ~now:0.0 ~src:0 ~dst:1 ~kind:"x").Net.Sched.delay;
+    (delay_at s ~now:0.0 ~src:0 ~dst:1 ~kind:"x");
   checkf "within right" 1.0
-    (s.Net.Sched.decide ~now:0.0 ~src:2 ~dst:3 ~kind:"x").Net.Sched.delay
+    (delay_at s ~now:0.0 ~src:2 ~dst:3 ~kind:"x")
 
 let test_sched_kind_storm () =
   let inner = Net.Sched.synchronous () in
@@ -164,11 +170,11 @@ let test_sched_kind_storm () =
     Net.Sched.kind_storm ~inner ~kinds:[ "coin-"; "bracha-ready" ] ~factor:6.0
   in
   checkf "prefix matched" 6.0
-    (s.Net.Sched.decide ~now:0.0 ~src:0 ~dst:1 ~kind:"coin-share").Net.Sched.delay;
+    (delay_at s ~now:0.0 ~src:0 ~dst:1 ~kind:"coin-share");
   checkf "exact kind matched" 6.0
-    (s.Net.Sched.decide ~now:0.0 ~src:0 ~dst:1 ~kind:"bracha-ready").Net.Sched.delay;
+    (delay_at s ~now:0.0 ~src:0 ~dst:1 ~kind:"bracha-ready");
   checkf "other kinds normal" 1.0
-    (s.Net.Sched.decide ~now:0.0 ~src:0 ~dst:1 ~kind:"bracha-echo").Net.Sched.delay
+    (delay_at s ~now:0.0 ~src:0 ~dst:1 ~kind:"bracha-echo")
 
 let test_sched_partition_window () =
   (* the sabotage scenarios build temporary partitions exactly like
@@ -177,34 +183,34 @@ let test_sched_partition_window () =
   let during = Net.Sched.partition ~inner ~left:(fun i -> i = 0) ~factor:9.0 in
   let s = Net.Sched.with_window ~inner ~from_time:10.0 ~until_time:20.0 ~during in
   checkf "before window" 1.0
-    (s.Net.Sched.decide ~now:5.0 ~src:0 ~dst:1 ~kind:"x").Net.Sched.delay;
+    (delay_at s ~now:5.0 ~src:0 ~dst:1 ~kind:"x");
   checkf "inside window" 9.0
-    (s.Net.Sched.decide ~now:15.0 ~src:0 ~dst:1 ~kind:"x").Net.Sched.delay;
+    (delay_at s ~now:15.0 ~src:0 ~dst:1 ~kind:"x");
   checkf "after window" 1.0
-    (s.Net.Sched.decide ~now:25.0 ~src:0 ~dst:1 ~kind:"x").Net.Sched.delay
+    (delay_at s ~now:25.0 ~src:0 ~dst:1 ~kind:"x")
 
 let test_sched_rush () =
   let inner = Net.Sched.synchronous () in
   let s = Net.Sched.rush_process ~inner ~favored:1 in
   checkb "favored fast" true
-    ((s.Net.Sched.decide ~now:0.0 ~src:1 ~dst:0 ~kind:"x").Net.Sched.delay < 0.01)
+    (delay_at s ~now:0.0 ~src:1 ~dst:0 ~kind:"x" < 0.01)
 
 let test_sched_window () =
   let inner = Net.Sched.synchronous () in
   let during = Net.Sched.delay_process ~inner ~victim:0 ~factor:100.0 in
   let s = Net.Sched.with_window ~inner ~from_time:10.0 ~until_time:20.0 ~during in
   checkf "before window" 1.0
-    (s.Net.Sched.decide ~now:5.0 ~src:0 ~dst:1 ~kind:"x").Net.Sched.delay;
+    (delay_at s ~now:5.0 ~src:0 ~dst:1 ~kind:"x");
   checkf "inside window" 100.0
-    (s.Net.Sched.decide ~now:15.0 ~src:0 ~dst:1 ~kind:"x").Net.Sched.delay;
+    (delay_at s ~now:15.0 ~src:0 ~dst:1 ~kind:"x");
   checkf "after window" 1.0
-    (s.Net.Sched.decide ~now:25.0 ~src:0 ~dst:1 ~kind:"x").Net.Sched.delay
+    (delay_at s ~now:25.0 ~src:0 ~dst:1 ~kind:"x")
 
 let test_sched_bimodal () =
   let s = Net.Sched.bimodal ~rng:(Stdx.Rng.create 4) () in
   let slow = ref 0 and total = 2000 in
   for _ = 1 to total do
-    let d = (s.Net.Sched.decide ~now:0.0 ~src:0 ~dst:1 ~kind:"x").Net.Sched.delay in
+    let d = delay_at s ~now:0.0 ~src:0 ~dst:1 ~kind:"x" in
     checkb "positive" true (d > 0.0);
     if d > 1.0 then incr slow
   done;
@@ -218,7 +224,7 @@ let test_sched_heavy_tailed () =
   let s = Net.Sched.heavy_tailed ~rng:(Stdx.Rng.create 5) in
   let sum = ref 0.0 and above3 = ref 0 in
   for _ = 1 to 2000 do
-    let d = (s.Net.Sched.decide ~now:0.0 ~src:0 ~dst:1 ~kind:"x").Net.Sched.delay in
+    let d = delay_at s ~now:0.0 ~src:0 ~dst:1 ~kind:"x" in
     checkb "positive" true (d > 0.0);
     sum := !sum +. d;
     if d > 3.0 then incr above3
@@ -235,22 +241,22 @@ let test_sched_mobile_sluggish () =
   in
   (* epoch 0: slowed set = {0} *)
   checkf "p0 slowed in epoch 0" 7.0
-    (s.Net.Sched.decide ~now:1.0 ~src:0 ~dst:1 ~kind:"x").Net.Sched.delay;
+    (delay_at s ~now:1.0 ~src:0 ~dst:1 ~kind:"x");
   checkf "p1 fast in epoch 0" 1.0
-    (s.Net.Sched.decide ~now:1.0 ~src:1 ~dst:0 ~kind:"x").Net.Sched.delay;
+    (delay_at s ~now:1.0 ~src:1 ~dst:0 ~kind:"x");
   (* epoch 1 (t in [10, 20)): slowed set rotates to {1} *)
   checkf "p0 recovered in epoch 1" 1.0
-    (s.Net.Sched.decide ~now:11.0 ~src:0 ~dst:1 ~kind:"x").Net.Sched.delay;
+    (delay_at s ~now:11.0 ~src:0 ~dst:1 ~kind:"x");
   checkf "p1 slowed in epoch 1" 7.0
-    (s.Net.Sched.decide ~now:11.0 ~src:1 ~dst:0 ~kind:"x").Net.Sched.delay;
+    (delay_at s ~now:11.0 ~src:1 ~dst:0 ~kind:"x");
   (* every process is slowed in some epoch and fast in another:
      liveness-preserving by construction *)
   for p = 0 to 3 do
     let slowed_somewhere = ref false and fast_somewhere = ref false in
     for e = 0 to 7 do
       let d =
-        (s.Net.Sched.decide ~now:(float_of_int (e * 10) +. 1.0) ~src:p ~dst:0
-           ~kind:"x").Net.Sched.delay
+        delay_at s ~now:(float_of_int (e * 10) +. 1.0) ~src:p ~dst:0
+          ~kind:"x"
       in
       if d > 1.0 then slowed_somewhere := true else fast_somewhere := true
     done;
@@ -386,6 +392,52 @@ let test_net_bad_index_rejected () =
     (Invalid_argument "Network: bad process index in send") (fun () ->
       Net.Network.send net ~src:0 ~dst:9 ~kind:"k" ~bits:8 "m")
 
+(* ---- Network allocation ---- *)
+
+(* Words allocated per message by a steady-state n=16 broadcast/deliver
+   loop through a port with no-op handlers, once the in-flight rows and
+   the event queue have grown to the loop's peak. The bound of 0 holds
+   for the repository's default (release) build: under dune's dev
+   profile every module is compiled -opaque, nothing is inlined across
+   modules, and each float crossing a call is boxed. *)
+let words_per_message sched =
+  let n = 16 in
+  let engine = Sim.Engine.create () in
+  let net =
+    Net.Network.create ~engine ~sched ~counters:(Metrics.Counters.create ()) ~n
+  in
+  let port = Net.Port.of_network net in
+  for i = 0 to n - 1 do
+    Net.Port.register port i (fun ~src:_ (_ : string) -> ())
+  done;
+  let round () =
+    for src = 0 to n - 1 do
+      Net.Port.broadcast port ~src ~kind:"k" ~bits:8 "m"
+    done;
+    ignore (Sim.Engine.run engine ())
+  in
+  for _ = 1 to 10 do
+    round ()
+  done;
+  let rounds = 50 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    round ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int (rounds * n * n)
+
+let test_net_send_path_allocation () =
+  let uniform () = Net.Sched.uniform_random ~rng:(Stdx.Rng.create 5) in
+  List.iter
+    (fun (label, sched) ->
+      let w = words_per_message sched in
+      checkb (Printf.sprintf "%s: %.2f words per message = 0" label w) true
+        (w = 0.0))
+    [ ("uniform", uniform ());
+      ("skewed", Net.Sched.skewed_random ~rng:(Stdx.Rng.create 6));
+      ("delay_process",
+        Net.Sched.delay_process ~inner:(uniform ()) ~victim:3 ~factor:4.0) ]
+
 (* ---- Network in-flight slots ---- *)
 
 let random_net ?(n = 4) seed =
@@ -465,7 +517,7 @@ let test_net_drops_free_slots () =
   Net.Network.set_faults net
     { Net.Faults.name = "dup2";
       decide =
-        (fun ~now:_ ~src:_ ~dst:_ ~kind:_ ->
+        (fun _ ~src:_ ~dst:_ ~kind:_ ->
           { Net.Faults.clean with duplicates = 2 }) };
   for dst = 0 to 3 do
     Net.Network.send net ~src:1 ~dst ~kind:"k" ~bits:8 dst
@@ -610,7 +662,9 @@ let () =
             test_net_unregistered_destination_is_noop;
           Alcotest.test_case "reliability random sched" `Quick
             test_net_reliability_under_random_sched;
-          Alcotest.test_case "bad index" `Quick test_net_bad_index_rejected ] );
+          Alcotest.test_case "bad index" `Quick test_net_bad_index_rejected;
+          Alcotest.test_case "send path allocation" `Quick
+            test_net_send_path_allocation ] );
       ( "network slots",
         [ Alcotest.test_case "capacity bounded by peak" `Quick
             test_net_slots_bounded_by_peak;
