@@ -643,6 +643,15 @@ let profile_cmd =
     print_string (Prof.render_table ~top prof);
     print_newline ();
     print_string (Prof.render_gc (Prof.gc_summary prof));
+    (* the queue populations that a per-event cost depends on *)
+    let engine = Harness.Runner.engine fleet in
+    Printf.printf "engine: %d events run, peak %d queued; network slots %s\n"
+      (Sim.Engine.events_executed engine)
+      (Sim.Engine.slot_capacity engine)
+      (String.concat ", "
+         (List.map
+            (fun (stack, _, capacity) -> Printf.sprintf "%s %d" stack capacity)
+            (Harness.Runner.net_slots fleet)));
     match folded_out with
     | Some path ->
       write_file path (Prof.folded prof);

@@ -580,14 +580,16 @@ let on_r_deliver t ~payload ~round ~source =
 
 
 (* first round that might still be missing vertices: the lowest round
-   below the frontier that has fewer than n vertices *)
+   below the frontier that has fewer than n vertices. Rounds below the
+   GC horizon are empty by pruning, not missing, so the search starts
+   at the horizon. *)
 let first_incomplete_round t =
   let rec go r =
     if r >= t.round then r
     else if Dag.round_size t.dag r < t.config.n then r
     else go (r + 1)
   in
-  go 1
+  go (max 1 (Dag.pruned_below t.dag))
 
 let request_sync t =
   match t.sync_net with
@@ -685,7 +687,8 @@ let on_sync_msg t ~src msg =
     match t.sync_net with
     | None -> ()
     | Some net ->
-      let from_round = max 1 from_round in
+      (* rows below this responder's own horizon are pruned: empty *)
+      let from_round = max (max 1 from_round) (Dag.pruned_below t.dag) in
       let vertices = ref [] in
       let count = ref 0 in
       (try

@@ -78,18 +78,23 @@ let default_options ~n =
     workload = None;
     monitor = None }
 
-(* One protocol stack's transport: the port the protocol talks to, the
-   fault-injection hooks the harness needs, and the loss-diagnostics
-   counters. Direct mode wraps a bare network; lossy mode runs the
-   stack over Net.Link endpoints on a fault-injected frame network. *)
-type 'msg stack = {
-  st_port : 'msg Net.Port.t;
-  st_corrupt : drop_in_flight:bool -> int -> unit; (* carrier-level, §2 adaptive *)
-  st_detach : int -> unit; (* stop process i sending/receiving for good *)
-  st_link_stats : unit -> Net.Link.stats;
-  st_retransmits : unit -> ((int * int) * int) list; (* (src,dst) -> count *)
-  st_drop_counts : unit -> (string * int) list;
+(* What the harness needs of one stack's carrier, whatever its message
+   type: the fault-injection hooks, the loss-diagnostics counters and
+   the in-flight gauges of its network. *)
+type carrier = {
+  cr_corrupt : drop_in_flight:bool -> int -> unit; (* §2 adaptive *)
+  cr_detach : int -> unit; (* stop process i sending/receiving for good *)
+  cr_link_stats : unit -> Net.Link.stats;
+  cr_retransmits : unit -> ((int * int) * int) list; (* (src,dst) -> count *)
+  cr_drop_counts : unit -> (string * int) list;
+  cr_in_flight : unit -> int;
+  cr_slot_capacity : unit -> int;
 }
+
+(* One protocol stack's transport: the port the protocol talks to and
+   its carrier. Direct mode wraps a bare network; lossy mode runs the
+   stack over Net.Link endpoints on a fault-injected frame network. *)
+type 'msg stack = { st_port : 'msg Net.Port.t; st_carrier : carrier }
 
 type t = {
   options : options;
@@ -101,10 +106,7 @@ type t = {
   make_rbc : Dagrider.Node.rbc_factory;
   node_config : Dagrider.Node.config;
   nodes : Dagrider.Node.t array;
-  silence_rbc : drop_in_flight:bool -> int -> unit;
-  rbc_link_stats : unit -> Net.Link.stats;
-  rbc_retransmits : unit -> ((int * int) * int) list;
-  rbc_drop_counts : unit -> (string * int) list;
+  carriers : (string * carrier) list; (* coin, sync, rbc *)
   rbc_gauges : (unit -> int * int) array;
       (* per process: its backend's open instances and drops *)
   faulty : bool array;  (* counted as Byzantine *)
@@ -124,6 +126,22 @@ and monitor_ctx = {
   mc_observer : int; (* lowest never-faulty process: the vantage point *)
   mc_commits : int ref; (* direct+chained commits seen at the observer *)
 }
+
+(* a bare network's hooks and gauges; a lossy stack replaces detach and
+   the link counters with its endpoints' *)
+let network_carrier net =
+  { cr_corrupt =
+      (fun ~drop_in_flight i -> Net.Network.corrupt net ~drop_in_flight i);
+    cr_detach = (fun i -> Net.Network.unregister net i);
+    cr_link_stats = (fun () -> Net.Link.zero_stats);
+    cr_retransmits = (fun () -> []);
+    cr_drop_counts = (fun () -> Net.Network.drop_counts net);
+    cr_in_flight = (fun () -> Net.Network.in_flight net);
+    cr_slot_capacity = (fun () -> Net.Network.slot_capacity net) }
+
+let silence cr ~drop_in_flight i =
+  cr.cr_corrupt ~drop_in_flight i;
+  cr.cr_detach i
 
 let fault_index = function
   | Crash i | Byzantine_silent i | Byzantine_live i | Byzantine_attacker i -> i
@@ -333,12 +351,7 @@ let build options =
       | None -> ()
       | Some tr -> Net.Network.set_trace net tr);
       { st_port = Net.Port.of_network net;
-        st_corrupt =
-          (fun ~drop_in_flight i -> Net.Network.corrupt net ~drop_in_flight i);
-        st_detach = (fun i -> Net.Network.unregister net i);
-        st_link_stats = (fun () -> Net.Link.zero_stats);
-        st_retransmits = (fun () -> []);
-        st_drop_counts = (fun () -> Net.Network.drop_counts net) }
+        st_carrier = network_carrier net }
     | Some (lf, lrng) ->
       let net : Net.Link.frame Net.Network.t =
         Net.Network.create ~engine ~sched ~counters ~n
@@ -358,24 +371,23 @@ let build options =
               ?trace:options.trace ~me ~encode ~decode ())
       in
       { st_port = Net.Port.of_links links;
-        st_corrupt =
-          (fun ~drop_in_flight i -> Net.Network.corrupt net ~drop_in_flight i);
-        st_detach = (fun i -> Net.Link.detach links.(i));
-        st_link_stats =
-          (fun () ->
-            Array.fold_left
-              (fun acc l -> Net.Link.add_stats acc (Net.Link.stats l))
-              Net.Link.zero_stats links);
-        st_retransmits =
-          (fun () ->
-            List.concat
-              (List.mapi
-                 (fun src l ->
-                   List.map
-                     (fun (dst, count) -> ((src, dst), count))
-                     (Net.Link.retransmits_by_dst l))
-                 (Array.to_list links)));
-        st_drop_counts = (fun () -> Net.Network.drop_counts net) }
+        st_carrier =
+          { (network_carrier net) with
+            cr_detach = (fun i -> Net.Link.detach links.(i));
+            cr_link_stats =
+              (fun () ->
+                Array.fold_left
+                  (fun acc l -> Net.Link.add_stats acc (Net.Link.stats l))
+                  Net.Link.zero_stats links);
+            cr_retransmits =
+              (fun () ->
+                List.concat
+                  (List.mapi
+                     (fun src l ->
+                       List.map
+                         (fun (dst, count) -> ((src, dst), count))
+                         (Net.Link.retransmits_by_dst l))
+                     (Array.to_list links))) } }
   in
   let coin_stack =
     make_stack ~encode:Dagrider.Node.encode_coin_msg
@@ -395,14 +407,7 @@ let build options =
         deliver:Rbc.Rbc_intf.deliver ->
         Dagrider.Node.rbc_handle
         * (dsts:int list -> round:int -> payload:string -> unit)),
-      (silence_rbc : drop_in_flight:bool -> int -> unit),
-      rbc_link_stats,
-      rbc_retransmits,
-      rbc_drop_counts =
-    let silencer stack ~drop_in_flight i =
-      stack.st_corrupt ~drop_in_flight i;
-      stack.st_detach i
-    in
+      rbc_carrier =
     match options.backend with
     | Bracha ->
       let stack =
@@ -423,10 +428,7 @@ let build options =
               List.iter
                 (fun dst -> Rbc.Bracha.inject_init b ~dst ~round ~payload)
                 dsts )),
-        silencer stack,
-        stack.st_link_stats,
-        stack.st_retransmits,
-        stack.st_drop_counts )
+        stack.st_carrier )
     | Avid ->
       let stack =
         make_stack ~encode:Rbc.Avid.encode_msg ~decode:Rbc.Avid.decode_msg
@@ -444,10 +446,7 @@ let build options =
               rbc_prune_below = Rbc.Avid.prune_below a },
             fun ~dsts ~round ~payload ->
               Rbc.Avid.inject_disperse a ~dsts ~round ~payload )),
-        silencer stack,
-        stack.st_link_stats,
-        stack.st_retransmits,
-        stack.st_drop_counts )
+        stack.st_carrier )
     | Gossip ->
       let stack =
         make_stack ~encode:Rbc.Gossip.encode_msg ~decode:Rbc.Gossip.decode_msg
@@ -470,13 +469,15 @@ let build options =
               List.iter
                 (fun dst -> Rbc.Gossip.inject_gossip g ~dst ~round ~payload)
                 dsts )),
-        silencer stack,
-        stack.st_link_stats,
-        stack.st_retransmits,
-        stack.st_drop_counts )
+        stack.st_carrier )
   in
   let make_rbc : Dagrider.Node.rbc_factory =
    fun ~me ~deliver -> fst (make_rbc_full ~me ~deliver)
+  in
+  let carriers =
+    [ ("coin", coin_stack.st_carrier);
+      ("sync", sync_stack.st_carrier);
+      ("rbc", rbc_carrier) ]
   in
   let config =
     { Dagrider.Node.n;
@@ -580,8 +581,8 @@ let build options =
         crashed.(i) <- true;
         (* a silent process neither proposes nor relays: silence its RBC
            participation and its coin handler entirely *)
-        silence_rbc ~drop_in_flight:false i;
-        coin_stack.st_detach i
+        silence rbc_carrier ~drop_in_flight:false i;
+        coin_stack.st_carrier.cr_detach i
       | Byzantine_live _ -> ()
       | Byzantine_attacker _ ->
         crashed.(i) <- true (* the honest node never starts... *);
@@ -640,7 +641,7 @@ let build options =
           Sim.Engine.schedule engine ~delay:1.0 (fun () -> attack (step + 1))
         in
         Sim.Engine.schedule engine ~delay:0.5 (fun () -> attack 0));
-      coin_stack.st_corrupt ~drop_in_flight:false i)
+      coin_stack.st_carrier.cr_corrupt ~drop_in_flight:false i)
     options.faults;
   (* deterministic client traffic: one transaction per period per live
      process, injected by recurring engine events — no RNG stream, so a
@@ -688,13 +689,22 @@ let build options =
     Monitor.add_probe mon ~name:"net.messages" ~kind:Monitor.Counter
       (fun () -> float_of_int (Metrics.Counters.total_messages counters));
     Monitor.add_probe mon ~name:"net.drops" ~kind:Monitor.Counter (fun () ->
-        let sum counts = List.fold_left (fun a (_, c) -> a + c) 0 counts in
         float_of_int
-          (sum (coin_stack.st_drop_counts ())
-          + sum (sync_stack.st_drop_counts ())
-          + sum (rbc_drop_counts ())));
+          (List.fold_left
+             (fun acc (_, cr) ->
+               List.fold_left (fun a (_, c) -> a + c) acc (cr.cr_drop_counts ()))
+             0 carriers));
+    List.iter
+      (fun (stack, cr) ->
+        Monitor.add_probe mon ~name:("net.in_flight." ^ stack)
+          ~kind:Monitor.Gauge (fun () -> float_of_int (cr.cr_in_flight ()));
+        Monitor.add_probe mon ~name:("net.slot_capacity." ^ stack)
+          ~kind:Monitor.Gauge (fun () -> float_of_int (cr.cr_slot_capacity ())))
+      carriers;
     Monitor.add_probe mon ~name:"engine.events" ~kind:Monitor.Counter
       (fun () -> float_of_int (Sim.Engine.events_executed engine));
+    Monitor.add_probe mon ~name:"engine.slot_capacity" ~kind:Monitor.Gauge
+      (fun () -> float_of_int (Sim.Engine.slot_capacity engine));
     Monitor.add_probe mon ~name:"gc.heap_words" ~kind:Monitor.Gauge (fun () ->
         float_of_int (Gc.quick_stat ()).Gc.heap_words);
     (match mempools with
@@ -750,10 +760,7 @@ let build options =
     make_rbc;
     node_config = config;
     nodes;
-    silence_rbc;
-    rbc_link_stats;
-    rbc_retransmits;
-    rbc_drop_counts;
+    carriers;
     rbc_gauges;
     faulty;
     crashed;
@@ -803,11 +810,7 @@ let delivered_refs t =
 let silence_node t ?(drop_in_flight = true) i =
   if i < 0 || i >= t.options.n then invalid_arg "Runner.silence_node: bad index";
   t.faulty.(i) <- true;
-  t.silence_rbc ~drop_in_flight i;
-  t.coin_stack.st_corrupt ~drop_in_flight i;
-  t.coin_stack.st_detach i;
-  t.sync_stack.st_corrupt ~drop_in_flight i;
-  t.sync_stack.st_detach i
+  List.iter (fun (_, cr) -> silence cr ~drop_in_flight i) t.carriers
 
 let run_until_delivered t ~count ~max_time =
   start t;
@@ -898,9 +901,9 @@ let latency t = t.latency
 (* ---- loss diagnostics: aggregate across the three stacks ---- *)
 
 let link_stats t =
-  Net.Link.add_stats
-    (t.coin_stack.st_link_stats ())
-    (Net.Link.add_stats (t.sync_stack.st_link_stats ()) (t.rbc_link_stats ()))
+  List.fold_left
+    (fun acc (_, cr) -> Net.Link.add_stats acc (cr.cr_link_stats ()))
+    Net.Link.zero_stats t.carriers
 
 let merge_counts pairs =
   let tbl = Hashtbl.create 16 in
@@ -919,16 +922,15 @@ let merge_counts pairs =
   List.sort compare (Hashtbl.fold (fun k cell acc -> (k, !cell) :: acc) tbl [])
 
 let drop_counts t =
-  merge_counts
-    (t.coin_stack.st_drop_counts ()
-    @ t.sync_stack.st_drop_counts ()
-    @ t.rbc_drop_counts ())
+  merge_counts (List.concat_map (fun (_, cr) -> cr.cr_drop_counts ()) t.carriers)
 
 let retransmits_by_link t =
-  merge_counts
-    (t.coin_stack.st_retransmits ()
-    @ t.sync_stack.st_retransmits ()
-    @ t.rbc_retransmits ())
+  merge_counts (List.concat_map (fun (_, cr) -> cr.cr_retransmits ()) t.carriers)
+
+let net_slots t =
+  List.map
+    (fun (stack, cr) -> (stack, cr.cr_in_flight (), cr.cr_slot_capacity ()))
+    t.carriers
 
 let rbc_instances t =
   Array.fold_left
@@ -964,6 +966,15 @@ let metrics_snapshot t =
     (float_of_int (Sim.Engine.events_executed t.engine));
   Metrics.Registry.set_gauge reg "engine.pending"
     (float_of_int (Sim.Engine.pending t.engine));
+  Metrics.Registry.set_gauge reg "engine.slot_capacity"
+    (float_of_int (Sim.Engine.slot_capacity t.engine));
+  List.iter
+    (fun (stack, in_flight, capacity) ->
+      Metrics.Registry.set_gauge reg ("net.in_flight." ^ stack)
+        (float_of_int in_flight);
+      Metrics.Registry.set_gauge reg ("net.slot_capacity." ^ stack)
+        (float_of_int capacity))
+    (net_slots t);
   List.iter
     (Metrics.Registry.observe reg "latency.first_delivery")
     (Metrics.Latency.all_first_delivery_latencies t.latency);
@@ -1198,8 +1209,9 @@ let restart_node t i =
   let rng = Stdx.Rng.create ((t.options.seed lxor 0x5bac0ff) + (7919 * i)) in
   let backoff = 1.6 and max_rto = 20.0 and jitter = 0.3 and max_attempts = 6 in
   let jittered d = d *. (1.0 +. (jitter *. Stdx.Rng.float rng 1.0)) in
-  (* caught up = no under-populated round below our frontier and a
-     frontier no further than one round behind the live fleet's *)
+  (* caught up = no under-populated round between the GC horizon and
+     our frontier, and a frontier no further than one round behind the
+     live fleet's; rounds below the horizon are empty by pruning *)
   let caught_up () =
     let node = t.nodes.(i) in
     let dag = Dagrider.Node.dag node in
@@ -1218,7 +1230,7 @@ let restart_node t i =
             max !fleet_hi
               (Dagrider.Dag.highest_round (Dagrider.Node.dag other)))
       t.nodes;
-    (not (hole 1)) && hi + 1 >= !fleet_hi
+    (not (hole (max 1 (Dagrider.Dag.pruned_below dag)))) && hi + 1 >= !fleet_hi
   in
   let emit kind =
     match t.options.trace with

@@ -137,7 +137,10 @@ type options = {
       (** attach a time-series flight recorder: [build] registers probes
           over the lowest never-faulty process's node ([node.delivered],
           [commits], [dag.vertices]), the shared network counters
-          ([net.bits]/[net.messages]/[net.drops]), the engine, the GC,
+          ([net.bits]/[net.messages]/[net.drops]), each stack's
+          in-flight gauges ([net.in_flight.<stack>]/
+          [net.slot_capacity.<stack>], see {!net_slots}), the engine
+          ([engine.events], [engine.slot_capacity]), the GC,
           and — when a workload is on — the mempool fleet
           ([tx.submitted], [tx.ordered], [mempool.pending]/[in_flight]/
           [rejected]); feeds proposal→a_deliver latencies observed at
@@ -237,6 +240,13 @@ val retransmits_by_link : t -> ((int * int) * int) list
     retransmission, merged across stacks, sorted — the loss-aware
     diagnostics the analyzer and swarm checker read. *)
 
+val net_slots : t -> (string * int * int) list
+(** [(stack, in_flight, slot_capacity)] of each protocol stack's
+    network, in the order ["coin"], ["sync"], ["rbc"]: the messages in
+    flight now and the most ever in flight at once
+    ({!Net.Network.slot_capacity}). A lossy stack's network carries
+    link frames. *)
+
 val rbc_instances : t -> int * int
 (** The RBC backends' [(open_instances, dropped_below_horizon)], summed
     over processes: instances held now, and messages dropped unopened
@@ -248,7 +258,10 @@ val metrics_snapshot : t -> Metrics.Registry.snapshot
     [rule.commit_quorum] gauges — explicit so downstream tooling need
     not infer the rule from span names), communication counters (total,
     honest, per message kind), engine gauges (virtual time, events
-    executed, events pending), latency histograms (first delivery and
+    executed, events pending, and [engine.slot_capacity], the most
+    events ever queued), each stack's network gauges
+    ([net.in_flight.<stack>] and [net.slot_capacity.<stack>], see
+    {!net_slots}), latency histograms (first delivery and
     per-process delivery), per-node delivered counts, the bounded-state
     gauges summed across processes ([rbc.open_instances] and
     [rbc.dropped_below_horizon] of the RBC backends, and

@@ -77,6 +77,8 @@ let run t ?(max_events = max_int) ?(until = infinity) () =
 
 let pending t = Stdx.Pqueue.length t.queue
 
+let slot_capacity t = Stdx.Pqueue.slot_capacity t.queue
+
 let events_executed t = t.executed
 
 let set_sampler t ~interval f =

@@ -7,9 +7,12 @@
     schedule, which is what makes the adversarial-schedule tests
     meaningful.
 
-    The queue is {!Stdx.Pqueue}: taking an event allocates nothing,
-    and an event is a callback plus an [int] argument, so a caller can
-    schedule without building a closure per event ({!schedule_call}).
+    The queue is {!Stdx.Pqueue}, which allocates nothing per event once
+    it has grown, and an event is a callback plus an [int] argument, so
+    a caller can schedule without building a closure per event
+    ({!schedule_call}). The callback and argument sit in a slot written
+    once when the event is queued; the heap orders only the event's
+    time, sequence number and slot.
 
     Virtual time is a [float] in abstract "time units". The paper (§3,
     after Canetti–Rabin) defines a time unit as the maximum message delay
@@ -52,6 +55,10 @@ val step : t -> bool
 
 val pending : t -> int
 (** Events currently queued. *)
+
+val slot_capacity : t -> int
+(** The most events ever queued at once, read off the queue's slot
+    rows at no per-event cost ({!Stdx.Pqueue.slot_capacity}). *)
 
 val events_executed : t -> int
 (** Total events executed since creation (simulation-cost metric). *)

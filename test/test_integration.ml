@@ -820,6 +820,31 @@ let test_restart_under_gc () =
     true
     (delivered () > before + 100)
 
+(* Runner.restart_node's catch-up test skips the rounds below the GC
+   horizon, which are empty by pruning: a node restored under GC that
+   has caught up must not be sent retry after retry and then reported
+   as having given up. *)
+let test_restart_under_gc_catches_up_without_giving_up () =
+  let tr = Trace.create ~capacity:100_000 () in
+  let opts =
+    { (Harness.Runner.default_options ~n:4) with
+      seed = 42;
+      gc_depth = Some 4;
+      trace = Some tr }
+  in
+  let h = Harness.Runner.build opts in
+  Harness.Runner.run h ~until:100.0;
+  Harness.Runner.restart_node h 1;
+  Harness.Runner.run h ~until:300.0;
+  assert_safe h;
+  let gave_up =
+    List.exists
+      (fun (e : Trace.event) ->
+        match e.Trace.kind with Trace.Sync_gave_up _ -> true | _ -> false)
+      (Trace.events tr)
+  in
+  checkb "no give-up after catching up" false gave_up
+
 let test_restart_during_attack () =
   (* a node restarts while an active attacker is flooding the channel *)
   let opts =
@@ -908,6 +933,8 @@ let () =
         [ Alcotest.test_case "catches up after restart" `Quick test_restart_catches_up;
           Alcotest.test_case "double restart" `Quick test_double_restart;
           Alcotest.test_case "restart under gc" `Quick test_restart_under_gc;
+          Alcotest.test_case "restart under gc: no spurious give-up" `Quick
+            test_restart_under_gc_catches_up_without_giving_up;
           Alcotest.test_case "restart during attack" `Quick
             test_restart_during_attack ] );
       ( "harness",

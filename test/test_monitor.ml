@@ -348,6 +348,39 @@ let test_snapshot_mempool_gauges () =
          not (String.length k >= 8 && String.sub k 0 8 = "mempool."))
        snap.Metrics.Registry.gauges)
 
+(* ---- queue population gauges: snapshot and series ---- *)
+
+let test_queue_population_gauges () =
+  let h, mon = Lazy.force sustained in
+  let snap = Harness.Runner.metrics_snapshot h in
+  let gauge name =
+    match List.assoc_opt name snap.Metrics.Registry.gauges with
+    | Some v -> v
+    | None -> Alcotest.fail ("no gauge " ^ name)
+  in
+  let names = Monitor.series_names mon in
+  let engine = Harness.Runner.engine h in
+  checkb "series engine.slot_capacity" true
+    (List.mem "engine.slot_capacity" names);
+  checkb "engine peak is the engine's" true
+    (gauge "engine.slot_capacity"
+     = float_of_int (Sim.Engine.slot_capacity engine));
+  checkb "engine peak >= pending" true
+    (gauge "engine.slot_capacity" >= gauge "engine.pending");
+  List.iter
+    (fun stack ->
+      let in_flight = "net.in_flight." ^ stack
+      and capacity = "net.slot_capacity." ^ stack in
+      checkb ("series " ^ in_flight) true (List.mem in_flight names);
+      checkb ("series " ^ capacity) true (List.mem capacity names);
+      checkb (capacity ^ " >= " ^ in_flight) true
+        (gauge capacity >= gauge in_flight))
+    [ "coin"; "sync"; "rbc" ];
+  checkb "rbc traffic was in flight" true (gauge "net.slot_capacity.rbc" > 0.0);
+  (* every message queued is one engine event *)
+  checkb "engine peak covers the network's" true
+    (gauge "engine.slot_capacity" >= gauge "net.slot_capacity.rbc")
+
 (* ---- Latency reports are insertion-order independent ---- *)
 
 let test_latency_determinism () =
@@ -427,7 +460,9 @@ let () =
             test_stall_flips_health ] );
       ( "runner-export",
         [ Alcotest.test_case "mempool gauges in snapshot" `Quick
-            test_snapshot_mempool_gauges ] );
+            test_snapshot_mempool_gauges;
+          Alcotest.test_case "queue population gauges" `Quick
+            test_queue_population_gauges ] );
       ( "latency-determinism",
         [ Alcotest.test_case "reports independent of insertion order" `Quick
             test_latency_determinism ] );

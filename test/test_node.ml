@@ -357,6 +357,57 @@ let test_checkpoint_restore_roundtrip () =
   checkb "restored node delivered beyond the checkpoint" true
     (List.length restored_log > List.length ck.Dagrider.Node.ck_delivered)
 
+(* Under GC the rounds below the horizon are empty by pruning. A node
+   restored at a long horizon must ask for rounds from its horizon up:
+   asking from round 1 would have every responder spend its response cap
+   on rounds the requester has already pruned. *)
+let test_restart_sync_request_at_horizon () =
+  let opts =
+    { (Harness.Runner.default_options ~n:4) with seed = 62; gc_depth = Some 4 }
+  in
+  let h = Harness.Runner.build opts in
+  Harness.Runner.run h ~until:200.0;
+  let ck = Dagrider.Node.checkpoint (Harness.Runner.node h 0) in
+  let horizon = Dagrider.Dag.pruned_below ck.Dagrider.Node.ck_dag in
+  checkb (Printf.sprintf "long horizon (%d)" horizon) true (horizon > 20);
+  let engine = Sim.Engine.create () in
+  let counters = Metrics.Counters.create () in
+  let network () =
+    Net.Network.create ~engine ~sched:(Net.Sched.synchronous ()) ~counters ~n:4
+  in
+  let coin_net = network () and sync_net = network () in
+  let requests = ref [] in
+  for peer = 1 to 3 do
+    Net.Network.register sync_net peer (fun ~src msg ->
+        match msg with
+        | Dagrider.Node.Sync_request { from_round } when src = 0 ->
+          requests := from_round :: !requests
+        | _ -> ())
+  done;
+  let make_rbc ~me:_ ~deliver:_ =
+    { Dagrider.Node.rbc_bcast = (fun ~payload:_ ~round:_ -> ());
+      rbc_prune_below = (fun ~round:_ -> ()) }
+  in
+  let restored =
+    Dagrider.Node.restore
+      ~config:
+        { (Dagrider.Node.default_config ~n:4 ~f:1) with gc_depth = Some 4 }
+      ~me:0 ~coin:(Harness.Runner.coin h)
+      ~coin_net:(Net.Port.of_network coin_net) ~make_rbc
+      ~sync_net:(Net.Port.of_network sync_net) ck
+  in
+  checki "restored horizon" horizon
+    (Dagrider.Dag.pruned_below (Dagrider.Node.dag restored));
+  ignore (Sim.Engine.run engine ());
+  checki "one request per peer" 3 (List.length !requests);
+  List.iter
+    (fun from_round ->
+      checkb
+        (Printf.sprintf "request from round %d >= horizon %d" from_round
+           horizon)
+        true (from_round >= horizon))
+    !requests
+
 let () =
   Alcotest.run "node"
     [ ( "scripted",
@@ -380,5 +431,7 @@ let () =
             test_a_bcast_blocks_ride_vertices ] );
       ( "restart",
         [ Alcotest.test_case "checkpoint/restore roundtrip" `Quick
-            test_checkpoint_restore_roundtrip ] )
+            test_checkpoint_restore_roundtrip;
+          Alcotest.test_case "sync request starts at the GC horizon" `Quick
+            test_restart_sync_request_at_horizon ] )
     ]

@@ -436,7 +436,27 @@ let test_net_send_path_allocation () =
     [ ("uniform", uniform ());
       ("skewed", Net.Sched.skewed_random ~rng:(Stdx.Rng.create 6));
       ("delay_process",
-        Net.Sched.delay_process ~inner:(uniform ()) ~victim:3 ~factor:4.0) ]
+        Net.Sched.delay_process ~inner:(uniform ()) ~victim:3 ~factor:4.0);
+      ("kind_storm",
+        Net.Sched.kind_storm ~inner:(uniform ()) ~kinds:[ "coin-"; "k" ]
+          ~factor:3.0);
+      ("bimodal", Net.Sched.bimodal ~rng:(Stdx.Rng.create 7) ());
+      ("heavy_tailed", Net.Sched.heavy_tailed ~rng:(Stdx.Rng.create 8));
+      ("partition",
+        Net.Sched.partition ~inner:(uniform ()) ~left:(fun i -> i < 8)
+          ~factor:5.0);
+      ("mobile_sluggish",
+        Net.Sched.mobile_sluggish ~inner:(uniform ()) ~n:16 ~f:5 ~period:2.0
+          ~factor:4.0);
+      ("rush_process", Net.Sched.rush_process ~inner:(uniform ()) ~favored:2);
+      ("delay_matching",
+        Net.Sched.delay_matching ~inner:(uniform ())
+          ~pred:(fun ~src ~dst ~kind:_ -> src = dst + 1)
+          ~factor:2.0);
+      ("with_window",
+        Net.Sched.with_window ~inner:(uniform ()) ~from_time:3.0
+          ~until_time:9.0
+          ~during:(Net.Sched.heavy_tailed ~rng:(Stdx.Rng.create 9))) ]
 
 (* ---- Network in-flight slots ---- *)
 

@@ -301,6 +301,40 @@ let prop_pqueue_matches_reference =
     (QCheck.make ~print:QCheck.Print.(list print_op) gen_ops)
     run_both
 
+(* Populations far past the small differential's: fill to up to 5,000
+   entries, churn, clear with entries still queued, then fill and churn
+   again. After the clear every push must hand out a slot that no queued
+   entry holds, whatever order the takes before it freed slots in. *)
+let gen_big_ops =
+  QCheck.Gen.(
+    let push = map (fun p -> Push p) (int_range 0 12) in
+    let fill = int_range 0 5000 >>= fun k -> list_repeat k push in
+    let churn =
+      list_size (int_range 0 2000) (frequency [ (1, push); (1, return Take) ])
+    in
+    map List.concat (flatten_l [ fill; churn; return [ Clear ]; fill; churn ]))
+
+(* run-length summary: "push x4000, take x3, ..." *)
+let print_big_ops ops =
+  let rec runs acc = function
+    | [] -> List.rev acc
+    | op :: rest -> (
+      let name = match op with Push _ -> "push" | Take -> "take" | Clear -> "clear" in
+      match acc with
+      | (n, k) :: acc' when n = name -> runs ((n, k + 1) :: acc') rest
+      | _ -> runs ((name, 1) :: acc) rest)
+  in
+  String.concat ", "
+    (List.map (fun (n, k) -> Printf.sprintf "%s x%d" n k) (runs [] ops))
+
+let prop_pqueue_matches_reference_large =
+  QCheck.Test.make
+    ~name:"pqueue matches reference heap at populations up to 5000, clear \
+           in the middle"
+    ~count:25
+    (QCheck.make ~print:print_big_ops gen_big_ops)
+    run_both
+
 (* fill past each capacity the arrays double through (16, 32, ... 1024),
    then interleave takes and pushes while draining *)
 let test_pqueue_growth_matches_reference () =
@@ -334,6 +368,35 @@ let test_pqueue_take_releases_value () =
   checkb "taken value collected" true (Weak.get weak 0 = None);
   (* the queue itself stayed reachable throughout *)
   checkb "queue drained" true (Q.is_empty q)
+
+(* Words allocated per push+take at a steady population of 2,048, once
+   the rows have grown to it. Like test_sim_net's send path allocation,
+   the bound of 0 holds for the default (release) build only. *)
+let test_pqueue_steady_state_allocation () =
+  let f (_ : int) = () in
+  let q = Q.create ~dummy:ignore in
+  let pop = 2048 in
+  for i = 1 to pop do
+    Q.push q ~priority:(float_of_int (i * 7919 mod pop)) ~seq:i ~arg:i f
+  done;
+  let seq = ref pop in
+  let churn k =
+    for _ = 1 to k do
+      let p = Q.min_priority q and a = Q.min_arg q in
+      let g = Q.take q in
+      incr seq;
+      Q.push q ~priority:(p +. float_of_int ((a * 7919) land 1023)) ~seq:!seq
+        ~arg:!seq g
+    done
+  in
+  churn pop;
+  let rounds = 100_000 in
+  let before = Gc.minor_words () in
+  churn rounds;
+  let words = (Gc.minor_words () -. before) /. float_of_int rounds in
+  checki "population held" pop (Q.length q);
+  checkb (Printf.sprintf "%.3f words per push+take = 0" words) true
+    (words = 0.0)
 
 let prop_rng_same_seed_same_stream =
   QCheck.Test.make ~name:"rng: same seed yields same stream" ~count:100
@@ -565,7 +628,10 @@ let () =
           Alcotest.test_case "growth matches reference" `Quick
             test_pqueue_growth_matches_reference;
           Alcotest.test_case "take releases value" `Quick
-            test_pqueue_take_releases_value ] );
+            test_pqueue_take_releases_value;
+          QCheck_alcotest.to_alcotest prop_pqueue_matches_reference_large;
+          Alcotest.test_case "steady-state push+take allocation" `Quick
+            test_pqueue_steady_state_allocation ] );
       ( "stats",
         [ Alcotest.test_case "empty" `Quick test_stats_empty;
           Alcotest.test_case "mean/stddev" `Quick test_stats_mean_stddev;
