@@ -645,9 +645,13 @@ let profile_cmd =
     print_string (Prof.render_gc (Prof.gc_summary prof));
     (* the queue populations that a per-event cost depends on *)
     let engine = Harness.Runner.engine fleet in
-    Printf.printf "engine: %d events run, peak %d queued; network slots %s\n"
+    Printf.printf
+      "engine: %d events run, peak %d queued, %d buckets of width %.3g; \
+       network slots %s\n"
       (Sim.Engine.events_executed engine)
       (Sim.Engine.slot_capacity engine)
+      (Sim.Engine.buckets engine)
+      (Sim.Engine.bucket_width engine)
       (String.concat ", "
          (List.map
             (fun (stack, _, capacity) -> Printf.sprintf "%s %d" stack capacity)

@@ -705,6 +705,8 @@ let build options =
       (fun () -> float_of_int (Sim.Engine.events_executed engine));
     Monitor.add_probe mon ~name:"engine.slot_capacity" ~kind:Monitor.Gauge
       (fun () -> float_of_int (Sim.Engine.slot_capacity engine));
+    Monitor.add_probe mon ~name:"engine.buckets" ~kind:Monitor.Gauge
+      (fun () -> float_of_int (Sim.Engine.buckets engine));
     Monitor.add_probe mon ~name:"gc.heap_words" ~kind:Monitor.Gauge (fun () ->
         float_of_int (Gc.quick_stat ()).Gc.heap_words);
     (match mempools with
@@ -968,6 +970,8 @@ let metrics_snapshot t =
     (float_of_int (Sim.Engine.pending t.engine));
   Metrics.Registry.set_gauge reg "engine.slot_capacity"
     (float_of_int (Sim.Engine.slot_capacity t.engine));
+  Metrics.Registry.set_gauge reg "engine.buckets"
+    (float_of_int (Sim.Engine.buckets t.engine));
   List.iter
     (fun (stack, in_flight, capacity) ->
       Metrics.Registry.set_gauge reg ("net.in_flight." ^ stack)

@@ -140,7 +140,8 @@ type options = {
           ([net.bits]/[net.messages]/[net.drops]), each stack's
           in-flight gauges ([net.in_flight.<stack>]/
           [net.slot_capacity.<stack>], see {!net_slots}), the engine
-          ([engine.events], [engine.slot_capacity]), the GC,
+          ([engine.events], [engine.slot_capacity], [engine.buckets]),
+          the GC,
           and — when a workload is on — the mempool fleet
           ([tx.submitted], [tx.ordered], [mempool.pending]/[in_flight]/
           [rejected]); feeds proposal→a_deliver latencies observed at
@@ -258,8 +259,9 @@ val metrics_snapshot : t -> Metrics.Registry.snapshot
     [rule.commit_quorum] gauges — explicit so downstream tooling need
     not infer the rule from span names), communication counters (total,
     honest, per message kind), engine gauges (virtual time, events
-    executed, events pending, and [engine.slot_capacity], the most
-    events ever queued), each stack's network gauges
+    executed, events pending, [engine.slot_capacity], the most
+    events ever queued, and [engine.buckets], the length of the
+    queue's bucket table), each stack's network gauges
     ([net.in_flight.<stack>] and [net.slot_capacity.<stack>], see
     {!net_slots}), latency histograms (first delivery and
     per-process delivery), per-node delivered counts, the bounded-state

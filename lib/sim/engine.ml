@@ -24,10 +24,20 @@ let[@inline] push t ~time f arg =
   t.seq <- t.seq + 1;
   Stdx.Pqueue.push t.queue ~priority:time ~seq:t.seq ~arg f
 
-let[@inline] check_delay name delay =
-  if delay < 0.0 then invalid_arg ("Engine." ^ name ^ ": negative delay")
+(* The queue has no bucket for nan or an infinite time, and a nan would
+   also pass a [delay < 0.0] test and run at clock nan. *)
+let bad_delay name delay =
+  invalid_arg
+    ("Engine." ^ name
+    ^ if delay < 0.0 then ": negative delay" else ": non-finite delay")
 
-let schedule_at t ~time f = push t ~time (fun _ -> f ()) 0
+let[@inline] check_delay name delay =
+  if not (delay >= 0.0 && delay < infinity) then bad_delay name delay
+
+let schedule_at t ~time f =
+  if not (Float.is_finite time) then
+    invalid_arg "Engine.schedule_at: non-finite time";
+  push t ~time (fun _ -> f ()) 0
 
 let schedule t ~delay f =
   check_delay "schedule" delay;
@@ -78,6 +88,10 @@ let run t ?(max_events = max_int) ?(until = infinity) () =
 let pending t = Stdx.Pqueue.length t.queue
 
 let slot_capacity t = Stdx.Pqueue.slot_capacity t.queue
+
+let buckets t = Stdx.Pqueue.buckets t.queue
+
+let bucket_width t = Stdx.Pqueue.bucket_width t.queue
 
 let events_executed t = t.executed
 

@@ -367,6 +367,13 @@ let test_queue_population_gauges () =
      = float_of_int (Sim.Engine.slot_capacity engine));
   checkb "engine peak >= pending" true
     (gauge "engine.slot_capacity" >= gauge "engine.pending");
+  checkb "series engine.buckets" true (List.mem "engine.buckets" names);
+  checkb "bucket count is the engine's" true
+    (gauge "engine.buckets" = float_of_int (Sim.Engine.buckets engine));
+  (* a power of two of at least 16 once anything was queued *)
+  let buckets = Sim.Engine.buckets engine in
+  checkb "bucket count a power of two >= 16" true
+    (buckets >= 16 && buckets land (buckets - 1) = 0);
   List.iter
     (fun stack ->
       let in_flight = "net.in_flight." ^ stack

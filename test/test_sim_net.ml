@@ -75,6 +75,38 @@ let test_engine_negative_delay_rejected () =
     (Invalid_argument "Engine.schedule: negative delay") (fun () ->
       Sim.Engine.schedule e ~delay:(-1.0) (fun () -> ()))
 
+(* The queue has no bucket for nan or an infinite time: a nan delay
+   used to pass the negative-delay check, run first at clock nan and
+   send the clock back to 1.0 afterwards. *)
+let test_engine_non_finite_rejected () =
+  let e = Sim.Engine.create () in
+  let clocks = ref [] in
+  let record () = clocks := Sim.Engine.now e :: !clocks in
+  Sim.Engine.schedule e ~delay:1.0 record;
+  Sim.Engine.schedule e ~delay:2.0 record;
+  let raises name f =
+    Alcotest.check_raises name (Invalid_argument name) (fun () -> f ())
+  in
+  raises "Engine.schedule: non-finite delay" (fun () ->
+      Sim.Engine.schedule e ~delay:Float.nan record);
+  raises "Engine.schedule: non-finite delay" (fun () ->
+      Sim.Engine.schedule e ~delay:infinity record);
+  raises "Engine.schedule: negative delay" (fun () ->
+      Sim.Engine.schedule e ~delay:neg_infinity record);
+  raises "Engine.schedule_call: non-finite delay" (fun () ->
+      Sim.Engine.schedule_call e ~delay:Float.nan (fun _ -> record ()) 0);
+  raises "Engine.schedule_call: non-finite delay" (fun () ->
+      Sim.Engine.schedule_call e ~delay:infinity (fun _ -> record ()) 0);
+  List.iter
+    (fun time ->
+      raises "Engine.schedule_at: non-finite time" (fun () ->
+          Sim.Engine.schedule_at e ~time record))
+    [ Float.nan; infinity; neg_infinity ];
+  checki "nothing queued by a rejected call" 2 (Sim.Engine.pending e);
+  checki "both events run" 2 (Sim.Engine.run e ());
+  Alcotest.(check (list (float 0.0))) "clock never goes back" [ 1.0; 2.0 ]
+    (List.rev !clocks)
+
 let test_engine_schedule_at_past_clamped () =
   let e = Sim.Engine.create () in
   Sim.Engine.schedule e ~delay:5.0 (fun () ->
@@ -649,6 +681,8 @@ let () =
           Alcotest.test_case "max events" `Quick test_engine_max_events;
           Alcotest.test_case "step" `Quick test_engine_step;
           Alcotest.test_case "negative delay" `Quick test_engine_negative_delay_rejected;
+          Alcotest.test_case "non-finite delay or time" `Quick
+            test_engine_non_finite_rejected;
           Alcotest.test_case "past clamped" `Quick test_engine_schedule_at_past_clamped;
           Alcotest.test_case "thunks and calls interleave" `Quick
             test_engine_thunks_and_calls_interleave ] );

@@ -349,6 +349,181 @@ let test_pqueue_growth_matches_reference () =
       checkb (Printf.sprintf "past %d" cap) true (run_both (fill @ churn)))
     [ 16; 32; 64; 128; 256; 512; 1024 ]
 
+(* Adversarial priority distributions for the calendar queue, each
+   driven against the reference in lockstep: every take must return the
+   reference's entry, and the two must drain alike at the end. *)
+type lockstep = {
+  lq : int Q.t;
+  lr : (int * int) Pqueue_reference.t;
+  mutable lseq : int;
+  mutable agree : bool;
+}
+
+let lockstep () =
+  { lq = Q.create ~dummy:(-1);
+    lr = Pqueue_reference.create ();
+    lseq = 0;
+    agree = true }
+
+let l_push l priority =
+  l.lseq <- l.lseq + 1;
+  Q.push l.lq ~priority ~seq:l.lseq ~arg:(l.lseq * 3) (l.lseq * 7);
+  Pqueue_reference.push l.lr ~priority ~seq:l.lseq (l.lseq * 7, l.lseq * 3)
+
+(* the priority taken, or nan once both are empty *)
+let l_take l =
+  match Pqueue_reference.pop l.lr with
+  | None ->
+    if not (Q.is_empty l.lq) then l.agree <- false;
+    Float.nan
+  | Some (p, _, (v, a)) ->
+    let p' = Q.min_priority l.lq and a' = Q.min_arg l.lq in
+    let v' = Q.take l.lq in
+    if not (Float.equal p p' && a = a' && v = v') then l.agree <- false;
+    p
+
+let l_clear l =
+  Q.clear l.lq;
+  Pqueue_reference.clear l.lr
+
+let l_agrees l =
+  while not (Pqueue_reference.is_empty l.lr) do
+    ignore (l_take l : float)
+  done;
+  l.agree && Q.is_empty l.lq
+
+(* [k] steps of half pushes from [gen], half takes *)
+let l_churn l rng k gen =
+  for _ = 1 to k do
+    if Stdx.Rng.bool rng then l_push l (gen ()) else ignore (l_take l : float)
+  done
+
+let test_pqueue_all_equal () =
+  let l = lockstep () and rng = Stdx.Rng.create 11 in
+  for _ = 1 to 3000 do
+    l_push l 7.5
+  done;
+  l_churn l rng 6000 (fun () -> 7.5);
+  for _ = 1 to 1000 do
+    l_push l 7.5
+  done;
+  checkb "every priority equal" true (l_agrees l)
+
+let test_pqueue_cluster_and_outliers () =
+  let l = lockstep () and rng = Stdx.Rng.create 12 in
+  let gen () =
+    match Stdx.Rng.int rng 100 with
+    | 0 -> 1e6 +. Stdx.Rng.float rng 1.0
+    | 1 -> 1e12 +. Stdx.Rng.float rng 1e3
+    | 2 -> infinity
+    | _ -> Stdx.Rng.float rng 1.0
+  in
+  for _ = 1 to 5000 do
+    l_push l (gen ())
+  done;
+  l_churn l rng 10_000 gen;
+  (* drain across the gaps to the outliers, pushing behind the front *)
+  for _ = 1 to 5000 do
+    let p = l_take l in
+    if Stdx.Rng.int rng 4 = 0 then l_push l (p +. Stdx.Rng.float rng 1.0)
+  done;
+  checkb "dense cluster, outliers at 1e6, 1e12 and infinity" true
+    (l_agrees l)
+
+let test_pqueue_neighbouring_floats () =
+  let l = lockstep () and rng = Stdx.Rng.create 13 in
+  let run base =
+    let a = Array.make 2000 base in
+    for i = 1 to 1999 do
+      a.(i) <- Float.succ a.(i - 1)
+    done;
+    Stdx.Rng.shuffle rng a;
+    Array.iteri
+      (fun i p ->
+        l_push l p;
+        (* a duplicate now and then, and a take every third push *)
+        if i mod 7 = 0 then l_push l p;
+        if i mod 3 = 0 then ignore (l_take l : float))
+      a
+  in
+  List.iter run [ 1.0; 1e6; 0.0; -3.0 ];
+  checkb "successive floats" true (l_agrees l)
+
+let test_pqueue_below_minimum () =
+  let l = lockstep () and rng = Stdx.Rng.create 14 in
+  for _ = 1 to 1000 do
+    l_push l (100.0 +. Stdx.Rng.float rng 1.0)
+  done;
+  for i = 1 to 4000 do
+    let p = l_take l in
+    (* below the minimum just taken: at the front's bucket, a few
+       buckets back, and far below zero *)
+    l_push l (p -. Stdx.Rng.float rng 0.01);
+    if i mod 5 = 0 then l_push l (p -. 10.0 -. Stdx.Rng.float rng 50.0);
+    if i mod 97 = 0 then l_push l (-1e9 -. float_of_int i)
+  done;
+  checkb "pushes below the current minimum" true (l_agrees l)
+
+(* the bucket table re-tunes as the population doubles and halves *)
+let test_pqueue_population_ramp () =
+  let l = lockstep () and rng = Stdx.Rng.create 15 in
+  let gen () = Stdx.Rng.float rng 100.0 in
+  while Q.length l.lq < 20_000 do
+    l_push l (gen ());
+    if Stdx.Rng.int rng 4 = 0 then ignore (l_take l : float)
+  done;
+  let top = Q.buckets l.lq in
+  while Q.length l.lq > 40 do
+    let p = l_take l in
+    if Stdx.Rng.int rng 4 = 0 then l_push l (p +. gen ())
+  done;
+  let bottom = Q.buckets l.lq in
+  l_churn l rng 2000 gen;
+  checkb (Printf.sprintf "%d buckets at 20,000 entries" top) true
+    (top >= 8192);
+  checkb (Printf.sprintf "%d buckets back at 40 entries" bottom) true
+    (bottom <= 128);
+  checkb "ramp 0 -> 20,000 -> 40" true (l_agrees l)
+
+let test_pqueue_clear_mid_ramp () =
+  let l = lockstep () and rng = Stdx.Rng.create 16 in
+  let gen () = Stdx.Rng.float rng 10.0 in
+  for _ = 1 to 10_000 do
+    l_push l (gen ())
+  done;
+  l_churn l rng 3000 gen;
+  l_clear l;
+  checkb "empty after clear" true (Q.is_empty l.lq && Q.buckets l.lq = 0);
+  for _ = 1 to 5000 do
+    l_push l (50.0 +. gen ())
+  done;
+  l_churn l rng 3000 (fun () -> 50.0 +. gen ());
+  checkb "clear in mid-ramp" true (l_agrees l)
+
+(* the engine's shape at n=16: each take runs an event at [now], which
+   sends a burst of 16 messages at [now + U(0,1]] while fewer than 2,400
+   are in flight *)
+let test_pqueue_engine_shaped () =
+  let l = lockstep () and rng = Stdx.Rng.create 17 in
+  let burst now =
+    for _ = 1 to 16 do
+      l_push l (now +. (1.0 -. Stdx.Rng.float rng 1.0))
+    done
+  in
+  burst 0.0;
+  for _ = 1 to 100_000 do
+    let now = l_take l in
+    if Q.length l.lq < 2400 then burst now
+  done;
+  checkb "100,000 engine-shaped events" true (l_agrees l)
+
+let test_pqueue_nan_rejected () =
+  let q = make_queue () in
+  Alcotest.check_raises "nan"
+    (Invalid_argument "Pqueue.push: nan priority") (fun () ->
+      Q.push q ~priority:Float.nan ~seq:1 ~arg:0 "x");
+  checkb "nothing queued" true (Q.is_empty q)
+
 (* a taken value is not kept alive by the slot it vacated *)
 let test_pqueue_take_releases_value () =
   let q = Q.create ~dummy:(ref 0) in
@@ -369,34 +544,38 @@ let test_pqueue_take_releases_value () =
   (* the queue itself stayed reachable throughout *)
   checkb "queue drained" true (Q.is_empty q)
 
-(* Words allocated per push+take at a steady population of 2,048, once
-   the rows have grown to it. Like test_sim_net's send path allocation,
-   the bound of 0 holds for the default (release) build only. *)
+(* Words allocated per push+take at steady populations of 2,048 and
+   16,384, once the rows have grown to them. Like test_sim_net's send
+   path allocation, the bound of 0 holds for the default (release)
+   build only. *)
 let test_pqueue_steady_state_allocation () =
   let f (_ : int) = () in
-  let q = Q.create ~dummy:ignore in
-  let pop = 2048 in
-  for i = 1 to pop do
-    Q.push q ~priority:(float_of_int (i * 7919 mod pop)) ~seq:i ~arg:i f
-  done;
-  let seq = ref pop in
-  let churn k =
-    for _ = 1 to k do
-      let p = Q.min_priority q and a = Q.min_arg q in
-      let g = Q.take q in
-      incr seq;
-      Q.push q ~priority:(p +. float_of_int ((a * 7919) land 1023)) ~seq:!seq
-        ~arg:!seq g
-    done
-  in
-  churn pop;
-  let rounds = 100_000 in
-  let before = Gc.minor_words () in
-  churn rounds;
-  let words = (Gc.minor_words () -. before) /. float_of_int rounds in
-  checki "population held" pop (Q.length q);
-  checkb (Printf.sprintf "%.3f words per push+take = 0" words) true
-    (words = 0.0)
+  List.iter
+    (fun pop ->
+      let q = Q.create ~dummy:ignore in
+      for i = 1 to pop do
+        Q.push q ~priority:(float_of_int (i * 7919 mod pop)) ~seq:i ~arg:i f
+      done;
+      let seq = ref pop in
+      let churn k =
+        for _ = 1 to k do
+          let p = Q.min_priority q and a = Q.min_arg q in
+          let g = Q.take q in
+          incr seq;
+          Q.push q ~priority:(p +. float_of_int ((a * 7919) land 1023))
+            ~seq:!seq ~arg:!seq g
+        done
+      in
+      churn pop;
+      let rounds = 100_000 in
+      let before = Gc.minor_words () in
+      churn rounds;
+      let words = (Gc.minor_words () -. before) /. float_of_int rounds in
+      checki "population held" pop (Q.length q);
+      checkb
+        (Printf.sprintf "%.3f words per push+take at %d = 0" words pop)
+        true (words = 0.0))
+    [ 2048; 16_384 ]
 
 let prop_rng_same_seed_same_stream =
   QCheck.Test.make ~name:"rng: same seed yields same stream" ~count:100
@@ -631,7 +810,22 @@ let () =
             test_pqueue_take_releases_value;
           QCheck_alcotest.to_alcotest prop_pqueue_matches_reference_large;
           Alcotest.test_case "steady-state push+take allocation" `Quick
-            test_pqueue_steady_state_allocation ] );
+            test_pqueue_steady_state_allocation;
+          Alcotest.test_case "all-equal priorities" `Quick
+            test_pqueue_all_equal;
+          Alcotest.test_case "dense cluster and far outliers" `Quick
+            test_pqueue_cluster_and_outliers;
+          Alcotest.test_case "neighbouring floats" `Quick
+            test_pqueue_neighbouring_floats;
+          Alcotest.test_case "pushes below the minimum" `Quick
+            test_pqueue_below_minimum;
+          Alcotest.test_case "population ramp 0 -> 20,000 -> 40" `Quick
+            test_pqueue_population_ramp;
+          Alcotest.test_case "clear in mid-ramp" `Quick
+            test_pqueue_clear_mid_ramp;
+          Alcotest.test_case "engine-shaped stream" `Quick
+            test_pqueue_engine_shaped;
+          Alcotest.test_case "nan rejected" `Quick test_pqueue_nan_rejected ] );
       ( "stats",
         [ Alcotest.test_case "empty" `Quick test_stats_empty;
           Alcotest.test_case "mean/stddev" `Quick test_stats_mean_stddev;
