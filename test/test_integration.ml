@@ -494,7 +494,8 @@ let test_ablation_wave_length_pinned () =
 let test_pinned_counts () =
   let open Harness.Runner in
   let fleet ?link_faults ?(trace = false) ?(rule = Dagrider.Ordering.dag_rider)
-      ?(schedule = Uniform_random) ~backend ~n ~until () =
+      ?(schedule = Uniform_random) ?(faults = []) ?(coin_in_dag = false)
+      ?workload ?gc_depth ?restart ~backend ~n ~until () =
     let h =
       build
         { (default_options ~n) with
@@ -502,9 +503,18 @@ let test_pinned_counts () =
           link_faults;
           rule;
           schedule;
+          faults;
+          coin_in_dag;
+          workload;
+          gc_depth;
           trace =
             (if trace then Some (Trace.create ~capacity:4096 ()) else None) }
     in
+    (match restart with
+    | None -> ()
+    | Some (at, i) ->
+      run h ~until:at;
+      restart_node h i);
     run h ~until;
     ( Dagrider.Ordering.delivered_count (Dagrider.Node.ordering (node h 0)),
       honest_bits h )
@@ -544,7 +554,49 @@ let test_pinned_counts () =
           ~backend:Bracha ~n:10 ~until:30.0 () );
       ( "dagrider.n10.sync",
         (1, 22706400),
-        fleet ~schedule:Synchronous ~backend:Bracha ~n:10 ~until:30.0 () ) ]
+        fleet ~schedule:Synchronous ~backend:Bracha ~n:10 ~until:30.0 () );
+      ( "bracha.n7.crash",
+        (72, 7989296),
+        fleet ~faults:[ Crash 6 ] ~backend:Bracha ~n:7 ~until:40.0 () );
+      ( "bracha.n7.byzantine-live",
+        (111, 10821160),
+        fleet ~faults:[ Byzantine_live 5 ] ~backend:Bracha ~n:7 ~until:40.0 () );
+      ( "bracha.n7.attacker",
+        (96, 9337776),
+        fleet ~faults:[ Byzantine_attacker 4 ] ~backend:Bracha ~n:7
+          ~until:40.0 () );
+      ( "avid.n7.attacker",
+        (96, 12785976),
+        fleet ~faults:[ Byzantine_attacker 4 ] ~backend:Avid ~n:7 ~until:40.0
+          () );
+      ( "gossip.n7.attacker",
+        (48, 9436152),
+        fleet ~faults:[ Byzantine_attacker 4 ] ~backend:Gossip ~n:7
+          ~until:40.0 () );
+      ( "bracha.n7.equivocate",
+        (108, 10689392),
+        fleet
+          ~faults:
+            [ Adversary (3, { Attack.strategy = Attack.Equivocate; victims = [] }) ]
+          ~backend:Bracha ~n:7 ~until:40.0 () );
+      ( "bracha.n7.withhold",
+        (83, 10794448),
+        fleet
+          ~faults:
+            [ Adversary (3, { Attack.strategy = Attack.Withhold; victims = [] }) ]
+          ~backend:Bracha ~n:7 ~until:40.0 () );
+      ( "bracha.n4.coin-in-dag",
+        (96, 3304768),
+        fleet ~coin_in_dag:true ~backend:Bracha ~n:4 ~until:60.0 () );
+      ( "bracha.n4.workload",
+        (48, 26191904),
+        fleet ~workload:default_workload ~backend:Bracha ~n:4 ~until:30.0 () );
+      ( "bracha.n4.gc4",
+        (112, 3136608),
+        fleet ~gc_depth:4 ~backend:Bracha ~n:4 ~until:60.0 () );
+      ( "bracha.n4.restart",
+        (112, 3140800),
+        fleet ~restart:(30.0, 1) ~backend:Bracha ~n:4 ~until:60.0 () ) ]
 
 let test_active_attacker_tolerated () =
   (* an attacker floods the broadcast channel with garbage, invalid
