@@ -1,6 +1,8 @@
-type strategy = Equivocate | Withhold | Grind | Bias | Lying_sync
+type strategy = Equivocate | Withhold | Grind | Bias | Lying_sync | Fuzz
 
-let all_strategies = [ Equivocate; Withhold; Grind; Bias; Lying_sync ]
+let adaptive_strategies = [ Equivocate; Withhold; Grind; Bias; Lying_sync ]
+
+let all_strategies = adaptive_strategies @ [ Fuzz ]
 
 let strategy_label = function
   | Equivocate -> "equivocate"
@@ -8,6 +10,7 @@ let strategy_label = function
   | Grind -> "grind"
   | Bias -> "bias"
   | Lying_sync -> "lying-sync"
+  | Fuzz -> "fuzz"
 
 let strategy_of_string = function
   | "equivocate" -> Some Equivocate
@@ -15,6 +18,7 @@ let strategy_of_string = function
   | "grind" -> Some Grind
   | "bias" -> Some Bias
   | "lying-sync" -> Some Lying_sync
+  | "fuzz" -> Some Fuzz
   | _ -> None
 
 type spec = { strategy : strategy; victims : int list }
@@ -56,6 +60,7 @@ type t = {
 let create ~(spec : spec) ~arsenal ~rng ~schedule ?trace () =
   let victims =
     match spec.victims with
+    | _ when spec.strategy = Fuzz -> [] (* sprays everyone, draws nothing *)
     | _ :: _ as vs ->
       List.filter (fun i -> i >= 0 && i < arsenal.ars_n && i <> arsenal.ars_me) vs
     | [] ->
@@ -82,7 +87,7 @@ let create ~(spec : spec) ~arsenal ~rng ~schedule ?trace () =
     lies = [];
     actions = 0 }
 
-let set_node t node = t.node <- Some node
+let spec t = t.spec
 
 let victims t = t.victims
 
@@ -259,6 +264,42 @@ let on_own_vertex t ~payload ~round =
   | Grind -> do_grind t ~payload ~round
   | Bias -> do_bias t ~payload ~round
   | Lying_sync -> t.arsenal.ars_bcast ~round ~payload
+  | Fuzz -> () (* its node never starts, so this never runs *)
+
+(* ---- fuzz: the next of four malformed payloads, once per time unit,
+   through the honest endpoint of a process that never runs its node ---- *)
+
+let rec fuzz t step =
+  let n = t.arsenal.ars_n and round = 1 + (step / 4) in
+  let edge round source = { Dagrider.Vertex.round; source } in
+  let vertex ~round ~block strong_edges =
+    Dagrider.Vertex.encode
+      { Dagrider.Vertex.round;
+        source = t.arsenal.ars_me;
+        block;
+        strong_edges;
+        weak_edges = [] }
+  in
+  let round, payload, info =
+    match step mod 4 with
+    | 0 ->
+      ( round,
+        String.init 40 (fun _ -> Char.chr (Stdx.Rng.int t.rng 256)),
+        "undecodable garbage" )
+    | 1 -> (round, vertex ~round ~block:"bad" [ edge 0 0 ], "too few strong edges")
+    | 2 ->
+      ( 1,
+        vertex ~round:1 ~block:(Printf.sprintf "equivocation-%d" step)
+          (List.init n (edge 0)),
+        "second payload for round 1" )
+    | _ ->
+      ( round,
+        vertex ~round ~block:"" (List.init 3 (fun k -> edge (step / 4) (n + k))),
+        "edge sources out of range" )
+  in
+  note t ~round ~info;
+  t.arsenal.ars_bcast ~round ~payload;
+  t.schedule ~delay:1.0 (fun () -> fuzz t (step + 1))
 
 (* ---- the lying catch-up peer ---- *)
 
@@ -368,6 +409,13 @@ let lying_sync_handler t ~sync_net =
               (Dagrider.Node.Sync_response { vertices })
           done)
       | Dagrider.Node.Sync_request _ -> ())
+
+let arm t ~node ~sync_net =
+  t.node <- Some node;
+  match t.spec.strategy with
+  | Lying_sync -> lying_sync_handler t ~sync_net
+  | Fuzz -> t.schedule ~delay:0.5 (fun () -> fuzz t 0)
+  | Equivocate | Withhold | Grind | Bias -> ()
 
 let forks t = List.rev t.forks
 

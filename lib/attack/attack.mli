@@ -27,6 +27,12 @@
       garbage payloads, out-of-range envelopes) to restarting nodes;
       {!lies} records every forgery so an oracle can prove none was
       admitted.
+    - {b Fuzz}: a process that never runs the protocol (the harness
+      never starts its node, whose RBC endpoint relays but delivers to
+      nobody). From +0.5, then every time unit, it broadcasts the next
+      of undecodable garbage, a vertex with too few strong edges, a
+      second payload for round 1, and a vertex with out-of-range edge
+      sources.
 
     The driver is deliberately decoupled from the harness: it acts only
     through an {!arsenal} of backend capabilities the harness
@@ -37,12 +43,16 @@
     keeps the DAG substrate identical across commit rules for the
     differential harness. *)
 
-type strategy = Equivocate | Withhold | Grind | Bias | Lying_sync
+type strategy = Equivocate | Withhold | Grind | Bias | Lying_sync | Fuzz
+
+val adaptive_strategies : strategy list
+(** Every strategy but [Fuzz]: the ones that run the real node. *)
 
 val all_strategies : strategy list
+(** {!adaptive_strategies}, then [Fuzz]. *)
 
 val strategy_label : strategy -> string
-(** "equivocate" | "withhold" | "grind" | "bias" | "lying-sync". *)
+(** "equivocate" | "withhold" | "grind" | "bias" | "lying-sync" | "fuzz". *)
 
 val strategy_of_string : string -> strategy option
 (** Inverse of {!strategy_label} (CLI parsing). *)
@@ -51,7 +61,8 @@ type spec = {
   strategy : strategy;
   victims : int list;
       (** targeted processes; [[]] lets the driver sample up to [f]
-          victims from its seeded RNG at install time *)
+          victims from its seeded RNG at install time ([Fuzz] targets
+          everyone and samples none) *)
 }
 
 val describe : node:int -> spec -> string
@@ -95,10 +106,16 @@ val create :
     delays); [rng] must be a dedicated stream so attacked runs replay
     byte-identically. *)
 
-val set_node : t -> Dagrider.Node.t -> unit
+val arm :
+  t -> node:Dagrider.Node.t -> sync_net:Dagrider.Node.sync_msg Net.Port.t -> unit
 (** Install the attacker's protocol brain — the real node whose DAG and
-    resolved coins the adaptive strategies watch. Must be called before
+    resolved coins the adaptive strategies watch — and start what acts
+    on its own: [Lying_sync] registers the lying catch-up responder on
+    the attacker's sync endpoint (replacing its honest handler), and
+    [Fuzz] schedules its first broadcast. Must be called once, before
     the run starts (the harness does). *)
+
+val spec : t -> spec
 
 val victims : t -> int list
 (** The resolved victim set (sampled at {!create} when the spec left it
@@ -109,15 +126,6 @@ val on_own_vertex : t -> payload:string -> round:int -> unit
     [rbc_bcast] here instead of the backend, and the strategy decides
     what actually goes on the wire (fork, withhold, delay, or pass
     through). *)
-
-val lying_sync_handler :
-  t -> sync_net:Dagrider.Node.sync_msg Net.Port.t -> unit
-(** Register the lying catch-up responder on the attacker's sync
-    endpoint (replacing its honest handler): every [Sync_request] is
-    answered with a corrupted [Sync_response] mixing forged-but-valid
-    vertices attributed to honest processes, undecodable garbage, and
-    out-of-range envelopes. Only meaningful for {!Lying_sync}; other
-    strategies leave the honest responder in place. *)
 
 val forks : t -> fork list
 (** Every equivocation actually sent, oldest first. *)

@@ -85,23 +85,18 @@ let sample_layer rng ~n ~backend ~horizon =
 
 let sample_fault rng ~horizon node =
   match Stdx.Rng.int rng 5 with
-  | 0 -> Static (Harness.Runner.Crash node)
-  | 1 -> Static (Harness.Runner.Byzantine_silent node)
+  | 0 | 1 -> Static (Harness.Runner.Crash node)
   | 2 -> Static (Harness.Runner.Byzantine_live node)
-  | 3 -> Static (Harness.Runner.Byzantine_attacker node)
+  | 3 ->
+    Static
+      (Harness.Runner.Adversary
+         (node, { Attack.strategy = Attack.Fuzz; victims = [] }))
   | _ ->
     Corrupt_at
       { time = horizon *. (0.1 +. (0.5 *. Stdx.Rng.float rng 1.0)); node }
 
-let static_index = function
-  | Harness.Runner.Crash i
-  | Harness.Runner.Byzantine_silent i
-  | Harness.Runner.Byzantine_live i
-  | Harness.Runner.Byzantine_attacker i -> i
-  | Harness.Runner.Adversary (i, _) -> i
-
 let fault_node = function
-  | Static f -> static_index f
+  | Static f -> Harness.Runner.fault_index f
   | Corrupt_at { node; _ } | Restart_at { node; _ } -> node
 
 let faulty_nodes t =
@@ -112,15 +107,9 @@ let faulty_nodes t =
          | fault -> Some (fault_node fault))
        t.faults)
 
-(* mirror of Runner.build's seed derivation (create, then the sched and
-   coin splits in order) — keep in sync with runner.ml; the sabotage
-   self-test fails loudly if the two ever drift, because the predicted
-   leader stops matching the elected one and no violation is produced *)
+(* the leader the run's own dealer coin will elect for [wave] *)
 let predicted_leader ~seed ~n ~f ~wave =
-  let root_rng = Stdx.Rng.create seed in
-  let (_ : Stdx.Rng.t) = Stdx.Rng.split root_rng in
-  let coin_rng = Stdx.Rng.split root_rng in
-  let coin = Crypto.Threshold_coin.setup ~rng:coin_rng ~n ~f in
+  let coin = Harness.Runner.dealer_coin ~seed ~n ~f in
   let shares =
     List.init (f + 1) (fun holder ->
         Crypto.Threshold_coin.make_share coin ~holder ~instance:wave)
@@ -345,7 +334,7 @@ let generate ?(sabotage = false) ?(quick = false) ?lossy ?attack
         else begin
           let node = Stdx.Rng.choose rng (Array.of_list candidates) in
           let strategy =
-            Stdx.Rng.choose rng (Array.of_list Attack.all_strategies)
+            Stdx.Rng.choose rng (Array.of_list Attack.adaptive_strategies)
           in
           let spec = { Attack.strategy; victims = [] } in
           (* consed at the head so the shrinker tries dropping the
@@ -466,10 +455,7 @@ let describe_layer = function
 
 let describe_fault = function
   | Static (Harness.Runner.Crash i) -> Printf.sprintf "crash p%d" i
-  | Static (Harness.Runner.Byzantine_silent i) -> Printf.sprintf "silent p%d" i
   | Static (Harness.Runner.Byzantine_live i) -> Printf.sprintf "byz-live p%d" i
-  | Static (Harness.Runner.Byzantine_attacker i) ->
-    Printf.sprintf "attacker p%d" i
   | Static (Harness.Runner.Adversary (i, spec)) -> Attack.describe ~node:i spec
   | Corrupt_at { time; node } -> Printf.sprintf "corrupt p%d@%.1f" node time
   | Restart_at { time; node } -> Printf.sprintf "restart p%d@%.1f" node time

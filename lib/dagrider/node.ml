@@ -783,12 +783,8 @@ let checkpoint t =
     ck_decided_wave = Ordering.decided_wave t.ordering;
     ck_round = t.round }
 
-let restore ~config ~me ~coin ~coin_net ~make_rbc ?sync_net ?sync_trusting
-    ?trace ?block_source ?a_deliver ?on_commit ck =
-  let t =
-    create ~config ~me ~coin ~coin_net ~make_rbc ?sync_net ?sync_trusting
-      ?trace ?block_source ?a_deliver ?on_commit ()
-  in
+let restore t ck =
+  if t.started then invalid_arg "Node.restore: node already started";
   (* graft the persisted DAG in at its horizon: rebuild through Dag.add
      to re-establish the causal-closure invariant, whose edges into
      pruned rounds count as present *)
@@ -802,14 +798,13 @@ let restore ~config ~me ~coin ~coin_net ~make_rbc ?sync_net ?sync_trusting
      cadence; coin shares for the completed coin instances were sent
      before the checkpoint and must not be re-sent *)
   t.waves_completed <-
-    max 0 ((ck.ck_round - 1) / config.rule.Ordering.rule_wave_length);
+    max 0 ((ck.ck_round - 1) / t.config.rule.Ordering.rule_wave_length);
   t.coin_waves_completed <-
-    max 0 ((ck.ck_round - 1) / Ordering.coin_wave_length config.rule);
+    max 0 ((ck.ck_round - 1) / Ordering.coin_wave_length t.config.rule);
   t.share_sent_up_to <- t.coin_waves_completed;
   t.next_wave_to_order <- ck.ck_decided_wave + 1;
   t.started <- true;
-  ignore (request_sync t : bool);
-  t
+  ignore (request_sync t : bool)
 
 let start t =
   if not t.started then begin

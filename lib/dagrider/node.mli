@@ -149,25 +149,16 @@ type checkpoint = {
 
 val checkpoint : t -> checkpoint
 
-val restore : config:config -> me:int ->
-  coin:Crypto.Threshold_coin.t ->
-  coin_net:coin_msg Net.Port.t ->
-  make_rbc:rbc_factory ->
-  ?sync_net:sync_msg Net.Port.t ->
-  ?sync_trusting:bool ->
-  ?trace:Trace.t ->
-  ?block_source:(round:int -> string) ->
-  ?a_deliver:(block:string -> round:int -> source:int -> unit) ->
-  ?on_commit:(Ordering.commit -> unit) ->
-  checkpoint ->
-  t
-(** Rebuild a node from a checkpoint. The node resumes at the
-    checkpointed round: it does not re-broadcast that round's vertex
+val restore : t -> checkpoint -> unit
+(** Graft a checkpoint into [t], a node fresh from {!create} that was
+    never started, and send its first sync request. The node resumes at
+    the checkpointed round: it does not re-broadcast that round's vertex
     (it may already be delivered elsewhere — re-broadcasting a fresh
     one would be equivocation) and advances as soon as the round's
     quorum assembles. Coin shares for waves completed before the
     checkpoint are not re-sent; unresolved waves re-resolve from
-    incoming shares. *)
+    incoming shares.
+    @raise Invalid_argument if [t] was already started. *)
 
 val start : t -> unit
 (** Broadcast the first vertex. Idempotent; a no-op on restored nodes

@@ -8,9 +8,7 @@ type schedule =
 
 type fault =
   | Crash of int
-  | Byzantine_silent of int
   | Byzantine_live of int
-  | Byzantine_attacker of int
   | Adversary of int * Attack.spec
 
 type link_faults = {
@@ -96,35 +94,36 @@ type carrier = {
    stack over Net.Link endpoints on a fault-injected frame network. *)
 type 'msg stack = { st_port : 'msg Net.Port.t; st_carrier : carrier }
 
+type monitor_ctx = {
+  mc_mon : Monitor.t;
+  mc_observer : int; (* lowest never-faulty process: the vantage point *)
+  mc_commits : int ref; (* direct+chained commits seen at the observer *)
+}
+
+(* the streaming trace consumers, iff traced *)
+type observers = {
+  analyzer : Analyze.t option; (* protocol analyzer *)
+  forensics : Forensics.t option; (* certificate collector *)
+  critpath : Critpath.t option; (* causal path collector *)
+}
+
 type t = {
   options : options;
   engine : Sim.Engine.t;
   counters : Metrics.Counters.t;
   coin : Crypto.Threshold_coin.t;
-  coin_stack : Dagrider.Node.coin_msg stack;
-  sync_stack : Dagrider.Node.sync_msg stack;
-  make_rbc : Dagrider.Node.rbc_factory;
-  node_config : Dagrider.Node.config;
+  make_node : make_rbc:Dagrider.Node.rbc_factory -> int -> Dagrider.Node.t;
+  honest_rbc : Dagrider.Node.rbc_factory;
   nodes : Dagrider.Node.t array;
   carriers : (string * carrier) list; (* coin, sync, rbc *)
-  rbc_gauges : (unit -> int * int) array;
-      (* per process: its backend's open instances and drops *)
+  rbc_instances : unit -> int * int; (* open instances, drops *)
   faulty : bool array;  (* counted as Byzantine *)
   crashed : bool array; (* additionally, never started *)
   attack_drivers : Attack.t option array; (* per-process, iff Adversary *)
   latency : Metrics.Latency.t;
-  analyzer : Analyze.t option; (* streaming trace consumer, iff traced *)
-  forensics : Forensics.t option; (* certificate collector, iff traced *)
-  critpath : Critpath.t option; (* causal path collector, iff traced *)
+  observers : observers;
   mempools : Workload.Mempool.t array option; (* iff workload-driven *)
-  mctx : monitor_ctx option; (* iff a monitor is attached *)
   mutable started : bool;
-}
-
-and monitor_ctx = {
-  mc_mon : Monitor.t;
-  mc_observer : int; (* lowest never-faulty process: the vantage point *)
-  mc_commits : int ref; (* direct+chained commits seen at the observer *)
 }
 
 (* a bare network's hooks and gauges; a lossy stack replaces detach and
@@ -139,13 +138,55 @@ let network_carrier net =
     cr_in_flight = (fun () -> Net.Network.in_flight net);
     cr_slot_capacity = (fun () -> Net.Network.slot_capacity net) }
 
+let traced_network ~engine ~sched ~counters ~n trace =
+  let net = Net.Network.create ~engine ~sched ~counters ~n in
+  (match trace with None -> () | Some tr -> Net.Network.set_trace net tr);
+  net
+
 let silence cr ~drop_in_flight i =
   cr.cr_corrupt ~drop_in_flight i;
   cr.cr_detach i
 
-let fault_index = function
-  | Crash i | Byzantine_silent i | Byzantine_live i | Byzantine_attacker i -> i
-  | Adversary (i, _) -> i
+let fault_index = function Crash i | Byzantine_live i | Adversary (i, _) -> i
+
+let fault_of options i =
+  List.find_opt (fun fault -> fault_index fault = i) options.faults
+
+(* every index in range and no process named twice, checked before
+   anything is wired *)
+let rec check_faults ~n = function
+  | [] -> ()
+  | fault :: rest ->
+    let i = fault_index fault in
+    if i < 0 || i >= n then invalid_arg "Runner.build: fault index out of range";
+    if List.exists (fun other -> fault_index other = i) rest then
+      invalid_arg "Runner.build: a process is named by two faults";
+    check_faults ~n rest
+
+(* the vantage point for observer-anchored collectors: the lowest
+   process no declared fault touches (mid-run silencing can still
+   corrupt it — the monitor's observer has the same caveat) *)
+let vantage options =
+  let rec first i =
+    if i >= options.n then 0
+    else if Option.is_none (fault_of options i) then i
+    else first (i + 1)
+  in
+  first 0
+
+(* The run's RNG streams split from one root seeded by [seed], in a fixed
+   order: the schedule's, the dealer coin's, gossip's, then — only for
+   runs that declare them, so other runs draw exactly what they always
+   did — the lossy links' and the adversaries'. *)
+let seed_streams seed =
+  let root = Stdx.Rng.create seed in
+  let sched = Stdx.Rng.split root in
+  let coin = Stdx.Rng.split root in
+  (root, sched, coin)
+
+let dealer_coin ~seed ~n ~f =
+  let _, _, coin = seed_streams seed in
+  Crypto.Threshold_coin.setup ~rng:coin ~n ~f
 
 let make_sched ~schedule ~rng =
   match schedule with
@@ -161,9 +202,10 @@ let synthetic_block ~block_bytes ~me ~round =
   if String.length tag >= block_bytes then tag
   else tag ^ String.make (block_bytes - String.length tag) 'x'
 
-(* The three per-node closures, shared by [build] and [restart_node] so a
-   restarted node keeps the workload/monitor wiring of the original.
-   With no workload and no monitor the closures reduce to the historical
+(* The three per-node closures every node is made with (see
+   [node_maker]), so a restarted node keeps the workload/monitor wiring
+   of the original. With no workload and no monitor the closures reduce
+   to the historical
    ones — nothing extra touches the engine or any RNG, so delivery logs
    stay byte-identical to builds predating these features. *)
 let node_hooks ~options ~engine ~latency ~mempools ~mctx ~me =
@@ -245,120 +287,85 @@ let node_hooks ~options ~engine ~latency ~mempools ~mctx ~me =
   in
   (a_deliver, on_commit, block_source)
 
-let build options =
-  let { n; f; seed; _ } = options in
-  if n < 1 || f < 0 then invalid_arg "Runner.build: bad n/f";
-  let root_rng = Stdx.Rng.create seed in
-  let sched_rng = Stdx.Rng.split root_rng in
-  let coin_rng = Stdx.Rng.split root_rng in
-  let gossip_rng = Stdx.Rng.split root_rng in
-  (* split AFTER every pre-existing stream and ONLY when lossy links are
-     on, so fault-free runs consume exactly the historical RNG sequence
-     (and [Check.Scenario.predicted_leader]'s mirror stays valid) *)
-  let lossy_rng =
-    match options.link_faults with
-    | None -> None
-    | Some lf ->
-      if lf.lf_drop >= 1.0 then
-        invalid_arg "Runner.build: lf_drop must be < 1";
-      Some (lf, Stdx.Rng.split root_rng)
-  in
-  (* programmable adversaries (lib/attack): their RNG root splits after
-     every pre-existing stream — and only when at least one is declared —
-     so attack-free runs consume exactly the historical RNG sequence *)
-  let adversaries =
-    List.filter_map
-      (function Adversary (i, spec) -> Some (i, spec) | _ -> None)
-      options.faults
-  in
-  let adversary_rng =
-    if adversaries = [] then None else Some (Stdx.Rng.split root_rng)
-  in
-  let engine = Sim.Engine.create () in
-  let counters = Metrics.Counters.create () in
-  let sched = make_sched ~schedule:options.schedule ~rng:sched_rng in
-  let coin =
-    match options.coin_override with
-    | Some coin -> coin
-    | None -> Crypto.Threshold_coin.setup ~rng:coin_rng ~n ~f
-  in
-  (* tracing is strictly additive: with [trace = None] nothing below is
-     installed, so the event schedule is identical to an untraced build *)
-  (match options.trace with
-  | None -> ()
-  | Some tr ->
-    Trace.set_clock tr (fun () -> Sim.Engine.now engine);
-    Sim.Engine.set_sampler engine ~interval:1.0
-      (fun ~time:_ ~executed ~pending ->
-        Trace.emit tr (Trace.Engine_sample { executed; pending })));
-  (* a traced run also streams into the protocol analyzer, so
-     [analysis_report] covers the whole run even when the ring wraps;
-     the sink only reads events — it cannot perturb the schedule *)
-  let analyzer =
-    match options.trace with
-    | None -> None
-    | Some tr ->
-      let acc = Analyze.create () in
-      Trace.add_sink tr (Analyze.feed acc);
-      Some acc
-  in
-  (* ...and into the forensics collector, which keeps every provenance
-     certificate for explain / divergence / oracle re-validation *)
-  let forensics =
-    match options.trace with
-    | None -> None
-    | Some tr ->
-      let fx = Forensics.create () in
-      Trace.add_sink tr (Forensics.feed fx);
-      Some fx
-  in
-  (* the vantage point for observer-anchored collectors: the lowest
-     process no declared fault touches (mid-run silencing can still
-     corrupt it — acceptable, same caveat as the monitor's observer) *)
-  let vantage =
-    let declared = List.map fault_index options.faults in
-    let rec first i =
-      if i >= n then 0 else if List.mem i declared then first (i + 1) else i
-    in
-    first 0
-  in
-  (* ...and into the critical-path collector, streaming at the vantage
-     process so per-commit causal chains exist the moment each
-     a_deliver fires — segment gauges stay O(1) to read mid-run *)
-  let critpath =
-    match options.trace with
-    | None -> None
-    | Some tr ->
-      let cp = Critpath.create ~observer:vantage () in
-      Trace.add_sink tr (Critpath.feed cp);
-      Some cp
-  in
-  (* One transport stack per protocol; same engine/schedule/counters, so
-     semantically a single multiplexed network. Direct mode builds the
-     reliable network the harness always used; lossy mode interposes a
-     fault-injected frame network with one {!Net.Link} endpoint per
-     process. Stacks are created in a fixed order (coin, sync, rbc) and
-     every lossy RNG derives from [lossy_rng] in creation order, so
-     lossy executions stay pure functions of the seed. *)
+(* ---- stage: transport stacks ---- *)
+
+(* A reliable-broadcast backend, described once: its wire codec, how a
+   process opens its endpoint on the stack's port, and what [build]
+   reads or drives on it. *)
+module type Rbc_backend = sig
+  type t
+  type msg
+  val encode_msg : msg -> string
+  val decode_msg : string -> msg option
+  val open_port : port:msg Net.Port.t -> gossip_rng:Stdx.Rng.t -> me:int ->
+    f:int -> deliver:Rbc.Rbc_intf.deliver -> t
+  val set_trace : t -> Trace.t -> unit
+  val bcast : t -> payload:string -> round:int -> unit
+  val prune_below : t -> round:int -> unit
+  val open_instances : t -> int
+  val dropped_below_horizon : t -> int
+  val send : t -> dsts:int list -> round:int -> payload:string -> unit
+end
+
+module Bracha_rbc : Rbc_backend = struct
+  include Rbc.Bracha
+  let open_port ~port ~gossip_rng:_ ~me ~f ~deliver =
+    create_port ~port ~me ~f ~deliver
+  let send b ~dsts ~round ~payload =
+    List.iter (fun dst -> inject_init b ~dst ~round ~payload) dsts
+end
+
+module Avid_rbc : Rbc_backend = struct
+  include Rbc.Avid
+  let open_port ~port ~gossip_rng:_ ~me ~f ~deliver =
+    create_port ~port ~me ~f ~deliver
+  let send = inject_disperse
+end
+
+module Gossip_rbc : Rbc_backend = struct
+  include Rbc.Gossip
+  (* each endpoint samples its peers from its own split of the stream *)
+  let open_port ~port ~gossip_rng ~me ~f ~deliver =
+    create_port ~port ~rng:(Stdx.Rng.split gossip_rng) ~me ~f ~deliver
+  let send g ~dsts ~round ~payload =
+    List.iter (fun dst -> inject_gossip g ~dst ~round ~payload) dsts
+end
+
+type stacks = {
+  coin_stack : Dagrider.Node.coin_msg stack;
+  sync_stack : Dagrider.Node.sync_msg stack;
+  rbc_carrier : carrier;
+  honest_rbc : Dagrider.Node.rbc_factory;
+  armed_rbc :
+    me:int ->
+    deliver:Rbc.Rbc_intf.deliver ->
+    Dagrider.Node.rbc_handle * (dsts:int list -> round:int -> payload:string -> unit);
+      (* an adversary's endpoint: its handle, and the backend's targeted
+         send (Bracha Init, AVID dispersal, Gossip seed toward chosen
+         destinations) — its arsenal *)
+  rbc_instances : unit -> int * int;
+      (* the endpoints' open instances and drops, summed *)
+}
+
+(* One transport stack per protocol; same engine/schedule/counters, so
+   semantically a single multiplexed network. Direct mode builds the
+   reliable network the harness always used; lossy mode interposes a
+   fault-injected frame network with one {!Net.Link} endpoint per
+   process. Stacks are created in a fixed order (coin, sync, rbc) and
+   every lossy RNG derives from the lossy stream in creation order, so
+   lossy executions stay pure functions of the seed. *)
+let make_stacks options ~engine ~sched ~counters ~gossip_rng ~lossy =
+  let { n; f; trace; _ } = options in
   let make_stack (type msg) ~(encode : msg -> string)
       ~(decode : string -> msg option) : msg stack =
-    match lossy_rng with
+    match lossy with
     | None ->
-      ignore encode;
-      ignore decode;
-      let net = Net.Network.create ~engine ~sched ~counters ~n in
-      (match options.trace with
-      | None -> ()
-      | Some tr -> Net.Network.set_trace net tr);
-      { st_port = Net.Port.of_network net;
-        st_carrier = network_carrier net }
+      let net = traced_network ~engine ~sched ~counters ~n trace in
+      { st_port = Net.Port.of_network net; st_carrier = network_carrier net }
     | Some (lf, lrng) ->
       let net : Net.Link.frame Net.Network.t =
-        Net.Network.create ~engine ~sched ~counters ~n
+        traced_network ~engine ~sched ~counters ~n trace
       in
-      (match options.trace with
-      | None -> ()
-      | Some tr -> Net.Network.set_trace net tr);
       Net.Network.set_faults net
         (Net.Faults.lossy ~rng:(Stdx.Rng.split lrng) ~drop:lf.lf_drop
            ~duplicate:lf.lf_duplicate ~corrupt:lf.lf_corrupt
@@ -367,8 +374,8 @@ let build options =
         (Net.Link.corrupt_frame ~rng:(Stdx.Rng.split lrng));
       let links =
         Array.init n (fun me ->
-            Net.Link.attach ~net ~engine ~rng:(Stdx.Rng.split lrng)
-              ?trace:options.trace ~me ~encode ~decode ())
+            Net.Link.attach ~net ~engine ~rng:(Stdx.Rng.split lrng) ?trace ~me
+              ~encode ~decode ())
       in
       { st_port = Net.Port.of_links links;
         st_carrier =
@@ -397,91 +404,51 @@ let build options =
     make_stack ~encode:Dagrider.Node.encode_sync_msg
       ~decode:Dagrider.Node.decode_sync_msg
   in
-  (* [make_rbc_full] also yields the backend's targeted-send capability
-     (Bracha Init / AVID dispersal / Gossip seed toward chosen
-     destinations) — the attack driver's arsenal. Honest nodes only ever
-     see the plain factory below. *)
-  let rbc_gauges = Array.make n (fun () -> (0, 0)) in
-  let (make_rbc_full :
-        me:int ->
-        deliver:Rbc.Rbc_intf.deliver ->
-        Dagrider.Node.rbc_handle
-        * (dsts:int list -> round:int -> payload:string -> unit)),
-      rbc_carrier =
+  let (module B : Rbc_backend) =
     match options.backend with
-    | Bracha ->
-      let stack =
-        make_stack ~encode:Rbc.Bracha.encode_msg ~decode:Rbc.Bracha.decode_msg
-      in
-      ( (fun ~me ~deliver ->
-          let b = Rbc.Bracha.create_port ~port:stack.st_port ~me ~f ~deliver in
-          (match options.trace with
-          | None -> ()
-          | Some tr -> Rbc.Bracha.set_trace b tr);
-          rbc_gauges.(me) <-
-            (fun () ->
-              (Rbc.Bracha.open_instances b, Rbc.Bracha.dropped_below_horizon b));
-          ( { Dagrider.Node.rbc_bcast =
-                (fun ~payload ~round -> Rbc.Bracha.bcast b ~payload ~round);
-              rbc_prune_below = Rbc.Bracha.prune_below b },
-            fun ~dsts ~round ~payload ->
-              List.iter
-                (fun dst -> Rbc.Bracha.inject_init b ~dst ~round ~payload)
-                dsts )),
-        stack.st_carrier )
-    | Avid ->
-      let stack =
-        make_stack ~encode:Rbc.Avid.encode_msg ~decode:Rbc.Avid.decode_msg
-      in
-      ( (fun ~me ~deliver ->
-          let a = Rbc.Avid.create_port ~port:stack.st_port ~me ~f ~deliver in
-          (match options.trace with
-          | None -> ()
-          | Some tr -> Rbc.Avid.set_trace a tr);
-          rbc_gauges.(me) <-
-            (fun () ->
-              (Rbc.Avid.open_instances a, Rbc.Avid.dropped_below_horizon a));
-          ( { Dagrider.Node.rbc_bcast =
-                (fun ~payload ~round -> Rbc.Avid.bcast a ~payload ~round);
-              rbc_prune_below = Rbc.Avid.prune_below a },
-            fun ~dsts ~round ~payload ->
-              Rbc.Avid.inject_disperse a ~dsts ~round ~payload )),
-        stack.st_carrier )
-    | Gossip ->
-      let stack =
-        make_stack ~encode:Rbc.Gossip.encode_msg ~decode:Rbc.Gossip.decode_msg
-      in
-      ( (fun ~me ~deliver ->
-          let rng = Stdx.Rng.split gossip_rng in
-          let g =
-            Rbc.Gossip.create_port ~port:stack.st_port ~rng ~me ~f ~deliver
-          in
-          (match options.trace with
-          | None -> ()
-          | Some tr -> Rbc.Gossip.set_trace g tr);
-          rbc_gauges.(me) <-
-            (fun () ->
-              (Rbc.Gossip.open_instances g, Rbc.Gossip.dropped_below_horizon g));
-          ( { Dagrider.Node.rbc_bcast =
-                (fun ~payload ~round -> Rbc.Gossip.bcast g ~payload ~round);
-              rbc_prune_below = Rbc.Gossip.prune_below g },
-            fun ~dsts ~round ~payload ->
-              List.iter
-                (fun dst -> Rbc.Gossip.inject_gossip g ~dst ~round ~payload)
-                dsts )),
-        stack.st_carrier )
+    | Bracha -> (module Bracha_rbc)
+    | Avid -> (module Avid_rbc)
+    | Gossip -> (module Gossip_rbc)
   in
-  let make_rbc : Dagrider.Node.rbc_factory =
-   fun ~me ~deliver -> fst (make_rbc_full ~me ~deliver)
+  let rbc_stack = make_stack ~encode:B.encode_msg ~decode:B.decode_msg in
+  (* per process, its latest endpoint (a restart opens a new one) *)
+  let endpoints = Array.make n None in
+  let open_port ~me ~deliver =
+    let b = B.open_port ~port:rbc_stack.st_port ~gossip_rng ~me ~f ~deliver in
+    (match trace with None -> () | Some tr -> B.set_trace b tr);
+    endpoints.(me) <- Some b;
+    b
   in
-  let carriers =
-    [ ("coin", coin_stack.st_carrier);
-      ("sync", sync_stack.st_carrier);
-      ("rbc", rbc_carrier) ]
+  let handle b =
+    { Dagrider.Node.rbc_bcast = (fun ~payload ~round -> B.bcast b ~payload ~round);
+      rbc_prune_below = B.prune_below b }
   in
+  { coin_stack;
+    sync_stack;
+    rbc_carrier = rbc_stack.st_carrier;
+    honest_rbc = (fun ~me ~deliver -> handle (open_port ~me ~deliver));
+    armed_rbc =
+      (fun ~me ~deliver ->
+        let b = open_port ~me ~deliver in
+        (handle b, B.send b));
+    rbc_instances =
+      (fun () ->
+        Array.fold_left
+          (fun ((held, dropped) as acc) -> function
+            | None -> acc
+            | Some b ->
+              (held + B.open_instances b, dropped + B.dropped_below_horizon b))
+          (0, 0) endpoints) }
+
+(* ---- stage: nodes ---- *)
+
+(* The one place a node is made: [build] makes every process here, and
+   [restart_node] remakes one (with the honest RBC factory), so a
+   restarted process keeps its original's config, ports and hooks. *)
+let node_maker options ~engine ~coin ~stacks ~latency ~mempools ~mctx =
   let config =
-    { Dagrider.Node.n;
-      f;
+    { Dagrider.Node.n = options.n;
+      f = options.f;
       rule = options.rule;
       enable_weak_edges = options.enable_weak_edges;
       gc_depth = options.gc_depth;
@@ -489,171 +456,101 @@ let build options =
         (if options.coin_in_dag then Dagrider.Node.In_dag
          else Dagrider.Node.Separate_network) }
   in
-  let latency = Metrics.Latency.create () in
-  let mempools =
-    match options.workload with
-    | None -> None
-    | Some wl ->
-      if wl.wl_rate <= 0.0 then
-        invalid_arg "Runner.build: wl_rate must be positive";
-      Some
-        (Array.init n (fun me ->
-             Workload.Mempool.create ~max_batch:wl.wl_max_batch
-               ?max_pending:wl.wl_max_pending ~owner:me ()))
+  fun ~make_rbc me ->
+    let a_deliver, on_commit, block_source =
+      node_hooks ~options ~engine ~latency ~mempools ~mctx ~me
+    in
+    Dagrider.Node.create ~config ~me ~coin ~coin_net:stacks.coin_stack.st_port
+      ~make_rbc ~sync_net:stacks.sync_stack.st_port
+      ~sync_trusting:options.sync_trusting ?trace:options.trace ~block_source
+      ~a_deliver ~on_commit ()
+
+let ignore_deliver ~payload:_ ~round:_ ~source:_ = ()
+
+(* process [me]'s attack driver, acting through its armed endpoint *)
+let make_driver options ~engine ~drivers ~rng ~me spec (handle, send) =
+  let arsenal =
+    { Attack.ars_n = options.n;
+      ars_f = options.f;
+      ars_me = me;
+      ars_send = send;
+      ars_bcast =
+        (fun ~round ~payload -> handle.Dagrider.Node.rbc_bcast ~payload ~round) }
   in
-  let mctx =
-    match options.monitor with
-    | None -> None
-    | Some mon -> Some { mc_mon = mon; mc_observer = vantage; mc_commits = ref 0 }
+  let driver =
+    Attack.create ~spec ~arsenal ~rng
+      ~schedule:(fun ~delay k -> Sim.Engine.schedule engine ~delay k)
+      ?trace:options.trace ()
   in
-  let attack_drivers : Attack.t option array = Array.make n None in
-  let nodes =
-    Array.init n (fun me ->
-        let a_deliver, on_commit, block_source =
-          node_hooks ~options ~engine ~latency ~mempools ~mctx ~me
-        in
-        (* an adversary runs the REAL node — real DAG, real codecs, real
-           coin participation — but its broadcasts detour through the
-           attack driver, which decides what actually hits the wire *)
-        let make_rbc_for_me : Dagrider.Node.rbc_factory =
-          match List.assoc_opt me adversaries with
-          | None -> make_rbc
-          | Some spec ->
-            fun ~me ~deliver ->
-              let handle, send = make_rbc_full ~me ~deliver in
-              let arsenal =
-                { Attack.ars_n = n;
-                  ars_f = f;
-                  ars_me = me;
-                  ars_send = send;
-                  ars_bcast =
-                    (fun ~round ~payload ->
-                      handle.Dagrider.Node.rbc_bcast ~payload ~round) }
-              in
-              let rng =
-                match adversary_rng with
-                | Some root -> Stdx.Rng.split root
-                | None -> assert false
-              in
-              let driver =
-                Attack.create ~spec ~arsenal ~rng
-                  ~schedule:(fun ~delay k -> Sim.Engine.schedule engine ~delay k)
-                  ?trace:options.trace ()
-              in
-              attack_drivers.(me) <- Some driver;
-              { handle with
-                Dagrider.Node.rbc_bcast =
-                  (fun ~payload ~round ->
-                    Attack.on_own_vertex driver ~payload ~round) }
-        in
-        Dagrider.Node.create ~config ~me ~coin ~coin_net:coin_stack.st_port
-          ~make_rbc:make_rbc_for_me ~sync_net:sync_stack.st_port
-          ~sync_trusting:options.sync_trusting ?trace:options.trace
-          ~block_source ~a_deliver ~on_commit ())
+  drivers.(me) <- Some driver;
+  driver
+
+(* An adaptive adversary runs a node made like any other, but its own
+   broadcasts detour through the attack driver, which decides what
+   actually hits the wire. Drivers split their streams off the
+   adversary stream in process order. *)
+let adversary_rbc options ~engine ~stacks ~drivers ~adversary_rng spec :
+    Dagrider.Node.rbc_factory =
+ fun ~me ~deliver ->
+  let ((handle, _) as armed) = stacks.armed_rbc ~me ~deliver in
+  let driver =
+    make_driver options ~engine ~drivers ~rng:(Stdx.Rng.split adversary_rng)
+      ~me spec armed
   in
-  (* wire each driver's protocol brain, and swap in the lying catch-up
-     responder where that strategy was picked (Port.register replaces
-     the honest handler Node.create installed) *)
-  Array.iteri
-    (fun i d ->
-      match d with
-      | None -> ()
-      | Some driver ->
-        Attack.set_node driver nodes.(i);
-        (match List.assoc_opt i adversaries with
-        | Some { Attack.strategy = Attack.Lying_sync; _ } ->
-          Attack.lying_sync_handler driver ~sync_net:sync_stack.st_port
-        | _ -> ()))
-    attack_drivers;
-  let faulty = Array.make n false in
-  let crashed = Array.make n false in
-  List.iter
-    (fun fault ->
-      let i = fault_index fault in
-      if i < 0 || i >= n then invalid_arg "Runner.build: fault index out of range";
-      faulty.(i) <- true;
-      (match fault with
-      | Adversary _ ->
-        (* the attacker node starts and runs; its deviations were wired
-           into its broadcast path at creation time *)
-        ()
-      | Crash _ | Byzantine_silent _ ->
-        crashed.(i) <- true;
-        (* a silent process neither proposes nor relays: silence its RBC
-           participation and its coin handler entirely *)
-        silence rbc_carrier ~drop_in_flight:false i;
-        coin_stack.st_carrier.cr_detach i
-      | Byzantine_live _ -> ()
-      | Byzantine_attacker _ ->
-        crashed.(i) <- true (* the honest node never starts... *);
-        (* ...but an attacker endpoint takes its place: it keeps the RBC
-           relay machinery (created by Node.create above) and injects a
-           rotating menu of malicious broadcasts *)
-        let handle =
-          make_rbc ~me:i ~deliver:(fun ~payload:_ ~round:_ ~source:_ -> ())
-        in
-        let attack_rng = Stdx.Rng.create (seed + (1_000 * i)) in
-        let genesis =
-          List.init n (fun source -> { Dagrider.Vertex.round = 0; source })
-        in
-        let rec attack step =
-          (match step mod 4 with
-          | 0 ->
-            (* undecodable garbage *)
-            handle.Dagrider.Node.rbc_bcast
-              ~payload:(String.init 40 (fun _ -> Char.chr (Stdx.Rng.int attack_rng 256)))
-              ~round:(1 + (step / 4))
-          | 1 ->
-            (* structurally invalid vertex: too few strong edges *)
-            let v =
-              { Dagrider.Vertex.round = 1 + (step / 4);
-                source = i;
-                block = "bad";
-                strong_edges = [ List.hd genesis ];
-                weak_edges = [] }
-            in
-            handle.Dagrider.Node.rbc_bcast ~payload:(Dagrider.Vertex.encode v)
-              ~round:(1 + (step / 4))
-          | 2 ->
-            (* equivocation attempt: a second, different payload for a
-               round it already used (reliable broadcast must dedupe) *)
-            let v =
-              { Dagrider.Vertex.round = 1;
-                source = i;
-                block = Printf.sprintf "equivocation-%d" step;
-                strong_edges = genesis;
-                weak_edges = [] }
-            in
-            handle.Dagrider.Node.rbc_bcast ~payload:(Dagrider.Vertex.encode v)
-              ~round:1
-          | _ ->
-            (* edge sources out of range *)
-            let v =
-              { Dagrider.Vertex.round = 1 + (step / 4);
-                source = i;
-                block = "";
-                strong_edges =
-                  List.init 3 (fun k -> { Dagrider.Vertex.round = step / 4; source = n + k });
-                weak_edges = [] }
-            in
-            handle.Dagrider.Node.rbc_bcast ~payload:(Dagrider.Vertex.encode v)
-              ~round:(1 + (step / 4)));
-          Sim.Engine.schedule engine ~delay:1.0 (fun () -> attack (step + 1))
-        in
-        Sim.Engine.schedule engine ~delay:0.5 (fun () -> attack 0));
-      coin_stack.st_carrier.cr_corrupt ~drop_in_flight:false i)
-    options.faults;
-  (* deterministic client traffic: one transaction per period per live
-     process, injected by recurring engine events — no RNG stream, so a
-     workload-driven run is still a pure function of the seed *)
-  (match (options.workload, mempools) with
+  { handle with
+    Dagrider.Node.rbc_bcast =
+      (fun ~payload ~round -> Attack.on_own_vertex driver ~payload ~round) }
+
+(* ---- stage: faults, in the order [options.faults] lists them ---- *)
+
+let rec wire_faults options ~engine ~stacks ~nodes ~drivers ~faulty ~crashed =
+  function
+  | [] -> ()
+  | fault :: rest ->
+    let i = fault_index fault in
+    let coin = stacks.coin_stack.st_carrier in
+    faulty.(i) <- true;
+    (match fault with
+    | Byzantine_live _ -> ()
+    | Crash _ ->
+      (* a crashed process neither proposes nor relays: silence its RBC
+         participation and its coin handler entirely *)
+      crashed.(i) <- true;
+      silence stacks.rbc_carrier ~drop_in_flight:false i;
+      coin.cr_detach i
+    | Adversary (_, spec) ->
+      let driver =
+        match spec.Attack.strategy with
+        | Attack.Fuzz ->
+          (* a fuzz process's node never starts: a second endpoint that
+             delivers to nobody replaces the node's on the port, so the
+             process relays without hearing, and its driver sprays
+             through it from a stream keyed by seed and process *)
+          crashed.(i) <- true;
+          make_driver options ~engine ~drivers
+            ~rng:(Stdx.Rng.create (options.seed + (1_000 * i)))
+            ~me:i spec
+            (stacks.armed_rbc ~me:i ~deliver:ignore_deliver)
+        | _ -> Option.get drivers.(i)
+      in
+      Attack.arm driver ~node:nodes.(i) ~sync_net:stacks.sync_stack.st_port);
+    coin.cr_corrupt ~drop_in_flight:false i;
+    wire_faults options ~engine ~stacks ~nodes ~drivers ~faulty ~crashed rest
+
+(* ---- stage: clients ---- *)
+
+(* deterministic client traffic: one transaction per period per live
+   process, injected by recurring engine events — no RNG stream, so a
+   workload-driven run is still a pure function of the seed *)
+let start_clients options ~engine ~mempools ~crashed =
+  match (options.workload, mempools) with
   | Some wl, Some pools ->
     let period = 1.0 /. wl.wl_rate in
     let gens =
-      Array.init n (fun me ->
+      Array.init options.n (fun me ->
           Workload.Txgen.gen ~owner:me ~body_bytes:wl.wl_body_bytes)
     in
-    for me = 0 to n - 1 do
+    for me = 0 to options.n - 1 do
       if not crashed.(me) then begin
         let rec inject () =
           let accepted =
@@ -667,67 +564,84 @@ let build options =
         Sim.Engine.schedule engine ~delay:period inject
       end
     done
-  | _ -> ());
-  (* monitor probes only read state (and the sampler draws no RNG), so —
-     like tracing — an attached monitor leaves delivery logs untouched *)
+  | _ -> ()
+
+(* ---- stage: observers ---- *)
+
+let unobserved = { analyzer = None; forensics = None; critpath = None }
+
+(* A traced run streams into the protocol analyzer (so [analysis_report]
+   covers the whole run even when the ring wraps), the forensics
+   collector (every provenance certificate) and the critical-path
+   collector (streaming at the vantage process, so segment gauges stay
+   O(1) to read mid-run). A monitor gets its probes and its sampler.
+   All of them only read state and the sampler draws no RNG, so delivery
+   logs are the same with and without them; nothing emits while [build]
+   runs, so wiring them last misses no event. *)
+let observe options ~engine ~counters ~nodes ~carriers ~mempools ~mctx ~vantage =
+  let observers =
+    match options.trace with
+    | None -> unobserved
+    | Some tr ->
+      let analyzer = Analyze.create () in
+      let forensics = Forensics.create () in
+      let critpath = Critpath.create ~observer:vantage () in
+      Trace.add_sink tr (Analyze.feed analyzer);
+      Trace.add_sink tr (Forensics.feed forensics);
+      Trace.add_sink tr (Critpath.feed critpath);
+      { analyzer = Some analyzer;
+        forensics = Some forensics;
+        critpath = Some critpath }
+  in
   (match mctx with
   | None -> ()
   | Some mc ->
     let mon = mc.mc_mon in
     let obs = mc.mc_observer in
-    Monitor.add_probe mon ~name:"node.delivered" ~kind:Monitor.Counter
-      (fun () ->
-        float_of_int
-          (Dagrider.Ordering.delivered_count
-             (Dagrider.Node.ordering nodes.(obs))));
-    Monitor.add_probe mon ~name:"commits" ~kind:Monitor.Counter (fun () ->
-        float_of_int !(mc.mc_commits));
-    Monitor.add_probe mon ~name:"dag.vertices" ~kind:Monitor.Gauge (fun () ->
-        float_of_int (Dagrider.Dag.size (Dagrider.Node.dag nodes.(obs))));
-    Monitor.add_probe mon ~name:"net.bits" ~kind:Monitor.Counter (fun () ->
-        float_of_int (Metrics.Counters.total_bits counters));
-    Monitor.add_probe mon ~name:"net.messages" ~kind:Monitor.Counter
-      (fun () -> float_of_int (Metrics.Counters.total_messages counters));
-    Monitor.add_probe mon ~name:"net.drops" ~kind:Monitor.Counter (fun () ->
-        float_of_int
-          (List.fold_left
-             (fun acc (_, cr) ->
-               List.fold_left (fun a (_, c) -> a + c) acc (cr.cr_drop_counts ()))
-             0 carriers));
+    let probe name kind read =
+      Monitor.add_probe mon ~name ~kind (fun () -> float_of_int (read ()))
+    in
+    probe "node.delivered" Monitor.Counter (fun () ->
+        Dagrider.Ordering.delivered_count (Dagrider.Node.ordering nodes.(obs)));
+    probe "commits" Monitor.Counter (fun () -> !(mc.mc_commits));
+    probe "dag.vertices" Monitor.Gauge (fun () ->
+        Dagrider.Dag.size (Dagrider.Node.dag nodes.(obs)));
+    probe "net.bits" Monitor.Counter (fun () ->
+        Metrics.Counters.total_bits counters);
+    probe "net.messages" Monitor.Counter (fun () ->
+        Metrics.Counters.total_messages counters);
+    probe "net.drops" Monitor.Counter (fun () ->
+        List.fold_left
+          (fun acc (_, cr) ->
+            List.fold_left (fun a (_, c) -> a + c) acc (cr.cr_drop_counts ()))
+          0 carriers);
     List.iter
       (fun (stack, cr) ->
-        Monitor.add_probe mon ~name:("net.in_flight." ^ stack)
-          ~kind:Monitor.Gauge (fun () -> float_of_int (cr.cr_in_flight ()));
-        Monitor.add_probe mon ~name:("net.slot_capacity." ^ stack)
-          ~kind:Monitor.Gauge (fun () -> float_of_int (cr.cr_slot_capacity ())))
+        probe ("net.in_flight." ^ stack) Monitor.Gauge cr.cr_in_flight;
+        probe ("net.slot_capacity." ^ stack) Monitor.Gauge cr.cr_slot_capacity)
       carriers;
-    Monitor.add_probe mon ~name:"engine.events" ~kind:Monitor.Counter
-      (fun () -> float_of_int (Sim.Engine.events_executed engine));
-    Monitor.add_probe mon ~name:"engine.slot_capacity" ~kind:Monitor.Gauge
-      (fun () -> float_of_int (Sim.Engine.slot_capacity engine));
-    Monitor.add_probe mon ~name:"engine.buckets" ~kind:Monitor.Gauge
-      (fun () -> float_of_int (Sim.Engine.buckets engine));
-    Monitor.add_probe mon ~name:"gc.heap_words" ~kind:Monitor.Gauge (fun () ->
-        float_of_int (Gc.quick_stat ()).Gc.heap_words);
+    probe "engine.events" Monitor.Counter (fun () ->
+        Sim.Engine.events_executed engine);
+    probe "engine.slot_capacity" Monitor.Gauge (fun () ->
+        Sim.Engine.slot_capacity engine);
+    probe "engine.buckets" Monitor.Gauge (fun () -> Sim.Engine.buckets engine);
+    probe "gc.heap_words" Monitor.Gauge (fun () ->
+        (Gc.quick_stat ()).Gc.heap_words);
     (match mempools with
     | None -> ()
     | Some pools ->
-      let sum f = Array.fold_left (fun acc p -> acc + f p) 0 pools in
-      Monitor.add_probe mon ~name:"tx.submitted" ~kind:Monitor.Counter
-        (fun () -> float_of_int (sum Workload.Mempool.submitted));
+      let sum f () = Array.fold_left (fun acc p -> acc + f p) 0 pools in
+      probe "tx.submitted" Monitor.Counter (sum Workload.Mempool.submitted);
       (* the observer retires every ordered transaction, its own and
          foreign alike — fleet ordering throughput from one vantage *)
-      Monitor.add_probe mon ~name:"tx.ordered" ~kind:Monitor.Counter
-        (fun () -> float_of_int (Workload.Mempool.retired pools.(obs)));
-      Monitor.add_probe mon ~name:"mempool.pending" ~kind:Monitor.Gauge
-        (fun () -> float_of_int (sum Workload.Mempool.pending));
-      Monitor.add_probe mon ~name:"mempool.in_flight" ~kind:Monitor.Gauge
-        (fun () -> float_of_int (sum Workload.Mempool.in_flight));
-      Monitor.add_probe mon ~name:"mempool.rejected" ~kind:Monitor.Counter
-        (fun () -> float_of_int (sum Workload.Mempool.rejected)));
+      probe "tx.ordered" Monitor.Counter (fun () ->
+          Workload.Mempool.retired pools.(obs));
+      probe "mempool.pending" Monitor.Gauge (sum Workload.Mempool.pending);
+      probe "mempool.in_flight" Monitor.Gauge (sum Workload.Mempool.in_flight);
+      probe "mempool.rejected" Monitor.Counter (sum Workload.Mempool.rejected));
     (* critical-path SLO series: the live segment means the streaming
        collector maintains — where each committed vertex's latency went *)
-    (match critpath with
+    (match observers.critpath with
     | None -> ()
     | Some cp ->
       List.iter
@@ -753,26 +667,110 @@ let build options =
     | Some tr -> Monitor.set_trace mon tr);
     Sim.Engine.set_sampler engine ~interval:(Monitor.interval mon)
       (fun ~time ~executed:_ ~pending:_ -> Monitor.sample mon ~now:time));
+  observers
+
+(* ---- build: the stages in order ---- *)
+
+let build options =
+  let { n; f; seed; _ } = options in
+  if n < 1 || f < 0 then invalid_arg "Runner.build: bad n/f";
+  check_faults ~n options.faults;
+  (match options.workload with
+  | Some wl when wl.wl_rate <= 0.0 ->
+    invalid_arg "Runner.build: wl_rate must be positive"
+  | _ -> ());
+  let root, sched_rng, coin_rng = seed_streams seed in
+  let gossip_rng = Stdx.Rng.split root in
+  let lossy =
+    match options.link_faults with
+    | None -> None
+    | Some lf ->
+      if lf.lf_drop >= 1.0 then
+        invalid_arg "Runner.build: lf_drop must be < 1";
+      Some (lf, Stdx.Rng.split root)
+  in
+  let adversary_rng =
+    if List.exists (function Adversary _ -> true | _ -> false) options.faults
+    then Some (Stdx.Rng.split root)
+    else None
+  in
+  let engine = Sim.Engine.create () in
+  (* the trace's engine samples are scheduled before anything else, so
+     each keeps its place among the events due at the same time *)
+  (match options.trace with
+  | None -> ()
+  | Some tr ->
+    Trace.set_clock tr (fun () -> Sim.Engine.now engine);
+    Sim.Engine.set_sampler engine ~interval:1.0
+      (fun ~time:_ ~executed ~pending ->
+        Trace.emit tr (Trace.Engine_sample { executed; pending })));
+  let counters = Metrics.Counters.create () in
+  let sched = make_sched ~schedule:options.schedule ~rng:sched_rng in
+  let coin =
+    match options.coin_override with
+    | Some coin -> coin
+    | None -> Crypto.Threshold_coin.setup ~rng:coin_rng ~n ~f
+  in
+  let stacks = make_stacks options ~engine ~sched ~counters ~gossip_rng ~lossy in
+  let latency = Metrics.Latency.create () in
+  let mempools =
+    match options.workload with
+    | None -> None
+    | Some wl ->
+      Some
+        (Array.init n (fun me ->
+             Workload.Mempool.create ~max_batch:wl.wl_max_batch
+               ?max_pending:wl.wl_max_pending ~owner:me ()))
+  in
+  let vantage = vantage options in
+  let mctx =
+    match options.monitor with
+    | None -> None
+    | Some mon -> Some { mc_mon = mon; mc_observer = vantage; mc_commits = ref 0 }
+  in
+  let make_node =
+    node_maker options ~engine ~coin ~stacks ~latency ~mempools ~mctx
+  in
+  let attack_drivers = Array.make n None in
+  let nodes =
+    Array.init n (fun me ->
+        match (fault_of options me, adversary_rng) with
+        | Some (Adversary (_, spec)), Some adversary_rng
+          when spec.Attack.strategy <> Attack.Fuzz ->
+          make_node me
+            ~make_rbc:
+              (adversary_rbc options ~engine ~stacks ~drivers:attack_drivers
+                 ~adversary_rng spec)
+        | _ -> make_node ~make_rbc:stacks.honest_rbc me)
+  in
+  let faulty = Array.make n false in
+  let crashed = Array.make n false in
+  wire_faults options ~engine ~stacks ~nodes ~drivers:attack_drivers ~faulty
+    ~crashed options.faults;
+  start_clients options ~engine ~mempools ~crashed;
+  let carriers =
+    [ ("coin", stacks.coin_stack.st_carrier);
+      ("sync", stacks.sync_stack.st_carrier);
+      ("rbc", stacks.rbc_carrier) ]
+  in
+  let observers =
+    observe options ~engine ~counters ~nodes ~carriers ~mempools ~mctx ~vantage
+  in
   { options;
     engine;
     counters;
     coin;
-    coin_stack;
-    sync_stack;
-    make_rbc;
-    node_config = config;
+    make_node;
+    honest_rbc = stacks.honest_rbc;
     nodes;
     carriers;
-    rbc_gauges;
+    rbc_instances = stacks.rbc_instances;
     faulty;
     crashed;
     attack_drivers;
     latency;
-    analyzer;
-    forensics;
-    critpath;
+    observers;
     mempools;
-    mctx;
     started = false }
 
 let engine t = t.engine
@@ -934,12 +932,7 @@ let net_slots t =
     (fun (stack, cr) -> (stack, cr.cr_in_flight (), cr.cr_slot_capacity ()))
     t.carriers
 
-let rbc_instances t =
-  Array.fold_left
-    (fun (held, dropped) gauge ->
-      let h, d = gauge () in
-      (held + h, dropped + d))
-    (0, 0) t.rbc_gauges
+let rbc_instances (t : t) = t.rbc_instances ()
 
 let metrics_snapshot t =
   let reg = Metrics.Registry.create () in
@@ -1048,7 +1041,7 @@ let metrics_snapshot t =
       (float_of_int (Trace.capacity tr));
     Metrics.Registry.set_gauge reg "trace.occupancy"
       (float_of_int (Trace.occupancy tr)));
-  (match t.critpath with
+  (match t.observers.critpath with
   | None -> ()
   | Some cp ->
     List.iter
@@ -1090,18 +1083,17 @@ let analysis_config t =
     observer }
 
 let analysis t =
-  match t.analyzer with
+  match t.observers.analyzer with
   | None -> None
   | Some acc -> Some (Analyze.finalize ~config:(analysis_config t) acc)
 
 let analysis_report t = Option.map Analyze.report_to_json (analysis t)
 
-let forensics t = t.forensics
+let forensics t = t.observers.forensics
 
-let critpath t = t.critpath
+let critpath t = t.observers.critpath
 
-let critpath_report t =
-  Option.map (fun cp -> Critpath.finalize cp) t.critpath
+let critpath_report t = Option.map Critpath.finalize t.observers.critpath
 
 type attack_report = {
   ar_node : int;
@@ -1113,40 +1105,25 @@ type attack_report = {
 }
 
 let attack_reports t =
-  let reports = ref [] in
-  Array.iteri
-    (fun i d ->
-      match d with
-      | None -> ()
-      | Some driver ->
-        let spec =
-          List.fold_left
-            (fun acc fault ->
-              match fault with
-              | Adversary (j, spec) when j = i -> Some spec
-              | _ -> acc)
-            None t.options.faults
-        in
-        let spec =
-          match spec with Some s -> s | None -> assert false
-        in
-        reports :=
+  List.filter_map
+    (fun i ->
+      Option.map
+        (fun driver ->
           { ar_node = i;
-            ar_spec = spec;
+            ar_spec = Attack.spec driver;
             ar_victims = Attack.victims driver;
             ar_forks = Attack.forks driver;
             ar_lies = Attack.lies driver;
-            ar_actions = Attack.actions driver }
-          :: !reports)
-    t.attack_drivers;
-  List.rev !reports
+            ar_actions = Attack.actions driver })
+        t.attack_drivers.(i))
+    (List.init t.options.n Fun.id)
 
 let restart_node t i =
   if i < 0 || i >= t.options.n then invalid_arg "Runner.restart_node: bad index";
   if t.crashed.(i) then
     invalid_arg
-      "Runner.restart_node: process never started (crashed/silent from \
-       genesis) — there is no state to restart from";
+      "Runner.restart_node: process never started (crashed or fuzzing \
+       from genesis) — there is no state to restart from";
   let ck = Dagrider.Node.checkpoint t.nodes.(i) in
   (* serialize and reload, as a disk-backed restart would *)
   let dag =
@@ -1181,20 +1158,10 @@ let restart_node t i =
       ck_decided_wave = ck.Dagrider.Node.ck_decided_wave;
       ck_round = ck.Dagrider.Node.ck_round }
   in
-  let a_deliver, on_commit, block_source =
-    node_hooks ~options:t.options ~engine:t.engine ~latency:t.latency
-      ~mempools:t.mempools ~mctx:t.mctx ~me:i
-  in
-  let restored =
-    Dagrider.Node.restore ~config:t.node_config ~me:i ~coin:t.coin
-      ~coin_net:t.coin_stack.st_port ~make_rbc:t.make_rbc
-      ~sync_net:t.sync_stack.st_port
-      ~sync_trusting:t.options.sync_trusting ?trace:t.options.trace
-      ~block_source
-      ~a_deliver ~on_commit ck
-  in
+  let restored = t.make_node ~make_rbc:t.honest_rbc i in
+  Dagrider.Node.restore restored ck;
   t.nodes.(i) <- restored;
-  (* Re-registration ordering: [restore] re-registered i's handlers on
+  (* Re-registration ordering: [make_node] re-registered i's handlers on
      the shared ports and issued its first sync request before we made
      the instance visible in [t.nodes]. Responses travel through the
      engine queue, so by the time any arrives the swap below has

@@ -16,34 +16,25 @@ type schedule =
 
 type fault =
   | Crash of int
-      (** Never starts and never sends — the strongest silent fault. *)
-  | Byzantine_silent of int
-      (** Marked corrupted in the accounting and silent (for chain
-          quality / resilience runs). *)
+      (** Never starts, never relays and never sends: its RBC and coin
+          handlers are detached, and it is counted as Byzantine. *)
   | Byzantine_live of int
       (** Runs the protocol honestly but is counted as Byzantine —
           models a Byzantine process whose best strategy is to
           participate (e.g. to place its blocks in the order); used by
           the chain-quality experiment. *)
-  | Byzantine_attacker of int
-      (** An active attacker: relays reliable-broadcast traffic (so it
-          cannot be detected by silence) but, instead of running the
-          protocol, periodically broadcasts garbage payloads, vertices
-          that fail validation, equivocating payloads for its own
-          rounds, and replays — everything a malicious implementation
-          can push through the broadcast channel. Correct processes must
-          drop all of it and keep both safety and liveness. *)
   | Adversary of int * Attack.spec
-      (** A programmable compromised process (see {!Attack}): it runs
-          the {e real} node — real DAG, real wire codecs, real coin
-          participation — but its own-vertex broadcasts detour through
-          an adaptive strategy (equivocation through the backend's
-          genuine messages, selective withholding, coin-grinding,
-          leader-biasing) and, under [Lying_sync], its catch-up
-          responder serves corrupted state to restarting peers. Each
-          driver gets a dedicated RNG stream split after every
-          historical one, so attacked runs are pure functions of the
-          seed and attack-free runs replay byte-identically. *)
+      (** A compromised process driven by an {!Attack} strategy. The
+          adaptive strategies run the {e real} node — real DAG, wire
+          codecs and coin — but detour its own-vertex broadcasts and,
+          under [Lying_sync], its catch-up answers. [Fuzz] never starts
+          its node: its RBC endpoint keeps relaying while it sprays
+          malformed payloads. Adaptive drivers get RNG streams split
+          after every other one, so attack-free runs replay
+          byte-identically. *)
+
+val fault_index : fault -> int
+(** The process a fault names. *)
 
 type link_faults = {
   lf_drop : float;  (** per-message loss probability *)
@@ -160,6 +151,14 @@ val default_options : n:int -> options
 type t
 
 val build : options -> t
+(** @raise Invalid_argument on a bad [n]/[f], [lf_drop] or [wl_rate],
+    and on a fault list with an index out of range or a process named
+    twice — checked before anything is wired. *)
+
+val dealer_coin : seed:int -> n:int -> f:int -> Crypto.Threshold_coin.t
+(** The trusted-dealer coin [build] sets up for [seed] when
+    [coin_override] is [None]: the same RNG stream, so a caller can
+    predict the leaders a run will elect. *)
 
 val engine : t -> Sim.Engine.t
 val counters : t -> Metrics.Counters.t
@@ -342,5 +341,5 @@ val restart_node : t -> int -> unit
     {!Trace.kind.Sync_gave_up} on exhaustion). The backoff stream is
     keyed off the run seed and [i], so replays are byte-identical.
     Restarting mid-partition is legal — lost requests are retried.
-    @raise Invalid_argument if [i] never started (declared [Crash] or
-    [Byzantine_silent]): there is no state to restart from. *)
+    @raise Invalid_argument if [i] never started (declared [Crash], or
+    a [Fuzz] adversary): there is no state to restart from. *)

@@ -398,6 +398,29 @@ let test_byzantine_run_audited () =
   checkb "bound still holds with one live Byzantine" true
     cq.Metrics.Chain_quality.holds
 
+(* a fuzz attacker acts only on its own clock, so its broadcasts are
+   the only trace evidence of it: the anomaly list must still name it *)
+let test_fuzz_attacker_named () =
+  let fleet, _ =
+    build_traced ~until:20.0
+      ~faults:
+        [ Harness.Runner.Adversary
+            (3, { Attack.strategy = Attack.Fuzz; victims = [] }) ]
+      ()
+  in
+  let r = Option.get (Harness.Runner.analysis fleet) in
+  let actions =
+    List.filter_map
+      (function
+        | Analyze.Attacker_active { node = 3; strategy = "fuzz"; actions } ->
+          Some actions
+        | _ -> None)
+      r.Analyze.r_anomalies
+  in
+  (* one broadcast at +0.5 and one per time unit after it *)
+  checkb "fuzz attacker listed once, with its 20 broadcasts" true
+    (actions = [ 20 ])
+
 let () =
   Alcotest.run "analyze"
     [ ( "acceptance",
@@ -431,4 +454,6 @@ let () =
           Alcotest.test_case "per-process latency edges" `Quick
             test_per_process_latency_edges;
           Alcotest.test_case "byzantine run audited" `Quick
-            test_byzantine_run_audited ] ) ]
+            test_byzantine_run_audited;
+          Alcotest.test_case "fuzz attacker named" `Quick
+            test_fuzz_attacker_named ] ) ]

@@ -13,6 +13,10 @@ let assert_safe h =
   | Ok () -> ()
   | Error e -> Alcotest.fail ("integrity violated: " ^ e)
 
+(* the garbage-spraying attacker: never runs the protocol, relays RBC *)
+let fuzz i =
+  Harness.Runner.Adversary (i, { Attack.strategy = Attack.Fuzz; victims = [] })
+
 let min_delivered h =
   List.fold_left
     (fun acc i ->
@@ -71,7 +75,7 @@ let test_stress_n16 () =
       schedule = Harness.Runner.Skewed_random;
       block_bytes = 16;
       faults =
-        [ Crash 13; Crash 14; Byzantine_live 15; Byzantine_attacker 12 ] }
+        [ Crash 13; Crash 14; Byzantine_live 15; fuzz 12 ] }
   in
   let h = Harness.Runner.build opts in
   Harness.Runner.run h ~until:40.0;
@@ -563,15 +567,15 @@ let test_pinned_counts () =
         fleet ~faults:[ Byzantine_live 5 ] ~backend:Bracha ~n:7 ~until:40.0 () );
       ( "bracha.n7.attacker",
         (96, 9337776),
-        fleet ~faults:[ Byzantine_attacker 4 ] ~backend:Bracha ~n:7
+        fleet ~faults:[ fuzz 4 ] ~backend:Bracha ~n:7
           ~until:40.0 () );
       ( "avid.n7.attacker",
         (96, 12785976),
-        fleet ~faults:[ Byzantine_attacker 4 ] ~backend:Avid ~n:7 ~until:40.0
+        fleet ~faults:[ fuzz 4 ] ~backend:Avid ~n:7 ~until:40.0
           () );
       ( "gossip.n7.attacker",
         (48, 9436152),
-        fleet ~faults:[ Byzantine_attacker 4 ] ~backend:Gossip ~n:7
+        fleet ~faults:[ fuzz 4 ] ~backend:Gossip ~n:7
           ~until:40.0 () );
       ( "bracha.n7.equivocate",
         (108, 10689392),
@@ -598,6 +602,29 @@ let test_pinned_counts () =
         (112, 3140800),
         fleet ~restart:(30.0, 1) ~backend:Bracha ~n:4 ~until:60.0 () ) ]
 
+let test_fault_list_checked () =
+  (* a fault list must name each process at most once and in range; it
+     is rejected before anything is wired *)
+  let equivocate = { Attack.strategy = Attack.Equivocate; victims = [] } in
+  let rejects faults =
+    match
+      Harness.Runner.build
+        { (Harness.Runner.default_options ~n:7) with faults }
+    with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  checkb "crash and adversary on one process" true
+    (rejects [ Crash 1; Adversary (1, equivocate) ]);
+  checkb "two adversaries on one process" true
+    (rejects
+       [ Adversary (2, equivocate);
+         Adversary (2, { Attack.strategy = Attack.Withhold; victims = [] }) ]);
+  checkb "index out of range" true (rejects [ Crash 7 ]);
+  checkb "negative index" true (rejects [ Byzantine_live (-1) ]);
+  checkb "distinct processes accepted" false
+    (rejects [ Crash 1; Adversary (2, equivocate) ])
+
 let test_active_attacker_tolerated () =
   (* an attacker floods the broadcast channel with garbage, invalid
      vertices, out-of-range edges and equivocation attempts; correct
@@ -607,7 +634,7 @@ let test_active_attacker_tolerated () =
       let opts =
         { (Harness.Runner.default_options ~n:4) with
           seed;
-          faults = [ Byzantine_attacker 3 ] }
+          faults = [ fuzz 3 ] }
       in
       let h = Harness.Runner.build opts in
       Harness.Runner.run h ~until:80.0;
@@ -628,7 +655,7 @@ let test_attacker_with_crash_at_bound () =
   let opts =
     { (Harness.Runner.default_options ~n:7) with
       seed = 54;
-      faults = [ Byzantine_attacker 5; Crash 6 ] }
+      faults = [ fuzz 5; Crash 6 ] }
   in
   let h = Harness.Runner.build opts in
   Harness.Runner.run h ~until:80.0;
@@ -902,7 +929,7 @@ let test_restart_during_attack () =
   let opts =
     { (Harness.Runner.default_options ~n:7) with
       seed = 65;
-      faults = [ Byzantine_attacker 6 ] }
+      faults = [ fuzz 6 ] }
   in
   let h = Harness.Runner.build opts in
   Harness.Runner.run h ~until:30.0;
@@ -991,5 +1018,6 @@ let () =
             test_restart_during_attack ] );
       ( "harness",
         [ Alcotest.test_case "run_until_delivered" `Quick test_run_until_delivered;
-          Alcotest.test_case "pinned counts" `Quick test_pinned_counts ] )
+          Alcotest.test_case "pinned counts" `Quick test_pinned_counts;
+          Alcotest.test_case "fault list checked" `Quick test_fault_list_checked ] )
     ]

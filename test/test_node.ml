@@ -288,14 +288,15 @@ let test_checkpoint_restore_roundtrip () =
   in
   let redelivered = ref 0 in
   let restored =
-    Dagrider.Node.restore
+    Dagrider.Node.create
       ~config:(Dagrider.Node.default_config ~n:4 ~f:1)
       ~me:0
       ~coin:(Harness.Runner.coin h)
       ~coin_net:(Net.Port.of_network coin_net) ~make_rbc
       ~a_deliver:(fun ~block:_ ~round:_ ~source:_ -> incr redelivered)
-      ck'
+      ()
   in
+  Dagrider.Node.restore restored ck';
   checki "same round" ck.Dagrider.Node.ck_round
     (Dagrider.Node.current_round restored);
   checki "same decided wave" ck.Dagrider.Node.ck_decided_wave
@@ -389,13 +390,14 @@ let test_restart_sync_request_at_horizon () =
       rbc_prune_below = (fun ~round:_ -> ()) }
   in
   let restored =
-    Dagrider.Node.restore
+    Dagrider.Node.create
       ~config:
         { (Dagrider.Node.default_config ~n:4 ~f:1) with gc_depth = Some 4 }
       ~me:0 ~coin:(Harness.Runner.coin h)
       ~coin_net:(Net.Port.of_network coin_net) ~make_rbc
-      ~sync_net:(Net.Port.of_network sync_net) ck
+      ~sync_net:(Net.Port.of_network sync_net) ()
   in
+  Dagrider.Node.restore restored ck;
   checki "restored horizon" horizon
     (Dagrider.Dag.pruned_below (Dagrider.Node.dag restored));
   ignore (Sim.Engine.run engine ());
