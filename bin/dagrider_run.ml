@@ -179,24 +179,6 @@ module Common = struct
   let json_flag_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit JSON instead of text.")
 
-  let term =
-    let mk n seed backend rule schedule crashes byzantines block_bytes until
-        link_faults =
-      { n;
-        seed;
-        backend;
-        rule;
-        schedule;
-        crashes;
-        byzantines;
-        block_bytes;
-        until;
-        link_faults }
-    in
-    Term.(
-      const mk $ n_arg $ seed_arg $ backend_arg $ rule_arg $ sched_arg
-      $ crash_arg $ byz_arg $ block_bytes_arg $ until_arg $ lossy_term)
-
   let options ?trace c =
     let faults =
       List.map (fun i -> Harness.Runner.Crash i) c.crashes
@@ -211,6 +193,33 @@ module Common = struct
       block_bytes = c.block_bytes;
       link_faults = c.link_faults;
       trace }
+
+  let term =
+    let mk n seed backend rule schedule crashes byzantines block_bytes until
+        link_faults =
+      { n;
+        seed;
+        backend;
+        rule;
+        schedule;
+        crashes;
+        byzantines;
+        block_bytes;
+        until;
+        link_faults }
+    in
+    (* a fleet [Runner.build] would refuse is a usage error, reported
+       before any subcommand runs *)
+    let checked c =
+      match Harness.Runner.validate (options c) with
+      | Ok () -> `Ok c
+      | Error e -> `Error (false, e)
+    in
+    Term.(
+      ret
+        (const checked
+        $ (const mk $ n_arg $ seed_arg $ backend_arg $ rule_arg $ sched_arg
+          $ crash_arg $ byz_arg $ block_bytes_arg $ until_arg $ lossy_term)))
 
   let build ?trace c = Harness.Runner.build (options ?trace c)
 end

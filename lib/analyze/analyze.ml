@@ -141,19 +141,6 @@ type report = {
 
 (* ---- accumulation ---- *)
 
-(* a node's elections and decision certificates, chronological once
-   reversed *)
-type ord_ev =
-  | Oelect of { wave : int; leader : int; at : float }
-  | Oskip of { wave : int; leader : int; reason : string; at : float }
-  | Ocommit of {
-      wave : int;
-      direct : bool;
-      anchor : int;
-      delivered : int;
-      at : float;
-    }
-
 type t = {
   mutable count : int;
   mutable first_seq : int; (* -1 until the first event *)
@@ -168,8 +155,9 @@ type t = {
   inserted : (int * int * int, unit) Hashtbl.t; (* (node, round, source) *)
   advances : (int, (int * float) list ref) Hashtbl.t; (* node -> rev *)
   coin_first : (int, float) Hashtbl.t; (* wave -> first share out *)
-  ord : (int, ord_ev list ref) Hashtbl.t; (* node -> rev *)
-  adeliv : (int, int list ref) Hashtbl.t; (* node -> rev delivered sources *)
+  elections : (int, (int * int * float) list ref) Hashtbl.t;
+      (* node -> rev (wave, leader, at) *)
+  ledger : Forensics.t; (* certificates and a_deliver logs *)
   drop_reasons : (string, int ref) Hashtbl.t;
   retrans_links : (int * int, int ref) Hashtbl.t; (* (src, dst) -> count *)
   giveup_links : (int * int, int ref) Hashtbl.t;
@@ -195,8 +183,8 @@ let create () =
     inserted = Hashtbl.create 4096;
     advances = Hashtbl.create 16;
     coin_first = Hashtbl.create 256;
-    ord = Hashtbl.create 16;
-    adeliv = Hashtbl.create 16;
+    elections = Hashtbl.create 16;
+    ledger = Forensics.create ();
     drop_reasons = Hashtbl.create 8;
     retrans_links = Hashtbl.create 64;
     giveup_links = Hashtbl.create 16;
@@ -231,6 +219,7 @@ let feed t (e : Trace.event) =
     if time > t.t_max then t.t_max <- time
   end;
   let bump i = if i > t.max_node then t.max_node <- i in
+  Forensics.feed t.ledger e;
   (match e.Trace.kind with
   | Trace.Send { src; dst; bits; _ } ->
     bump src;
@@ -273,21 +262,15 @@ let feed t (e : Trace.event) =
   | Trace.Leader_elected { node; wave; leader } ->
     bump node;
     bump leader;
-    push t.ord node (Oelect { wave; leader; at = time })
-  | Trace.Commit_cert
-      { node; wave; leader_source; direct; anchor_wave; delivered; _ } ->
+    push t.elections node (wave, leader, time)
+  (* the ledger folds the certificates; they only widen the fleet *)
+  | Trace.Commit_cert { node; leader_source; _ }
+  | Trace.Skip_cert { node; leader_source; _ } ->
     bump node;
-    bump leader_source;
-    push t.ord node
-      (Ocommit { wave; direct; anchor = anchor_wave; delivered; at = time })
-  | Trace.Skip_cert { node; wave; leader_source; reason; _ } ->
-    bump node;
-    bump leader_source;
-    push t.ord node (Oskip { wave; leader = leader_source; reason; at = time })
+    bump leader_source
   | Trace.A_deliver { node; source; _ } ->
     bump node;
-    bump source;
-    push t.adeliv node source
+    bump source
   | Trace.Drop { src; dst; reason; _ } ->
     bump src;
     bump dst;
@@ -372,7 +355,7 @@ let finalize ?(config = default_config) t =
     | None ->
       let best = ref 0 and best_len = ref (-1) in
       for i = 0 to processes - 1 do
-        let len = List.length (chronological t.adeliv i) in
+        let len = List.length (Forensics.ordered t.ledger ~node:i) in
         if len > !best_len then begin
           best := i;
           best_len := len
@@ -380,36 +363,25 @@ let finalize ?(config = default_config) t =
       done;
       !best
   in
-  (* ---- wave records from the observer's certificates ---- *)
-  let obs_ord = chronological t.ord observer in
+  (* ---- wave records: the observer's elections, and its decisions
+     from the certificate ledger (first skip, last commit per wave) ---- *)
   let elected : (int, int * float) Hashtbl.t = Hashtbl.create 256 in
-  let skipped : (int, int * string) Hashtbl.t = Hashtbl.create 64 in
-  let committed : (int, float * bool * int * int) Hashtbl.t =
-    (* wave -> (at, direct, delivered, anchor) *)
-    Hashtbl.create 256
-  in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Oelect { wave; leader; at } ->
-        (* under a round-robin rule the election events in the stream
-           are coin-instance resolutions on the coin cadence — their
-           numbering is unrelated to ordering waves, so they must not
-           be folded into the wave records *)
-        if round_robin_n = None && not (Hashtbl.mem elected wave) then
-          Hashtbl.add elected wave (leader, at)
-      | Oskip { wave; leader; reason; _ } ->
-        if not (Hashtbl.mem skipped wave) then
-          Hashtbl.add skipped wave (leader, reason)
-      | Ocommit { wave; direct; anchor; delivered; at } ->
-        Hashtbl.replace committed wave (at, direct, delivered, anchor))
-    obs_ord;
+  (* under a round-robin rule the election events in the stream are
+     coin-instance resolutions on the coin cadence — their numbering is
+     unrelated to ordering waves, so they must not be folded into the
+     wave records *)
+  if round_robin_n = None then
+    List.iter
+      (fun (wave, leader, at) ->
+        if not (Hashtbl.mem elected wave) then Hashtbl.add elected wave (leader, at))
+      (chronological t.elections observer);
   let wave_ids =
     let seen = Hashtbl.create 256 in
     let note w = if not (Hashtbl.mem seen w) then Hashtbl.add seen w () in
     Hashtbl.iter (fun w _ -> note w) elected;
-    Hashtbl.iter (fun w _ -> note w) skipped;
-    Hashtbl.iter (fun w _ -> note w) committed;
+    List.iter
+      (fun st -> note st.Forensics.st_wave)
+      (Forensics.stories t.ledger ~node:observer);
     (* coin instances number ordering waves only on coin-scheduled
        rules; under round-robin they run on a separate cadence *)
     if round_robin_n = None then
@@ -422,23 +394,29 @@ let finalize ?(config = default_config) t =
     List.map
       (fun w ->
         let leader_elect = Hashtbl.find_opt elected w in
-        let skip = Hashtbl.find_opt skipped w in
-        let commit = Hashtbl.find_opt committed w in
+        let story = Forensics.find_story t.ledger ~node:observer ~wave:w in
+        let skip = Option.bind story (fun st -> st.Forensics.st_skip) in
+        let commit = Option.bind story (fun st -> st.Forensics.st_commit) in
         if skip <> None || commit <> None then incr processed;
         let outcome, committed_at, delivered =
           match commit with
-          | Some (at, true, delivered, _) ->
-            incr direct_commits;
-            (Committed_direct, Some at, delivered)
-          | Some (at, false, delivered, anchor) ->
-            incr chained_commits;
-            (Committed_chained anchor, Some at, delivered)
+          | Some { Forensics.at; cert = c } ->
+            if c.Trace.direct then begin
+              incr direct_commits;
+              (Committed_direct, Some at, c.Trace.delivered)
+            end
+            else begin
+              incr chained_commits;
+              ( Committed_chained c.Trace.anchor_wave,
+                Some at,
+                c.Trace.delivered )
+            end
           | None -> (
             match skip with
-            | Some (_, reason) ->
+            | Some { Forensics.cert = s; _ } ->
               incr skipped_final;
               let reason =
-                match reason with
+                match s.Trace.reason with
                 | "leader-absent" -> "leader vertex absent"
                 | "under-supported" -> "leader under-supported"
                 | other -> other
@@ -449,7 +427,7 @@ let finalize ?(config = default_config) t =
         let leader =
           match (leader_elect, skip, round_robin_n) with
           | Some (l, _), _, _ -> Some l
-          | None, Some (l, _), _ -> Some l
+          | None, Some { Forensics.cert = s; _ }, _ -> Some s.Trace.leader_source
           | None, None, Some n ->
             (* round-robin leaders are implicit in the schedule *)
             Some ((w - 1) mod n)
@@ -480,7 +458,8 @@ let finalize ?(config = default_config) t =
     if !direct_commits = 0 then if !processed = 0 then 0.0 else infinity
     else float_of_int !processed /. float_of_int !direct_commits
   in
-  let obs_adeliv = chronological t.adeliv observer in
+  let obs_adeliv = List.map snd (Forensics.ordered t.ledger ~node:observer) in
+  let decisions = Forensics.decisions t.ledger ~node:observer in
   (* ---- per-process rounds and skew ---- *)
   let rounds =
     List.init processes (fun i ->
@@ -561,8 +540,11 @@ let finalize ?(config = default_config) t =
   (* commit stalls at the observer (direct commits anchor the clock) *)
   let commit_times =
     List.filter_map
-      (function Ocommit { wave; direct = true; at; _ } -> Some (wave, at) | _ -> None)
-      obs_ord
+      (function
+        | Forensics.Committed { at; cert } when cert.Trace.direct ->
+          Some (cert.Trace.wave, at)
+        | _ -> None)
+      decisions
   in
   (match commit_times with
   | [] -> ()
@@ -601,14 +583,12 @@ let finalize ?(config = default_config) t =
     streak := 0
   in
   List.iter
-    (fun ev ->
-      match ev with
-      | Oskip { wave; _ } ->
-        if !streak = 0 then streak_start := wave;
+    (function
+      | Forensics.Skipped { cert; _ } ->
+        if !streak = 0 then streak_start := cert.Trace.wave;
         incr streak
-      | Ocommit _ -> flush_streak ()
-      | Oelect _ -> ())
-    obs_ord;
+      | Forensics.Committed _ -> flush_streak ())
+    decisions;
   flush_streak ();
   (* slow waves: coin release to observer election *)
   let resolutions =
@@ -717,29 +697,23 @@ let analyze ?config events =
 
 let of_tracer ?config tracer = analyze ?config (Trace.events tracer)
 
-(* The rule the first certificate in the stream names, if it is a known
-   one. *)
-let certified_rule events =
-  match
-    List.find_map
-      (fun (e : Trace.event) ->
-        match e.kind with
-        | Trace.Commit_cert { rule; _ } | Trace.Skip_cert { rule; _ } -> Some rule
-        | _ -> None)
-      events
-  with
-  | Some name -> Dagrider.Ordering.rule_of_name name
-  | None -> None
+let ledger t = t.ledger
 
 let of_jsonl_file ?(config = default_config) path =
   Result.map
     (fun events ->
+      let t = create () in
+      List.iter (feed t) events;
+      (* the rule the first certificate names, if it is a known one *)
       let config =
-        match certified_rule events with
+        match
+          Option.bind (Forensics.rule_name t.ledger)
+            Dagrider.Ordering.rule_of_name
+        with
         | Some rule -> { config with rule }
         | None -> config
       in
-      analyze ~config events)
+      finalize ~config t)
     (Trace.events_of_jsonl_file path)
 
 (* ---- output ---- *)

@@ -11,9 +11,10 @@
       waves-per-commit mean vs the paper's 3/2 bound (Claim 6). The
       outcome, its anchor, the skip reason and the delivered count are
       read off the observer's provenance certificates
-      ({!Trace.kind.Commit_cert}, {!Trace.kind.Skip_cert}), the one
-      record of each ordering decision; the leader's election time
-      comes from {!Trace.kind.Leader_elected};
+      ({!Trace.commit_cert}, {!Trace.skip_cert}) as the analyzer's own
+      {!Forensics} ledger folds them — the one fold of each ordering
+      decision; the leader's election time comes from
+      {!Trace.kind.Leader_elected};
     - per-process round progress and round skew, and RBC
       phase-transition durations;
     - a chain-quality audit over every (2f+1)-multiple prefix of the
@@ -196,7 +197,13 @@ val create : unit -> t
 
 val feed : t -> Trace.event -> unit
 (** O(1) per event; [Trace.add_sink tracer (feed acc)] analyzes a live
-    run in full. *)
+    run in full. Feeds the accumulator's {!ledger} too. *)
+
+val ledger : t -> Forensics.t
+(** The certificate ledger the accumulator feeds: every certificate and
+    [a_deliver] seen, folded once. [finalize] reads the observer's wave
+    decisions and delivery log from it; [explain]/[divergence] and the
+    certificate oracle read the same ledger of a live run. *)
 
 val finalize : ?config:config -> t -> report
 (** Compute the report from everything fed so far. Pure with respect to

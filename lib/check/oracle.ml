@@ -335,16 +335,16 @@ let check_certificates ~rule ~f ~forensics ~dag_of =
       :: acc
     else acc
   in
-  let check_commit node dag ~floor tbl_committed (c : Forensics.commit_cert) =
+  let check_commit node dag ~floor tbl_committed (c : Trace.commit_cert) =
     let acc =
-      check_common node ~wave:c.Forensics.c_wave ~rule_name:c.Forensics.c_rule
-        ~cert_quorum:c.Forensics.c_quorum ~leader_round:c.Forensics.c_leader_round
+      check_common node ~wave:c.Trace.wave ~rule_name:c.Trace.rule
+        ~cert_quorum:c.Trace.quorum ~leader_round:c.Trace.leader_round
     in
     let leader =
-      { Dagrider.Vertex.round = c.Forensics.c_leader_round;
-        source = c.Forensics.c_leader_source }
+      { Dagrider.Vertex.round = c.Trace.leader_round;
+        source = c.Trace.leader_source }
     in
-    if c.Forensics.c_leader_round < floor then
+    if c.Trace.leader_round < floor then
       (* the wave sits below the GC horizon: its vertices were pruned,
          so absence is not evidence against the certificate — only the
          schedule/quorum field checks above still apply *)
@@ -352,20 +352,20 @@ let check_certificates ~rule ~f ~forensics ~dag_of =
     else if not (Dagrider.Dag.contains dag leader) then
       bad node
         (Printf.sprintf "wave %d committed leader %s absent from the final DAG"
-           c.Forensics.c_wave (pp_vref leader))
+           c.Trace.wave (pp_vref leader))
       :: acc
-    else if c.Forensics.c_direct then begin
+    else if c.Trace.direct then begin
       let last_round =
-        Dagrider.Ordering.round_of ~wave_length ~wave:c.Forensics.c_wave
+        Dagrider.Ordering.round_of ~wave_length ~wave:c.Trace.wave
           ~k:wave_length
       in
       let acc =
-        if List.length c.Forensics.c_support < quorum then
+        if List.length c.Trace.support < quorum then
           bad node
             (Printf.sprintf
                "wave %d direct commit cites %d supporters, below quorum %d"
-               c.Forensics.c_wave
-               (List.length c.Forensics.c_support)
+               c.Trace.wave
+               (List.length c.Trace.support)
                quorum)
           :: acc
         else acc
@@ -377,33 +377,33 @@ let check_certificates ~rule ~f ~forensics ~dag_of =
             bad node
               (Printf.sprintf "wave %d cites supporter %s missing from the \
                                final DAG"
-                 c.Forensics.c_wave (pp_vref sref))
+                 c.Trace.wave (pp_vref sref))
             :: acc
           else if not (Dagrider.Dag.strong_path dag sref leader) then
             bad node
               (Printf.sprintf "wave %d cites supporter %s with no strong path \
                                to leader %s"
-                 c.Forensics.c_wave (pp_vref sref) (pp_vref leader))
+                 c.Trace.wave (pp_vref sref) (pp_vref leader))
             :: acc
           else acc)
-        acc c.Forensics.c_support
+        acc c.Trace.support
     end
     else begin
       let via =
-        { Dagrider.Vertex.round = c.Forensics.c_via_round;
-          source = c.Forensics.c_via_source }
+        { Dagrider.Vertex.round = c.Trace.via_round;
+          source = c.Trace.via_source }
       in
-      let via_wave = ((c.Forensics.c_via_round - 1) / wave_length) + 1 in
+      let via_wave = ((c.Trace.via_round - 1) / wave_length) + 1 in
       let acc =
         if
-          via_wave <= c.Forensics.c_wave || via_wave > c.Forensics.c_anchor
+          via_wave <= c.Trace.wave || via_wave > c.Trace.anchor_wave
           || not (Hashtbl.mem tbl_committed via_wave)
         then
           bad node
             (Printf.sprintf
                "wave %d chained via %s (wave %d), which is not a later \
                 committed wave of the same chain (anchor %d)"
-               c.Forensics.c_wave (pp_vref via) via_wave c.Forensics.c_anchor)
+               c.Trace.wave (pp_vref via) via_wave c.Trace.anchor_wave)
           :: acc
         else acc
       in
@@ -411,59 +411,59 @@ let check_certificates ~rule ~f ~forensics ~dag_of =
         bad node
           (Printf.sprintf "wave %d chain-back evidence %s absent from the \
                            final DAG"
-             c.Forensics.c_wave (pp_vref via))
+             c.Trace.wave (pp_vref via))
         :: acc
       else if not (Dagrider.Dag.strong_path dag via leader) then
         bad node
           (Printf.sprintf "wave %d chained without a strong path from %s to \
                            leader %s"
-             c.Forensics.c_wave (pp_vref via) (pp_vref leader))
+             c.Trace.wave (pp_vref via) (pp_vref leader))
         :: acc
       else acc
     end
   in
-  let check_final_skip node dag ~floor ~next_commit (s : Forensics.skip_cert) =
+  let check_final_skip node dag ~floor ~next_commit (s : Trace.skip_cert) =
     let acc =
-      check_common node ~wave:s.Forensics.s_wave ~rule_name:s.Forensics.s_rule
-        ~cert_quorum:s.Forensics.s_quorum ~leader_round:s.Forensics.s_leader_round
+      check_common node ~wave:s.Trace.wave ~rule_name:s.Trace.rule
+        ~cert_quorum:s.Trace.quorum ~leader_round:s.Trace.leader_round
     in
     let leader =
-      { Dagrider.Vertex.round = s.Forensics.s_leader_round;
-        source = s.Forensics.s_leader_source }
+      { Dagrider.Vertex.round = s.Trace.leader_round;
+        source = s.Trace.leader_source }
     in
     let acc =
-      if List.length s.Forensics.s_support >= quorum then
+      if List.length s.Trace.support >= quorum then
         bad node
           (Printf.sprintf
              "wave %d skip cites %d supporters — at or above quorum %d, the \
               skip was illegal by its own evidence"
-             s.Forensics.s_wave
-             (List.length s.Forensics.s_support)
+             s.Trace.wave
+             (List.length s.Trace.support)
              quorum)
         :: acc
       else acc
     in
     let acc =
-      if s.Forensics.s_reason = "leader-absent" && s.Forensics.s_support <> []
+      if s.Trace.reason = "leader-absent" && s.Trace.support <> []
       then
         bad node
           (Printf.sprintf "wave %d skip claims an absent leader yet cites \
                            supporters"
-             s.Forensics.s_wave)
+             s.Trace.wave)
         :: acc
       else acc
     in
     (* claimed supporters are monotone facts — still checkable (unless
        the wave fell below the GC horizon and was pruned) *)
     let acc =
-      if s.Forensics.s_leader_round >= floor && Dagrider.Dag.contains dag leader
+      if s.Trace.leader_round >= floor && Dagrider.Dag.contains dag leader
       then
         List.fold_left
           (fun acc src ->
             let sref =
               { Dagrider.Vertex.round =
                   Dagrider.Ordering.round_of ~wave_length
-                    ~wave:s.Forensics.s_wave ~k:wave_length;
+                    ~wave:s.Trace.wave ~k:wave_length;
                 source = src }
             in
             if
@@ -474,9 +474,9 @@ let check_certificates ~rule ~f ~forensics ~dag_of =
               bad node
                 (Printf.sprintf "wave %d skip cites supporter %s the final \
                                  DAG does not confirm"
-                   s.Forensics.s_wave (pp_vref sref))
+                   s.Trace.wave (pp_vref sref))
               :: acc)
-          acc s.Forensics.s_support
+          acc s.Trace.support
       else acc
     in
     (* skip legality: if the next committed leader reaches this wave's
@@ -484,18 +484,18 @@ let check_certificates ~rule ~f ~forensics ~dag_of =
        obliged to commit it (causal closure at insertion makes this
        auditable end-of-run, as in check_skip_legality) *)
     match next_commit with
-    | Some (next : Forensics.commit_cert)
-      when s.Forensics.s_leader_round >= floor
+    | Some (next : Trace.commit_cert)
+      when s.Trace.leader_round >= floor
            && Dagrider.Dag.contains dag leader
            && Dagrider.Dag.strong_path dag
-                { Dagrider.Vertex.round = next.Forensics.c_leader_round;
-                  source = next.Forensics.c_leader_source }
+                { Dagrider.Vertex.round = next.Trace.leader_round;
+                  source = next.Trace.leader_source }
                 leader ->
       bad node
         (Printf.sprintf
            "wave %d was finally skipped although committed wave %d's leader \
             reaches its leader %s by a strong path"
-           s.Forensics.s_wave next.Forensics.c_wave (pp_vref leader))
+           s.Trace.wave next.Trace.wave (pp_vref leader))
       :: acc
     | _ -> acc
   in
@@ -513,24 +513,25 @@ let check_certificates ~rule ~f ~forensics ~dag_of =
             (Dagrider.Dag.vertices dag)
         in
         let sts = Forensics.stories forensics ~node in
+        let commit_of st = Option.map (fun c -> c.Forensics.cert) st.Forensics.st_commit in
         let committed = Hashtbl.create 64 in
         List.iter
           (fun st ->
-            match st.Forensics.st_commit with
+            match commit_of st with
             | Some c -> Hashtbl.replace committed st.Forensics.st_wave c
             | None -> ())
           sts;
         let next_commit_after w =
           List.fold_left
             (fun acc st ->
-              match (acc, st.Forensics.st_commit) with
+              match (acc, commit_of st) with
               | None, Some c when st.Forensics.st_wave > w -> Some c
               | _ -> acc)
             None sts
         in
         List.concat_map
           (fun st ->
-            (match st.Forensics.st_commit with
+            (match commit_of st with
             | Some c -> check_commit node dag ~floor committed c
             | None -> [])
             @
@@ -538,7 +539,7 @@ let check_certificates ~rule ~f ~forensics ~dag_of =
             | None, Some s ->
               check_final_skip node dag ~floor
                 ~next_commit:(next_commit_after st.Forensics.st_wave)
-                s
+                s.Forensics.cert
             | _ -> [])
           sts)
     (Forensics.nodes forensics)

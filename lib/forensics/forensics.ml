@@ -1,138 +1,80 @@
-type commit_cert = {
-  c_node : int;
-  c_rule : string;
-  c_sched : string;
-  c_wave : int;
-  c_leader_round : int;
-  c_leader_source : int;
-  c_direct : bool;
-  c_anchor : int;
-  c_via_round : int;
-  c_via_source : int;
-  c_support : int list;
-  c_quorum : int;
-  c_delivered : int;
-  c_at : float;
-}
-
-type skip_cert = {
-  s_node : int;
-  s_rule : string;
-  s_sched : string;
-  s_wave : int;
-  s_leader_round : int;
-  s_leader_source : int;
-  s_reason : string;
-  s_support : int list;
-  s_quorum : int;
-  s_at : float;
-}
+type 'cert stamped = { at : float; cert : 'cert }
 
 type story = {
   st_wave : int;
-  st_skip : skip_cert option;
-  st_commit : commit_cert option;
+  st_skip : Trace.skip_cert stamped option;
+  st_commit : Trace.commit_cert stamped option;
 }
+
+type decision =
+  | Committed of Trace.commit_cert stamped
+  | Skipped of Trace.skip_cert stamped
 
 type t = {
   mutable rule : string option;
-  mutable wl : int option; (* wave length recovered from leader rounds *)
   stories : (int, (int, story) Hashtbl.t) Hashtbl.t; (* node -> wave -> *)
-  cert_count : (int, int ref) Hashtbl.t; (* node -> certificates seen *)
+  decisions : (int, decision list ref) Hashtbl.t; (* node -> rev *)
   order : (int, (int * int) list ref) Hashtbl.t; (* node -> rev (r, src) *)
-  last_commit : (int, commit_cert) Hashtbl.t;
-  vertex_commit : (int * int * int, commit_cert) Hashtbl.t;
+  last_commit : (int, Trace.commit_cert) Hashtbl.t;
+  vertex_commit : (int * int * int, Trace.commit_cert) Hashtbl.t;
       (* (node, round, source) -> the commit that delivered it *)
 }
 
 let create () =
   { rule = None;
-    wl = None;
     stories = Hashtbl.create 16;
-    cert_count = Hashtbl.create 16;
+    decisions = Hashtbl.create 16;
     order = Hashtbl.create 16;
     last_commit = Hashtbl.create 16;
     vertex_commit = Hashtbl.create 4096 }
 
-let node_stories t node =
-  match Hashtbl.find_opt t.stories node with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Hashtbl.create 256 in
-    Hashtbl.add t.stories node tbl;
-    tbl
+let push tbl key v =
+  match Hashtbl.find_opt tbl key with
+  | Some r -> r := v :: !r
+  | None -> Hashtbl.add tbl key (ref [ v ])
 
-let note_cert t ~node ~rule ~wave ~leader_round =
-  if t.rule = None then t.rule <- Some rule;
-  (* leader_round = L*(wave-1) + 1 pins the wave length once wave >= 2 *)
-  if t.wl = None && wave >= 2 && (leader_round - 1) mod (wave - 1) = 0 then begin
-    let l = (leader_round - 1) / (wave - 1) in
-    if l >= 1 then t.wl <- Some l
-  end;
-  match Hashtbl.find_opt t.cert_count node with
-  | Some r -> incr r
-  | None -> Hashtbl.add t.cert_count node (ref 1)
+(* replace the node's story of [wave] (empty if none yet) by [update] of it *)
+let update_story t ~node ~wave update =
+  let tbl =
+    match Hashtbl.find_opt t.stories node with
+    | Some tbl -> tbl
+    | None ->
+      let tbl = Hashtbl.create 256 in
+      Hashtbl.add t.stories node tbl;
+      tbl
+  in
+  let prior =
+    match Hashtbl.find_opt tbl wave with
+    | Some st -> st
+    | None -> { st_wave = wave; st_skip = None; st_commit = None }
+  in
+  Hashtbl.replace tbl wave (update prior)
+
+let note_rule t rule = if t.rule = None then t.rule <- Some rule
 
 let feed t (e : Trace.event) =
   match e.Trace.kind with
-  | Trace.Commit_cert
-      { node; rule; sched; wave; leader_round; leader_source; direct;
-        anchor_wave; via_round; via_source; support; quorum; delivered } ->
-    note_cert t ~node ~rule ~wave ~leader_round;
-    let cert =
-      { c_node = node;
-        c_rule = rule;
-        c_sched = sched;
-        c_wave = wave;
-        c_leader_round = leader_round;
-        c_leader_source = leader_source;
-        c_direct = direct;
-        c_anchor = anchor_wave;
-        c_via_round = via_round;
-        c_via_source = via_source;
-        c_support = support;
-        c_quorum = quorum;
-        c_delivered = delivered;
-        c_at = e.Trace.time }
-    in
-    let tbl = node_stories t node in
-    let prior = Hashtbl.find_opt tbl wave in
-    Hashtbl.replace tbl wave
-      { st_wave = wave;
-        st_skip = Option.bind prior (fun s -> s.st_skip);
-        st_commit = Some cert };
-    Hashtbl.replace t.last_commit node cert
-  | Trace.Skip_cert
-      { node; rule; sched; wave; leader_round; leader_source; reason; support;
-        quorum } ->
-    note_cert t ~node ~rule ~wave ~leader_round;
-    let cert =
-      { s_node = node;
-        s_rule = rule;
-        s_sched = sched;
-        s_wave = wave;
-        s_leader_round = leader_round;
-        s_leader_source = leader_source;
-        s_reason = reason;
-        s_support = support;
-        s_quorum = quorum;
-        s_at = e.Trace.time }
-    in
-    let tbl = node_stories t node in
-    let prior = Hashtbl.find_opt tbl wave in
+  | Trace.Commit_cert c ->
+    let node = c.Trace.node in
+    note_rule t c.Trace.rule;
+    let stamped = { at = e.Trace.time; cert = c } in
+    push t.decisions node (Committed stamped);
+    update_story t ~node ~wave:c.Trace.wave (fun st ->
+        { st with st_commit = Some stamped });
+    Hashtbl.replace t.last_commit node c
+  | Trace.Skip_cert s ->
+    let node = s.Trace.node in
+    note_rule t s.Trace.rule;
+    let stamped = { at = e.Trace.time; cert = s } in
+    push t.decisions node (Skipped stamped);
     (* keep the first skip; a commit recorded before a skip would be a
        tracer anomaly — never overwrite it *)
-    Hashtbl.replace tbl wave
-      { st_wave = wave;
-        st_skip =
-          (match Option.bind prior (fun s -> s.st_skip) with
-          | Some s -> Some s
-          | None -> Some cert);
-        st_commit = Option.bind prior (fun s -> s.st_commit) }
+    update_story t ~node ~wave:s.Trace.wave (fun st ->
+        match st.st_skip with
+        | None -> { st with st_skip = Some stamped }
+        | Some _ -> st)
   | Trace.A_deliver { node; round; source } -> (
-    (match Hashtbl.find_opt t.order node with
-    | Some r -> r := (round, source) :: !r
-    | None -> Hashtbl.add t.order node (ref [ (round, source) ]));
+    push t.order node (round, source);
     match Hashtbl.find_opt t.last_commit node with
     | Some cert -> Hashtbl.replace t.vertex_commit (node, round, source) cert
     | None -> ())
@@ -147,30 +89,33 @@ let of_jsonl_file path =
   Result.map of_events (Trace.events_of_jsonl_file path)
 
 let nodes t =
-  Hashtbl.fold (fun node _ acc -> node :: acc) t.cert_count []
+  Hashtbl.fold (fun node _ acc -> node :: acc) t.decisions []
   |> List.sort compare
 
+let cert_count t node =
+  match Hashtbl.find_opt t.decisions node with
+  | Some r -> List.length !r
+  | None -> 0
+
 let observer t =
-  Hashtbl.fold
-    (fun node count acc ->
+  List.fold_left
+    (fun acc node ->
       match acc with
-      | None -> Some (node, !count)
-      | Some (bn, bc) ->
-        if !count > bc || (!count = bc && node < bn) then Some (node, !count)
-        else acc)
-    t.cert_count None
-  |> Option.map fst
+      | Some best when cert_count t best >= cert_count t node -> acc
+      | _ -> Some node)
+    None (nodes t)
 
 let rule_name t = t.rule
 
-let wave_length t =
-  match t.wl with
-  | Some _ as l -> l
-  | None ->
-    Option.bind t.rule (fun name ->
-        Option.map
-          (fun r -> r.Dagrider.Ordering.rule_wave_length)
-          (Dagrider.Ordering.rule_of_name name))
+let decisions t ~node =
+  match Hashtbl.find_opt t.decisions node with
+  | Some r -> List.rev !r
+  | None -> []
+
+let ordered t ~node =
+  match Hashtbl.find_opt t.order node with
+  | Some r -> List.rev !r
+  | None -> []
 
 let stories t ~node =
   match Hashtbl.find_opt t.stories node with
@@ -186,42 +131,47 @@ let find_story t ~node ~wave =
 let find_vertex t ~node ~round ~source =
   Hashtbl.find_opt t.vertex_commit (node, round, source)
 
+(* the wave's last round, from the wave length of the rule the
+   certificates name *)
 let last_round_of t leader_round =
-  match wave_length t with
-  | Some l -> leader_round + l - 1
+  match Option.bind t.rule Dagrider.Ordering.rule_of_name with
+  | Some rule -> leader_round + rule.Dagrider.Ordering.rule_wave_length - 1
   | None -> leader_round
 
 (* the chain a commit belongs to: every commit at the node sharing its
    anchor, ascending by wave (the anchor's direct commit last) *)
-let chain_of t ~node (c : commit_cert) =
+let chain_of t ~node (c : Trace.commit_cert) =
   List.filter_map
     (fun st ->
       match st.st_commit with
-      | Some c' when c'.c_anchor = c.c_anchor -> Some c'
+      | Some ({ cert; _ } as c') when cert.Trace.anchor_wave = c.Trace.anchor_wave
+        ->
+        Some c'
       | _ -> None)
     (stories t ~node)
 
 let justification t ~node ~wave =
   match find_story t ~node ~wave with
   | None | Some { st_commit = None; _ } -> None
-  | Some { st_commit = Some c; _ } ->
+  | Some { st_commit = Some { cert = c; _ }; _ } ->
     let leader =
-      { Dagrider.Vertex.round = c.c_leader_round; source = c.c_leader_source }
+      { Dagrider.Vertex.round = c.Trace.leader_round;
+        source = c.Trace.leader_source }
     in
-    let last_round = last_round_of t c.c_leader_round in
+    let last_round = last_round_of t c.Trace.leader_round in
     let support =
       List.map
         (fun src -> { Dagrider.Vertex.round = last_round; source = src })
-        c.c_support
+        c.Trace.support
     in
     let chain =
       List.filter_map
-        (fun c' ->
-          if c'.c_wave = wave then None
+        (fun { cert = (c' : Trace.commit_cert); _ } ->
+          if c'.Trace.wave = wave then None
           else
             Some
-              { Dagrider.Vertex.round = c'.c_leader_round;
-                source = c'.c_leader_source })
+              { Dagrider.Vertex.round = c'.Trace.leader_round;
+                source = c'.Trace.leader_source })
         (chain_of t ~node c)
     in
     Some (leader, support, chain)
@@ -239,25 +189,26 @@ let sched_evidence (sched : string) ~wave ~leader_source =
   | "coin" -> Printf.sprintf "global coin of wave %d chose p%d" wave leader_source
   | other -> Printf.sprintf "%s schedule chose p%d" other leader_source
 
-let explain_commit t ~node buf (c : commit_cert) =
+let explain_commit t ~node buf { at; cert = c } =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  if c.c_direct then begin
-    add "outcome: committed (direct) at t=%.2f\n" c.c_at;
+  if c.Trace.direct then begin
+    add "outcome: committed (direct) at t=%.2f\n" at;
     add "  support: %d last-round (r%d) vertices reach the leader by strong \
          paths\n"
-      (List.length c.c_support)
-      (last_round_of t c.c_leader_round);
+      (List.length c.Trace.support)
+      (last_round_of t c.Trace.leader_round);
     add "           %s — quorum %d met (Algorithm 3 line 36 / Bullshark vote \
          count)\n"
-      (fmt_sources c.c_support) c.c_quorum
+      (fmt_sources c.Trace.support) c.Trace.quorum
   end
   else begin
-    add "outcome: committed (chained) at t=%.2f\n" c.c_at;
+    add "outcome: committed (chained) at t=%.2f\n" at;
     add "  evidence: leader (r%d,p%d) reaches (r%d,p%d) by a strong path\n"
-      c.c_via_round c.c_via_source c.c_leader_round c.c_leader_source;
+      c.Trace.via_round c.Trace.via_source c.Trace.leader_round
+      c.Trace.leader_source;
     add "            (lines 38-43 chain-back, anchored at wave %d's direct \
          commit)\n"
-      c.c_anchor
+      c.Trace.anchor_wave
   end;
   (match chain_of t ~node c with
   | [] | [ _ ] -> ()
@@ -265,27 +216,27 @@ let explain_commit t ~node buf (c : commit_cert) =
     add "  chain: %s\n"
       (String.concat " <- "
          (List.map
-            (fun c' ->
-              Printf.sprintf "w%d (r%d,p%d)%s" c'.c_wave c'.c_leader_round
-                c'.c_leader_source
-                (if c'.c_direct then " [direct]" else ""))
+            (fun { cert = (c' : Trace.commit_cert); _ } ->
+              Printf.sprintf "w%d (r%d,p%d)%s" c'.Trace.wave
+                c'.Trace.leader_round c'.Trace.leader_source
+                (if c'.Trace.direct then " [direct]" else ""))
             chain)));
-  add "  delivered: %d vertices\n" c.c_delivered
+  add "  delivered: %d vertices\n" c.Trace.delivered
 
-let explain_skip t buf (s : skip_cert) ~recovered =
+let explain_skip t buf { at; cert = s } ~recovered =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  if recovered then add "skipped first at t=%.2f: " s.s_at
-  else add "outcome: skipped at t=%.2f: " s.s_at;
-  (match s.s_reason with
+  if recovered then add "skipped first at t=%.2f: " at
+  else add "outcome: skipped at t=%.2f: " at;
+  (match s.Trace.reason with
   | "leader-absent" ->
     add "leader vertex (r%d,p%d) absent from the local DAG (line 47)\n"
-      s.s_leader_round s.s_leader_source
+      s.Trace.leader_round s.Trace.leader_source
   | "under-supported" ->
     add "under-supported — support %s (%d of quorum %d) at round r%d\n"
-      (fmt_sources s.s_support)
-      (List.length s.s_support)
-      s.s_quorum
-      (last_round_of t s.s_leader_round)
+      (fmt_sources s.Trace.support)
+      (List.length s.Trace.support)
+      s.Trace.quorum
+      (last_round_of t s.Trace.leader_round)
   | other -> add "%s\n" other);
   if not recovered then
     add "  never recovered: no later leader reached it by a strong path\n"
@@ -301,8 +252,10 @@ let explain_wave t ~node ~wave =
   | Some st ->
     let rule, sched, leader_round, leader_source =
       match (st.st_commit, st.st_skip) with
-      | Some c, _ -> (c.c_rule, c.c_sched, c.c_leader_round, c.c_leader_source)
-      | None, Some s -> (s.s_rule, s.s_sched, s.s_leader_round, s.s_leader_source)
+      | Some { cert = c; _ }, _ ->
+        (c.Trace.rule, c.Trace.sched, c.Trace.leader_round, c.Trace.leader_source)
+      | None, Some { cert = s; _ } ->
+        (s.Trace.rule, s.Trace.sched, s.Trace.leader_round, s.Trace.leader_source)
       | None, None -> assert false
     in
     add "== wave %d at p%d — %s ==\n" wave node rule;
@@ -320,46 +273,19 @@ let explain_wave t ~node ~wave =
       | None -> assert false)));
   Buffer.contents buf
 
-let commit_cert_to_json (c : commit_cert) =
-  Stdx.Json.Obj
-    [ ("node", Stdx.Json.Int c.c_node);
-      ("rule", Stdx.Json.String c.c_rule);
-      ("sched", Stdx.Json.String c.c_sched);
-      ("wave", Stdx.Json.Int c.c_wave);
-      ("leader_round", Stdx.Json.Int c.c_leader_round);
-      ("leader_source", Stdx.Json.Int c.c_leader_source);
-      ("direct", Stdx.Json.Bool c.c_direct);
-      ("anchor_wave", Stdx.Json.Int c.c_anchor);
-      ("via_round", Stdx.Json.Int c.c_via_round);
-      ("via_source", Stdx.Json.Int c.c_via_source);
-      ( "support",
-        Stdx.Json.List (List.map (fun s -> Stdx.Json.Int s) c.c_support) );
-      ("quorum", Stdx.Json.Int c.c_quorum);
-      ("delivered", Stdx.Json.Int c.c_delivered);
-      ("at", Stdx.Json.Float c.c_at) ]
-
-let skip_cert_to_json (s : skip_cert) =
-  Stdx.Json.Obj
-    [ ("node", Stdx.Json.Int s.s_node);
-      ("rule", Stdx.Json.String s.s_rule);
-      ("sched", Stdx.Json.String s.s_sched);
-      ("wave", Stdx.Json.Int s.s_wave);
-      ("leader_round", Stdx.Json.Int s.s_leader_round);
-      ("leader_source", Stdx.Json.Int s.s_leader_source);
-      ("reason", Stdx.Json.String s.s_reason);
-      ( "support",
-        Stdx.Json.List (List.map (fun x -> Stdx.Json.Int x) s.s_support) );
-      ("quorum", Stdx.Json.Int s.s_quorum);
-      ("at", Stdx.Json.Float s.s_at) ]
+(* a certificate's own fields plus the time it was emitted at *)
+let stamped_json fields { at; cert } =
+  Stdx.Json.Obj (fields cert @ [ ("at", Stdx.Json.Float at) ])
 
 let story_outcome st =
   match (st.st_commit, st.st_skip) with
-  | Some c, _ when c.c_direct -> "committed"
+  | Some { cert; _ }, _ when cert.Trace.direct -> "committed"
   | Some _, _ -> "committed-chained"
   | None, Some _ -> "skipped"
   | None, None -> "unresolved"
 
 let explain_wave_json t ~node ~wave =
+  let commit_json = stamped_json Trace.commit_cert_fields in
   match find_story t ~node ~wave with
   | None ->
     Stdx.Json.Obj
@@ -371,10 +297,8 @@ let explain_wave_json t ~node ~wave =
   | Some st ->
     let chain =
       match st.st_commit with
-      | Some c when not c.c_direct ->
-        [ ( "chain",
-            Stdx.Json.List (List.map commit_cert_to_json (chain_of t ~node c))
-          ) ]
+      | Some { cert = c; _ } when not c.Trace.direct ->
+        [ ("chain", Stdx.Json.List (List.map commit_json (chain_of t ~node c))) ]
       | _ -> []
     in
     Stdx.Json.Obj
@@ -383,11 +307,11 @@ let explain_wave_json t ~node ~wave =
          ("outcome", Stdx.Json.String (story_outcome st));
          ( "commit",
            match st.st_commit with
-           | Some c -> commit_cert_to_json c
+           | Some c -> commit_json c
            | None -> Stdx.Json.Null );
          ( "skip",
            match st.st_skip with
-           | Some s -> skip_cert_to_json s
+           | Some s -> stamped_json Trace.skip_cert_fields s
            | None -> Stdx.Json.Null ) ]
       @ chain)
 
@@ -400,8 +324,8 @@ let explain_vertex t ~node ~round ~source =
       round source node
   | Some c ->
     Printf.sprintf "vertex (r%d,p%d) was ordered by wave %d's commit:\n%s"
-      round source c.c_wave
-      (explain_wave t ~node ~wave:c.c_wave)
+      round source c.Trace.wave
+      (explain_wave t ~node ~wave:c.Trace.wave)
 
 let explain_vertex_json t ~node ~round ~source =
   match find_vertex t ~node ~round ~source with
@@ -414,8 +338,8 @@ let explain_vertex_json t ~node ~round ~source =
     Stdx.Json.Obj
       [ ("node", Stdx.Json.Int node);
         ("vertex", Stdx.Json.List [ Stdx.Json.Int round; Stdx.Json.Int source ]);
-        ("ordered_by", Stdx.Json.Int c.c_wave);
-        ("explain", explain_wave_json t ~node ~wave:c.c_wave) ]
+        ("ordered_by", Stdx.Json.Int c.Trace.wave);
+        ("explain", explain_wave_json t ~node ~wave:c.Trace.wave) ]
 
 let summary t ~node =
   let buf = Buffer.create 1024 in
@@ -426,18 +350,20 @@ let summary t ~node =
   List.iter
     (fun st ->
       match (st.st_commit, st.st_skip) with
-      | Some c, skip ->
+      | Some { cert = c; _ }, skip ->
         add "  w%-4d committed %s (r%d,p%d)%s%s\n" st.st_wave
-          (if c.c_direct then
+          (if c.Trace.direct then
              Printf.sprintf "direct, support %s >= %d"
-               (fmt_sources c.c_support) c.c_quorum
-           else Printf.sprintf "chained via (r%d,p%d)" c.c_via_round c.c_via_source)
-          c.c_leader_round c.c_leader_source
+               (fmt_sources c.Trace.support) c.Trace.quorum
+           else
+             Printf.sprintf "chained via (r%d,p%d)" c.Trace.via_round
+               c.Trace.via_source)
+          c.Trace.leader_round c.Trace.leader_source
           (if skip <> None then " [recovered after skip]" else "")
-          (Printf.sprintf ", %d delivered" c.c_delivered)
-      | None, Some s ->
-        add "  w%-4d skipped (%s, support %s < %d)\n" st.st_wave s.s_reason
-          (fmt_sources s.s_support) s.s_quorum
+          (Printf.sprintf ", %d delivered" c.Trace.delivered)
+      | None, Some { cert = s; _ } ->
+        add "  w%-4d skipped (%s, support %s < %d)\n" st.st_wave s.Trace.reason
+          (fmt_sources s.Trace.support) s.Trace.quorum
       | None, None -> add "  w%-4d unresolved\n" st.st_wave)
     sts;
   Buffer.contents buf
@@ -453,8 +379,8 @@ type divergence =
       index : int;
       a_vertex : int * int;
       b_vertex : int * int;
-      a_commit : commit_cert option;
-      b_commit : commit_cert option;
+      a_commit : Trace.commit_cert option;
+      b_commit : Trace.commit_cert option;
     }
 
 (* a decision's identity for stream comparison: what was decided, not
@@ -462,8 +388,8 @@ type divergence =
    different direct/chained paths and that is not a divergence *)
 let story_digest = function
   | None -> "U"
-  | Some { st_commit = Some c; _ } ->
-    Printf.sprintf "C%d:%d" c.c_leader_round c.c_leader_source
+  | Some { st_commit = Some { cert = c; _ }; _ } ->
+    Printf.sprintf "C%d:%d" c.Trace.leader_round c.Trace.leader_source
   | Some { st_skip = Some _; st_commit = None; _ } -> "S"
   | Some { st_skip = None; st_commit = None; _ } -> "U"
 
@@ -508,11 +434,7 @@ let max_wave t ~node =
    comparable — the cross-rule mode, and the fallback when same-rule
    wave decisions agree but the delivered histories still differ *)
 let log_divergence ta ~node_a tb ~node_b =
-  let log t node =
-    match Hashtbl.find_opt t.order node with
-    | Some r -> Array.of_list (List.rev !r)
-    | None -> [||]
-  in
+  let log t node = Array.of_list (ordered t ~node) in
   let la = log ta node_a and lb = log tb node_b in
   let n = min (Array.length la) (Array.length lb) in
   let digest l = Array.init n (fun i -> Printf.sprintf "%d:%d" (fst l.(i)) (snd l.(i))) in
@@ -536,10 +458,7 @@ let log_divergence ta ~node_a tb ~node_b =
           extra = abs (na - nb) }
 
 let divergence ta ~node_a tb ~node_b =
-  let certs t node =
-    match Hashtbl.find_opt t.cert_count node with Some r -> !r | None -> 0
-  in
-  if certs ta node_a = 0 || certs tb node_b = 0 then No_certificates
+  if cert_count ta node_a = 0 || cert_count tb node_b = 0 then No_certificates
   else if ta.rule = tb.rule then begin
     (* same rule: waves are comparable decision-for-decision *)
     let wa = max_wave ta ~node:node_a and wb = max_wave tb ~node:node_b in
@@ -583,9 +502,7 @@ let render_divergence ta ~node_a tb ~node_b =
     add "%s: p%d, rule %s, %d wave stories, %d ordered vertices\n" name node
       (match t.rule with Some r -> r | None -> "?")
       (List.length (stories t ~node))
-      (match Hashtbl.find_opt t.order node with
-      | Some r -> List.length !r
-      | None -> 0)
+      (List.length (ordered t ~node))
   in
   side "A" ta node_a;
   side "B" tb node_b;
@@ -598,11 +515,9 @@ let render_divergence ta ~node_a tb ~node_b =
       "no divergence: one %s stream is a prefix of the other (%d compared, \
        %s has %d more)\n"
       mode compared longer extra
-  | Diverged_wave { wave; a; b } ->
+  | Diverged_wave { wave; _ } ->
     add "FIRST DIVERGENT DECISION: wave %d\n\n" wave;
     add "--- side A (p%d) ---\n%s\n" node_a (explain_wave ta ~node:node_a ~wave);
-    ignore a;
-    ignore b;
     add "--- side B (p%d) ---\n%s" node_b (explain_wave tb ~node:node_b ~wave)
   | Diverged_entry { index; a_vertex = ra, sa; b_vertex = rb, sb; _ } ->
     add "FIRST DIVERGENT LOG ENTRY: position %d\n" index;

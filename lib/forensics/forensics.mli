@@ -12,49 +12,24 @@
     decision ([divergence]) — the tool PR 6's cross-rule differential
     harness was missing when all it could say was "logs differ". *)
 
-type commit_cert = {
-  c_node : int;
-  c_rule : string;
-  c_sched : string;  (** "coin" | "round-robin" *)
-  c_wave : int;
-  c_leader_round : int;
-  c_leader_source : int;
-  c_direct : bool;
-  c_anchor : int;  (** wave whose direct commit fired the chain *)
-  c_via_round : int;
-  c_via_source : int;
-      (** next committed leader up the chain (the leader itself when
-          direct) — its strong path is a chained commit's evidence *)
-  c_support : int list;
-      (** sources of the wave's last-round vertices counted against the
-          quorum (direct commits; empty for chained) *)
-  c_quorum : int;
-  c_delivered : int;
-  c_at : float;
-}
-
-type skip_cert = {
-  s_node : int;
-  s_rule : string;
-  s_sched : string;
-  s_wave : int;
-  s_leader_round : int;
-  s_leader_source : int;
-  s_reason : string;  (** "leader-absent" | "under-supported" *)
-  s_support : int list;
-  s_quorum : int;
-  s_at : float;
-}
+(** A certificate as the collector stores it: the {!Trace} record
+    itself, stamped with the virtual time it was emitted at. *)
+type 'cert stamped = { at : float; cert : 'cert }
 
 type story = {
   st_wave : int;
-  st_skip : skip_cert option;
+  st_skip : Trace.skip_cert stamped option;
       (** recorded when the wave was first processed without a commit *)
-  st_commit : commit_cert option;
+  st_commit : Trace.commit_cert stamped option;
       (** a later chain-back can recover a skipped wave: both fields
           set means "skipped, then recovered"; skip only means the wave
           was never committed at this node *)
 }
+
+(** One certificate in a node's emission order. *)
+type decision =
+  | Committed of Trace.commit_cert stamped
+  | Skipped of Trace.skip_cert stamped
 
 type t
 
@@ -79,16 +54,21 @@ val observer : t -> int option
 val rule_name : t -> string option
 (** Rule named by the certificates (they all agree within one run). *)
 
-val wave_length : t -> int option
-(** Rounds per wave, recovered from the certificates' leader rounds
-    (falling back to the named rule's wave length). *)
-
 val stories : t -> node:int -> story list
 (** The node's wave stories, ascending by wave. *)
 
+val decisions : t -> node:int -> decision list
+(** Every certificate the node emitted, oldest first. A wave can appear
+    twice (skipped, then recovered by a chained commit); its story
+    keeps the first skip and the last commit. *)
+
+val ordered : t -> node:int -> (int * int) list
+(** The node's [A_deliver] log as [(round, source)], oldest first. *)
+
 val find_story : t -> node:int -> wave:int -> story option
 
-val find_vertex : t -> node:int -> round:int -> source:int -> commit_cert option
+val find_vertex :
+  t -> node:int -> round:int -> source:int -> Trace.commit_cert option
 (** The commit whose causal-history delivery ordered this vertex at the
     node (from the [A_deliver] attribution). *)
 
@@ -140,8 +120,8 @@ type divergence =
       index : int;  (** 0-based position in the ordered logs *)
       a_vertex : int * int;
       b_vertex : int * int;  (** (round, source) *)
-      a_commit : commit_cert option;
-      b_commit : commit_cert option;
+      a_commit : Trace.commit_cert option;
+      b_commit : Trace.commit_cert option;
     }
 
 val divergence : t -> node_a:int -> t -> node_b:int -> divergence

@@ -102,8 +102,7 @@ type monitor_ctx = {
 
 (* the streaming trace consumers, iff traced *)
 type observers = {
-  analyzer : Analyze.t option; (* protocol analyzer *)
-  forensics : Forensics.t option; (* certificate collector *)
+  analyzer : Analyze.t option; (* protocol analyzer and its ledger *)
   critpath : Critpath.t option; (* causal path collector *)
 }
 
@@ -152,16 +151,26 @@ let fault_index = function Crash i | Byzantine_live i | Adversary (i, _) -> i
 let fault_of options i =
   List.find_opt (fun fault -> fault_index fault = i) options.faults
 
-(* every index in range and no process named twice, checked before
-   anything is wired *)
+(* every index in range and no process named twice *)
 let rec check_faults ~n = function
-  | [] -> ()
+  | [] -> Ok ()
   | fault :: rest ->
     let i = fault_index fault in
-    if i < 0 || i >= n then invalid_arg "Runner.build: fault index out of range";
-    if List.exists (fun other -> fault_index other = i) rest then
-      invalid_arg "Runner.build: a process is named by two faults";
-    check_faults ~n rest
+    if i < 0 || i >= n then
+      Error (Printf.sprintf "fault index %d out of range (n = %d)" i n)
+    else if List.exists (fun other -> fault_index other = i) rest then
+      Error (Printf.sprintf "process %d is named by two faults" i)
+    else check_faults ~n rest
+
+let validate options =
+  let { n; f; _ } = options in
+  if n < 1 || f < 0 then Error "bad n/f"
+  else
+    Result.bind (check_faults ~n options.faults) (fun () ->
+        match (options.workload, options.link_faults) with
+        | Some wl, _ when wl.wl_rate <= 0.0 -> Error "wl_rate must be positive"
+        | _, Some lf when lf.lf_drop >= 1.0 -> Error "lf_drop must be < 1"
+        | _ -> Ok ())
 
 (* the vantage point for observer-anchored collectors: the lowest
    process no declared fault touches (mid-run silencing can still
@@ -568,11 +577,11 @@ let start_clients options ~engine ~mempools ~crashed =
 
 (* ---- stage: observers ---- *)
 
-let unobserved = { analyzer = None; forensics = None; critpath = None }
+let unobserved = { analyzer = None; critpath = None }
 
 (* A traced run streams into the protocol analyzer (so [analysis_report]
-   covers the whole run even when the ring wraps), the forensics
-   collector (every provenance certificate) and the critical-path
+   covers the whole run even when the ring wraps; its ledger folds every
+   provenance certificate for [forensics]) and the critical-path
    collector (streaming at the vantage process, so segment gauges stay
    O(1) to read mid-run). A monitor gets its probes and its sampler.
    All of them only read state and the sampler draws no RNG, so delivery
@@ -584,14 +593,10 @@ let observe options ~engine ~counters ~nodes ~carriers ~mempools ~mctx ~vantage 
     | None -> unobserved
     | Some tr ->
       let analyzer = Analyze.create () in
-      let forensics = Forensics.create () in
       let critpath = Critpath.create ~observer:vantage () in
       Trace.add_sink tr (Analyze.feed analyzer);
-      Trace.add_sink tr (Forensics.feed forensics);
       Trace.add_sink tr (Critpath.feed critpath);
-      { analyzer = Some analyzer;
-        forensics = Some forensics;
-        critpath = Some critpath }
+      { analyzer = Some analyzer; critpath = Some critpath }
   in
   (match mctx with
   | None -> ()
@@ -672,22 +677,16 @@ let observe options ~engine ~counters ~nodes ~carriers ~mempools ~mctx ~vantage 
 (* ---- build: the stages in order ---- *)
 
 let build options =
+  (match validate options with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Runner.build: " ^ e));
   let { n; f; seed; _ } = options in
-  if n < 1 || f < 0 then invalid_arg "Runner.build: bad n/f";
-  check_faults ~n options.faults;
-  (match options.workload with
-  | Some wl when wl.wl_rate <= 0.0 ->
-    invalid_arg "Runner.build: wl_rate must be positive"
-  | _ -> ());
   let root, sched_rng, coin_rng = seed_streams seed in
   let gossip_rng = Stdx.Rng.split root in
   let lossy =
     match options.link_faults with
     | None -> None
-    | Some lf ->
-      if lf.lf_drop >= 1.0 then
-        invalid_arg "Runner.build: lf_drop must be < 1";
-      Some (lf, Stdx.Rng.split root)
+    | Some lf -> Some (lf, Stdx.Rng.split root)
   in
   let adversary_rng =
     if List.exists (function Adversary _ -> true | _ -> false) options.faults
@@ -1089,7 +1088,7 @@ let analysis t =
 
 let analysis_report t = Option.map Analyze.report_to_json (analysis t)
 
-let forensics t = t.observers.forensics
+let forensics t = Option.map Analyze.ledger t.observers.analyzer
 
 let critpath t = t.observers.critpath
 
@@ -1124,6 +1123,12 @@ let restart_node t i =
     invalid_arg
       "Runner.restart_node: process never started (crashed or fuzzing \
        from genesis) — there is no state to restart from";
+  (match fault_of t.options i with
+  | Some (Adversary _) ->
+    invalid_arg
+      "Runner.restart_node: process is an adaptive adversary — a restart \
+       would rebuild it honest while it still counts as Byzantine"
+  | Some (Crash _ | Byzantine_live _) | None -> ());
   let ck = Dagrider.Node.checkpoint t.nodes.(i) in
   (* serialize and reload, as a disk-backed restart would *)
   let dag =
@@ -1178,7 +1183,8 @@ let restart_node t i =
      build-time chain), so replays stay byte-identical and builds
      without restarts draw nothing. *)
   let rng = Stdx.Rng.create ((t.options.seed lxor 0x5bac0ff) + (7919 * i)) in
-  let backoff = 1.6 and max_rto = 20.0 and jitter = 0.3 and max_attempts = 6 in
+  let { Net.Link.rto; backoff; max_rto; jitter; _ } = Net.Link.default_config in
+  let max_attempts = 6 in
   let jittered d = d *. (1.0 +. (jitter *. Stdx.Rng.float rng 1.0)) in
   (* caught up = no under-populated round between the GC horizon and
      our frontier, and a frontier no further than one round behind the
@@ -1227,5 +1233,5 @@ let restart_node t i =
       end
     end
   in
-  Sim.Engine.schedule t.engine ~delay:(jittered 3.0) (fun () ->
-      retry ~attempt:1 ~rto:3.0)
+  Sim.Engine.schedule t.engine ~delay:(jittered rto) (fun () ->
+      retry ~attempt:1 ~rto)

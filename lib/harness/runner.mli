@@ -150,10 +150,14 @@ val default_options : n:int -> options
 
 type t
 
+val validate : options -> (unit, string) result
+(** The checks {!build} makes before wiring anything: [n]/[f], a fault
+    list with an index out of range or a process named twice, [wl_rate]
+    and [lf_drop]. [Error] names the first that fails — what a front end
+    reports as a usage error. *)
+
 val build : options -> t
-(** @raise Invalid_argument on a bad [n]/[f], [lf_drop] or [wl_rate],
-    and on a fault list with an index out of range or a process named
-    twice — checked before anything is wired. *)
+(** @raise Invalid_argument when {!validate} fails, with its message. *)
 
 val dealer_coin : seed:int -> n:int -> f:int -> Crypto.Threshold_coin.t
 (** The trusted-dealer coin [build] sets up for [seed] when
@@ -284,8 +288,10 @@ val analysis : t -> Analyze.report option
     when the tracer's ring buffer wrapped. Configured from the run's
     options ({!Analyze.fleet_config} of its rule, n and f) with the currently-faulty processes as the
     Byzantine set and the lowest correct process as observer; callable
-    mid-run for progress snapshots. Untraced runs return [None] and pay
-    nothing. *)
+    mid-run for progress snapshots. Its wave records read the
+    certificate ledger {!forensics} returns — the analyzer feeds it, so
+    each certificate is folded once per run. Untraced runs return
+    [None] and pay nothing. *)
 
 val analysis_report : t -> Stdx.Json.t option
 (** {!analysis} serialized via {!Analyze.report_to_json}. *)
@@ -301,12 +307,12 @@ val critpath_report : t -> Critpath.report option
 (** {!Critpath.finalize} on the collector ([None] untraced). *)
 
 val forensics : t -> Forensics.t option
-(** The run's provenance-certificate collector: [Some] iff the run was
-    built with a tracer (fed live through {!Trace.add_sink}, like the
-    analyzer, so it holds every certificate even past ring wrap). This
-    is what [explain]/[divergence] read and what the swarm oracle
-    re-validates via {!Check} — untraced runs return [None] and pay
-    nothing. *)
+(** The run's provenance-certificate ledger: [Some] iff the run was
+    built with a tracer. It is the analyzer's own {!Analyze.ledger}, fed
+    through the analyzer's sink, so it holds every certificate even past
+    ring wrap and each certificate is folded once per run. This is what
+    [explain]/[divergence] read and what the swarm oracle re-validates
+    via {!Check} — untraced runs return [None] and pay nothing. *)
 
 type attack_report = {
   ar_node : int;
@@ -333,13 +339,17 @@ val restart_node : t -> int -> unit
     restart would), rebuild it from the checkpoint on the same
     networks, and let the sync protocol catch it up with the live
     fleet. Follow-up sync requests run on seeded exponential backoff
-    with jitter (initial 3.0, factor 1.6, cap 20.0, jitter 0.3 —
-    {!Net.Link}'s retransmit shape), stopping as soon as the node's DAG
-    has no under-populated round below its frontier and that frontier
-    is within one round of the live fleet's, or after 6 attempts
+    with jitter (the initial timeout, factor, cap and jitter of
+    {!Net.Link.default_config}, {!Net.Link}'s retransmit shape),
+    stopping as soon as the node's DAG has no under-populated round
+    below its frontier and that frontier is within one round of the
+    live fleet's, or after 6 attempts
     (emitting {!Trace.kind.Sync_retry} per attempt and
     {!Trace.kind.Sync_gave_up} on exhaustion). The backoff stream is
     keyed off the run seed and [i], so replays are byte-identical.
     Restarting mid-partition is legal — lost requests are retried.
     @raise Invalid_argument if [i] never started (declared [Crash], or
-    a [Fuzz] adversary): there is no state to restart from. *)
+    a [Fuzz] adversary): there is no state to restart from; and if [i]
+    is any declared {!fault.Adversary}: the restart would rebuild it
+    with the honest RBC factory while it still counts as Byzantine and
+    stays in {!attack_reports}. *)

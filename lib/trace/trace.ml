@@ -1,3 +1,31 @@
+type commit_cert = {
+  node : int;
+  rule : string;
+  sched : string;
+  wave : int;
+  leader_round : int;
+  leader_source : int;
+  direct : bool;
+  anchor_wave : int;
+  via_round : int;
+  via_source : int;
+  support : int list;
+  quorum : int;
+  delivered : int;
+}
+
+type skip_cert = {
+  node : int;
+  rule : string;
+  sched : string;
+  wave : int;
+  leader_round : int;
+  leader_source : int;
+  reason : string;
+  support : int list;
+  quorum : int;
+}
+
 type kind =
   | Send of { src : int; dst : int; msg_kind : string; bits : int; id : int }
   | Recv of { src : int; dst : int; msg_kind : string; id : int }
@@ -23,32 +51,8 @@ type kind =
   | Round_advanced of { node : int; round : int }
   | Coin_flip of { node : int; wave : int }
   | Leader_elected of { node : int; wave : int; leader : int }
-  | Commit_cert of {
-      node : int;
-      rule : string;
-      sched : string;
-      wave : int;
-      leader_round : int;
-      leader_source : int;
-      direct : bool;
-      anchor_wave : int;
-      via_round : int;
-      via_source : int;
-      support : int list;
-      quorum : int;
-      delivered : int;
-    }
-  | Skip_cert of {
-      node : int;
-      rule : string;
-      sched : string;
-      wave : int;
-      leader_round : int;
-      leader_source : int;
-      reason : string;
-      support : int list;
-      quorum : int;
-    }
+  | Commit_cert of commit_cert
+  | Skip_cert of skip_cert
   | A_deliver of { node : int; round : int; source : int }
   | Sync_retry of { node : int; attempt : int; from_round : int }
   | Sync_gave_up of { node : int; attempts : int }
@@ -267,6 +271,25 @@ let describe_kind = function
 
 (* ---- JSONL ---- *)
 
+let json_int k v = (k, Stdx.Json.Int v)
+let json_str k v = (k, Stdx.Json.String v)
+let json_ints k vs = (k, Stdx.Json.List (List.map (fun v -> Stdx.Json.Int v) vs))
+
+let commit_cert_fields (c : commit_cert) =
+  [ json_int "node" c.node; json_str "rule" c.rule; json_str "sched" c.sched;
+    json_int "wave" c.wave; json_int "leader_round" c.leader_round;
+    json_int "leader_source" c.leader_source;
+    ("direct", Stdx.Json.Bool c.direct); json_int "anchor_wave" c.anchor_wave;
+    json_int "via_round" c.via_round; json_int "via_source" c.via_source;
+    json_ints "support" c.support; json_int "quorum" c.quorum;
+    json_int "delivered" c.delivered ]
+
+let skip_cert_fields (c : skip_cert) =
+  [ json_int "node" c.node; json_str "rule" c.rule; json_str "sched" c.sched;
+    json_int "wave" c.wave; json_int "leader_round" c.leader_round;
+    json_int "leader_source" c.leader_source; json_str "reason" c.reason;
+    json_ints "support" c.support; json_int "quorum" c.quorum ]
+
 let event_to_json { seq; time; cause; kind } =
   let base = [ ("seq", Stdx.Json.Int seq); ("t", Stdx.Json.Float time) ] in
   (* correlation fields are emitted only when set, so traces written
@@ -278,9 +301,7 @@ let event_to_json { seq; time; cause; kind } =
   let ev name fields =
     Stdx.Json.Obj (base @ (("ev", Stdx.Json.String name) :: fields))
   in
-  let i k v = (k, Stdx.Json.Int v) in
-  let s k v = (k, Stdx.Json.String v) in
-  let il k vs = (k, Stdx.Json.List (List.map (fun v -> Stdx.Json.Int v) vs)) in
+  let i = json_int and s = json_str in
   let mid id = if id >= 0 then [ i "id" id ] else [] in
   match kind with
   | Send { src; dst; msg_kind; bits; id } ->
@@ -313,22 +334,8 @@ let event_to_json { seq; time; cause; kind } =
   | Coin_flip { node; wave } -> ev "coin-flip" [ i "node" node; i "wave" wave ]
   | Leader_elected { node; wave; leader } ->
     ev "leader-elected" [ i "node" node; i "wave" wave; i "leader" leader ]
-  | Commit_cert
-      { node; rule; sched; wave; leader_round; leader_source; direct;
-        anchor_wave; via_round; via_source; support; quorum; delivered } ->
-    ev "commit-cert"
-      [ i "node" node; s "rule" rule; s "sched" sched; i "wave" wave;
-        i "leader_round" leader_round; i "leader_source" leader_source;
-        ("direct", Stdx.Json.Bool direct); i "anchor_wave" anchor_wave;
-        i "via_round" via_round; i "via_source" via_source;
-        il "support" support; i "quorum" quorum; i "delivered" delivered ]
-  | Skip_cert
-      { node; rule; sched; wave; leader_round; leader_source; reason; support;
-        quorum } ->
-    ev "skip-cert"
-      [ i "node" node; s "rule" rule; s "sched" sched; i "wave" wave;
-        i "leader_round" leader_round; i "leader_source" leader_source;
-        s "reason" reason; il "support" support; i "quorum" quorum ]
+  | Commit_cert c -> ev "commit-cert" (commit_cert_fields c)
+  | Skip_cert c -> ev "skip-cert" (skip_cert_fields c)
   | A_deliver { node; round; source } ->
     ev "a-deliver" [ i "node" node; i "round" round; i "source" source ]
   | Sync_retry { node; attempt; from_round } ->
@@ -356,14 +363,63 @@ let event_to_json { seq; time; cause; kind } =
   | Block_assembled { node; round; txs } ->
     ev "block-assembled" [ i "node" node; i "round" round; i "txs" txs ]
 
+let ( let* ) = Result.bind
+
+let field json name conv =
+  match Option.bind (Stdx.Json.member name json) conv with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing or mistyped field %S" name)
+
+let int_field json name = field json name Stdx.Json.to_int_opt
+let str_field json name = field json name Stdx.Json.to_string_opt
+let bool_field json name = field json name Stdx.Json.to_bool_opt
+
+let int_list_field json name =
+  field json name (fun j ->
+      Option.bind (Stdx.Json.to_list_opt j) (fun items ->
+          List.fold_right
+            (fun item acc ->
+              match (Stdx.Json.to_int_opt item, acc) with
+              | Some n, Some rest -> Some (n :: rest)
+              | _ -> None)
+            items (Some [])))
+
+let commit_cert_of_json json : (commit_cert, string) result =
+  let* node = int_field json "node" in
+  let* rule = str_field json "rule" in
+  let* sched = str_field json "sched" in
+  let* wave = int_field json "wave" in
+  let* leader_round = int_field json "leader_round" in
+  let* leader_source = int_field json "leader_source" in
+  let* direct = bool_field json "direct" in
+  let* anchor_wave = int_field json "anchor_wave" in
+  let* via_round = int_field json "via_round" in
+  let* via_source = int_field json "via_source" in
+  let* support = int_list_field json "support" in
+  let* quorum = int_field json "quorum" in
+  let* delivered = int_field json "delivered" in
+  Ok
+    { node; rule; sched; wave; leader_round; leader_source; direct;
+      anchor_wave; via_round; via_source; support; quorum; delivered }
+
+let skip_cert_of_json json : (skip_cert, string) result =
+  let* node = int_field json "node" in
+  let* rule = str_field json "rule" in
+  let* sched = str_field json "sched" in
+  let* wave = int_field json "wave" in
+  let* leader_round = int_field json "leader_round" in
+  let* leader_source = int_field json "leader_source" in
+  let* reason = str_field json "reason" in
+  let* support = int_list_field json "support" in
+  let* quorum = int_field json "quorum" in
+  Ok
+    { node; rule; sched; wave; leader_round; leader_source; reason; support;
+      quorum }
+
 let event_of_json json =
-  let ( let* ) r f = Result.bind r f in
-  let field name conv =
-    match Option.bind (Stdx.Json.member name json) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing or mistyped field %S" name)
-  in
-  let int_field name = field name Stdx.Json.to_int_opt in
+  let field name = field json name in
+  let int_field = int_field json and str_field = str_field json in
+  let bool_field = bool_field json in
   (* correlation fields are absent in traces written before they
      existed: default them rather than failing the line *)
   let opt_int_field name =
@@ -373,18 +429,6 @@ let event_of_json json =
       match Stdx.Json.to_int_opt j with
       | Some v -> Ok v
       | None -> Error (Printf.sprintf "mistyped field %S" name))
-  in
-  let str_field name = field name Stdx.Json.to_string_opt in
-  let bool_field name = field name Stdx.Json.to_bool_opt in
-  let int_list_field name =
-    field name (fun j ->
-        Option.bind (Stdx.Json.to_list_opt j) (fun items ->
-            List.fold_right
-              (fun item acc ->
-                match (Stdx.Json.to_int_opt item, acc) with
-                | Some n, Some rest -> Some (n :: rest)
-                | _ -> None)
-              items (Some [])))
   in
   let* seq = int_field "seq" in
   let* time = field "t" Stdx.Json.to_float_opt in
@@ -454,38 +498,8 @@ let event_of_json json =
       let* wave = int_field "wave" in
       let* leader = int_field "leader" in
       Ok (Leader_elected { node; wave; leader })
-    | "commit-cert" ->
-      let* node = int_field "node" in
-      let* rule = str_field "rule" in
-      let* sched = str_field "sched" in
-      let* wave = int_field "wave" in
-      let* leader_round = int_field "leader_round" in
-      let* leader_source = int_field "leader_source" in
-      let* direct = bool_field "direct" in
-      let* anchor_wave = int_field "anchor_wave" in
-      let* via_round = int_field "via_round" in
-      let* via_source = int_field "via_source" in
-      let* support = int_list_field "support" in
-      let* quorum = int_field "quorum" in
-      let* delivered = int_field "delivered" in
-      Ok
-        (Commit_cert
-           { node; rule; sched; wave; leader_round; leader_source; direct;
-             anchor_wave; via_round; via_source; support; quorum; delivered })
-    | "skip-cert" ->
-      let* node = int_field "node" in
-      let* rule = str_field "rule" in
-      let* sched = str_field "sched" in
-      let* wave = int_field "wave" in
-      let* leader_round = int_field "leader_round" in
-      let* leader_source = int_field "leader_source" in
-      let* reason = str_field "reason" in
-      let* support = int_list_field "support" in
-      let* quorum = int_field "quorum" in
-      Ok
-        (Skip_cert
-           { node; rule; sched; wave; leader_round; leader_source; reason;
-             support; quorum })
+    | "commit-cert" -> Result.map (fun c -> Commit_cert c) (commit_cert_of_json json)
+    | "skip-cert" -> Result.map (fun c -> Skip_cert c) (skip_cert_of_json json)
     | "a-deliver" ->
       let* node = int_field "node" in
       let* round = int_field "round" in

@@ -7,8 +7,8 @@
     and round progress, coin flips, leader election, the ordering
     decisions, and the BAB [a_deliver] upcalls — so one trace
     interleaves the full causal story of a run. Each ordering decision
-    is recorded once, as its provenance certificate ({!Commit_cert} or
-    {!Skip_cert}). With no tracer installed ([None] everywhere)
+    is recorded once, as its provenance certificate ({!commit_cert} or
+    {!skip_cert}). With no tracer installed ([None] everywhere)
     nothing is allocated and the simulation is byte-identical to an
     untraced build of the same seed.
 
@@ -20,6 +20,56 @@
     certificates became the only decision record carry ["commit"] and
     ["leader-skipped"] lines; the decoder rejects them as unknown event
     kinds. *)
+
+(** Provenance certificate for one commit decision, direct or chained
+    (Algorithm 3 lines 36-43). The same record serves both commit
+    rules. *)
+type commit_cert = {
+  node : int;
+  rule : string;  (** commit rule in force ("dagrider", "bullshark") *)
+  sched : string;  (** leader schedule evidence: "coin" | "round-robin" *)
+  wave : int;
+  leader_round : int;
+  leader_source : int;
+  direct : bool;
+  anchor_wave : int;
+      (** the wave whose {e direct} commit fired this decision; equals
+          [wave] for direct commits, the directly-committed wave at the
+          top of the lines-38-43 chain for chained ones *)
+  via_round : int;
+  via_source : int;
+      (** the next leader up the chain whose strong path justifies a
+          chained commit; equals the leader itself when [direct] *)
+  support : int list;
+      (** direct commits: sources of the wave's last-round vertices with
+          a strong path to the leader (the exact quorum the Algorithm 3
+          line 14 / Bullshark vote check counted). Chained commits carry
+          the empty list — their evidence is [via]'s strong path. *)
+  quorum : int;  (** votes required by the rule: 2f+1 or f+1 *)
+  delivered : int;  (** fresh vertices ordered by this commit *)
+}
+
+(** Provenance certificate for one skip decision: ordering processed the
+    wave's resolved leader without committing it. A wave skipped at its
+    own time can still be recovered later by a chained commit
+    certificate for the same wave (chain-back found a strong path after
+    all); a skip with no later commit is final. *)
+type skip_cert = {
+  node : int;
+  rule : string;
+  sched : string;
+  wave : int;
+  leader_round : int;
+  leader_source : int;
+  reason : string;
+      (** why no commit was legal when the wave was processed:
+          "leader-absent" (no leader vertex in the DAG) or
+          "under-supported" (support below the rule's quorum) *)
+  support : int list;
+      (** sources of the last-round vertices that {e did} have a strong
+          path to the leader (empty when absent) *)
+  quorum : int;
+}
 
 type kind =
   | Send of { src : int; dst : int; msg_kind : string; bits : int; id : int }
@@ -78,55 +128,8 @@ type kind =
       (** [node] completed wave [wave] and released its coin share *)
   | Leader_elected of { node : int; wave : int; leader : int }
       (** f+1 shares combined at [node]: wave [wave]'s leader is known *)
-  | Commit_cert of {
-      node : int;
-      rule : string;  (** commit rule in force ("dagrider", "bullshark") *)
-      sched : string;  (** leader schedule evidence: "coin" | "round-robin" *)
-      wave : int;
-      leader_round : int;
-      leader_source : int;
-      direct : bool;
-      anchor_wave : int;
-          (** the wave whose {e direct} commit fired this decision; equals
-              [wave] for direct commits, the directly-committed wave at
-              the top of the lines-38-43 chain for chained ones *)
-      via_round : int;
-      via_source : int;
-          (** the next leader up the chain whose strong path justifies a
-              chained commit; equals the leader itself when [direct] *)
-      support : int list;
-          (** direct commits: sources of the wave's last-round vertices
-              with a strong path to the leader (the exact quorum the
-              Algorithm 3 line 14 / Bullshark vote check counted).
-              Chained commits carry the empty list — their evidence is
-              [via]'s strong path. *)
-      quorum : int;  (** votes required by the rule: 2f+1 or f+1 *)
-      delivered : int;  (** fresh vertices ordered by this commit *)
-    }
-      (** provenance certificate for one commit decision, direct or
-          chained (Algorithm 3 lines 36-43) *)
-  | Skip_cert of {
-      node : int;
-      rule : string;
-      sched : string;
-      wave : int;
-      leader_round : int;
-      leader_source : int;
-      reason : string;
-          (** why no commit was legal when the wave was processed:
-              "leader-absent" (no leader vertex in the DAG) or
-              "under-supported" (support below the rule's quorum) *)
-      support : int list;
-          (** sources of the last-round vertices that {e did} have a
-              strong path to the leader (empty when absent) *)
-      quorum : int;
-    }
-      (** provenance certificate for one skip decision: ordering
-          processed the wave's resolved leader without committing it. A
-          wave skipped
-          at its own time can still be recovered later by a chained
-          {!Commit_cert} for the same wave (chain-back found a strong
-          path after all); a skip with no later commit is final. *)
+  | Commit_cert of commit_cert
+  | Skip_cert of skip_cert
   | A_deliver of { node : int; round : int; source : int }
       (** the atomic-broadcast output upcall *)
   | Sync_retry of { node : int; attempt : int; from_round : int }
@@ -256,6 +259,12 @@ val kind_label : kind -> string
 
 val describe_kind : kind -> string
 (** One-line human rendering (the timeline's event column). *)
+
+val commit_cert_fields : commit_cert -> (string * Stdx.Json.t) list
+(** The certificate's JSON fields, in the order {!event_to_json} writes
+    them after the ["ev"] tag. *)
+
+val skip_cert_fields : skip_cert -> (string * Stdx.Json.t) list
 
 val event_to_json : event -> Stdx.Json.t
 

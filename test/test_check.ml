@@ -120,6 +120,28 @@ let test_scenario_fault_budget () =
         (List.length (Check.Scenario.faulty_nodes sc) <= sc.Check.Scenario.f))
     (List.init 25 (fun i -> i))
 
+let test_scenario_never_restarts_adversary () =
+  (* Runner.restart_node refuses an adversary (it would come back
+     honest while still counted Byzantine), so no script may ask for
+     one: sampled adversaries and forced ones alike *)
+  let spec strategy = { Attack.strategy; victims = [] } in
+  List.iter
+    (fun attack ->
+      List.iter
+        (fun seed ->
+          let sc = Check.Scenario.generate ?attack ~quick:true ~seed () in
+          match sc.Check.Scenario.attack with
+          | None -> ()
+          | Some (adversary, _) ->
+            List.iter
+              (function
+                | Check.Scenario.Restart_at { node; _ } ->
+                  checkb "restart spares the adversary" true (node <> adversary)
+                | _ -> ())
+              sc.Check.Scenario.faults)
+        (List.init 200 (fun i -> i)))
+    (None :: List.map (fun st -> Some (spec st)) Attack.all_strategies)
+
 (* ---- Honest end-to-end run ---- *)
 
 let test_honest_scenario_clean () =
@@ -199,7 +221,9 @@ let () =
         [ Alcotest.test_case "deterministic from seed" `Quick
             test_scenario_deterministic;
           Alcotest.test_case "fault budget <= f" `Quick
-            test_scenario_fault_budget ] );
+            test_scenario_fault_budget;
+          Alcotest.test_case "adversary never restarted" `Quick
+            test_scenario_never_restarts_adversary ] );
       ( "swarm",
         [ Alcotest.test_case "honest seed clean" `Slow
             test_honest_scenario_clean;

@@ -104,14 +104,14 @@ let test_dagrider_skip_evidence () =
   checkb "at least one finally skipped wave" true (skips <> []);
   List.iter
     (fun st ->
-      let s = Option.get st.Forensics.st_skip in
+      let s = (Option.get st.Forensics.st_skip).Forensics.cert in
       checks "skip names the crashed leader's absence" "leader-absent"
-        s.Forensics.s_reason;
+        s.Trace.reason;
       checki "absent leader is the crashed process" 3
-        s.Forensics.s_leader_source;
-      checks "coin schedule evidence" "coin" s.Forensics.s_sched;
+        s.Trace.leader_source;
+      checks "coin schedule evidence" "coin" s.Trace.sched;
       checkb "absent leader cites no supporters" true
-        (s.Forensics.s_support = []);
+        (s.Trace.support = []);
       let text = Forensics.explain_wave fx ~node ~wave:st.Forensics.st_wave in
       checkb "explain shows the skip" true
         (contains text "skipped");
@@ -122,9 +122,9 @@ let test_dagrider_skip_evidence () =
   List.iter
     (fun st ->
       match st.Forensics.st_commit with
-      | Some c when c.Forensics.c_direct ->
+      | Some { Forensics.cert = c; _ } when c.Trace.direct ->
         checkb "direct commit meets quorum" true
-          (List.length c.Forensics.c_support >= c.Forensics.c_quorum)
+          (List.length c.Trace.support >= c.Trace.quorum)
       | _ -> ())
     (Forensics.stories fx ~node)
 
@@ -146,19 +146,19 @@ let test_bullshark_skip_recovery () =
   checkb "at least one skipped-then-recovered wave" true (recovered <> []);
   List.iter
     (fun st ->
-      let c = Option.get st.Forensics.st_commit in
-      checkb "recovery is a chained commit" false c.Forensics.c_direct;
+      let c = (Option.get st.Forensics.st_commit).Forensics.cert in
+      checkb "recovery is a chained commit" false c.Trace.direct;
       checkb "chained commits cite no direct support" true
-        (c.Forensics.c_support = []);
+        (c.Trace.support = []);
       checkb "anchor is a later wave" true
-        (c.Forensics.c_anchor > st.Forensics.st_wave);
+        (c.Trace.anchor_wave > st.Forensics.st_wave);
       checkb "via sits above the leader" true
-        (c.Forensics.c_via_round > c.Forensics.c_leader_round);
+        (c.Trace.via_round > c.Trace.leader_round);
       checks "round-robin schedule evidence" "round-robin"
-        c.Forensics.c_sched;
+        c.Trace.sched;
       (* the RR leader is pinned by the schedule, not a coin *)
       checki "leader is (w-1) mod n" ((st.Forensics.st_wave - 1) mod 4)
-        c.Forensics.c_leader_source;
+        c.Trace.leader_source;
       let text = Forensics.explain_wave fx ~node ~wave:st.Forensics.st_wave in
       checkb "explain shows the chain-back" true
         (contains text "chain-back");
@@ -226,7 +226,7 @@ let test_oracle_rejects_forgery () =
   ignore tracer;
   let real =
     List.find_map
-      (fun st -> st.Forensics.st_commit)
+      (fun st -> Option.map (fun c -> c.Forensics.cert) st.Forensics.st_commit)
       (Forensics.stories fx ~node)
     |> Option.get
   in
@@ -239,15 +239,15 @@ let test_oracle_rejects_forgery () =
         kind =
           Commit_cert
             { node;
-              rule = real.Forensics.c_rule;
-              sched = real.Forensics.c_sched;
-              wave = real.Forensics.c_wave + 1000;
+              rule = real.Trace.rule;
+              sched = real.Trace.sched;
+              wave = real.Trace.wave + 1000;
               leader_round =
-                ((real.Forensics.c_wave + 999) * 4) + 1;
+                ((real.Trace.wave + 999) * 4) + 1;
               leader_source = 2;
               direct = true;
-              anchor_wave = real.Forensics.c_wave + 1000;
-              via_round = ((real.Forensics.c_wave + 999) * 4) + 1;
+              anchor_wave = real.Trace.wave + 1000;
+              via_round = ((real.Trace.wave + 999) * 4) + 1;
               via_source = 2;
               support = [ 0; 1; 2 ];
               quorum = 3;
@@ -283,9 +283,9 @@ let test_divergence_sabotage_seed () =
     let a = Option.get a and b = Option.get b in
     checkb "one side skipped" true
       (a.Forensics.st_commit = None && a.Forensics.st_skip <> None);
-    let bc = Option.get b.Forensics.st_commit in
+    let bc = (Option.get b.Forensics.st_commit).Forensics.cert in
     checkb "other side committed on sabotaged quorum" true
-      (List.length bc.Forensics.c_support < 3)
+      (List.length bc.Trace.support < 3)
   | _ -> Alcotest.fail "expected a wave divergence between p1 and p2");
   let text = Forensics.render_divergence fx ~node_a:1 fx ~node_b:2 in
   checkb "render names the wave" true

@@ -941,6 +941,32 @@ let test_restart_during_attack () =
        (Dagrider.Node.ordering (Harness.Runner.node h 0))
     > 30)
 
+let test_restart_refuses_faulty () =
+  (* a crashed process has no state to restart from, and an adversary
+     would be rebuilt honest while still counted Byzantine: both calls
+     are refused and the run goes on untouched *)
+  let equivocate = { Attack.strategy = Attack.Equivocate; victims = [ 1 ] } in
+  let h =
+    Harness.Runner.build
+      { (Harness.Runner.default_options ~n:7) with
+        seed = 66;
+        faults = [ Crash 5; Adversary (6, equivocate) ] }
+  in
+  Harness.Runner.run h ~until:20.0;
+  let refused i =
+    match Harness.Runner.restart_node h i with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  checkb "crashed process refused" true (refused 5);
+  checkb "adversary refused" true (refused 6);
+  checkb "adversary still reported" true
+    (List.map (fun r -> r.Harness.Runner.ar_node) (Harness.Runner.attack_reports h)
+    = [ 6 ]);
+  checkb "correct process restarts" false (refused 0);
+  Harness.Runner.run h ~until:60.0;
+  assert_safe h
+
 (* ---- run_until_delivered helper ---- *)
 
 let test_run_until_delivered () =
@@ -1015,7 +1041,9 @@ let () =
           Alcotest.test_case "restart under gc: no spurious give-up" `Quick
             test_restart_under_gc_catches_up_without_giving_up;
           Alcotest.test_case "restart during attack" `Quick
-            test_restart_during_attack ] );
+            test_restart_during_attack;
+          Alcotest.test_case "restart refuses crashed and adversary" `Quick
+            test_restart_refuses_faulty ] );
       ( "harness",
         [ Alcotest.test_case "run_until_delivered" `Quick test_run_until_delivered;
           Alcotest.test_case "pinned counts" `Quick test_pinned_counts;
