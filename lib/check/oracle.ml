@@ -513,7 +513,9 @@ let check_certificates ~rule ~f ~forensics ~dag_of =
             (Dagrider.Dag.vertices dag)
         in
         let sts = Forensics.stories forensics ~node in
-        let commit_of st = Option.map (fun c -> c.Forensics.cert) st.Forensics.st_commit in
+        let commit_of st =
+          Option.map (fun c -> c.Forensics.cert) st.Forensics.st_commit
+        in
         let committed = Hashtbl.create 64 in
         List.iter
           (fun st ->

@@ -82,7 +82,9 @@ let crash_outputs ~replay =
   in
   if replay then
     with_dump tracer (fun path ->
-        outputs (ok (Forensics.of_jsonl_file path)) (ok (Analyze.of_jsonl_file path)))
+        outputs
+          (ok (Forensics.of_jsonl_file path))
+          (ok (Analyze.of_jsonl_file path)))
   else
     outputs
       (Option.get (Harness.Runner.forensics fleet))
@@ -96,7 +98,9 @@ let pair_outputs ~replay =
     let label = rule.Dagrider.Ordering.rule_name in
     if replay then
       with_dump tracer (fun path ->
-          (label, ok (Forensics.of_jsonl_file path), ok (Analyze.of_jsonl_file path)))
+          ( label,
+            ok (Forensics.of_jsonl_file path),
+            ok (Analyze.of_jsonl_file path) ))
     else
       ( label,
         Option.get (Harness.Runner.forensics fleet),
