@@ -5,9 +5,11 @@
     DAG-Rider's correctness argument is local and causal — a commit is
     justified by a wave leader, a quorum of strong paths, and the
     Algorithm 3 lines-38-43 chain-back — and the certificates carry
-    exactly that evidence. This module collects them (live via
-    {!Trace.add_sink}, or replayed from JSONL) into per-node {e wave
-    stories}, renders them for humans ([explain]) and machines (JSON),
+    exactly that evidence. This module is their one fold: it keeps the
+    {!Trace.commit_cert}/{!Trace.skip_cert} records themselves (live —
+    a traced run's ledger is the analyzer's, see [Analyze.ledger] — or
+    replayed from JSONL) as per-node {e wave stories} and in emission
+    order, renders them for humans ([explain]) and machines (JSON),
     and diffs two runs' decision streams to the first divergent
     decision ([divergence]) — the tool PR 6's cross-rule differential
     harness was missing when all it could say was "logs differ". *)
