@@ -1,7 +1,8 @@
 (* Byte pins of the observability outputs built on the ordering
    certificates: the analyzer report (text and JSON), the forensics
    summary and explain JSON, the divergence report (text and JSON) and
-   the justification DOT. Each is computed twice — from the live sinks
+   the justification DOT; and of the critical-path report (text and
+   JSON) beside them. Each is computed twice — from the live sinks
    of a traced run and from its JSONL dump replayed — on the runs the CI
    forensics smoke uses: n=4 seed 1 with p3 crashed to t=200, and the
    seed-1 dagrider/bullshark pair to t=120.
@@ -60,6 +61,10 @@ let justification_output label fx dag =
       Dagrider.Render.dot_justification ~support ~chain ~legend:true
         ~max_round:12 dag ~leader )
 
+let critpath_outputs label report =
+  [ (label ^ " critpath render", Critpath.render report);
+    (label ^ " critpath json", json (Critpath.report_to_json report)) ]
+
 let divergence_outputs label fa fb =
   let node_a = Option.get (Forensics.observer fa) in
   let node_b = Option.get (Forensics.observer fb) in
@@ -75,20 +80,23 @@ let crash_outputs ~replay =
       ~faults:[ Harness.Runner.Crash 3 ] ~until:200.0
   in
   let dag = Dagrider.Node.dag (Harness.Runner.node fleet 0) in
-  let outputs fx report =
+  let outputs fx report cp =
     analysis_outputs "crash" report
     @ forensics_outputs "crash" fx
     @ [ justification_output "crash" fx dag ]
+    @ critpath_outputs "crash" cp
   in
   if replay then
     with_dump tracer (fun path ->
         outputs
           (ok (Forensics.of_jsonl_file path))
-          (ok (Analyze.of_jsonl_file path)))
+          (ok (Analyze.of_jsonl_file path))
+          (ok (Critpath.of_jsonl_file path)))
   else
     outputs
       (Option.get (Harness.Runner.forensics fleet))
       (Option.get (Harness.Runner.analysis fleet))
+      (Option.get (Harness.Runner.critpath_report fleet))
 
 (* The dagrider/bullshark pair on one schedule: each side's analyzer
    and forensics, and the cross-rule divergence between them. *)
@@ -100,20 +108,24 @@ let pair_outputs ~replay =
       with_dump tracer (fun path ->
           ( label,
             ok (Forensics.of_jsonl_file path),
-            ok (Analyze.of_jsonl_file path) ))
+            ok (Analyze.of_jsonl_file path),
+            ok (Critpath.of_jsonl_file path) ))
     else
       ( label,
         Option.get (Harness.Runner.forensics fleet),
-        Option.get (Harness.Runner.analysis fleet) )
+        Option.get (Harness.Runner.analysis fleet),
+        Option.get (Harness.Runner.critpath_report fleet) )
   in
   let sides = List.map side Dagrider.Ordering.[ dag_rider; bullshark ] in
   List.concat_map
-    (fun (label, fx, report) ->
-      analysis_outputs label report @ forensics_outputs label fx)
+    (fun (label, fx, report, cp) ->
+      analysis_outputs label report
+      @ forensics_outputs label fx
+      @ critpath_outputs label cp)
     sides
   @
   match sides with
-  | [ (_, fa, _); (_, fb, _) ] -> divergence_outputs "pair" fa fb
+  | [ (_, fa, _, _); (_, fb, _, _) ] -> divergence_outputs "pair" fa fb
   | _ -> assert false
 
 let pins =
@@ -123,6 +135,8 @@ let pins =
     ("crash explain w2", "a9ae3a047700fccf858e5e26b95e6214");
     ("crash explain w7", "416c455b5ad52f6a76cf900cb8802076");
     ("crash dot justification w2", "501f0d8661fc2094c8d778509e0dc1c8");
+    ("crash critpath render", "657d347082f1dde2ceac8efdf79ad60b");
+    ("crash critpath json", "b43a15a56dbd0a028db06097b18f3140");
     ("dagrider analyze render", "a195903b12195534037f90a2d550fc82");
     ("dagrider analyze json", "b72fe40e95aa24d41c661463599f0433");
     ("bullshark analyze render", "03d86aa5d8b0ff25434e34e11e32fc75");
@@ -133,6 +147,10 @@ let pins =
     ("bullshark summary", "1a3feb3518f6b03601d89c6c12183224");
     ("bullshark explain w2", "7b4eed18e6ae4b1361b96d401a460fe2");
     ("bullshark explain w7", "f648412c024657678b02d8d67f90da27");
+    ("dagrider critpath render", "0b30eedd62491f9dccf3dc31cbe04982");
+    ("dagrider critpath json", "95b0463e67eb83590200b94df9de8949");
+    ("bullshark critpath render", "5f1cad0675d01f6f69898675f11bb7f4");
+    ("bullshark critpath json", "6b2df329cf44c255dbb2c37cd335ba31");
     ("pair divergence", "6052937e1bd57aab55b9d99ee71cf634");
     ("pair divergence json", "42dae6ffecf42caa74c0efa94c0e7100") ]
 
