@@ -229,6 +229,42 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
+(* ---- a run's collectors ----
+
+   The one place a subcommand gets a run's collectors: the analyzer, and
+   through it the certificate ledger and the critical-path collector.
+   A live run is a fresh traced fleet built from the shared flags, whose
+   analyzer is its tracer's one sink; a replay feeds a JSONL dump to a
+   fresh analyzer, whose report takes the rule the certificates name
+   ([--rule] covers a trace without any). *)
+type collected = {
+  analyzer : Analyze.t;
+  report : Analyze.report Lazy.t;
+  fleet : Harness.Runner.t option;  (** live runs only *)
+}
+
+let replay ~cmd ~rule path =
+  match Trace.events_of_jsonl_file path with
+  | Error e ->
+    Printf.eprintf "%s: %s\n" cmd e;
+    exit 1
+  | Ok events ->
+    let analyzer = Analyze.of_events events in
+    let config =
+      Analyze.with_certified_rule { Analyze.default_config with rule } analyzer
+    in
+    { analyzer; report = lazy (Analyze.finalize ~config analyzer); fleet = None }
+
+let collect ~cmd (c : Common.t) jsonl =
+  match jsonl with
+  | Some path -> replay ~cmd ~rule:c.rule path
+  | None ->
+    let fleet = Common.build ~trace:(Trace.create ~capacity:4096 ()) c in
+    Harness.Runner.run fleet ~until:c.until;
+    { analyzer = Option.get (Harness.Runner.analyzer fleet);
+      report = lazy (Option.get (Harness.Runner.analysis fleet));
+      fleet = Some fleet }
+
 (* ---- run ---- *)
 
 let run_cmd =
@@ -322,25 +358,7 @@ let trace_cmd =
 
 let analyze_cmd =
   let run (c : Common.t) jsonl json_out =
-    let report =
-      match jsonl with
-      | Some path ->
-        (* the certificates name the rule; --rule covers a trace
-           without any *)
-        (match
-           Analyze.of_jsonl_file
-             ~config:{ Analyze.default_config with rule = c.rule } path
-         with
-        | Ok report -> report
-        | Error e ->
-          Printf.eprintf "analyze: %s\n" e;
-          exit 1)
-      | None ->
-        let tracer = Trace.create ~capacity:4096 () in
-        let fleet = Common.build ~trace:tracer c in
-        Harness.Runner.run fleet ~until:c.until;
-        Option.get (Harness.Runner.analysis fleet)
-    in
+    let report = Lazy.force (collect ~cmd:"analyze" c jsonl).report in
     (match json_out with
     | Some path ->
       write_file path (Stdx.Json.to_string (Analyze.report_to_json report));
@@ -370,22 +388,9 @@ let analyze_cmd =
 
 let critpath_cmd =
   let run (c : Common.t) jsonl node top json dot_out =
-    (* live runs stream through the collector's sink and see the whole
-       run even past ring wrap *)
     let cp_report =
-      match jsonl with
-      | Some path -> (
-        match Critpath.of_jsonl_file ?observer:node path with
-        | Error e ->
-          Printf.eprintf "critpath: %s\n" e;
-          exit 1
-        | Ok rep -> rep)
-      | None ->
-        let tracer = Trace.create ~capacity:4096 () in
-        let fleet = Common.build ~trace:tracer c in
-        Harness.Runner.run fleet ~until:c.until;
-        Critpath.finalize ?observer:node
-          (Option.get (Harness.Runner.critpath fleet))
+      Analyze.critpath_report ?observer:node
+        (collect ~cmd:"critpath" c jsonl).analyzer
     in
     if json then
       print_endline
@@ -467,30 +472,9 @@ let vref_conv =
   let print ppf (r, p) = Format.fprintf ppf "%d,%d" r p in
   Arg.conv (parse, print)
 
-(* Build a forensics collector either from a replayed JSONL dump or by
-   running a fresh traced fleet with the shared flags — the same two
-   sources [analyze] reads from. *)
-let forensics_of (c : Common.t) jsonl =
-  match jsonl with
-  | Some path ->
-    (match Forensics.of_jsonl_file path with
-    | Ok fx -> fx
-    | Error e ->
-      Printf.eprintf "explain: %s\n" e;
-      exit 1)
-  | None ->
-    let tracer = Trace.create ~capacity:4096 () in
-    let fleet = Common.build ~trace:tracer c in
-    Harness.Runner.run fleet ~until:c.until;
-    (match Harness.Runner.forensics fleet with
-    | Some fx -> fx
-    | None ->
-      prerr_endline "explain: traced run produced no forensics collector";
-      exit 1)
-
 let explain_cmd =
   let run (c : Common.t) jsonl node wave vertex json =
-    let fx = forensics_of c jsonl in
+    let fx = Analyze.ledger (collect ~cmd:"explain" c jsonl).analyzer in
     let node =
       match node with
       | Some n -> n
@@ -566,12 +550,13 @@ let explain_cmd =
 
 let divergence_cmd =
   let run file_a file_b node_a node_b json =
+    (* the rule only shapes the analyzer's report, which divergence
+       does not read *)
     let load label path =
-      match Forensics.of_jsonl_file path with
-      | Ok fx -> fx
-      | Error e ->
-        Printf.eprintf "divergence: %s: %s\n" label e;
-        exit 1
+      Analyze.ledger
+        (replay ~cmd:("divergence: " ^ label) ~rule:Dagrider.Ordering.dag_rider
+           path)
+          .analyzer
     in
     let fa = load "A" file_a and fb = load "B" file_b in
     let pick label fx = function
@@ -720,10 +705,8 @@ let dot_cmd =
         Printf.eprintf "dot: bad snapshot %s: %s\n" path e;
         exit 1)
     | None ->
-      let tracer = Trace.create ~capacity:4096 () in
-      let fleet = Common.build ~trace:tracer c in
-      Harness.Runner.run fleet ~until:c.until;
-      let report = Option.get (Harness.Runner.analysis fleet) in
+      let live = collect ~cmd:"dot" c None in
+      let fleet = Option.get live.fleet in
       let dag = Dagrider.Node.dag (Harness.Runner.node fleet 0) in
       (match save_snapshot with
       | Some path ->
@@ -734,7 +717,7 @@ let dot_cmd =
       | Some wave ->
         (* shade the provenance certificate's justification subgraph
            instead of the analyzer classification *)
-        let fx = Option.get (Harness.Runner.forensics fleet) in
+        let fx = Analyze.ledger live.analyzer in
         let node =
           match Forensics.observer fx with Some n -> n | None -> 0
         in
@@ -750,7 +733,9 @@ let dot_cmd =
             wave node wave;
           exit 1)
       | None ->
-        print_string (Analyze.dot ?shade_wave ~max_round:rounds ~dag report))
+        print_string
+          (Analyze.dot ?shade_wave ~max_round:rounds ~dag
+             (Lazy.force live.report)))
   in
   let rounds_arg =
     Arg.(

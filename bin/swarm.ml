@@ -161,7 +161,10 @@ let lossy_of_flags ~loss ~dup ~corrupt ~reorder =
 let traces_dir = "traces"
 
 let dump_trace (sc : Check.Scenario.t) =
-  let tracer = Check.Swarm.trace_scenario sc in
+  let runner = Check.Swarm.trace_scenario sc in
+  let tracer =
+    Option.get (Harness.Runner.options runner).Harness.Runner.trace
+  in
   (if not (Sys.file_exists traces_dir) then Sys.mkdir traces_dir 0o755);
   let path =
     Filename.concat traces_dir
@@ -174,10 +177,12 @@ let dump_trace (sc : Check.Scenario.t) =
     (if sc.Check.Scenario.sabotage then "sabotage" else "honest")
     (List.length (Trace.events tracer))
     (Trace.dropped tracer);
-  (* the forensics sink sees the whole stream even past ring wrap:
-     summarize every node's wave stories so triage can see who decided
-     what without replaying the trace *)
-  let fx = Forensics.of_events (Trace.events tracer) in
+  (* everything below reads the re-run's live analyzer, which saw the
+     whole stream even where the ring wrapped: every node's wave
+     stories, so triage can see who decided what without replaying the
+     trace *)
+  let analyzer = Option.get (Harness.Runner.analyzer runner) in
+  let fx = Analyze.ledger analyzer in
   (match Forensics.nodes fx with
   | [] -> ()
   | nodes ->
@@ -196,19 +201,20 @@ let dump_trace (sc : Check.Scenario.t) =
     close_out oc;
     Printf.printf "  explain: %s (certificate stories of %d node(s))\n"
       explain_path (List.length nodes));
-  (* the analyzer sees only the ring's retained window; truncation is
-     reported inside the summary rather than hidden *)
   let config =
     Analyze.fleet_config ~rule:sc.Check.Scenario.rule ~n:sc.Check.Scenario.n
       ~f:sc.Check.Scenario.f ~byzantine:(Check.Scenario.faulty_nodes sc)
   in
-  let report = Analyze.analyze ~config (Trace.events tracer) in
+  let report = Analyze.finalize ~config analyzer in
   List.iter
     (fun line -> if line <> "" then Printf.printf "  %s\n" line)
     (String.split_on_char '\n' (Analyze.render_anomalies report));
-  (* the critical path of the last committed wave: where did the final
-     commit's latency go before everything stopped? *)
-  let cp = Critpath.analyze (Trace.events tracer) in
+  (* the critical path of the last committed wave at the report's
+     observer: where did the final commit's latency go before
+     everything stopped? *)
+  let cp =
+    Analyze.critpath_report ~observer:report.Analyze.r_observer analyzer
+  in
   match
     List.find_opt
       (fun p -> p.Critpath.p_complete)
@@ -319,7 +325,7 @@ let main seeds seed base quick sabotage verbose rule attack weaken_sync loss
       Printf.printf "ok   %s  delivered=%d..%d commits=%d events=%d\n"
         (Check.Scenario.describe o.Check.Swarm.scenario)
         o.Check.Swarm.delivered_min o.Check.Swarm.delivered_max
-        o.Check.Swarm.commits o.Check.Swarm.events
+        (List.length o.Check.Swarm.commits) o.Check.Swarm.events
   in
   let lossy = lossy_of_flags ~loss ~dup ~corrupt ~reorder in
   let attack =

@@ -158,6 +158,8 @@ type t = {
   elections : (int, (int * int * float) list ref) Hashtbl.t;
       (* node -> rev (wave, leader, at) *)
   ledger : Forensics.t; (* certificates and a_deliver logs *)
+  critpath : Critpath.t; (* causal paths, streamed at [vantage] *)
+  vantage : int option;
   drop_reasons : (string, int ref) Hashtbl.t;
   retrans_links : (int * int, int ref) Hashtbl.t; (* (src, dst) -> count *)
   giveup_links : (int * int, int ref) Hashtbl.t;
@@ -169,7 +171,7 @@ type t = {
       (* node -> rejection reasons, reverse-chronological *)
 }
 
-let create () =
+let create ?observer () =
   { count = 0;
     first_seq = -1;
     t_min = 0.0;
@@ -185,6 +187,8 @@ let create () =
     coin_first = Hashtbl.create 256;
     elections = Hashtbl.create 16;
     ledger = Forensics.create ();
+    critpath = Critpath.create ?observer ();
+    vantage = observer;
     drop_reasons = Hashtbl.create 8;
     retrans_links = Hashtbl.create 64;
     giveup_links = Hashtbl.create 16;
@@ -220,6 +224,7 @@ let feed t (e : Trace.event) =
   end;
   let bump i = if i > t.max_node then t.max_node <- i in
   Forensics.feed t.ledger e;
+  Critpath.feed t.critpath e;
   (match e.Trace.kind with
   | Trace.Send { src; dst; bits; _ } ->
     bump src;
@@ -303,6 +308,35 @@ let feed t (e : Trace.event) =
    with exn -> Prof.leave_reraise sp exn);
   Prof.leave sp
 
+let of_events events =
+  let t = create () in
+  List.iter (feed t) events;
+  t
+
+let ledger t = t.ledger
+
+let critpath t = t.critpath
+
+(* the observer rule: the longest a_deliver log, ties to the lowest id *)
+let longest_log t =
+  let best = ref 0 and best_len = ref (-1) in
+  for i = 0 to t.max_node do
+    let len = List.length (Forensics.ordered t.ledger ~node:i) in
+    if len > !best_len then begin
+      best := i;
+      best_len := len
+    end
+  done;
+  !best
+
+let critpath_report ?observer t =
+  let observer =
+    match (observer, t.vantage) with
+    | Some o, _ | None, Some o -> o
+    | None, None -> longest_log t
+  in
+  Critpath.finalize ~observer t.critpath
+
 (* ---- finalize ---- *)
 
 let median xs =
@@ -348,20 +382,8 @@ let finalize ?(config = default_config) t =
   in
   let span = if t.have_time then (t.t_min, t.t_max) else (0.0, 0.0) in
   let horizon = snd span in
-  (* observer: longest a_deliver log, ties to the lowest id *)
   let observer =
-    match config.observer with
-    | Some o -> o
-    | None ->
-      let best = ref 0 and best_len = ref (-1) in
-      for i = 0 to processes - 1 do
-        let len = List.length (Forensics.ordered t.ledger ~node:i) in
-        if len > !best_len then begin
-          best := i;
-          best_len := len
-        end
-      done;
-      !best
+    match config.observer with Some o -> o | None -> longest_log t
   in
   (* ---- wave records: the observer's elections, and its decisions
      from the certificate ledger (first skip, last commit per wave) ---- *)
@@ -690,31 +712,12 @@ let finalize ?(config = default_config) t =
     r_link_retransmits = link_retransmits;
     r_anomalies = List.rev !anomalies }
 
-let analyze ?config events =
-  let t = create () in
-  List.iter (feed t) events;
-  finalize ?config t
-
-let of_tracer ?config tracer = analyze ?config (Trace.events tracer)
-
-let ledger t = t.ledger
-
-let of_jsonl_file ?(config = default_config) path =
-  Result.map
-    (fun events ->
-      let t = create () in
-      List.iter (feed t) events;
-      (* the rule the first certificate names, if it is a known one *)
-      let config =
-        match
-          Option.bind (Forensics.rule_name t.ledger)
-            Dagrider.Ordering.rule_of_name
-        with
-        | Some rule -> { config with rule }
-        | None -> config
-      in
-      finalize ~config t)
-    (Trace.events_of_jsonl_file path)
+let with_certified_rule config t =
+  match
+    Option.bind (Forensics.rule_name t.ledger) Dagrider.Ordering.rule_of_name
+  with
+  | Some rule -> { config with rule }
+  | None -> config
 
 (* ---- output ---- *)
 
@@ -857,7 +860,10 @@ let render_anomalies r =
       anomalies;
     Buffer.contents buf
 
-let render ?(max_waves = 12) r =
+(* the wave table shows the newest waves only *)
+let max_waves = 12
+
+let render r =
   let buf = Buffer.create 2048 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let lo, hi = r.r_span in

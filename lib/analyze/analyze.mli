@@ -1,10 +1,13 @@
 (** Protocol analyzer: turns a {!Trace} event stream into diagnostics
     keyed to the paper's Algorithms 1–3.
 
-    The input is any sequence of trace events — consumed live through
-    {!Trace.add_sink} (so runs longer than the ring buffer are analyzed
-    in full), replayed from a JSONL dump, or taken from a tracer's
-    retained window. From it the analyzer derives:
+    The analyzer is the one fold of a trace: a traced run attaches it
+    as its only sink (so runs longer than the ring buffer are analyzed
+    in full), and a replay ({!of_events}, over a JSONL dump or a
+    tracer's retained window) feeds a fresh one. It owns the run's
+    other two collectors and feeds them each event: the certificate
+    ledger ({!ledger}) and the critical-path collector ({!critpath}).
+    From the stream the analyzer derives:
 
     - per-wave records: the elected leader, direct vs retroactive
       (chained) commit, skip reason, waves-to-resolve, and the running
@@ -25,9 +28,9 @@
       median, and links whose retransmits exceed both 4× the median and
       20 (or that gave up a frame).
 
-    The create→[a_deliver] latency breakdown is {!Critpath}'s: its
-    segments partition each ordered vertex's latency, so the analyzer
-    keeps no stage histograms of its own.
+    The create→[a_deliver] latency breakdown is {!Critpath}'s
+    ({!critpath_report}): its segments partition each ordered vertex's
+    latency, so the analyzer keeps no stage histograms of its own.
 
     All ordering-level diagnostics are computed from one {e observer}
     process's events (elections, certificates, [a_deliver]s);
@@ -57,7 +60,8 @@ type config = {
   observer : int option;
       (** process whose ordering events anchor the report; [None] picks
           the process with the longest [a_deliver] log (lowest id on
-          ties) *)
+          ties) — the observer rule {!critpath_report} falls back on
+          too *)
 }
 
 val default_config : config
@@ -193,45 +197,55 @@ type report = {
 type t
 (** A streaming accumulator; feed in any order-preserving way. *)
 
-val create : unit -> t
+val create : ?observer:int -> unit -> t
+(** [observer] is the critical-path collector's streaming vantage
+    ({!Critpath.create}): a live run passes the process whose segment
+    means its monitor probes read mid-run. *)
 
 val feed : t -> Trace.event -> unit
 (** O(1) per event; [Trace.add_sink tracer (feed acc)] analyzes a live
-    run in full. Feeds the accumulator's {!ledger} too. *)
+    run in full. Feeds the accumulator's {!ledger} and {!critpath}
+    too. *)
+
+val of_events : Trace.event list -> t
+(** The replay path: a fresh accumulator fed [events] — a JSONL dump
+    ({!Trace.events_of_jsonl_file}) or a tracer's retained window
+    ({!Trace.events}; [r_truncated] reports whether older events were
+    lost). *)
+
+val with_certified_rule : config -> t -> config
+(** [config] with the commit rule the ledger's certificates name, when
+    it is a known one: what a replay finalizes with, so a dump's own
+    rule wins over the caller's, which applies only to a trace with no
+    certificate. *)
 
 val ledger : t -> Forensics.t
 (** The certificate ledger the accumulator feeds: every certificate and
     [a_deliver] seen, folded once. [finalize] reads the observer's wave
     decisions and delivery log from it; [explain]/[divergence] and the
-    certificate oracle read the same ledger of a live run. *)
+    certificate oracle read the same ledger. *)
+
+val critpath : t -> Critpath.t
+(** The critical-path collector the accumulator feeds — what a live
+    run's monitor probes read {!Critpath.segment_means} from. *)
+
+val critpath_report : ?observer:int -> t -> Critpath.report
+(** {!Critpath.finalize} at [observer]; by default the streaming
+    vantage given to {!create}, else the {!config.observer} rule
+    (longest [a_deliver] log, lowest id on ties). *)
 
 val finalize : ?config:config -> t -> report
 (** Compute the report from everything fed so far. Pure with respect to
     the accumulator — feeding can continue and [finalize] can be called
     again (e.g. mid-run progress reports). *)
 
-val analyze : ?config:config -> Trace.event list -> report
-(** Feed a replayed event list and finalize. *)
-
-val of_tracer : ?config:config -> Trace.t -> report
-(** Analyze a tracer's retained window ({!Trace.events} — the newest
-    [capacity] events; [r_truncated] reports whether older ones were
-    lost). *)
-
-val of_jsonl_file : ?config:config -> string -> (report, string) result
-(** Replay a JSONL trace dump written by [dagrider_run trace --jsonl]
-    or the swarm checker. The commit rule is the one the trace's
-    provenance certificates name; [config]'s rule applies only to a
-    trace that carries no certificate (or names an unknown rule). *)
-
 (** {1 Output} *)
 
 val report_to_json : report -> Stdx.Json.t
 
-val render : ?max_waves:int -> report -> string
-(** Human-readable report: run shape, wave table
-    (newest [max_waves], default 12), RBC phases, chain quality,
-    anomalies. *)
+val render : report -> string
+(** Human-readable report: run shape, wave table (the newest 12
+    waves), RBC phases, chain quality, anomalies. *)
 
 val render_anomalies : report -> string
 (** Just the anomaly lines ("none detected" when clean) — what the

@@ -721,8 +721,9 @@ let check_fleet ~rule ~runner ~commits ~expect_validity =
   @ check_equivocation ~dags
   @ check_leader_support ~rule ~f ~commits:live_commits ~dag_of
   @ check_skip_legality ~rule ~commits:live_commits ~dag_of ~leader_of
-  @ (match Harness.Runner.forensics runner with
-    | Some forensics -> check_certificates ~rule ~f ~forensics ~dag_of
+  @ (match Harness.Runner.analyzer runner with
+    | Some analyzer ->
+      check_certificates ~rule ~f ~forensics:(Analyze.ledger analyzer) ~dag_of
     | None -> [])
   @ check_chain_quality ~f ~correct:is_correct ~logs:full_logs
   @ (match Harness.Runner.attack_reports runner with

@@ -3,7 +3,7 @@ type outcome = {
   violations : Oracle.violation list;
   delivered_min : int;
   delivered_max : int;
-  commits : int;
+  commits : Oracle.commit_record list;
   events : int;
 }
 
@@ -11,7 +11,8 @@ type outcome = {
    mid-run safety checks (agreement + append-only logs) *)
 let slices = 5
 
-let run_scenario ?trace (sc : Scenario.t) =
+(* one scenario run: its outcome and the runner it ran on *)
+let execute ?trace (sc : Scenario.t) =
   let commits = ref [] in
   let violations = ref [] in
   (* the hook fires synchronously inside the ordering step, before the
@@ -89,17 +90,17 @@ let run_scenario ?trace (sc : Scenario.t) =
           (Dagrider.Node.ordering (Harness.Runner.node runner i)))
       correct
   in
-  { scenario = sc;
-    violations = List.sort_uniq compare !violations;
-    delivered_min = List.fold_left min max_int counts;
-    delivered_max = List.fold_left max 0 counts;
-    commits = List.length !commits;
-    events = Sim.Engine.events_executed engine }
+  ( { scenario = sc;
+      violations = List.sort_uniq compare !violations;
+      delivered_min = List.fold_left min max_int counts;
+      delivered_max = List.fold_left max 0 counts;
+      commits = !commits;
+      events = Sim.Engine.events_executed engine },
+    runner )
 
-let trace_scenario (sc : Scenario.t) =
-  let tracer = Trace.create () in
-  ignore (run_scenario ~trace:tracer sc);
-  tracer
+let run_scenario ?trace sc = fst (execute ?trace sc)
+
+let trace_scenario sc = snd (execute ~trace:(Trace.create ()) sc)
 
 let repro_command (sc : Scenario.t) =
   Printf.sprintf "dune exec bin/swarm.exe -- --seed %d%s%s%s%s" sc.Scenario.seed

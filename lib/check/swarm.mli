@@ -14,7 +14,9 @@ type outcome = {
   violations : Oracle.violation list; (** deduplicated; empty = pass *)
   delivered_min : int; (** fewest vertices delivered by a correct node *)
   delivered_max : int;
-  commits : int; (** commit events observed fleet-wide *)
+  commits : Oracle.commit_record list;
+      (** every commit the [on_commit] hook observed, fleet-wide,
+          newest first *)
   events : int;  (** simulator events executed *)
 }
 
@@ -24,10 +26,14 @@ val run_scenario : ?trace:Trace.t -> Scenario.t -> outcome
     function of the seed, tracing a re-run reproduces the original
     execution event for event. *)
 
-val trace_scenario : Scenario.t -> Trace.t
-(** Re-run [sc] with a fresh tracer and return it — the swarm CLI calls
-    this on every (shrunk) failure so the event log can be written next
-    to the repro command. *)
+val trace_scenario : Scenario.t -> Harness.Runner.t
+(** Re-run [sc] with a fresh tracer and return the runner — the swarm
+    CLI calls this on every (shrunk) failure and writes its artifacts
+    from it: the tracer's retained window as the event log
+    ({!Harness.Runner.options}[.trace]), and the certificate stories,
+    anomaly lines and last-wave waterfall from its live analyzer
+    ({!Harness.Runner.analyzer}), which saw the whole run even when
+    the ring wrapped. *)
 
 val repro_command : Scenario.t -> string
 (** The exact command line that replays this scenario. *)

@@ -447,24 +447,7 @@ let segment_sel = function
   | "total" -> fun p -> p.p_total
   | _ -> fun _ -> nan
 
-let pick_observer t =
-  match t.stream_observer with
-  | Some o -> o
-  | None ->
-    let best = ref None in
-    Hashtbl.iter
-      (fun node cell ->
-        let len = List.length !cell in
-        match !best with
-        | Some (bn, blen) when blen > len || (blen = len && bn < node) -> ()
-        | _ -> best := Some (node, len))
-      t.adeliv;
-    (match !best with Some (node, _) -> node | None -> 0)
-
-let finalize ?observer t =
-  let observer =
-    match observer with Some o -> o | None -> pick_observer t
-  in
+let finalize ~observer t =
   let paths =
     match t.stream_observer with
     | Some o when o = observer -> List.rev t.built
@@ -574,16 +557,6 @@ let finalize ?observer t =
     r_segments = segments;
     r_stragglers = stragglers;
     r_edges = edges }
-
-let analyze ?observer events =
-  let t = create () in
-  List.iter (feed t) events;
-  finalize ?observer t
-
-let of_tracer ?observer tr = analyze ?observer (Trace.events tr)
-
-let of_jsonl_file ?observer path =
-  Result.map (analyze ?observer) (Trace.events_of_jsonl_file path)
 
 let segment_means t =
   let ss = t.stream in

@@ -3,8 +3,8 @@
 
     It answers "{e which messages, which links, and which stragglers}
     made THIS commit as slow as it was". It consumes the {!Trace} event
-    stream — live through {!Trace.add_sink} or replayed from a JSONL
-    dump — and uses the wire-level correlation
+    stream through the analyzer that owns it ([Analyze.critpath]), live
+    or replayed, and uses the wire-level correlation
     ids ({!Trace.kind.Send}[.id] / {!Trace.event}[.cause]) to rebuild,
     for every vertex the observer [a_deliver]ed, the cross-node causal
     chain from the proposer's [Vertex_created] to the observer's
@@ -133,29 +133,18 @@ val create : ?observer:int -> unit -> t
 (** With [observer], paths are reconstructed {e online} as that
     process's [a_deliver] events arrive, so {!segment_means} is cheap
     enough for monitor probes mid-run. Without it, reconstruction
-    happens at {!finalize} for whichever observer it picks. *)
+    happens at {!finalize}. *)
 
 val feed : t -> Trace.event -> unit
-(** O(1) per event; [Trace.add_sink tracer (feed acc)] reconstructs a
-    live run in full even when the ring wraps. *)
+(** O(1) per event. Pre-correlation-id streams fold fine; their chains
+    all come out "chain-broken" but landmarks still resolve. *)
 
-val finalize : ?observer:int -> t -> report
-(** Reconstruct from [observer]'s [a_deliver] log. [None] picks the
-    streaming observer set at {!create}, else the process with the
-    longest log (lowest id on ties) — the analyzer's rule. Pure with
+val finalize : observer:int -> t -> report
+(** Reconstruct from [observer]'s [a_deliver] log (the paths streamed
+    so far when it is the streaming observer). The default observer is
+    the analyzer's to pick ([Analyze.critpath_report]). Pure with
     respect to the accumulator: feeding can continue and [finalize] can
     be called again. *)
-
-val analyze : ?observer:int -> Trace.event list -> report
-
-val of_tracer : ?observer:int -> Trace.t -> report
-(** Reconstruct from a tracer's retained window ({!Trace.events});
-    [r_truncated] reports whether older events were lost. *)
-
-val of_jsonl_file : ?observer:int -> string -> (report, string) result
-(** Replay a JSONL trace dump written by [dagrider_run trace --jsonl]
-    or the swarm checker. Pre-correlation-id dumps parse fine; their
-    chains all come out "chain-broken" but landmarks still resolve. *)
 
 val segment_means : t -> (string * float) list
 (** Live aggregates over paths streamed so far (streaming mode only;

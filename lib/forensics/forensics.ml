@@ -80,14 +80,6 @@ let feed t (e : Trace.event) =
     | None -> ())
   | _ -> ()
 
-let of_events events =
-  let t = create () in
-  List.iter (feed t) events;
-  t
-
-let of_jsonl_file path =
-  Result.map of_events (Trace.events_of_jsonl_file path)
-
 let nodes t =
   Hashtbl.fold (fun node _ acc -> node :: acc) t.decisions []
   |> List.sort compare

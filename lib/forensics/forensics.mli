@@ -6,11 +6,12 @@
     justified by a wave leader, a quorum of strong paths, and the
     Algorithm 3 lines-38-43 chain-back — and the certificates carry
     exactly that evidence. This module is their one fold: it keeps the
-    {!Trace.commit_cert}/{!Trace.skip_cert} records themselves (live —
-    a traced run's ledger is the analyzer's, see [Analyze.ledger] — or
-    replayed from JSONL) as per-node {e wave stories} and in emission
-    order, renders them for humans ([explain]) and machines (JSON),
-    and diffs two runs' decision streams to the first divergent
+    {!Trace.commit_cert}/{!Trace.skip_cert} records themselves as
+    per-node {e wave stories} and in emission order. A ledger is always
+    an analyzer's ([Analyze.ledger]), live or replayed, so each
+    certificate is folded once per run. The module renders them for
+    humans ([explain]) and machines (JSON), and diffs two runs'
+    decision streams to the first divergent
     decision ([divergence]) — the tool PR 6's cross-rule differential
     harness was missing when all it could say was "logs differ". *)
 
@@ -39,12 +40,7 @@ val create : unit -> t
 
 val feed : t -> Trace.event -> unit
 (** Certificate and [A_deliver] events update the collector; everything
-    else is ignored — safe to register directly as a tracer sink. *)
-
-val of_events : Trace.event list -> t
-
-val of_jsonl_file : string -> (t, string) result
-(** Replay a JSONL trace dump into a fresh collector. *)
+    else is ignored. *)
 
 val nodes : t -> int list
 (** Nodes that emitted at least one certificate, ascending. *)

@@ -100,12 +100,6 @@ type monitor_ctx = {
   mc_commits : int ref; (* direct+chained commits seen at the observer *)
 }
 
-(* the streaming trace consumers, iff traced *)
-type observers = {
-  analyzer : Analyze.t option; (* protocol analyzer and its ledger *)
-  critpath : Critpath.t option; (* causal path collector *)
-}
-
 type t = {
   options : options;
   engine : Sim.Engine.t;
@@ -120,7 +114,7 @@ type t = {
   crashed : bool array; (* additionally, never started *)
   attack_drivers : Attack.t option array; (* per-process, iff Adversary *)
   latency : Metrics.Latency.t;
-  observers : observers;
+  analyzer : Analyze.t option; (* the trace's one sink, iff traced *)
   mempools : Workload.Mempool.t array option; (* iff workload-driven *)
   mutable started : bool;
 }
@@ -577,26 +571,22 @@ let start_clients options ~engine ~mempools ~crashed =
 
 (* ---- stage: observers ---- *)
 
-let unobserved = { analyzer = None; critpath = None }
-
-(* A traced run streams into the protocol analyzer (so [analysis_report]
-   covers the whole run even when the ring wraps; its ledger folds every
-   provenance certificate for [forensics]) and the critical-path
-   collector (streaming at the vantage process, so segment gauges stay
-   O(1) to read mid-run). A monitor gets its probes and its sampler.
+(* A traced run streams into one sink, the protocol analyzer, so
+   [analysis] covers the whole run even when the ring wraps. It feeds
+   the certificate ledger and the critical-path collector, which
+   streams at the vantage process so its segment gauges stay O(1) to
+   read mid-run. A monitor gets its probes and its sampler.
    All of them only read state and the sampler draws no RNG, so delivery
    logs are the same with and without them; nothing emits while [build]
    runs, so wiring them last misses no event. *)
 let observe options ~engine ~counters ~nodes ~carriers ~mempools ~mctx ~vantage =
-  let observers =
+  let analyzer =
     match options.trace with
-    | None -> unobserved
+    | None -> None
     | Some tr ->
-      let analyzer = Analyze.create () in
-      let critpath = Critpath.create ~observer:vantage () in
+      let analyzer = Analyze.create ~observer:vantage () in
       Trace.add_sink tr (Analyze.feed analyzer);
-      Trace.add_sink tr (Critpath.feed critpath);
-      { analyzer = Some analyzer; critpath = Some critpath }
+      Some analyzer
   in
   (match mctx with
   | None -> ()
@@ -646,9 +636,10 @@ let observe options ~engine ~counters ~nodes ~carriers ~mempools ~mctx ~vantage 
       probe "mempool.rejected" Monitor.Counter (sum Workload.Mempool.rejected));
     (* critical-path SLO series: the live segment means the streaming
        collector maintains — where each committed vertex's latency went *)
-    (match observers.critpath with
+    (match analyzer with
     | None -> ()
-    | Some cp ->
+    | Some analyzer ->
+      let cp = Analyze.critpath analyzer in
       List.iter
         (fun (name, kind) ->
           Monitor.add_probe mon ~name ~kind (fun () ->
@@ -672,7 +663,7 @@ let observe options ~engine ~counters ~nodes ~carriers ~mempools ~mctx ~vantage 
     | Some tr -> Monitor.set_trace mon tr);
     Sim.Engine.set_sampler engine ~interval:(Monitor.interval mon)
       (fun ~time ~executed:_ ~pending:_ -> Monitor.sample mon ~now:time));
-  observers
+  analyzer
 
 (* ---- build: the stages in order ---- *)
 
@@ -752,7 +743,7 @@ let build options =
       ("sync", stacks.sync_stack.st_carrier);
       ("rbc", stacks.rbc_carrier) ]
   in
-  let observers =
+  let analyzer =
     observe options ~engine ~counters ~nodes ~carriers ~mempools ~mctx ~vantage
   in
   { options;
@@ -768,7 +759,7 @@ let build options =
     crashed;
     attack_drivers;
     latency;
-    observers;
+    analyzer;
     mempools;
     started = false }
 
@@ -1040,12 +1031,12 @@ let metrics_snapshot t =
       (float_of_int (Trace.capacity tr));
     Metrics.Registry.set_gauge reg "trace.occupancy"
       (float_of_int (Trace.occupancy tr)));
-  (match t.observers.critpath with
+  (match t.analyzer with
   | None -> ()
-  | Some cp ->
+  | Some analyzer ->
     List.iter
       (fun (name, v) -> Metrics.Registry.set_gauge reg name v)
-      (Critpath.segment_means cp));
+      (Critpath.segment_means (Analyze.critpath analyzer)));
   let gcs = Gc.quick_stat () in
   Metrics.Registry.set_gauge reg "gc.minor_collections"
     (float_of_int gcs.Gc.minor_collections);
@@ -1081,18 +1072,12 @@ let analysis_config t =
     with
     observer }
 
+let analyzer t = t.analyzer
+
 let analysis t =
-  match t.observers.analyzer with
-  | None -> None
-  | Some acc -> Some (Analyze.finalize ~config:(analysis_config t) acc)
+  Option.map (Analyze.finalize ~config:(analysis_config t)) t.analyzer
 
 let analysis_report t = Option.map Analyze.report_to_json (analysis t)
-
-let forensics t = Option.map Analyze.ledger t.observers.analyzer
-
-let critpath t = t.observers.critpath
-
-let critpath_report t = Option.map Critpath.finalize t.observers.critpath
 
 type attack_report = {
   ar_node : int;

@@ -159,6 +159,10 @@ val validate : options -> (unit, string) result
 val build : options -> t
 (** @raise Invalid_argument when {!validate} fails, with its message. *)
 
+val make_sched : schedule:schedule -> rng:Stdx.Rng.t -> Net.Sched.t
+(** The message schedule [build] makes for [schedule] from the run's
+    scheduler stream [rng]. *)
+
 val dealer_coin : seed:int -> n:int -> f:int -> Crypto.Threshold_coin.t
 (** The trusted-dealer coin [build] sets up for [seed] when
     [coin_override] is [None]: the same RNG stream, so a caller can
@@ -281,38 +285,28 @@ val metrics_snapshot : t -> Metrics.Registry.snapshot
     retained window is a suffix of the run) and the live critical-path
     segment aggregates ([critpath.*], see {!Critpath.segment_means}). *)
 
+val analyzer : t -> Analyze.t option
+(** The run's protocol analyzer: [Some] iff the run was built with a
+    tracer. It is the tracer's one sink ({!Trace.add_sink}), so it sees
+    the {e whole} event stream even when the ring buffer wrapped, and
+    it feeds the run's other collectors: the certificate ledger
+    ({!Analyze.ledger}, what [explain]/[divergence] read and the swarm
+    oracle re-validates) and the critical-path collector
+    ({!Analyze.critpath}), which streams at the vantage process (the
+    lowest process no declared fault touches), so
+    {!Critpath.segment_means} is cheap at any point mid-run and
+    {!Analyze.critpath_report} reports from that process by default.
+    Untraced runs return [None] and pay nothing. *)
+
 val analysis : t -> Analyze.report option
-(** The protocol analyzer's view of this run: [Some] iff the run was
-    built with a tracer. The analyzer is fed live through a
-    {!Trace.add_sink} hook, so it sees the {e whole} event stream even
-    when the tracer's ring buffer wrapped. Configured from the run's
-    options ({!Analyze.fleet_config} of its rule, n and f) with the currently-faulty processes as the
-    Byzantine set and the lowest correct process as observer; callable
-    mid-run for progress snapshots. Its wave records read the
-    certificate ledger {!forensics} returns — the analyzer feeds it, so
-    each certificate is folded once per run. Untraced runs return
-    [None] and pay nothing. *)
+(** {!analyzer} finalized with the run's options
+    ({!Analyze.fleet_config} of its rule, n and f), the
+    currently-faulty processes as the Byzantine set and the lowest
+    correct process as observer; callable mid-run for progress
+    snapshots. [None] untraced. *)
 
 val analysis_report : t -> Stdx.Json.t option
 (** {!analysis} serialized via {!Analyze.report_to_json}. *)
-
-val critpath : t -> Critpath.t option
-(** The run's streaming critical-path collector: [Some] iff the run was
-    built with a tracer. Fed live through {!Trace.add_sink} with the
-    vantage process (lowest process no declared fault touches) as its
-    streaming observer, so per-commit causal paths are reconstructed
-    online — {!Critpath.segment_means} is cheap at any point mid-run. *)
-
-val critpath_report : t -> Critpath.report option
-(** {!Critpath.finalize} on the collector ([None] untraced). *)
-
-val forensics : t -> Forensics.t option
-(** The run's provenance-certificate ledger: [Some] iff the run was
-    built with a tracer. It is the analyzer's own {!Analyze.ledger}, fed
-    through the analyzer's sink, so it holds every certificate even past
-    ring wrap and each certificate is folded once per run. This is what
-    [explain]/[divergence] read and what the swarm oracle re-validates
-    via {!Check} — untraced runs return [None] and pay nothing. *)
 
 type attack_report = {
   ar_node : int;

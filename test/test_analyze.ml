@@ -93,6 +93,17 @@ let test_honest_run_no_anomalies () =
 
 (* ---- replay: JSONL round trip and of_tracer agree ---- *)
 
+(* the replay path: the dump fed to a fresh analyzer, finalized under
+   the rule its certificates name *)
+let replay_report path =
+  Result.map
+    (fun events ->
+      let acc = Analyze.of_events events in
+      Analyze.finalize
+        ~config:(Analyze.with_certified_rule Analyze.default_config acc)
+        acc)
+    (Trace.events_of_jsonl_file path)
+
 let with_jsonl_dump tracer k =
   let path = Filename.temp_file "analyze" ".trace.jsonl" in
   Fun.protect
@@ -106,9 +117,9 @@ let with_jsonl_dump tracer k =
 let test_jsonl_replay_matches_live () =
   let _, tracer = build_traced ~capacity:65536 ~until:40.0 () in
   checki "nothing dropped at this capacity" 0 (Trace.dropped tracer);
-  let live = Analyze.of_tracer tracer in
+  let live = Analyze.finalize (Analyze.of_events (Trace.events tracer)) in
   with_jsonl_dump tracer (fun path ->
-      match Analyze.of_jsonl_file path with
+      match replay_report path with
       | Error e -> Alcotest.fail e
       | Ok replayed ->
         checki "events" live.Analyze.r_events replayed.Analyze.r_events;
@@ -133,7 +144,7 @@ let test_jsonl_replay_reads_rule_from_certificates () =
   checki "live: waves resolved" 16 live.Analyze.r_waves_resolved;
   checkf "live: bound" 2.0 live.Analyze.r_waves_bound;
   with_jsonl_dump tracer (fun path ->
-      match Analyze.of_jsonl_file path with
+      match replay_report path with
       | Error e -> Alcotest.fail e
       | Ok replayed ->
         Alcotest.(check string)
@@ -142,7 +153,7 @@ let test_jsonl_replay_reads_rule_from_certificates () =
           (Stdx.Json.to_string (Analyze.report_to_json replayed)))
 
 let test_jsonl_missing_file () =
-  match Analyze.of_jsonl_file "/nonexistent/definitely-not-here.jsonl" with
+  match replay_report "/nonexistent/definitely-not-here.jsonl" with
   | Ok _ -> Alcotest.fail "expected an error"
   | Error _ -> ()
 

@@ -190,6 +190,49 @@ let test_sabotage_caught () =
     "repro command" "dune exec bin/swarm.exe -- --seed 293 --quick --sabotage"
     (Check.Swarm.repro_command sc)
 
+(* ---- Traced re-run: the failure artifacts' source ---- *)
+
+(* The swarm writes a failure's certificate stories from the traced
+   re-run's live analyzer. Under --weaken-sync, seed 1's re-run emits
+   more events than the ring keeps, so a fold of the retained window
+   starts its stories at wave 8 or 9; the live ledger must start every
+   correct node's stories at wave 1 and hold a commit certificate for
+   every wave the node's on_commit hook saw committed. *)
+let test_trace_scenario_ledger_outlives_ring () =
+  let sc =
+    Check.Scenario.generate ~weaken_sync:true
+      ~attack:{ Attack.strategy = Attack.Lying_sync; victims = [] }
+      ~seed:1 ()
+  in
+  let outcome = Check.Swarm.run_scenario sc in
+  let runner = Check.Swarm.trace_scenario sc in
+  let tracer =
+    Option.get (Harness.Runner.options runner).Harness.Runner.trace
+  in
+  checkb "the ring wrapped" true (Trace.dropped tracer > 0);
+  let fx = Analyze.ledger (Option.get (Harness.Runner.analyzer runner)) in
+  List.iter
+    (fun node ->
+      (match Forensics.stories fx ~node with
+      | [] -> Alcotest.failf "p%d has no certificate stories" node
+      | first :: _ ->
+        checki (Printf.sprintf "p%d's stories start at wave 1" node) 1
+          first.Forensics.st_wave);
+      List.iter
+        (fun (c : Check.Oracle.commit_record) ->
+          if c.Check.Oracle.cr_node = node then
+            checkb
+              (Printf.sprintf "p%d's ledger holds its w%d commit" node
+                 c.Check.Oracle.cr_wave)
+              true
+              (match
+                 Forensics.find_story fx ~node ~wave:c.Check.Oracle.cr_wave
+               with
+              | Some { Forensics.st_commit = Some _; _ } -> true
+              | _ -> false))
+        outcome.Check.Swarm.commits)
+    (Harness.Runner.correct_indices runner)
+
 let () =
   Alcotest.run "check"
     [ ( "oracle-agreement",
@@ -227,5 +270,7 @@ let () =
       ( "swarm",
         [ Alcotest.test_case "honest seed clean" `Slow
             test_honest_scenario_clean;
-          Alcotest.test_case "sabotage caught" `Slow test_sabotage_caught ] )
+          Alcotest.test_case "sabotage caught" `Slow test_sabotage_caught;
+          Alcotest.test_case "traced re-run ledger outlives the ring" `Quick
+            test_trace_scenario_ledger_outlives_ring ] )
     ]

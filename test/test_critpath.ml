@@ -40,9 +40,13 @@ let build_traced ?(n = 4) ?(seed = 42) ?(until = 60.0) ?(capacity = 4096)
   (fleet, tracer)
 
 let report_of fleet =
-  match Harness.Runner.critpath_report fleet with
-  | Some r -> r
-  | None -> Alcotest.fail "traced fleet has no critpath collector"
+  match Harness.Runner.analyzer fleet with
+  | Some analyzer -> Analyze.critpath_report analyzer
+  | None -> Alcotest.fail "traced fleet has no analyzer"
+
+(* the replay path: the events fed to a fresh analyzer *)
+let replayed ?observer events =
+  Analyze.critpath_report ?observer (Analyze.of_events events)
 
 (* ---- acceptance: 500+-wave run reconciles within one tick ---- *)
 
@@ -150,7 +154,7 @@ let test_landmarks_live () =
       let live = report_of fleet in
       checkb (what ^ ": commits") true (live.Critpath.r_complete > 0);
       ignore (check_landmarks (what ^ " streaming") live events);
-      ignore (check_landmarks (what ^ " replay") (Critpath.analyze events) events))
+      ignore (check_landmarks (what ^ " replay") (replayed events) events))
     [ (Dagrider.Ordering.dag_rider, Harness.Runner.Bracha, "bracha");
       (Dagrider.Ordering.dag_rider, Harness.Runner.Avid, "avid");
       (Dagrider.Ordering.bullshark, Harness.Runner.Bracha, "bracha");
@@ -172,7 +176,7 @@ let test_landmarks_lossy () =
          match e.Trace.kind with Trace.Retransmit _ -> true | _ -> false)
        events);
   ignore (check_landmarks "lossy streaming" (report_of fleet) events);
-  ignore (check_landmarks "lossy replay" (Critpath.analyze events) events)
+  ignore (check_landmarks "lossy replay" (replayed events) events)
 
 let test_landmarks_truncated () =
   let _, tracer =
@@ -180,7 +184,7 @@ let test_landmarks_truncated () =
       ~until:60.0 ()
   in
   checkb "the ring wrapped" true (Trace.dropped tracer > 0);
-  let r = Critpath.of_tracer tracer in
+  let r = replayed (Trace.events tracer) in
   checkb "truncation reported" true r.Critpath.r_truncated;
   let missing =
     check_landmarks "truncated window" r (Trace.events tracer)
@@ -209,7 +213,7 @@ let test_landmarks_first_wins () =
            { e with Trace.seq = last_seq + 1 + i; time = e.Trace.time +. 1000.0 })
   in
   let events = events @ repeats in
-  let r = Critpath.analyze events in
+  let r = replayed events in
   checkb "paths reconstructed" true (r.Critpath.r_complete > 0);
   ignore (check_landmarks "repeated landmarks" r events)
 
@@ -309,18 +313,19 @@ let test_pre_id_trace_replays () =
       | _ -> ())
     events;
   (* the analyzer and forensics run unchanged on the old format... *)
-  let ar = Analyze.analyze events in
-  let ar_fresh = Analyze.analyze (Trace.events tracer) in
+  let acc = Analyze.of_events events in
+  let ar = Analyze.finalize acc in
+  let ar_fresh = Analyze.finalize (Analyze.of_events (Trace.events tracer)) in
   checki "analyzer orders the same log" ar_fresh.Analyze.r_ordered
     ar.Analyze.r_ordered;
   checki "analyzer resolves the same waves" ar_fresh.Analyze.r_waves_resolved
     ar.Analyze.r_waves_resolved;
-  let fx = Forensics.of_events events in
+  let fx = Analyze.ledger acc in
   checkb "forensics still builds stories" true (Forensics.nodes fx <> []);
   (* ...and the critical-path tracer degrades gracefully: landmarks
      resolve (so per-commit dag/order segments exist) but no causal
      chain can be walked without ids *)
-  let r = Critpath.analyze events in
+  let r = Analyze.critpath_report acc in
   checkb "commits still reconstructed" true (r.Critpath.r_paths <> []);
   checki "no chain is complete without ids" 0 r.Critpath.r_complete;
   checkb "incomplete reasons reported" true (r.Critpath.r_incomplete <> [])
@@ -408,10 +413,8 @@ let test_replay_matches_live () =
       output_string oc (Trace.to_jsonl tracer);
       close_out oc;
       let replay =
-        match
-          Critpath.of_jsonl_file ~observer:live.Critpath.r_observer file
-        with
-        | Ok r -> r
+        match Trace.events_of_jsonl_file file with
+        | Ok events -> replayed ~observer:live.Critpath.r_observer events
         | Error msg -> Alcotest.fail msg
       in
       checki "same observer" live.Critpath.r_observer replay.Critpath.r_observer;

@@ -33,7 +33,11 @@ let build_traced ?(n = 4) ?(seed = 42) ?(until = 40.0)
   Harness.Runner.run fleet ~until;
   (fleet, tracer)
 
-let forensics_of fleet = Option.get (Harness.Runner.forensics fleet)
+let forensics_of fleet =
+  Analyze.ledger (Option.get (Harness.Runner.analyzer fleet))
+
+(* the replay path: the events fed to a fresh analyzer *)
+let ledger_of_events events = Analyze.ledger (Analyze.of_events events)
 
 (* ---- certificate round-trip: JSONL export -> replay -> identical ---- *)
 
@@ -53,8 +57,8 @@ let test_jsonl_roundtrip () =
       output_string oc (Trace.to_jsonl tracer);
       close_out oc;
       let replayed =
-        match Forensics.of_jsonl_file path with
-        | Ok fx -> fx
+        match Trace.events_of_jsonl_file path with
+        | Ok events -> ledger_of_events events
         | Error e -> Alcotest.fail ("replay failed: " ^ e)
       in
       checki "ring did not wrap" 0 (Trace.dropped tracer);
@@ -253,7 +257,7 @@ let test_oracle_rejects_forgery () =
               quorum = 3;
               delivered = 1 } }
   in
-  let fx' = Forensics.of_events [ forged ] in
+  let fx' = ledger_of_events [ forged ] in
   let violations =
     Check.Oracle.check_certificates ~rule:Dagrider.Ordering.dag_rider
       ~f:(Harness.Runner.options fleet).Harness.Runner.f ~forensics:fx'
@@ -275,8 +279,7 @@ let test_divergence_sabotage_seed () =
   let sc =
     Check.Scenario.generate ~sabotage:true ~quick:true ~seed:293 ()
   in
-  let tracer = Check.Swarm.trace_scenario sc in
-  let fx = Forensics.of_events (Trace.events tracer) in
+  let fx = forensics_of (Check.Swarm.trace_scenario sc) in
   (match Forensics.divergence fx ~node_a:1 fx ~node_b:2 with
   | Forensics.Diverged_wave { wave; a; b } ->
     checki "diverges at wave 1" 1 wave;
@@ -299,8 +302,8 @@ let test_divergence_sabotage_seed () =
 let test_divergence_identical_and_cross_rule () =
   let _, tr_a = build_traced ~until:60.0 () in
   let _, tr_b = build_traced ~until:60.0 () in
-  let fa = Forensics.of_events (Trace.events tr_a) in
-  let fb = Forensics.of_events (Trace.events tr_b) in
+  let fa = ledger_of_events (Trace.events tr_a) in
+  let fb = ledger_of_events (Trace.events tr_b) in
   let na = Option.get (Forensics.observer fa) in
   let nb = Option.get (Forensics.observer fb) in
   (match Forensics.divergence fa ~node_a:na fb ~node_b:nb with
@@ -311,7 +314,7 @@ let test_divergence_identical_and_cross_rule () =
   let _, tr_c =
     build_traced ~until:60.0 ~rule:Dagrider.Ordering.bullshark ()
   in
-  let fc = Forensics.of_events (Trace.events tr_c) in
+  let fc = ledger_of_events (Trace.events tr_c) in
   let nc = Option.get (Forensics.observer fc) in
   match Forensics.divergence fa ~node_a:na fc ~node_b:nc with
   | Forensics.Diverged_entry { a_commit; b_commit; _ } ->

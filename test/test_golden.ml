@@ -40,6 +40,23 @@ let with_dump tracer f =
 
 let ok = function Ok v -> v | Error e -> Alcotest.fail e
 
+(* A run's ledger, analyzer report and critical-path report: read off
+   the fleet's live analyzer, or off a fresh analyzer fed its JSONL dump
+   and finalized under the rule the certificates name. *)
+let collectors ~replay (fleet, tracer) =
+  if replay then
+    with_dump tracer (fun path ->
+        let acc = Analyze.of_events (ok (Trace.events_of_jsonl_file path)) in
+        let config = Analyze.with_certified_rule Analyze.default_config acc in
+        ( Analyze.ledger acc,
+          Analyze.finalize ~config acc,
+          Analyze.critpath_report acc ))
+  else
+    let acc = Option.get (Harness.Runner.analyzer fleet) in
+    ( Analyze.ledger acc,
+      Option.get (Harness.Runner.analysis fleet),
+      Analyze.critpath_report acc )
+
 let json = Stdx.Json.to_string
 
 let analysis_outputs label report =
@@ -75,46 +92,25 @@ let divergence_outputs label fa fb =
 (* The crash run: analyzer, forensics and the wave-2 justification
    over p0's DAG, read off the live sinks or the replayed dump. *)
 let crash_outputs ~replay =
-  let fleet, tracer =
+  let ((fleet, _) as run) =
     build_traced ~rule:Dagrider.Ordering.dag_rider
       ~faults:[ Harness.Runner.Crash 3 ] ~until:200.0
   in
   let dag = Dagrider.Node.dag (Harness.Runner.node fleet 0) in
-  let outputs fx report cp =
-    analysis_outputs "crash" report
-    @ forensics_outputs "crash" fx
-    @ [ justification_output "crash" fx dag ]
-    @ critpath_outputs "crash" cp
-  in
-  if replay then
-    with_dump tracer (fun path ->
-        outputs
-          (ok (Forensics.of_jsonl_file path))
-          (ok (Analyze.of_jsonl_file path))
-          (ok (Critpath.of_jsonl_file path)))
-  else
-    outputs
-      (Option.get (Harness.Runner.forensics fleet))
-      (Option.get (Harness.Runner.analysis fleet))
-      (Option.get (Harness.Runner.critpath_report fleet))
+  let fx, report, cp = collectors ~replay run in
+  analysis_outputs "crash" report
+  @ forensics_outputs "crash" fx
+  @ [ justification_output "crash" fx dag ]
+  @ critpath_outputs "crash" cp
 
 (* The dagrider/bullshark pair on one schedule: each side's analyzer
    and forensics, and the cross-rule divergence between them. *)
 let pair_outputs ~replay =
   let side rule =
-    let fleet, tracer = build_traced ~rule ~faults:[] ~until:120.0 in
-    let label = rule.Dagrider.Ordering.rule_name in
-    if replay then
-      with_dump tracer (fun path ->
-          ( label,
-            ok (Forensics.of_jsonl_file path),
-            ok (Analyze.of_jsonl_file path),
-            ok (Critpath.of_jsonl_file path) ))
-    else
-      ( label,
-        Option.get (Harness.Runner.forensics fleet),
-        Option.get (Harness.Runner.analysis fleet),
-        Option.get (Harness.Runner.critpath_report fleet) )
+    let fx, report, cp =
+      collectors ~replay (build_traced ~rule ~faults:[] ~until:120.0)
+    in
+    (rule.Dagrider.Ordering.rule_name, fx, report, cp)
   in
   let sides = List.map side Dagrider.Ordering.[ dag_rider; bullshark ] in
   List.concat_map

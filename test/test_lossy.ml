@@ -783,7 +783,7 @@ let test_analyzer_flags_targeted_loss () =
        { src = 3; dst = 0; msg_kind = "t"; reason = "give-up"; id = -1 });
   Trace.emit tr
     (Trace.Corrupt_reject { src = 0; dst = 3; msg_kind = "t"; id = -1 });
-  let r = Analyze.analyze (Trace.events tr) in
+  let r = Analyze.finalize (Analyze.of_events (Trace.events tr)) in
   checki "retransmit events" 33 r.Analyze.r_retransmits;
   checki "corrupt rejects" 1 r.Analyze.r_corrupt_rejects;
   checkb "give-up drop recorded" true
