@@ -388,9 +388,11 @@ let analyze_cmd =
 
 let critpath_cmd =
   let run (c : Common.t) jsonl node top json dot_out =
+    let analyzer = (collect ~cmd:"critpath" c jsonl).analyzer in
     let cp_report =
-      Analyze.critpath_report ?observer:node
-        (collect ~cmd:"critpath" c jsonl).analyzer
+      match node with
+      | Some observer -> Critpath.finalize ~observer (Analyze.critpath analyzer)
+      | None -> Analyze.critpath_report analyzer
     in
     if json then
       print_endline
@@ -806,7 +808,7 @@ let render_dag_cmd =
     Harness.Runner.run fleet ~until;
     let dag = Dagrider.Node.dag (Harness.Runner.node fleet 0) in
     let max_round = min rounds (Dagrider.Dag.highest_round dag) in
-    if dot then print_string (Dagrider.Render.dot ~max_round dag)
+    if dot then print_string (Dagrider.Render.dot_classified ~max_round dag)
     else begin
       Printf.printf
         "Figure 1 regeneration: p0's local DAG after %.0f time units\n\
@@ -941,11 +943,7 @@ let monitor_cmd =
         Harness.Runner.Custom
           (fun rng ->
             let inner =
-              match c.schedule with
-              | Harness.Runner.Synchronous -> Net.Sched.synchronous ()
-              | Harness.Runner.Uniform_random -> Net.Sched.uniform_random ~rng
-              | Harness.Runner.Skewed_random -> Net.Sched.skewed_random ~rng
-              | Harness.Runner.Custom f -> f rng
+              Harness.Runner.make_sched ~schedule:c.schedule ~rng
             in
             let during =
               Net.Sched.partition ~inner

@@ -213,7 +213,8 @@ let dump_trace (sc : Check.Scenario.t) =
      observer: where did the final commit's latency go before
      everything stopped? *)
   let cp =
-    Analyze.critpath_report ~observer:report.Analyze.r_observer analyzer
+    Critpath.finalize ~observer:report.Analyze.r_observer
+      (Analyze.critpath analyzer)
   in
   match
     List.find_opt

@@ -329,11 +329,9 @@ let longest_log t =
   done;
   !best
 
-let critpath_report ?observer t =
+let critpath_report t =
   let observer =
-    match (observer, t.vantage) with
-    | Some o, _ | None, Some o -> o
-    | None, None -> longest_log t
+    match t.vantage with Some o -> o | None -> longest_log t
   in
   Critpath.finalize ~observer t.critpath
 

@@ -229,10 +229,10 @@ val critpath : t -> Critpath.t
 (** The critical-path collector the accumulator feeds — what a live
     run's monitor probes read {!Critpath.segment_means} from. *)
 
-val critpath_report : ?observer:int -> t -> Critpath.report
-(** {!Critpath.finalize} at [observer]; by default the streaming
-    vantage given to {!create}, else the {!config.observer} rule
-    (longest [a_deliver] log, lowest id on ties). *)
+val critpath_report : t -> Critpath.report
+(** {!Critpath.finalize} at the default observer: the streaming vantage
+    given to {!create}, else the {!config.observer} rule (longest
+    [a_deliver] log, lowest id on ties). *)
 
 val finalize : ?config:config -> t -> report
 (** Compute the report from everything fed so far. Pure with respect to

@@ -370,7 +370,7 @@ let base_sched base rng =
   match base with
   | Uniform -> Net.Sched.uniform_random ~rng
   | Skewed -> Net.Sched.skewed_random ~rng
-  | Bimodal -> Net.Sched.bimodal ~rng ()
+  | Bimodal -> Net.Sched.bimodal ~rng
   | Heavy_tailed -> Net.Sched.heavy_tailed ~rng
 
 let build_sched t rng =

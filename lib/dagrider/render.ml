@@ -1,4 +1,4 @@
-let ascii ?(highlight = fun _ -> false) ?(min_round = 1) ?max_round dag =
+let ascii ?(min_round = 1) ?max_round dag =
   let top =
     match max_round with
     | Some r -> min r (Dag.highest_round dag)
@@ -19,11 +19,8 @@ let ascii ?(highlight = fun _ -> false) ?(min_round = 1) ?max_round dag =
         match Dag.find dag { Vertex.round; source } with
         | None -> "."
         | Some v ->
-          let mark =
-            if highlight { Vertex.round; source } then "@" else "*"
-          in
           let weak = List.length v.Vertex.weak_edges in
-          if weak > 0 then Printf.sprintf "%sw%d" mark weak else mark
+          if weak > 0 then Printf.sprintf "*w%d" weak else "*"
       in
       Buffer.add_string buf (Printf.sprintf "%-5s" cell)
     done;
@@ -118,11 +115,6 @@ let dot_justification ?(support = []) ?(chain = []) ?legend ?max_round dag
     ~classify:(fun v ->
       match Hashtbl.find_opt classes v with Some c -> c | None -> Plain)
     ?legend ?max_round dag
-
-let dot ?(highlight = fun _ -> false) ?max_round dag =
-  dot_classified
-    ~classify:(fun vref -> if highlight vref then Committed_leader else Plain)
-    ?max_round dag
 
 let wave_summary dag ~rule ~f ~leader_of =
   let quorum = Ordering.quorum_of rule ~f in

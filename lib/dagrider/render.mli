@@ -5,24 +5,10 @@
     like the paper's horizontal layout) and Graphviz DOT for exact
     edge-level inspection. *)
 
-val ascii :
-  ?highlight:(Vertex.vref -> bool) ->
-  ?min_round:int ->
-  ?max_round:int ->
-  Dag.t ->
-  string
+val ascii : ?min_round:int -> ?max_round:int -> Dag.t -> string
 (** Grid rendering: one row per process, one column per round. Cells
-    show [*] for a present vertex, [@] for a highlighted one (e.g. a
-    committed leader), [.] for absent; a weak-edge count is appended as
-    [*w2] when a vertex carries weak edges. *)
-
-val dot :
-  ?highlight:(Vertex.vref -> bool) ->
-  ?max_round:int ->
-  Dag.t ->
-  string
-(** Graphviz digraph; strong edges solid, weak edges dashed, highlighted
-    vertices filled. Rounds are ranked as columns. *)
+    show [*] for a present vertex and [.] for an absent one; a weak-edge
+    count is appended as [*w2] when a vertex carries weak edges. *)
 
 type vertex_class =
   | Plain
@@ -50,12 +36,12 @@ val dot_classified :
   ?max_round:int ->
   Dag.t ->
   string
-(** {!dot} with per-vertex styling in the style of the paper's
-    Figures 1–2: committed leaders gold, skipped leaders red, elected
-    leaders blue, causal-history members gray, everything else plain.
-    [legend] (default false) prepends a comment block naming the
-    colors. [dot] is [dot_classified] with highlight mapped to
-    {!Committed_leader} and no legend. *)
+(** Graphviz digraph, rounds ranked as columns, strong edges solid and
+    weak edges dashed, with per-vertex styling in the style of the
+    paper's Figures 1–2: committed leaders gold, skipped leaders red,
+    elected leaders blue, causal-history members gray, everything else
+    plain ([classify] defaults to all {!Plain}). [legend] (default
+    false) prepends a comment block naming the colors. *)
 
 val dot_justification :
   ?support:Vertex.vref list ->

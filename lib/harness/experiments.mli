@@ -50,8 +50,9 @@ val table1_combined : ?seed:int -> unit -> table
 
 (** E6 — Claim 6: expected number of waves until the commit rule fires.
     The paper proves <= 3/2 against the worst-case adversary; random and
-    skewed schedules should sit well under that. *)
-val claim6_waves : ?seed:int -> ?runs:int -> unit -> table
+    skewed schedules should sit well under that. Five traced runs per
+    schedule. *)
+val claim6_waves : ?seed:int -> unit -> table
 
 (** E7 — chain quality (§3): worst prefix ratio of correct-process
     vertices with f Byzantine-but-live processes. Bound: (f+1)/(2f+1). *)

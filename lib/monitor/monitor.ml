@@ -390,7 +390,10 @@ let sparkline t s width =
           spark_levels.[min (levels - 1) (int_of_float (norm *. float_of_int levels))])
   end
 
-let render ?(spark_width = 48) t =
+(* dashboard sparklines span the newest this many ticks *)
+let spark_width = 48
+
+let render t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf

@@ -151,7 +151,6 @@ val to_json : t -> Stdx.Json.t
 (** Everything: config, per-series points as [[time, value]] pairs,
     health states, and the verdict booleans. *)
 
-val render : ?spark_width:int -> t -> string
+val render : t -> string
 (** ASCII dashboard: one row per series with current value, windowed
-    rate, and a sparkline over the last [spark_width] (default 48)
-    ticks; then the latency percentiles and per-check health lines. *)
+    rate, and a sparkline over the last 48 ticks; then the latency percentiles and per-check health lines. *)

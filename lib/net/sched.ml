@@ -27,7 +27,11 @@ let skewed_random ~rng =
         let d = Stdx.Rng.exponential rng ~mean:0.3 in
         io.delay <- Float.max 0.001 (Float.min 1.0 d)) }
 
-let bimodal ~rng ?(slow_fraction = 0.25) ?(slow_factor = 5.0) () =
+(* bimodal: this share of messages is slowed by this factor *)
+let slow_fraction = 0.25
+let slow_factor = 5.0
+
+let bimodal ~rng =
   { name = "bimodal";
     decide =
       (fun io ~src:_ ~dst:_ ~kind:_ ->

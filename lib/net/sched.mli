@@ -38,9 +38,9 @@ val skewed_random : rng:Stdx.Rng.t -> t
     0.3, capped at 1.0) — models jittery WANs while keeping the
     time-unit normalization. *)
 
-val bimodal : rng:Stdx.Rng.t -> ?slow_fraction:float -> ?slow_factor:float -> unit -> t
-(** Most messages uniform in (0, 1], but a [slow_fraction] (default
-    0.25) of them take up to [slow_factor] (default 5.0). The stragglers
+val bimodal : rng:Stdx.Rng.t -> t
+(** Most messages uniform in (0, 1], but a quarter of them take up to
+    5 times as long. The stragglers
     make per-instance completion times genuinely dispersed, which is
     what exposes the O(log n) max-of-n-slots effect in the SMR
     baselines (experiment E2); all systems in a comparison run under

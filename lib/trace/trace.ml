@@ -590,7 +590,11 @@ let events_of_jsonl_file path =
 
 (* ---- ASCII timeline ---- *)
 
-let render_events ?(max_lanes = 16) events =
+(* the lane column is at most this wide; higher processes mark its
+   last lane with '+' *)
+let max_lanes = 16
+
+let render_events events =
   let buf = Buffer.create 4096 in
   let lanes =
     List.fold_left
@@ -619,7 +623,7 @@ let render_events ?(max_lanes = 16) events =
     events;
   Buffer.contents buf
 
-let render_timeline ?max_lanes ?limit t =
+let render_timeline ?limit t =
   let evs = events t in
   let evs =
     match limit with
@@ -637,4 +641,4 @@ let render_timeline ?max_lanes ?limit t =
       (min t.emitted t.capacity)
       t.capacity (dropped t)
   in
-  header ^ render_events ?max_lanes evs
+  header ^ render_events evs

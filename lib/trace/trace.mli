@@ -281,11 +281,9 @@ val events_of_jsonl_file : string -> (event list, string) result
 (** {!events_of_jsonl} over a file's contents; an unreadable file is an
     [Error] carrying the [Sys_error] message. *)
 
-val render_events : ?max_lanes:int -> event list -> string
-(** ASCII timeline: one row per event with its virtual time, sequence
-    number, a lane column marking the process involved ([max_lanes]
-    caps the lane width, default 16), and the human description. *)
-
-val render_timeline : ?max_lanes:int -> ?limit:int -> t -> string
-(** {!render_events} over the retained events (newest [limit] if given),
-    prefixed with an emitted/retained/dropped summary line. *)
+val render_timeline : ?limit:int -> t -> string
+(** ASCII timeline of the retained events (newest [limit] if given),
+    prefixed with an emitted/retained/dropped summary line: one row per
+    event with its virtual time, sequence number, a lane column marking
+    the process involved (at most 16 lanes wide), and the human
+    description. *)

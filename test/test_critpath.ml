@@ -45,8 +45,7 @@ let report_of fleet =
   | None -> Alcotest.fail "traced fleet has no analyzer"
 
 (* the replay path: the events fed to a fresh analyzer *)
-let replayed ?observer events =
-  Analyze.critpath_report ?observer (Analyze.of_events events)
+let replayed events = Analyze.critpath_report (Analyze.of_events events)
 
 (* ---- acceptance: 500+-wave run reconciles within one tick ---- *)
 
@@ -414,7 +413,9 @@ let test_replay_matches_live () =
       close_out oc;
       let replay =
         match Trace.events_of_jsonl_file file with
-        | Ok events -> replayed ~observer:live.Critpath.r_observer events
+        | Ok events ->
+          Critpath.finalize ~observer:live.Critpath.r_observer
+            (Analyze.critpath (Analyze.of_events events))
         | Error msg -> Alcotest.fail msg
       in
       checki "same observer" live.Critpath.r_observer replay.Critpath.r_observer;

@@ -701,7 +701,7 @@ let test_render_dot () =
   let dag = Dagrider.Dag.create ~n:4 in
   full_round dag ~n:4 ~round:1;
   full_round dag ~n:4 ~round:2;
-  let out = Dagrider.Render.dot dag in
+  let out = Dagrider.Render.dot_classified dag in
   checkb "digraph" true (contains out "digraph");
   checkb "edges" true (contains out "->")
 

@@ -769,7 +769,7 @@ let random_schedule rng =
     match Stdx.Rng.int rng 3 with
     | 0 -> Net.Sched.uniform_random ~rng:r
     | 1 -> Net.Sched.skewed_random ~rng:r
-    | _ -> Net.Sched.bimodal ~rng:r ()
+    | _ -> Net.Sched.bimodal ~rng:r
   in
   let wrap inner =
     match Stdx.Rng.int rng 4 with

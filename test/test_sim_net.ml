@@ -239,7 +239,7 @@ let test_sched_window () =
     (delay_at s ~now:25.0 ~src:0 ~dst:1 ~kind:"x")
 
 let test_sched_bimodal () =
-  let s = Net.Sched.bimodal ~rng:(Stdx.Rng.create 4) () in
+  let s = Net.Sched.bimodal ~rng:(Stdx.Rng.create 4) in
   let slow = ref 0 and total = 2000 in
   for _ = 1 to total do
     let d = delay_at s ~now:0.0 ~src:0 ~dst:1 ~kind:"x" in
@@ -472,7 +472,7 @@ let test_net_send_path_allocation () =
       ("kind_storm",
         Net.Sched.kind_storm ~inner:(uniform ()) ~kinds:[ "coin-"; "k" ]
           ~factor:3.0);
-      ("bimodal", Net.Sched.bimodal ~rng:(Stdx.Rng.create 7) ());
+      ("bimodal", Net.Sched.bimodal ~rng:(Stdx.Rng.create 7));
       ("heavy_tailed", Net.Sched.heavy_tailed ~rng:(Stdx.Rng.create 8));
       ("partition",
         Net.Sched.partition ~inner:(uniform ()) ~left:(fun i -> i < 8)
