@@ -231,7 +231,7 @@ val critpath : t -> Critpath.t
 
 val critpath_report : t -> Critpath.report
 (** {!Critpath.finalize} at the default observer: the streaming vantage
-    given to {!create}, else the {!config.observer} rule (longest
+    given to {!create}, else the [observer] rule of {!config} (longest
     [a_deliver] log, lowest id on ties). *)
 
 val finalize : ?config:config -> t -> report

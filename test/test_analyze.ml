@@ -91,7 +91,7 @@ let test_honest_run_no_anomalies () =
   let r = Option.get (Harness.Runner.analysis fleet) in
   checki "clean honest run" 0 (List.length r.Analyze.r_anomalies)
 
-(* ---- replay: JSONL round trip and of_tracer agree ---- *)
+(* ---- replay: a JSONL round trip agrees with the retained window ---- *)
 
 (* the replay path: the dump fed to a fresh analyzer, finalized under
    the rule its certificates name *)

@@ -2,10 +2,10 @@
    certificates: the analyzer report (text and JSON), the forensics
    summary and explain JSON, the divergence report (text and JSON) and
    the justification DOT; and of the critical-path report (text and
-   JSON) beside them. Each is computed twice — from the live sinks
-   of a traced run and from its JSONL dump replayed — on the runs the CI
-   forensics smoke uses: n=4 seed 1 with p3 crashed to t=200, and the
-   seed-1 dagrider/bullshark pair to t=120.
+   JSON) beside them. Each is computed twice — from a traced run's
+   live analyzer and from a fresh one fed its JSONL dump — on the runs
+   the CI forensics smoke uses: n=4 seed 1 with p3 crashed to t=200,
+   and the seed-1 dagrider/bullshark pair to t=120.
 
    A pin is the MD5 of the output's bytes. A refactor of the certificate
    path must leave every pin unchanged; a change that means to alter an
