@@ -22,11 +22,15 @@
       phase-transition durations;
     - a chain-quality audit over every (2f+1)-multiple prefix of the
       ordered log (paper §3, via {!Metrics.Chain_quality});
-    - anomalies: round and commit gaps above 8× the median gap,
-      quorum starvation at the trace horizon, runs of 3 or more leader
-      skips without a commit, waves whose resolution takes over 4× the
-      median, and links whose retransmits exceed both 4× the median and
-      20 (or that gave up a frame).
+    - anomalies, under one outlier rule — a value is flagged when it
+      is above [k] × the median of its population and above an
+      absolute floor: round and commit gaps ([k] = 8, floor 0.5, over a
+      series of at least 4 gaps) and the same test on the gap from the
+      last round entry (quorum starvation) or the last direct commit to
+      the trace horizon; waves whose resolution is an outlier ([k] = 4,
+      floor 0.5, at least 4 waves); links whose retransmits are ([k] =
+      4, floor 20), or that gave up a frame; plus runs of 3 or more
+      leader skips without a commit.
 
     The create→[a_deliver] latency breakdown is {!Critpath}'s
     ({!critpath_report}): its segments partition each ordered vertex's
@@ -118,7 +122,10 @@ type anomaly =
       node : int;
       round : int;  (** round it is stuck in at the trace horizon *)
       stuck_for : float;
-      have : int;  (** round-[round] vertices in its DAG *)
+      have : int;
+          (** round-[round] vertices in its DAG, counted off the
+              critical-path collector's inserts
+              ({!Critpath.round_inserts}) *)
       need : int;  (** the 2f+1 advance quorum *)
     }
   | Skip_streak of { node : int; first_wave : int; length : int }

@@ -53,7 +53,10 @@ type hop = {
   h_hold : float;
       (** handler hold charged to this hop: trigger arrival (or vertex
           creation, for the first hop) → [h_sent] *)
-  h_attempts : int;  (** send copies observed (1 = no retransmit) *)
+  h_attempts : int;
+      (** send copies observed before the first delivery (1 = no
+          retransmit); copies a retransmit timer fires later do not
+          count, so a path is the same whenever it is built *)
 }
 (** One edge of the causal chain. Stall = [h_last_sent - h_sent],
     transit = [h_recv - h_last_sent]. *)
@@ -130,28 +133,36 @@ type t
 (** A streaming accumulator; feed events in stream order. *)
 
 val create : ?observer:int -> unit -> t
-(** With [observer], paths are reconstructed {e online} as that
-    process's [a_deliver] events arrive, so {!segment_means} is cheap
-    enough for monitor probes mid-run. Without it, reconstruction
-    happens at {!finalize}. *)
+(** With [observer] (the streaming vantage), each of that process's
+    [a_deliver]s builds its path on arrival and adds it to a running
+    count and sum per segment, so {!segment_means} is O(1) for monitor
+    probes mid-run; the path itself is not kept. *)
 
 val feed : t -> Trace.event -> unit
 (** O(1) per event. Pre-correlation-id streams fold fine; their chains
     all come out "chain-broken" but landmarks still resolve. *)
 
 val finalize : observer:int -> t -> report
-(** Reconstruct from [observer]'s [a_deliver] log (the paths streamed
-    so far when it is the streaming observer). The default observer is
-    the analyzer's to pick ([Analyze.critpath_report]). Pure with
-    respect to the accumulator: feeding can continue and [finalize] can
-    be called again. *)
+(** Build one path per entry of [observer]'s [a_deliver] log — the one
+    way a path is built, for the streaming vantage too, so a live
+    report equals the replay of its dump. The default observer is the
+    analyzer's to pick ([Analyze.critpath_report]). Pure with respect
+    to the accumulator: feeding can continue and [finalize] can be
+    called again. *)
 
 val segment_means : t -> (string * float) list
-(** Live aggregates over paths streamed so far (streaming mode only;
-    all zeros otherwise), keyed "critpath.commits",
-    "critpath.complete", "critpath.reconciled",
-    "critpath.<segment>.mean" — the series {!Harness.Runner} exports
-    to {!Monitor} probes and [metrics_snapshot]. *)
+(** Running means over the streaming vantage's paths so far (all zeros
+    without one), keyed "critpath.commits", "critpath.complete",
+    "critpath.reconciled", "critpath.<segment>.mean" — the series
+    {!Harness.Runner} exports to {!Monitor} probes and
+    [metrics_snapshot]. Each mean is the segment's sum over complete
+    paths divided by their count, equal to the [s_mean] of
+    {!finalize}'s digest at that observer. *)
+
+val round_inserts : t -> node:int -> round:int -> int
+(** Round-[round] vertices [node] has inserted into its DAG
+    ({!Trace.kind.Vertex_added}) — what the analyzer's quorum-starvation
+    anomaly counts. *)
 
 (** {1 Output} *)
 

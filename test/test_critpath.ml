@@ -401,9 +401,8 @@ let test_mempool_dwell_attributed () =
 
 (* ---- JSONL replay matches live collection ---- *)
 
-let test_replay_matches_live () =
-  let fleet, tracer = build_traced ~capacity:100_000 ~until:60.0 () in
-  let live = report_of fleet in
+(* the dump's replay at the live report's observer *)
+let replay_of tracer ~observer =
   let file = Filename.temp_file "critpath" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
@@ -411,29 +410,64 @@ let test_replay_matches_live () =
       let oc = open_out file in
       output_string oc (Trace.to_jsonl tracer);
       close_out oc;
-      let replay =
-        match Trace.events_of_jsonl_file file with
-        | Ok events ->
-          Critpath.finalize ~observer:live.Critpath.r_observer
-            (Analyze.critpath (Analyze.of_events events))
-        | Error msg -> Alcotest.fail msg
-      in
-      checki "same observer" live.Critpath.r_observer replay.Critpath.r_observer;
-      checki "same commit count"
-        (List.length live.Critpath.r_paths)
-        (List.length replay.Critpath.r_paths);
-      checki "same complete count" live.Critpath.r_complete
-        replay.Critpath.r_complete;
-      checki "same reconciled count" live.Critpath.r_reconciled
-        replay.Critpath.r_reconciled;
-      (* segment means agree to the digit the reports print *)
-      List.iter2
-        (fun (name, (a : Stdx.Stats.summary)) (name', (b : Stdx.Stats.summary)) ->
-          checkb ("segment list aligned: " ^ name) true (name = name');
-          checki ("segment n: " ^ name) a.s_count b.s_count;
-          checkb ("segment mean: " ^ name) true
-            (Float.abs (a.s_mean -. b.s_mean) < 1e-9))
-        live.Critpath.r_segments replay.Critpath.r_segments)
+      match Trace.events_of_jsonl_file file with
+      | Ok events ->
+        Critpath.finalize ~observer (Analyze.critpath (Analyze.of_events events))
+      | Error msg -> Alcotest.fail msg)
+
+let test_replay_matches_live () =
+  let fleet, tracer = build_traced ~capacity:100_000 ~until:60.0 () in
+  let live = report_of fleet in
+  let replay = replay_of tracer ~observer:live.Critpath.r_observer in
+  checki "same observer" live.Critpath.r_observer replay.Critpath.r_observer;
+  checki "same commit count"
+    (List.length live.Critpath.r_paths)
+    (List.length replay.Critpath.r_paths);
+  checki "same complete count" live.Critpath.r_complete
+    replay.Critpath.r_complete;
+  checki "same reconciled count" live.Critpath.r_reconciled
+    replay.Critpath.r_reconciled;
+  (* segment means agree to the digit the reports print *)
+  List.iter2
+    (fun (name, (a : Stdx.Stats.summary)) (name', (b : Stdx.Stats.summary)) ->
+      checkb ("segment list aligned: " ^ name) true (name = name');
+      checki ("segment n: " ^ name) a.s_count b.s_count;
+      checkb ("segment mean: " ^ name) true
+        (Float.abs (a.s_mean -. b.s_mean) < 1e-9))
+    live.Critpath.r_segments replay.Critpath.r_segments;
+  (* lossy links: retransmit copies keep arriving after a message's
+     first delivery, yet a path counts only the copies before it, so
+     the live report and the replay agree byte for byte; the streaming
+     vantage's running means are the report's means exactly *)
+  let fleet, tracer =
+    build_traced ~seed:1 ~capacity:100_000 ~until:80.0
+      ~schedule:Harness.Runner.Uniform_random
+      ~link_faults:
+        { Harness.Runner.default_link_faults with
+          lf_drop = 0.2;
+          lf_duplicate = 0.05 }
+      ()
+  in
+  checki "lossy ring kept the whole run" 0 (Trace.dropped tracer);
+  let live = report_of fleet in
+  checkb "lossy run retransmitted on a chain hop" true
+    (List.exists
+       (fun p -> List.exists (fun h -> h.Critpath.h_attempts > 1) p.Critpath.p_hops)
+       live.Critpath.r_paths);
+  let replay = replay_of tracer ~observer:live.Critpath.r_observer in
+  let json r = Stdx.Json.to_string (Critpath.report_to_json r) in
+  Alcotest.(check string) "lossy report: live = replay" (json live) (json replay);
+  let means =
+    Critpath.segment_means
+      (Analyze.critpath (Option.get (Harness.Runner.analyzer fleet)))
+  in
+  List.iter
+    (fun (name, (s : Stdx.Stats.summary)) ->
+      Alcotest.(check (float 0.0))
+        ("running mean = report mean: " ^ name)
+        s.s_mean
+        (List.assoc ("critpath." ^ name ^ ".mean") means))
+    live.Critpath.r_segments
 
 (* ---- pinned reconciliation counts at fleet scale ---- *)
 
