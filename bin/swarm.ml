@@ -201,11 +201,9 @@ let dump_trace (sc : Check.Scenario.t) =
     close_out oc;
     Printf.printf "  explain: %s (certificate stories of %d node(s))\n"
       explain_path (List.length nodes));
-  let config =
-    Analyze.fleet_config ~rule:sc.Check.Scenario.rule ~n:sc.Check.Scenario.n
-      ~f:sc.Check.Scenario.f ~byzantine:(Check.Scenario.faulty_nodes sc)
-  in
-  let report = Analyze.finalize ~config analyzer in
+  (* the run's own analysis: observed from the lowest correct process,
+     never from an adversary whose log may be the longest *)
+  let report = Option.get (Harness.Runner.analysis runner) in
   List.iter
     (fun line -> if line <> "" then Printf.printf "  %s\n" line)
     (String.split_on_char '\n' (Analyze.render_anomalies report));
