@@ -98,7 +98,7 @@ let test_dagrider_skip_evidence () =
     build_traced ~seed:1 ~until:200.0 ~faults:[ Harness.Runner.Crash 3 ] ()
   in
   let fx = forensics_of fleet in
-  let node = Option.get (Forensics.observer fx) in
+  let node = 0 in
   let skips =
     List.filter
       (fun st ->
@@ -140,7 +140,8 @@ let test_bullshark_skip_recovery () =
       ~schedule:Harness.Runner.Skewed_random ()
   in
   let fx = forensics_of fleet in
-  let node = Option.get (Forensics.observer fx) in
+  (* p2 skips a round-robin leader and recovers it by chain-back here *)
+  let node = 2 in
   let recovered =
     List.filter
       (fun st ->
@@ -190,7 +191,7 @@ let certificates_validate rule =
      the GC horizon and still field-checks pruned waves *)
   let fleet, _ = build_traced ~gc_depth:8 ~until:4000.0 ~rule () in
   let fx = forensics_of fleet in
-  let node = Option.get (Forensics.observer fx) in
+  let node = 0 in
   let ordering = Dagrider.Node.ordering (Harness.Runner.node fleet node) in
   let decided = Dagrider.Ordering.decided_wave ordering in
   checkb "500+ waves decided" true (decided >= 500);
@@ -226,7 +227,7 @@ let test_certificates_validate_bullshark () =
 let test_oracle_rejects_forgery () =
   let fleet, tracer = build_traced ~until:60.0 () in
   let fx = forensics_of fleet in
-  let node = Option.get (Forensics.observer fx) in
+  let node = 0 in
   ignore tracer;
   let real =
     List.find_map
@@ -304,9 +305,7 @@ let test_divergence_identical_and_cross_rule () =
   let _, tr_b = build_traced ~until:60.0 () in
   let fa = ledger_of_events (Trace.events tr_a) in
   let fb = ledger_of_events (Trace.events tr_b) in
-  let na = Option.get (Forensics.observer fa) in
-  let nb = Option.get (Forensics.observer fb) in
-  (match Forensics.divergence fa ~node_a:na fb ~node_b:nb with
+  (match Forensics.divergence fa ~node_a:0 fb ~node_b:0 with
   | Forensics.Identical { mode; _ } -> checks "same-rule mode" "waves" mode
   | _ -> Alcotest.fail "identical runs must not diverge");
   (* cross-rule on one schedule: both rules order the same vertices but
@@ -315,8 +314,7 @@ let test_divergence_identical_and_cross_rule () =
     build_traced ~until:60.0 ~rule:Dagrider.Ordering.bullshark ()
   in
   let fc = ledger_of_events (Trace.events tr_c) in
-  let nc = Option.get (Forensics.observer fc) in
-  match Forensics.divergence fa ~node_a:na fc ~node_b:nc with
+  match Forensics.divergence fa ~node_a:0 fc ~node_b:0 with
   | Forensics.Diverged_entry { a_commit; b_commit; _ } ->
     checkb "divergent entries carry their commits" true
       (a_commit <> None && b_commit <> None)
