@@ -13,12 +13,14 @@ let assert_ok = function
 
 (* run a fleet with [faults], capturing commits for the oracle sweep *)
 let run_attacked ?(n = 4) ?(seed = 7) ?(backend = Harness.Runner.Bracha)
-    ?(sync_trusting = false) ?trace ?restart ~faults ~until () =
+    ?(coin_in_dag = false) ?(sync_trusting = false) ?trace ?restart ~faults
+    ~until () =
   let commits = ref [] in
   let options =
     { (Harness.Runner.default_options ~n) with
       seed;
       backend;
+      coin_in_dag;
       faults;
       sync_trusting;
       trace;
@@ -53,10 +55,14 @@ let fleet_violations t commits =
 
 (* ---- equivocation: excluded or converged, per backend ---- *)
 
-let test_equivocation_outcomes backend () =
+(* with [coin_in_dag] the attacker forks framed payloads: the variant
+   must keep the share frame its node wrote, or honest processes would
+   drop the forked copy as malformed instead of judging it *)
+let test_equivocation_outcomes ?coin_in_dag backend () =
   let spec = { Attack.strategy = Attack.Equivocate; victims = [ 1 ] } in
   let t, commits =
-    run_attacked ~backend ~faults:[ Harness.Runner.Adversary (3, spec) ]
+    run_attacked ~backend ?coin_in_dag
+      ~faults:[ Harness.Runner.Adversary (3, spec) ]
       ~until:80.0 ()
   in
   assert_ok (Harness.Runner.check_total_order t);
@@ -207,7 +213,11 @@ let () =
           Alcotest.test_case "avid: excluded or converged" `Slow
             (test_equivocation_outcomes Harness.Runner.Avid);
           Alcotest.test_case "gossip: excluded or converged" `Slow
-            (test_equivocation_outcomes Harness.Runner.Gossip) ] );
+            (test_equivocation_outcomes Harness.Runner.Gossip);
+          Alcotest.test_case "bracha, coin in DAG: excluded or converged"
+            `Slow
+            (test_equivocation_outcomes ~coin_in_dag:true
+               Harness.Runner.Bracha) ] );
       ( "withholding",
         [ Alcotest.test_case "fleet outlives the withholder" `Slow
             test_withholding_cannot_stop_the_fleet ] );

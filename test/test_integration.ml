@@ -592,6 +592,16 @@ let test_pinned_counts () =
       ( "bracha.n4.coin-in-dag",
         (96, 3304768),
         fleet ~coin_in_dag:true ~backend:Bracha ~n:4 ~until:60.0 () );
+      ( "bracha.n7.equivocate.coin-in-dag",
+        (108, 11112304),
+        fleet ~coin_in_dag:true
+          ~faults:
+            [ Adversary (3, { Attack.strategy = Attack.Equivocate; victims = [] }) ]
+          ~backend:Bracha ~n:7 ~until:40.0 () );
+      ( "bracha.n4.restart.coin-in-dag",
+        (96, 3284104),
+        fleet ~coin_in_dag:true ~restart:(30.0, 1) ~backend:Bracha ~n:4
+          ~until:60.0 () );
       ( "bracha.n4.workload",
         (48, 26191904),
         fleet ~workload:default_workload ~backend:Bracha ~n:4 ~until:30.0 () );

@@ -233,6 +233,72 @@ let test_a_bcast_blocks_ride_vertices () =
     Alcotest.(check string) "block" "queued-before-start" v.Dagrider.Vertex.block
   | None -> Alcotest.fail "own vertex must decode"
 
+(* ---- coin in the DAG: an embedded share is bound to its vertex ----
+
+   Under [In_dag] a share rides the payload frame
+     <vertex bytes> <u32 holder> <u32 instance> <u32 value> '\001'
+   (or <vertex bytes> '\000' without one). The frames here are built by
+   hand, so a change to the format fails this test too. *)
+
+let framed v (share : Crypto.Threshold_coin.share option) =
+  let u32 x = String.init 4 (fun i -> Char.chr ((x lsr (8 * (3 - i))) land 0xFF)) in
+  Dagrider.Vertex.encode v
+  ^
+  match share with
+  | None -> "\000"
+  | Some s -> u32 s.holder ^ u32 s.instance ^ u32 s.value ^ "\001"
+
+let test_embedded_share_bound_to_vertex () =
+  let s =
+    make_script
+      ~config_patch:(fun c -> { c with Dagrider.Node.coin_mode = Dagrider.Node.In_dag })
+      ()
+  in
+  Dagrider.Node.start s.node;
+  let deliver_round ?(own = true) ~round shares =
+    (if own then
+       match List.assoc_opt round (List.map (fun (p, r) -> (r, p)) !(s.own_broadcasts)) with
+       | Some payload -> s.deliver ~payload ~round ~source:0
+       | None -> ());
+    List.iter
+      (fun (source, share) ->
+        let v =
+          { Dagrider.Vertex.round;
+            source;
+            block = Printf.sprintf "b%d.%d" round source;
+            strong_edges =
+              List.init n (fun source -> { Dagrider.Vertex.round = round - 1; source });
+            weak_edges = [] }
+        in
+        s.deliver ~payload:(framed v share) ~round ~source)
+      shares
+  in
+  for round = 1 to 4 do
+    deliver_round ~round [ (1, None); (2, None); (3, None) ]
+  done;
+  (* round 5 = L*1 + 1 carries wave 1's shares; the node's own vertex
+     put its share in the bucket *)
+  let share ~holder ~instance =
+    Some (Crypto.Threshold_coin.make_share s.coin ~holder ~instance)
+  in
+  deliver_round ~round:5
+    [ (1, share ~holder:2 ~instance:1); (* someone else's share *)
+      (2, share ~holder:2 ~instance:2) (* a wave this round does not complete *) ];
+  checkb "mis-bound vertices still join the DAG" true
+    (List.for_all
+       (fun source ->
+         Dagrider.Dag.contains (Dagrider.Node.dag s.node)
+           { Dagrider.Vertex.round = 5; source })
+       [ 1; 2 ]);
+  checki "no mis-bound share resolved the coin" 0
+    (Dagrider.Node.coin_instances_resolved s.node);
+  checki "no bucket opened for the wrong instance" 1
+    (Dagrider.Node.coin_buckets s.node);
+  (* a correctly bound share is the f+1-th: the coin resolves *)
+  deliver_round ~own:false ~round:5 [ (3, share ~holder:3 ~instance:1) ];
+  checki "bound share resolves wave 1" 1
+    (Dagrider.Node.coin_instances_resolved s.node)
+
 (* ---- checkpoint / restart ---- *)
 
 let test_checkpoint_restore_roundtrip () =
@@ -430,7 +496,9 @@ let () =
           Alcotest.test_case "duplicate vertex ignored" `Quick
             test_duplicate_vertex_ignored;
           Alcotest.test_case "a_bcast rides vertices" `Quick
-            test_a_bcast_blocks_ride_vertices ] );
+            test_a_bcast_blocks_ride_vertices;
+          Alcotest.test_case "embedded share bound to its vertex" `Quick
+            test_embedded_share_bound_to_vertex ] );
       ( "restart",
         [ Alcotest.test_case "checkpoint/restore roundtrip" `Quick
             test_checkpoint_restore_roundtrip;
