@@ -105,45 +105,31 @@ let note t ~round ~info =
 
 (* ---- payload surgery -----------------------------------------------
 
-   RBC payloads are either a bare vertex encoding (separate-network coin
-   mode) or the vertex encoding plus the In_dag share suffix
-   (<12 share bytes> '\001', or just '\000' — see Node's framing). A
-   variant must mutate the *block* while keeping the edges and any
+   A variant mutates the *block* while keeping the edges and any
    embedded share intact, so it passes Vertex.validate at honest
-   processes and forks only the content. *)
-
-let split_frame ~me payload =
-  let len = String.length payload in
-  let try_bare () =
-    match Dagrider.Vertex.decode ~round:1 ~source:me payload with
-    | Some _ -> Some (payload, "")
-    | None -> None
-  in
-  (* the bare decode consumes the whole string, so a framed payload never
-     parses bare and vice versa; try bare first (the common mode) *)
-  match try_bare () with
-  | Some _ as r -> r
-  | None ->
-    if len >= 1 && payload.[len - 1] = '\000' then
-      Some (String.sub payload 0 (len - 1), "\000")
-    else if len >= 13 && payload.[len - 1] = '\001' then
-      Some (String.sub payload 0 (len - 13), String.sub payload (len - 13) 13)
-    else None
+   processes and forks only the content. The payload frame is the armed
+   node's own ({!Dagrider.Node.decode_payload}). *)
 
 let variant t ~payload ~round ~tag =
-  match split_frame ~me:t.arsenal.ars_me payload with
+  match t.node with
   | None -> None
-  | Some (vertex_bytes, suffix) -> (
-    match
-      Dagrider.Vertex.decode ~round ~source:t.arsenal.ars_me vertex_bytes
-    with
+  | Some node -> (
+    match Dagrider.Node.decode_payload node payload with
     | None -> None
-    | Some v ->
-      let forked = { v with Dagrider.Vertex.block = v.Dagrider.Vertex.block ^ tag } in
-      Some
-        ( Dagrider.Vertex.encode forked ^ suffix,
-          Dagrider.Vertex.digest v,
-          Dagrider.Vertex.digest forked ))
+    | Some (vertex_bytes, share) -> (
+      match
+        Dagrider.Vertex.decode ~round ~source:t.arsenal.ars_me vertex_bytes
+      with
+      | None -> None
+      | Some v ->
+        let forked =
+          { v with Dagrider.Vertex.block = v.Dagrider.Vertex.block ^ tag }
+        in
+        Some
+          ( Dagrider.Node.encode_payload node
+              ~vertex_bytes:(Dagrider.Vertex.encode forked) ~share,
+            Dagrider.Vertex.digest v,
+            Dagrider.Vertex.digest forked )))
 
 let others t =
   List.filter (fun i -> i <> t.arsenal.ars_me) (List.init t.arsenal.ars_n (fun i -> i))
