@@ -570,47 +570,54 @@ let ablation_weak_edges ?(seed = 42) () =
 
 (* ---- proposal-to-delivery latency ---- *)
 
+(* Run [options] to time 120 with [per_node] uniquely tagged probe
+   blocks injected at every process on a fixed cadence, recording each
+   probe's proposal time and its deliveries. Returns the fleet, the
+   first-delivery latencies and the trailing row cells: undelivered,
+   mean, p50, p99. *)
+let probe_latency (options : Runner.options) ~per_node =
+  let recorder = Metrics.Latency.create () in
+  let h =
+    Runner.build
+      { options with
+        on_deliver =
+          Some
+            (fun ~node ~block ~round:_ ~source:_ ~time ->
+              Metrics.Latency.delivered recorder block ~process:node ~now:time) }
+  in
+  let engine = Runner.engine h in
+  for i = 0 to options.n - 1 do
+    for k = 0 to per_node - 1 do
+      let at = 1.0 +. (2.0 *. float_of_int k) +. (0.1 *. float_of_int i) in
+      Sim.Engine.schedule_at engine ~time:at (fun () ->
+          let block = Printf.sprintf "probe:%d:%d" i k in
+          Metrics.Latency.proposed recorder block ~now:(Sim.Engine.now engine);
+          Dagrider.Node.a_bcast (Runner.node h i) block)
+    done
+  done;
+  Runner.run h ~until:120.0;
+  let stats = Stdx.Stats.create () in
+  List.iter (Stdx.Stats.add stats)
+    (Metrics.Latency.all_first_delivery_latencies recorder);
+  ( h,
+    stats,
+    [ fmt_int (List.length (Metrics.Latency.undelivered recorder));
+      fmt_float (Stdx.Stats.mean stats);
+      fmt_float (Stdx.Stats.percentile stats 50.0);
+      fmt_float (Stdx.Stats.percentile stats 99.0) ] )
+
 let latency ?(seed = 42) () =
   let n = 4 in
   let injections_per_node = 15 in
   let snapshots = ref [] in
   let run ~backend ~name ~coin_in_dag =
-    let recorder = Metrics.Latency.create () in
-    let opts =
-      { (Runner.default_options ~n) with
-        seed;
-        backend;
-        coin_in_dag;
-        on_deliver =
-          Some
-            (fun ~node ~block ~round:_ ~source:_ ~time ->
-              ignore node;
-              Metrics.Latency.delivered recorder block ~process:node ~now:time) }
+    let h, stats, cells =
+      probe_latency
+        { (Runner.default_options ~n) with seed; backend; coin_in_dag }
+        ~per_node:injections_per_node
     in
-    let h = Runner.build opts in
-    (* inject uniquely tagged blocks on a fixed cadence and record their
-       proposal times *)
-    let engine = Runner.engine h in
-    for i = 0 to n - 1 do
-      for k = 0 to injections_per_node - 1 do
-        let at = 1.0 +. (2.0 *. float_of_int k) +. (0.1 *. float_of_int i) in
-        Sim.Engine.schedule_at engine ~time:at (fun () ->
-            let block = Printf.sprintf "probe:%d:%d" i k in
-            Metrics.Latency.proposed recorder block ~now:(Sim.Engine.now engine);
-            Dagrider.Node.a_bcast (Runner.node h i) block)
-      done
-    done;
-    Runner.run h ~until:120.0;
     snapshots := (name, Runner.metrics_snapshot h) :: !snapshots;
-    let stats = Stdx.Stats.create () in
-    List.iter (Stdx.Stats.add stats) (Metrics.Latency.all_first_delivery_latencies recorder);
-    let undelivered = List.length (Metrics.Latency.undelivered recorder) in
-    [ name;
-      fmt_int (Stdx.Stats.count stats);
-      fmt_int undelivered;
-      fmt_float (Stdx.Stats.mean stats);
-      fmt_float (Stdx.Stats.percentile stats 50.0);
-      fmt_float (Stdx.Stats.percentile stats 99.0) ]
+    name :: fmt_int (Stdx.Stats.count stats) :: cells
   in
   { title =
       "Latency: proposal (a_bcast) to first delivery (a_deliver), in time units";
@@ -624,7 +631,9 @@ let latency ?(seed = 42) () =
     snapshots = List.rev !snapshots;
     notes =
       [ Printf.sprintf
-          "%d probes per process at a 2-unit cadence, n = %d; a probe's            latency spans: queueing in blocksToPropose + RBC of its vertex            + wave completion + coin resolution + commit"
+          "%d probes per process at a 2-unit cadence, n = %d; a probe's \
+           latency spans: queueing in blocksToPropose + RBC of its vertex \
+           + wave completion + coin resolution + commit"
           injections_per_node n ] }
 
 (* ---- coin transport ablation (paper footnote 1) ---- *)
@@ -657,7 +666,10 @@ let ablation_coin ?(seed = 42) () =
     rows = [ run ~coin_in_dag:false; run ~coin_in_dag:true ];
     snapshots = [];
     notes =
-      [ "embedding shares in the first vertex after each wave removes the          n^2-messages-per-wave coin channel entirely; shares then arrive          with reliable-broadcast deliveries, bound to their holder by the          broadcast's authenticated source" ] }
+      [ "embedding shares in the first vertex after each wave removes the \
+         n^2-messages-per-wave coin channel entirely; shares then arrive \
+         with reliable-broadcast deliveries, bound to their holder by the \
+         broadcast's authenticated source" ] }
 
 (* ---- garbage collection ablation ---- *)
 
@@ -692,7 +704,9 @@ let ablation_gc ?(seed = 42) () =
     notes =
       [ Printf.sprintf "identical ordered output with GC on and off: %b"
           (off_log = on_log);
-        "without GC the DAG grows linearly forever; pruning keeps a          constant window behind the decided wave (rounds whose vertices          were all delivered), which is what a long-lived deployment needs" ] }
+        "without GC the DAG grows linearly forever; pruning keeps a \
+         constant window behind the decided wave (rounds whose vertices \
+         were all delivered), which is what a long-lived deployment needs" ] }
 
 (* ---- throughput scaling ---- *)
 
@@ -719,7 +733,9 @@ let throughput ?(seed = 42) () =
     rows = List.map (fun n -> run ~n) [ 4; 7; 10; 13 ];
     snapshots = [];
     notes =
-      [ "every process proposes in every round, so throughput grows with n          while per-transaction cost stays amortized — the property the          paper's descendants (Narwhal/Bullshark) industrialized" ] }
+      [ "every process proposes in every round, so throughput grows with n \
+         while per-transaction cost stays amortized — the property the \
+         paper's descendants (Narwhal/Bullshark) industrialized" ] }
 
 (* ---- sustained load over time (monitor-instrumented) ---- *)
 
@@ -852,54 +868,36 @@ let related_work ?(seed = 42) () =
         row "DAG-Rider" (d_total, d_victim, d_bits, 0) ];
     snapshots = [];
     notes =
-      [ "the paper's section-7 claims, measured: Aleph runs n binary          agreements per round and has no weak edges, so the censored          process's vertices are decided out and never ordered; DAG-Rider          orders them (Validity) and uses one coin flip per wave instead          of n agreement instances per round" ] }
+      [ "the paper's section-7 claims, measured: Aleph runs n binary \
+         agreements per round and has no weak edges, so the censored \
+         process's vertices are decided out and never ordered; DAG-Rider \
+         orders them (Validity) and uses one coin flip per wave instead \
+         of n agreement instances per round" ] }
 
 (* ---- commit rules on one substrate: Bullshark vs DAG-Rider ---- *)
 
 let rules_latency ?(seed = 42) () =
-  let injections_per_node = 12 in
   let snapshots = ref [] in
   let run ~rule ~n =
-    let recorder = Metrics.Latency.create () in
-    let opts =
-      { (Runner.default_options ~n) with
-        seed;
-        rule;
-        schedule = Runner.Synchronous;
-        on_deliver =
-          Some
-            (fun ~node ~block ~round:_ ~source:_ ~time ->
-              Metrics.Latency.delivered recorder block ~process:node ~now:time) }
-    in
-    let h = Runner.build opts in
     (* the same probe cadence as the latency experiment; the schedule and
        every injection time are identical across rules, so the latency
        delta is attributable to the commit rule alone *)
-    let engine = Runner.engine h in
-    for i = 0 to n - 1 do
-      for k = 0 to injections_per_node - 1 do
-        let at = 1.0 +. (2.0 *. float_of_int k) +. (0.1 *. float_of_int i) in
-        Sim.Engine.schedule_at engine ~time:at (fun () ->
-            let block = Printf.sprintf "probe:%d:%d" i k in
-            Metrics.Latency.proposed recorder block ~now:(Sim.Engine.now engine);
-            Dagrider.Node.a_bcast (Runner.node h i) block)
-      done
-    done;
-    Runner.run h ~until:120.0;
+    let h, stats, cells =
+      probe_latency
+        { (Runner.default_options ~n) with
+          seed;
+          rule;
+          schedule = Runner.Synchronous }
+        ~per_node:12
+    in
     let name = Printf.sprintf "%s, n=%d" rule.Dagrider.Ordering.rule_name n in
     snapshots := (name, Runner.metrics_snapshot h) :: !snapshots;
     let node = Runner.node h 0 in
-    let stats = Stdx.Stats.create () in
-    List.iter (Stdx.Stats.add stats)
-      (Metrics.Latency.all_first_delivery_latencies recorder);
     ( Stdx.Stats.mean stats,
-      [ name;
-        fmt_int (Dagrider.Node.waves_completed node);
-        fmt_int (Dagrider.Ordering.delivered_count (Dagrider.Node.ordering node));
-        fmt_int (List.length (Metrics.Latency.undelivered recorder));
-        fmt_float (Stdx.Stats.mean stats);
-        fmt_float (Stdx.Stats.percentile stats 50.0);
-        fmt_float (Stdx.Stats.percentile stats 99.0) ] )
+      name
+      :: fmt_int (Dagrider.Node.waves_completed node)
+      :: fmt_int (Dagrider.Ordering.delivered_count (Dagrider.Node.ordering node))
+      :: cells )
   in
   let d4_mean, d4 = run ~rule:Dagrider.Ordering.dag_rider ~n:4 in
   let b4_mean, b4 = run ~rule:Dagrider.Ordering.bullshark ~n:4 in
@@ -913,9 +911,14 @@ let rules_latency ?(seed = 42) () =
     snapshots = List.rev !snapshots;
     notes =
       [ Printf.sprintf
-          "identical seeded schedules per n (the rule changes no network          draw); Bullshark mean latency vs DAG-Rider: n=4 %.2f vs %.2f,          n=10 %.2f vs %.2f"
+          "identical seeded schedules per n (the rule changes no network \
+           draw); Bullshark mean latency vs DAG-Rider: n=4 %.2f vs %.2f, \
+           n=10 %.2f vs %.2f"
           b4_mean d4_mean b10_mean d10_mean;
-        "Bullshark's 2-round waves with a round-robin leader commit as          soon as f+1 last-round vertices carry a strong edge to it;          DAG-Rider pays 4 rounds per wave plus retrospective coin          resolution before any leader can be chosen" ] }
+        "Bullshark's 2-round waves with a round-robin leader commit as \
+         soon as f+1 last-round vertices carry a strong edge to it; \
+         DAG-Rider pays 4 rounds per wave plus retrospective coin \
+         resolution before any leader can be chosen" ] }
 
 type experiment = {
   name : string;
