@@ -1012,6 +1012,8 @@ let metrics_snapshot t =
       (float_of_int (sum Workload.Mempool.pending));
     Metrics.Registry.set_gauge reg "mempool.in_flight"
       (float_of_int (sum Workload.Mempool.in_flight));
+    Metrics.Registry.set_gauge reg "mempool.retained"
+      (float_of_int (sum Workload.Mempool.retained));
     Metrics.Registry.set_gauge reg "mempool.submitted"
       (float_of_int (sum Workload.Mempool.submitted));
     Metrics.Registry.set_gauge reg "mempool.retired"

@@ -276,10 +276,10 @@ val metrics_snapshot : t -> Metrics.Registry.snapshot
     [rbc.dropped_below_horizon] of the RBC backends, and
     [dag.window_rounds] of the DAG stores), drop counters by
     reason ([net.drops.*]), on workload-driven builds the mempool fleet
-    gauges ([mempool.pending]/[in_flight]/[submitted]/[retired]/
-    [rejected], summed across processes), and — on lossy builds — the
-    aggregated reliable-transport counters ([link.*]). Traced builds
-    additionally export the tracer's ring health
+    gauges ([mempool.pending]/[in_flight]/[retained]/[submitted]/
+    [retired]/[rejected], summed across processes), and — on lossy
+    builds — the aggregated reliable-transport counters ([link.*]).
+    Traced builds additionally export the tracer's ring health
     ([trace.emitted]/[trace.dropped_events]/[trace.capacity]/
     [trace.occupancy] — nonzero [trace.dropped_events] means the
     retained window is a suffix of the run) and the live critical-path

@@ -140,6 +140,14 @@ type outstanding = {
   mutable o_attempt : int;
 }
 
+(* sequence numbers of one (sender, destination) stream *)
+module Seqs = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash seq = seq
+end)
+
 type 'msg t = {
   net : frame Network.t;
   engine : Sim.Engine.t;
@@ -152,12 +160,10 @@ type 'msg t = {
   mutable handler : (src:int -> 'msg -> unit) option;
   mutable detached : bool;
   next_seq : int array; (* per destination *)
-  unacked : (int * int, outstanding) Hashtbl.t; (* (dst, seq) *)
-  (* receiver dedup, per source: every seq < floor was delivered;
-     [seen] holds the delivered seqs >= floor (out-of-order arrivals)
-     until the floor catches up — a sliding window, not unbounded *)
-  floor : int array;
-  seen : (int, unit) Hashtbl.t array;
+  unacked : outstanding Seqs.t array; (* per destination, by seq *)
+  (* receiver dedup, per source: the seqs delivered, a watermark plus
+     the out-of-order arrivals above it — a sliding window *)
+  seen : Stdx.Seqset.t array;
   per_dst_retransmits : int array;
   mutable data_sent : int;
   mutable retransmits : int;
@@ -209,11 +215,11 @@ let clear_handler t = t.handler <- None
 let rec schedule_retry t ~dst ~seq ~timeout =
   Sim.Engine.schedule t.engine ~delay:timeout (fun () ->
       if not t.detached then
-        match Hashtbl.find_opt t.unacked (dst, seq) with
-        | None -> () (* acked in the meantime *)
-        | Some o ->
+        match Seqs.find t.unacked.(dst) seq with
+        | exception Not_found -> () (* acked in the meantime *)
+        | o ->
           if o.o_attempt >= t.config.max_attempts then begin
-            Hashtbl.remove t.unacked (dst, seq);
+            Seqs.remove t.unacked.(dst) seq;
             t.gave_up <- t.gave_up + 1;
             match t.trace with
             | None -> ()
@@ -260,7 +266,7 @@ let send_bytes t ~dst ~kind ~bits bytes =
     let mid =
       match t.trace with None -> -1 | Some tr -> Trace.fresh_id tr
     in
-    Hashtbl.replace t.unacked (dst, seq)
+    Seqs.replace t.unacked.(dst) seq
       { o_kind = kind;
         o_frame = frame;
         o_bits = bits + data_overhead_bits ~kind;
@@ -285,17 +291,6 @@ let broadcast t ~kind ~bits msg =
     done
   end
 
-let mark_seen t ~src ~seq =
-  if seq < t.floor.(src) || Hashtbl.mem t.seen.(src) seq then false
-  else begin
-    Hashtbl.add t.seen.(src) seq ();
-    while Hashtbl.mem t.seen.(src) t.floor.(src) do
-      Hashtbl.remove t.seen.(src) t.floor.(src);
-      t.floor.(src) <- t.floor.(src) + 1
-    done;
-    true
-  end
-
 let on_frame t ~src frame =
   let sp = Prof.enter "link.on_frame" in
   (try
@@ -312,7 +307,7 @@ let on_frame t ~src frame =
            original ack may have been the copy the link lost *)
         Network.send t.net ~src:t.me ~dst:src ~kind:"link-ack" ~bits:ack_bits
           (make_ack ~seq);
-        if not (mark_seen t ~src ~seq) then begin
+        if not (Stdx.Seqset.add t.seen.(src) seq) then begin
           t.dup_suppressed <- t.dup_suppressed + 1;
           tr_rx_drop t ~src ~kind "duplicate"
         end
@@ -336,7 +331,7 @@ let on_frame t ~src frame =
         t.corrupt_rejected <- t.corrupt_rejected + 1;
         tr_corrupt t ~src ~kind:"link-ack"
       end
-      else Hashtbl.remove t.unacked (src, seq)
+      else Seqs.remove t.unacked.(src) seq
    with e -> Prof.leave_reraise sp e);
   Prof.leave sp
 
@@ -359,9 +354,8 @@ let attach ~net ~engine ~rng ?(config = default_config) ?trace ~me ~encode
       handler = None;
       detached = false;
       next_seq = Array.make n 0;
-      unacked = Hashtbl.create 64;
-      floor = Array.make n 0;
-      seen = Array.init n (fun _ -> Hashtbl.create 8);
+      unacked = Array.init n (fun _ -> Seqs.create 16);
+      seen = Array.init n (fun _ -> Stdx.Seqset.create ());
       per_dst_retransmits = Array.make n 0;
       data_sent = 0;
       retransmits = 0;
@@ -377,6 +371,6 @@ let detach t =
   if not t.detached then begin
     t.detached <- true;
     t.handler <- None;
-    Hashtbl.reset t.unacked;
+    Array.iter Seqs.reset t.unacked;
     Network.unregister t.net t.me
   end

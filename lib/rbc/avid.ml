@@ -148,7 +148,6 @@ type t = {
   coder : Crypto.Reed_solomon.coder;
   deliver : deliver;
   instances : instance Rows.t;
-  mutable delivered_count : int;
   mutable trace : Trace.t option;
 }
 
@@ -306,7 +305,6 @@ let try_deliver t inst ~origin ~round ~commit =
             commit.root
         then begin
           inst.delivered <- true;
-          t.delivered_count <- t.delivered_count + 1;
           phase t ~origin ~round "deliver";
           t.deliver ~payload ~round ~source:origin
         end
@@ -378,7 +376,6 @@ let create_port ~port ~me ~f ~deliver =
       coder = Crypto.Reed_solomon.make ~k ~n;
       deliver;
       instances = Rows.create ~n ~make:new_instance;
-      delivered_count = 0;
       trace = None }
   in
   Net.Port.register port me (fun ~src msg -> handle t ~src msg);
@@ -429,8 +426,6 @@ let bcast_inconsistent t ~payload ~round =
   frags.(last) <-
     String.map (fun c -> Char.chr (Char.code c lxor 0xFF)) frags.(last);
   disperse t ~round ~frags ~data_len:(String.length payload)
-
-let delivered_instances t = t.delivered_count
 
 let prune_below t ~round = Rows.prune_below t.instances ~round
 

@@ -76,7 +76,6 @@ type t = {
   f : int;
   deliver : deliver;
   instances : instance Rows.t;
-  mutable delivered_count : int;
   mutable trace : Trace.t option;
 }
 
@@ -146,7 +145,6 @@ let send_ready t inst ~origin ~round ~payload =
 let try_deliver t inst ~origin ~round ~payload ~count =
   if (not inst.delivered) && count >= quorum t then begin
     inst.delivered <- true;
-    t.delivered_count <- t.delivered_count + 1;
     phase t ~origin ~round "deliver";
     t.deliver ~payload ~round ~source:origin
   end
@@ -189,7 +187,6 @@ let create_port ~port ~me ~f ~deliver =
       f;
       deliver;
       instances = Rows.create ~n ~make:new_instance;
-      delivered_count = 0;
       trace = None }
   in
   Net.Port.register port me (fun ~src msg -> handle t ~src msg);
@@ -209,8 +206,6 @@ let inject_init t ~dst ~round ~payload =
   let msg = Init { round; payload } in
   Net.Port.send t.net ~src:t.me ~dst ~kind:"bracha-init" ~bits:(msg_bits msg)
     msg
-
-let delivered_instances t = t.delivered_count
 
 let prune_below t ~round = Rows.prune_below t.instances ~round
 

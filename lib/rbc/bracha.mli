@@ -57,9 +57,6 @@ val bcast : t -> payload:string -> round:int -> unit
 (** [r_bcast] of the abstraction. A correct process calls this at most
     once per round (the DAG layer guarantees it). *)
 
-val delivered_instances : t -> int
-(** Number of instances this process has delivered (for tests). *)
-
 val prune_below : t -> round:int -> unit
 (** Raise the horizon to [round] and drop every instance below it; a
     later message for such a round is dropped. Lowering it is a no-op. *)

@@ -94,7 +94,6 @@ type t = {
   ready_need : int;
   ready_feedback : int;
   instances : instance Rows.t;
-  mutable delivered_count : int;
   mutable trace : Trace.t option;
 }
 
@@ -197,7 +196,6 @@ let progress t inst ~origin ~round =
       match inst.payload with
       | Some payload ->
         inst.delivered <- true;
-        t.delivered_count <- t.delivered_count + 1;
         phase t ~origin ~round "deliver";
         t.deliver ~payload ~round ~source:origin
       | None -> ()
@@ -295,7 +293,6 @@ let create_port ~port ~rng ~me ~f ~deliver =
       ready_need;
       ready_feedback = max feedback_floor (ready_need / 2);
       instances = Rows.create ~n ~make:new_instance;
-      delivered_count = 0;
       trace = None }
   in
   Net.Port.register port me (fun ~src msg -> handle t ~src msg);
@@ -319,8 +316,6 @@ let inject_gossip t ~dst ~round ~payload =
   let msg = Gossip { origin = t.me; round; payload } in
   Net.Port.send t.net ~src:t.me ~dst ~kind:"gossip-init" ~bits:(msg_bits msg)
     msg
-
-let delivered_instances t = t.delivered_count
 
 let prune_below t ~round = Rows.prune_below t.instances ~round
 

@@ -55,8 +55,6 @@ val set_trace : t -> Trace.t -> unit
 
 val bcast : t -> payload:string -> round:int -> unit
 
-val delivered_instances : t -> int
-
 val prune_below : t -> round:int -> unit
 (** Raise the horizon to [round] and drop every instance below it
     ({!Rbc_intf.Rows}); a later message for such a round is dropped.

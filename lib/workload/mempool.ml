@@ -1,4 +1,5 @@
-(* Transactions are keyed by [Txgen.key], one int per (owner, seqno). *)
+(* The in-flight set is keyed by [Txgen.key], one int per (owner, seqno);
+   the dedup sets are found by owner. *)
 module Keys = Hashtbl.Make (struct
   type t = int
 
@@ -9,17 +10,19 @@ module Keys = Hashtbl.Make (struct
   let hash k = k + ((k lsr 32) * 0x9E3779B1)
 end)
 
+(* An owner's transactions, by seqno: every one we have ever seen (for
+   dedup across submit/retire) and every one ordered. A client numbers
+   its transactions densely from 0, so each set is a watermark plus the
+   few seqnos above it. *)
+type owner_sets = { seen : Stdx.Seqset.t; retired : Stdx.Seqset.t }
+
 type t = {
   owner : int;
   max_batch : int;
   max_pending : int option;
   queue : Txgen.tx Queue.t;
-  (* every key we have ever seen, for dedup across submit/retire *)
-  seen : unit Keys.t;
+  owners : owner_sets Keys.t; (* an owner, below 2^30, hashes to itself *)
   inflight : unit Keys.t;
-  (* keys ordered elsewhere while still queued here: dropped lazily when
-     the queue pops them (a client may submit to several processes) *)
-  retired_keys : unit Keys.t;
   mutable submitted : int;
   mutable retired : int;
   mutable rejected : int;
@@ -30,18 +33,29 @@ let create ?(max_batch = 64) ?max_pending ~owner () =
     max_batch;
     max_pending;
     queue = Queue.create ();
-    seen = Keys.create 256;
+    owners = Keys.create 16;
     inflight = Keys.create 256;
-    retired_keys = Keys.create 256;
     submitted = 0;
     retired = 0;
     rejected = 0 }
 
+let sets t owner =
+  match Keys.find t.owners owner with
+  | sets -> sets
+  | exception Not_found ->
+    let sets =
+      { seen = Stdx.Seqset.create (); retired = Stdx.Seqset.create () }
+    in
+    Keys.add t.owners owner sets;
+    sets
+
 let key_of (tx : Txgen.tx) = Txgen.key ~owner:tx.owner ~seqno:tx.seqno
 
-let submit t tx =
-  let k = key_of tx in
-  if Keys.mem t.seen k then false
+let submit t (tx : Txgen.tx) =
+  (* [key_of] rejects an out-of-range owner or seqno *)
+  ignore (key_of tx : int);
+  let sets = sets t tx.owner in
+  if Stdx.Seqset.mem sets.seen tx.seqno then false
   else
     match t.max_pending with
     | Some cap when Queue.length t.queue >= cap ->
@@ -50,7 +64,7 @@ let submit t tx =
       t.rejected <- t.rejected + 1;
       false
     | _ ->
-      Keys.add t.seen k ();
+      ignore (Stdx.Seqset.add sets.seen tx.seqno : bool);
       Queue.add tx t.queue;
       t.submitted <- t.submitted + 1;
       true
@@ -61,7 +75,7 @@ let assemble_block t =
     else
       match Queue.take_opt t.queue with
       | None -> List.rev acc
-      | Some tx when Keys.mem t.retired_keys (key_of tx) ->
+      | Some tx when Stdx.Seqset.mem (sets t tx.owner).retired tx.seqno ->
         (* already ordered through another process's block *)
         take acc count
       | Some tx ->
@@ -78,16 +92,25 @@ let retire_block t block =
         Keys.remove t.inflight k;
         incr mine
       end;
-      Keys.replace t.retired_keys k ();
+      let sets = sets t owner in
+      ignore (Stdx.Seqset.add sets.retired seqno : bool);
       (* remember foreign transactions too: a client that multi-submits
          must not get its transaction ordered twice through us *)
-      if not (Keys.mem t.seen k) then Keys.add t.seen k ();
+      ignore (Stdx.Seqset.add sets.seen seqno : bool);
       t.retired <- t.retired + 1);
   !mine
 
 let pending t = Queue.length t.queue
 
 let in_flight t = Keys.length t.inflight
+
+let retained t =
+  Keys.fold
+    (fun _ sets acc ->
+      acc + 1
+      + Stdx.Seqset.above_floor sets.seen
+      + Stdx.Seqset.above_floor sets.retired)
+    t.owners 0
 
 let submitted t = t.submitted
 

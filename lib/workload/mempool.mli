@@ -8,8 +8,12 @@
     transactions that arrived via {e other} processes' blocks (clients
     often submit to several processes for latency).
 
-    Every table is keyed by the transaction's {!Txgen.key}, one [int];
-    a delivered block is scanned in place by {!Txgen.iter_keys}. *)
+    Dedup is per owner: the seqnos seen (submitted here or ordered) and
+    the seqnos ordered are each a {!Stdx.Seqset}, a watermark plus the
+    seqnos above it, so a client numbering its transactions densely
+    from 0 costs constant space however many it sends. The in-flight
+    set is keyed by the transaction's {!Txgen.key}, one [int]; a
+    delivered block is scanned in place by {!Txgen.iter_keys}. *)
 
 type t
 
@@ -49,3 +53,10 @@ val retired : t -> int
 val rejected : t -> int
 (** Counters for experiments and backpressure decisions. [rejected]
     counts submits shed by the [max_pending] cap. *)
+
+val retained : t -> int
+(** The dedup state held: owners tracked plus the seqnos above their
+    watermarks, over both sets. Stays flat while clients number their
+    transactions densely; a gap that is never filled (a submit shed by
+    backpressure and never retried, or a Byzantine block's sparse
+    seqnos) keeps every later seqno of that owner above the mark. *)

@@ -332,12 +332,25 @@ let test_snapshot_mempool_gauges () =
   let gauge name = List.assoc_opt name snap.Metrics.Registry.gauges in
   List.iter
     (fun name -> checkb ("gauge " ^ name) true (gauge name <> None))
-    [ "mempool.pending"; "mempool.in_flight"; "mempool.submitted";
-      "mempool.retired"; "mempool.rejected" ];
+    [ "mempool.pending"; "mempool.in_flight"; "mempool.retained";
+      "mempool.submitted"; "mempool.retired"; "mempool.rejected" ];
   checkb "submitted counts the fleet's traffic" true
     (match gauge "mempool.submitted" with Some v -> v > 0.0 | None -> false);
   checkb "retired counts ordered transactions" true
     (match gauge "mempool.retired" with Some v -> v > 0.0 | None -> false);
+  (* the dedup state stays flat while thousands of transactions retire:
+     clients number densely, so each of the n pools holds n owners'
+     watermarks plus the seqnos of vertices delivered ahead of their
+     owner's earlier ones — a batch or so per owner, not a set per
+     transaction. This run ends at 331; run on to 300 tu, the gauge
+     reads 16 between such bursts and at most 331, sampled every 5 tu *)
+  let n = 4 and max_batch = Harness.Runner.default_workload.wl_max_batch in
+  checkb "thousands retired" true
+    (match gauge "mempool.retired" with Some v -> v >= 2000.0 | None -> false);
+  checkb "retained under n * n * max_batch" true
+    (match gauge "mempool.retained" with
+    | Some v -> v <= float_of_int (n * n * max_batch)
+    | None -> false);
   (* a workload-free run exports none of them *)
   let bare = Harness.Runner.build (Harness.Runner.default_options ~n:4) in
   Harness.Runner.run bare ~until:10.0;

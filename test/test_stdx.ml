@@ -760,6 +760,84 @@ let test_rng_range_errors () =
   Alcotest.check_raises "empty choose" (Invalid_argument "Rng.choose: empty array")
     (fun () -> ignore (Stdx.Rng.choose rng [||]))
 
+(* ---- seqset: a watermark set against a plain hash set ---- *)
+
+(* Values as a dedup window sees them: ascending runs from a cursor,
+   gaps, repeats and steps back, and runs near 2^32 - 1 and max_int.
+   After every add, [add]'s result and [mem] of every value the model
+   holds, and of values around the cursor, must agree with the model. *)
+let prop_seqset_model =
+  QCheck.Test.make ~name:"seqset = hash set: mem and add after every step"
+    ~count:200 (QCheck.int_range 0 1_000_000) (fun seed ->
+      let rng = Stdx.Rng.create seed in
+      let set = Stdx.Seqset.create () and model = Hashtbl.create 64 in
+      let top = (1 lsl 32) - 1 in
+      let cursor =
+        ref
+          (match Stdx.Rng.int rng 3 with
+          | 0 -> 0
+          | 1 -> top - 20
+          | _ -> max_int - 20)
+      in
+      let fail fmt = Printf.ksprintf failwith fmt in
+      for step = 1 to 200 do
+        let x =
+          match Stdx.Rng.int rng 10 with
+          | 0 | 1 | 2 | 3 | 4 ->
+            let x = !cursor in
+            if x < max_int then incr cursor;
+            x
+          | 5 ->
+            let x = !cursor + Stdx.Rng.int_in_range rng ~lo:1 ~hi:6 in
+            let x = if x < 0 then max_int else x in
+            cursor := x;
+            x
+          | 6 | 7 -> max 0 (!cursor - Stdx.Rng.int_in_range rng ~lo:1 ~hi:8)
+          | 8 -> Stdx.Rng.choose rng [| top; top - 1; max_int; max_int - 1 |]
+          | _ -> Stdx.Rng.int rng 50
+        in
+        let fresh = not (Hashtbl.mem model x) in
+        Hashtbl.replace model x ();
+        if Stdx.Seqset.add set x <> fresh then fail "step %d: add %d" step x;
+        Hashtbl.iter
+          (fun y () ->
+            if not (Stdx.Seqset.mem set y) then fail "step %d: %d lost" step y)
+          model;
+        for y = max 0 (!cursor - 10) to min (max_int - 10) !cursor + 10 do
+          if Stdx.Seqset.mem set y <> Hashtbl.mem model y then
+            fail "step %d: mem %d" step y
+        done;
+        if Stdx.Seqset.above_floor set > Hashtbl.length model then
+          fail "step %d: %d above the floor, %d members" step
+            (Stdx.Seqset.above_floor set) (Hashtbl.length model)
+      done;
+      true)
+
+let test_seqset_dense_run_is_flat () =
+  let set = Stdx.Seqset.create () in
+  checkb "empty" false (Stdx.Seqset.mem set 0);
+  checkb "negatives are below the floor" true (Stdx.Seqset.mem set (-1));
+  checkb "adding one is not new" false (Stdx.Seqset.add set (-1));
+  (* 0 .. 9999 in shuffled blocks of 100: out of order within a window *)
+  let rng = Stdx.Rng.create 7 in
+  for block = 0 to 99 do
+    let xs = Array.init 100 (fun i -> (block * 100) + i) in
+    Stdx.Rng.shuffle rng xs;
+    Array.iter (fun x -> checkb "new" true (Stdx.Seqset.add set x)) xs
+  done;
+  checki "nothing above the floor" 0 (Stdx.Seqset.above_floor set);
+  checkb "all members" true (Stdx.Seqset.mem set 9999);
+  checkb "next is not" false (Stdx.Seqset.mem set 10_000);
+  checkb "repeat" false (Stdx.Seqset.add set 5000);
+  checkb "gap" true (Stdx.Seqset.add set 10_002);
+  checki "one above the floor" 1 (Stdx.Seqset.above_floor set);
+  checkb "fill the gap" true (Stdx.Seqset.add set 10_000);
+  checkb "fill the gap" true (Stdx.Seqset.add set 10_001);
+  checki "caught up" 0 (Stdx.Seqset.above_floor set);
+  checkb "max_int" true (Stdx.Seqset.add set max_int);
+  checkb "max_int again" false (Stdx.Seqset.add set max_int);
+  checkb "max_int member" true (Stdx.Seqset.mem set max_int)
+
 let test_table_renders () =
   let out =
     Stdx.Table.render ~header:[ "a"; "bb" ] ~rows:[ [ "1"; "2" ]; [ "333"; "4" ] ]
@@ -851,6 +929,10 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
           Alcotest.test_case "whitespace tolerated" `Quick
             test_json_whitespace_tolerated ] );
+      ( "seqset",
+        [ Alcotest.test_case "dense run is flat" `Quick
+            test_seqset_dense_run_is_flat;
+          QCheck_alcotest.to_alcotest prop_seqset_model ] );
       ( "table",
         [ Alcotest.test_case "renders" `Quick test_table_renders;
           Alcotest.test_case "ragged rejected" `Quick test_table_ragged_rejected ] )

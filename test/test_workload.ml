@@ -273,10 +273,39 @@ let iter_keys_list block =
   Workload.Txgen.iter_keys block (fun o s -> acc := (o, s) :: !acc);
   List.rev !acc
 
+(* Transactions as clients make them, so the per-owner watermarks are
+   exercised: each owner mostly runs its seqnos up from a cursor, and
+   sometimes skips ahead (a gap), steps back (out of order or a repeat),
+   jumps near 2^32 - 1 or picks at random. Three cursors start near the top
+   of the seqno range, so their runs reach 2^32 - 1. *)
+let tx_source rng =
+  let owners = [| 0; 1; 2; 3; 4; 5; (1 lsl 30) - 1 |] in
+  let top = (1 lsl 32) - 1 in
+  let cursor = Array.map (fun o -> if o >= 4 then top - 6 else 0) owners in
+  fun () ->
+    let i = Stdx.Rng.int rng (Array.length owners) in
+    let c = cursor.(i) in
+    let seqno =
+      match Stdx.Rng.int rng 10 with
+      | 0 | 1 | 2 | 3 | 4 ->
+        cursor.(i) <- min top (c + 1);
+        c
+      | 5 ->
+        let s = min top (c + Stdx.Rng.int_in_range rng ~lo:1 ~hi:4) in
+        cursor.(i) <- min top (s + 1);
+        s
+      | 6 | 7 -> max 0 (c - Stdx.Rng.int_in_range rng ~lo:1 ~hi:5)
+      | 8 -> top - Stdx.Rng.int rng 3
+      | _ -> Stdx.Rng.int rng 40
+    in
+    { Workload.Txgen.owner = owners.(i); seqno; body = "b" }
+
 (* random submit / assemble / retire sequences on both pools: duplicate
-   submits, foreign transactions, a max_pending cap, and retirement of
-   assembled, foreign, mangled and junk blocks. Every block assembled,
-   every return value and every counter must be equal after each step. *)
+   submits, several owners, out-of-order and skipped seqnos, seqnos up to
+   2^32 - 1, a max_pending cap, and retirement of assembled blocks,
+   blocks of transactions not yet submitted (so retirement comes first),
+   and mangled and junk blocks. Every block assembled, every return value
+   and every counter must be equal after each step. *)
 let prop_mempool_differential =
   QCheck.Test.make ~name:"mempool = reference" ~count:300
     (QCheck.int_range 0 1_000_000) (fun seed ->
@@ -288,19 +317,13 @@ let prop_mempool_differential =
       in
       let m = Workload.Mempool.create ~max_batch ?max_pending ~owner:0 () in
       let r = Ref.create ~max_batch ?max_pending () in
+      let next_tx = tx_source rng in
       let assembled = ref [ "" ] in
       let fail fmt = Printf.ksprintf failwith fmt in
-      for step = 1 to 80 do
+      for step = 1 to 120 do
         (match Stdx.Rng.int rng 5 with
         | 0 | 1 ->
-          let owner =
-            if Stdx.Rng.int rng 10 = 0 then (1 lsl 30) - 1 else Stdx.Rng.int rng 4
-          in
-          let seqno =
-            if Stdx.Rng.int rng 10 = 0 then (1 lsl 32) - 1 - Stdx.Rng.int rng 2
-            else Stdx.Rng.int rng 30
-          in
-          let tx = { Workload.Txgen.owner; seqno; body = "b" } in
+          let tx = next_tx () in
           if Workload.Mempool.submit m tx <> Ref.submit r tx then
             fail "step %d: submit differs" step
         | 2 ->
@@ -311,6 +334,10 @@ let prop_mempool_differential =
           let block =
             match Stdx.Rng.int rng 3 with
             | 0 -> Stdx.Rng.choose rng (Array.of_list !assembled)
+            | 1 ->
+              Workload.Txgen.block_of_txs
+                (List.init (Stdx.Rng.int_in_range rng ~lo:1 ~hi:6) (fun _ ->
+                     next_tx ()))
             | _ -> random_block rng
           in
           if Workload.Mempool.retire_block m block <> Ref.retire_block r block
