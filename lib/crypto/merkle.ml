@@ -8,7 +8,11 @@ type proof = { leaf_index : int; path : string list }
 (* The domain byte and the parts go into one hashing state, so nothing
    is concatenated: the digests are those of "\x00" ^ payload and
    "\x01" ^ l ^ r. *)
-let leaf_digest payload = Sha256.digest_concat3 "\x00" payload ""
+let leaf_digest_sub b ~pos ~len = Sha256.digest_sub ~prefix:"\x00" b ~pos ~len
+
+let leaf_digest payload =
+  leaf_digest_sub (Bytes.unsafe_of_string payload) ~pos:0
+    ~len:(String.length payload)
 
 let hash_node l r = Sha256.digest_concat3 "\x01" l r
 

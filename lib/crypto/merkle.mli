@@ -46,6 +46,11 @@ val leaf_digest : string -> string
 (** The digest a leaf payload occupies in the tree:
     SHA-256 of [\x00] followed by the payload. *)
 
+val leaf_digest_sub : bytes -> pos:int -> len:int -> string
+(** [leaf_digest] of the [len] bytes of a buffer from [pos], hashed in
+    place: [leaf_digest (Bytes.sub_string b pos len)] without the copy.
+    @raise Invalid_argument if the slice is not within the buffer. *)
+
 type memo
 (** For each internal position of a tree of a fixed leaf count: the last
     pair of children hashed there and their parent. Functions that take

@@ -110,31 +110,34 @@ let reset_scratch () =
   scratch.total <- 0;
   scratch
 
-let feed_state st s =
-  let len = String.length s in
+(* Feed [len] bytes of [src] from [pos]. Strings come through
+   [Bytes.unsafe_of_string]: the input is only read. *)
+let feed_sub st src pos len =
   st.total <- st.total + len;
-  let pos = ref 0 in
+  let pos = ref pos and stop = pos + len in
   (* fill the partial block first *)
   if st.buf_len > 0 then begin
     let take = min (64 - st.buf_len) len in
-    Bytes.blit_string s 0 st.buf st.buf_len take;
+    Bytes.blit src !pos st.buf st.buf_len take;
     st.buf_len <- st.buf_len + take;
-    pos := take;
+    pos := !pos + take;
     if st.buf_len = 64 then begin
       compress st st.buf 0;
       st.buf_len <- 0
     end
   end;
   (* whole blocks straight from the input *)
-  let src = Bytes.unsafe_of_string s in
-  while len - !pos >= 64 do
+  while stop - !pos >= 64 do
     compress st src !pos;
     pos := !pos + 64
   done;
-  if !pos < len then begin
-    Bytes.blit_string s !pos st.buf 0 (len - !pos);
-    st.buf_len <- len - !pos
+  if !pos < stop then begin
+    Bytes.blit src !pos st.buf 0 (stop - !pos);
+    st.buf_len <- stop - !pos
   end
+
+let feed_state st s =
+  feed_sub st (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let finalize_state st =
   (* padding: 0x80, zeros up to byte 56 of a block, then the 8-byte
@@ -182,7 +185,13 @@ let digest_concat3 a b c =
   feed_state st c;
   finalize_state st
 
-let digest_bytes b = digest_string (Bytes.to_string b)
+let digest_sub ~prefix b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg "Sha256.digest_sub: slice out of bounds";
+  let st = reset_scratch () in
+  feed_state st prefix;
+  feed_sub st b pos len;
+  finalize_state st
 
 let to_hex d =
   let buf = Buffer.create 64 in

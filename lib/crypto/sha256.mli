@@ -13,12 +13,12 @@
     against the official test vectors and [sha256sum] digests across
     the block and padding boundaries in the test suite.
 
-    The one-shot functions ({!digest_string}, {!digest_concat3},
-    {!hmac}) share one module-level hashing state, so a digest allocates
-    only its 32-byte result; an {!init} context owns its own state and
-    may stay live across any number of one-shot digests. The module is
-    therefore not safe to call from two domains at once; the library
-    runs on one. *)
+    The one-shot functions ({!digest_string}, {!digest_sub},
+    {!digest_concat3}, {!hmac}) share one module-level hashing state,
+    so a digest allocates only its 32-byte result; an {!init} context
+    owns its own state and may stay live across any number of one-shot
+    digests. The module is therefore not safe to call from two domains
+    at once; the library runs on one. *)
 
 type digest = string
 (** 32-byte raw digest. *)
@@ -26,7 +26,12 @@ type digest = string
 val digest_string : string -> digest
 (** Hash a byte string. *)
 
-val digest_bytes : bytes -> digest
+val digest_sub : prefix:string -> bytes -> pos:int -> len:int -> digest
+(** [digest_sub ~prefix b ~pos ~len] hashes [prefix] followed by the
+    [len] bytes of [b] from [pos]:
+    [digest_string (prefix ^ Bytes.sub_string b pos len)], without the
+    copy. A buffer reused across digests is hashed in place.
+    @raise Invalid_argument if the slice is not within [b]. *)
 
 val digest_concat3 : string -> string -> string -> digest
 (** [digest_concat3 a b c = digest_string (a ^ b ^ c)], without building

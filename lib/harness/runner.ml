@@ -117,6 +117,10 @@ type t = {
   analyzer : Analyze.t option; (* the trace's one sink, iff traced *)
   mempools : Workload.Mempool.t array option; (* iff workload-driven *)
   mutable started : bool;
+  (* the process's GC counters when [start] ran: read there, not in
+     [build], because one [Gc.quick_stat] costs nearly a third of an
+     n=4 build *)
+  mutable gc_at_start : Gc.stat option;
 }
 
 (* a bare network's hooks and gauges; a lossy stack replaces detach and
@@ -366,7 +370,7 @@ let make_stacks options ~engine ~sched ~counters ~gossip_rng ~lossy =
       let net = traced_network ~engine ~sched ~counters ~n trace in
       { st_port = Net.Port.of_network net; st_carrier = network_carrier net }
     | Some (lf, lrng) ->
-      let net : Net.Link.frame Net.Network.t =
+      let net : msg Net.Link.frame Net.Network.t =
         traced_network ~engine ~sched ~counters ~n trace
       in
       Net.Network.set_faults net
@@ -375,10 +379,11 @@ let make_stacks options ~engine ~sched ~counters ~gossip_rng ~lossy =
            ~reorder:lf.lf_reorder ());
       Net.Network.set_corrupter net
         (Net.Link.corrupt_frame ~rng:(Stdx.Rng.split lrng));
+      let wire = Net.Link.wire net ~encode ~decode in
       let links =
         Array.init n (fun me ->
-            Net.Link.attach ~net ~engine ~rng:(Stdx.Rng.split lrng) ?trace ~me
-              ~encode ~decode ())
+            Net.Link.attach ~wire ~engine ~rng:(Stdx.Rng.split lrng) ?trace ~me
+              ())
       in
       { st_port = Net.Port.of_links links;
         st_carrier =
@@ -761,7 +766,8 @@ let build options =
     latency;
     analyzer;
     mempools;
-    started = false }
+    started = false;
+    gc_at_start = None }
 
 let engine t = t.engine
 let counters t = t.counters
@@ -780,6 +786,7 @@ let correct_indices t =
 let start t =
   if not t.started then begin
     t.started <- true;
+    t.gc_at_start <- Some (Gc.quick_stat ());
     Array.iteri
       (fun i node -> if not t.crashed.(i) then Dagrider.Node.start node)
       t.nodes
@@ -1039,12 +1046,18 @@ let metrics_snapshot t =
     List.iter
       (fun (name, v) -> Metrics.Registry.set_gauge reg name v)
       (Critpath.segment_means (Analyze.critpath analyzer)));
+  (* collections and promotion since this fleet started (none before),
+     so a fleet run after others in one process leaves theirs out; the
+     top heap is the process's high-water mark, which no difference can
+     split by fleet *)
   let gcs = Gc.quick_stat () in
+  let base = Option.value t.gc_at_start ~default:gcs in
   Metrics.Registry.set_gauge reg "gc.minor_collections"
-    (float_of_int gcs.Gc.minor_collections);
+    (float_of_int (gcs.Gc.minor_collections - base.Gc.minor_collections));
   Metrics.Registry.set_gauge reg "gc.major_collections"
-    (float_of_int gcs.Gc.major_collections);
-  Metrics.Registry.set_gauge reg "gc.promoted_words" gcs.Gc.promoted_words;
+    (float_of_int (gcs.Gc.major_collections - base.Gc.major_collections));
+  Metrics.Registry.set_gauge reg "gc.promoted_words"
+    (gcs.Gc.promoted_words -. base.Gc.promoted_words);
   Metrics.Registry.set_gauge reg "gc.top_heap_words"
     (float_of_int gcs.Gc.top_heap_words);
   (match Prof.installed () with

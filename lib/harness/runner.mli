@@ -283,7 +283,13 @@ val metrics_snapshot : t -> Metrics.Registry.snapshot
     ([trace.emitted]/[trace.dropped_events]/[trace.capacity]/
     [trace.occupancy] — nonzero [trace.dropped_events] means the
     retained window is a suffix of the run) and the live critical-path
-    segment aggregates ([critpath.*], see {!Critpath.segment_means}). *)
+    segment aggregates ([critpath.*], see {!Critpath.segment_means}).
+    Every build exports the OCaml GC gauges: [gc.minor_collections],
+    [gc.major_collections] and [gc.promoted_words] count since this
+    fleet started (its first {!run}; 0 before it), so fleets run one
+    after another in one process each report their own;
+    [gc.top_heap_words] is the process-wide high-water mark of the
+    major heap, which covers every earlier fleet too. *)
 
 val analyzer : t -> Analyze.t option
 (** The run's protocol analyzer: [Some] iff the run was built with a

@@ -5,8 +5,14 @@
    paper's §2 reliable-link abstraction on top of a Faults-afflicted
    Network. *)
 
-type frame =
-  | Data of { seq : int; kind : string; bytes : string; sum : int }
+type 'msg frame =
+  | Data of {
+      seq : int;
+      kind : string;
+      bytes : string;
+      sum : int;
+      decoded : 'msg option;
+    }
   | Ack of { seq : int; sum : int }
 
 (* ---- checksum (FNV-1a/32 over a canonical rendering) ---- *)
@@ -40,15 +46,19 @@ let frame_sum = function
    FNV-1a/32 value is negative, so it can never match a real checksum.
    Such a frame is intact by construction (only [corrupt_frame] alters a
    frame, and it stores the real sum first), so checking it needs no
-   hash; the checksum is computed only for a frame that was corrupted. *)
+   hash; the checksum is computed only for a frame that was corrupted.
+   Only a pristine frame's [decoded] is read: it is the sender's decode
+   of the frame's bytes, with the codec every receiver on the wire uses.
+   A frame with a real sum is decoded by its receiver. *)
 let pristine = -1
 
 let frame_intact = function
   | Data { sum; _ } when sum = pristine -> true
-  | Data { seq; kind; bytes; sum } -> sum = data_sum ~seq ~kind ~bytes
+  | Data { seq; kind; bytes; sum; _ } -> sum = data_sum ~seq ~kind ~bytes
   | Ack { seq; sum } -> sum = ack_sum ~seq
 
-let make_data ~seq ~kind ~bytes = Data { seq; kind; bytes; sum = pristine }
+let make_data ~seq ~kind ~bytes ~decoded =
+  Data { seq; kind; bytes; sum = pristine; decoded }
 
 let make_ack ~seq = Ack { seq; sum = ack_sum ~seq }
 
@@ -57,7 +67,7 @@ let check_sum fn sum =
 
 let data_frame ~seq ~kind ~bytes ~sum =
   check_sum "Link.data_frame" sum;
-  Data { seq; kind; bytes; sum }
+  Data { seq; kind; bytes; sum; decoded = None }
 
 let ack_frame ~seq ~sum =
   check_sum "Link.ack_frame" sum;
@@ -66,15 +76,17 @@ let ack_frame ~seq ~sum =
 (* Flip one uniformly chosen bit of the frame's payload-or-seq without
    touching the stored checksum — what the Faults corrupt verdict does
    to frame networks (Network.set_corrupter). A pristine frame gets its
-   real sum first, so the flipped bit is caught byte for byte. *)
+   real sum first, so the flipped bit is caught byte for byte, and the
+   frame drops its sender-side decode. *)
 let corrupt_frame ~rng frame =
   let flip_seq seq = seq lxor (1 lsl Stdx.Rng.int rng 32) in
   match frame with
-  | Data { seq; kind; bytes; sum } ->
+  | Data { seq; kind; bytes; sum; _ } ->
     let sum = if sum = pristine then data_sum ~seq ~kind ~bytes else sum in
     let payload_bits = 8 * String.length bytes in
     let target = Stdx.Rng.int rng (32 + payload_bits) in
-    if target < 32 then Data { seq = seq lxor (1 lsl target); kind; bytes; sum }
+    if target < 32 then
+      Data { seq = seq lxor (1 lsl target); kind; bytes; sum; decoded = None }
     else
       let bit = target - 32 in
       let bytes =
@@ -84,7 +96,7 @@ let corrupt_frame ~rng frame =
             else c)
           bytes
       in
-      Data { seq; kind; bytes; sum }
+      Data { seq; kind; bytes; sum; decoded = None }
   | Ack { seq; sum } -> Ack { seq = flip_seq seq; sum }
 
 (* ---- wire-size accounting ---- *)
@@ -132,9 +144,9 @@ let add_stats a b =
     corrupt_rejected = a.corrupt_rejected + b.corrupt_rejected;
     decode_failures = a.decode_failures + b.decode_failures }
 
-type outstanding = {
+type 'msg outstanding = {
   o_kind : string;
-  o_frame : frame;
+  o_frame : 'msg frame;
   o_bits : int;
   o_id : int; (* logical-message correlation id; every send copy reuses it *)
   mutable o_attempt : int;
@@ -148,19 +160,25 @@ module Seqs = Hashtbl.Make (struct
   let hash seq = seq
 end)
 
+type 'msg wire = {
+  frames : 'msg frame Network.t;
+  encode : 'msg -> string;
+  decode : string -> 'msg option;
+}
+
+let wire frames ~encode ~decode = { frames; encode; decode }
+
 type 'msg t = {
-  net : frame Network.t;
+  wire : 'msg wire;
   engine : Sim.Engine.t;
   rng : Stdx.Rng.t;
   config : config;
   me : int;
-  encode : 'msg -> string;
-  decode : string -> 'msg option;
   trace : Trace.t option;
   mutable handler : (src:int -> 'msg -> unit) option;
   mutable detached : bool;
   next_seq : int array; (* per destination *)
-  unacked : outstanding Seqs.t array; (* per destination, by seq *)
+  unacked : 'msg outstanding Seqs.t array; (* per destination, by seq *)
   (* receiver dedup, per source: the seqs delivered, a watermark plus
      the out-of-order arrivals above it — a sliding window *)
   seen : Stdx.Seqset.t array;
@@ -242,7 +260,7 @@ let rec schedule_retry t ~dst ~seq ~timeout =
                    (Trace.Retransmit
                       { src = t.me; dst; msg_kind = o.o_kind; seq;
                         attempt = o.o_attempt; id = o.o_id }));
-               Network.send ?mid:(mid_opt o.o_id) t.net ~src:t.me ~dst
+               Network.send ?mid:(mid_opt o.o_id) t.wire.frames ~src:t.me ~dst
                  ~kind:o.o_kind ~bits:o.o_bits o.o_frame;
                let next =
                  Float.min (timeout *. t.config.backoff) t.config.max_rto
@@ -255,12 +273,13 @@ let rec schedule_retry t ~dst ~seq ~timeout =
             Prof.leave sp
           end)
 
-(* One reliable delivery of an already-encoded message. *)
-let send_bytes t ~dst ~kind ~bits bytes =
+(* One reliable delivery of an already-encoded message and the wire's
+   decode of its bytes. *)
+let send_bytes t ~dst ~kind ~bits bytes decoded =
   if not t.detached then begin
     let seq = t.next_seq.(dst) in
     t.next_seq.(dst) <- seq + 1;
-    let frame = make_data ~seq ~kind ~bytes in
+    let frame = make_data ~seq ~kind ~bytes ~decoded in
     (* allocate the logical id here, not in Network.send, so retransmit
        copies of this frame share it *)
     let mid =
@@ -273,21 +292,29 @@ let send_bytes t ~dst ~kind ~bits bytes =
         o_id = mid;
         o_attempt = 0 };
     t.data_sent <- t.data_sent + 1;
-    Network.send ?mid:(mid_opt mid) t.net ~src:t.me ~dst ~kind
+    Network.send ?mid:(mid_opt mid) t.wire.frames ~src:t.me ~dst ~kind
       ~bits:(bits + data_overhead_bits ~kind)
       frame;
     schedule_retry t ~dst ~seq ~timeout:t.config.rto
   end
 
+(* A message is encoded, and its bytes decoded, once per send: every
+   receiver of an intact, pristine frame is handed that one decode, which
+   is what its own decoder would return (one codec per wire, and every
+   message type is immutable). *)
 let send t ~dst ~kind ~bits msg =
-  if not t.detached then send_bytes t ~dst ~kind ~bits (t.encode msg)
+  if not t.detached then begin
+    let bytes = t.wire.encode msg in
+    send_bytes t ~dst ~kind ~bits bytes (t.wire.decode bytes)
+  end
 
-(* encoded once, then one frame per destination *)
+(* encoded and decoded once, then one frame per destination *)
 let broadcast t ~kind ~bits msg =
   if not t.detached then begin
-    let bytes = t.encode msg in
-    for dst = 0 to Network.n t.net - 1 do
-      send_bytes t ~dst ~kind ~bits bytes
+    let bytes = t.wire.encode msg in
+    let decoded = t.wire.decode bytes in
+    for dst = 0 to Network.n t.wire.frames - 1 do
+      send_bytes t ~dst ~kind ~bits bytes decoded
     done
   end
 
@@ -296,7 +323,7 @@ let on_frame t ~src frame =
   (try
      if not t.detached then
     match frame with
-    | Data { seq; kind; bytes; _ } ->
+    | Data { seq; kind; bytes; sum; decoded } ->
       if not (frame_intact frame) then begin
         t.corrupt_rejected <- t.corrupt_rejected + 1;
         tr_corrupt t ~src ~kind
@@ -305,14 +332,14 @@ let on_frame t ~src frame =
       else begin
         (* ack every intact data frame, duplicates included — the
            original ack may have been the copy the link lost *)
-        Network.send t.net ~src:t.me ~dst:src ~kind:"link-ack" ~bits:ack_bits
-          (make_ack ~seq);
+        Network.send t.wire.frames ~src:t.me ~dst:src ~kind:"link-ack"
+          ~bits:ack_bits (make_ack ~seq);
         if not (Stdx.Seqset.add t.seen.(src) seq) then begin
           t.dup_suppressed <- t.dup_suppressed + 1;
           tr_rx_drop t ~src ~kind "duplicate"
         end
         else
-          match t.decode bytes with
+          match if sum = pristine then decoded else t.wire.decode bytes with
           | None ->
             (* transport did its job; the payload itself is garbage
                (Byzantine sender) — count it and move on *)
@@ -335,21 +362,19 @@ let on_frame t ~src frame =
    with e -> Prof.leave_reraise sp e);
   Prof.leave sp
 
-let attach ~net ~engine ~rng ?(config = default_config) ?trace ~me ~encode
-    ~decode () =
+let attach ~wire ~engine ~rng ?(config = default_config) ?trace ~me () =
   if config.rto <= 0.0 || config.backoff < 1.0 || config.max_rto < config.rto
   then invalid_arg "Link.attach: bad timer config";
   if config.jitter < 0.0 then invalid_arg "Link.attach: negative jitter";
   if config.max_attempts < 1 then invalid_arg "Link.attach: max_attempts < 1";
+  let net = wire.frames in
   let n = Network.n net in
   let t =
-    { net;
+    { wire;
       engine;
       rng;
       config;
       me;
-      encode;
-      decode;
       trace;
       handler = None;
       detached = false;
@@ -372,5 +397,5 @@ let detach t =
     t.detached <- true;
     t.handler <- None;
     Array.iter Seqs.reset t.unacked;
-    Network.unregister t.net t.me
+    Network.unregister t.wire.frames t.me
   end

@@ -2,8 +2,9 @@
 
     When a {!Faults} policy breaks the §2 reliable-link assumption,
     this module rebuilds it: each process attaches one endpoint per
-    protocol stack to a shared network of {!frame}s, and typed
-    messages travel as sequence-numbered, checksummed data frames.
+    protocol stack to a shared {!wire} (a network of {!frame}s and the
+    one codec of its messages), and typed messages travel as
+    sequence-numbered, checksummed data frames.
     The sender retransmits every unacked frame on a timeout schedule
     with exponential backoff, multiplicative jitter and a cap, giving
     up only after [max_attempts] (so a crashed peer cannot pin memory
@@ -20,8 +21,14 @@
     the supplied RNG: lossy executions remain pure functions of the
     seed. *)
 
-type frame = private
-  | Data of { seq : int; kind : string; bytes : string; sum : int }
+type 'msg frame = private
+  | Data of {
+      seq : int;
+      kind : string;
+      bytes : string;
+      sum : int;
+      decoded : 'msg option;
+    }
   | Ack of { seq : int; sum : int }
       (** Sequence numbers are per (sender, destination) stream; [sum]
           is a FNV-1a/32 checksum over the rest of the frame —
@@ -35,10 +42,16 @@ type frame = private
           flips a bit, so a corrupted frame is still checked byte for
           byte. The type is private so that only this module can build
           a pristine frame; tests build frames with {!data_frame} and
-          {!ack_frame}. *)
+          {!ack_frame}.
 
-val data_frame : seq:int -> kind:string -> bytes:string -> sum:int -> frame
-val ack_frame : seq:int -> sum:int -> frame
+          [decoded] is the wire's decode of [bytes], made once by the
+          send that encoded them, and a receiver delivers it only from
+          a pristine frame. A frame with a real checksum (from
+          {!corrupt_frame} or {!data_frame}) carries [None] there and
+          its receiver decodes its bytes itself. *)
+
+val data_frame : seq:int -> kind:string -> bytes:string -> sum:int -> 'msg frame
+val ack_frame : seq:int -> sum:int -> 'msg frame
 (** Frames with an explicit checksum, right or wrong (for tests).
     @raise Invalid_argument if [sum] is outside [[0, 2{^32})]. *)
 
@@ -69,22 +82,40 @@ type stats = {
 val zero_stats : stats
 val add_stats : stats -> stats -> stats
 
+type 'msg wire
+(** A frame network together with its codec: the one encoder and
+    decoder of every endpoint attached to it. *)
+
+val wire :
+  'msg frame Network.t ->
+  encode:('msg -> string) ->
+  decode:(string -> 'msg option) ->
+  'msg wire
+(** Build a frame network's wire; attach every endpoint of the network
+    to this one wire. *)
+
 type 'msg t
 
 val attach :
-  net:frame Network.t ->
+  wire:'msg wire ->
   engine:Sim.Engine.t ->
   rng:Stdx.Rng.t ->
   ?config:config ->
   ?trace:Trace.t ->
   me:int ->
-  encode:('msg -> string) ->
-  decode:(string -> 'msg option) ->
   unit ->
   'msg t
-(** Create process [me]'s endpoint and register it on the frame
-    network. Messages are encoded to bytes on send and decoded on
-    delivery, so lossy runs exercise the protocol's real wire codecs.
+(** Create process [me]'s endpoint and register it on the wire's frame
+    network. A send encodes the message to bytes and decodes those
+    bytes once, with the wire's codec, so lossy runs exercise the
+    protocol's real wire codecs: a {!broadcast} makes one decode for
+    all [n] frames, not one per receiver. A receiver delivers that
+    decoded value from an intact pristine frame, and decodes the bytes
+    itself only from a frame with a real checksum (one that was
+    corrupted, or built by {!data_frame}). Either way it delivers what
+    its own decode of the bytes returns, since the codec is the wire's
+    and messages are immutable values; a payload the decoder rejects
+    is dropped (reason "decode") and counted in [decode_failures].
     With a tracer, the endpoint emits {!Trace.Retransmit},
     {!Trace.Corrupt_reject}, and {!Trace.Drop} (reasons "give-up",
     "duplicate", "decode", "no-handler").
@@ -104,7 +135,8 @@ val send : 'msg t -> dst:int -> kind:string -> bits:int -> 'msg -> unit
 
 val broadcast : 'msg t -> kind:string -> bits:int -> 'msg -> unit
 (** {!send} to all [n] processes, self included, in index order; the
-    message is encoded once and every frame carries those bytes. *)
+    message is encoded and decoded once and every frame carries those
+    bytes and that decode. *)
 
 val detach : 'msg t -> unit
 (** Silence the endpoint for good: unregister from the frame network,
@@ -118,14 +150,15 @@ val retransmits_by_dst : 'msg t -> (int * int) list
 (** [(dst, retransmit count)] for destinations with at least one
     retransmission — the per-link counters the analyzer aggregates. *)
 
-val corrupt_frame : rng:Stdx.Rng.t -> frame -> frame
+val corrupt_frame : rng:Stdx.Rng.t -> 'msg frame -> 'msg frame
 (** Flip one random bit of the frame (payload or sequence number)
     without fixing the checksum — install as the frame network's
-    {!Network.set_corrupter}. *)
+    {!Network.set_corrupter}. The result carries no sender-side
+    decode. *)
 
-val frame_sum : frame -> int
+val frame_sum : 'msg frame -> int
 (** The checksum the frame should carry (exposed for tests). *)
 
-val frame_intact : frame -> bool
+val frame_intact : 'msg frame -> bool
 (** Does the stored checksum match the content? [true] for a pristine
     frame without computing the checksum. *)

@@ -267,6 +267,51 @@ let send_ready t inst ~origin ~round ~commit =
       ~bits:(msg_bits msg) msg
   end
 
+(* [String.equal frag (Bytes.sub_string row 0 len)] without the copy:
+   eight bytes per comparison, then the tail byte by byte. *)
+let row_equal row ~len frag =
+  String.length frag = len
+  &&
+  let i = ref 0 in
+  while
+    !i + 8 <= len
+    && (String.get_int64_ne frag !i : int64) = Bytes.get_int64_ne row !i
+  do
+    i := !i + 8
+  done;
+  while !i < len && String.unsafe_get frag !i = Bytes.unsafe_get row !i do
+    incr i
+  done;
+  !i = len
+
+(* Reconstruct, re-encode and check the committed root: rejects
+   Byzantine non-codeword dispersals deterministically, so every correct
+   process makes the same deliver/discard decision. It runs in the
+   coder's buffers: each row of the codeword is derived into the row
+   buffer, a row equal to the held fragment keeps that fragment's leaf
+   digest, and any other row is hashed in place; the root check reads
+   the held proofs' internal nodes back from the memo. The row digests
+   go into [held.digests], which the decision drops anyway. Returns the
+   payload, copied out, iff the root matches: no buffer is live once it
+   returns, so the deliver upcall may re-enter [bcast]. *)
+let check_codeword t held commit =
+  let data_len = commit.data_len in
+  match Crypto.Reed_solomon.reconstruct t.coder ~data_len held.frags with
+  | exception Invalid_argument _ -> None
+  | () ->
+    let len = Crypto.Reed_solomon.fragment_length t.coder ~data_len in
+    for i = 0 to t.n - 1 do
+      let row = Crypto.Reed_solomon.row t.coder i in
+      if not (row_equal row ~len held.frags.(i)) then
+        held.digests.(i) <- Crypto.Merkle.leaf_digest_sub row ~pos:0 ~len
+    done;
+    if
+      String.equal
+        (Crypto.Merkle.root_of_leaf_digests ~memo:held.memo held.digests)
+        commit.root
+    then Some (Crypto.Reed_solomon.payload t.coder)
+    else None
+
 let try_deliver t inst ~origin ~round ~commit =
   if
     (not inst.delivered) && (not inst.discarded)
@@ -274,44 +319,14 @@ let try_deliver t inst ~origin ~round ~commit =
   then
     match Hashtbl.find_opt inst.fragments commit with
     | Some held when held.count >= t.k ->
-      let pieces = ref [] in
-      for i = t.n - 1 downto 0 do
-        if not (String.equal held.frags.(i) "") then
-          pieces := (i, held.frags.(i)) :: !pieces
-      done;
-      (match
-         Crypto.Reed_solomon.decode t.coder ~data_len:commit.data_len !pieces
-       with
-      | exception Invalid_argument _ ->
+      (match check_codeword t held commit with
+      | Some payload ->
+        inst.delivered <- true;
+        phase t ~origin ~round "deliver";
+        t.deliver ~payload ~round ~source:origin
+      | None ->
         inst.discarded <- true;
-        phase t ~origin ~round "discard"
-      | payload ->
-        (* re-encode and check the committed root: rejects Byzantine
-           non-codeword dispersals deterministically, so every correct
-           process makes the same deliver/discard decision. Re-encoded
-           fragments equal to held ones reuse their leaf digests, and
-           the internal nodes the held proofs already produced. *)
-        let re_frags = Crypto.Reed_solomon.encode t.coder payload in
-        let digests =
-          Array.mapi
-            (fun i frag ->
-              if String.equal held.frags.(i) frag then held.digests.(i)
-              else Crypto.Merkle.leaf_digest frag)
-            re_frags
-        in
-        if
-          String.equal
-            (Crypto.Merkle.root_of_leaf_digests ~memo:held.memo digests)
-            commit.root
-        then begin
-          inst.delivered <- true;
-          phase t ~origin ~round "deliver";
-          t.deliver ~payload ~round ~source:origin
-        end
-        else begin
-          inst.discarded <- true;
-          phase t ~origin ~round "discard"
-        end);
+        phase t ~origin ~round "discard");
       (* decided: every later echo is moot (no fragment is verified
          again), so the held fragments and node memo are dead *)
       Hashtbl.reset inst.fragments

@@ -30,7 +30,15 @@
     under which a fragment verified keeps a {!Crypto.Merkle.memo} of
     internal node hashes, so a later proof hashes only the nodes no
     earlier proof produced and the re-encoding check reads the rest
-    back (DESIGN §18). *)
+    back (DESIGN §18).
+
+    The re-encoding check runs in the endpoint's coder buffers
+    ({!Crypto.Reed_solomon.reconstruct}): each row of the re-encoded
+    codeword is derived in place and compared word by word with the
+    held fragment at its index, only a row that differs or is not held
+    is hashed, and the payload is copied out once, when the root
+    matches. No buffer is live across the [deliver] upcall, which may
+    re-enter {!bcast}. *)
 
 type msg =
   | Disperse of {

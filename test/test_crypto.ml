@@ -76,6 +76,32 @@ let test_sha256_allocation () =
   let bytes = int_of_float (Gc.minor_words () -. before) * (Sys.word_size / 8) in
   checkb (Printf.sprintf "%d bytes allocated < 1024" bytes) true (bytes < 1024)
 
+(* A slice hashed in place digests as its copy would, prefix and all,
+   at every offset and length around the block boundaries; a slice
+   outside the buffer is refused. The Merkle leaf of a slice is the
+   leaf of its copy. *)
+let test_sha256_digest_sub () =
+  let b = Bytes.init 200 (fun i -> Char.chr ((i * 31) mod 256)) in
+  List.iter
+    (fun (prefix, pos, len) ->
+      checks
+        (Printf.sprintf "prefix %d, pos %d, len %d" (String.length prefix) pos
+           len)
+        (Crypto.Sha256.to_hex
+           (Crypto.Sha256.digest_string (prefix ^ Bytes.sub_string b pos len)))
+        (Crypto.Sha256.to_hex (Crypto.Sha256.digest_sub ~prefix b ~pos ~len)))
+    [ ("", 0, 0); ("", 0, 200); ("\x00", 3, 55); ("\x00", 1, 63); ("ab", 7, 64);
+      (String.make 70 'p', 0, 130); ("", 199, 1); ("x", 200, 0) ];
+  checks "leaf of a slice = leaf of its copy"
+    (Crypto.Merkle.leaf_digest (Bytes.sub_string b 5 100))
+    (Crypto.Merkle.leaf_digest_sub b ~pos:5 ~len:100);
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises "slice outside the buffer"
+        (Invalid_argument "Sha256.digest_sub: slice out of bounds") (fun () ->
+          ignore (Crypto.Sha256.digest_sub ~prefix:"" b ~pos ~len)))
+    [ (-1, 1); (0, -1); (150, 51); (201, 0); (max_int, 1) ]
+
 let test_sha256_incremental_chunks () =
   let s = String.init 500 (fun i -> Char.chr ((i * 7) mod 256)) in
   let ctx = Crypto.Sha256.init () in
@@ -305,6 +331,29 @@ let test_rs_empty_payload () =
   checki "nonzero fragment size" 1 (String.length frags.(0));
   checks "empty roundtrip" ""
     (Crypto.Reed_solomon.decode c ~data_len:0 [ (2, frags.(2)); (3, frags.(3)) ])
+
+(* The delivery check's working set: once the coder's buffers are large
+   enough, reconstructing from parity fragments alone (so every data
+   fragment is interpolated) and deriving every row allocates nothing. *)
+let test_rs_rows_allocation () =
+  let k = 3 and n = 10 in
+  let c = Crypto.Reed_solomon.make ~k ~n in
+  let data = String.init 1000 (fun i -> Char.chr ((i * 7) mod 256)) in
+  let data_len = String.length data in
+  let frags = Crypto.Reed_solomon.encode c data in
+  let held = Array.mapi (fun i f -> if i < k then "" else f) frags in
+  let check_all () =
+    Crypto.Reed_solomon.reconstruct c ~data_len held;
+    for i = 0 to n - 1 do
+      ignore (Sys.opaque_identity (Crypto.Reed_solomon.row c i))
+    done
+  in
+  check_all ();
+  let before = Gc.minor_words () in
+  check_all ();
+  let words = int_of_float (Gc.minor_words () -. before) in
+  checki "reconstruct and rows allocate 0 words" 0 words;
+  checks "and still reconstruct" data (Crypto.Reed_solomon.payload c)
 
 let test_rs_bad_params () =
   Alcotest.check_raises "k > n"
@@ -813,6 +862,8 @@ let () =
           Alcotest.test_case "million a's" `Slow test_sha256_million_a;
           Alcotest.test_case "block boundaries" `Quick test_sha256_block_boundaries;
           Alcotest.test_case "allocation" `Quick test_sha256_allocation;
+          Alcotest.test_case "digest_sub = digest of the copy" `Quick
+            test_sha256_digest_sub;
           Alcotest.test_case "incremental chunks" `Quick test_sha256_incremental_chunks;
           Alcotest.test_case "finalize once" `Quick test_sha256_finalize_once;
           Alcotest.test_case "hmac rfc4231 #1" `Quick test_hmac_rfc4231_case1;
@@ -839,6 +890,7 @@ let () =
           Alcotest.test_case "duplicates" `Quick test_rs_duplicate_indices_dont_count;
           Alcotest.test_case "empty payload" `Quick test_rs_empty_payload;
           Alcotest.test_case "bad params" `Quick test_rs_bad_params;
+          Alcotest.test_case "rows allocation" `Quick test_rs_rows_allocation;
           QCheck_alcotest.to_alcotest prop_rs_any_k_subset ] );
       ( "merkle",
         [ Alcotest.test_case "single leaf" `Quick test_merkle_single_leaf;

@@ -76,10 +76,9 @@ let make_link_pair ?(config = Net.Link.default_config) ?(drop = 0.0)
        ~reorder ());
   Net.Network.set_corrupter net
     (Net.Link.corrupt_frame ~rng:(Stdx.Rng.split rng));
+  let wire = Net.Link.wire net ~encode:(fun s -> s) ~decode:(fun s -> Some s) in
   let attach me =
-    Net.Link.attach ~net ~engine ~rng:(Stdx.Rng.split rng) ~config ?trace ~me
-      ~encode:(fun s -> s)
-      ~decode:(fun s -> Some s)
+    Net.Link.attach ~wire ~engine ~rng:(Stdx.Rng.split rng) ~config ?trace ~me
       ()
   in
   let a = attach 0 in
@@ -101,9 +100,10 @@ let pump ?config ?drop ?dup ?corrupt ?reorder ?trace ~seed k =
   ignore (Sim.Engine.run engine ());
   (List.rev !got, Net.Link.stats a, Net.Link.stats b)
 
-(* A three-endpoint lossy fleet whose encoder counts its calls; [go]
-   sends one message from endpoint 0 to everyone. Returns the encode
-   count and every arrival with its time, receiver and source. *)
+(* A three-endpoint lossy fleet whose encoder and decoder count their
+   calls; [go] sends one message from endpoint 0 to everyone. Returns
+   the encode and decode counts and every arrival with its time,
+   receiver and source. *)
 let link_fan_out ~go =
   let engine = Sim.Engine.create () in
   let rng = Stdx.Rng.create 23 in
@@ -115,14 +115,16 @@ let link_fan_out ~go =
     (Net.Faults.lossy ~rng:(Stdx.Rng.split rng) ~drop:0.3 ~duplicate:0.2
        ~corrupt:0.1 ~reorder:0.0 ());
   Net.Network.set_corrupter net (Net.Link.corrupt_frame ~rng:(Stdx.Rng.split rng));
-  let encodes = ref 0 and got = ref [] in
+  let encodes = ref 0 and decodes = ref 0 and got = ref [] in
+  let wire =
+    Net.Link.wire net
+      ~encode:(fun s -> incr encodes; s)
+      ~decode:(fun s -> incr decodes; Some s)
+  in
   let links =
     Array.init 3 (fun me ->
         let l =
-          Net.Link.attach ~net ~engine ~rng:(Stdx.Rng.split rng) ~me
-            ~encode:(fun s -> incr encodes; s)
-            ~decode:(fun s -> Some s)
-            ()
+          Net.Link.attach ~wire ~engine ~rng:(Stdx.Rng.split rng) ~me ()
         in
         Net.Link.set_handler l (fun ~src m ->
             got := (Sim.Engine.now engine, me, src, m) :: !got);
@@ -130,22 +132,27 @@ let link_fan_out ~go =
   in
   go links.(0);
   ignore (Sim.Engine.run engine ());
-  (!encodes, List.rev !got, Net.Link.stats links.(0))
+  (!encodes, !decodes, List.rev !got, Net.Link.stats links.(0))
 
-(* A broadcast encodes once, and otherwise is the same n sends: same
-   frames, same RNG draws, so the same arrivals at the same times. *)
+(* A broadcast encodes and decodes once, and otherwise is the same n
+   sends: same frames, same RNG draws, so the same arrivals at the same
+   times. The fleet drops, duplicates and corrupts frames, and a
+   corrupted frame is rejected by checksum before any decode, so every
+   decode is the sender's. *)
 let test_link_broadcast_encodes_once () =
-  let e_b, got_b, st_b =
+  let e_b, d_b, got_b, st_b =
     link_fan_out ~go:(fun l -> Net.Link.broadcast l ~kind:"t" ~bits:64 "hello")
   in
-  let e_s, got_s, st_s =
+  let e_s, d_s, got_s, st_s =
     link_fan_out ~go:(fun l ->
         for dst = 0 to 2 do
           Net.Link.send l ~dst ~kind:"t" ~bits:64 "hello"
         done)
   in
   checki "broadcast encodes once" 1 e_b;
+  checki "broadcast decodes once, not once per receiver" 1 d_b;
   checki "sends encode each" 3 e_s;
+  checki "sends decode each" 3 d_s;
   checki "delivered to all" 3 (List.length got_b);
   checkb "same arrivals as n sends" true (got_b = got_s);
   checkb "same link stats as n sends" true (st_b = st_s)
@@ -234,6 +241,8 @@ let test_link_determinism () =
   checkb "same seed, same arrival order" true (got_a = got_b);
   checkb "same seed, same stats" true (stats_a = stats_b)
 
+(* The wire's decoder rejects the payload: the frame is intact (acked,
+   not retransmitted) but the delivery is dropped. *)
 let test_link_decode_failure_dropped () =
   let engine = Sim.Engine.create () in
   let rng = Stdx.Rng.create 29 in
@@ -242,15 +251,12 @@ let test_link_decode_failure_dropped () =
     Net.Network.create ~engine ~sched:(Net.Sched.synchronous ()) ~counters ~n:2
   in
   let trace = Trace.create () in
-  let attach me decode =
-    Net.Link.attach ~net ~engine ~rng:(Stdx.Rng.split rng) ~trace ~me
-      ~encode:(fun s -> s)
-      ~decode ()
+  let wire = Net.Link.wire net ~encode:(fun s -> s) ~decode:(fun _ -> None) in
+  let attach me =
+    Net.Link.attach ~wire ~engine ~rng:(Stdx.Rng.split rng) ~trace ~me ()
   in
-  let a = attach 0 (fun s -> Some s) in
-  (* the receiver's protocol decoder rejects this payload: the frame is
-     intact (acked, not retransmitted) but the delivery is dropped *)
-  let b = attach 1 (fun _ -> None) in
+  let a = attach 0 in
+  let b = attach 1 in
   let got = ref 0 in
   Net.Link.set_handler b (fun ~src:_ _ -> incr got);
   Net.Link.send a ~dst:1 ~kind:"t" ~bits:64 "junk";
@@ -264,6 +270,37 @@ let test_link_decode_failure_dropped () =
          | { Trace.kind = Trace.Drop { reason = "decode"; _ }; _ } -> true
          | _ -> false)
        (Trace.events trace))
+
+(* A frame with a real checksum carries no sender-side decode: its
+   receiver decodes the frame's own bytes, once, and delivers that. *)
+let test_link_summed_frame_decoded_by_receiver () =
+  let engine = Sim.Engine.create () in
+  let net =
+    Net.Network.create ~engine ~sched:(Net.Sched.synchronous ())
+      ~counters:(Metrics.Counters.create ()) ~n:2
+  in
+  let decodes = ref 0 in
+  let wire =
+    Net.Link.wire net ~encode:(fun s -> s)
+      ~decode:(fun s -> incr decodes; Some ("decoded " ^ s))
+  in
+  let b =
+    Net.Link.attach ~wire ~engine ~rng:(Stdx.Rng.create 37) ~me:1 ()
+  in
+  let got = ref [] in
+  Net.Link.set_handler b (fun ~src m -> got := (src, m) :: !got);
+  let frame = Net.Link.data_frame ~seq:0 ~kind:"t" ~bytes:"payload" ~sum:0 in
+  let frame =
+    Net.Link.data_frame ~seq:0 ~kind:"t" ~bytes:"payload"
+      ~sum:(Net.Link.frame_sum frame)
+  in
+  Net.Network.send net ~src:0 ~dst:1 ~kind:"t" ~bits:64 frame;
+  ignore (Sim.Engine.run engine ());
+  Alcotest.(check (list (pair int string)))
+    "the receiver's decode of the frame's bytes" [ (0, "decoded payload") ]
+    !got;
+  checki "decoded once, by the receiver" 1 !decodes;
+  checki "no decode failure" 0 (Net.Link.stats b).Net.Link.decode_failures
 
 let test_frame_checksum () =
   let data = Net.Link.data_frame ~seq:3 ~kind:"k" ~bytes:"payload" ~sum:0 in
@@ -325,8 +362,9 @@ let test_lazy_checksum_differential () =
       ~counters:(Metrics.Counters.create ()) ~n:2
   in
   let sender =
-    Net.Link.attach ~net ~engine ~rng:(Stdx.Rng.split rng) ~me:0
-      ~encode:(fun s -> s) ~decode:(fun s -> Some s) ()
+    Net.Link.attach
+      ~wire:(Net.Link.wire net ~encode:(fun s -> s) ~decode:(fun s -> Some s))
+      ~engine ~rng:(Stdx.Rng.split rng) ~me:0 ()
   in
   let sent = ref [] in
   Net.Network.register net 1 (fun ~src:_ frame -> sent := frame :: !sent);
@@ -919,6 +957,8 @@ let () =
           Alcotest.test_case "determinism" `Quick test_link_determinism;
           Alcotest.test_case "decode failure dropped" `Quick
             test_link_decode_failure_dropped;
+          Alcotest.test_case "summed frame decoded by its receiver" `Quick
+            test_link_summed_frame_decoded_by_receiver;
           Alcotest.test_case "frame checksums" `Quick test_frame_checksum;
           Alcotest.test_case "lazy checksum = eager checksum" `Quick
             test_lazy_checksum_differential;

@@ -291,6 +291,53 @@ let test_runner_snapshot_without_prof () =
            not (String.length k >= 5 && String.sub k 0 5 = "prof."))
          snap.Metrics.Registry.gauges)
 
+(* Two fleets run one after the other in one process: the second
+   fleet's collection and promotion gauges count from its own start, so
+   they leave out the first fleet's, while the top heap stays the
+   process-wide high-water mark. *)
+let test_runner_snapshot_gc_per_fleet () =
+  let run () =
+    let h = Harness.Runner.build (Harness.Runner.default_options ~n:7) in
+    Harness.Runner.run h ~until:100.0;
+    h
+  in
+  let gauge h name =
+    match
+      List.assoc_opt name
+        (Harness.Runner.metrics_snapshot h).Metrics.Registry.gauges
+    with
+    | Some v -> v
+    | None -> Alcotest.failf "no gauge %s" name
+  in
+  let start = Gc.quick_stat () in
+  let first = run () in
+  let first_minor = gauge first "gc.minor_collections" in
+  checkb "the first fleet collected" true (first_minor > 0.0);
+  let between = Gc.quick_stat () in
+  let second = run () in
+  let minor = gauge second "gc.minor_collections" in
+  let promoted = gauge second "gc.promoted_words" in
+  let top = gauge second "gc.top_heap_words" in
+  let stop = Gc.quick_stat () in
+  checkb "the second fleet collected" true (minor > 0.0);
+  checkb "second fleet: only collections since it started" true
+    (minor
+    <= float_of_int (stop.Gc.minor_collections - between.Gc.minor_collections));
+  checkb "second fleet: the first fleet's collections left out" true
+    (minor
+    < float_of_int (stop.Gc.minor_collections - start.Gc.minor_collections));
+  checkb "second fleet: only promotion since it started" true
+    (promoted >= 0.0
+    && promoted <= stop.Gc.promoted_words -. between.Gc.promoted_words);
+  checkb "major collections counted from the start" true
+    (gauge second "gc.major_collections"
+    <= float_of_int (stop.Gc.major_collections - between.Gc.major_collections));
+  checkb "top heap is process-wide" true
+    (top >= float_of_int between.Gc.top_heap_words);
+  let idle = Harness.Runner.build (Harness.Runner.default_options ~n:4) in
+  checkb "a fleet never started counts no collection" true
+    (gauge idle "gc.minor_collections" = 0.0)
+
 (* ---- registry edge cases ---- *)
 
 let test_registry_empty_histogram () =
@@ -398,6 +445,8 @@ let () =
       ( "runner-export",
         [ Alcotest.test_case "gc.* and prof.* in snapshot" `Quick
             test_runner_snapshot_gc_and_prof;
+          Alcotest.test_case "gc gauges count from the fleet's start" `Quick
+            test_runner_snapshot_gc_per_fleet;
           Alcotest.test_case "no prof.* when uninstalled" `Quick
             test_runner_snapshot_without_prof ] );
       ( "registry",

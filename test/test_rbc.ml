@@ -790,6 +790,51 @@ let test_avid_disperse_after_delivery () =
   checki "and only once" 3 (echoes ());
   Alcotest.(check (list string)) "still delivered once" [ payload ] !(p.delivered)
 
+(* Each process's deliver upcall re-enters [bcast] on its own endpoint,
+   as a DAG node does when a delivery completes its round: the round-1
+   payload must not share the coder's buffers, which the round-2
+   dispersal (as long, so they are reused, not regrown) overwrites
+   inside the upcall, and every round-2 instance must deliver too. *)
+let test_avid_deliver_reenters_bcast () =
+  let n = 4 and f = 1 in
+  let engine = Sim.Engine.create () in
+  let sched = Net.Sched.uniform_random ~rng:(Stdx.Rng.create 17) in
+  let net =
+    Net.Network.create ~engine ~sched ~counters:(Metrics.Counters.create ()) ~n
+  in
+  let port = Net.Port.of_network net in
+  let first = String.init 300 (fun i -> Char.chr (i mod 251)) in
+  let second i = String.init 300 (fun j -> Char.chr ((j * (i + 3)) mod 256)) in
+  let eps = Array.make n None in
+  let deliveries = Array.init n (fun _ -> ref []) in
+  let deliver me ~payload ~round ~source =
+    deliveries.(me) := (payload, round, source) :: !(deliveries.(me));
+    if round = 1 then
+      match eps.(me) with
+      | Some ep -> Rbc.Avid.bcast ep ~payload:(second me) ~round:2
+      | None -> assert false
+  in
+  Array.iteri
+    (fun me _ ->
+      eps.(me) <-
+        Some (Rbc.Avid.create_port ~port ~me ~f ~deliver:(deliver me)))
+    eps;
+  (match eps.(0) with
+  | Some ep -> Rbc.Avid.bcast ep ~payload:first ~round:1
+  | None -> assert false);
+  ignore (Sim.Engine.run engine ());
+  let want =
+    List.sort compare
+      ((first, 1, 0) :: List.init n (fun i -> (second i, 2, i)))
+  in
+  Array.iteri
+    (fun me log ->
+      checkb
+        (Printf.sprintf "p%d: round 1 and every round-2 instance intact" me)
+        true
+        (List.sort compare !log = want))
+    deliveries
+
 let test_avid_fragment_size_economy () =
   (* AVID's total traffic for a large payload must be far below
      Bracha's (each process relays |m|/(f+1) + proofs instead of |m|) *)
@@ -989,6 +1034,8 @@ let () =
         [ Alcotest.test_case "inconsistent dispersal discarded" `Quick
             test_avid_inconsistent_dispersal_discarded;
           Alcotest.test_case "fragment economy" `Quick test_avid_fragment_size_economy;
+          Alcotest.test_case "deliver re-enters bcast" `Quick
+            test_avid_deliver_reenters_bcast;
           Alcotest.test_case "held fragment, tampered proof" `Quick
             test_avid_held_fragment_tampered_proof;
           Alcotest.test_case "ready quorum before disperse" `Quick

@@ -110,8 +110,54 @@ let prop_decode_errors =
       outcome (fun () -> RS.decode c ~data_len ps)
       = outcome (fun () -> Ref.decode r ~data_len ps))
 
+(* Row [i] of the codeword in the coder's buffer, as a string. *)
+let row_string c ~data_len i =
+  Bytes.sub_string (RS.row c i) 0 (RS.fragment_length c ~data_len)
+
+(* The in-place rows: after encode, and after reconstructing from at
+   least k held fragments (a random mix, or every fragment with the last
+   data fragment's padding bytes garbled, as a Byzantine dispersal may
+   send them), row i is byte-equal to fragment i of encode and of the
+   reference, and the payload copied out is the input. *)
+let prop_rows =
+  QCheck.Test.make ~name:"in-place rows = encode = reference" ~count:200
+    (QCheck.int_range 0 1_000_000) (fun seed ->
+      let rng = Stdx.Rng.create seed in
+      let k, n = shape rng in
+      let d = data rng ~k in
+      let data_len = String.length d in
+      let c = RS.make ~k ~n in
+      let frags = RS.encode c d and want = Ref.encode (Ref.make ~k ~n) d in
+      let check stage =
+        if RS.payload c <> d then
+          fail "k=%d n=%d len=%d: %s payload differs" k n data_len stage;
+        for i = 0 to n - 1 do
+          let row = row_string c ~data_len i in
+          if row <> frags.(i) || row <> want.(i) then
+            fail "k=%d n=%d len=%d: %s row %d differs" k n data_len stage i
+        done
+      in
+      check "encoded";
+      let held = Array.make n "" in
+      if Stdx.Rng.bool rng then
+        List.iter (fun (i, frag) -> if held.(i) = "" then held.(i) <- frag)
+          (pieces rng ~k ~n frags)
+      else begin
+        Array.blit frags 0 held 0 n;
+        let flen = String.length frags.(0) in
+        let pad_from = data_len - ((k - 1) * flen) in
+        held.(k - 1) <-
+          String.mapi
+            (fun j ch ->
+              if j >= pad_from then Char.chr (Char.code ch lxor 0xa5) else ch)
+            frags.(k - 1)
+      end;
+      RS.reconstruct c ~data_len held;
+      check "reconstructed";
+      true)
+
 let () =
   Alcotest.run "rs-diff"
     [ ( "differential",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_encode; prop_decode; prop_decode_errors ] ) ]
+          [ prop_encode; prop_decode; prop_decode_errors; prop_rows ] ) ]
