@@ -636,7 +636,9 @@ let profile_cmd =
        below it explains a slice of the whole run's wall time *)
     Prof.time "run" (fun () -> Harness.Runner.run fleet ~until:c.until);
     Prof.uninstall ();
-    Printf.printf "profile: n=%d seed=%d backend=%s until=%.0f trace=%s; %s\n\n"
+    (* sha256= names the hash kernel behind the crypto rows *)
+    Printf.printf
+      "profile: n=%d seed=%d backend=%s until=%.0f trace=%s sha256=%s; %s\n\n"
       c.n c.seed
       (match c.backend with
       | Harness.Runner.Bracha -> "bracha"
@@ -644,7 +646,7 @@ let profile_cmd =
       | Harness.Runner.Gossip -> "gossip")
       c.until
       (if no_trace then "off" else "on")
-      (delivered_at fleet);
+      Crypto.Sha256.kernel (delivered_at fleet);
     print_string (Prof.render_table ~top prof);
     print_newline ();
     print_string (Prof.render_gc (Prof.gc_summary prof));

@@ -32,7 +32,10 @@ type state = {
 
 type ctx = { mutable st : state option }
 
-(* Compress the 64-byte block at [off] of [block] into [st.h]. Callers
+(* The portable kernel, used where the CPU lacks the SHA extensions and
+   the oracle the SHA-NI kernel is tested against.
+
+   Compress the 64-byte block at [off] of [block] into [st.h]. Callers
    hashing a string pass it through [Bytes.unsafe_of_string]: the block
    is only read.
 
@@ -88,6 +91,37 @@ let compress st block off =
   h.(6) <- (h.(6) + !g) land mask;
   h.(7) <- (h.(7) + !hh) land mask
 
+(* The SHA-NI kernel (sha256_stubs.c) and the probe that says whether
+   this CPU can run it. Both are noalloc: the kernel reads [nblocks]
+   64-byte blocks of [src] from [off] and writes the chaining words back
+   into [h], so its range is checked before every call. *)
+external sha_ni_available : unit -> bool = "dagrider_sha256_ni_available"
+[@@noalloc]
+
+external sha_ni_compress_blocks : int array -> bytes -> int -> int -> unit
+  = "dagrider_sha256_ni_compress_blocks"
+[@@noalloc]
+
+(* Chosen once, from what cpuid reports; nothing else can change it. *)
+let sha_ni = sha_ni_available ()
+let kernel = if sha_ni then "sha-ni" else "portable"
+
+let check_blocks src off nblocks =
+  let len = Bytes.length src in
+  if off < 0 || off > len || nblocks < 0 || nblocks > (len - off) lsr 6 then
+    invalid_arg "Sha256.compress_blocks: blocks out of bounds"
+
+let portable_blocks st src off nblocks =
+  for i = 0 to nblocks - 1 do
+    compress st src (off + (64 * i))
+  done
+
+(* Compress [nblocks] whole blocks of [src] from [off] into [st.h]. *)
+let blocks st src off nblocks =
+  check_blocks src off nblocks;
+  if sha_ni then sha_ni_compress_blocks st.h src off nblocks
+  else portable_blocks st src off nblocks
+
 let iv =
   [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
      0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
@@ -122,15 +156,16 @@ let feed_sub st src pos len =
     st.buf_len <- st.buf_len + take;
     pos := !pos + take;
     if st.buf_len = 64 then begin
-      compress st st.buf 0;
+      blocks st st.buf 0 1;
       st.buf_len <- 0
     end
   end;
-  (* whole blocks straight from the input *)
-  while stop - !pos >= 64 do
-    compress st src !pos;
-    pos := !pos + 64
-  done;
+  (* whole blocks straight from the input, in one kernel call *)
+  let nblocks = (stop - !pos) / 64 in
+  if nblocks > 0 then begin
+    blocks st src !pos nblocks;
+    pos := !pos + (64 * nblocks)
+  end;
   if !pos < stop then begin
     Bytes.blit src !pos st.buf 0 (stop - !pos);
     st.buf_len <- stop - !pos
@@ -147,14 +182,14 @@ let finalize_state st =
   Bytes.fill buf (st.buf_len + 1) (63 - st.buf_len) '\000';
   if st.buf_len >= 56 then begin
     (* no room left for the length: it goes in one more block *)
-    compress st buf 0;
+    blocks st buf 0 1;
     Bytes.fill buf 0 56 '\000'
   end;
   let bit_len = st.total * 8 in
   for i = 0 to 7 do
     Bytes.set buf (56 + i) (Char.unsafe_chr ((bit_len lsr (8 * (7 - i))) land 0xFF))
   done;
-  compress st buf 0;
+  blocks st buf 0 1;
   let out = Bytes.create 32 in
   Array.iteri (fun i v -> Bytes.set_int32_be out (4 * i) (Int32.of_int v)) st.h;
   Bytes.unsafe_to_string out
@@ -193,10 +228,29 @@ let digest_sub ~prefix b ~pos ~len =
   feed_sub st b pos len;
   finalize_state st
 
+(* The kernels on a bare chaining state, for the differential test. *)
+let chain_state h =
+  if Array.length h <> 8 then invalid_arg "Sha256.compress_blocks: 8 words";
+  { h; w = Array.make 64 0; buf = Bytes.empty; buf_len = 0; total = 0 }
+
+let compress_blocks h src off nblocks = blocks (chain_state h) src off nblocks
+
+let compress_blocks_portable h src off nblocks =
+  let st = chain_state h in
+  check_blocks src off nblocks;
+  portable_blocks st src off nblocks
+
+let hex_digits = "0123456789abcdef"
+
 let to_hex d =
-  let buf = Buffer.create 64 in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) d;
-  Buffer.contents buf
+  let out = Bytes.create (2 * String.length d) in
+  String.iteri
+    (fun i c ->
+      let v = Char.code c in
+      Bytes.unsafe_set out (2 * i) hex_digits.[v lsr 4];
+      Bytes.unsafe_set out ((2 * i) + 1) hex_digits.[v land 15])
+    d;
+  Bytes.unsafe_to_string out
 
 let hmac ~key msg =
   let block = 64 in

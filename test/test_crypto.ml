@@ -66,15 +66,122 @@ let test_sha256_block_boundaries () =
     ]
 
 let test_sha256_allocation () =
-  (* the kernel works on unboxed native-int words in a shared scratch
-     state: one digest of a 200-byte string allocates only its result,
-     well under 1 KiB of minor heap *)
-  let s = String.make 200 'v' in
-  ignore (Crypto.Sha256.digest_string s);
-  let before = Gc.minor_words () in
-  ignore (Sys.opaque_identity (Crypto.Sha256.digest_string s));
-  let bytes = int_of_float (Gc.minor_words () -. before) * (Sys.word_size / 8) in
-  checkb (Printf.sprintf "%d bytes allocated < 1024" bytes) true (bytes < 1024)
+  (* either kernel works on a shared scratch state (the SHA-NI stub is
+     noalloc): a one-shot digest allocates only its result, well under
+     1 KiB of minor heap, whether its input is one kernel call or many *)
+  let s = String.make 200 'v' and long = String.make 4096 'w' in
+  let b = Bytes.of_string long in
+  List.iter
+    (fun (name, f) ->
+      ignore (f ());
+      let before = Gc.minor_words () in
+      ignore (Sys.opaque_identity (f ()));
+      let bytes =
+        int_of_float (Gc.minor_words () -. before) * (Sys.word_size / 8)
+      in
+      checkb
+        (Printf.sprintf "%s (%s kernel): %d bytes allocated < 1024" name
+           Crypto.Sha256.kernel bytes)
+        true (bytes < 1024))
+    [ ("digest_string 200 B", fun () -> Crypto.Sha256.digest_string s);
+      ("digest_string 4 KiB", fun () -> Crypto.Sha256.digest_string long);
+      ( "digest_sub 4 KiB",
+        fun () -> Crypto.Sha256.digest_sub ~prefix:"\x00" b ~pos:3 ~len:4000 );
+      ("digest_concat3", fun () -> Crypto.Sha256.digest_concat3 s long s) ]
+
+(* The reference digest: FIPS 180-4 padding written out here, and the
+   padded message through the portable kernel in one call. *)
+let reference_digest s =
+  let len = String.length s in
+  let padded = (((len + 8) / 64) + 1) * 64 in
+  let b = Bytes.make padded '\000' in
+  Bytes.blit_string s 0 b 0 len;
+  Bytes.set b len '\x80';
+  Bytes.set_int64_be b (padded - 8) (Int64.of_int (8 * len));
+  let h =
+    [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
+       0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+  in
+  Crypto.Sha256.compress_blocks_portable h b 0 (padded / 64);
+  let out = Bytes.create 32 in
+  Array.iteri (fun i v -> Bytes.set_int32_be out (4 * i) (Int32.of_int v)) h;
+  Bytes.to_string out
+
+(* The kernel this CPU hashes with against the portable one, on random
+   chaining states and runs of 1-64 blocks at random offsets; a block
+   range outside the buffer is refused before either kernel runs. On a
+   CPU without the SHA extensions both are the portable kernel, and the
+   test says so by skipping. *)
+let test_sha256_kernels_agree () =
+  let rng = Stdx.Rng.create 33 in
+  let src = Bytes.init (70 * 64) (fun _ -> Char.chr (Stdx.Rng.int rng 256)) in
+  List.iter
+    (fun (off, nblocks) ->
+      Alcotest.check_raises "blocks outside the buffer"
+        (Invalid_argument "Sha256.compress_blocks: blocks out of bounds")
+        (fun () -> Crypto.Sha256.compress_blocks (Array.make 8 0) src off nblocks))
+    [ (-1, 1); (0, -1); (1, 70); (Bytes.length src + 1, 0); (0, max_int) ];
+  if Crypto.Sha256.kernel = "portable" then begin
+    print_endline
+      "no SHA-NI on this CPU: kernel comparison skipped, every digest uses \
+       the portable kernel";
+    Alcotest.skip ()
+  end;
+  for nblocks = 1 to 64 do
+    for _ = 1 to 8 do
+      let h = Array.init 8 (fun _ -> Stdx.Rng.int rng 0x1_0000_0000) in
+      let off = Stdx.Rng.int rng (Bytes.length src - (64 * nblocks) + 1) in
+      let h' = Array.copy h in
+      Crypto.Sha256.compress_blocks h src off nblocks;
+      Crypto.Sha256.compress_blocks_portable h' src off nblocks;
+      if h <> h' then
+        Alcotest.failf "%d blocks at offset %d: %s kernel differs" nblocks off
+          Crypto.Sha256.kernel
+    done
+  done
+
+(* Every length 0..300 and random lengths up to 4 KiB through each entry
+   point, against the reference digest: [digest_sub] at odd offsets with
+   an empty and a 1-byte prefix, [digest_concat3] at two split points,
+   and a context fed in two pieces with one-shot digests in between. *)
+let test_sha256_entry_points () =
+  let rng = Stdx.Rng.create 7 in
+  let lengths = List.init 301 Fun.id @ List.init 60 (fun _ -> Stdx.Rng.int rng 4097) in
+  let pool = Bytes.init 4200 (fun _ -> Char.chr (Stdx.Rng.int rng 256)) in
+  List.iter
+    (fun len ->
+      let pos = 1 + (2 * Stdx.Rng.int rng 50) in
+      let s = Bytes.sub_string pool pos len in
+      let expected = reference_digest s in
+      let check what got =
+        if got <> expected then
+          Alcotest.failf "%s, length %d (%s kernel)" what len Crypto.Sha256.kernel
+      in
+      check "digest_string" (Crypto.Sha256.digest_string s);
+      check "digest_sub, empty prefix"
+        (Crypto.Sha256.digest_sub ~prefix:"" pool ~pos ~len);
+      if len > 0 then
+        check "digest_sub, 1-byte prefix"
+          (Crypto.Sha256.digest_sub ~prefix:(String.sub s 0 1) pool ~pos:(pos + 1)
+             ~len:(len - 1));
+      let i = Stdx.Rng.int rng (len + 1) in
+      let j = i + Stdx.Rng.int rng (len - i + 1) in
+      check "digest_concat3"
+        (Crypto.Sha256.digest_concat3 (String.sub s 0 i) (String.sub s i (j - i))
+           (String.sub s j (len - j)));
+      let ctx = Crypto.Sha256.init () in
+      Crypto.Sha256.feed ctx (String.sub s 0 i);
+      ignore (Sys.opaque_identity (Crypto.Sha256.digest_string s));
+      Crypto.Sha256.feed ctx (String.sub s i (len - i));
+      ignore (Sys.opaque_identity (Crypto.Sha256.digest_sub ~prefix:"x" pool ~pos ~len));
+      check "split feeds" (Crypto.Sha256.finalize ctx))
+    lengths
+
+let test_to_hex_every_byte () =
+  let d = String.init 256 Char.chr in
+  checks "to_hex = %02x per byte"
+    (String.concat "" (List.init 256 (Printf.sprintf "%02x")))
+    (Crypto.Sha256.to_hex d)
 
 (* A slice hashed in place digests as its copy would, prefix and all,
    at every offset and length around the block boundaries; a slice
@@ -862,6 +969,11 @@ let () =
           Alcotest.test_case "million a's" `Slow test_sha256_million_a;
           Alcotest.test_case "block boundaries" `Quick test_sha256_block_boundaries;
           Alcotest.test_case "allocation" `Quick test_sha256_allocation;
+          Alcotest.test_case "sha-ni kernel = portable kernel" `Quick
+            test_sha256_kernels_agree;
+          Alcotest.test_case "entry points = reference digest" `Quick
+            test_sha256_entry_points;
+          Alcotest.test_case "to_hex every byte" `Quick test_to_hex_every_byte;
           Alcotest.test_case "digest_sub = digest of the copy" `Quick
             test_sha256_digest_sub;
           Alcotest.test_case "incremental chunks" `Quick test_sha256_incremental_chunks;
