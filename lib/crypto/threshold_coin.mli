@@ -64,5 +64,15 @@ val combine : t -> instance:int -> share list -> int option
     duplicate shares are ignored rather than raising, since they come
     from the network. *)
 
+val instance_digest : t -> int -> Sha256.digest
+(** [Sha256.digest_string (Printf.sprintf "coin-instance:%d" instance)],
+    the hash behind [H], formatted without [Printf] in a buffer the
+    context owns. Exposed as the test oracle's subject. *)
+
+val output_digest : t -> secret:int -> instance:int -> Sha256.digest
+(** [Sha256.digest_string (Printf.sprintf "coin-out:%d:%d" secret
+    instance)], the hash {!combine} reduces to a leader, formatted the
+    same way. *)
+
 val share_size_bits : int
 (** Wire size charged per share by the communication accounting. *)

@@ -112,11 +112,6 @@ let decode_msg src =
         else Wire.finish r (Ready { origin; round; root; data_len })
       | _ -> None)
 
-(* All quorum state is keyed by the pair (root, data_len): a Byzantine
-   process that lies about either is voting for a different commitment
-   and cannot poison the honest one. *)
-type commit = { root : string; data_len : int }
-
 (* A commit's verified fragments, one slot per fragment index, each with
    the Merkle leaf digest computed when it was verified. An empty slot
    holds "" in both arrays (a valid fragment is never empty). [memo]
@@ -129,14 +124,23 @@ type held = {
   mutable count : int;
 }
 
+(* a commit no fragment verified under; never written *)
+let no_held =
+  { frags = [||];
+    digests = [||];
+    memo = Crypto.Merkle.memo ~leaf_count:1;
+    count = 0 }
+
+(* All quorum state is keyed by the commit, the pair (root, data_len):
+   a Byzantine process that lies about either is voting for a different
+   commitment and cannot poison the honest one. A commit's [held] is
+   the state of its tally key. *)
 type instance = {
   mutable echoed : bool;
   mutable ready_sent : bool;
   mutable delivered : bool;
   mutable discarded : bool;
-  fragments : (commit, held) Hashtbl.t;
-  echoers : (commit, Iset.t ref) Hashtbl.t;
-  readies : (commit, Iset.t ref) Hashtbl.t;
+  votes : held Tally.t;
 }
 
 type t = {
@@ -159,39 +163,15 @@ let phase t ~origin ~round p =
   | Some tr ->
     Trace.emit tr (Trace.Rbc_phase { node = t.me; origin; round; phase = p })
 
-let new_instance () =
+let new_instance n () =
   { echoed = false;
     ready_sent = false;
     delivered = false;
     discarded = false;
-    fragments = Hashtbl.create 4;
-    echoers = Hashtbl.create 4;
-    readies = Hashtbl.create 4 }
+    votes = Tally.create ~n ~empty:no_held }
 
 let quorum t = (2 * t.f) + 1
 let amplify t = t.f + 1
-
-let add_voter table commit voter =
-  let set =
-    match Hashtbl.find_opt table commit with
-    | Some s -> s
-    | None ->
-      let s = ref Iset.empty in
-      Hashtbl.add table commit s;
-      s
-  in
-  set := Iset.add voter !set;
-  Iset.cardinal !set
-
-let voters table commit =
-  match Hashtbl.find_opt table commit with
-  | Some s -> Iset.cardinal !s
-  | None -> 0
-
-let held_count inst commit =
-  match Hashtbl.find_opt inst.fragments commit with
-  | Some h -> h.count
-  | None -> 0
 
 (* Verify a fragment against the commit and, if it is valid, keep it
    (the first valid fragment per index wins). A fragment byte-equal to
@@ -200,40 +180,40 @@ let held_count inst commit =
    memo only the nodes no earlier proof produced. A commit's first proof
    is checked with a fresh memo that is kept only if the proof checks:
    a root nobody proved a fragment under holds no state. *)
-let accept_fragment t inst ~commit ~frag_index ~frag ~proof =
+let accept_fragment t inst ~root ~data_len ~frag_index ~frag ~proof =
   frag_index = proof.Crypto.Merkle.leaf_index
   && frag_index >= 0
   && frag_index < t.n
   && String.length frag
-     = Crypto.Reed_solomon.fragment_length t.coder ~data_len:commit.data_len
+     = Crypto.Reed_solomon.fragment_length t.coder ~data_len
   &&
-  let held = Hashtbl.find_opt inst.fragments commit in
+  let h =
+    match Tally.find inst.votes root data_len with
+    | key -> key.Tally.state
+    | exception Not_found -> no_held
+  in
   let digest =
-    match held with
-    | Some h when String.equal h.frags.(frag_index) frag ->
+    if h != no_held && String.equal h.frags.(frag_index) frag then
       h.digests.(frag_index)
-    | _ -> Crypto.Merkle.leaf_digest frag
+    else Crypto.Merkle.leaf_digest frag
   in
   let memo =
-    match held with
-    | Some h -> h.memo
-    | None -> Crypto.Merkle.memo ~leaf_count:t.n
+    if h != no_held then h.memo else Crypto.Merkle.memo ~leaf_count:t.n
   in
-  Crypto.Merkle.verify_digest ~memo ~root:commit.root ~leaf_count:t.n ~digest
-    proof
+  Crypto.Merkle.verify_digest ~memo ~root ~leaf_count:t.n ~digest proof
   && begin
     let h =
-      match held with
-      | Some h -> h
-      | None ->
+      if h != no_held then h
+      else begin
         let h =
           { frags = Array.make t.n "";
             digests = Array.make t.n "";
             memo;
             count = 0 }
         in
-        Hashtbl.add inst.fragments commit h;
+        (Tally.find_or_add inst.votes root data_len).Tally.state <- h;
         h
+      end
     in
     if String.equal h.frags.(frag_index) "" then begin
       h.frags.(frag_index) <- frag;
@@ -250,19 +230,20 @@ let accept_fragment t inst ~commit ~frag_index ~frag ~proof =
    quorum present the echo must be processed: a Disperse stores a
    fragment without trying to deliver, so the next echo is what
    delivers. *)
-let echo_is_moot t inst commit =
+let echo_is_moot t inst ~root ~data_len =
   inst.delivered || inst.discarded
   || inst.ready_sent
-     && held_count inst commit >= t.k
-     && voters inst.readies commit < quorum t
+     &&
+     match Tally.find inst.votes root data_len with
+     | key ->
+       key.Tally.state.count >= t.k && Tally.count key Tally.Ready < quorum t
+     | exception Not_found -> false
 
-let send_ready t inst ~origin ~round ~commit =
+let send_ready t inst ~origin ~round ~root ~data_len =
   if not inst.ready_sent then begin
     inst.ready_sent <- true;
     phase t ~origin ~round "ready";
-    let msg =
-      Ready { origin; round; root = commit.root; data_len = commit.data_len }
-    in
+    let msg = Ready { origin; round; root; data_len } in
     Net.Port.broadcast t.net ~src:t.me ~kind:"avid-ready"
       ~bits:(msg_bits msg) msg
   end
@@ -294,8 +275,7 @@ let row_equal row ~len frag =
    go into [held.digests], which the decision drops anyway. Returns the
    payload, copied out, iff the root matches: no buffer is live once it
    returns, so the deliver upcall may re-enter [bcast]. *)
-let check_codeword t held commit =
-  let data_len = commit.data_len in
+let check_codeword t held ~root ~data_len =
   match Crypto.Reed_solomon.reconstruct t.coder ~data_len held.frags with
   | exception Invalid_argument _ -> None
   | () ->
@@ -308,29 +288,32 @@ let check_codeword t held commit =
     if
       String.equal
         (Crypto.Merkle.root_of_leaf_digests ~memo:held.memo held.digests)
-        commit.root
+        root
     then Some (Crypto.Reed_solomon.payload t.coder)
     else None
 
-let try_deliver t inst ~origin ~round ~commit =
+(* [key] is the commit of the message just counted *)
+let try_deliver t inst key ~origin ~round =
+  let held = key.Tally.state in
   if
     (not inst.delivered) && (not inst.discarded)
-    && voters inst.readies commit >= quorum t
-  then
-    match Hashtbl.find_opt inst.fragments commit with
-    | Some held when held.count >= t.k ->
-      (match check_codeword t held commit with
-      | Some payload ->
-        inst.delivered <- true;
-        phase t ~origin ~round "deliver";
-        t.deliver ~payload ~round ~source:origin
-      | None ->
-        inst.discarded <- true;
-        phase t ~origin ~round "discard");
-      (* decided: every later echo is moot (no fragment is verified
-         again), so the held fragments and node memo are dead *)
-      Hashtbl.reset inst.fragments
-    | _ -> ()
+    && Tally.count key Tally.Ready >= quorum t
+    && held.count >= t.k
+  then begin
+    (match
+       check_codeword t held ~root:key.Tally.id ~data_len:key.Tally.len
+     with
+    | Some payload ->
+      inst.delivered <- true;
+      phase t ~origin ~round "deliver";
+      t.deliver ~payload ~round ~source:origin
+    | None ->
+      inst.discarded <- true;
+      phase t ~origin ~round "discard");
+    (* decided: every later echo is moot (no fragment is verified
+       again), so the held fragments and node memos are dead *)
+    Tally.clear_states inst.votes
+  end
 
 let handle t ~src msg =
   let sp = Prof.enter "rbc.avid.recv" in
@@ -340,11 +323,10 @@ let handle t ~src msg =
     let origin = src in
     match Rows.find_or_open t.instances ~origin ~round with
     | Some inst ->
-      let commit = { root; data_len } in
       if
         frag_index = t.me
         && (not inst.echoed)
-        && accept_fragment t inst ~commit ~frag_index ~frag ~proof
+        && accept_fragment t inst ~root ~data_len ~frag_index ~frag ~proof
       then begin
         inst.echoed <- true;
         phase t ~origin ~round "echo";
@@ -358,23 +340,24 @@ let handle t ~src msg =
   | Echo { origin; round; root; data_len; frag_index; frag; proof } -> (
     match Rows.find_or_open t.instances ~origin ~round with
     | Some inst ->
-      let commit = { root; data_len } in
       if
-        (not (echo_is_moot t inst commit))
-        && accept_fragment t inst ~commit ~frag_index ~frag ~proof
+        (not (echo_is_moot t inst ~root ~data_len))
+        && accept_fragment t inst ~root ~data_len ~frag_index ~frag ~proof
       then begin
-        let count = add_voter inst.echoers commit src in
-        if count >= quorum t then send_ready t inst ~origin ~round ~commit;
-        try_deliver t inst ~origin ~round ~commit
+        let key = Tally.find_or_add inst.votes root data_len in
+        if Tally.vote key Tally.Echo src >= quorum t then
+          send_ready t inst ~origin ~round ~root ~data_len;
+        try_deliver t inst key ~origin ~round
       end
     | None -> ())
   | Ready { origin; round; root; data_len } -> (
     match Rows.find_or_open t.instances ~origin ~round with
     | Some inst ->
-      let commit = { root; data_len } in
-      let count = add_voter inst.readies commit src in
-      if count >= amplify t then send_ready t inst ~origin ~round ~commit;
-      try_deliver t inst ~origin ~round ~commit
+      let key = Tally.find_or_add inst.votes root data_len in
+      let count = Tally.vote key Tally.Ready src in
+      if count >= amplify t then
+        send_ready t inst ~origin ~round ~root ~data_len;
+      try_deliver t inst key ~origin ~round
     | None -> ())
    with e -> Prof.leave_reraise sp e);
   Prof.leave sp
@@ -390,7 +373,7 @@ let create_port ~port ~me ~f ~deliver =
       k;
       coder = Crypto.Reed_solomon.make ~k ~n;
       deliver;
-      instances = Rows.create ~n ~make:new_instance;
+      instances = Rows.create ~n ~make:(new_instance n);
       trace = None }
   in
   Net.Port.register port me (fun ~src msg -> handle t ~src msg);

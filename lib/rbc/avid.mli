@@ -30,7 +30,10 @@
     under which a fragment verified keeps a {!Crypto.Merkle.memo} of
     internal node hashes, so a later proof hashes only the nodes no
     earlier proof produced and the re-encoding check reads the rest
-    back (DESIGN §18).
+    back (DESIGN §18). Echoers, readies and the held fragments with
+    their memo are all per commit [(root, data_len)], in one
+    {!Rbc_intf.Tally} per instance whose first commit is inline
+    (DESIGN §16).
 
     The re-encoding check runs in the endpoint's coder buffers
     ({!Crypto.Reed_solomon.reconstruct}): each row of the re-encoded

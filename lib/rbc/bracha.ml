@@ -54,25 +54,20 @@ let msg_bits msg =
   in
   8 * (1 + (4 * ids) + 4 + String.length payload)
 
-(* One vote per distinct payload: its voters as an n-bit set and their
-   count. Equal bytes are the same vote, so no digest (and no digest
-   collision) is involved. The copies of one payload that a correct
-   Init fans out are physically equal, so the byte compare behind [==]
-   almost never runs. *)
-type vote = { payload : string; voters : Bytes.t; mutable count : int }
-
+(* Votes are keyed by the payload bytes themselves, so no digest (and
+   no digest collision) is involved. The copies of one payload that a
+   correct Init fans out are physically equal, so the byte compare
+   behind [==] almost never runs. *)
 type instance = {
   mutable echoed : bool;
   mutable ready_sent : bool;
   mutable delivered : bool;
-  echoes : vote list ref;
-  readies : vote list ref;
+  votes : unit Tally.t;
 }
 
 type t = {
   net : msg Net.Port.t;
   me : int;
-  n : int;
   f : int;
   deliver : deliver;
   instances : instance Rows.t;
@@ -87,45 +82,14 @@ let phase t ~origin ~round p =
   | Some tr ->
     Trace.emit tr (Trace.Rbc_phase { node = t.me; origin; round; phase = p })
 
-let new_instance () =
+let new_instance n () =
   { echoed = false;
     ready_sent = false;
     delivered = false;
-    echoes = ref [];
-    readies = ref [] }
+    votes = Tally.create ~n ~empty:() }
 
 let quorum t = (2 * t.f) + 1
 let amplify t = t.f + 1
-
-(* what [find_vote] returns when no vote matches; never stored *)
-let no_vote = { payload = ""; voters = Bytes.empty; count = 0 }
-
-let rec find_vote payload = function
-  | [] -> no_vote
-  | v :: rest ->
-    if v.payload == payload || String.equal v.payload payload then v
-    else find_vote payload rest
-
-(* records [voter]'s vote for [payload]; returns the payload's count *)
-let add_voter t votes payload voter =
-  let v =
-    let v = find_vote payload !votes in
-    if v != no_vote then v
-    else begin
-      let v =
-        { payload; voters = Bytes.make ((t.n + 7) / 8) '\000'; count = 0 }
-      in
-      votes := v :: !votes;
-      v
-    end
-  in
-  let byte = Char.code (Bytes.get v.voters (voter lsr 3)) in
-  let bit = 1 lsl (voter land 7) in
-  if byte land bit = 0 then begin
-    Bytes.set v.voters (voter lsr 3) (Char.chr (byte lor bit));
-    v.count <- v.count + 1
-  end;
-  v.count
 
 let send_echo t ~origin ~round ~payload =
   phase t ~origin ~round "echo";
@@ -165,13 +129,15 @@ let handle t ~src msg =
   | Echo { origin; round; payload } -> (
     match Rows.find_or_open t.instances ~origin ~round with
     | Some inst ->
-      let count = add_voter t inst.echoes payload src in
+      let key = Tally.find_or_add inst.votes payload 0 in
+      let count = Tally.vote key Tally.Echo src in
       if count >= quorum t then send_ready t inst ~origin ~round ~payload
     | None -> ())
   | Ready { origin; round; payload } -> (
     match Rows.find_or_open t.instances ~origin ~round with
     | Some inst ->
-      let count = add_voter t inst.readies payload src in
+      let key = Tally.find_or_add inst.votes payload 0 in
+      let count = Tally.vote key Tally.Ready src in
       if count >= amplify t then send_ready t inst ~origin ~round ~payload;
       try_deliver t inst ~origin ~round ~payload ~count
     | None -> ())
@@ -183,10 +149,9 @@ let create_port ~port ~me ~f ~deliver =
   let t =
     { net = port;
       me;
-      n;
       f;
       deliver;
-      instances = Rows.create ~n ~make:new_instance;
+      instances = Rows.create ~n ~make:(new_instance n);
       trace = None }
   in
   Net.Port.register port me (fun ~src msg -> handle t ~src msg);

@@ -11,9 +11,10 @@
 
     Votes are grouped by the payload bytes themselves, so receiving a
     vote computes no SHA-256 digest. Instances sit in per-round rows
-    indexed by origin; each keeps one record per distinct payload voted
-    for, with its voters as an n-bit set, so a vote costs a row lookup,
-    a payload compare (usually a physical-equality hit) and a bit test.
+    indexed by origin; each counts its votes in a {!Rbc_intf.Tally}
+    keyed by payload, whose first payload and voter sets are inline, so
+    a vote costs a row lookup, a payload compare (usually a
+    physical-equality hit) and a bit test.
     The rows are a {!Rbc_intf.Rows} store: a message naming an origin
     outside [\[0, n)] or a round below the horizon that {!prune_below}
     sets (0 at first) is dropped before it allocates anything.

@@ -67,6 +67,10 @@ let ready_sample = 4.0
 let echo_threshold = 0.5
 let ready_threshold = 0.33
 
+(* The tally's keys are digests; a key's state is [Some payload] for a
+   variant seen after the first acceptance: the repair store a minority
+   side of an equivocation converges from ([alts] of them, at most
+   [max_alts]). *)
 type instance = {
   mutable payload : string option;
   mutable accepted_digest : string option;
@@ -74,12 +78,11 @@ type instance = {
   mutable echo_sent : bool;
   mutable ready_sent : bool;
   mutable delivered : bool;
-  echoes : (string, Iset.t ref) Hashtbl.t; (* digest -> echoers seen *)
-  readies : (string, Iset.t ref) Hashtbl.t;
-  alt_payloads : (string, string) Hashtbl.t;
-      (* digest -> payload for variants seen after first acceptance: the
-         repair store a minority side of an equivocation converges from *)
+  mutable alts : int;
+  votes : string option Tally.t;
 }
+
+let max_alts = 4
 
 type t = {
   net : msg Net.Port.t;
@@ -109,33 +112,20 @@ let sample_size n factor =
   let ln_n = log (float_of_int (max 2 n)) in
   min n (max 1 (int_of_float (ceil (factor *. ln_n))))
 
-let new_instance () =
+let new_instance n () =
   { payload = None;
     accepted_digest = None;
     relayed = false;
     echo_sent = false;
     ready_sent = false;
     delivered = false;
-    echoes = Hashtbl.create 4;
-    readies = Hashtbl.create 4;
-    alt_payloads = Hashtbl.create 2 }
+    alts = 0;
+    votes = Tally.create ~n ~empty:None }
 
-let add_voter table digest voter =
-  let set =
-    match Hashtbl.find_opt table digest with
-    | Some s -> s
-    | None ->
-      let s = ref Iset.empty in
-      Hashtbl.add table digest s;
-      s
-  in
-  set := Iset.add voter !set;
-  Iset.cardinal !set
-
-let count_for table digest =
-  match Hashtbl.find_opt table digest with
-  | Some set -> Iset.cardinal !set
-  | None -> 0
+let count_for inst digest kind =
+  match Tally.find inst.votes digest 0 with
+  | key -> Tally.count key kind
+  | exception Not_found -> 0
 
 let send_sample t ~size ~kind ~bits msg =
   let peers = Stdx.Rng.sample_without_replacement t.rng ~k:size ~n:t.n in
@@ -149,28 +139,22 @@ let send_sample t ~size ~kind ~bits msg =
    fork then converges instead of leaving us unable to ever deliver the
    instance. We deliberately do NOT re-send Echo/Ready for the new digest
    (a correct process votes at most once per instance); the quorum that
-   justified the switch already carries delivery. *)
+   justified the switch already carries delivery. If several variants
+   qualify, the first in the tally's order (the order their digests
+   were first seen) wins, so the choice depends only on the messages
+   received, not on how a table hashes digests. *)
 let try_switch t inst =
-  if not inst.delivered then
-    let committed =
-      Hashtbl.fold
-        (fun digest set acc ->
-          match acc with
-          | Some _ -> acc
-          | None ->
-            if
-              Some digest <> inst.accepted_digest
-              && Iset.cardinal !set >= t.ready_need
-              && Hashtbl.mem inst.alt_payloads digest
-            then Some digest
-            else None)
-        inst.readies None
-    in
-    match committed with
-    | None -> ()
-    | Some digest ->
-      inst.payload <- Some (Hashtbl.find inst.alt_payloads digest);
-      inst.accepted_digest <- Some digest
+  if (not inst.delivered) && inst.alts > 0 then
+    match
+      Tally.find_first inst.votes (fun key ->
+          Tally.count key Tally.Ready >= t.ready_need
+          && key.Tally.state <> None
+          && Some key.Tally.id <> inst.accepted_digest)
+    with
+    | key ->
+      inst.payload <- key.Tally.state;
+      inst.accepted_digest <- Some key.Tally.id
+    | exception Not_found -> ()
 
 (* Re-examine the instance after any state change: become ready when the
    echo threshold (or the ready feedback threshold) is met for the digest
@@ -180,8 +164,8 @@ let progress t inst ~origin ~round =
   match inst.accepted_digest with
   | None -> ()
   | Some digest ->
-    let echo_count = count_for inst.echoes digest in
-    let ready_count = count_for inst.readies digest in
+    let echo_count = count_for inst digest Tally.Echo in
+    let ready_count = count_for inst digest Tally.Ready in
     if
       (not inst.ready_sent)
       && (echo_count >= t.echo_need || ready_count >= t.ready_feedback)
@@ -205,11 +189,13 @@ let on_gossip t inst ~origin ~round ~payload =
     (* a variant of an instance we already accepted: remember it so the
        repair in [try_switch] can converge if the network commits to it *)
     let digest = Crypto.Sha256.digest_string payload in
-    if
-      Some digest <> inst.accepted_digest
-      && not (Hashtbl.mem inst.alt_payloads digest)
-      && Hashtbl.length inst.alt_payloads < 4
-    then Hashtbl.add inst.alt_payloads digest payload;
+    if Some digest <> inst.accepted_digest && inst.alts < max_alts then begin
+      let key = Tally.find_or_add inst.votes digest 0 in
+      if key.Tally.state = None then begin
+        key.Tally.state <- Some payload;
+        inst.alts <- inst.alts + 1
+      end
+    end;
     progress t inst ~origin ~round
   end;
   if inst.payload = None then begin
@@ -244,13 +230,15 @@ let handle t ~src msg =
   | Echo { origin; round; digest } -> (
     match Rows.find_or_open t.instances ~origin ~round with
     | Some inst ->
-      ignore (add_voter inst.echoes digest src);
+      let key = Tally.find_or_add inst.votes digest 0 in
+      ignore (Tally.vote key Tally.Echo src);
       progress t inst ~origin ~round
     | None -> ())
   | Ready { origin; round; digest } -> (
     match Rows.find_or_open t.instances ~origin ~round with
     | Some inst ->
-      ignore (add_voter inst.readies digest src);
+      let key = Tally.find_or_add inst.votes digest 0 in
+      ignore (Tally.vote key Tally.Ready src);
       progress t inst ~origin ~round
     | None -> ())
    with e -> Prof.leave_reraise sp e);
@@ -292,7 +280,7 @@ let create_port ~port ~rng ~me ~f ~deliver =
       echo_need;
       ready_need;
       ready_feedback = max feedback_floor (ready_need / 2);
-      instances = Rows.create ~n ~make:new_instance;
+      instances = Rows.create ~n ~make:(new_instance n);
       trace = None }
   in
   Net.Port.register port me (fun ~src msg -> handle t ~src msg);

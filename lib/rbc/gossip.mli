@@ -22,7 +22,13 @@
     with probability-1 clauses precisely so that such gossip protocols
     qualify (§2). Per-process cost is [O(log n)] messages of size
     [O(|m|)] (dissemination) plus [O(log n)] digests, hence the
-    [O(n log n (|m| + λ))] total. *)
+    [O(n log n (|m| + λ))] total.
+
+    Echoes and readies are counted per digest in a {!Rbc_intf.Tally};
+    the payloads of variants seen after the first acceptance (at most
+    four) are the state of their digests' keys. If the ready evidence
+    commits to a variant, the instance switches to the first such
+    digest in the order the tally first saw them. *)
 
 type msg =
   | Gossip of { origin : int; round : int; payload : string }

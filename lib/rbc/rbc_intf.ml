@@ -6,7 +6,10 @@
     specific, but all expose the same [create]/[bcast] shape so the DAG
     layer can be instantiated with any of them (Table 1 rows), and all
     keep their instances in one {!Rows} store whose horizon the DAG
-    layer's garbage collection raises ([prune_below]). *)
+    layer's garbage collection raises ([prune_below]). Every backend
+    counts an instance's Echo and Ready votes in one {!Tally}: the
+    instance's first key (payload, digest or Merkle commit) and its
+    voter bitsets inline, the rare other keys in a chain. *)
 
 type deliver = payload:string -> round:int -> source:int -> unit
 (** Upcall invoked exactly once per (source, round) instance. *)
@@ -109,6 +112,146 @@ module Rows = struct
 
   let open_instances t = t.held
   let dropped_below_horizon t = t.dropped
+end
+
+(** Per-instance quorum tally shared by the three backends: who echoed
+    and who sent Ready, per key. A key is a byte string and an int: the
+    Bracha payload and 0, the Gossip digest and 0, or the AVID Merkle
+    root and [data_len]. In the common case an instance only ever sees
+    one key, so the tally record is its first key: the key, both voter
+    sets, both counts and the per-key state sit inline, and a vote costs
+    a physical-equality compare and a bit test. A lookup compares with
+    [==], then [String.equal], then the int; it computes no hash and
+    allocates no key. Further keys are records of the same shape chained
+    through [next] in the order they were first added.
+
+    A voter set is the low word ([Sys.int_size] voters, [0 .. 62] on a
+    64-bit host) inline, and one more word per [Sys.int_size] voters in
+    [high], which interleaves the echo and ready words and is the shared
+    empty array when [n <= Sys.int_size]. One path serves every [n]. A
+    voter is counted once per key and kind, so link duplicates are
+    idempotent.
+
+    Bound: a key is added only by {!find_or_add}, which the backends
+    call for a counted vote, a verified AVID fragment or a stored Gossip
+    variant, so each extra key costs one message from some sender, and
+    the keys die with their instance's row ({!Rows.prune_below}). A
+    lookup walks the chain, so each key a flooding sender adds costs one
+    compare in every later lookup of a key behind it, and none in a
+    lookup of the inline first key. *)
+module Tally = struct
+  type kind = Echo | Ready
+
+  type 'a t = {
+    mutable id : string; (* [unset] until the first key is added *)
+    mutable len : int;
+    mutable state : 'a;
+    empty : 'a; (* the state of a key when it is added *)
+    mutable echo_low : int;
+    mutable ready_low : int;
+    mutable echoes : int;
+    mutable readies : int;
+    high : int array;
+    mutable next : 'a t option;
+  }
+
+  (* physically distinct from every key a caller passes *)
+  let unset = Bytes.to_string (Bytes.make 1 '\000')
+
+  let word = Sys.int_size
+
+  let make ~high ~empty ~id ~len =
+    { id;
+      len;
+      state = empty;
+      empty;
+      echo_low = 0;
+      ready_low = 0;
+      echoes = 0;
+      readies = 0;
+      high = Array.make high 0;
+      next = None }
+
+  let create ~n ~empty =
+    make ~high:(2 * ((max n 1 - 1) / word)) ~empty ~id:unset ~len:0
+
+  let matches k id len = (k.id == id || String.equal k.id id) && k.len = len
+
+  (* the key matching [id, len] or, if none does, the last key *)
+  let rec walk k id len =
+    match k.next with
+    | Some next when not (matches k id len) -> walk next id len
+    | _ -> k
+
+  let find t id len =
+    let k = walk t id len in
+    if t.id != unset && matches k id len then k else raise_notrace Not_found
+
+  let find_or_add t id len =
+    if t.id == unset then begin
+      t.id <- id;
+      t.len <- len;
+      t
+    end
+    else begin
+      let k = walk t id len in
+      if matches k id len then k
+      else begin
+        let added = make ~high:(Array.length k.high) ~empty:k.empty ~id ~len in
+        k.next <- Some added;
+        added
+      end
+    end
+
+  let count k = function Echo -> k.echoes | Ready -> k.readies
+
+  (* records [voter]'s vote of [kind] for the key; returns the key's
+     count of that kind *)
+  let vote k kind voter =
+    let bit = 1 lsl (voter mod word) in
+    let was =
+      if voter >= word then begin
+        let i =
+          (2 * ((voter / word) - 1)) + match kind with Echo -> 0 | Ready -> 1
+        in
+        let w = k.high.(i) in
+        k.high.(i) <- w lor bit;
+        w
+      end
+      else
+        match kind with
+        | Echo ->
+          let w = k.echo_low in
+          k.echo_low <- w lor bit;
+          w
+        | Ready ->
+          let w = k.ready_low in
+          k.ready_low <- w lor bit;
+          w
+    in
+    match kind with
+    | Echo ->
+      if was land bit = 0 then k.echoes <- k.echoes + 1;
+      k.echoes
+    | Ready ->
+      if was land bit = 0 then k.readies <- k.readies + 1;
+      k.readies
+
+  let rec first_from k p =
+    if p k then k
+    else
+      match k.next with
+      | Some k -> first_from k p
+      | None -> raise_notrace Not_found
+
+  (* the first key, in the order keys were added, that satisfies [p] *)
+  let find_first t p =
+    if t.id == unset then raise_notrace Not_found else first_from t p
+
+  (* every key's state back to [empty] *)
+  let rec clear_states k =
+    k.state <- k.empty;
+    Option.iter clear_states k.next
 end
 
 (** Sets of process ids, used for quorum counting. *)

@@ -923,6 +923,47 @@ let test_coin_fairness_rough () =
         (c > instances / n / 3 && c < instances * 3 / n))
     counts
 
+let test_coin_digests_match_printf () =
+  (* the coin formats its hashed messages without Printf; the bytes it
+     hashes must be exactly the Printf ones *)
+  let coin = coin_setup ~n:4 ~f:1 () in
+  let hex = Crypto.Sha256.to_hex in
+  let instance_ref i =
+    Crypto.Sha256.digest_string (Printf.sprintf "coin-instance:%d" i)
+  in
+  let output_ref secret i =
+    Crypto.Sha256.digest_string (Printf.sprintf "coin-out:%d:%d" secret i)
+  in
+  let edges = [ max_int; min_int; max_int - 1; min_int + 1; -1; -10; 10; 9; 99; 100 ] in
+  let instances = List.init 10_001 Fun.id @ edges in
+  List.iter
+    (fun i ->
+      checks (Printf.sprintf "instance %d" i) (hex (instance_ref i))
+        (hex (Crypto.Threshold_coin.instance_digest coin i)))
+    instances;
+  let rng = Stdx.Rng.create 41 in
+  let secrets =
+    [ 0; 1; Crypto.Field.p - 1; Crypto.Field.p; max_int; min_int ]
+    @ List.init 200 (fun _ -> Stdx.Rng.int rng Crypto.Field.p)
+  in
+  List.iter
+    (fun secret ->
+      List.iter
+        (fun i ->
+          checks (Printf.sprintf "output %d:%d" secret i) (hex (output_ref secret i))
+            (hex (Crypto.Threshold_coin.output_digest coin ~secret ~instance:i)))
+        ([ 0; 7; 4096 ] @ edges))
+    secrets;
+  (* the shares are built on the same hash *)
+  for i = 0 to 50 do
+    let share = Crypto.Threshold_coin.make_share coin ~holder:2 ~instance:i in
+    checki (Printf.sprintf "share %d" i)
+      (Crypto.Field.mul
+         (Crypto.Threshold_coin.key_of coin ~holder:2)
+         (Crypto.Field.element_of_digest (instance_ref i)))
+      share.Crypto.Threshold_coin.value
+  done
+
 let test_coin_duplicate_holder_shares_dont_count () =
   let coin = coin_setup ~n:4 ~f:1 () in
   let s = Crypto.Threshold_coin.make_share coin ~holder:2 ~instance:5 in
@@ -1054,6 +1095,8 @@ let () =
           Alcotest.test_case "wrong instance" `Quick test_coin_ignores_wrong_instance;
           Alcotest.test_case "leader in range" `Quick test_coin_leader_in_range;
           Alcotest.test_case "rough fairness" `Quick test_coin_fairness_rough;
+          Alcotest.test_case "digests = Printf forms" `Quick
+            test_coin_digests_match_printf;
           Alcotest.test_case "duplicate holders" `Quick
             test_coin_duplicate_holder_shares_dont_count ] );
       ( "auth",

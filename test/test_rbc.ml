@@ -561,35 +561,224 @@ let test_gossip_out_of_range_origin_dropped () =
     (fun log -> Alcotest.(check (list string)) "delivered" [ "real" ] !log)
     deliveries
 
-let test_bracha_quorum_n70 () =
-  (* n = 70: the voter sets span nine bytes. Votes arrive byte by byte
-     in turn (sources ordered by (id mod 8, id)), so every byte of the
-     set is written before any byte holds two voters; the thresholds
-     must still fall exactly at 2f+1 = 47 *)
-  let n = 70 and f = 23 in
-  let engine, delivered, vote, readies_sent = bracha_victim ~n ~f in
-  let victim = n - 1 in
-  let sources =
-    List.init victim Fun.id
-    |> List.sort (fun a b -> compare (a mod 8, a) (b mod 8, b))
+(* One real endpoint, the victim (the last process), among [n - 1]
+   silent processes that record what the victim sends them. [vote ~src
+   msg] hands the victim one message and runs the network to
+   quiescence. [own kind p] is how many of the victim's sends of wire
+   [kind] satisfying [p] went to the victim itself: its sends of [kind]
+   (from the bit counters) less those the silent processes recorded. *)
+type 'msg victim = {
+  vote : src:int -> 'msg -> unit;
+  recorded : ('msg -> bool) -> int;
+  own : string -> ('msg -> bool) -> int;
+  delivered : (string * int * int) list ref;
+}
+
+let victim ~n ~create ~msg_bits =
+  let engine = Sim.Engine.create () in
+  let counters = Metrics.Counters.create () in
+  let sched = Net.Sched.uniform_random ~rng:(Stdx.Rng.create 12) in
+  let net = Net.Network.create ~engine ~sched ~counters ~n in
+  let me = n - 1 in
+  let delivered = ref [] and sent = ref [] in
+  create ~port:(Net.Port.of_network net) ~me
+    ~deliver:(fun ~payload ~round ~source ->
+      delivered := (payload, round, source) :: !delivered);
+  for i = 0 to n - 2 do
+    Net.Network.register net i (fun ~src msg -> if src = me then sent := msg :: !sent)
+  done;
+  let recorded p = List.length (List.filter p !sent) in
+  let own kind p =
+    match List.find_opt p !sent with
+    | None -> 0
+    | Some m ->
+      let bits =
+        Option.value ~default:0 (List.assoc_opt kind (Metrics.Counters.bits_by_kind counters))
+      in
+      (bits / msg_bits m) - recorded p
   in
-  let first k = List.filteri (fun i _ -> i < k) sources in
-  let echo = Rbc.Bracha.Echo { origin = 5; round = 3; payload = "wide" } in
-  let ready = Rbc.Bracha.Ready { origin = 5; round = 3; payload = "wide" } in
-  List.iter (fun src -> vote ~src echo) (first 46);
-  ignore (Sim.Engine.run engine ());
-  checki "46 echoes: no ready" 0 (readies_sent ());
-  vote ~src:(List.nth sources 46) echo;
-  ignore (Sim.Engine.run engine ());
-  checki "47 echoes: ready" 1 (readies_sent ());
-  (* the victim's own Ready counts: 45 more make 46 *)
-  List.iter (fun src -> vote ~src ready) (first 45);
-  ignore (Sim.Engine.run engine ());
-  checki "46 readies: no delivery" 0 (List.length !delivered);
-  vote ~src:(List.nth sources 45) ready;
-  ignore (Sim.Engine.run engine ());
+  let vote ~src msg =
+    Net.Network.send net ~src ~dst:me ~kind:"vote" ~bits:0 msg;
+    ignore (Sim.Engine.run engine ())
+  in
+  { vote; recorded; own; delivered }
+
+(* The thresholds of one backend at the victim, the messages that cross
+   them, and the wire kinds of the victim's own echo and ready. *)
+type 'msg quorum_case = {
+  label : string;
+  echo_need : int; (* echoes that make the victim send Ready *)
+  ready_need : int; (* readies that make it deliver *)
+  start : 'msg victim -> unit; (* what the victim hears before any vote *)
+  echo : int -> 'msg; (* process i's echo *)
+  ready : 'msg;
+  is_echo : 'msg -> bool;
+  is_ready : 'msg -> bool;
+  echo_kind : string;
+  ready_kind : string;
+}
+
+(* Each threshold must fall exactly at its count, with the victim's own
+   votes (those it sent itself) counted once. Votes arrive word by word
+   in turn (sources ordered by (id mod 63, id)), so voters above 62,
+   which live outside the inline word, are among the first counted. *)
+let check_quorum_n70 p c =
+  let n = 70 in
+  let sources =
+    List.init (n - 1) Fun.id
+    |> List.sort (fun a b -> compare (a mod 63, a) (b mod 63, b))
+  in
+  let vote_from lo hi msg =
+    List.iteri (fun i src -> if i >= lo && i < hi then p.vote ~src (msg src)) sources
+  in
+  c.start p;
+  let echoes = c.echo_need - p.own c.echo_kind c.is_echo in
+  vote_from 0 (echoes - 1) c.echo;
+  checki (c.label ^ ": one echo short: no ready") 0 (p.recorded c.is_ready);
+  vote_from (echoes - 1) echoes c.echo;
+  checkb (c.label ^ ": echo quorum: ready") true (p.recorded c.is_ready > 0);
+  let readies = c.ready_need - p.own c.ready_kind c.is_ready in
+  vote_from 0 (readies - 1) (fun _ -> c.ready);
+  checki (c.label ^ ": one ready short: no delivery") 0 (List.length !(p.delivered));
+  vote_from (readies - 1) readies (fun _ -> c.ready);
   Alcotest.(check (list (triple string int int)))
-    "47 readies deliver" [ ("wide", 3, 5) ] !delivered
+    (c.label ^ ": ready quorum delivers") [ ("wide", 3, 5) ] !(p.delivered)
+
+let test_quorum_n70 () =
+  (* n = 70: voter sets span two words. Bracha and AVID cross at
+     2f+1 = 47; Gossip's samples (17 of 70 for echoes and readies) cross
+     at 9 echoes and 6 readies *)
+  let n = 70 and f = 23 and payload = "wide" in
+  check_quorum_n70
+    (victim ~n ~msg_bits:Rbc.Bracha.msg_bits ~create:(fun ~port ~me ~deliver ->
+         ignore (Rbc.Bracha.create_port ~port ~me ~f ~deliver)))
+    { label = "bracha";
+      echo_need = 47;
+      ready_need = 47;
+      start = (fun _ -> ());
+      echo = (fun _ -> Rbc.Bracha.Echo { origin = 5; round = 3; payload });
+      ready = Rbc.Bracha.Ready { origin = 5; round = 3; payload };
+      is_echo = (function Rbc.Bracha.Echo _ -> true | _ -> false);
+      is_ready = (function Rbc.Bracha.Ready _ -> true | _ -> false);
+      echo_kind = "bracha-echo";
+      ready_kind = "bracha-ready" };
+  let frags =
+    Crypto.Reed_solomon.encode (Crypto.Reed_solomon.make ~k:(f + 1) ~n) payload
+  in
+  let tree = Crypto.Merkle.build frags in
+  let root = Crypto.Merkle.root tree and data_len = String.length payload in
+  check_quorum_n70
+    (victim ~n ~msg_bits:Rbc.Avid.msg_bits ~create:(fun ~port ~me ~deliver ->
+         ignore (Rbc.Avid.create_port ~port ~me ~f ~deliver)))
+    { label = "avid";
+      echo_need = 47;
+      ready_need = 47;
+      start = (fun _ -> ());
+      echo =
+        (fun i ->
+          Rbc.Avid.Echo
+            { origin = 5; round = 3; root; data_len; frag_index = i;
+              frag = frags.(i); proof = Crypto.Merkle.prove tree i });
+      ready = Rbc.Avid.Ready { origin = 5; round = 3; root; data_len };
+      is_echo = (function Rbc.Avid.Echo _ -> true | _ -> false);
+      is_ready = (function Rbc.Avid.Ready _ -> true | _ -> false);
+      echo_kind = "avid-echo";
+      ready_kind = "avid-ready" };
+  let digest = Crypto.Sha256.digest_string payload in
+  check_quorum_n70
+    (victim ~n ~msg_bits:Rbc.Gossip.msg_bits ~create:(fun ~port ~me ~deliver ->
+         ignore
+           (Rbc.Gossip.create_port ~port ~rng:(Stdx.Rng.create 70) ~me ~f ~deliver)))
+    { label = "gossip";
+      echo_need = 9;
+      ready_need = 6;
+      start =
+        (fun p -> p.vote ~src:5 (Rbc.Gossip.Gossip { origin = 5; round = 3; payload }));
+      echo = (fun _ -> Rbc.Gossip.Echo { origin = 5; round = 3; digest });
+      ready = Rbc.Gossip.Ready { origin = 5; round = 3; digest };
+      is_echo = (function Rbc.Gossip.Echo _ -> true | _ -> false);
+      is_ready = (function Rbc.Gossip.Ready _ -> true | _ -> false);
+      echo_kind = "gossip-echo";
+      ready_kind = "gossip-ready" }
+
+(* Flood: Byzantine process 0 sends the victim 1,000 echoes and 1,000
+   readies, each for a key of its own, half before the honest votes and
+   half between them. After each honest message the victim must have
+   sent and delivered exactly what it had without the flood, so it
+   delivers once, on the same message. [honest] is its honest input
+   stream. *)
+let check_flood ~label ~make ~honest ~flood =
+  let steps with_flood =
+    let p = make () in
+    let keys = List.init 1000 Fun.id in
+    let half = List.filter (fun i -> i mod 2 = 0) keys
+    and rest = List.filter (fun i -> i mod 2 = 1) keys in
+    if with_flood then List.iter (fun i -> List.iter (p.vote ~src:0) (flood i)) half;
+    List.mapi
+      (fun i (src, msg) ->
+        if with_flood && i = 1 then
+          List.iter (fun i -> List.iter (p.vote ~src:0) (flood i)) rest;
+        p.vote ~src msg;
+        (p.recorded (fun _ -> true), List.length !(p.delivered)))
+      honest
+    |> fun trace -> (trace, !(p.delivered))
+  in
+  let plain, delivered = steps false in
+  let flooded, delivered' = steps true in
+  Alcotest.(check (list (pair int int))) (label ^ ": same steps") plain flooded;
+  Alcotest.(check (list (triple string int int)))
+    (label ^ ": delivered once") delivered delivered';
+  checki (label ^ ": one delivery") 1 (List.length delivered')
+
+let test_bracha_flood () =
+  let n = 4 and f = 1 and payload = "honest" in
+  let echo payload = Rbc.Bracha.Echo { origin = 1; round = 2; payload } in
+  let ready payload = Rbc.Bracha.Ready { origin = 1; round = 2; payload } in
+  check_flood ~label:"bracha"
+    ~make:(fun () ->
+      victim ~n ~msg_bits:Rbc.Bracha.msg_bits ~create:(fun ~port ~me ~deliver ->
+          ignore (Rbc.Bracha.create_port ~port ~me ~f ~deliver)))
+    ~honest:
+      [ (1, Rbc.Bracha.Init { round = 2; payload });
+        (1, echo payload);
+        (2, echo payload);
+        (1, ready payload);
+        (2, ready payload) ]
+    ~flood:(fun i ->
+      let fake = Printf.sprintf "fake %d" i in
+      [ echo fake; ready fake ])
+
+let test_avid_flood () =
+  let n = 4 and f = 1 in
+  let commit payload =
+    let frags =
+      Crypto.Reed_solomon.encode (Crypto.Reed_solomon.make ~k:(f + 1) ~n) payload
+    in
+    let tree = Crypto.Merkle.build frags in
+    let root = Crypto.Merkle.root tree and data_len = String.length payload in
+    let echo i =
+      Rbc.Avid.Echo
+        { origin = 1; round = 2; root; data_len; frag_index = i; frag = frags.(i);
+          proof = Crypto.Merkle.prove tree i }
+    in
+    let disperse =
+      Rbc.Avid.Disperse
+        { round = 2; root; data_len; frag_index = n - 1; frag = frags.(n - 1);
+          proof = Crypto.Merkle.prove tree (n - 1) }
+    in
+    (echo, Rbc.Avid.Ready { origin = 1; round = 2; root; data_len }, disperse)
+  in
+  let echo, ready, disperse = commit "honest" in
+  (* every fake key is a root a fragment verifies under *)
+  let fakes = Array.init 1000 (fun i -> commit (Printf.sprintf "fake %d" i)) in
+  check_flood ~label:"avid"
+    ~make:(fun () ->
+      victim ~n ~msg_bits:Rbc.Avid.msg_bits ~create:(fun ~port ~me ~deliver ->
+          ignore (Rbc.Avid.create_port ~port ~me ~f ~deliver)))
+    ~honest:[ (1, disperse); (1, echo 1); (2, echo 2); (1, ready); (2, ready) ]
+    ~flood:(fun i ->
+      let echo, ready, _ = fakes.(i) in
+      [ echo 0; ready ])
 
 let test_bracha_physically_distinct_payloads_pool () =
   (* one vote record serves both the physical-equality fast path and
@@ -886,6 +1075,100 @@ let test_gossip_eventual_delivery_many_seeds () =
       checki (Printf.sprintf "seed %d: all delivered" seed) n delivered)
     [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
+(* -- the quorum tally against a reference -- *)
+
+module Tally = Rbc.Rbc_intf.Tally
+module Iset = Set.Make (Int)
+
+(* A stream of votes at one fleet size: each vote names a key from a pool
+   of one to five (ids that share bytes and differ only in the int
+   among them), a kind and a voter drawn from a few favourites or from
+   all of [0, n), so voters repeat. *)
+let gen_tally_case =
+  QCheck.Gen.(
+    let* n = oneofl [ 4; 7; 62; 63; 64; 70; 100 ] in
+    let* keys = int_range 1 5 in
+    let* pool =
+      list_repeat keys
+        (pair (oneofl [ ""; "a"; "ab"; "root-0"; "root-1" ]) (int_range 0 2))
+    in
+    let* favourites = list_repeat 4 (int_range 0 (n - 1)) in
+    let* votes =
+      list_size (int_range 1 400)
+        (triple (int_range 0 (keys - 1)) bool
+           (oneof [ oneofl favourites; int_range 0 (n - 1) ]))
+    in
+    return (n, pool, votes))
+
+(* The reference: a hash table from key to its echo and ready voter
+   sets, and the keys in the order they were first voted for. After every
+   vote the tally's count must equal the reference's, so every threshold
+   is crossed on the same vote; every pool key must be found with the
+   reference's counts (or, if no vote named it, not found); and the
+   tally must list its keys in first-vote order. *)
+let prop_tally_matches_reference =
+  QCheck.Test.make ~name:"tally = table of voter sets" ~count:500
+    (QCheck.make gen_tally_case) (fun (n, pool, votes) ->
+      let pool = Array.of_list pool in
+      let tally = Tally.create ~n ~empty:() in
+      let reference = Hashtbl.create 8 and order = ref [] in
+      let quorum = (2 * ((n - 1) / 3)) + 1 in
+      let counts key =
+        match Hashtbl.find_opt reference key with
+        | Some (e, r) -> (Iset.cardinal e, Iset.cardinal r)
+        | None -> (0, 0)
+      in
+      List.for_all
+        (fun (k, is_echo, voter) ->
+          let id, len = pool.(k) in
+          (* a fresh copy half the time: equal bytes are the same key *)
+          let id = if voter land 1 = 0 then id else Bytes.to_string (Bytes.of_string id) in
+          let key = (pool.(k) : string * int) in
+          let e, r =
+            match Hashtbl.find_opt reference key with
+            | Some sets -> sets
+            | None ->
+              order := key :: !order;
+              (Iset.empty, Iset.empty)
+          in
+          let e, r = if is_echo then (Iset.add voter e, r) else (e, Iset.add voter r) in
+          Hashtbl.replace reference key (e, r);
+          let kind = if is_echo then Tally.Echo else Tally.Ready in
+          let count = Tally.vote (Tally.find_or_add tally id len) kind voter in
+          let expected = Iset.cardinal (if is_echo then e else r) in
+          count = expected
+          && (count >= quorum) = (expected >= quorum)
+          && Array.for_all
+               (fun (id, len) ->
+                 match Tally.find tally id len with
+                 | found ->
+                   counts (id, len)
+                   = (Tally.count found Tally.Echo, Tally.count found Tally.Ready)
+                 | exception Not_found -> not (Hashtbl.mem reference (id, len)))
+               pool
+          &&
+          let listed = ref [] in
+          (match Tally.find_first tally (fun k -> listed := (k.Tally.id, k.Tally.len) :: !listed; false) with
+          | _ -> false
+          | exception Not_found -> true)
+          && !listed = !order)
+        votes)
+
+let test_tally_states () =
+  (* a key's state starts at [empty]; [clear_states] resets every key *)
+  let tally = Tally.create ~n:70 ~empty:0 in
+  (match Tally.find tally "x" 0 with
+  | _ -> Alcotest.fail "empty tally found a key"
+  | exception Not_found -> ());
+  let a = Tally.find_or_add tally "a" 0 and b = Tally.find_or_add tally "a" 1 in
+  checkb "the int is part of the key" true (a != b);
+  checkb "equal bytes find the key" true (Tally.find_or_add tally (String.make 1 'a') 1 == b);
+  a.Tally.state <- 5;
+  b.Tally.state <- 7;
+  checki "state kept" 7 (Tally.find tally "a" 1).Tally.state;
+  Tally.clear_states tally;
+  checki "cleared" 0 (a.Tally.state + b.Tally.state)
+
 (* -- wire codec property tests -- *)
 
 let gen_payload = QCheck.Gen.string_size (QCheck.Gen.int_range 0 200)
@@ -1022,7 +1305,8 @@ let () =
             test_bracha_out_of_range_origin_dropped;
           Alcotest.test_case "below horizon dropped" `Quick
             test_bracha_below_horizon_dropped;
-          Alcotest.test_case "quorum at n=70" `Quick test_bracha_quorum_n70;
+          Alcotest.test_case "quorum at n=70" `Quick test_quorum_n70;
+          Alcotest.test_case "flood of keys" `Quick test_bracha_flood;
           Alcotest.test_case "physically distinct payloads pool" `Quick
             test_bracha_physically_distinct_payloads_pool;
           Alcotest.test_case "duplicate vote counts once" `Quick
@@ -1034,6 +1318,7 @@ let () =
         [ Alcotest.test_case "inconsistent dispersal discarded" `Quick
             test_avid_inconsistent_dispersal_discarded;
           Alcotest.test_case "fragment economy" `Quick test_avid_fragment_size_economy;
+          Alcotest.test_case "flood of keys" `Quick test_avid_flood;
           Alcotest.test_case "deliver re-enters bcast" `Quick
             test_avid_deliver_reenters_bcast;
           Alcotest.test_case "held fragment, tampered proof" `Quick
@@ -1055,6 +1340,9 @@ let () =
             test_gossip_out_of_range_origin_dropped;
           Alcotest.test_case "below horizon dropped" `Quick
             test_gossip_below_horizon_dropped ] );
+      ( "tally",
+        [ QCheck_alcotest.to_alcotest prop_tally_matches_reference;
+          Alcotest.test_case "key states" `Quick test_tally_states ] );
       ( "wire-codecs",
         [ QCheck_alcotest.to_alcotest prop_bracha_codec;
           QCheck_alcotest.to_alcotest prop_gossip_codec;
