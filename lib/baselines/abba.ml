@@ -8,23 +8,24 @@ type msg =
          Decided messages let stragglers decide without more rounds;
          2f+1 let a process halt entirely (quiescence) *)
 
+(* a tag byte, then a u32 round for [Bval]/[Aux], then the value byte *)
+let msg_bits = function Bval _ | Aux _ -> 8 * 6 | Decided _ -> 8 * 2
+
 let encode_msg msg =
-  let buf = Buffer.create 8 in
+  let w = Wire.writer ~bits:(msg_bits msg) in
   (match msg with
   | Bval { round; value } ->
-    Wire.put_u8 buf 1;
-    Wire.put_u32 buf round;
-    Wire.put_bool buf value
+    Wire.put_u8 w 1;
+    Wire.put_u32 w round;
+    Wire.put_bool w value
   | Aux { round; value } ->
-    Wire.put_u8 buf 2;
-    Wire.put_u32 buf round;
-    Wire.put_bool buf value
+    Wire.put_u8 w 2;
+    Wire.put_u32 w round;
+    Wire.put_bool w value
   | Decided { value } ->
-    Wire.put_u8 buf 3;
-    Wire.put_bool buf value);
-  Buffer.contents buf
-
-let msg_bits msg = Wire.bits (encode_msg msg)
+    Wire.put_u8 w 3;
+    Wire.put_bool w value);
+  Wire.contents w
 
 type round_state = {
   mutable bval_received : Iset.t * Iset.t; (* senders for false, true *)

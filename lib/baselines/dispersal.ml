@@ -44,45 +44,24 @@ let cert_of_string s =
     with _ -> None)
   | _ -> None
 
-let put_proof buf (proof : Crypto.Merkle.proof) =
-  Wire.put_u32 buf proof.Crypto.Merkle.leaf_index;
-  Wire.put_u32 buf (List.length proof.Crypto.Merkle.path);
-  List.iter (Wire.put_bytes buf) proof.Crypto.Merkle.path
-
-let encode_msg msg =
-  let buf = Buffer.create 64 in
-  (match msg with
-  | Store { id; root; data_len; frag_index; frag; proof } ->
-    Wire.put_u8 buf 1;
-    Wire.put_bytes buf id;
-    Wire.put_bytes buf root;
-    Wire.put_u32 buf data_len;
-    Wire.put_u32 buf frag_index;
-    Wire.put_bytes buf frag;
-    put_proof buf proof
-  | Stored { id; root; data_len } ->
-    Wire.put_u8 buf 2;
-    Wire.put_bytes buf id;
-    Wire.put_bytes buf root;
-    Wire.put_u32 buf data_len;
-    (* the storage acknowledgement is a signature share *)
-    Buffer.add_string buf (String.make 64 '\000')
-  | Recast_request { id; root; data_len } ->
-    Wire.put_u8 buf 3;
-    Wire.put_bytes buf id;
-    Wire.put_bytes buf root;
-    Wire.put_u32 buf data_len
-  | Refrag { id; root; data_len; frag_index; frag; proof } ->
-    Wire.put_u8 buf 4;
-    Wire.put_bytes buf id;
-    Wire.put_bytes buf root;
-    Wire.put_u32 buf data_len;
-    Wire.put_u32 buf frag_index;
-    Wire.put_bytes buf frag;
-    put_proof buf proof);
-  Buffer.contents buf
-
-let msg_bits msg = Wire.bits (encode_msg msg)
+(* Wire size, charged per message: a tag byte, a u32 per integer field,
+   a u32 length before each byte string (the id, the root, the fragment
+   and every proof digest), and for [Stored] a 64-byte signature
+   share. *)
+let msg_bits msg =
+  let bytes s = 4 + String.length s in
+  let proof_bytes (proof : Crypto.Merkle.proof) =
+    List.fold_left (fun acc d -> acc + bytes d) 8 proof.Crypto.Merkle.path
+  in
+  let len =
+    match msg with
+    | Store { id; root; frag; proof; _ } | Refrag { id; root; frag; proof; _ }
+      ->
+      1 + bytes id + bytes root + 4 + 4 + bytes frag + proof_bytes proof
+    | Stored { id; root; _ } -> 1 + bytes id + bytes root + 4 + 64
+    | Recast_request { id; root; _ } -> 1 + bytes id + bytes root + 4
+  in
+  8 * len
 
 type dispersal_state = {
   mutable my_frag : (int * string * Crypto.Merkle.proof) option;

@@ -13,61 +13,30 @@ type msg =
     }
   | Decide of { value : string; view : int }
 
-(* Wire codec: quorum certificates attached to stage >= 2 / done /
-   decide messages are encoded as 2f+1 64-byte signature placeholders
-   (the size a BLS multisig bundle would occupy); everything else is the
-   actual content. Senders charge the exact encoded size. *)
+(* Wire size, charged per message: a tag byte, a u32 per view, promoter,
+   leader or coin field, a byte per stage, a u32 length before each
+   value, and a byte for whether a view change carries a value. Quorum
+   certificates attached to stage >= 2 / done / decide messages count
+   as 2f+1 64-byte signature placeholders (the size a BLS multisig
+   bundle would occupy), and an ack as one signature share. *)
 
 let cert_placeholder_bytes = 64
 
-let encode_msg ~quorum msg =
-  let buf = Buffer.create 64 in
-  let put_cert () =
-    Buffer.add_string buf (String.make (quorum * cert_placeholder_bytes) '\000')
+let msg_bits ~quorum msg =
+  let cert = quorum * cert_placeholder_bytes in
+  let value v = 4 + String.length v in
+  let bytes =
+    match msg with
+    | Stage { stage; value = v; _ } ->
+      1 + 4 + 1 + 4 + value v + if stage > 1 then cert else 0
+    | Ack _ -> 1 + 4 + 1 + 4 + cert_placeholder_bytes
+    | Done _ -> 1 + 4 + 4 + cert
+    | Coin_share _ -> 1 + (4 * 4)
+    | View_change { value = None; _ } -> 1 + 4 + 4 + 1 + 1
+    | View_change { value = Some v; _ } -> 1 + 4 + 4 + 1 + 1 + value v + cert
+    | Decide { value = v; _ } -> 1 + 4 + value v + cert
   in
-  (match msg with
-  | Stage { view; stage; promoter; value } ->
-    Wire.put_u8 buf 1;
-    Wire.put_u32 buf view;
-    Wire.put_u8 buf stage;
-    Wire.put_u32 buf promoter;
-    Wire.put_bytes buf value;
-    if stage > 1 then put_cert ()
-  | Ack { view; stage; promoter } ->
-    Wire.put_u8 buf 2;
-    Wire.put_u32 buf view;
-    Wire.put_u8 buf stage;
-    Wire.put_u32 buf promoter;
-    (* the ack is itself a signature share *)
-    Buffer.add_string buf (String.make cert_placeholder_bytes '\000')
-  | Done { view; promoter } ->
-    Wire.put_u8 buf 3;
-    Wire.put_u32 buf view;
-    Wire.put_u32 buf promoter;
-    put_cert ()
-  | Coin_share { view; share } ->
-    Wire.put_u8 buf 4;
-    Wire.put_u32 buf view;
-    Wire.put_u32 buf share.Crypto.Threshold_coin.holder;
-    Wire.put_u32 buf share.Crypto.Threshold_coin.instance;
-    Wire.put_u32 buf share.Crypto.Threshold_coin.value
-  | View_change { view; leader; stage_seen; value } ->
-    Wire.put_u8 buf 5;
-    Wire.put_u32 buf view;
-    Wire.put_u32 buf leader;
-    Wire.put_u8 buf stage_seen;
-    (match value with
-    | None -> Wire.put_bool buf false
-    | Some v ->
-      Wire.put_bool buf true;
-      Wire.put_bytes buf v;
-      put_cert ())
-  | Decide { value; view } ->
-    Wire.put_u8 buf 6;
-    Wire.put_u32 buf view;
-    Wire.put_bytes buf value;
-    put_cert ());
-  Buffer.contents buf
+  8 * bytes
 
 (* What party i remembers about view v. *)
 type view_state = {
@@ -137,7 +106,7 @@ let broadcast_stage t vs ~view ~stage =
   vs.acks <- Iset.empty;
   let msg = Stage { view; stage; promoter = t.me; value = vs.my_value } in
   Net.Network.broadcast t.net ~src:t.me ~kind:"vaba-stage"
-    ~bits:(Wire.bits (encode_msg ~quorum:(quorum t) msg))
+    ~bits:(msg_bits ~quorum:(quorum t) msg)
     msg
 
 let enter_view t view =
@@ -158,7 +127,7 @@ let do_decide t ~value ~view =
     t.decided <- Some value;
     let msg = Decide { value; view } in
     Net.Network.broadcast t.net ~src:t.me ~kind:"vaba-decide"
-      ~bits:(Wire.bits (encode_msg ~quorum:(quorum t) msg))
+      ~bits:(msg_bits ~quorum:(quorum t) msg)
       msg;
     t.decide_cb ~value ~view
   end
@@ -206,7 +175,7 @@ let try_elect t vs ~view =
         in
         let msg = View_change { view; leader; stage_seen; value } in
         Net.Network.broadcast t.net ~src:t.me ~kind:"vaba-viewchange"
-          ~bits:(Wire.bits (encode_msg ~quorum:(quorum t) msg))
+          ~bits:(msg_bits ~quorum:(quorum t) msg)
           msg
       end
   end
@@ -226,7 +195,7 @@ let handle t ~src msg =
         Hashtbl.replace vs.promotions promoter (stage, value);
         let msg = Ack { view; stage; promoter } in
         Net.Network.send t.net ~src:t.me ~dst:promoter ~kind:"vaba-ack"
-          ~bits:(Wire.bits (encode_msg ~quorum:(quorum t) msg))
+          ~bits:(msg_bits ~quorum:(quorum t) msg)
           msg
       end
     | Stage _ -> ()
@@ -240,7 +209,7 @@ let handle t ~src msg =
             vs.my_stage <- 5;
             let msg = Done { view; promoter = t.me } in
             Net.Network.broadcast t.net ~src:t.me ~kind:"vaba-done"
-              ~bits:(Wire.bits (encode_msg ~quorum:(quorum t) msg))
+              ~bits:(msg_bits ~quorum:(quorum t) msg)
               msg
           end
       end
@@ -257,7 +226,7 @@ let handle t ~src msg =
         in
         let msg = Coin_share { view; share } in
         Net.Network.broadcast t.net ~src:t.me ~kind:"vaba-coin"
-          ~bits:(Wire.bits (encode_msg ~quorum:(quorum t) msg))
+          ~bits:(msg_bits ~quorum:(quorum t) msg)
           msg
       end
     | Coin_share { view; share } ->

@@ -74,8 +74,12 @@ let interpolate_at points ~x =
       add acc (mul (of_int yi) coeff))
     0 points
 
-let element_of_digest digest =
-  (* fold the digest into 60 bits then reduce; bias is ~2^-29, negligible *)
-  let acc = ref 0 in
-  String.iter (fun c -> acc := ((!acc lsl 8) lor Char.code c) land 0xFFFFFFFFFFFFFFF) digest;
-  of_int !acc
+(* fold the digest into 60 bits then reduce; bias is ~2^-29, negligible *)
+let rec fold_digest digest i acc =
+  if i >= String.length digest then acc
+  else
+    fold_digest digest (i + 1)
+      (((acc lsl 8) lor Char.code (String.unsafe_get digest i))
+      land 0xFFFFFFFFFFFFFFF)
+
+let element_of_digest digest = of_int (fold_digest digest 0 0)

@@ -31,22 +31,12 @@ let key_of t ~holder =
 let n t = t.n
 let threshold t = t.f + 1
 
-(* the digits of [x <= 0], right to left from [i]; returns where they
-   start *)
-let rec digits buf x i =
-  Bytes.set buf i (Char.unsafe_chr (Char.code '0' - (x mod 10)));
-  if x <= -10 then digits buf (x / 10) (i - 1) else i
-
 (* Writes [Printf.sprintf "%d" v] into [buf] to end just before [stop]
-   and returns where it starts. The digits are those of [-|v|], which
-   exists for every int, [min_int] included. *)
+   and returns where it starts. *)
 let put_decimal buf ~stop v =
-  let start = digits buf (if v > 0 then -v else v) (stop - 1) in
-  if v >= 0 then start
-  else begin
-    Bytes.set buf (start - 1) '-';
-    start - 1
-  end
+  let start = stop - Stdx.Decimal.length v in
+  ignore (Stdx.Decimal.write buf ~pos:start v : int);
+  start
 
 (* the digests of "coin-instance:%d" and "coin-out:%d:%d", formatted at
    the end of the context's scratch buffer *)

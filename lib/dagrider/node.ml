@@ -104,10 +104,10 @@ module Wire = Rbc.Rbc_intf.Wire
 
 (* A share is the same 12-byte record on both coin transports: u32
    holder, u32 instance, u32 field element. *)
-let put_share buf (s : Crypto.Threshold_coin.share) =
-  Wire.put_u32 buf s.holder;
-  Wire.put_u32 buf s.instance;
-  Wire.put_u32 buf s.value
+let put_share w (s : Crypto.Threshold_coin.share) =
+  Wire.put_u32 w s.holder;
+  Wire.put_u32 w s.instance;
+  Wire.put_u32 w s.value
 
 let get_share r =
   let holder = Wire.get_u32 r in
@@ -127,11 +127,11 @@ let encode_payload t ~vertex_bytes ~share =
   | Separate_network, _ -> vertex_bytes
   | In_dag, None -> vertex_bytes ^ "\000"
   | In_dag, Some s ->
-    let buf = Buffer.create (String.length vertex_bytes + 13) in
-    Buffer.add_string buf vertex_bytes;
-    put_share buf s;
-    Wire.put_u8 buf 1;
-    Buffer.contents buf
+    let w = Wire.writer ~bits:(8 * (String.length vertex_bytes + 13)) in
+    Wire.put_raw w vertex_bytes;
+    put_share w s;
+    Wire.put_u8 w 1;
+    Wire.contents w
 
 let decode_payload t payload =
   match t.config.coin_mode with
@@ -203,10 +203,10 @@ let create_and_broadcast_vertex t ~round =
 let max_sync_vertices = 500
 
 let encode_coin_msg (Coin_share s) =
-  let buf = Buffer.create 16 in
-  Wire.put_u8 buf 1;
-  put_share buf s;
-  Buffer.contents buf
+  let w = Wire.writer ~bits:(8 * 13) in
+  Wire.put_u8 w 1;
+  put_share w s;
+  Wire.contents w
 
 let decode_coin_msg src =
   Wire.decode src (fun r ->
@@ -214,22 +214,32 @@ let decode_coin_msg src =
       | 1 -> Wire.finish r (Coin_share (get_share r))
       | _ -> None)
 
+(* [8 * String.length (encode_sync_msg msg)]: a tag byte and a u32 (the
+   round asked from, or the vertex count), then per vertex a u32 round,
+   a u32 source and a u32 length before its bytes *)
+let sync_msg_bits = function
+  | Sync_request _ -> 8 * 5
+  | Sync_response { vertices } ->
+    List.fold_left
+      (fun acc (payload, _, _) -> acc + (8 * (String.length payload + 12)))
+      (8 * 5) vertices
+
 let encode_sync_msg msg =
-  let buf = Buffer.create 64 in
+  let w = Wire.writer ~bits:(sync_msg_bits msg) in
   (match msg with
   | Sync_request { from_round } ->
-    Wire.put_u8 buf 1;
-    Wire.put_u32 buf from_round
+    Wire.put_u8 w 1;
+    Wire.put_u32 w from_round
   | Sync_response { vertices } ->
-    Wire.put_u8 buf 2;
-    Wire.put_u32 buf (List.length vertices);
+    Wire.put_u8 w 2;
+    Wire.put_u32 w (List.length vertices);
     List.iter
       (fun (payload, round, source) ->
-        Wire.put_u32 buf round;
-        Wire.put_u32 buf source;
-        Wire.put_bytes buf payload)
+        Wire.put_u32 w round;
+        Wire.put_u32 w source;
+        Wire.put_bytes w payload)
       vertices);
-  Buffer.contents buf
+  Wire.contents w
 
 let decode_sync_msg src =
   Wire.decode src (fun r ->
@@ -574,9 +584,9 @@ let request_sync t =
     | Some tr -> Trace.emit tr (Trace.Sync_unavailable { node = t.me }));
     false
   | Some net ->
-    (* u8 tag + u32 from_round *)
-    Net.Port.broadcast net ~src:t.me ~kind:"sync-request" ~bits:(8 * 5)
-      (Sync_request { from_round = first_incomplete_round t });
+    let msg = Sync_request { from_round = first_incomplete_round t } in
+    Net.Port.broadcast net ~src:t.me ~kind:"sync-request"
+      ~bits:(sync_msg_bits msg) msg;
     true
 
 (* Validated admission for synced vertices. Reliable-broadcast
@@ -678,15 +688,9 @@ let on_sync_msg t ~src msg =
          done
        with Exit -> ());
       if !vertices <> [] then begin
-        (* u8 tag + u32 count + per vertex: u32 round + u32 source +
-           u32 len + payload bytes *)
-        let bits =
-          List.fold_left
-            (fun acc (payload, _, _) -> acc + (8 * (String.length payload + 12)))
-            (8 * 5) !vertices
-        in
-        Net.Port.send net ~src:t.me ~dst:src ~kind:"sync-response" ~bits
-          (Sync_response { vertices = List.rev !vertices })
+        let msg = Sync_response { vertices = List.rev !vertices } in
+        Net.Port.send net ~src:t.me ~dst:src ~kind:"sync-response"
+          ~bits:(sync_msg_bits msg) msg
       end)
   | Sync_response { vertices } ->
     List.iter

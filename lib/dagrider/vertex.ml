@@ -18,28 +18,37 @@ let compare_vref (a : vref) (b : vref) =
 (* Wire format, all integers as 4-byte big-endian:
    [block_len][block][n_strong][(round,source)*][n_weak][(round,source)*] *)
 
-let put_u32 buf v =
-  if v < 0 || v > 0xFFFFFFFF then invalid_arg "Vertex.encode: value out of u32";
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char buf (Char.chr (v land 0xFF))
+module Wire = Rbc.Rbc_intf.Wire
 
+let put_u32 w v =
+  if v < 0 || v > 0xFFFFFFFF then invalid_arg "Vertex.encode: value out of u32";
+  Wire.put_u32 w v
+
+let rec put_edge_list w = function
+  | [] -> ()
+  | (e : vref) :: rest ->
+    put_u32 w e.round;
+    put_u32 w e.source;
+    put_edge_list w rest
+
+let put_edges w edges =
+  put_u32 w (List.length edges);
+  put_edge_list w edges
+
+(* the block and the two edge lists, each after its u32 count, written
+   once into a string of their exact size *)
 let encode v =
-  let buf = Buffer.create (String.length v.block + 64) in
-  put_u32 buf (String.length v.block);
-  Buffer.add_string buf v.block;
-  let put_edges (edges : vref list) =
-    put_u32 buf (List.length edges);
-    List.iter
-      (fun (e : vref) ->
-        put_u32 buf e.round;
-        put_u32 buf e.source)
-      edges
+  let size =
+    4 + String.length v.block
+    + (4 + (8 * List.length v.strong_edges))
+    + (4 + (8 * List.length v.weak_edges))
   in
-  put_edges v.strong_edges;
-  put_edges v.weak_edges;
-  Buffer.contents buf
+  let w = Wire.writer ~bits:(8 * size) in
+  put_u32 w (String.length v.block);
+  Wire.put_raw w v.block;
+  put_edges w v.strong_edges;
+  put_edges w v.weak_edges;
+  Wire.contents w
 
 (* Intake reads the payload in place: a short read raises [Short],
    which [decode] catches, so nothing is allocated but the vertex. *)

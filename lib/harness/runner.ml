@@ -205,9 +205,16 @@ let make_sched ~schedule ~rng =
 (* Deterministic synthetic block: identifies its proposer and round, and
    pads to the requested size so communication accounting is realistic. *)
 let synthetic_block ~block_bytes ~me ~round =
-  let tag = Printf.sprintf "blk:p%d:r%d:" me round in
-  if String.length tag >= block_bytes then tag
-  else tag ^ String.make (block_bytes - String.length tag) 'x'
+  (* "blk:p<me>:r<round>:" padded with 'x', written once *)
+  let tag = Stdx.Decimal.length me + Stdx.Decimal.length round + 8 in
+  let b = Bytes.create (max tag block_bytes) in
+  Bytes.blit_string "blk:p" 0 b 0 5;
+  let pos = Stdx.Decimal.write b ~pos:5 me in
+  Bytes.blit_string ":r" 0 b pos 2;
+  let pos = Stdx.Decimal.write b ~pos:(pos + 2) round in
+  Bytes.set b pos ':';
+  Bytes.fill b (pos + 1) (Bytes.length b - pos - 1) 'x';
+  Bytes.unsafe_to_string b
 
 (* The three per-node closures every node is made with (see
    [node_maker]), so a restarted node keeps the workload/monitor wiring
@@ -558,19 +565,20 @@ let start_clients options ~engine ~mempools ~crashed =
       Array.init options.n (fun me ->
           Workload.Txgen.gen ~owner:me ~body_bytes:wl.wl_body_bytes)
     in
+    (* one callback for every process's ticks, called with the process:
+       a tick builds no closure *)
+    let rec inject me =
+      let accepted =
+        Workload.Mempool.submit pools.(me) (Workload.Txgen.next_tx gens.(me))
+      in
+      (match options.trace with
+      | Some tr -> Trace.emit tr (Trace.Tx_submitted { node = me; accepted })
+      | None -> ignore accepted);
+      Sim.Engine.schedule_call engine ~delay:period inject me
+    in
     for me = 0 to options.n - 1 do
-      if not crashed.(me) then begin
-        let rec inject () =
-          let accepted =
-            Workload.Mempool.submit pools.(me) (Workload.Txgen.next_tx gens.(me))
-          in
-          (match options.trace with
-          | Some tr -> Trace.emit tr (Trace.Tx_submitted { node = me; accepted })
-          | None -> ignore accepted);
-          Sim.Engine.schedule engine ~delay:period inject
-        in
-        Sim.Engine.schedule engine ~delay:period inject
-      end
+      if not crashed.(me) then
+        Sim.Engine.schedule_call engine ~delay:period inject me
     done
   | _ -> ()
 

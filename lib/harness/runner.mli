@@ -159,6 +159,10 @@ val validate : options -> (unit, string) result
 val build : options -> t
 (** @raise Invalid_argument when {!validate} fails, with its message. *)
 
+val synthetic_block : block_bytes:int -> me:int -> round:int -> string
+(** The block process [me] proposes in [round] when no workload is set:
+    ["blk:p<me>:r<round>:"] padded with ['x'] to [block_bytes]. *)
+
 val make_sched : schedule:schedule -> rng:Stdx.Rng.t -> Net.Sched.t
 (** The message schedule [build] makes for [schedule] from the run's
     scheduler stream [rng]. *)

@@ -150,6 +150,7 @@ type 'msg outstanding = {
   o_bits : int;
   o_id : int; (* logical-message correlation id; every send copy reuses it *)
   mutable o_attempt : int;
+  mutable o_timeout : float; (* the delay its pending timer was armed with *)
 }
 
 (* sequence numbers of one (sender, destination) stream *)
@@ -177,6 +178,9 @@ type 'msg t = {
   trace : Trace.t option;
   mutable handler : (src:int -> 'msg -> unit) option;
   mutable detached : bool;
+  (* the endpoint's one retransmit-timer callback, called with
+     [seq * n + dst] (see [arm]) *)
+  mutable on_timer : int -> unit;
   next_seq : int array; (* per destination *)
   unacked : 'msg outstanding Seqs.t array; (* per destination, by seq *)
   (* receiver dedup, per source: the seqs delivered, a watermark plus
@@ -230,48 +234,57 @@ let set_handler t handler = t.handler <- Some handler
 
 let clear_handler t = t.handler <- None
 
-let rec schedule_retry t ~dst ~seq ~timeout =
-  Sim.Engine.schedule t.engine ~delay:timeout (fun () ->
-      if not t.detached then
-        match Seqs.find t.unacked.(dst) seq with
-        | exception Not_found -> () (* acked in the meantime *)
-        | o ->
-          if o.o_attempt >= t.config.max_attempts then begin
-            Seqs.remove t.unacked.(dst) seq;
-            t.gave_up <- t.gave_up + 1;
-            match t.trace with
-            | None -> ()
-            | Some tr ->
-              Trace.emit tr
-                (Trace.Drop
-                   { src = t.me; dst; msg_kind = o.o_kind; reason = "give-up";
-                     id = o.o_id })
-          end
-          else begin
-            let sp = Prof.enter "link.retransmit" in
-            (try
-               o.o_attempt <- o.o_attempt + 1;
-               t.retransmits <- t.retransmits + 1;
-               t.per_dst_retransmits.(dst) <- t.per_dst_retransmits.(dst) + 1;
-               (match t.trace with
-               | None -> ()
-               | Some tr ->
-                 Trace.emit tr
-                   (Trace.Retransmit
-                      { src = t.me; dst; msg_kind = o.o_kind; seq;
-                        attempt = o.o_attempt; id = o.o_id }));
-               Network.send ?mid:(mid_opt o.o_id) t.wire.frames ~src:t.me ~dst
-                 ~kind:o.o_kind ~bits:o.o_bits o.o_frame;
-               let next =
-                 Float.min (timeout *. t.config.backoff) t.config.max_rto
-               in
-               let jittered =
-                 next *. (1.0 +. (t.config.jitter *. Stdx.Rng.float t.rng 1.0))
-               in
-               schedule_retry t ~dst ~seq ~timeout:jittered
-             with e -> Prof.leave_reraise sp e);
-            Prof.leave sp
-          end)
+(* A timer is an engine call event carrying [seq * n + dst], so arming
+   one builds no closure; the delay it was armed with stays on the
+   outstanding frame, where the next backoff starts from. *)
+let arm t ~dst ~seq (o : _ outstanding) ~timeout =
+  o.o_timeout <- timeout;
+  Sim.Engine.schedule_call t.engine ~delay:timeout t.on_timer
+    ((seq * Network.n t.wire.frames) + dst)
+
+let on_timer t arg =
+  let n = Network.n t.wire.frames in
+  let seq = arg / n and dst = arg mod n in
+  if not t.detached then
+    match Seqs.find t.unacked.(dst) seq with
+    | exception Not_found -> () (* acked in the meantime *)
+    | o ->
+      if o.o_attempt >= t.config.max_attempts then begin
+        Seqs.remove t.unacked.(dst) seq;
+        t.gave_up <- t.gave_up + 1;
+        match t.trace with
+        | None -> ()
+        | Some tr ->
+          Trace.emit tr
+            (Trace.Drop
+               { src = t.me; dst; msg_kind = o.o_kind; reason = "give-up";
+                 id = o.o_id })
+      end
+      else begin
+        let sp = Prof.enter "link.retransmit" in
+        (try
+           o.o_attempt <- o.o_attempt + 1;
+           t.retransmits <- t.retransmits + 1;
+           t.per_dst_retransmits.(dst) <- t.per_dst_retransmits.(dst) + 1;
+           (match t.trace with
+           | None -> ()
+           | Some tr ->
+             Trace.emit tr
+               (Trace.Retransmit
+                  { src = t.me; dst; msg_kind = o.o_kind; seq;
+                    attempt = o.o_attempt; id = o.o_id }));
+           Network.send ?mid:(mid_opt o.o_id) t.wire.frames ~src:t.me ~dst
+             ~kind:o.o_kind ~bits:o.o_bits o.o_frame;
+           let next =
+             Float.min (o.o_timeout *. t.config.backoff) t.config.max_rto
+           in
+           let jittered =
+             next *. (1.0 +. (t.config.jitter *. Stdx.Rng.float t.rng 1.0))
+           in
+           arm t ~dst ~seq o ~timeout:jittered
+         with e -> Prof.leave_reraise sp e);
+        Prof.leave sp
+      end
 
 (* One reliable delivery of an already-encoded message and the wire's
    decode of its bytes. *)
@@ -285,17 +298,20 @@ let send_bytes t ~dst ~kind ~bits bytes decoded =
     let mid =
       match t.trace with None -> -1 | Some tr -> Trace.fresh_id tr
     in
-    Seqs.replace t.unacked.(dst) seq
+    let o =
       { o_kind = kind;
         o_frame = frame;
         o_bits = bits + data_overhead_bits ~kind;
         o_id = mid;
-        o_attempt = 0 };
+        o_attempt = 0;
+        o_timeout = t.config.rto }
+    in
+    Seqs.replace t.unacked.(dst) seq o;
     t.data_sent <- t.data_sent + 1;
     Network.send ?mid:(mid_opt mid) t.wire.frames ~src:t.me ~dst ~kind
       ~bits:(bits + data_overhead_bits ~kind)
       frame;
-    schedule_retry t ~dst ~seq ~timeout:t.config.rto
+    arm t ~dst ~seq o ~timeout:o.o_timeout
   end
 
 (* A message is encoded, and its bytes decoded, once per send: every
@@ -378,6 +394,7 @@ let attach ~wire ~engine ~rng ?(config = default_config) ?trace ~me () =
       trace;
       handler = None;
       detached = false;
+      on_timer = ignore;
       next_seq = Array.make n 0;
       unacked = Array.init n (fun _ -> Seqs.create 16);
       seen = Array.init n (fun _ -> Stdx.Seqset.create ());
@@ -389,6 +406,7 @@ let attach ~wire ~engine ~rng ?(config = default_config) ?trace ~me () =
       corrupt_rejected = 0;
       decode_failures = 0 }
   in
+  t.on_timer <- on_timer t;
   Network.register net me (fun ~src frame -> on_frame t ~src frame);
   t
 

@@ -20,10 +20,16 @@ type msg =
     }
   | Ready of { origin : int; round : int; root : string; data_len : int }
 
-let put_proof buf (proof : Crypto.Merkle.proof) =
-  Wire.put_u32 buf proof.Crypto.Merkle.leaf_index;
-  Wire.put_u32 buf (List.length proof.Crypto.Merkle.path);
-  List.iter (Wire.put_bytes buf) proof.Crypto.Merkle.path
+let rec put_digests w = function
+  | [] -> ()
+  | d :: rest ->
+    Wire.put_bytes w d;
+    put_digests w rest
+
+let put_proof w (proof : Crypto.Merkle.proof) =
+  Wire.put_u32 w proof.Crypto.Merkle.leaf_index;
+  Wire.put_u32 w (List.length proof.Crypto.Merkle.path);
+  put_digests w proof.Crypto.Merkle.path
 
 let get_proof r =
   let leaf_index = Wire.get_u32 r in
@@ -33,7 +39,7 @@ let get_proof r =
   if List.exists (fun d -> String.length d <> 32) path then raise Wire.Bad;
   { Crypto.Merkle.leaf_index; path }
 
-(* [8 * String.length (encode_msg msg)] without building the encoding:
+(* [8 * String.length (encode_msg msg)], the size [encode_msg] writes:
    a tag byte, a u32 per integer field, and a u32 length before each
    byte string (the root, the fragment and every proof digest). *)
 let msg_bits msg =
@@ -52,32 +58,32 @@ let msg_bits msg =
   8 * len
 
 let encode_msg msg =
-  let buf = Buffer.create (msg_bits msg / 8) in
+  let w = Wire.writer ~bits:(msg_bits msg) in
   (match msg with
   | Disperse { round; root; data_len; frag_index; frag; proof } ->
-    Wire.put_u8 buf 1;
-    Wire.put_u32 buf round;
-    Wire.put_bytes buf root;
-    Wire.put_u32 buf data_len;
-    Wire.put_u32 buf frag_index;
-    Wire.put_bytes buf frag;
-    put_proof buf proof
+    Wire.put_u8 w 1;
+    Wire.put_u32 w round;
+    Wire.put_bytes w root;
+    Wire.put_u32 w data_len;
+    Wire.put_u32 w frag_index;
+    Wire.put_bytes w frag;
+    put_proof w proof
   | Echo { origin; round; root; data_len; frag_index; frag; proof } ->
-    Wire.put_u8 buf 2;
-    Wire.put_u32 buf origin;
-    Wire.put_u32 buf round;
-    Wire.put_bytes buf root;
-    Wire.put_u32 buf data_len;
-    Wire.put_u32 buf frag_index;
-    Wire.put_bytes buf frag;
-    put_proof buf proof
+    Wire.put_u8 w 2;
+    Wire.put_u32 w origin;
+    Wire.put_u32 w round;
+    Wire.put_bytes w root;
+    Wire.put_u32 w data_len;
+    Wire.put_u32 w frag_index;
+    Wire.put_bytes w frag;
+    put_proof w proof
   | Ready { origin; round; root; data_len } ->
-    Wire.put_u8 buf 3;
-    Wire.put_u32 buf origin;
-    Wire.put_u32 buf round;
-    Wire.put_bytes buf root;
-    Wire.put_u32 buf data_len);
-  Buffer.contents buf
+    Wire.put_u8 w 3;
+    Wire.put_u32 w origin;
+    Wire.put_u32 w round;
+    Wire.put_bytes w root;
+    Wire.put_u32 w data_len);
+  Wire.contents w
 
 let decode_msg src =
   Wire.decode src (fun r ->

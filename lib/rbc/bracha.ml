@@ -5,25 +5,6 @@ type msg =
   | Echo of { origin : int; round : int; payload : string }
   | Ready of { origin : int; round : int; payload : string }
 
-let encode_msg msg =
-  let buf = Buffer.create 64 in
-  (match msg with
-  | Init { round; payload } ->
-    Wire.put_u8 buf 1;
-    Wire.put_u32 buf round;
-    Wire.put_bytes buf payload
-  | Echo { origin; round; payload } ->
-    Wire.put_u8 buf 2;
-    Wire.put_u32 buf origin;
-    Wire.put_u32 buf round;
-    Wire.put_bytes buf payload
-  | Ready { origin; round; payload } ->
-    Wire.put_u8 buf 3;
-    Wire.put_u32 buf origin;
-    Wire.put_u32 buf round;
-    Wire.put_bytes buf payload);
-  Buffer.contents buf
-
 let decode_msg src =
   Wire.decode src (fun r ->
       match Wire.get_u8 r with
@@ -43,7 +24,7 @@ let decode_msg src =
         Wire.finish r (Ready { origin; round; payload })
       | _ -> None)
 
-(* [8 * String.length (encode_msg msg)] without building the encoding:
+(* [8 * String.length (encode_msg msg)], the size [encode_msg] writes:
    a tag byte, one u32 per identifier and a u32 length before the
    payload. *)
 let msg_bits msg =
@@ -53,6 +34,25 @@ let msg_bits msg =
     | Echo { payload; _ } | Ready { payload; _ } -> (2, payload)
   in
   8 * (1 + (4 * ids) + 4 + String.length payload)
+
+let encode_msg msg =
+  let w = Wire.writer ~bits:(msg_bits msg) in
+  (match msg with
+  | Init { round; payload } ->
+    Wire.put_u8 w 1;
+    Wire.put_u32 w round;
+    Wire.put_bytes w payload
+  | Echo { origin; round; payload } ->
+    Wire.put_u8 w 2;
+    Wire.put_u32 w origin;
+    Wire.put_u32 w round;
+    Wire.put_bytes w payload
+  | Ready { origin; round; payload } ->
+    Wire.put_u8 w 3;
+    Wire.put_u32 w origin;
+    Wire.put_u32 w round;
+    Wire.put_bytes w payload);
+  Wire.contents w
 
 (* Votes are keyed by the payload bytes themselves, so no digest (and
    no digest collision) is involved. The copies of one payload that a

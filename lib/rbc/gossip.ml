@@ -5,26 +5,6 @@ type msg =
   | Echo of { origin : int; round : int; digest : string }
   | Ready of { origin : int; round : int; digest : string }
 
-let encode_msg msg =
-  let buf = Buffer.create 64 in
-  (match msg with
-  | Gossip { origin; round; payload } ->
-    Wire.put_u8 buf 1;
-    Wire.put_u32 buf origin;
-    Wire.put_u32 buf round;
-    Wire.put_bytes buf payload
-  | Echo { origin; round; digest } ->
-    Wire.put_u8 buf 2;
-    Wire.put_u32 buf origin;
-    Wire.put_u32 buf round;
-    Wire.put_bytes buf digest
-  | Ready { origin; round; digest } ->
-    Wire.put_u8 buf 3;
-    Wire.put_u32 buf origin;
-    Wire.put_u32 buf round;
-    Wire.put_bytes buf digest);
-  Buffer.contents buf
-
 let decode_msg src =
   Wire.decode src (fun r ->
       match Wire.get_u8 r with
@@ -47,7 +27,7 @@ let decode_msg src =
         else Wire.finish r (Ready { origin; round; digest })
       | _ -> None)
 
-(* [8 * String.length (encode_msg msg)] without building the encoding:
+(* [8 * String.length (encode_msg msg)], the size [encode_msg] writes:
    a tag byte, a u32 each for the origin and the round, and a u32
    length before the payload or digest. *)
 let msg_bits msg =
@@ -57,6 +37,26 @@ let msg_bits msg =
     | Echo { digest; _ } | Ready { digest; _ } -> digest
   in
   8 * (1 + 4 + 4 + 4 + String.length body)
+
+let encode_msg msg =
+  let w = Wire.writer ~bits:(msg_bits msg) in
+  (match msg with
+  | Gossip { origin; round; payload } ->
+    Wire.put_u8 w 1;
+    Wire.put_u32 w origin;
+    Wire.put_u32 w round;
+    Wire.put_bytes w payload
+  | Echo { origin; round; digest } ->
+    Wire.put_u8 w 2;
+    Wire.put_u32 w origin;
+    Wire.put_u32 w round;
+    Wire.put_bytes w digest
+  | Ready { origin; round; digest } ->
+    Wire.put_u8 w 3;
+    Wire.put_u32 w origin;
+    Wire.put_u32 w round;
+    Wire.put_bytes w digest);
+  Wire.contents w
 
 (* the gossip, echo and ready samples are these multiples of ln n, and
    an instance turns ready / delivers on these fractions of its echo /

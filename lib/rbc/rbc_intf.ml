@@ -260,21 +260,57 @@ module Iset = Set.Make (Int)
 (** Binary wire-format helpers shared by the protocol codecs. Every
     protocol message has an [encode_msg]/[decode_msg] pair; senders
     charge the exact encoded size, and the codecs carry property tests
-    in the suite. *)
+    in the suite.
+
+    An encoder writes its message once, into a {!writer} over a [Bytes]
+    of the size the codec's size function gives ([msg_bits]), and
+    {!contents} hands those bytes over as the message: no growing
+    buffer and no second copy. The size is a contract: a [put] past
+    the end, or {!contents} short of it, raises [Invalid_argument], so
+    a size function that disagrees with its encoder fails on the first
+    message it gets wrong. Integers are big-endian; [put_u32] keeps the
+    low 32 bits of its argument. *)
 module Wire = struct
-  let put_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xFF))
+  type writer = { out : Bytes.t; mutable pos : int }
 
-  let put_u32 buf v =
-    Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF));
-    Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-    Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-    Buffer.add_char buf (Char.chr (v land 0xFF))
+  let writer ~bits = { out = Bytes.create (bits / 8); pos = 0 }
 
-  let put_bytes buf s =
-    put_u32 buf (String.length s);
-    Buffer.add_string buf s
+  let size_error w =
+    invalid_arg
+      (Printf.sprintf "Wire: wrote %d bytes of a %d-byte message" w.pos
+         (Bytes.length w.out))
 
-  let put_bool buf b = put_u8 buf (if b then 1 else 0)
+  (* reserves [k] bytes; returns where they start *)
+  let[@inline] claim w k =
+    let at = w.pos in
+    w.pos <- at + k;
+    if w.pos > Bytes.length w.out then size_error w;
+    at
+
+  let put_u8 w v =
+    Bytes.unsafe_set w.out (claim w 1) (Char.unsafe_chr (v land 0xFF))
+
+  let put_u32 w v =
+    let at = claim w 4 in
+    Bytes.unsafe_set w.out at (Char.unsafe_chr ((v lsr 24) land 0xFF));
+    Bytes.unsafe_set w.out (at + 1) (Char.unsafe_chr ((v lsr 16) land 0xFF));
+    Bytes.unsafe_set w.out (at + 2) (Char.unsafe_chr ((v lsr 8) land 0xFF));
+    Bytes.unsafe_set w.out (at + 3) (Char.unsafe_chr (v land 0xFF))
+
+  (* [s] as is, with no length before it *)
+  let put_raw w s =
+    let at = claim w (String.length s) in
+    Bytes.unsafe_blit_string s 0 w.out at (String.length s)
+
+  let put_bytes w s =
+    put_u32 w (String.length s);
+    put_raw w s
+
+  let put_bool w b = put_u8 w (if b then 1 else 0)
+
+  let contents w =
+    if w.pos <> Bytes.length w.out then size_error w;
+    Bytes.unsafe_to_string w.out
 
   type reader = { src : string; mutable pos : int }
 
@@ -307,6 +343,4 @@ module Wire = struct
   let finish r v = if r.pos = String.length r.src then Some v else None
 
   let decode src f = try f (reader src) with Bad -> None
-
-  let bits s = 8 * String.length s
 end

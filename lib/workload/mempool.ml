@@ -23,6 +23,8 @@ type t = {
   queue : Txgen.tx Queue.t;
   owners : owner_sets Keys.t; (* an owner, below 2^30, hashes to itself *)
   inflight : unit Keys.t;
+  (* the batch being assembled, reused: grows to the largest batch *)
+  mutable batch : Txgen.tx array;
   mutable submitted : int;
   mutable retired : int;
   mutable rejected : int;
@@ -35,6 +37,7 @@ let create ?(max_batch = 64) ?max_pending ~owner () =
     queue = Queue.create ();
     owners = Keys.create 16;
     inflight = Keys.create 256;
+    batch = [||];
     submitted = 0;
     retired = 0;
     rejected = 0 }
@@ -69,20 +72,28 @@ let submit t (tx : Txgen.tx) =
       t.submitted <- t.submitted + 1;
       true
 
+let add_to_batch t count tx =
+  if count = Array.length t.batch then begin
+    let grown = Array.make (max 8 (2 * count)) tx in
+    Array.blit t.batch 0 grown 0 count;
+    t.batch <- grown
+  end;
+  t.batch.(count) <- tx
+
+(* the batch goes from the queue into [t.batch], then is written once
+   into the block *)
 let assemble_block t =
-  let rec take acc count =
-    if count >= t.max_batch then List.rev acc
-    else
-      match Queue.take_opt t.queue with
-      | None -> List.rev acc
-      | Some tx when Stdx.Seqset.mem (sets t tx.owner).retired tx.seqno ->
-        (* already ordered through another process's block *)
-        take acc count
-      | Some tx ->
-        Keys.replace t.inflight (key_of tx) ();
-        take (tx :: acc) (count + 1)
-  in
-  Txgen.block_of_txs (take [] 0)
+  let count = ref 0 in
+  while !count < t.max_batch && not (Queue.is_empty t.queue) do
+    let tx = Queue.take t.queue in
+    (* skip one already ordered through another process's block *)
+    if not (Stdx.Seqset.mem (sets t tx.owner).retired tx.seqno) then begin
+      Keys.replace t.inflight (key_of tx) ();
+      add_to_batch t !count tx;
+      incr count
+    end
+  done;
+  Txgen.block_of_array t.batch ~count:!count
 
 let retire_block t block =
   let mine = ref 0 in

@@ -49,7 +49,14 @@ val block_txs : string -> tx list
 
 val iter_keys : string -> (int -> int -> unit) -> unit
 (** [iter_keys block f] calls [f owner seqno] for each transaction
-    {!block_txs} would return, in order, through the same parser;
-    it allocates no substring and no option. *)
+    {!block_txs} would return, in order, through the same parser. It
+    reads each byte once and allocates nothing per record. *)
 
 val block_of_txs : tx list -> string
+(** The transactions' {!tx_to_string} renderings joined by [\x1e],
+    written once into a string of the exact size ([""] for no
+    transactions). *)
+
+val block_of_array : tx array -> count:int -> string
+(** [block_of_array txs ~count] is [block_of_txs] of the first [count]
+    elements of [txs]. *)

@@ -1,8 +1,10 @@
 (* The tuple-keyed mempool and split_on_char block parser that
    Workload.Mempool and Workload.Txgen replaced, kept as the oracle for
-   test_workload's differential tests. The numeric fields follow the
-   canonical rule stated declaratively: a field is accepted iff
-   [string_of_int] prints it back and it is in range. *)
+   test_workload's differential tests. Its blocks are joined by
+   Txgen_reference's String.concat, so an assembled block is checked
+   byte for byte against the library's writer. The numeric fields
+   follow the canonical rule stated declaratively: a field is accepted
+   iff [string_of_int] prints it back and it is in range. *)
 
 type tx = Workload.Txgen.tx
 
@@ -75,7 +77,7 @@ let assemble_block t =
         Hashtbl.replace t.inflight (key_of tx) ();
         take (tx :: acc) (count + 1)
   in
-  Workload.Txgen.block_of_txs (take [] 0)
+  Txgen_reference.block_of_txs (take [] 0)
 
 let retire_block t block =
   let mine = ref 0 in

@@ -771,6 +771,39 @@ let prop_field_interpolate_matches_eval =
       in
       Crypto.Field.interpolate_at points ~x = Crypto.Field.eval_poly coeffs x)
 
+(* [element_of_digest] = the String.iter fold over a closure and a ref
+   that it replaced *)
+let element_of_digest_ref digest =
+  let acc = ref 0 in
+  String.iter
+    (fun c -> acc := ((!acc lsl 8) lor Char.code c) land 0xFFFFFFFFFFFFFFF)
+    digest;
+  Crypto.Field.of_int !acc
+
+let prop_element_of_digest_reference =
+  QCheck.Test.make ~name:"element_of_digest = String.iter fold" ~count:2000
+    QCheck.(
+      make ~print:(fun s -> Crypto.Sha256.to_hex s)
+        Gen.(
+          frequency
+            [ (3, map Crypto.Sha256.digest_string (string_size (int_range 0 64)));
+              (1, string_size (int_range 0 80)) ]))
+    (fun digest ->
+      Crypto.Field.element_of_digest digest = element_of_digest_ref digest)
+
+let test_element_of_digest_edges () =
+  let edges =
+    [ ""; "\000"; "\255"; String.make 7 '\255'; String.make 8 '\255';
+      String.make 9 '\255'; String.make 32 '\255'; String.make 32 '\000';
+      "\127" ^ String.make 31 '\255'; String.make 31 '\000' ^ "\001";
+      String.init 32 Char.chr; String.init 256 Char.chr ]
+  in
+  List.iter
+    (fun d ->
+      checki (Printf.sprintf "digest %S" d) (element_of_digest_ref d)
+        (Crypto.Field.element_of_digest d))
+    edges
+
 let test_field_interpolate_duplicates_rejected () =
   Alcotest.check_raises "dups"
     (Invalid_argument "Field.interpolate_at: duplicate x-coordinates")
@@ -1078,7 +1111,10 @@ let () =
           Alcotest.test_case "interpolate duplicates" `Quick
             test_field_interpolate_duplicates_rejected;
           Alcotest.test_case "hmac block-size key" `Quick
-            test_hmac_key_exactly_block_size ] );
+            test_hmac_key_exactly_block_size;
+          QCheck_alcotest.to_alcotest prop_element_of_digest_reference;
+          Alcotest.test_case "element_of_digest edges" `Quick
+            test_element_of_digest_edges ] );
       ( "shamir",
         [ Alcotest.test_case "roundtrip" `Quick test_shamir_roundtrip;
           Alcotest.test_case "any threshold subset" `Quick

@@ -309,6 +309,43 @@ let test_intake_allocation () =
   checkb "valid" true (verdict = Ok ());
   checkb (Printf.sprintf "validate: %.0f words = 0" words) true (words = 0.0)
 
+(* [encode] writes the bytes of the Buffer encoder it replaced, and
+   raises its error on an edge number outside u32 (the generator's
+   negative and [max_int] sources) *)
+let encoded encode v =
+  match encode v with s -> Ok s | exception Invalid_argument m -> Error m
+
+let prop_encode_matches_reference =
+  QCheck.Test.make ~name:"encode = reference encode" ~count:2000
+    (QCheck.make
+       ~print:(fun (n, f, v) -> Printf.sprintf "n=%d f=%d %s" n f (show_vertex v))
+       QCheck.Gen.(
+         let* wire = bool in
+         gen_intake_vertex ~wire))
+    (fun (_, _, v) ->
+      encoded Dagrider.Vertex.encode v = encoded Vertex_reference.encode v)
+
+(* the words [Bytes.create] takes for a string of [s]'s length: a
+   header and the bytes padded to a word *)
+let string_words s = 1 + (String.length s / (Sys.word_size / 8)) + 1
+
+(* [encode] allocates its result and the 3-word writer that fills it *)
+let test_encode_allocation () =
+  let v =
+    mkv ~round:7 ~source:3 ~block:(String.make 200 'b')
+      ~strong:(List.init 16 (fun s -> (6, s)))
+      ~weak:[ (2, 1); (4, 9) ] ()
+  in
+  ignore (Dagrider.Vertex.encode v);
+  let before = Gc.minor_words () in
+  let payload = Sys.opaque_identity (Dagrider.Vertex.encode v) in
+  let words = Gc.minor_words () -. before in
+  let expected = string_words payload + 3 in
+  checkb
+    (Printf.sprintf "encode: %.0f words = %d" words expected)
+    true
+    (words = float_of_int expected)
+
 (* ---- Dag store ---- *)
 
 let full_round dag ~n ~round =
@@ -730,7 +767,9 @@ let () =
       ( "vertex-intake",
         [ QCheck_alcotest.to_alcotest prop_validate_matches_reference;
           QCheck_alcotest.to_alcotest prop_decode_matches_reference;
-          Alcotest.test_case "allocation" `Quick test_intake_allocation ] );
+          Alcotest.test_case "allocation" `Quick test_intake_allocation;
+          QCheck_alcotest.to_alcotest prop_encode_matches_reference;
+          Alcotest.test_case "encode allocation" `Quick test_encode_allocation ] );
       ( "dag",
         [ Alcotest.test_case "genesis" `Quick test_dag_genesis;
           Alcotest.test_case "add and lookup" `Quick test_dag_add_and_lookup;

@@ -1193,7 +1193,7 @@ let prop_bracha_codec =
 let prop_bracha_msg_bits =
   QCheck.Test.make ~name:"bracha msg_bits = encoded size" ~count:300
     (QCheck.make gen_bracha_msg) (fun msg ->
-      Rbc.Bracha.msg_bits msg = Rbc.Rbc_intf.Wire.bits (Rbc.Bracha.encode_msg msg))
+      Rbc.Bracha.msg_bits msg = 8 * String.length (Rbc.Bracha.encode_msg msg))
 
 let gen_digest = QCheck.Gen.map Crypto.Sha256.digest_string gen_payload
 
@@ -1218,7 +1218,7 @@ let prop_gossip_codec =
 let prop_gossip_msg_bits =
   QCheck.Test.make ~name:"gossip msg_bits = encoded size" ~count:300
     (QCheck.make gen_gossip_msg) (fun msg ->
-      Rbc.Gossip.msg_bits msg = Rbc.Rbc_intf.Wire.bits (Rbc.Gossip.encode_msg msg))
+      Rbc.Gossip.msg_bits msg = 8 * String.length (Rbc.Gossip.encode_msg msg))
 
 let gen_avid_msg =
   QCheck.Gen.(
@@ -1250,7 +1250,124 @@ let prop_avid_codec =
 let prop_avid_msg_bits =
   QCheck.Test.make ~name:"avid msg_bits = encoded size" ~count:300
     (QCheck.make gen_avid_msg) (fun msg ->
-      Rbc.Avid.msg_bits msg = Rbc.Rbc_intf.Wire.bits (Rbc.Avid.encode_msg msg))
+      Rbc.Avid.msg_bits msg = 8 * String.length (Rbc.Avid.encode_msg msg))
+
+(* -- encoders = the Buffer encoders they replaced -- *)
+
+(* any int: boundaries of the decimal and u32 ranges, negatives (a
+   u32 field keeps the low 32 bits) and random values *)
+let gen_any_int =
+  QCheck.Gen.(
+    frequency
+      [ ( 1,
+          oneofl
+            [ 0; 9; 10; (1 lsl 30) - 1; (1 lsl 32) - 1; 1 lsl 32; -1; min_int;
+              max_int ] );
+        (1, int);
+        (2, int_range 0 10_000) ])
+
+let gen_bracha_any =
+  QCheck.Gen.(
+    let* msg = gen_bracha_msg in
+    let* origin = gen_any_int and* round = gen_any_int in
+    return
+      (match msg with
+      | Rbc.Bracha.Init { payload; _ } -> Rbc.Bracha.Init { round; payload }
+      | Echo { payload; _ } -> Echo { origin; round; payload }
+      | Ready { payload; _ } -> Ready { origin; round; payload }))
+
+let gen_gossip_any =
+  QCheck.Gen.(
+    let* msg = gen_gossip_msg in
+    let* origin = gen_any_int and* round = gen_any_int in
+    return
+      (match msg with
+      | Rbc.Gossip.Gossip { payload; _ } -> Rbc.Gossip.Gossip { origin; round; payload }
+      | Echo { digest; _ } -> Echo { origin; round; digest }
+      | Ready { digest; _ } -> Ready { origin; round; digest }))
+
+let gen_avid_any =
+  QCheck.Gen.(
+    let* msg = gen_avid_msg in
+    let* origin = gen_any_int and* round = gen_any_int in
+    let* data_len = gen_any_int and* frag_index = gen_any_int in
+    let* leaf_index = gen_any_int in
+    return
+      (match msg with
+      | Rbc.Avid.Disperse { root; frag; proof; _ } ->
+        Rbc.Avid.Disperse
+          { round; root; data_len; frag_index; frag;
+            proof = { proof with leaf_index } }
+      | Echo { root; frag; proof; _ } ->
+        Echo
+          { origin; round; root; data_len; frag_index; frag;
+            proof = { proof with leaf_index } }
+      | Ready { root; _ } -> Ready { origin; round; root; data_len }))
+
+let prop_encode_reference name gen encode reference =
+  QCheck.Test.make ~name:(name ^ " encode_msg = reference encoder") ~count:1000
+    (QCheck.make gen) (fun msg -> String.equal (encode msg) (reference msg))
+
+let prop_bracha_encode_reference =
+  prop_encode_reference "bracha" gen_bracha_any Rbc.Bracha.encode_msg
+    Wire_reference.bracha
+
+let prop_gossip_encode_reference =
+  prop_encode_reference "gossip" gen_gossip_any Rbc.Gossip.encode_msg
+    Wire_reference.gossip
+
+let prop_avid_encode_reference =
+  prop_encode_reference "avid" gen_avid_any Rbc.Avid.encode_msg
+    Wire_reference.avid
+
+(* the words [Bytes.create] takes for a string of [s]'s length: a
+   header and the bytes padded to a word *)
+let string_words s = 1 + (String.length s / (Sys.word_size / 8)) + 1
+
+(* an encoder allocates its result and the 3-word writer that fills it *)
+let test_encode_allocation () =
+  let payload = String.make 600 'p' and digest = String.make 32 'd' in
+  let proof =
+    { Crypto.Merkle.leaf_index = 2; path = List.init 3 (fun _ -> digest) }
+  in
+  List.iter
+    (fun (name, encode) ->
+      ignore (encode ());
+      let before = Gc.minor_words () in
+      let bytes = Sys.opaque_identity (encode ()) in
+      let words = Gc.minor_words () -. before in
+      let expected = string_words bytes + 3 in
+      checkb
+        (Printf.sprintf "%s: %.0f words = %d" name words expected)
+        true
+        (words = float_of_int expected))
+    (let bracha = Rbc.Bracha.Echo { origin = 3; round = 9; payload }
+     and gossip = Rbc.Gossip.Ready { origin = 3; round = 9; digest }
+     and avid =
+       Rbc.Avid.Echo
+         { origin = 3; round = 9; root = digest; data_len = 1800;
+           frag_index = 2; frag = payload; proof }
+     in
+     [ ("bracha echo", fun () -> Rbc.Bracha.encode_msg bracha);
+       ("gossip ready", fun () -> Rbc.Gossip.encode_msg gossip);
+       ("avid echo", fun () -> Rbc.Avid.encode_msg avid) ])
+
+(* a size function that disagrees with its encoder fails the message *)
+let test_wire_size_contract () =
+  let module Wire = Rbc.Rbc_intf.Wire in
+  let write ~bits =
+    let w = Wire.writer ~bits in
+    Wire.put_u8 w 1;
+    Wire.put_bytes w "abc";
+    Wire.contents w
+  in
+  checkb "exact size" true (write ~bits:(8 * 8) = "\001\000\000\000\003abc");
+  List.iter
+    (fun bytes ->
+      match write ~bits:(8 * bytes) with
+      | _ -> Alcotest.failf "a %d-byte size went through" bytes
+      | exception Invalid_argument _ -> ())
+    [ 0; 4; 7; 9; 64 ]
 
 let test_codecs_reject_garbage () =
   List.iter
@@ -1350,6 +1467,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_bracha_msg_bits;
           QCheck_alcotest.to_alcotest prop_avid_msg_bits;
           QCheck_alcotest.to_alcotest prop_gossip_msg_bits;
+          QCheck_alcotest.to_alcotest prop_bracha_encode_reference;
+          QCheck_alcotest.to_alcotest prop_gossip_encode_reference;
+          QCheck_alcotest.to_alcotest prop_avid_encode_reference;
+          Alcotest.test_case "encode allocation" `Quick test_encode_allocation;
+          Alcotest.test_case "wire size contract" `Quick test_wire_size_contract;
           Alcotest.test_case "garbage rejected" `Quick test_codecs_reject_garbage;
           Alcotest.test_case "truncation rejected" `Quick
             test_codec_truncation_rejected ] )

@@ -853,6 +853,36 @@ let test_table_ragged_rejected () =
   Alcotest.check_raises "ragged" (Invalid_argument "Table.render: ragged row")
     (fun () -> ignore (Stdx.Table.render ~header:[ "a" ] ~rows:[ [ "1"; "2" ] ]))
 
+(* ---- Decimal ---- *)
+
+(* [length] and [write] agree with [string_of_int] on every int, written
+   anywhere in a buffer, and a write with no room raises *)
+let prop_decimal_is_string_of_int =
+  QCheck.Test.make ~name:"decimal = string_of_int" ~count:3000
+    QCheck.(
+      pair
+        (make ~print:string_of_int
+           Gen.(
+             frequency
+               [ ( 1,
+                   oneofl
+                     [ 0; 9; 10; -9; -10; 99; 100; max_int; min_int;
+                       min_int + 1; max_int - 1 ] );
+                 (2, int);
+                 (2, int_range (-100_000) 100_000) ]))
+        (int_range 0 5))
+    (fun (v, pos) ->
+      let s = string_of_int v in
+      let b = Bytes.make (pos + String.length s + 2) '#' in
+      let stop = Stdx.Decimal.write b ~pos v in
+      Stdx.Decimal.length v = String.length s
+      && stop = pos + String.length s
+      && Bytes.to_string b
+         = String.make pos '#' ^ s ^ "##"
+      && (match Stdx.Decimal.write b ~pos:(Bytes.length b - String.length s + 1) v with
+         | _ -> false
+         | exception Invalid_argument _ -> true))
+
 let () =
   Alcotest.run "stdx"
     [ ( "rng",
@@ -933,6 +963,7 @@ let () =
         [ Alcotest.test_case "dense run is flat" `Quick
             test_seqset_dense_run_is_flat;
           QCheck_alcotest.to_alcotest prop_seqset_model ] );
+      ("decimal", [ QCheck_alcotest.to_alcotest prop_decimal_is_string_of_int ]);
       ( "table",
         [ Alcotest.test_case "renders" `Quick test_table_renders;
           Alcotest.test_case "ragged rejected" `Quick test_table_ragged_rejected ] )

@@ -362,6 +362,172 @@ let prop_iter_keys_is_block_txs =
       let txs = Workload.Txgen.block_txs block in
       iter_keys_list block = keys_of txs && txs = Ref.block_txs block)
 
+(* ---- writers = the Printf / String.concat renderings they replaced ---- *)
+
+module Txref = Txgen_reference
+
+(* any int: the digit-count boundaries, the key limits, negatives and
+   random values *)
+let gen_any_int =
+  QCheck.Gen.(
+    frequency
+      [ ( 2,
+          oneofl
+            [ 0; 9; 10; 99; 100; (1 lsl 30) - 1; 1 lsl 30; (1 lsl 32) - 1;
+              1 lsl 32; -1; -9; -10; min_int; min_int + 1; max_int ] );
+        (1, int);
+        (2, int_range (-1000) 100_000) ])
+
+(* bodies shorter and longer than a tag, separators included *)
+let gen_body =
+  QCheck.Gen.(
+    string_size
+      ~gen:(oneofl [ 'a'; 'z'; '0'; '.'; '\x1f'; '\x1e'; '\000' ])
+      (int_range 0 40))
+
+let gen_tx =
+  QCheck.Gen.(
+    map3
+      (fun owner seqno body -> { Workload.Txgen.owner; seqno; body })
+      gen_any_int gen_any_int gen_body)
+
+let print_txs txs = String.concat "; " (List.map Txref.tx_to_string txs)
+
+let prop_tx_to_string_reference =
+  QCheck.Test.make ~name:"tx_to_string = Printf form" ~count:2000
+    (QCheck.make ~print:(fun tx -> Txref.tx_to_string tx) gen_tx)
+    (fun tx ->
+      String.equal (Workload.Txgen.tx_to_string tx) (Txref.tx_to_string tx))
+
+(* a generator's first transactions, across the 9/10 and 99/100 digit
+   steps, for any owner and a body size below, at or above the tag's *)
+let prop_next_tx_reference =
+  QCheck.Test.make ~name:"next_tx = Printf form" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (owner, body_bytes, count) ->
+          Printf.sprintf "owner=%d body_bytes=%d count=%d" owner body_bytes count)
+        Gen.(
+          triple gen_any_int (int_range (-1) 48) (int_range 1 130)))
+    (fun (owner, body_bytes, count) ->
+      let g = Workload.Txgen.gen ~owner ~body_bytes in
+      List.for_all
+        (fun seqno ->
+          Workload.Txgen.next_tx g = Txref.nth_tx ~owner ~body_bytes seqno)
+        (List.init count Fun.id))
+
+let prop_block_of_txs_reference =
+  QCheck.Test.make ~name:"block_of_txs = String.concat form" ~count:1000
+    (QCheck.make ~print:print_txs
+       QCheck.Gen.(
+         let* count = frequencyl [ (1, 0); (2, 1); (4, 5); (2, 40) ] in
+         list_repeat count gen_tx))
+    (fun txs ->
+      let expected = Txref.block_of_txs txs in
+      let array = Array.of_list txs in
+      String.equal (Workload.Txgen.block_of_txs txs) expected
+      && String.equal
+           (Workload.Txgen.block_of_array
+              (Array.append array array)
+              ~count:(Array.length array))
+           expected)
+
+let prop_synthetic_block_reference =
+  QCheck.Test.make ~name:"synthetic_block = Printf form" ~count:2000
+    QCheck.(
+      make
+        ~print:(fun (me, round, block_bytes) ->
+          Printf.sprintf "me=%d round=%d block_bytes=%d" me round block_bytes)
+        Gen.(triple gen_any_int gen_any_int (int_range (-1) 80)))
+    (fun (me, round, block_bytes) ->
+      String.equal
+        (Harness.Runner.synthetic_block ~block_bytes ~me ~round)
+        (Txref.synthetic_block ~block_bytes ~me ~round))
+
+(* malformed blocks: stray and doubled separators, leading zeros,
+   signs, 11-digit and out-of-range fields, missing and extra fields,
+   and 19-digit fields whose value wraps a 63-bit int to 7 *)
+let test_iter_keys_malformed () =
+  let good = "7\x1f12\x1fbody" in
+  let blocks =
+    [ ""; "\x1e"; "\x1e\x1e"; "\x1f"; "\x1f\x1f"; good; good ^ "\x1e";
+      "\x1e" ^ good; good ^ "\x1e\x1e" ^ good; "07\x1f12\x1fb";
+      "7\x1f012\x1fb"; "0\x1f0\x1f"; "00\x1f0\x1fb"; "-1\x1f2\x1fb";
+      "+1\x1f2\x1fb"; "12345678901\x1f1\x1fb"; "1\x1f12345678901\x1fb";
+      "1073741823\x1f4294967295\x1fb"; "1073741824\x1f1\x1fb";
+      "1\x1f4294967296\x1fb"; "9999999999\x1f1\x1fb"; "1\x1f2";
+      "1\x1f2\x1f"; "\x1f2\x1fb"; "1\x1f\x1fb"; "1\x1f2\x1fb\x1fc";
+      "1\x1f2\x1fb\x1e3\x1f4\x1f\x1f"; "1 \x1f2\x1fb"; "1\x1f2\x1fa\x1e\x1f";
+      "1\x1f2\x1fa\x1e" ^ String.make 30 '9' ^ "\x1f1\x1fb\x1e5\x1f6\x1fc";
+      "9223372036854775815\x1f1\x1fb"; "1\x1f9223372036854775815\x1fb" ]
+  in
+  List.iter
+    (fun block ->
+      let txs = Workload.Txgen.block_txs block in
+      checkb (Printf.sprintf "block_txs %S = reference" block) true
+        (txs = Ref.block_txs block);
+      checkb (Printf.sprintf "iter_keys %S = keys of block_txs" block) true
+        (iter_keys_list block = keys_of txs))
+    blocks
+
+(* the words [Bytes.create] takes for a string of [s]'s length: a
+   header and the bytes padded to a word *)
+let string_words s = 1 + (String.length s / (Sys.word_size / 8)) + 1
+
+(* minor-heap words [f ()] allocates, after a warm-up call *)
+let words_of f =
+  ignore (f ());
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+(* each writer allocates its result and nothing else; the blocks stay
+   below the largest block the minor heap takes (256 words) *)
+let test_writer_allocation () =
+  let g = Workload.Txgen.gen ~owner:5 ~body_bytes:32 in
+  let txs = List.init 40 (fun _ -> Workload.Txgen.next_tx g) in
+  let array = Array.of_list txs in
+  let tx = List.hd txs in
+  let check ?(slack = 0) name f expected_of =
+    let result = f () in
+    let words = words_of f in
+    let expected = expected_of result in
+    checkb
+      (Printf.sprintf "%s: %.0f words = %d (+ %d)" name words expected slack)
+      true
+      (words >= float_of_int expected
+      && words <= float_of_int (expected + slack))
+  in
+  check "tx_to_string" (fun () -> Workload.Txgen.tx_to_string tx) string_words;
+  (* and the array of the list it writes from, which [Array.of_list]
+     may build with a closure of its own *)
+  check ~slack:8 "block_of_txs"
+    (fun () -> Workload.Txgen.block_of_txs txs)
+    (fun block -> string_words block + 1 + List.length txs);
+  check "block_of_array"
+    (fun () -> Workload.Txgen.block_of_array array ~count:40)
+    string_words;
+  check "synthetic_block"
+    (fun () -> Harness.Runner.synthetic_block ~block_bytes:64 ~me:3 ~round:120)
+    string_words;
+  (* the record and its body *)
+  check "next_tx" (fun () -> Workload.Txgen.next_tx g) (fun (tx : Workload.Txgen.tx) ->
+      4 + string_words tx.body)
+
+(* [iter_keys] allocates nothing per record: a 40-transaction block
+   costs what a one-transaction block does *)
+let test_iter_keys_allocation () =
+  let g = Workload.Txgen.gen ~owner:5 ~body_bytes:32 in
+  let one = Workload.Txgen.make_block g ~count:1 in
+  let forty = Workload.Txgen.make_block g ~count:40 in
+  let seen = ref 0 in
+  let count _ _ = incr seen in
+  let words block = words_of (fun () -> Workload.Txgen.iter_keys block count) in
+  let w1 = words one and w40 = words forty in
+  checkb (Printf.sprintf "40 records: %.0f words = 1 record: %.0f" w40 w1) true
+    (w40 = w1);
+  checkb (Printf.sprintf "%.0f words <= 8" w1) true (w1 <= 8.0)
+
 (* tx_of_string accepts a field exactly when string_of_int prints it
    and it is in range: owner < 2^30, seqno < 2^32 *)
 let test_tx_of_string_canonical () =
@@ -415,7 +581,17 @@ let () =
             test_block_through_node_payload;
           Alcotest.test_case "tx_of_string accepts canonical fields" `Quick
             test_tx_of_string_canonical;
-          QCheck_alcotest.to_alcotest prop_iter_keys_is_block_txs ] );
+          QCheck_alcotest.to_alcotest prop_iter_keys_is_block_txs;
+          QCheck_alcotest.to_alcotest prop_tx_to_string_reference;
+          QCheck_alcotest.to_alcotest prop_next_tx_reference;
+          QCheck_alcotest.to_alcotest prop_block_of_txs_reference;
+          QCheck_alcotest.to_alcotest prop_synthetic_block_reference;
+          Alcotest.test_case "iter_keys on malformed blocks" `Quick
+            test_iter_keys_malformed;
+          Alcotest.test_case "writers allocate their result" `Quick
+            test_writer_allocation;
+          Alcotest.test_case "iter_keys allocates nothing per record" `Quick
+            test_iter_keys_allocation ] );
       ( "mempool",
         [ Alcotest.test_case "submit dedup" `Quick test_mempool_submit_dedup;
           Alcotest.test_case "assemble and retire" `Quick

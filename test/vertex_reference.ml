@@ -1,12 +1,38 @@
-(* Test-only reference for Dagrider.Vertex intake: the decoder and
-   validator the library ran before intake stopped allocating. The
-   decoder threads an option tuple per u32 through [let*] binds and
-   reverses each edge list; the validator appends the edge lists and
-   checks duplicates with [List.sort_uniq]. test_dagrider.ml compares
-   the library's [decode]/[validate] against these, results and error
+(* Test-only reference for Dagrider.Vertex: the encoder the library ran
+   before it wrote each vertex once into a string of its exact size (a
+   Buffer, then [Buffer.contents]), and the decoder and validator it ran
+   before intake stopped allocating. The decoder threads an option tuple
+   per u32 through [let*] binds and reverses each edge list; the
+   validator appends the edge lists and checks duplicates with
+   [List.sort_uniq]. test_dagrider.ml compares the library's
+   [encode]/[decode]/[validate] against these, bytes, results and error
    strings alike. *)
 
 module V = Dagrider.Vertex
+
+let encode (v : V.t) =
+  let buf = Buffer.create (String.length v.block + 64) in
+  let put_u32 x =
+    if x < 0 || x > 0xFFFFFFFF then
+      invalid_arg "Vertex.encode: value out of u32";
+    Buffer.add_char buf (Char.chr ((x lsr 24) land 0xFF));
+    Buffer.add_char buf (Char.chr ((x lsr 16) land 0xFF));
+    Buffer.add_char buf (Char.chr ((x lsr 8) land 0xFF));
+    Buffer.add_char buf (Char.chr (x land 0xFF))
+  in
+  put_u32 (String.length v.block);
+  Buffer.add_string buf v.block;
+  let put_edges (edges : V.vref list) =
+    put_u32 (List.length edges);
+    List.iter
+      (fun (e : V.vref) ->
+        put_u32 e.round;
+        put_u32 e.source)
+      edges
+  in
+  put_edges v.strong_edges;
+  put_edges v.weak_edges;
+  Buffer.contents buf
 
 let get_u32 s pos =
   if pos + 4 > String.length s then None
