@@ -963,7 +963,7 @@ let () =
         [ Alcotest.test_case "dense run is flat" `Quick
             test_seqset_dense_run_is_flat;
           QCheck_alcotest.to_alcotest prop_seqset_model ] );
-      ("decimal", [ QCheck_alcotest.to_alcotest prop_decimal_is_string_of_int ]);
+      ("digits", [ QCheck_alcotest.to_alcotest prop_decimal_is_string_of_int ]);
       ( "table",
         [ Alcotest.test_case "renders" `Quick test_table_renders;
           Alcotest.test_case "ragged rejected" `Quick test_table_ragged_rejected ] )
