@@ -137,8 +137,8 @@ let gc_depth_arg =
     & info [ "gc-depth" ] ~docv:"D"
         ~doc:
           "Force garbage collection on every scenario: each process prunes \
-           its DAG and RBC rows $(docv) rounds behind its decided wave \
-           (D >= 1).")
+           its DAG and RBC rows $(docv) rounds behind each leader it \
+           commits (D >= 1).")
 
 let lossy_of_flags ~loss ~dup ~corrupt ~reorder =
   match (loss, dup, corrupt, reorder) with

@@ -3,15 +3,14 @@
    so the rows cover exactly the retained rounds. Only an insertion adds
    rows, and a vertex whose strong edges are present sits at most one
    round above the highest retained round. [delivered] marks the
-   vertices the ordering layer has output and [delivered_count] counts
-   them. [reached]/[stamp] are the sweep state (see "Sweeps"), and
-   [inserted] numbers the insertions (see "Weak edges"). *)
+   vertices the ordering layer has output. [reached]/[stamp] are the
+   sweep state (see "Sweeps"), and [inserted] numbers the insertions
+   (see "Weak edges"). *)
 type row = {
   slots : Vertex.t array; (* by source; [absent] marks an empty slot *)
   inserted : int array; (* by source: the slot's insertion number, 0 if empty *)
   mutable count : int;
   delivered : Bytes.t; (* n bits *)
-  mutable delivered_count : int;
   reached : Bytes.t; (* n bits *)
   mutable stamp : int;
 }
@@ -48,7 +47,6 @@ let vacant =
     inserted = [||];
     count = 0;
     delivered = Bytes.empty;
-    delivered_count = 0;
     reached = Bytes.empty;
     stamp = 0 }
 
@@ -57,7 +55,6 @@ let new_row n =
     inserted = Array.make n 0;
     count = 0;
     delivered = Bytes.make ((n + 7) / 8) '\000';
-    delivered_count = 0;
     reached = Bytes.make ((n + 7) / 8) '\000';
     stamp = 0 }
 
@@ -128,7 +125,8 @@ let set_bit bits s =
   Bytes.unsafe_set bits i
     (Char.unsafe_chr (Char.code (Bytes.unsafe_get bits i) lor (1 lsl (s land 7))))
 
-(* a round below the horizon was pruned only once it was delivered *)
+(* a round below the horizon is settled: it lies below the floor of
+   every later history walk, delivered or not *)
 let delivered_at t round source =
   round < t.base
   || slot t round source != absent
@@ -142,17 +140,8 @@ let mark_delivered t (r : Vertex.vref) =
   if r.round >= t.base then begin
     if slot t r.round r.source == absent then
       invalid_arg "Dag.mark_delivered: vertex not in the store";
-    let row = t.rows.(r.round - t.base) in
-    if not (test_bit row.delivered r.source) then begin
-      set_bit row.delivered r.source;
-      row.delivered_count <- row.delivered_count + 1
-    end
+    set_bit t.rows.(r.round - t.base).delivered r.source
   end
-
-let round_delivered t round =
-  match row_at t round with
-  | Some row -> row.delivered_count = row.count
-  | None -> true
 
 let highest_round t = t.highest
 
@@ -161,9 +150,9 @@ let pruned_below t = t.base
 let window_rounds t = t.len
 
 (* After garbage collection, edges into pruned rounds count as satisfied:
-   those vertices were delivered everywhere before pruning (see
-   [prune_below]'s contract), so holding the new vertex back for them
-   would only hurt liveness. *)
+   the horizon is the floor the committed leaders set, and no process
+   delivers anything below that floor (see [prune_below]'s contract), so
+   holding the new vertex back for them would only hurt liveness. *)
 let edge_ok t (v : Vertex.t) (e : Vertex.vref) =
   e.round < v.round && (contains t e || e.round < t.base)
 

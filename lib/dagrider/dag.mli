@@ -45,25 +45,20 @@ val window_rounds : t -> int
 
 val mark_delivered : t -> Vertex.vref -> unit
 (** Record that the ordering layer has output this vertex: one bit in
-    its round's row, which also counts it. A vertex below
-    {!pruned_below} is already delivered, so marking it is a no-op.
+    its round's row. A vertex below {!pruned_below} already reads as
+    delivered, so marking it is a no-op.
     @raise Invalid_argument if the vertex is not in the store. *)
 
 val is_delivered : t -> Vertex.vref -> bool
 (** Has {!mark_delivered} marked this vertex? Every round below
-    {!pruned_below} reads as delivered: a round is pruned only once all
-    its vertices were. A vertex absent from a retained round is not
+    {!pruned_below} reads as delivered: it lies below the floor of every
+    later history walk, so nothing there is output any more, whether it
+    was or not. A vertex absent from a retained round is not
     delivered. *)
 
 val vertex_delivered : t -> Vertex.t -> bool
 (** {!is_delivered} on a vertex, without building its reference: the
     test an ordering passes to {!causal_history}. *)
-
-val round_delivered : t -> int -> bool
-(** Has every vertex the store holds for this round been delivered?
-    One compare of the row's delivered count with its vertex count;
-    [true] for a round the store has no row for. Genesis is never
-    delivered, so round 0 reads [false] while it is retained. *)
 
 val can_add : t -> Vertex.t -> bool
 (** All edge targets present and in earlier rounds (Algorithm 2
@@ -97,7 +92,8 @@ val causal_history :
   ?delivered:(Vertex.t -> bool) -> t -> Vertex.vref -> Vertex.t list
 (** Every vertex reachable from [v] (inclusive), i.e. the set
     [{u | path v u}], sorted by {!Vertex.compare_vref}. Empty if [v] is
-    absent. Genesis vertices are excluded — they carry no blocks.
+    absent. Genesis vertices are excluded — they carry no blocks — and
+    so is every round below {!pruned_below}, the walk's floor.
 
     With [~delivered], vertices it accepts are neither returned nor
     walked through, so the walk stops at the delivered frontier. The
@@ -131,6 +127,8 @@ val vertices : t -> Vertex.t list
 val prune_below : t -> round:int -> unit
 (** Garbage-collection extension (DESIGN.md §6): drop all rounds
     [< round], delivered bits included. Reachability queries then treat
-    missing targets as dead ends, and {!is_delivered} reads those rounds
-    as delivered; only call with rounds whose vertices are all
-    delivered ({!round_delivered}). Off by default everywhere. *)
+    missing targets as dead ends, {!causal_history} walks no lower, and
+    {!is_delivered} reads those rounds as delivered. Only call with a
+    round no process will deliver below: {!Ordering} prunes at the
+    floor its committed leaders set, the same on every process. Off by
+    default everywhere. *)

@@ -278,35 +278,12 @@ let shares_for t wave =
     Hashtbl.add t.shares wave r;
     r
 
-(* The DAG and the RBC instances share one horizon. An RBC row is
-   dropped only once every vertex of it in the DAG was delivered, so
-   this process already sent its Ready for each of them. *)
-let prune_below t ~round =
-  Dag.prune_below t.dag ~round;
-  (rbc t).rbc_prune_below ~round
-
-let maybe_gc t =
-  match t.config.gc_depth with
-  | None -> ()
-  | Some depth ->
-    let decided = Ordering.decided_wave t.ordering in
-    if decided > 0 then begin
-      let decided_start =
-        Ordering.round_of ~wave_length:t.config.rule.Ordering.rule_wave_length
-          ~wave:decided ~k:1
-      in
-      let cutoff = decided_start - depth in
-      (* only prune rounds whose vertices were all delivered: anything
-         in the decided leader's past is, stragglers might not be *)
-      let rec safe_cutoff r =
-        if r >= cutoff then cutoff
-        else if Dag.round_delivered t.dag r then safe_cutoff (r + 1)
-        else r
-      in
-      (* rounds below the horizon are empty *)
-      let bound = safe_cutoff (max 1 (Dag.pruned_below t.dag)) in
-      if bound > 1 then prune_below t ~round:bound
-    end
+(* The RBC instances share the DAG's horizon, which the ordering raises
+   as it delivers leaders ([Ordering.process_wave]). A vertex in the DAG
+   was r_delivered here, so this process already sent its Ready for it
+   and no other process waits on it for a pruned row; nothing below the
+   horizon is delivered by any process. *)
+let prune_rbc t = (rbc t).rbc_prune_below ~round:(Dag.pruned_below t.dag)
 
 (* ---- provenance certificates ----
 
@@ -410,7 +387,7 @@ let rec try_order_waves t =
               ~source:v.Vertex.source)
           c.delivered)
       commits;
-    if commits <> [] then maybe_gc t;
+    if commits <> [] then prune_rbc t;
     t.next_wave_to_order <- w + 1;
     try_order_waves t
   | Some _ | None -> ()
@@ -717,7 +694,9 @@ let create ~config ~me ~coin ~coin_net ~make_rbc ?sync_net
       coin_net;
       sync_net;
       dag = Dag.create ~n:config.n;
-      ordering = Ordering.create ~rule:config.rule ~f:config.f ();
+      ordering =
+        Ordering.create ~rule:config.rule ?gc_depth:config.gc_depth
+          ~f:config.f ();
       rbc = None;
       blocks_to_propose = Queue.create ();
       block_source;
@@ -763,7 +742,8 @@ let restore t ck =
   (* graft the persisted DAG in at its horizon: rebuild through Dag.add
      to re-establish the causal-closure invariant, whose edges into
      pruned rounds count as present *)
-  prune_below t ~round:(Dag.pruned_below ck.ck_dag);
+  Dag.prune_below t.dag ~round:(Dag.pruned_below ck.ck_dag);
+  prune_rbc t;
   List.iter (fun v -> Dag.add t.dag v) (Dag.vertices ck.ck_dag);
   Ordering.restore t.ordering ~dag:t.dag ~delivered:ck.ck_delivered
     ~decided_wave:ck.ck_decided_wave;

@@ -23,10 +23,10 @@ type rbc_handle = {
   rbc_prune_below : round:int -> unit;
       (** drop the backend's instances below [round] and every later
           message for them ([prune_below] of the stock backends). The
-          node calls it with the bound it gives {!Dag.prune_below}, once
-          every vertex of the pruned rounds in its DAG was delivered, so
-          it has sent its Ready for each of them and no other process
-          waits on it there. *)
+          node calls it with its DAG's horizon ({!Dag.pruned_below})
+          after each commit. Every vertex of the pruned rounds in its
+          DAG was r_delivered there, so it has sent its Ready for each
+          of them and no other process waits on it there. *)
 }
 (** What the node needs from a reliable-broadcast backend. *)
 
@@ -97,10 +97,12 @@ type config = {
                                and DAG-Rider's 4 rounds under round-robin
                                ones *)
   enable_weak_edges : bool;(** [false] only for the validity ablation *)
-  gc_depth : int option;   (** prune rounds this far behind the decided
-                               wave, from the DAG and from the RBC
-                               backend alike ({!rbc_handle}); [None]
-                               (default) keeps everything *)
+  gc_depth : int option;   (** prune rounds this far behind each
+                               committed leader's round, from the DAG
+                               ({!Ordering.process_wave}) and the RBC
+                               backend ({!rbc_handle}) alike; a vertex
+                               that arrives below it is never ordered.
+                               [None] (default) keeps everything *)
   coin_mode : coin_mode;
 }
 

@@ -26,8 +26,6 @@ let bullshark =
 
 let rules = [ dag_rider; bullshark ]
 
-let rule_names = List.map (fun r -> r.rule_name) rules
-
 let rule_of_name name =
   List.find_opt (fun r -> String.equal r.rule_name name) rules
 
@@ -49,6 +47,7 @@ let round_robin_leader ~n ~wave =
 type t = {
   f : int;
   rule : rule;
+  gc_depth : int option;
   span : string;
   mutable decided_wave : int;
   mutable log_rev : Vertex.t list;
@@ -71,11 +70,15 @@ let skip_reason_label = function
   | Leader_absent -> "leader-absent"
   | Under_supported -> "under-supported"
 
-let create ?(rule = dag_rider) ~f () =
+let create ?(rule = dag_rider) ?gc_depth ~f () =
   if rule.rule_wave_length < 1 then
     invalid_arg "Ordering.create: rule_wave_length < 1";
+  (* a negative depth would prune rounds no leader has reached *)
+  if Option.value gc_depth ~default:0 < 0 then
+    invalid_arg "Ordering.create: gc_depth < 0";
   { f;
     rule;
+    gc_depth;
     span = "order.wave." ^ rule.rule_name;
     decided_wave = 0;
     log_rev = [];
@@ -120,6 +123,13 @@ let deliver_leader t ~dag ~wave ~leader ~direct ~support ~anchor ~via =
       t.log_rev <- v :: t.log_rev;
       t.delivered_count <- t.delivered_count + 1)
     fresh;
+  (* the next walk's floor: set by the committed leaders alone, so every
+     process that commits this leader prunes, and delivers, alike *)
+  (match t.gc_depth with
+  | Some depth ->
+    let horizon = leader.Vertex.round - depth in
+    if horizon > 1 then Dag.prune_below dag ~round:horizon
+  | None -> ());
   { wave; leader; delivered = fresh; direct; support; anchor; via }
 
 let process_wave_impl t ~dag ~wave ~choose_leader =

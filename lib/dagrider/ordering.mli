@@ -61,8 +61,6 @@ val bullshark : rule
 
 val rules : rule list
 
-val rule_names : string list
-
 val rule_of_name : string -> rule option
 (** Look a rule up by [rule_name] ("dagrider" / "bullshark"). *)
 
@@ -111,13 +109,15 @@ val skip_reason_label : skip_reason -> string
 (** Stable identifiers "leader-absent" / "under-supported" (the trace
     certificate encoding). *)
 
-val create : ?rule:rule -> f:int -> unit -> t
+val create : ?rule:rule -> ?gc_depth:int -> f:int -> unit -> t
 (** Defaults to {!dag_rider}. Variants are plain record updates: the
     wave-length ablation runs [{ dag_rider with rule_wave_length = l }]
     (shorter coin waves break the common-core argument, DESIGN.md §5),
     and the quorum-f counterexample in the integration tests runs
     [{ dag_rider with rule_quorum = Fixed f }] (a weaker quorum breaks
-    Lemma 1). @raise Invalid_argument if [rule_wave_length < 1]. *)
+    Lemma 1). [gc_depth] (default none) garbage-collects the DAG, see
+    {!process_wave}. @raise Invalid_argument if [rule_wave_length < 1]
+    or [gc_depth < 0]. *)
 
 val round_of : wave_length:int -> wave:int -> k:int -> int
 (** [round(w, k) = L(w-1) + k] for wave length [L]; [k] must be in
@@ -171,7 +171,10 @@ val process_wave :
     Which vertices are delivered is kept in [dag] itself, one bit per
     vertex ({!Dag.mark_delivered}): each delivered vertex is marked
     there, and a history walk stops at marked vertices and at the
-    garbage-collection horizon. So one [dag] belongs to one ordering
+    garbage-collection horizon. Under a [gc_depth] it also prunes [dag]
+    after each leader it delivers, at that leader's round minus
+    [gc_depth]: the next walk's floor, the same on every process that
+    commits the same leaders. So one [dag] belongs to one ordering
     state, and the same [dag] must be passed on every call. *)
 
 val restore :
@@ -183,7 +186,9 @@ val restore :
     list must be causally closed, as a delivered log is: later history
     walks stop at delivered vertices ({!Dag.causal_history}). Its
     vertices below [dag]'s horizon already read as delivered; the others
-    must be in [dag]. @raise Invalid_argument if the state is not
+    must be in [dag], which must already sit at the horizon
+    {!process_wave} left, as a restored {!Snapshot} does: it is the
+    next walk's floor. @raise Invalid_argument if the state is not
     fresh or a vertex at or above the horizon is missing. *)
 
 val rule : t -> rule

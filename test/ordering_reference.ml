@@ -5,7 +5,14 @@
    of the wave arithmetic and the leader and supporter probes, and reads
    the DAG only through [find], [supporters], [strong_path] and
    [causal_history ~delivered]. test_ordering.ml compares the library
-   against it. *)
+   against it.
+
+   Garbage collection is a floor here, not a pruned DAG: with
+   [~gc_depth:d], the walk for a leader skips every round below the
+   previously delivered leader's round minus [d]. The reference is
+   meant to run on a DAG nothing prunes, so it still holds the
+   vertices below that floor; the library must deliver the same
+   vertices from its own pruned copy. *)
 
 module D = Dagrider
 module O = Dagrider.Ordering
@@ -13,14 +20,18 @@ module O = Dagrider.Ordering
 type t = {
   f : int;
   rule : O.rule;
+  gc_depth : int option;
+  mutable floor : int; (* no walk visits a round below it *)
   mutable decided_wave : int;
   delivered_set : (D.Vertex.vref, unit) Hashtbl.t;
   mutable log_rev : D.Vertex.t list;
 }
 
-let create ~rule ~f =
+let create ?gc_depth ~rule ~f () =
   { f;
     rule;
+    gc_depth;
+    floor = 0;
     decided_wave = 0;
     delivered_set = Hashtbl.create 256;
     log_rev = [] }
@@ -47,13 +58,17 @@ let supporters t ~dag ~wave ~leader =
 let deliver_leader t ~dag ~wave ~leader ~direct ~support ~anchor ~via =
   let fresh =
     D.Dag.causal_history dag (D.Vertex.vref_of leader) ~delivered:(fun v ->
-        Hashtbl.mem t.delivered_set (D.Vertex.vref_of v))
+        v.D.Vertex.round < t.floor
+        || Hashtbl.mem t.delivered_set (D.Vertex.vref_of v))
   in
   List.iter
     (fun v ->
       Hashtbl.add t.delivered_set (D.Vertex.vref_of v) ();
       t.log_rev <- v :: t.log_rev)
     fresh;
+  (match t.gc_depth with
+  | Some depth -> t.floor <- leader.D.Vertex.round - depth
+  | None -> ());
   { O.wave; leader; delivered = fresh; direct; support; anchor; via }
 
 (* Algorithm 3, lines 34-57 *)
@@ -102,4 +117,6 @@ let decided_wave t = t.decided_wave
 
 let delivered_log t = List.rev t.log_rev
 
-let is_delivered t vref = Hashtbl.mem t.delivered_set vref
+(* a vertex below the floor is settled: no later walk reaches it *)
+let is_delivered t (vref : D.Vertex.vref) =
+  vref.round < t.floor || Hashtbl.mem t.delivered_set vref

@@ -190,6 +190,55 @@ let test_sabotage_caught () =
     "repro command" "dune exec bin/swarm.exe -- --seed 293 --quick --sabotage"
     (Check.Swarm.repro_command sc)
 
+(* ---- Agreement under garbage collection ----
+
+   Three scenarios in which correct processes once ordered different
+   sequences under --gc-depth 4: each process pruned at a round chosen
+   from its own delivery state, so a straggler's vertex below one
+   process's horizon was dropped there and delivered by a process that
+   had not pruned yet. The horizon is now set by the committed leaders
+   alone. Each pin checks the repro command first, so the scenario is
+   the one the swarm CLI replays. *)
+
+let lossy_equivocate_faults =
+  { Harness.Runner.lf_drop = 0.2;
+    lf_duplicate = 0.05;
+    lf_corrupt = 0.02;
+    lf_reorder = 0.0 }
+
+let gc_agreement_pins =
+  [ ( "bullshark quick seed 96",
+      "dune exec bin/swarm.exe -- --seed 96 --rule bullshark --quick \
+       --gc-depth 4",
+      fun () ->
+        Check.Scenario.generate ~quick:true ~gc_depth:4
+          ~rule:Dagrider.Ordering.bullshark ~seed:96 () );
+    ( "bullshark full seed 52",
+      "dune exec bin/swarm.exe -- --seed 52 --rule bullshark --gc-depth 4",
+      fun () ->
+        Check.Scenario.generate ~gc_depth:4 ~rule:Dagrider.Ordering.bullshark
+          ~seed:52 () );
+    ( "dagrider lossy equivocate seed 8",
+      "dune exec bin/swarm.exe -- --seed 8 --loss 0.2 --dup 0.05 --corrupt \
+       0.02 --reorder 0 --attack equivocate --gc-depth 4",
+      fun () ->
+        Check.Scenario.generate ~lossy:lossy_equivocate_faults
+          ~attack:{ Attack.strategy = Attack.Equivocate; victims = [] }
+          ~gc_depth:4 ~rule:Dagrider.Ordering.dag_rider ~seed:8 () ) ]
+
+let test_gc_agreement (_, repro, generate) () =
+  let sc = generate () in
+  Alcotest.(check string) "repro command" repro (Check.Swarm.repro_command sc);
+  let outcome = Check.Swarm.run_scenario sc in
+  let agreement =
+    List.filter
+      (fun v -> v.Check.Oracle.invariant = "agreement")
+      outcome.Check.Swarm.violations
+  in
+  checki "no agreement violation" 0 (List.length agreement);
+  checki "no violation" 0 (List.length outcome.Check.Swarm.violations);
+  checkb "made progress" true (outcome.Check.Swarm.delivered_min > 0)
+
 (* ---- Traced re-run: the failure artifacts' source ---- *)
 
 (* The swarm writes a failure's certificate stories from the traced
@@ -272,5 +321,10 @@ let () =
             test_honest_scenario_clean;
           Alcotest.test_case "sabotage caught" `Slow test_sabotage_caught;
           Alcotest.test_case "traced re-run ledger outlives the ring" `Quick
-            test_trace_scenario_ledger_outlives_ring ] )
+            test_trace_scenario_ledger_outlives_ring ] );
+      ( "gc-agreement",
+        List.map
+          (fun ((name, _, _) as pin) ->
+            Alcotest.test_case name `Slow (test_gc_agreement pin))
+          gc_agreement_pins )
     ]

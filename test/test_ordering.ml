@@ -149,6 +149,9 @@ let test_create_from_rule () =
   Alcotest.check_raises "zero-length waves rejected"
     (Invalid_argument "Ordering.create: rule_wave_length < 1") (fun () ->
       ignore (Dagrider.Ordering.create ~rule:(dag_rider_waves 0) ~f:1 ()));
+  Alcotest.check_raises "negative gc depth rejected"
+    (Invalid_argument "Ordering.create: gc_depth < 0") (fun () ->
+      ignore (Dagrider.Ordering.create ~gc_depth:(-1) ~f:1 ()));
   (* the coin cadence: a coin rule's own wave length, DAG-Rider's 4
      under round-robin leaders *)
   checki "dagrider coin cadence" 4
@@ -464,6 +467,80 @@ let test_total_delivered_count_matches_log () =
        (fun v -> Dagrider.Dag.is_delivered dag (Dagrider.Vertex.vref_of v))
        (Dagrider.Ordering.delivered_log ord))
 
+(* ---- garbage collection: one horizon, set by the committed leaders ----
+
+   Bullshark, gc_depth 2. Rounds 1-6 hold p0..p2 only, and p3's
+   round-1 vertex arrives late. Ordering A has committed waves 1-3
+   (leaders (1,0), (3,1), (5,2)), so its DAG is pruned below round 3
+   and drops the straggler; B has committed nothing yet and holds it.
+   p3's round-7 vertex, wave 4's leader, names the straggler by a weak
+   edge. A commits wave 4; B commits waves 1-4 in one chain. Each prunes
+   after every leader it delivers, so B's walk for wave 4 stops at round
+   3 as A's does, and both output the same log without the straggler.
+   An ordering without GC delivers it, so the scenario reaches it. *)
+
+let bullshark_prefix dag =
+  for round = 1 to 6 do
+    let prev = List.init 3 (fun s -> (round - 1, s)) in
+    let prev = if round = 1 then (0, 3) :: prev else prev in
+    for source = 0 to 2 do
+      add dag ~round ~source ~strong:prev ()
+    done
+  done
+
+let bullshark_wave4 dag =
+  let round6 = List.init 3 (fun s -> (6, s)) in
+  for source = 0 to 2 do
+    add dag ~round:7 ~source ~strong:round6 ()
+  done;
+  add dag ~round:7 ~source:3 ~strong:round6 ~weak:[ (1, 3) ] ();
+  for source = 0 to 2 do
+    add dag ~round:8 ~source ~strong:(List.init 4 (fun s -> (7, s))) ()
+  done
+
+let test_gc_straggler_same_log () =
+  let module O = Dagrider.Ordering in
+  let rule = O.bullshark in
+  let choose_leader w = O.round_robin_leader ~n:4 ~wave:w in
+  let straggler dag =
+    add dag ~round:1 ~source:3 ~strong:[ (0, 0); (0, 1); (0, 2) ] ()
+  in
+  let dag_a = Dagrider.Dag.create ~n:4 and dag_b = Dagrider.Dag.create ~n:4 in
+  let a = O.create ~rule ~gc_depth:2 ~f:1 ()
+  and b = O.create ~rule ~gc_depth:2 ~f:1 () in
+  bullshark_prefix dag_a;
+  bullshark_prefix dag_b;
+  List.iter
+    (fun wave -> ignore (O.process_wave a ~dag:dag_a ~wave ~choose_leader))
+    [ 1; 2; 3 ];
+  checki "A pruned below wave 3's leader round - 2" 3
+    (Dagrider.Dag.pruned_below dag_a);
+  straggler dag_a;
+  straggler dag_b;
+  checkb "A dropped the straggler" false (Dagrider.Dag.contains dag_a (vref 1 3));
+  checkb "B holds the straggler" true (Dagrider.Dag.contains dag_b (vref 1 3));
+  bullshark_wave4 dag_a;
+  bullshark_wave4 dag_b;
+  let wave4_a = O.process_wave a ~dag:dag_a ~wave:4 ~choose_leader in
+  let chain_b = O.process_wave b ~dag:dag_b ~wave:4 ~choose_leader in
+  let leaders cs = List.map (fun (c : O.commit) -> c.O.wave) cs in
+  Alcotest.(check (list int)) "A commits wave 4" [ 4 ] (leaders wave4_a);
+  Alcotest.(check (list int)) "B chains waves 1-4" [ 1; 2; 3; 4 ]
+    (leaders chain_b);
+  let log o = List.map Dagrider.Vertex.vref_of (O.delivered_log o) in
+  checkb "same log" true (log a = log b);
+  checkb "straggler not delivered" false (List.mem (vref 1 3) (log b));
+  checki "same horizon" (Dagrider.Dag.pruned_below dag_a)
+    (Dagrider.Dag.pruned_below dag_b);
+  let dag_c = Dagrider.Dag.create ~n:4 in
+  let c = O.create ~rule ~f:1 () in
+  bullshark_prefix dag_c;
+  straggler dag_c;
+  bullshark_wave4 dag_c;
+  ignore (O.process_wave c ~dag:dag_c ~wave:4 ~choose_leader);
+  checkb "without GC the straggler is delivered" true
+    (List.mem (vref 1 3) (log c))
+
 (* ---- wave-length-parametric ordering ---- *)
 
 let full_dag_len ~wave_length ~rounds =
@@ -519,11 +596,14 @@ let test_ordering_mismatched_wave_length_no_commit () =
 (* ---- differential: the DAG-bit ordering against Ordering_reference ----
 
    One random history drives both: partial rounds, late vertices, weak
-   edges from [Dag.weak_edges], skipped waves, and garbage-collection
-   horizons between waves. The horizon is drawn at or below the lowest
-   round the reference has not fully delivered, the node's rule. Both
-   read one DAG; the library marks its delivered bits there, the
-   reference keeps its own set. *)
+   edges from [Dag.weak_edges], skipped waves, and a garbage-collection
+   depth drawn per run (or none). Each side has its own DAG and every
+   vertex goes into both. The library's DAG is pruned by its ordering
+   and drops a vertex that arrives below the horizon; the reference's
+   is never pruned and applies its own floor. A vertex is built from
+   either DAG's view, so one that names a straggler below the library's
+   horizon by a weak edge enters both: the two must still deliver the
+   same vertices. *)
 
 module O = Dagrider.Ordering
 module V = Dagrider.Vertex
@@ -542,9 +622,13 @@ let project (c : O.commit) =
 let ordering_diff ~rule ~n ~rounds seed =
   let rng = Stdx.Rng.create seed in
   let f = (n - 1) / 3 in
+  let gc_depth =
+    if Stdx.Rng.int rng 4 = 0 then None else Some (1 + Stdx.Rng.int rng 6)
+  in
   let dag = Dagrider.Dag.create ~n in
-  let ord = O.create ~rule ~f () in
-  let reference = Ordering_reference.create ~rule ~f in
+  let unpruned = Dagrider.Dag.create ~n in
+  let ord = O.create ~rule ?gc_depth ~f () in
+  let reference = Ordering_reference.create ?gc_depth ~rule ~f () in
   let coin = Array.init (rounds + 1) (fun _ -> Stdx.Rng.int rng n) in
   let choose_leader w =
     match rule.O.rule_schedule with
@@ -552,7 +636,8 @@ let ordering_diff ~rule ~n ~rounds seed =
     | O.Round_robin -> O.round_robin_leader ~n ~wave:w
   in
   let make ~round ~source =
-    let prev = Array.of_list (Dagrider.Dag.round_vertices dag (round - 1)) in
+    let view = if Stdx.Rng.bool rng then dag else unpruned in
+    let prev = Array.of_list (Dagrider.Dag.round_vertices view (round - 1)) in
     Stdx.Rng.shuffle rng prev;
     let len = Array.length prev in
     let k = Stdx.Rng.int_in_range rng ~lo:(min len ((2 * f) + 1)) ~hi:len in
@@ -562,56 +647,43 @@ let ordering_diff ~rule ~n ~rounds seed =
     in
     let weak =
       if Stdx.Rng.int rng 3 = 0 then []
-      else Dagrider.Dag.weak_edges dag ~round ~strong_edges:strong
+      else Dagrider.Dag.weak_edges view ~round ~strong_edges:strong
     in
     { V.round; source; block = ""; strong_edges = strong; weak_edges = weak }
   in
+  let add v =
+    Dagrider.Dag.add dag v;
+    Dagrider.Dag.add unpruned v
+  in
   let held = ref [] in
   for round = 1 to rounds do
-    if Dagrider.Dag.round_size dag (round - 1) > 0 then
+    if Dagrider.Dag.round_size unpruned (round - 1) > 0 then
       for source = 0 to n - 1 do
         if Stdx.Rng.int rng 4 <> 0 then begin
           let v = make ~round ~source in
-          if Stdx.Rng.int rng 6 = 0 then held := v :: !held
-          else Dagrider.Dag.add dag v
+          if Stdx.Rng.int rng 6 = 0 then held := v :: !held else add v
         end
       done;
     held :=
       List.filter
-        (fun (v : V.t) ->
-          if v.round < Dagrider.Dag.pruned_below dag then false
-          else if Stdx.Rng.bool rng then begin
-            Dagrider.Dag.add dag v;
+        (fun v ->
+          if Stdx.Rng.bool rng then begin
+            add v;
             false
           end
           else true)
         !held;
     let wave_length = rule.O.rule_wave_length in
-    (match O.wave_of_completed_round ~wave_length round with
+    match O.wave_of_completed_round ~wave_length round with
     | Some wave when Stdx.Rng.int rng 4 <> 0 ->
       let got = O.process_wave ord ~dag ~wave ~choose_leader in
       let expected =
-        Ordering_reference.process_wave reference ~dag ~wave ~choose_leader
+        Ordering_reference.process_wave reference ~dag:unpruned ~wave
+          ~choose_leader
       in
       if List.map project got <> List.map project expected then
         fail "seed %d wave %d: commits differ" seed wave
-    | Some _ | None -> ());
-    if Stdx.Rng.int rng 3 = 0 then begin
-      let rec safe r =
-        if
-          r < round - 1
-          && List.for_all
-               (fun v ->
-                 Ordering_reference.is_delivered reference (V.vref_of v))
-               (Dagrider.Dag.round_vertices dag r)
-        then safe (r + 1)
-        else r
-      in
-      let base = Dagrider.Dag.pruned_below dag in
-      let top = safe (max 1 base) in
-      Dagrider.Dag.prune_below dag
-        ~round:(Stdx.Rng.int_in_range rng ~lo:base ~hi:(max base top))
-    end
+    | Some _ | None -> ()
   done;
   if
     List.map V.vref_of (O.delivered_log ord)
@@ -628,7 +700,7 @@ let ordering_diff ~rule ~n ~rounds seed =
         Dagrider.Dag.is_delivered dag r
         <> Ordering_reference.is_delivered reference r
       then fail "seed %d: is_delivered (%d,%d) differs" seed r.round r.source)
-    (Dagrider.Dag.vertices dag);
+    (Dagrider.Dag.vertices unpruned);
   true
 
 let ordering_diff_prop ~rule ~n ~rounds ~count =
@@ -669,7 +741,7 @@ let fleet_replay ~rule ~n () =
       List.iter (Dagrider.Dag.add dag)
         (Dagrider.Dag.vertices (Dagrider.Node.dag nd));
       let ord = O.create ~rule ~f () in
-      let reference = Ordering_reference.create ~rule ~f in
+      let reference = Ordering_reference.create ~rule ~f () in
       let choose_leader wave =
         Option.get (Dagrider.Node.leader_of nd ~wave)
       in
@@ -731,7 +803,9 @@ let () =
           Alcotest.test_case "chained commit many waves" `Quick
             test_chained_commit_across_many_waves;
           Alcotest.test_case "count matches log" `Quick
-            test_total_delivered_count_matches_log ] );
+            test_total_delivered_count_matches_log;
+          Alcotest.test_case "gc straggler, same log" `Quick
+            test_gc_straggler_same_log ] );
       ( "wave-length",
         [ Alcotest.test_case "length 2" `Quick test_ordering_wave_length_2;
           Alcotest.test_case "length 6" `Quick test_ordering_wave_length_6;
