@@ -108,17 +108,18 @@ let note t ~round ~info =
    A variant mutates the *block* while keeping the edges and any
    embedded share intact, so it passes Vertex.validate at honest
    processes and forks only the content. The payload frame is the armed
-   node's own ({!Dagrider.Node.decode_payload}). *)
+   node's own ({!Dagrider.Node.payload_vertex_length}). *)
 
 let variant t ~payload ~round ~tag =
   match t.node with
   | None -> None
   | Some node -> (
-    match Dagrider.Node.decode_payload node payload with
-    | None -> None
-    | Some (vertex_bytes, share) -> (
+    let len = Dagrider.Node.payload_vertex_length node payload in
+    if len < 0 then None
+    else
       match
-        Dagrider.Vertex.decode ~round ~source:t.arsenal.ars_me vertex_bytes
+        Dagrider.Vertex.decode_prefix ~round ~source:t.arsenal.ars_me payload
+          ~len
       with
       | None -> None
       | Some v ->
@@ -127,9 +128,10 @@ let variant t ~payload ~round ~tag =
         in
         Some
           ( Dagrider.Node.encode_payload node
-              ~vertex_bytes:(Dagrider.Vertex.encode forked) ~share,
+              ~vertex_bytes:(Dagrider.Vertex.encode forked)
+              ~share:(Dagrider.Node.payload_share node payload),
             Dagrider.Vertex.digest v,
-            Dagrider.Vertex.digest forked )))
+            Dagrider.Vertex.digest forked ))
 
 let others t =
   List.filter (fun i -> i <> t.arsenal.ars_me) (List.init t.arsenal.ars_n (fun i -> i))

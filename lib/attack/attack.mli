@@ -110,7 +110,7 @@ val arm :
   t -> node:Dagrider.Node.t -> sync_net:Dagrider.Node.sync_msg Net.Port.t -> unit
 (** Install the attacker's protocol brain — the real node whose DAG and
     resolved coins the adaptive strategies watch, and whose payload
-    frame ({!Dagrider.Node.decode_payload}) [Equivocate] forks inside,
+    frame ({!Dagrider.Node.payload_vertex_length}) [Equivocate] forks inside,
     so an embedded coin share rides both variants — and start what acts
     on its own: [Lying_sync] registers the lying catch-up responder on
     the attacker's sync endpoint (replacing its honest handler), and

@@ -3,6 +3,7 @@ type t = {
   f : int;
   keys : int array; (* keys.(i) = P(i + 1); dealer state, see .mli note *)
   scratch : Bytes.t; (* the decimals of the message being hashed *)
+  mutable combines : int;
 }
 
 type share = { holder : int; instance : int; value : int }
@@ -14,14 +15,19 @@ let setup ~rng ~n ~f =
   { n;
     f;
     keys = Array.init n (fun i -> Field.eval_poly coeffs (i + 1));
-    scratch = Bytes.create 48 }
+    scratch = Bytes.create 48;
+    combines = 0 }
 
 let of_keys ~n ~f ~keys =
   if Array.length keys <> n then
     invalid_arg "Threshold_coin.of_keys: need one key per process";
   if f < 0 || n < f + 1 then
     invalid_arg "Threshold_coin.of_keys: need 0 <= f and n >= f + 1";
-  { n; f; keys = Array.map Field.of_int keys; scratch = Bytes.create 48 }
+  { n;
+    f;
+    keys = Array.map Field.of_int keys;
+    scratch = Bytes.create 48;
+    combines = 0 }
 
 let key_of t ~holder =
   if holder < 0 || holder >= t.n then
@@ -30,6 +36,7 @@ let key_of t ~holder =
 
 let n t = t.n
 let threshold t = t.f + 1
+let combines t = t.combines
 
 (* Writes [Printf.sprintf "%d" v] into [buf] to end just before [stop]
    and returns where it starts. *)
@@ -72,6 +79,7 @@ let verify_share t share =
   valid_share t ~h:(hash_instance t share.instance) share
 
 let combine t ~instance shares =
+  t.combines <- t.combines + 1;
   let h = hash_instance t instance in
   let valid =
     List.filter (fun s -> s.instance = instance && valid_share t ~h s) shares

@@ -57,12 +57,24 @@ val make_share : t -> holder:int -> instance:int -> share
 val verify_share : t -> share -> bool
 (** Reject shares a Byzantine process forged or mutated. *)
 
+val hash_instance : t -> int -> int
+(** [H(instance)], the field element every share of the instance is a
+    multiple of. *)
+
+val valid_share : t -> h:int -> share -> bool
+(** {!verify_share} against [h = hash_instance t share.instance],
+    computed once by a caller that checks many shares of one
+    instance. *)
+
 val combine : t -> instance:int -> share list -> int option
 (** [combine t ~instance shares] returns [Some leader] (a process index
     in [\[0, n)]) once the list contains at least [f + 1] valid shares
     for [instance] from distinct holders, [None] otherwise. Invalid or
     duplicate shares are ignored rather than raising, since they come
     from the network. *)
+
+val combines : t -> int
+(** How many times {!combine} ran on this context. *)
 
 val instance_digest : t -> int -> Sha256.digest
 (** [Sha256.digest_string (Printf.sprintf "coin-instance:%d" instance)],

@@ -97,25 +97,34 @@ let find t (r : Vertex.vref) =
 
 let contains t (r : Vertex.vref) = slot t r.round r.source != absent
 
+let holds t (v : Vertex.t) = slot t v.round v.source != absent
+
 let size t = t.size
 
+(* the row of [round], or [vacant] (no slots, count 0) outside the
+   window; never allocates *)
 let row_at t round =
   let i = round - t.base in
-  if i < 0 || i >= t.len then None else Some t.rows.(i)
+  if i < 0 || i >= t.len then vacant else t.rows.(i)
 
 let round_vertices t round =
-  match row_at t round with
-  | None -> []
-  | Some row ->
-    let acc = ref [] in
-    for source = t.n - 1 downto 0 do
-      let v = row.slots.(source) in
-      if v != absent then acc := v :: !acc
-    done;
-    !acc
+  let slots = (row_at t round).slots in
+  let acc = ref [] in
+  for source = Array.length slots - 1 downto 0 do
+    let v = slots.(source) in
+    if v != absent then acc := v :: !acc
+  done;
+  !acc
 
-let round_size t round =
-  match row_at t round with Some row -> row.count | None -> 0
+let round_refs t round =
+  let slots = (row_at t round).slots in
+  let acc = ref [] in
+  for source = Array.length slots - 1 downto 0 do
+    if slots.(source) != absent then acc := { Vertex.round; source } :: !acc
+  done;
+  !acc
+
+let round_size t round = (row_at t round).count
 
 let test_bit bits s =
   Char.code (Bytes.unsafe_get bits (s lsr 3)) land (1 lsl (s land 7)) <> 0
@@ -153,12 +162,18 @@ let window_rounds t = t.len
    the horizon is the floor the committed leaders set, and no process
    delivers anything below that floor (see [prune_below]'s contract), so
    holding the new vertex back for them would only hurt liveness. *)
-let edge_ok t (v : Vertex.t) (e : Vertex.vref) =
-  e.round < v.round && (contains t e || e.round < t.base)
+let edge_ok t ~round (e : Vertex.vref) =
+  e.round < round && (contains t e || e.round < t.base)
+
+(* top-level walks, so a check builds no closure: every buffered vertex
+   is checked on every buffer pass *)
+let rec edges_ok t ~round = function
+  | [] -> true
+  | e :: rest -> edge_ok t ~round e && edges_ok t ~round rest
 
 let can_add t (v : Vertex.t) =
-  List.for_all (edge_ok t v) v.strong_edges
-  && List.for_all (edge_ok t v) v.weak_edges
+  edges_ok t ~round:v.round v.strong_edges
+  && edges_ok t ~round:v.round v.weak_edges
 
 let add_impl t (v : Vertex.t) =
   if v.source < 0 || v.source >= t.n then

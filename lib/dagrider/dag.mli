@@ -21,8 +21,16 @@ val find : t -> Vertex.vref -> Vertex.t option
 
 val contains : t -> Vertex.vref -> bool
 
+val holds : t -> Vertex.t -> bool
+(** Is the slot of this vertex's round and source occupied? {!contains}
+    without building the reference. *)
+
 val round_vertices : t -> int -> Vertex.t list
 (** Vertices of a round, sorted by source (deterministic iteration). *)
+
+val round_refs : t -> int -> Vertex.vref list
+(** The references of {!round_vertices}, built in one pass: a new
+    vertex's strong edges (Algorithm 2, line 18). *)
 
 val round_size : t -> int -> int
 
@@ -62,7 +70,8 @@ val vertex_delivered : t -> Vertex.t -> bool
 
 val can_add : t -> Vertex.t -> bool
 (** All edge targets present and in earlier rounds (Algorithm 2
-    line 7)? Targets below {!pruned_below} count as present. *)
+    line 7)? Targets below {!pruned_below} count as present. Allocates
+    nothing. *)
 
 val add : t -> Vertex.t -> unit
 (** Insert a vertex. A vertex of a round below {!pruned_below} is

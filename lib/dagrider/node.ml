@@ -30,6 +30,16 @@ let default_config ~n ~f =
     gc_depth = None;
     coin_mode = Separate_network }
 
+(* A coin instance's shares, at most one per holder: [held] were each
+   verified against [h], the instance hash, and [taken] marks their
+   holders, one byte per process. *)
+type bucket = {
+  h : int;
+  taken : Bytes.t;
+  mutable held : Crypto.Threshold_coin.share list;
+  mutable count : int;
+}
+
 type t = {
   config : config;
   me : int;
@@ -44,7 +54,11 @@ type t = {
   block_source : round:int -> string;
   a_deliver : block:string -> round:int -> source:int -> unit;
   on_commit : Ordering.commit -> unit;
-  mutable buffer : Vertex.t list;
+  (* Algorithm 2's buffer: [buffer.(0 .. buffered - 1)], oldest first.
+     [ready] is a buffer pass's scratch, as long as [buffer]. *)
+  mutable buffer : Vertex.t array;
+  mutable ready : Vertex.t array;
+  mutable buffered : int;
   mutable round : int; (* current round r of Algorithm 2 *)
   mutable started : bool;
   (* wave machinery — two cadences: ordering waves follow the commit
@@ -53,7 +67,7 @@ type t = {
      rules) *)
   mutable waves_completed : int; (* highest ordering wave completed *)
   mutable coin_waves_completed : int; (* highest coin instance completed *)
-  shares : (int, Crypto.Threshold_coin.share list ref) Hashtbl.t;
+  shares : (int, bucket) Hashtbl.t;
   leaders : (int, int) Hashtbl.t; (* resolved coin: wave -> process *)
   mutable next_wave_to_order : int;
   (* catch-up hardening: a sync response is one peer's unauthenticated
@@ -70,10 +84,13 @@ let current_round t = t.round
 let dag t = t.dag
 let ordering t = t.ordering
 let delivered_log t = Ordering.delivered_log t.ordering
-let buffered t = List.length t.buffer
+let buffered t = t.buffered
 let waves_completed t = t.waves_completed
 let coin_instances_resolved t = Hashtbl.length t.leaders
 let coin_buckets t = Hashtbl.length t.shares
+
+let coin_shares_held t =
+  Hashtbl.fold (fun _ b acc -> acc + b.count) t.shares 0
 
 let leader_of t ~wave =
   match (Ordering.rule t.ordering).Ordering.rule_schedule with
@@ -133,21 +150,24 @@ let encode_payload t ~vertex_bytes ~share =
     Wire.put_u8 w 1;
     Wire.contents w
 
-let decode_payload t payload =
+let payload_vertex_length t payload =
   match t.config.coin_mode with
-  | Separate_network -> Some (payload, None)
+  | Separate_network -> String.length payload
   | In_dag -> (
     let len = String.length payload in
-    if len = 0 then None
+    if len = 0 then -1
     else
       match payload.[len - 1] with
-      | '\000' -> Some (String.sub payload 0 (len - 1), None)
-      | '\001' when len >= 13 ->
-        let base = len - 13 in
-        Some
-          ( String.sub payload 0 base,
-            Some (get_share { Wire.src = payload; pos = base }) )
-      | _ -> None)
+      | '\000' -> len - 1
+      | '\001' when len >= 13 -> len - 13
+      | _ -> -1)
+
+let payload_share t payload =
+  let len = String.length payload in
+  match t.config.coin_mode with
+  | In_dag when len >= 13 && payload.[len - 1] = '\001' ->
+    Some (get_share { Wire.src = payload; pos = len - 13 })
+  | In_dag | Separate_network -> None
 
 (* round w*L + 1 is the first round a process can only enter after
    completing coin instance w, so its vertex carries w's share in
@@ -167,9 +187,7 @@ let flip t ~wave =
   Crypto.Threshold_coin.make_share t.coin ~holder:t.me ~instance:wave
 
 let create_and_broadcast_vertex t ~round =
-  let strong_edges =
-    List.map Vertex.vref_of (Dag.round_vertices t.dag (round - 1))
-  in
+  let strong_edges = Dag.round_refs t.dag (round - 1) in
   let weak_edges =
     if t.config.enable_weak_edges then Dag.weak_edges t.dag ~round ~strong_edges
     else []
@@ -269,14 +287,6 @@ let broadcast_share t ~wave =
   Net.Port.broadcast t.coin_net ~src:t.me ~kind:"coin-share"
     ~bits:Crypto.Threshold_coin.share_size_bits
     (Coin_share (flip t ~wave))
-
-let shares_for t wave =
-  match Hashtbl.find_opt t.shares wave with
-  | Some r -> r
-  | None ->
-    let r = ref [] in
-    Hashtbl.add t.shares wave r;
-    r
 
 (* The RBC instances share the DAG's horizon, which the ordering raises
    as it delivers leaders ([Ordering.process_wave]). A vertex in the DAG
@@ -392,33 +402,49 @@ let rec try_order_waves t =
     try_order_waves t
   | Some _ | None -> ()
 
-let try_resolve_coin t ~wave =
-  if not (Hashtbl.mem t.leaders wave) then begin
-    let shares = !(shares_for t wave) in
-    match Crypto.Threshold_coin.combine t.coin ~instance:wave shares with
-    | Some leader ->
-      Hashtbl.add t.leaders wave leader;
-      Hashtbl.remove t.shares wave;
-      (match t.trace with
-      | None -> ()
-      | Some tr ->
-        Trace.emit tr
-          (Trace.Leader_elected { node = t.me; wave; leader }));
-      try_order_waves t
-    | None -> ()
-  end
-
-(* the one intake for a share, whichever transport brought it *)
+(* the one intake for a share, whichever transport brought it. A wave's
+   bucket takes each holder once, checking it against the hash computed
+   when the bucket opened, so a resent share costs no hash and a bucket
+   never holds more than n shares; only a verified share opens one.
+   [combine] runs once, when the f+1-th distinct verified holder is in:
+   the first moment it can return [Some], so the leader and its timing
+   are those of combining on every share. *)
 let accept_share t (share : Crypto.Threshold_coin.share) =
+  let wave = share.instance in
   (* a resolved wave's share can change nothing: drop it before the
      verification hash, and before it re-opens the wave's bucket *)
-  if
-    (not (Hashtbl.mem t.leaders share.instance))
-    && Crypto.Threshold_coin.verify_share t.coin share
-  then begin
-    let bucket = shares_for t share.instance in
-    bucket := share :: !bucket;
-    try_resolve_coin t ~wave:share.instance
+  if not (Hashtbl.mem t.leaders wave) then begin
+    let b =
+      match Hashtbl.find t.shares wave with
+      | b -> b
+      | exception Not_found ->
+        { h = Crypto.Threshold_coin.hash_instance t.coin wave;
+          taken = Bytes.make (Crypto.Threshold_coin.n t.coin) '\000';
+          held = [];
+          count = 0 }
+    in
+    if
+      share.holder >= 0
+      && share.holder < Bytes.length b.taken
+      && Bytes.get b.taken share.holder = '\000'
+      && Crypto.Threshold_coin.valid_share t.coin ~h:b.h share
+    then begin
+      if b.count = 0 then Hashtbl.add t.shares wave b;
+      Bytes.set b.taken share.holder '\001';
+      b.held <- share :: b.held;
+      b.count <- b.count + 1;
+      if b.count = Crypto.Threshold_coin.threshold t.coin then
+        match Crypto.Threshold_coin.combine t.coin ~instance:wave b.held with
+        | Some leader ->
+          Hashtbl.add t.leaders wave leader;
+          Hashtbl.remove t.shares wave;
+          (match t.trace with
+          | None -> ()
+          | Some tr ->
+            Trace.emit tr (Trace.Leader_elected { node = t.me; wave; leader }));
+          try_order_waves t
+        | None -> ()
+    end
   end
 
 let on_coin_msg t ~src:_ (Coin_share share) =
@@ -433,8 +459,7 @@ let coin_wave_ready t ~wave =
     t.coin_waves_completed <- wave;
     (* the coin for w is flipped only now that w is complete; in In_dag
        mode the share rides the next vertex broadcast instead *)
-    if t.config.coin_mode = Separate_network then broadcast_share t ~wave;
-    try_resolve_coin t ~wave
+    if t.config.coin_mode = Separate_network then broadcast_share t ~wave
   end
 
 (* Both cadences fire off the same round completion. The ordering wave
@@ -457,40 +482,69 @@ let wave_ready t ~round =
   | None -> ());
   try_order_waves t
 
-let rec try_advance t =
-  (* move buffered vertices whose causal history is present into the DAG
-     (lines 6-9); iterate to a fixpoint since additions enable others *)
-  let progressed = ref true in
-  while !progressed do
-    progressed := false;
-    let ready, waiting =
-      List.partition (fun v -> Dag.can_add t.dag v) t.buffer
-    in
-    if ready <> [] then begin
-      List.iter
-        (fun v ->
-          (* two copies of one slot can become addable in the same sweep
-             only through the deliberately weakened sync path (honest
-             admission cross-checks the slot first); first writer wins
-             and the cross-node equivocation oracle judges the result *)
-          let vref = Vertex.vref_of v in
-          if not (Dag.contains t.dag vref) then begin
-            Dag.add t.dag v;
-            (* [add] drops a vertex of a garbage-collected round *)
-            if Dag.contains t.dag vref then
-              (match t.trace with
-              | None -> ()
-              | Some tr ->
-                Trace.emit tr
-                  (Trace.Vertex_added
-                     { node = t.me;
-                       round = v.Vertex.round;
-                       source = v.Vertex.source }))
-          end)
-        ready;
-      t.buffer <- waiting;
-      progressed := true
+let no_vertex =
+  { Vertex.round = -1; source = -1; block = ""; strong_edges = []; weak_edges = [] }
+
+let buffer_vertex t v =
+  if t.buffered = Array.length t.buffer then begin
+    let capacity = max 8 (2 * t.buffered) in
+    let grown = Array.make capacity no_vertex in
+    Array.blit t.buffer 0 grown 0 t.buffered;
+    t.buffer <- grown;
+    t.ready <- Array.make capacity no_vertex
+  end;
+  t.buffer.(t.buffered) <- v;
+  t.buffered <- t.buffered + 1
+
+let add_buffered t v =
+  (* two copies of one slot can become addable in the same pass only
+     through the deliberately weakened sync path (honest admission
+     cross-checks the slot first); first writer wins and the cross-node
+     equivocation oracle judges the result *)
+  if not (Dag.holds t.dag v) then begin
+    Dag.add t.dag v;
+    (* [add] drops a vertex of a garbage-collected round *)
+    if Dag.holds t.dag v then
+      match t.trace with
+      | None -> ()
+      | Some tr ->
+        Trace.emit tr
+          (Trace.Vertex_added
+             { node = t.me; round = v.Vertex.round; source = v.Vertex.source })
+  end
+
+(* One buffer pass (lines 6-9): every buffered vertex whose causal
+   history is present joins the DAG, in buffer order, newest first.
+   Readiness is fixed before the first addition, so a vertex the pass
+   itself makes addable waits for the next pass: insertion numbers
+   order [Dag.weak_edges]. The ready vertices move to [ready], the
+   others close up in order. True if anything was ready. *)
+let buffer_pass t =
+  let ready = ref 0 and waiting = ref 0 in
+  for i = 0 to t.buffered - 1 do
+    let v = t.buffer.(i) in
+    if Dag.can_add t.dag v then begin
+      t.ready.(!ready) <- v;
+      incr ready
     end
+    else begin
+      t.buffer.(!waiting) <- v;
+      incr waiting
+    end
+  done;
+  Array.fill t.buffer !waiting (t.buffered - !waiting) no_vertex;
+  t.buffered <- !waiting;
+  for k = !ready - 1 downto 0 do
+    let v = t.ready.(k) in
+    t.ready.(k) <- no_vertex;
+    add_buffered t v
+  done;
+  !ready > 0
+
+let rec try_advance t =
+  (* iterate to a fixpoint since additions enable others *)
+  while buffer_pass t do
+    ()
   done;
   (* lines 10-15: complete rounds while quorums are in *)
   if Dag.round_size t.dag t.round >= (2 * t.config.f) + 1 then begin
@@ -518,20 +572,20 @@ let accept_embedded_share t ~round ~source = function
 let on_r_deliver t ~payload ~round ~source =
   let sp = Prof.enter "node.r_deliver" in
   (try
-     match decode_payload t payload with
-     | None -> () (* malformed Byzantine payload *)
-     | Some (vertex_bytes, share) -> (
-       match Vertex.decode ~round ~source vertex_bytes with
+     let len = payload_vertex_length t payload in
+     (* a negative length is a malformed Byzantine frame *)
+     if len >= 0 then
+       match Vertex.decode_prefix ~round ~source payload ~len with
        | None -> () (* malformed Byzantine payload *)
        | Some v -> (
          match Vertex.validate ~n:t.config.n ~f:t.config.f v with
          | Error _ -> () (* fails Algorithm 2 line 25's checks *)
          | Ok () ->
-           accept_embedded_share t ~round ~source share;
-           if not (Dag.contains t.dag (Vertex.vref_of v)) then begin
-             t.buffer <- v :: t.buffer;
+           accept_embedded_share t ~round ~source (payload_share t payload);
+           if not (Dag.holds t.dag v) then begin
+             buffer_vertex t v;
              try_advance t
-           end))
+           end)
    with e -> Prof.leave_reraise sp e);
   Prof.leave sp
 
@@ -586,6 +640,16 @@ let sync_reject t ~src ~round ~source reason =
     Trace.emit tr
       (Trace.Sync_reject { node = t.me; src; round; source; reason }))
 
+(* does the buffer hold a vertex of [v]'s slot with this digest? *)
+let buffers_copy t (v : Vertex.t) digest =
+  let rec from i =
+    i < t.buffered
+    && (let b = t.buffer.(i) in
+        (b.round = v.round && b.source = v.source && Vertex.digest b = digest)
+        || from (i + 1))
+  in
+  from 0
+
 let admit_sync_vertex t ~src ~payload ~round ~source =
   if round < 1 || source < 0 || source >= t.config.n then
     sync_reject t ~src ~round ~source "envelope"
@@ -605,15 +669,10 @@ let admit_sync_vertex t ~src ~payload ~round ~source =
             sync_reject t ~src ~round ~source "conflict"
         | None ->
           let digest = Vertex.digest v in
-          let buffered_already =
-            List.exists
-              (fun b -> Vertex.vref_of b = vr && Vertex.digest b = digest)
-              t.buffer
-          in
-          if not buffered_already then begin
+          if not (buffers_copy t v digest) then begin
             let need = if t.sync_trusting then 1 else t.config.f + 1 in
             if need <= 1 then begin
-              t.buffer <- v :: t.buffer;
+              buffer_vertex t v;
               try_advance t
             end
             else begin
@@ -632,7 +691,7 @@ let admit_sync_vertex t ~src ~payload ~round ~source =
                 responders := src :: !responders;
               if List.length !responders >= need then begin
                 Hashtbl.remove t.sync_pending key;
-                t.buffer <- v :: t.buffer;
+                buffer_vertex t v;
                 try_advance t
               end
             end
@@ -702,7 +761,9 @@ let create ~config ~me ~coin ~coin_net ~make_rbc ?sync_net
       block_source;
       a_deliver;
       on_commit;
-      buffer = [];
+      buffer = [||];
+      ready = [||];
+      buffered = 0;
       round = 0;
       started = false;
       waves_completed = 0;

@@ -117,10 +117,16 @@ val encode_payload :
     under [In_dag] the encoding followed by [<u32 holder> <u32 instance>
     <u32 value> '\001'], or by ['\000'] when it carries no share. *)
 
-val decode_payload :
-  t -> string -> (string * Crypto.Threshold_coin.share option) option
-(** Inverse of {!encode_payload}, leaving the vertex bytes undecoded;
-    [None] on a malformed [In_dag] frame. *)
+val payload_vertex_length : t -> string -> int
+(** How many bytes of vertex encoding an RBC payload starts with (read
+    them with {!Vertex.decode_prefix}): the whole payload under
+    [Separate_network], what precedes the frame suffix under [In_dag],
+    or [-1] for a malformed [In_dag] frame. Allocates nothing. *)
+
+val payload_share : t -> string -> Crypto.Threshold_coin.share option
+(** The share an [In_dag] frame carries after its vertex bytes; [None]
+    without one, and always under [Separate_network]. Together with
+    {!payload_vertex_length}, the inverse of {!encode_payload}. *)
 
 val create :
   config:config ->
@@ -201,8 +207,14 @@ val coin_instances_resolved : t -> int
 
 val coin_buckets : t -> int
 (** Coin instances holding shares that have not resolved yet: a wave's
-    bucket is dropped when its leader resolves, and a later share for it
-    is dropped before verification. *)
+    bucket is opened by its first verified share and dropped when its
+    leader resolves, and a later share for it is dropped before
+    verification. *)
+
+val coin_shares_held : t -> int
+(** Shares held over all buckets. A bucket takes each holder once, so
+    it holds at most [n] shares, and a resent share is dropped before
+    verification. *)
 
 val leader_of : t -> wave:int -> int option
 (** The wave's leader as this node knows it: the coin's choice once

@@ -54,51 +54,64 @@ let encode v =
    which [decode] catches, so nothing is allocated but the vertex. *)
 exception Short
 
-let get_u32 s pos =
-  if pos + 4 > String.length s then raise_notrace Short;
+(* the u32 at [pos]; the caller has checked that it lies inside [s] *)
+let u32 s pos =
   (Char.code (String.unsafe_get s pos) lsl 24)
   lor (Char.code (String.unsafe_get s (pos + 1)) lsl 16)
   lor (Char.code (String.unsafe_get s (pos + 2)) lsl 8)
   lor Char.code (String.unsafe_get s (pos + 3))
 
+(* the u32 at [pos], which must end by [stop] *)
+let get_u32 s ~stop pos =
+  if pos + 4 > stop then raise_notrace Short;
+  u32 s pos
+
 (* The end of the edge list whose count is at [pos]; [Short] unless the
-   whole list lies inside [s]. *)
-let edges_end s pos =
-  let stop = pos + 4 + (8 * get_u32 s pos) in
-  if stop > String.length s then raise_notrace Short;
-  stop
+   whole list ends by [stop]. *)
+let edges_end s ~stop pos =
+  let last = pos + 4 + (8 * get_u32 s ~stop pos) in
+  if last > stop then raise_notrace Short;
+  last
 
 (* [count] edges from [pos], in wire order; [edges_end] has checked
    that they lie inside [s]. *)
 let[@tail_mod_cons] rec get_edges s pos count =
   if count = 0 then []
   else
-    let round = get_u32 s pos in
-    let source = get_u32 s (pos + 4) in
+    let round = u32 s pos in
+    let source = u32 s (pos + 4) in
     { round; source } :: get_edges s (pos + 8) (count - 1)
 
-(* The offset of the weak-edge count, once the payload is known to be
-   exactly a block and two edge lists. *)
-let layout payload =
-  let strong_at = 4 + get_u32 payload 0 in
-  if strong_at > String.length payload then raise_notrace Short;
-  let weak_at = edges_end payload strong_at in
-  if edges_end payload weak_at <> String.length payload then raise_notrace Short;
+(* The offset of the weak-edge count, once [payload]'s first [stop]
+   bytes are known to be exactly a block and two edge lists. *)
+let layout payload ~stop =
+  let strong_at = 4 + get_u32 payload ~stop 0 in
+  if strong_at > stop then raise_notrace Short;
+  let weak_at = edges_end payload ~stop strong_at in
+  if edges_end payload ~stop weak_at <> stop then raise_notrace Short;
   weak_at
 
-let decode ~round ~source payload =
-  match layout payload with
+let decode_prefix ~round ~source payload ~len =
+  if len < 0 || len > String.length payload then
+    invalid_arg "Vertex.decode_prefix: length outside the payload";
+  match layout payload ~stop:len with
   | exception Short -> None
   | weak_at ->
-    let block_len = get_u32 payload 0 in
+    let block_len = get_u32 payload ~stop:len 0 in
     let strong_at = 4 + block_len in
     Some
       { round;
         source;
         block = String.sub payload 4 block_len;
         strong_edges =
-          get_edges payload (strong_at + 4) (get_u32 payload strong_at);
-        weak_edges = get_edges payload (weak_at + 4) (get_u32 payload weak_at) }
+          get_edges payload (strong_at + 4)
+            (get_u32 payload ~stop:len strong_at);
+        weak_edges =
+          get_edges payload (weak_at + 4) (get_u32 payload ~stop:len weak_at)
+      }
+
+let decode ~round ~source payload =
+  decode_prefix ~round ~source payload ~len:(String.length payload)
 
 (* The checks of [validate] walk the edge lists with these top-level
    functions, so the [Ok] path builds no closure. *)

@@ -38,6 +38,11 @@ val decode : round:int -> source:int -> string -> t option
     envelope's round and source. [None] on malformed bytes (Byzantine
     senders can put anything in a payload). *)
 
+val decode_prefix : round:int -> source:int -> string -> len:int -> t option
+(** {!decode} of the payload's first [len] bytes, read in place: a
+    frame that carries more after the vertex is not copied.
+    @raise Invalid_argument unless [0 <= len <= String.length payload]. *)
+
 val validate : n:int -> f:int -> t -> (unit, string) result
 (** Structural checks from Algorithm 2 line 25 plus edge sanity:
     [round >= 1]; at least [2f+1] strong edges, all to round [round-1];

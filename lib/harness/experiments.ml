@@ -576,7 +576,7 @@ let ablation_weak_edges ?(seed = 42) () =
    first-delivery latencies and the trailing row cells: undelivered,
    mean, p50, p99. *)
 let probe_latency (options : Runner.options) ~per_node =
-  let recorder = Metrics.Latency.create () in
+  let recorder = Metrics.Latency.create ~processes:options.n () in
   let h =
     Runner.build
       { options with

@@ -715,7 +715,7 @@ let build options =
     | None -> Crypto.Threshold_coin.setup ~rng:coin_rng ~n ~f
   in
   let stacks = make_stacks options ~engine ~sched ~counters ~gossip_rng ~lossy in
-  let latency = Metrics.Latency.create () in
+  let latency = Metrics.Latency.create ~processes:n () in
   let mempools =
     match options.workload with
     | None -> None

@@ -11,12 +11,18 @@ type key = string
 (** Payload identifier (any unique string; experiments use the block
     digest or "source:seqno"). *)
 
-val create : unit -> t
+val create : ?processes:int -> unit -> t
+(** Each payload's record makes room for the deliveries of processes
+    [0 .. processes - 1] (default 4); a higher process id grows it. *)
 
 val proposed : t -> key -> now:float -> unit
 (** First call wins; re-proposals keep the original timestamp. *)
 
 val delivered : t -> key -> process:int -> now:float -> unit
+(** Record [process]'s delivery at [now]; only its first counts.
+    Ignored for a payload never proposed. Allocates nothing once the
+    payload's record has room for [process].
+    @raise Invalid_argument if [process] is negative. *)
 
 val first_delivery_latency : t -> key -> float option
 (** Time from proposal to the earliest delivery at any process; [None]

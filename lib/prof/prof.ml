@@ -64,9 +64,11 @@ and window = {
   mutable child_alloc : float;
 }
 
+(* [None] reads the built-in counter directly (see [now] and
+   [allocated]), so a reading is an unboxed float and boxes nothing *)
 type t = {
-  clock : unit -> float;
-  alloc_bytes : unit -> float;
+  clock : (unit -> float) option;
+  alloc_bytes : (unit -> float) option;
   root : node; (* virtual; its children are the top-level spans *)
   samples : (string, sample) Hashtbl.t;
   gc0 : Gc.stat;
@@ -75,8 +77,34 @@ type t = {
   mutable unbalanced : int;
 }
 
-let create ?(clock = Unix.gettimeofday) ?(alloc_bytes = Gc.allocated_bytes) ()
-    =
+external major_direct_words : unit -> (float[@unboxed])
+  = "dagrider_prof_major_direct_words_byte" "dagrider_prof_major_direct_words"
+[@@noalloc]
+
+let word_bytes = float_of_int (Sys.word_size / 8)
+
+(* Every byte allocated so far. [Gc.minor_words] counts the current
+   minor arena too; [Gc.allocated_bytes] counts it only after the next
+   minor collection, so its deltas jump by an arena between spans that
+   allocate the same. Blocks too large for the minor heap go straight to
+   the major heap, which [major_direct_words] counts. *)
+let[@inline] exact_allocated_bytes () =
+  (Gc.minor_words () +. major_direct_words ()) *. word_bytes
+
+let[@inline] now t =
+  match t.clock with None -> Unix.gettimeofday () | Some clock -> clock ()
+
+let[@inline] read_alloc_bytes = function
+  | None -> exact_allocated_bytes ()
+  | Some alloc_bytes -> alloc_bytes ()
+
+let[@inline] allocated t = read_alloc_bytes t.alloc_bytes
+
+(* the words [enter] allocates after it reads the counter: the window
+   (4 floats), the frame, the stack cell and the [On] handle *)
+let span_words = 5 + 3 + 3 + 3
+
+let create ?clock ?alloc_bytes () =
   { clock;
     alloc_bytes;
     root =
@@ -84,7 +112,7 @@ let create ?(clock = Unix.gettimeofday) ?(alloc_bytes = Gc.allocated_bytes) ()
       make_node "" { sm_seen = 0; sm_filled = 0; sm_state = 1; sm_buf = [||] };
     samples = Hashtbl.create 32;
     gc0 = Gc.quick_stat ();
-    alloc0 = alloc_bytes ();
+    alloc0 = read_alloc_bytes alloc_bytes;
     stack = [];
     unbalanced = 0 }
 
@@ -134,8 +162,8 @@ let enter name =
     in
     (* both counters are read inside the span's own clock window, so
        the cost of reading them is the span's, not its parent's *)
-    let t0 = t.clock () in
-    let a0 = t.alloc_bytes () in
+    let t0 = now t in
+    let a0 = allocated t in
     let fr =
       { fr_node = node;
         fr_window = { t0; a0; child_time = 0.0; child_alloc = 0.0 } }
@@ -167,8 +195,8 @@ let leave = function
     | top :: rest when top == fr ->
       t.stack <- rest;
       let w = fr.fr_window in
-      let da = t.alloc_bytes () -. w.a0 in
-      let dt = t.clock () -. w.t0 in
+      let da = allocated t -. w.a0 in
+      let dt = now t -. w.t0 in
       let n = fr.fr_node in
       n.nd_count <- n.nd_count + 1;
       let sums = n.nd_sums in
@@ -278,17 +306,18 @@ let render_table ?(top = 16) t =
   let observed = observed_s t in
   let pct x = if observed <= 0.0 then 0.0 else 100.0 *. x /. observed in
   Buffer.add_string buf
-    (Printf.sprintf "%-24s %10s %10s %6s %10s %10s\n" "span" "calls" "self(s)"
-       "self%" "total(s)" "alloc(MB)");
+    (Printf.sprintf "%-24s %10s %10s %6s %10s %10s %12s\n" "span" "calls"
+       "self(s)" "self%" "total(s)" "alloc(MB)" "self(B/call)");
   let shown = ref 0 in
   List.iter
     (fun r ->
       if !shown < top then begin
         incr shown;
         Buffer.add_string buf
-          (Printf.sprintf "%-24s %10d %10.4f %5.1f%% %10.4f %10.2f\n" r.r_name
-             r.r_count r.r_self_s (pct r.r_self_s) r.r_total_s
-             (r.r_alloc_bytes /. 1e6))
+          (Printf.sprintf "%-24s %10d %10.4f %5.1f%% %10.4f %10.2f %12.0f\n"
+             r.r_name r.r_count r.r_self_s (pct r.r_self_s) r.r_total_s
+             (r.r_alloc_bytes /. 1e6)
+             (r.r_self_alloc_bytes /. float_of_int (max 1 r.r_count)))
       end)
     (rows t);
   Buffer.add_string buf
@@ -327,7 +356,7 @@ let gc_summary t =
     gc_major_collections = g.major_collections - t.gc0.major_collections;
     gc_promoted_words = g.promoted_words -. t.gc0.promoted_words;
     gc_top_heap_words = g.top_heap_words;
-    gc_allocated_bytes = t.alloc_bytes () -. t.alloc0 }
+    gc_allocated_bytes = allocated t -. t.alloc0 }
 
 let render_gc g =
   Printf.sprintf

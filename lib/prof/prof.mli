@@ -24,9 +24,22 @@ type t
 
 val create :
   ?clock:(unit -> float) -> ?alloc_bytes:(unit -> float) -> unit -> t
-(** [clock] defaults to [Unix.gettimeofday] (seconds); [alloc_bytes]
-    to [Gc.allocated_bytes]. Both injectable for deterministic tests.
-    Creation snapshots [Gc.quick_stat] as the {!gc_summary} baseline. *)
+(** [clock] defaults to [Unix.gettimeofday] (seconds). [alloc_bytes]
+    defaults to an exact count of the bytes allocated so far: the unboxed
+    [Gc.minor_words], which includes the current minor arena, plus the
+    words allocated directly in the major heap (blocks over
+    [Max_young_wosize] words). Both defaults are read without boxing.
+    ([Gc.allocated_bytes] counts the minor arena only after the next
+    minor collection, so a span's reading would jump by up to an arena.)
+    Both are injectable for deterministic tests. Creation snapshots
+    [Gc.quick_stat] as the {!gc_summary} baseline. *)
+
+val span_words : int
+(** The words a span's own bookkeeping adds to its self allocation
+    under the default counter: [enter] reads the counter and then
+    allocates the span's window, frame, stack cell and handle. So a span
+    around code that allocates [k] words reads [k + span_words] words of
+    self allocation, whatever the minor heap held. *)
 
 val install : t -> unit
 (** Make [t] the ambient profiler every {!enter} site reports to.

@@ -362,6 +362,25 @@ let full_round dag ~n ~round =
         weak_edges = [] }
   done
 
+(* [can_add] allocates nothing, ready or not; holds for the default
+   (release) build *)
+let test_dag_can_add_allocation () =
+  let n = 16 in
+  let dag = Dagrider.Dag.create ~n in
+  full_round dag ~n ~round:1;
+  full_round dag ~n ~round:2;
+  let v round =
+    mkv ~round ~source:0 ~strong:(List.init n (fun s -> (round - 1, s))) ~weak:[ (1, 3) ] ()
+  in
+  let ready = v 3 and waiting = v 4 in
+  let before = Gc.minor_words () in
+  let a = Dagrider.Dag.can_add dag ready in
+  let b = Dagrider.Dag.can_add dag waiting in
+  let words = Gc.minor_words () -. before in
+  checkb "ready" true a;
+  checkb "waiting" false b;
+  checkb (Printf.sprintf "can_add: %.0f words = 0" words) true (words = 0.0)
+
 let test_dag_genesis () =
   let dag = Dagrider.Dag.create ~n:4 in
   checki "genesis size" 4 (Dagrider.Dag.round_size dag 0);
@@ -793,6 +812,8 @@ let () =
             test_dag_store_bounded_under_gc;
           Alcotest.test_case "edges must descend" `Quick
             test_dag_edges_must_descend;
+          Alcotest.test_case "can_add allocation" `Quick
+            test_dag_can_add_allocation;
           Alcotest.test_case "pruned round stays empty" `Quick
             test_dag_pruned_round_stays_empty;
           QCheck_alcotest.to_alcotest prop_dag_path_strong_implies_path;

@@ -59,6 +59,45 @@ let test_exact_accounting () =
       | [ dt ] -> checkf "sampled duration" 6.0 dt
       | _ -> Alcotest.fail "expected one outer sample")
 
+(* [count] cons cells, 3 words each, and nothing else *)
+let rec cons_cells acc count =
+  if count = 0 then acc else cons_cells (count :: acc) (count - 1)
+
+(* The default counter is exact: a span around code that allocates k
+   words reads k plus the profiler's documented [span_words], whatever
+   the minor heap held when the span opened, across a minor collection
+   inside the span, and for a block too large for the minor heap. *)
+let test_exact_default_counter () =
+  let prof = Prof.create () in
+  Prof.install prof;
+  let rounds = 40 in
+  Fun.protect ~finally:Prof.uninstall (fun () ->
+      for i = 1 to rounds do
+        (* leave the minor arena at a different fill each round *)
+        ignore (Sys.opaque_identity (cons_cells [] (i * 97)));
+        let sp = Prof.enter "empty" in
+        Prof.leave sp;
+        let sp = Prof.enter "cons" in
+        ignore (Sys.opaque_identity (cons_cells [] 100));
+        if i mod 5 = 0 then Gc.minor ();
+        Prof.leave sp;
+        let sp = Prof.enter "major" in
+        ignore (Sys.opaque_identity (Array.make 1000 0));
+        Prof.leave sp
+      done);
+  let words = Sys.word_size / 8 in
+  List.iter
+    (fun (name, k) ->
+      let r = row name prof in
+      let expected = rounds * (k + Prof.span_words) * words in
+      checki (name ^ " calls") rounds r.Prof.r_count;
+      checkf
+        (Printf.sprintf "%s: %d words + %d per span" name k Prof.span_words)
+        (float_of_int expected) r.Prof.r_self_alloc_bytes;
+      checkf (name ^ " has no child") r.Prof.r_alloc_bytes
+        r.Prof.r_self_alloc_bytes)
+    [ ("empty", 0); ("cons", 300); ("major", 1001) ]
+
 let test_folded_output () =
   with_fake_prof (fun t now _alloc ->
       let outer = Prof.enter "outer" in
@@ -445,6 +484,8 @@ let () =
     [ ( "accounting",
         [ Alcotest.test_case "exact self/total/alloc" `Quick
             test_exact_accounting;
+          Alcotest.test_case "default counter is exact" `Quick
+            test_exact_default_counter;
           Alcotest.test_case "folded stacks" `Quick test_folded_output;
           Alcotest.test_case "same name merges across paths" `Quick
             test_same_name_merges_across_paths;

@@ -640,6 +640,31 @@ let test_latency_undelivered_audit () =
   Metrics.Latency.delivered l "a" ~process:0 ~now:1.0;
   Alcotest.(check (list string)) "b missing" [ "b" ] (Metrics.Latency.undelivered l)
 
+(* Recording a delivery on an existing record allocates nothing: a new
+   process, a repeat, an earlier and a later time. Holds for the
+   default (release) build. *)
+let test_latency_delivered_allocation () =
+  let l = Metrics.Latency.create ~processes:4 () in
+  let key = String.make 40 'k' in
+  Metrics.Latency.proposed l key ~now:2.0;
+  Metrics.Latency.delivered l key ~process:1 ~now:5.0;
+  let before = Gc.minor_words () in
+  Metrics.Latency.delivered l key ~process:2 ~now:4.0;
+  Metrics.Latency.delivered l key ~process:1 ~now:3.0;
+  Metrics.Latency.delivered l key ~process:3 ~now:9.0;
+  let words = Gc.minor_words () -. before in
+  checkb (Printf.sprintf "delivered: %.0f words = 0" words) true (words = 0.0);
+  checki "three deliverers" 3 (Metrics.Latency.delivery_count l key);
+  Alcotest.(check (list (pair int (float 1e-9))))
+    "first delivery per process" [ (1, 3.0); (2, 2.0); (3, 7.0) ]
+    (Metrics.Latency.per_process_latency l key);
+  (* a process past the record's room grows it *)
+  Metrics.Latency.delivered l key ~process:9 ~now:1.0;
+  Alcotest.(check (option (float 1e-9)))
+    "earliest wins" (Some (-1.0))
+    (Metrics.Latency.first_delivery_latency l key);
+  checki "four deliverers" 4 (Metrics.Latency.delivery_count l key)
+
 (* ---- Chain quality metric ---- *)
 
 let test_chain_quality_all_correct () =
@@ -730,6 +755,8 @@ let () =
       ( "metrics",
         [ Alcotest.test_case "latency first delivery" `Quick test_latency_first_delivery;
           Alcotest.test_case "latency undelivered" `Quick test_latency_undelivered_audit;
+          Alcotest.test_case "latency delivered allocation" `Quick
+            test_latency_delivered_allocation;
           Alcotest.test_case "chain quality all correct" `Quick
             test_chain_quality_all_correct;
           Alcotest.test_case "chain quality violation" `Quick
